@@ -13,7 +13,6 @@ from .errors import (
     NoRootInRange,
     NumericModeAtNuOne,
     PrecisionExhausted,
-    StepTooLarge,
 )
 
 __all__ = [
@@ -27,6 +26,5 @@ __all__ = [
     "NoRootInRange",
     "NumericModeAtNuOne",
     "PrecisionExhausted",
-    "StepTooLarge",
     "__version__",
 ]

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,8 +30,7 @@ from .critical import (
     finite_susceptibility,
     free_energy,
     m0_closed,
-    thermo_magnetization,
-    thermo_susceptibility,
+    thermo_enclosures,
 )
 from .errors import ComputationError
 from .exactalg import sturm_count
@@ -41,8 +42,10 @@ from .singular import (
     dominant_expansions,
     characteristic_root_polynomial,
     p1_p2_p3,
+    _root_interval_bound,
     radius_numeric,
     rho_closed_form,
+    s_at_rho_closed_form,
 )
 
 COMMANDS = ("coeffs", "enumerate", "radius", "puiseux", "observables",
@@ -78,31 +81,21 @@ def format_value(x, dps: int = 17) -> str:
     return mpmath.nstr(x, dps)
 
 
-def polynomial_string(poly) -> str:
-    """Canonical string of a polynomial in nu and c, highest degrees first."""
-    items = sorted(poly.terms.items(), key=lambda kv: kv[0], reverse=True)
-    if not items:
-        return "0"
-    parts = []
-    for (dn, dc), coef in items:
-        mono = []
-        if dn:
-            mono.append("nu" if dn == 1 else "nu^%d" % dn)
-        if dc:
-            mono.append("c" if dc == 1 else "c^%d" % dc)
-        mag = abs(coef)
-        if not mono:
-            piece = str(mag)
-        elif mag == 1:
-            piece = "*".join(mono)
-        else:
-            piece = "*".join([str(mag)] + mono)
-        parts.append((coef < 0, piece))
-    head_neg, head = parts[0]
-    out = ("-" + head) if head_neg else head
-    for neg, piece in parts[1:]:
-        out += (" - " if neg else " + ") + piece
-    return out
+def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
+    """The shortest decimal inside [lo, hi], so that no printed digit is false.
+
+    Endpoints at the working precision are at least one ulp apart unless
+    they are equal, so dps + 3 significant digits always suffice; a point
+    enclosure prints to that many digits.
+    """
+    mid = (lo + hi) / 2
+    for digits in range(1, dps + 4):
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            value = decimal.Decimal(mid.numerator) / mid.denominator
+        if lo <= Fraction(value) <= hi:
+            break
+    return format(value, "g")
 
 
 def _interval(iv, dps: int) -> List[str]:
@@ -122,7 +115,7 @@ def _cmd_coeffs(args, bits):
     if args.symbolic:
         series = solve_Z(IsingParams(nu=2, c=1), n_max)
         for n in range(1, n_max + 1):
-            rows.append({"n": n, "value": polynomial_string(series.coefficient(n))})
+            rows.append({"n": n, "value": series.coefficient(n).to_str()})
     elif args.numeric:
         if args.nu is None or args.c is None:
             raise ValueError("--numeric requires --nu and --c")
@@ -146,7 +139,7 @@ def _cmd_enumerate(args, bits):
     report = survey(args.n)
     result = {
         "n": report.n,
-        "partition_polynomial": polynomial_string(report.partition_polynomial),
+        "partition_polynomial": report.partition_polynomial.to_str(),
         "maps": report.rooted_map_count,
         "total_matchings": report.total_matchings,
         "connected_matchings": report.connected_matchings,
@@ -195,8 +188,9 @@ def _cmd_radius(args, bits):
     dps = _digits(bits)
     specs = [(nu, c, args.tol, args.allow_far_field, not args.no_exponent, dps)
              for nu in args.nu for c in args.c]
-    if args.jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_radius_worker, specs))
     else:
         points = [_radius_worker(spec) for spec in specs]
@@ -252,16 +246,15 @@ def _cmd_observables(args, bits):
             "chi": format_value(finite_susceptibility(args.n, params), dps),
         }
         return result, [], None
-    params = IsingParams(nu=args.nu, c=args.c)
-    result = {"F": format_value(free_energy(params, bits), dps)}
-    if args.c == 1:
-        result["M0"] = format_value(m0_closed(args.nu, bits), dps)
-        result["chi"] = format_value(chi_closed(args.nu, bits), dps)
-    else:
-        result["M"] = format_value(
-            thermo_magnetization(args.nu, args.c, precision_bits=bits), dps)
-        result["chi"] = format_value(
-            thermo_susceptibility(args.nu, args.c, precision_bits=bits), dps)
+    if args.c != 1:
+        box = thermo_enclosures(args.nu, args.c, bits)
+        result = {name: format_enclosure(*box[name], dps) for name in ("F", "M", "chi")}
+        return result, [], None
+    result = {
+        "F": format_value(free_energy(IsingParams(nu=args.nu, c=args.c), bits), dps),
+        "M0": format_value(m0_closed(args.nu, bits), dps),
+        "chi": format_value(chi_closed(args.nu, bits), dps),
+    }
     return result, [], None
 
 
@@ -292,17 +285,16 @@ def _check_battery(bits) -> List[dict]:
     def add(name: str, ok: bool, detail: str):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    # the two closed-form branches agree at the critical coupling
-    nu = Fraction(4)
-    root = Fraction(2)  # sqrt(4)
-    low_rho = 2 * (1 + 2 * root) / (9 * (1 + root) ** 2 * (1 + nu) ** 2)
-    high_rho = (3 * nu ** 2 - 8) / (36 * (nu ** 2 - 1) ** 2)
-    low_s = Fraction(1, 3) / ((root + 1) * (nu + 1))
-    high_s = Fraction(1, 3) / (nu ** 2 - 1)
+    # the two closed-form branches agree at the critical coupling: the nu >= 4
+    # branch is exact there, and the nu < 4 branch, taken where sqrt(nu) is
+    # rational just below 4, is within O(h) of it
+    h = Fraction(1, 10 ** 9)
+    rho4, s4 = rho_closed_form(4), s_at_rho_closed_form(4)
+    gap = max(abs(rho_closed_form((2 - h) ** 2) - rho4),
+              abs(s_at_rho_closed_form((2 - h) ** 2) - s4))
     add("branch_continuity",
-        low_rho == high_rho == Fraction(2, 405)
-        and low_s == high_s == Fraction(1, 45),
-        "rho=%s s=%s" % (high_rho, high_s))
+        rho4 == Fraction(2, 405) and s4 == Fraction(1, 45) and gap < h,
+        "rho=%s s=%s gap=%.3g" % (rho4, s4, float(gap)))
 
     # certified radius against the closed form
     ok = True
@@ -340,7 +332,7 @@ def _check_battery(bits) -> List[dict]:
     for nu_q in (Fraction(1, 2), Fraction(2), Fraction(5)):
         for c_q in (Fraction(9, 10), Fraction(19, 20), Fraction(1)):
             poly = characteristic_root_polynomial(IsingParams(nu=nu_q, c=c_q))
-            bound = 1 / (3 * c_q ** 2 * abs(1 - nu_q ** 2))
+            bound = _root_interval_bound(IsingParams(nu=nu_q, c=c_q))
             count = sturm_count(poly, Fraction(0), bound)
             ok = ok and count == 1
             count_list.append(count)
@@ -419,8 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="PATH")
     common.add_argument("--precision-bits", type=int, default=None,
                         dest="precision_bits")
-    common.add_argument("--tol", type=parse_rational,
-                        default=Fraction(1, 10 ** 12))
+    common.add_argument("--tol", type=parse_rational, default=None)
     common.add_argument("--jobs", type=int, default=1)
 
     parser = argparse.ArgumentParser(
@@ -482,6 +473,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
+        if args.command in ("observables", "puiseux"):
+            # their radius tolerance is fixed; a weaker one would void F's guarantee
+            if args.tol is not None:
+                raise ValueError("--tol does not apply to %s" % args.command)
+        elif args.tol is None:
+            args.tol = Fraction(1, 10 ** 12)
         result, warnings, csv_rows = _HANDLERS[args.command](args, bits)
     except ComputationError as exc:
         envelope = {

@@ -1,12 +1,14 @@
 """Observables and critical exponents for the spin-decorated map ensemble.
 
 Finite-size observables come from exact logarithmic c-derivatives of the
-symbolic partition polynomials; thermodynamic ones from the certified radius
-rho(nu, c) by exact-rational finite differences in c (one-sided on the c > 1
-side when nu >= 4, where rho has a square-root branch point at c = 1),
-followed by one step-halving Richardson extrapolation.  Closed forms for the
+symbolic partition polynomials.  Thermodynamic ones come from one certified
+radius solve: rho(c) = z(s*(c), c) with z = s N(s)/D(s)^2 stationary in s at
+s*, so the envelope theorem turns the c-derivatives of log rho into exact
+derivatives of z at s*, evaluated in interval arithmetic on the certified
+s-interval.  Each value carries an enclosure.  Closed forms for the
 spontaneous magnetization, the susceptibility, and the critical-isotherm
-asymptote are provided alongside, with exact rational fast paths.
+asymptote are provided alongside, with exact rational fast paths; they also
+cover c = 1 with nu >= 4, where s* is a root of D.
 
 Coefficient asymptotics are validated by exponent fits of log(Z_n mu^n)
 against log n, with a global least-squares slope cross-checked by an
@@ -17,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .errors import NonPositiveSequence, StepTooLarge
-from .exactalg import rational_sqrt
+from .errors import NonPositiveSequence, PrecisionExhausted
+from .exactalg import UniPoly, rational_sqrt
 from .precision import default_precision_bits, to_mpf
-from .series import IsingParams, solve_Z
-from .singular import radius_numeric
+from .series import IsingParams, lagrangian_numer_denom, solve_Z
+from .singular import SingularityReport, radius_numeric
 
 Number = Union[Fraction, mpmath.mpf]
 
@@ -72,19 +74,18 @@ _RADIUS_TOL = Fraction(1, 10 ** 28)
 
 
 @lru_cache(maxsize=512)
-def _rho_point(nu: Fraction, c: Fraction) -> Fraction:
-    """Certified-midpoint radius at an exact rational point."""
-    report = radius_numeric(
+def _rho_point(nu: Fraction, c: Fraction) -> SingularityReport:
+    """The certified radius report at an exact rational point, to _RADIUS_TOL."""
+    return radius_numeric(
         IsingParams(nu=nu, c=c), tol=_RADIUS_TOL,
         with_exponent=False, scan_uniqueness=False,
     )
-    return report.rho
 
 
 def free_energy(params: IsingParams, precision_bits: Optional[int] = None) -> mpmath.mpf:
     """F = -log(mu) with mu = c rho from the certified radius."""
     bits = precision_bits or params.precision_bits or default_precision_bits()
-    mu = params.c * _rho_point(params.nu, params.c)
+    mu = params.c * _rho_point(params.nu, params.c).rho
     with mpmath.workprec(bits):
         return -mpmath.log(to_mpf(mu))
 
@@ -178,93 +179,120 @@ def m_critical_asymptote(c, precision_bits: Optional[int] = None) -> mpmath.mpf:
 
 
 # ---------------------------------------------------------------------------
-# Thermodynamic observables by exact-rational finite differences
+# Thermodynamic observables by the envelope theorem
 # ---------------------------------------------------------------------------
 
-def _log_deriv_once(nu: Fraction, c: Fraction, h: Fraction,
-                    one_sided: bool) -> Fraction:
-    """c rho'(c) / rho(c) by a second-order stencil of width h."""
-    if one_sided:
-        d = (-3 * _rho_point(nu, c) + 4 * _rho_point(nu, c + h)
-             - _rho_point(nu, c + 2 * h)) / (2 * h)
-    else:
-        d = (_rho_point(nu, c + h) - _rho_point(nu, c - h)) / (2 * h)
-    return c * d / _rho_point(nu, c)
+def _theta(poly: UniPoly) -> UniPoly:
+    """theta = c d/dc applied to the ParamPoly coefficients of a polynomial in s."""
+    return UniPoly([a.c_log_derivative() for a in poly.coeffs], zero=poly.zero)
 
 
-def _second_deriv_once(nu: Fraction, c: Fraction, h: Fraction,
-                       one_sided: bool) -> Fraction:
-    """c^2 rho''(c) / rho(c) by a second-order stencil of width h."""
-    if one_sided:
-        d2 = (2 * _rho_point(nu, c) - 5 * _rho_point(nu, c + h)
-              + 4 * _rho_point(nu, c + 2 * h) - _rho_point(nu, c + 3 * h)) / h ** 2
-    else:
-        d2 = (_rho_point(nu, c + h) - 2 * _rho_point(nu, c)
-              + _rho_point(nu, c - h)) / h ** 2
-    return c ** 2 * d2 / _rho_point(nu, c)
+@lru_cache(maxsize=1)
+def _defining_polys():
+    """(N, theta N, theta^2 N) and (D, theta D, theta^2 D), symbolic in nu and c."""
+    dummy = IsingParams(nu=2, c=1)  # symbolic tables do not depend on the point
+    return tuple((p, _theta(p), _theta(_theta(p)))
+                 for p in lagrangian_numer_denom(dummy, symbolic=True))
 
 
-def _use_one_sided(nu: Fraction, c: Fraction, h: Fraction) -> bool:
-    # rho has a sqrt(1-c)-type branch point at c = 1 for nu >= 4, so stencils
-    # must stay on one side of it there.
-    return nu >= NU_CRITICAL and c - 3 * h <= 1
+def _iv(q: Fraction):
+    return mpmath.iv.mpf(q.numerator) / q.denominator
 
 
-def _richardson_pair(once, nu: Fraction, c: Fraction, h: Fraction,
-                     one_sided: bool, tol: Fraction) -> Fraction:
-    coarse = once(nu, c, h, one_sided)
-    fine = once(nu, c, h / 2, one_sided)
-    scale = max(Fraction(1), abs(fine))
-    if abs(fine - coarse) > 10 * tol * scale:
-        raise StepTooLarge(
-            "finite-difference estimates at h and h/2 disagree beyond 10x tol; "
-            "reduce h_step"
-        )
-    return (4 * fine - coarse) / 3
+def _iv_eval(poly: UniPoly, s):
+    acc = mpmath.iv.mpf(0)
+    for a in reversed(poly.coeffs):
+        acc = acc * s + _iv(a)
+    return acc
 
 
-def thermo_magnetization(nu, c, h_step=Fraction(1, 64),
-                         tol=Fraction(1, 1000),
-                         precision_bits: Optional[int] = None) -> mpmath.mpf:
-    """M = -(1 + c rho'/rho), with rho-derivatives by certified differences."""
-    nu, c, h = Fraction(nu), Fraction(c), Fraction(h_step)
-    if h <= 0:
-        raise ValueError("h_step must be positive")
-    one_sided = _use_one_sided(nu, c, h)
-    ld = _richardson_pair(_log_deriv_once, nu, c, h, one_sided, Fraction(tol))
-    m_exact = -(1 + ld)
+def _log_derivatives(polys, nu: Fraction, c: Fraction, s):
+    """theta, theta^2, d_s theta and d_s^2 of log f at (s, c), for f = polys[0]."""
+    f, tf, ttf = (UniPoly([a.evaluate(nu, c) for a in p.coeffs]) for p in polys)
+    value = _iv_eval(f, s)
+    t = _iv_eval(tf, s) / value
+    fs = _iv_eval(f.derivative(), s) / value
+    return (t,
+            _iv_eval(ttf, s) / value - t ** 2,
+            _iv_eval(tf.derivative(), s) / value - t * fs,
+            _iv_eval(f.derivative().derivative(), s) / value - fs ** 2)
+
+
+def thermo_enclosures(nu, c, precision_bits: Optional[int] = None
+                      ) -> Dict[str, Tuple[Fraction, Fraction]]:
+    """Certified enclosures {"F", "M", "chi": (lo, hi)} at a rational point.
+
+    With l(s, c) = log z = log s + log N - 2 log D, the critical point s*
+    has l_s = 0, so the envelope theorem gives theta log rho = theta l and
+    theta^2 log rho = theta^2 l - (d_s theta l)^2 / l_ss there.  Then
+    M = -(1 + theta log rho) and chi = theta M.  Everything is evaluated in
+    interval arithmetic on the certified s-interval of one radius solve.
+    At c = 1 with nu >= 4, s* is a root of D and the enclosures are
+    unbounded; the closed forms cover that point.
+    """
+    nu, c = Fraction(nu), Fraction(c)
+    report = _rho_point(nu, c)
     bits = precision_bits or default_precision_bits()
+    iv = mpmath.iv
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        (s_lo, s_hi), (r_lo, r_hi) = report.s_interval, report.rho_interval
+        s = iv.mpf([_iv(s_lo).a, _iv(s_hi).b])
+        mu = iv.mpf([_iv(c * r_lo).a, _iv(c * r_hi).b])
+        n_polys, d_polys = _defining_polys()
+        t, tt, st, ss = (a - 2 * b for a, b in zip(
+            _log_derivatives(n_polys, nu, c, s), _log_derivatives(d_polys, nu, c, s)))
+        ss = ss - 1 / s ** 2
+        values = {"F": -iv.log(mu), "M": -(1 + t), "chi": st ** 2 / ss - tt}
+    finally:
+        iv.prec = saved
+    out = {}
     with mpmath.workprec(bits):
-        return to_mpf(m_exact)
+        for name, v in values.items():
+            ends = (mpmath.mpf(v.a), mpmath.mpf(v.b))
+            if not all(mpmath.isfinite(x) for x in ends):
+                raise PrecisionExhausted(
+                    "%s has no finite enclosure at nu=%s, c=%s" % (name, nu, c))
+            out[name] = tuple(_mpf_fraction(x) for x in ends)
+    return out
 
 
-def thermo_susceptibility(nu, c, h_step=Fraction(1, 64),
-                          tol=Fraction(1, 1000),
-                          precision_bits: Optional[int] = None) -> mpmath.mpf:
-    """chi = (c rho'/rho)^2 - c rho'/rho - c^2 rho''/rho."""
-    nu, c, h = Fraction(nu), Fraction(c), Fraction(h_step)
-    if h <= 0:
-        raise ValueError("h_step must be positive")
-    one_sided = _use_one_sided(nu, c, h)
-    ld = _richardson_pair(_log_deriv_once, nu, c, h, one_sided, Fraction(tol))
-    sd = _richardson_pair(_second_deriv_once, nu, c, h, one_sided, Fraction(tol))
-    chi_exact = ld * ld - ld - sd
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
-        return to_mpf(chi_exact)
+def _mpf_fraction(x: mpmath.mpf) -> Fraction:
+    man, exp = x.man_exp  # the mantissa comes without its sign
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def _enclosed_value(name: str, nu, c, precision_bits: Optional[int]) -> mpmath.mpf:
+    lo, hi = thermo_enclosures(nu, c, precision_bits)[name]
+    with mpmath.workprec(precision_bits or default_precision_bits()):
+        return to_mpf((lo + hi) / 2)
+
+
+def thermo_magnetization(nu, c, precision_bits: Optional[int] = None) -> mpmath.mpf:
+    """M = -(1 + c rho'/rho): the midpoint of its certified enclosure."""
+    nu, c = Fraction(nu), Fraction(c)
+    if c == 1 and nu >= NU_CRITICAL:
+        with mpmath.workprec(precision_bits or default_precision_bits()):
+            return to_mpf(m0_closed(nu, precision_bits))
+    return _enclosed_value("M", nu, c, precision_bits)
+
+
+def thermo_susceptibility(nu, c, precision_bits: Optional[int] = None) -> mpmath.mpf:
+    """chi = c dM/dc: the midpoint of its certified enclosure."""
+    nu, c = Fraction(nu), Fraction(c)
+    if c == 1 and nu >= NU_CRITICAL:
+        return chi_closed(nu, precision_bits)
+    return _enclosed_value("chi", nu, c, precision_bits)
 
 
 def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000),
                                               Fraction(1, 10000)),
-                                 h_divisor: int = 8,
-                                 tol=Fraction(1, 1000),
                                  precision_bits: Optional[int] = None) -> mpmath.mpf:
     """Extrapolate thermo_magnetization(nu, 1 + t) to t -> 0+.
 
     For nu >= 4 the radius is a series in sqrt(c - 1) at c = 1, so the
-    extrapolation variable is sqrt(t); below nu = 4 it is t itself.  Each
-    magnetization is evaluated with step t/h_divisor so the stencil never
-    crosses the branch point.
+    extrapolation variable is sqrt(t); below nu = 4 it is t itself.
     """
     nu = Fraction(nu)
     ts = sorted((Fraction(t) for t in offsets), reverse=True)
@@ -272,8 +300,7 @@ def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000
         raise ValueError("offsets must be positive")
     bits = precision_bits or default_precision_bits()
     with mpmath.workprec(bits):
-        ys = [thermo_magnetization(nu, 1 + t, h_step=t / h_divisor, tol=tol,
-                                   precision_bits=bits) for t in ts]
+        ys = [thermo_magnetization(nu, 1 + t, precision_bits=bits) for t in ts]
         xs = [mpmath.sqrt(to_mpf(t)) if nu >= NU_CRITICAL else to_mpf(t)
               for t in ts]
         for lvl in range(1, len(ys)):
@@ -288,7 +315,7 @@ def observables(params: IsingParams, n: Optional[int] = None,
     """Bundle F, M, chi at a point: finite-size if n is given, else limiting.
 
     In the limit at c = 1 the closed forms are used; off c = 1 the
-    finite-difference thermodynamic estimators are.
+    envelope-theorem derivatives of the certified radius are.
     """
     if n is not None:
         return ObservableSet(

@@ -44,10 +44,5 @@ class DegenerateBranch(ComputationError):
     """A Newton-polygon step produced no admissible slope."""
 
 
-class StepTooLarge(ComputationError):
-    """Two finite-difference step sizes disagree beyond ten times the
-    requested tolerance."""
-
-
 class NonPositiveSequence(ComputationError):
     """A log-based exponent fit received a non-positive coefficient."""

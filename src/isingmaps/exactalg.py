@@ -2,8 +2,6 @@
 
 This module supplies the arithmetic backbone used everywhere else:
 
-* ``ExactScalar`` -- arbitrary-precision rationals (``fractions.Fraction``,
-  which already guarantees reduced form and a positive denominator);
 * ``ParamPoly`` -- sparse polynomials in the vertex weight ``nu`` that are
   Laurent polynomials in the magnetic weight ``c``;
 * ``UniPoly`` -- dense univariate polynomials over a pluggable coefficient
@@ -29,8 +27,6 @@ from typing import Callable, Iterable, Sequence
 import mpmath
 
 from .errors import DegenerateInterval, NonZeroRemainder
-
-ExactScalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -119,20 +115,12 @@ class ParamPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def nu_degree(self) -> int:
-        """Largest nu-exponent, or -1 for the zero polynomial."""
-        return max((dv for dv, _ in self.terms), default=-1)
-
     def c_degree_range(self):
         """(min, max) c-exponent over the support, or None for zero."""
         if not self.terms:
             return None
         degs = [dc for _, dc in self.terms]
         return (min(degs), max(degs))
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of nu^0 c^0."""
-        return self.terms.get((0, 0), _ZERO)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -603,15 +591,6 @@ class UniPoly:
         return "UniPoly(%s)" % self.to_str()
 
 
-def poly_exact_div(numer, divisor):
-    """Exact division dispatch for UniPoly and ParamPoly arguments."""
-    if isinstance(numer, UniPoly):
-        return numer.exact_div(divisor)
-    if isinstance(numer, ParamPoly):
-        return numer.exact_div(divisor)
-    raise TypeError("poly_exact_div expects UniPoly or ParamPoly")
-
-
 # ---------------------------------------------------------------------------
 # Pseudo-remainders, contents, resultants
 # ---------------------------------------------------------------------------
@@ -635,10 +614,6 @@ def pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
     if steps < want:
         r = r.scale(ring_pow(lcg, want - steps))
     return r
-
-
-def _is_ring_field(sample) -> bool:
-    return isinstance(sample, Fraction) or isinstance(sample, (mpmath.mpf, mpmath.mpc, float, complex))
 
 
 def poly_content(p: UniPoly):

@@ -181,21 +181,18 @@ def test_09_branch_point_exponents_exact():
 
 def test_10_observable_closed_forms_and_limits():
     """Exact spontaneous-magnetization and susceptibility values, the
-    finite-difference estimators against them, and the onset/divergence
+    envelope-theorem estimators against them, and the onset/divergence
     rates near the transition."""
     assert m0_closed(4) == 0
     assert m0_closed(5) == Fraction(45, 67)
     assert chi_closed(1) == 1
 
     with mpmath.workprec(BITS):
-        # finite-difference susceptibility against the closed form
-        for nu, h in ((Fraction(1), Fraction(1, 64)),
-                      (Fraction(2), Fraction(1, 64)),
-                      (Fraction(3), Fraction(1, 512))):
-            fd = thermo_susceptibility(nu, Fraction(1), h_step=h,
-                                       precision_bits=BITS)
+        # thermodynamic susceptibility against the closed form
+        for nu in (Fraction(1), Fraction(2), Fraction(3)):
+            chi = thermo_susceptibility(nu, Fraction(1), precision_bits=BITS)
             closed = chi_closed(nu, precision_bits=BITS)
-            assert abs(fd / to_mpf(closed) - 1) < mpmath.mpf(10) ** -3
+            assert abs(chi / to_mpf(closed) - 1) < mpmath.mpf(10) ** -3
 
         # magnetization at vanishing field: the direct value at offset 1e-4
         # still carries a ~2.2*sqrt(c-1) transient, so the limit is taken by
@@ -225,8 +222,7 @@ def test_11_critical_isotherm_scaling():
     with mpmath.workprec(BITS):
         for k in (3, 4):
             t = Fraction(1, 10 ** k)
-            M = thermo_magnetization(Fraction(4), 1 + t, h_step=t / 8,
-                                     precision_bits=BITS)
+            M = thermo_magnetization(Fraction(4), 1 + t, precision_bits=BITS)
             ratio = M / m_critical_asymptote(1 + t, precision_bits=BITS)
             assert abs(ratio / 2 - 1) < mpmath.mpf(5) / 100
 

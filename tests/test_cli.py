@@ -2,11 +2,14 @@
 import json
 import pathlib
 import re
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from isingmaps.cli import main, parse_rational, polynomial_string
+from isingmaps import cli
+from isingmaps.cli import main, parse_rational
+from isingmaps.critical import thermo_enclosures
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -122,6 +125,34 @@ class TestRadius:
         strip = lambda text: re.sub(r'"elapsed_seconds": [0-9.e-]+', "", text)
         assert strip(serial) == strip(parallel).replace('"jobs": 2', '"jobs": 1')
 
+    def test_jobs_clamped_to_points_and_cpus(self, capsys, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        for nus, expected in (("1/4,5", 2), ("1/4,2,4,5", 3)):
+            code, _ = run_cli(capsys, "radius", "--nu", nus, "--c", "1",
+                              "--no-exponent", "--jobs", "1000000")
+            assert code == 0
+            assert seen.pop() == expected
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        code, _ = run_cli(capsys, "radius", "--nu", "1/4,5", "--c", "1",
+                          "--no-exponent", "--jobs", "4")
+        assert code == 0 and seen == []
+
     def test_far_field_guard(self, capsys):
         code, payload = run_json(capsys, "radius", "--nu", "2", "--c", "3/2")
         assert code == 2
@@ -169,6 +200,29 @@ class TestObservables:
         code, out = run_cli(capsys, "observables", "--nu", "5", "--c", "1",
                             "--format", "csv")
         assert code == 2
+
+    def test_printed_values_lie_in_their_enclosures(self, capsys):
+        code, payload = run_json(capsys, "observables", "--nu", "9/2", "--c", "19/20")
+        assert code == 0
+        box = thermo_enclosures(Fraction(9, 2), Fraction(19, 20))
+        for name in ("F", "M", "chi"):
+            lo, hi = box[name]
+            assert lo <= Fraction(payload["result"][name]) <= hi
+
+    def test_enclosure_prints_its_shortest_decimal(self):
+        third, eps = Fraction(1, 3), Fraction(1, 1000)
+        assert cli.format_enclosure(third - eps, third + eps, 55) == "0.333"
+        assert cli.format_enclosure(-third - eps, -third + eps, 55) == "-0.333"
+        assert cli.format_enclosure(Fraction(1, 4), Fraction(1, 4), 55) == "0.25"
+
+    def test_tol_is_rejected_where_it_has_no_effect(self, capsys):
+        for argv in (("observables", "--nu", "2", "--c", "21/20"),
+                     ("puiseux", "--nu", "2", "--c", "1")):
+            code, payload = run_json(capsys, *argv, "--tol", "1/1000")
+            assert code == 2
+            assert payload["error"]["type"] == "UsageError"
+        _, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1")
+        assert payload["config"]["tol"] == "1/1000000000000"
 
 
 class TestExponentFit:
@@ -224,8 +278,8 @@ class TestPolynomialString:
     def test_laurent_and_signs(self):
         from isingmaps.exactalg import ParamPoly
         p = ParamPoly({(2, -1): 3, (0, 0): -1})
-        assert polynomial_string(p) == "3*nu^2*c^-1 - 1"
+        assert p.to_str() == "3*nu^2*c^-1 - 1"
 
     def test_zero(self):
         from isingmaps.exactalg import ParamPoly
-        assert polynomial_string(ParamPoly()) == "0"
+        assert ParamPoly().to_str() == "0"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from isingmaps.critical import (
@@ -13,17 +14,19 @@ from isingmaps.critical import (
     finite_free_energy,
     finite_magnetization,
     finite_susceptibility,
+    _rho_point,
     free_energy,
     m0_closed,
     m_critical_asymptote,
     magnetization_limit_estimate,
     mu_from_ratios,
     observables,
+    thermo_enclosures,
     thermo_magnetization,
     thermo_susceptibility,
 )
-from isingmaps.errors import NonPositiveSequence, StepTooLarge
-from isingmaps.series import IsingParams, coefficient_sequence
+from isingmaps.errors import NonPositiveSequence
+from isingmaps.series import IsingParams, coefficient_sequence, lagrangian_numer_denom
 from isingmaps.singular import rho_closed_form
 
 
@@ -166,27 +169,26 @@ class TestThermoObservables:
         assert abs(thermo_magnetization(2, 1)) < mpmath.mpf(10) ** -6
 
     def test_susceptibility_matches_closed_form(self):
-        cases = [(Fraction(1), Fraction(1, 64)), (Fraction(2), Fraction(1, 64)),
-                 (Fraction(3), Fraction(1, 512))]
-        for nu, h in cases:
-            fd = thermo_susceptibility(nu, 1, h_step=h)
+        for nu in (Fraction(1), Fraction(2), Fraction(3)):
+            chi = thermo_susceptibility(nu, 1)
             cf = _as_mpf(chi_closed(nu, precision_bits=120))
-            assert abs(fd - cf) / cf < mpmath.mpf(1) / 1000
+            assert abs(chi - cf) / cf < mpmath.mpf(1) / 1000
 
     def test_susceptibility_never_significantly_negative(self):
         for nu, c in ((Fraction(2), Fraction(6, 5)), (Fraction(1), Fraction(4, 5))):
             assert thermo_susceptibility(nu, c) > -mpmath.mpf(10) ** -9
 
-    def test_step_audit_rejects_coarse_step_near_branch_point(self):
-        with pytest.raises(StepTooLarge):
-            thermo_magnetization(4, 1 + Fraction(1, 10 ** 4))
+    def test_magnetization_near_branch_point(self):
+        c = 1 + Fraction(1, 10 ** 4)
+        M = thermo_magnetization(4, c)
+        assert abs(M - _implicit_observables(4, c)["M"]) < mpmath.mpf(10) ** -25
 
     def test_magnetization_approaches_spontaneous_value(self):
         m0 = _as_mpf(Fraction(45, 67))
         errors = []
         for k in (2, 3, 4):
             t = Fraction(1, 10 ** k)
-            M = thermo_magnetization(5, 1 + t, h_step=t / 8)
+            M = thermo_magnetization(5, 1 + t)
             errors.append(abs(M - m0))
         assert errors[0] > errors[1] > errors[2]
         est = magnetization_limit_estimate(5)
@@ -198,13 +200,80 @@ class TestThermoObservables:
     def test_critical_isotherm_ratio(self):
         # the measured constant is twice the quoted asymptote scale
         t = Fraction(1, 10 ** 3)
-        M = thermo_magnetization(4, 1 + t, h_step=t / 8)
+        M = thermo_magnetization(4, 1 + t)
         ratio = M / m_critical_asymptote(1 + t)
         assert mpmath.mpf("1.8") < ratio < mpmath.mpf("2.1")
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            thermo_magnetization(2, 1, h_step=0)
+
+def _implicit_observables(nu, c, dps=80):
+    """M and chi by sympy implicit differentiation of z(s, c) = s N / D^2.
+
+    s* solves z_s = 0 from the midpoint of the certified s-interval; then
+    rho' = z_c and rho'' = z_cc - z_sc^2 / z_ss there.
+    """
+    s, cs = sympy.symbols("s c")
+    nu, c = Fraction(nu), Fraction(c)
+
+    def to_sympy(poly):
+        return sum(sympy.Rational(a.numerator, a.denominator) * cs ** dc
+                   * sympy.Rational(nu.numerator, nu.denominator) ** dn
+                   * s ** k for k, p in enumerate(poly.coeffs)
+                   for (dn, dc), a in p.terms.items())
+
+    n_poly, d_poly = lagrangian_numer_denom(IsingParams(nu=nu, c=c), symbolic=True)
+    z = s * to_sympy(n_poly) / to_sympy(d_poly) ** 2
+    parts = {name: sympy.lambdify((s, cs), expr, "mpmath") for name, expr in (
+        ("z", z), ("zs", sympy.diff(z, s)), ("zc", sympy.diff(z, cs)),
+        ("zss", sympy.diff(z, s, 2)), ("zsc", sympy.diff(z, s, cs)),
+        ("zcc", sympy.diff(z, cs, 2)))}
+    lo, hi = _rho_point(nu, c).s_interval
+    with mpmath.workdps(dps):
+        cx = _as_mpf(c)
+        s_star = mpmath.findroot(lambda x: parts["zs"](x, cx), _as_mpf((lo + hi) / 2))
+        v = {name: f(s_star, cx) for name, f in parts.items()}
+        ld = cx * v["zc"] / v["z"]
+        sd = cx ** 2 * (v["zcc"] - v["zsc"] ** 2 / v["zss"]) / v["z"]
+        return {"M": -(1 + ld), "chi": ld * ld - ld - sd}
+
+
+class TestEnvelopeDerivatives:
+    # (5/2, 11/10), (6, 9/10) and (9/2, 19/20) defeated the former
+    # finite-difference estimator's step audit
+    POINTS = ((Fraction(5, 2), Fraction(11, 10)), (Fraction(6), Fraction(9, 10)),
+              (Fraction(9, 2), Fraction(19, 20)), (Fraction(1, 2), Fraction(21, 20)))
+
+    def test_enclosures_hold_implicit_differentiation(self):
+        for nu, c in self.POINTS:
+            box = thermo_enclosures(nu, c)
+            reference = _implicit_observables(nu, c)
+            for name in ("M", "chi"):
+                lo, hi = box[name]
+                assert hi - lo < Fraction(1, 10 ** 25)
+                with mpmath.workdps(80):
+                    slack = mpmath.mpf(10) ** -70
+                    assert _as_mpf(lo) - slack <= reference[name] <= _as_mpf(hi) + slack
+            assert abs(thermo_magnetization(nu, c) - reference["M"]) < mpmath.mpf(10) ** -25
+            assert abs(thermo_susceptibility(nu, c) - reference["chi"]) < mpmath.mpf(10) ** -25
+
+    def test_fine_step_differences_of_the_radius(self):
+        for nu, c in self.POINTS[:2]:
+            rho = lambda x: _rho_point(nu, x).rho
+            h = Fraction(1, 10 ** 8)
+            ld = c * (rho(c + h) - rho(c - h)) / (2 * h * rho(c))
+            assert abs(thermo_magnetization(nu, c) + 1 + _as_mpf(ld)) < mpmath.mpf(10) ** -12
+            h = Fraction(1, 10 ** 6)
+            ld = c * (rho(c + h) - rho(c - h)) / (2 * h * rho(c))
+            sd = c ** 2 * (rho(c + h) - 2 * rho(c) + rho(c - h)) / (h ** 2 * rho(c))
+            chi = _as_mpf(ld * ld - ld - sd)
+            assert abs(thermo_susceptibility(nu, c) - chi) < mpmath.mpf(10) ** -8
+
+    def test_closed_forms_at_c_one(self):
+        with mpmath.workprec(192):
+            assert thermo_magnetization(5, 1, precision_bits=192) == _as_mpf(Fraction(45, 67))
+        assert thermo_susceptibility(5, 1) == mpmath.inf
+        for nu in (Fraction(1), Fraction(2), Fraction(3), Fraction(7, 2)):
+            cf = _as_mpf(chi_closed(nu))
+            assert abs(thermo_susceptibility(nu, 1) - cf) < mpmath.mpf(10) ** -25 * cf
 
 
 class TestObservableBundle:
