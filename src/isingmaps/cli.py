@@ -265,7 +265,8 @@ def _cmd_exponent_fit(args, bits):
     n_min = args.n_min if args.n_min is not None else max(2, args.n_max // 8)
     params = IsingParams(nu=args.nu, c=args.c, precision_bits=bits)
     seq = coefficient_sequence(params, args.n_max)
-    report = radius_numeric(IsingParams(nu=args.nu, c=args.c), tol=args.tol)
+    report = radius_numeric(IsingParams(nu=args.nu, c=args.c), tol=args.tol,
+                            with_exponent=False, scan_uniqueness=False)
     fit = exponent_fit(seq, report.mu, (n_min, args.n_max), precision_bits=bits)
     result = {
         "mu": format_value(report.mu, dps),

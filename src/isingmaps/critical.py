@@ -27,7 +27,7 @@ from .errors import NonPositiveSequence, PrecisionExhausted
 from .exactalg import UniPoly, rational_sqrt
 from .precision import default_precision_bits, to_mpf
 from .series import IsingParams, lagrangian_numer_denom, solve_Z
-from .singular import SingularityReport, radius_numeric
+from .singular import SingularityReport, radius_numeric, rho_closed_form
 
 Number = Union[Fraction, mpmath.mpf]
 
@@ -83,9 +83,16 @@ def _rho_point(nu: Fraction, c: Fraction) -> SingularityReport:
 
 
 def free_energy(params: IsingParams, precision_bits: Optional[int] = None) -> mpmath.mpf:
-    """F = -log(mu) with mu = c rho from the certified radius."""
+    """F = -log(mu) with mu = c rho.
+
+    At c = 1 rho is the closed form at the working precision; elsewhere it
+    is the midpoint of the certified radius, good to _RADIUS_TOL.
+    """
     bits = precision_bits or params.precision_bits or default_precision_bits()
-    mu = params.c * _rho_point(params.nu, params.c).rho
+    if params.c == 1:
+        mu = rho_closed_form(params.nu, bits)
+    else:
+        mu = params.c * _rho_point(params.nu, params.c).rho
     with mpmath.workprec(bits):
         return -mpmath.log(to_mpf(mu))
 

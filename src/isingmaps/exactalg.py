@@ -8,7 +8,9 @@ This module supplies the arithmetic backbone used everywhere else:
   ring (rationals, ``ParamPoly``, nested ``UniPoly`` or mpmath floats);
 * resultants and discriminants through a primitive polynomial-remainder
   sequence (pseudo-remainders with content reduction, no modular arithmetic);
-* Sturm sequences and certified real-root isolation over the rationals.
+* exact polynomial interpolation (Newton divided differences);
+* Sturm sequences and certified real-root isolation over the rationals,
+  with sign bisection to refine an isolated simple root.
 
 Sign conventions (fixed by the test suite):
 
@@ -701,6 +703,22 @@ def discriminant(p: UniPoly):
     return val
 
 
+def interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> UniPoly:
+    """The polynomial of degree < len(nodes) through the points, exactly.
+
+    Newton divided differences, then the Newton form expanded by Horner's
+    rule; the nodes must be distinct.
+    """
+    diffs = [Fraction(v) for v in values]
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
+    poly = UniPoly(diffs[-1:])
+    for i in range(len(nodes) - 2, -1, -1):
+        poly = poly * UniPoly([-Fraction(nodes[i]), _ONE]) + UniPoly([diffs[i]])
+    return poly
+
+
 # ---------------------------------------------------------------------------
 # Gcd and squarefree machinery
 # ---------------------------------------------------------------------------
@@ -858,10 +876,12 @@ def isolate_real_roots(p: UniPoly):
 
 
 def refine_isolated_root(p: UniPoly, a, b, width) -> tuple:
-    """Shrink an isolating interval (a, b] below ``width`` by Sturm bisection.
+    """Shrink an isolating interval (a, b] below ``width``.
 
-    Returns (lo, hi) with hi - lo <= width; when the root is hit exactly the
-    pair (r, r) is returned.
+    One Sturm count certifies that (a, b] isolates a single root; the
+    shrinking is then done by :func:`bisect_isolated_root`.  Returns
+    (lo, hi) with hi - lo <= width; when the root is hit exactly the pair
+    (r, r) is returned.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -869,14 +889,27 @@ def refine_isolated_root(p: UniPoly, a, b, width) -> tuple:
     sf = squarefree_part(p)
     if sf.eval_scalar(b) == 0:
         return (b, b)
-    chain = SturmChain(sf)
-    if chain.count(a, b) != 1:
+    if SturmChain(sf).count(a, b) != 1:
         raise ValueError("interval does not isolate exactly one root")
+    return bisect_isolated_root(sf, a, b, width)
+
+
+def bisect_isolated_root(sf: UniPoly, a: Fraction, b: Fraction, width) -> tuple:
+    """Sign bisection of (a, b], which must isolate a root r of the
+    squarefree ``sf`` with sf(b) != 0.
+
+    The root is simple, so on (a, b] sf has the sign of sf(b) exactly above
+    r: each midpoint's sign says which half holds r, and the halves chosen
+    are those a Sturm count per step would choose.  Returns (lo, hi) with
+    hi - lo <= width, or (r, r) when a midpoint hits r.
+    """
+    side_b = _sign(sf.eval_scalar(b))
     while b - a > width:
         mid = (a + b) / 2
-        if sf.eval_scalar(mid) == 0:
+        side = _sign(sf.eval_scalar(mid))
+        if side == 0:
             return (mid, mid)
-        if chain.count(a, mid) == 1:
+        if side == side_b:
             b = mid
         else:
             a = mid

@@ -8,17 +8,24 @@ equation as z = S N(S)/D(S)^2, the value s* = S(rho) is a root of
     Q1(S) * Q2(S),   Q1 = D,   Q2 = D N - 2 S D' N + S D N',
 
 and in the validated parameter region it is the unique root of Q2 in
-(0, 1/(3 c^2 |1 - nu^2|)].  rho is recovered by evaluating the defining
-rational function at s*, with certified interval arithmetic; mu = c * rho.
+(0, 1/(3 c^2 |1 - nu^2|)].  The exact data of that critical point are
+computed once per (nu, c) and cached as a CriticalPoint: z(s) in lowest
+terms, the squarefree characteristic polynomial, an interval isolating s*
+(Sturm isolation, sign bisection), and the squarefree cancelling
+polynomial.  rho is recovered by evaluating the defining rational function
+at s*, with certified interval arithmetic; mu = c * rho.
 
 Singular exponents are obtained from Newton-polygon Puiseux expansions of
 the cancelling polynomial z D(S)^2 - S N(S) shifted to (rho, s*): slope 1/2
-branches generically, 1/3 at the critical point (nu, c) = (4, 1).
+branches generically, 1/3 at the critical point (nu, c) = (4, 1).  Its
+discriminant in z, which carries the other candidate singularities, is
+interpolated from univariate discriminants at integer z.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -33,14 +40,13 @@ from .errors import (
 from .exactalg import (
     SturmChain,
     UniPoly,
+    bisect_isolated_root,
     cauchy_root_bound,
     discriminant,
-    poly_gcd,
+    interpolate,
     poly_gcd_field,
     rational_sqrt,
-    refine_isolated_root,
     squarefree_part,
-    sturm_count,
 )
 from .precision import default_precision_bits, to_mpf
 from .series import IsingParams, lagrangian_numer_denom
@@ -116,44 +122,65 @@ def characteristic_root_polynomial(params: IsingParams) -> UniPoly:
     return sf
 
 
+def _z_linear(b: UniPoly, a: UniPoly) -> UniPoly:
+    """z b(S) - a(S) as a polynomial in S over Q[z]."""
+    zero_z = UniPoly([], zero=Fraction(0))
+    deg = max(b.degree(), a.degree())
+    return UniPoly([UniPoly([-a.coeff(k), b.coeff(k)]) for k in range(deg + 1)],
+                   zero=zero_z)
+
+
 def cancelling_polynomial(params: IsingParams) -> UniPoly:
     """z D(S)^2 - S N(S) as a polynomial in S over Q[z] (z-degree 1).
 
     Coefficients are UniPoly in z over exact rationals at the point.
     """
-    n_poly, d_poly = lagrangian_numer_denom(params, symbolic=False)
-    d_sq = d_poly * d_poly
-    s_n = UniPoly.variable() * n_poly
-    deg = max(d_sq.degree(), s_n.degree())
-    zero_z = UniPoly([], zero=Fraction(0))
-    coeffs = []
-    for k in range(deg + 1):
-        coeffs.append(UniPoly([-s_n.coeff(k), d_sq.coeff(k)]))
-    return UniPoly(coeffs, zero=zero_z)
+    s_n, d_sq, _ = _lagrangian_parts(params)
+    return _z_linear(d_sq, s_n)
 
 
 def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
     """The cancelling polynomial with repeated S-factors removed.
 
-    At c = 1 the cleared form acquires a squared linear factor in S (the
-    numerator N degenerates to a perfect-square multiple), which would make
-    its discriminant vanish identically; stripping gcd(C, dC/dS) restores a
-    meaningful discriminant while keeping the same curve.
+    With g = gcd(S N, D^2) in Q[S], C = z D^2 - S N is g (z B - A) for
+    coprime A = S N / g and B = D^2 / g.  The factor z B - A is linear in z
+    with coprime coefficients, hence irreducible, and prime to g, so
+    gcd(C, dC/dS) = gcd(g, g'): a univariate gcd.  At c = 1 the numerator N
+    degenerates to a perfect-square multiple, g is that squared linear
+    factor, and dividing it out once keeps the curve while giving a
+    discriminant that does not vanish identically.  Off c = 1, g is 1 and C
+    is returned as it is.  The divisor is scaled to 1 at S = 0, so the
+    result agrees with C there.
     """
-    c_poly = cancelling_polynomial(params)
-    g = poly_gcd(c_poly, c_poly.derivative())
-    if g.degree() < 1:
-        return c_poly
-    return c_poly.exact_div(g)
+    s_n, d_sq, g = _lagrangian_parts(params)
+    h = poly_gcd_field(g, g.derivative())
+    if h.degree() < 1:
+        return _z_linear(d_sq, s_n)
+    h = h.scale(1 / h.coeff(0))  # D(0) = 1, so S does not divide h
+    return _z_linear(d_sq.exact_div(h), s_n.exact_div(h))
 
 
 def discriminant_in_z(params: IsingParams) -> UniPoly:
     """Discriminant (in S) of the squarefree cancelling polynomial.
 
     Returned as a UniPoly in z with exact rational coefficients at the point.
+    The discriminant is homogeneous of degree 2d - 2 in the coefficients of
+    C_sf, which has S-degree d and z-linear coefficients, so its z-degree is
+    at most 2d - 2.  It is evaluated by the univariate discriminant at 2d - 1
+    integers z where the leading S-coefficient does not vanish, so that the
+    S-degree and with it the formula are kept, and interpolated exactly.
     """
-    c_sf = cancelling_polynomial_squarefree(params)
-    return discriminant(c_sf)
+    c_sf = critical_point(params).cancelling_sf
+    lead = c_sf.lc()
+    nodes: List[Fraction] = []
+    values: List[Fraction] = []
+    z = Fraction(0)
+    while len(nodes) < 2 * c_sf.degree() - 1:
+        if lead.eval_scalar(z) != 0:
+            nodes.append(z)
+            values.append(discriminant(UniPoly([q.eval_scalar(z) for q in c_sf.coeffs])))
+        z += 1
+    return interpolate(nodes, values)
 
 
 def p1_p2_p3(nu: Fraction) -> Tuple[UniPoly, UniPoly, UniPoly]:
@@ -254,61 +281,122 @@ def _poly_abs_bound(p: UniPoly, b: Fraction) -> Fraction:
     return sum((abs(c) * scale ** k for k, c in enumerate(p.coeffs)), Fraction(0))
 
 
+def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, UniPoly, UniPoly]:
+    """S N(S), D(S)^2 and their monic gcd in Q[S]."""
+    n_poly, d_poly = lagrangian_numer_denom(params, symbolic=False)
+    s_n = UniPoly.variable() * n_poly
+    d_sq = d_poly * d_poly
+    return s_n, d_sq, poly_gcd_field(s_n, d_sq)
+
+
 def _reduced_radius_parts(params: IsingParams) -> Tuple[UniPoly, UniPoly]:
     """(P, Q) with z(s) = P(s)/Q(s) in lowest terms.
 
     Reduction matters at c = 1 for nu >= 4, where s* is a root of D and the
     unreduced s N(S)/D(S)^2 is a 0/0 there.
     """
-    n_poly, d_poly = lagrangian_numer_denom(params, symbolic=False)
-    num = UniPoly.variable() * n_poly
-    den = d_poly * d_poly
-    g = poly_gcd_field(num, den)
+    num, den, g = _lagrangian_parts(params)
     if g.degree() > 0:
         num = num.exact_div(g)
         den = den.exact_div(g)
     return num, den
 
 
+@dataclass(frozen=True)
+class CriticalPoint:
+    """The exact critical point s* of z(s) at one parameter point (nu, c).
+
+    Built once per (nu, c) by :func:`critical_point`; the certified radius,
+    the uniqueness scan, the dominant exponent and the Puiseux expansions
+    all read it.  ``num / den`` is z(s) in lowest terms and ``char`` the
+    squarefree characteristic polynomial, whose one root in the search
+    interval (0, B] is s*, as one Sturm count certifies.  ``interval`` =
+    (lo, hi] isolates s* to width B / 2^20, or is (s*, s*) when s* = B.
+    ``cancelling_sf`` is the squarefree cancelling polynomial.
+    """
+
+    num: UniPoly
+    den: UniPoly
+    char: UniPoly
+    interval: Tuple[Fraction, Fraction]
+    cancelling_sf: UniPoly
+
+    def z_at(self, s: Fraction) -> Fraction:
+        return self.num.eval_scalar(s) / self.den.eval_scalar(s)
+
+    def refine(self, lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
+        """Shrink (lo, hi], a piece of ``interval`` that holds s*, below width.
+
+        On ``interval``, char has the sign of its value at the top end
+        exactly at the points above s*.  That sign test certifies the piece
+        and drives the bisection; no Sturm count is needed.
+        """
+        a, b = self.interval
+        top = self.char.eval_scalar(b)
+        if not (a <= lo < hi <= b and self.char.eval_scalar(hi) * top > 0
+                and (lo == a or self.char.eval_scalar(lo) * top < 0)):
+            raise ValueError("(%s, %s] does not hold the critical point" % (lo, hi))
+        return bisect_isolated_root(self.char, lo, hi, width)
+
+
+def critical_point(params: IsingParams) -> CriticalPoint:
+    """The CriticalPoint of (params.nu, params.c), computed once and cached.
+
+    Raises NoRootInRange unless the characteristic polynomial has exactly
+    one root in (0, 1/(3 c^2 |1 - nu^2|)] (a Cauchy bound at nu = 1).
+    """
+    return _critical_point(params.nu, params.c)
+
+
+@lru_cache(maxsize=512)
+def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
+    params = IsingParams(nu=nu, c=c)
+    num, den = _reduced_radius_parts(params)
+    char = characteristic_root_polynomial(params)
+    bound = _root_interval_bound(params) or cauchy_root_bound(char)
+    count = SturmChain(char).count(Fraction(0), bound)
+    if count != 1:
+        raise NoRootInRange(
+            "expected exactly one characteristic root in (0, %s], found %d"
+            % (bound, count)
+        )
+    if char.eval_scalar(bound) == 0:
+        interval = (bound, bound)
+    else:
+        interval = bisect_isolated_root(char, Fraction(0), bound, bound / 2 ** 20)
+    return CriticalPoint(num=num, den=den, char=char, interval=interval,
+                         cancelling_sf=cancelling_polynomial_squarefree(params))
+
+
 def _certify_rho(
-    params: IsingParams, q2: UniPoly, lo: Fraction, hi: Fraction, tol: Fraction
+    cp: CriticalPoint, tol: Fraction
 ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction], bool]:
-    """From an isolating interval for s*, certify an interval for rho.
+    """From the isolating interval for s*, certify an interval for rho.
 
     Returns (s_interval, rho_interval, exact).
     """
-    num, den = _reduced_radius_parts(params)
-    if lo == hi:
-        z_exact = num.eval_scalar(lo) / den.eval_scalar(lo)
-        return (lo, hi), (z_exact, z_exact), True
-    num_d = num.derivative()
-    den_d = den.derivative()
-    chain = SturmChain(squarefree_part(q2))
-    while True:
-        den_lo = den.eval_scalar(lo)
-        den_hi = den.eval_scalar(hi)
+    lo, hi = cp.interval
+    num_d = cp.num.derivative()
+    den_d = cp.den.derivative()
+    while lo != hi:
+        den_lo = cp.den.eval_scalar(lo)
+        den_hi = cp.den.eval_scalar(hi)
         if den_lo > 0 and den_hi > 0:
             width = hi - lo
-            z_lo = num.eval_scalar(lo) / den_lo
-            z_hi = num.eval_scalar(hi) / den_hi
+            z_lo = cp.num.eval_scalar(lo) / den_lo
+            z_hi = cp.num.eval_scalar(hi) / den_hi
             den_min = min(den_lo, den_hi)  # D^2 is decreasing on [0, s_D)
             lip = (
                 _poly_abs_bound(num_d, hi) / den_min
-                + _poly_abs_bound(num, hi) * _poly_abs_bound(den_d, hi) / den_min ** 2
+                + _poly_abs_bound(cp.num, hi) * _poly_abs_bound(den_d, hi) / den_min ** 2
             )
             lower = max(z_lo, z_hi)
             upper = lower + lip * width
             if upper - lower <= tol:
                 return (lo, hi), (lower, upper), False
-        # refine by one Sturm bisection step
-        mid = (lo + hi) / 2
-        if q2.eval_scalar(mid) == 0:
-            z_exact = num.eval_scalar(mid) / den.eval_scalar(mid)
-            return (mid, mid), (z_exact, z_exact), True
-        if chain.count(lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = bisect_isolated_root(cp.char, lo, hi, (hi - lo) / 2)  # one step
+    z_exact = cp.z_at(lo)
+    return (lo, hi), (z_exact, z_exact), True
 
 
 def _uniqueness_scan(
@@ -360,7 +448,8 @@ def radius_numeric(
     """Certified radius of convergence rho, mu = c rho, and S(rho).
 
     s* is the unique root of Q2 in (0, 1/(3 c^2 |1 - nu^2|)] (Cauchy bound at
-    nu = 1), located by Sturm bisection; rho is the reduced rational function
+    nu = 1), isolated by one Sturm count and refined by sign bisection (see
+    :class:`CriticalPoint`); rho is the reduced rational function
     z(s) evaluated there, with an interval enclosure of width <= tol.  Points
     with |c - 1| > 1/4 are outside the validated region and require
     ``allow_far_field=True``, which records a warning instead.
@@ -378,29 +467,16 @@ def radius_numeric(
         warnings.append(
             "c outside the validated region |c-1| <= 1/4; results carry no guarantee"
         )
-    q2 = characteristic_root_polynomial(params)
-    bound = _root_interval_bound(params)
-    if bound == 0:
-        bound = cauchy_root_bound(q2)
-    count = sturm_count(q2, Fraction(0), bound)
-    if count != 1:
-        raise NoRootInRange(
-            "expected exactly one characteristic root in (0, %s], found %d"
-            % (bound, count)
-        )
-    sf = squarefree_part(q2)
-    if sf.eval_scalar(bound) == 0:
-        lo = hi = bound
-    else:
-        lo, hi = refine_isolated_root(q2, Fraction(0), bound, bound / 2 ** 20)
-    s_iv, rho_iv, exact = _certify_rho(params, q2, lo, hi, tol)
+    cp = critical_point(params)
+    s_iv, rho_iv, exact = _certify_rho(cp, tol)
     rho_mid = (rho_iv[0] + rho_iv[1]) / 2 if not exact else rho_iv[0]
     s_mid = (s_iv[0] + s_iv[1]) / 2 if not exact else s_iv[0]
     mu_iv = (params.c * rho_iv[0], params.c * rho_iv[1])
     unique = _uniqueness_scan(params, rho_mid, warnings) if scan_uniqueness else False
     exponent = None
     if with_exponent:
-        exponent = _dominant_exponent_at(params, s_iv, rho_iv, exact)
+        bits = params.precision_bits or default_precision_bits()
+        exponent = _dominant_exponent_at(cp, s_iv, rho_iv, exact, bits)
     return SingularityReport(
         rho=rho_mid,
         rho_interval=rho_iv,
@@ -742,10 +818,9 @@ def _verify_expansion(
 # ---------------------------------------------------------------------------
 
 def _shifted_cancelling_support(
-    params: IsingParams, s_point: Fraction, rho_point: Fraction
+    c_sf: UniPoly, s_point: Fraction, rho_point: Fraction
 ) -> Dict[Tuple[int, int], Fraction]:
     """Exact support of C(rho - Z, s* - Y) for the squarefree cancelling poly."""
-    c_sf = cancelling_polynomial_squarefree(params)
     out: Dict[Tuple[int, int], Fraction] = {}
     for k, qk in enumerate(c_sf.coeffs):
         # qk(z) is z-linear at most: qk(rho - Z) = qk(rho) - qk'(rho) Z ...
@@ -782,50 +857,58 @@ def _smallest_noninteger_exponent(
     return best
 
 
-def _dominant_exponent_at(
-    params: IsingParams,
+def _expansions_at(
+    cp: CriticalPoint,
     s_iv: Tuple[Fraction, Fraction],
     rho_iv: Tuple[Fraction, Fraction],
     exact: bool,
-    precision_bits: Optional[int] = None,
-) -> Fraction:
-    bits = precision_bits or params.precision_bits or default_precision_bits()
+    bits: int,
+    max_terms: int,
+) -> List[PuiseuxExpansion]:
+    """Puiseux branches of the cancelling polynomial at (rho, s*).
 
+    At an exact critical point they are expanded in exact arithmetic.
+    Otherwise s* is refined to width 2^(-3 bits/4), the midpoint is placed
+    exactly on the curve, and the expansion runs at ``bits``.
+    """
     if exact:
-        support = _shifted_cancelling_support(params, s_iv[0], rho_iv[0])
-        expansions = newton_polygon_expand(
-            support, max_terms=2, precision_bits=bits, center=rho_iv[0]
+        support = _shifted_cancelling_support(cp.cancelling_sf, s_iv[0], rho_iv[0])
+        return newton_polygon_expand(
+            support, max_terms=max_terms, precision_bits=bits, center=rho_iv[0]
         )
-        exponent = _smallest_noninteger_exponent(expansions)
-        if exponent is None:
+    lo, hi = cp.refine(s_iv[0], s_iv[1], Fraction(1, 2 ** (3 * bits // 4)))
+    s0 = (lo + hi) / 2
+    rho0 = cp.z_at(s0)
+    support = _shifted_cancelling_support(cp.cancelling_sf, s0, rho0)
+    with mpmath.workprec(bits):
+        num_support = {k: to_mpf(v) for k, v in support.items()}
+        return newton_polygon_expand(
+            num_support, max_terms=max_terms, precision_bits=bits,
+            center=to_mpf(rho0),
+        )
+
+
+def _dominant_exponent_at(
+    cp: CriticalPoint,
+    s_iv: Tuple[Fraction, Fraction],
+    rho_iv: Tuple[Fraction, Fraction],
+    exact: bool,
+    bits: int,
+) -> Fraction:
+    def exponent(run_bits: int, max_terms: int) -> Fraction:
+        found = _smallest_noninteger_exponent(
+            _expansions_at(cp, s_iv, rho_iv, exact, run_bits, max_terms))
+        if found is None:
             raise DegenerateBranch(
                 "no fractional branch exponent at the exact critical point"
+                if exact else "no fractional branch exponent found"
             )
-        return exponent
+        return found
 
-    def attempt(bits_run: int) -> Fraction:
-        q2 = characteristic_root_polynomial(params)
-        width = Fraction(1, 2 ** (3 * bits_run // 4))
-        lo, hi = refine_isolated_root(q2, s_iv[0], s_iv[1], width)
-        s0 = (lo + hi) / 2
-        num, den = _reduced_radius_parts(params)
-        rho0 = num.eval_scalar(s0) / den.eval_scalar(s0)
-        support = _shifted_cancelling_support(params, s0, rho0)
-        with mpmath.workprec(bits_run):
-            num_support = {
-                k: to_mpf(v) for k, v in support.items()
-            }
-            expansions = newton_polygon_expand(
-                num_support, max_terms=1, precision_bits=bits_run,
-                center=to_mpf(rho0),
-            )
-        exponent = _smallest_noninteger_exponent(expansions)
-        if exponent is None:
-            raise DegenerateBranch("no fractional branch exponent found")
-        return exponent
-
-    first = attempt(bits)
-    second = attempt(2 * bits)
+    if exact:
+        return exponent(bits, 2)
+    first = exponent(bits, 1)
+    second = exponent(2 * bits, 1)
     if first != second:
         raise PrecisionExhausted(
             "dominant exponent disagrees between %d and %d bits" % (bits, 2 * bits)
@@ -852,24 +935,6 @@ def dominant_expansions(
     """
     report = radius_numeric(params, with_exponent=False, scan_uniqueness=False)
     bits = precision_bits or params.precision_bits or default_precision_bits()
-    if report.exact:
-        support = _shifted_cancelling_support(params, report.s_at_rho, report.rho)
-        expansions = newton_polygon_expand(
-            support, max_terms=max_terms, precision_bits=bits, center=report.rho
-        )
-        return report, expansions
-    q2 = characteristic_root_polynomial(params)
-    width = Fraction(1, 2 ** (3 * bits // 4))
-    lo, hi = refine_isolated_root(q2, report.s_interval[0], report.s_interval[1],
-                                  width)
-    s0 = (lo + hi) / 2
-    num, den = _reduced_radius_parts(params)
-    rho0 = num.eval_scalar(s0) / den.eval_scalar(s0)
-    support = _shifted_cancelling_support(params, s0, rho0)
-    with mpmath.workprec(bits):
-        num_support = {k: to_mpf(v) for k, v in support.items()}
-        expansions = newton_polygon_expand(
-            num_support, max_terms=max_terms, precision_bits=bits,
-            center=to_mpf(rho0),
-        )
+    expansions = _expansions_at(critical_point(params), report.s_interval,
+                                report.rho_interval, report.exact, bits, max_terms)
     return report, expansions

@@ -5,14 +5,18 @@ import re
 from fractions import Fraction
 
 import jsonschema
+import mpmath
 import pytest
 
 from isingmaps import cli
 from isingmaps.cli import main, parse_rational
 from isingmaps.critical import thermo_enclosures
+from isingmaps.singular import rho_closed_form
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent
+                     / "golden_envelopes.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +219,15 @@ class TestObservables:
         assert cli.format_enclosure(-third - eps, -third + eps, 55) == "-0.333"
         assert cli.format_enclosure(Fraction(1, 4), Fraction(1, 4), 55) == "0.25"
 
+    @pytest.mark.parametrize("nu", ["2", "1/2"])
+    def test_free_energy_at_c_one_prints_only_true_digits(self, capsys, nu):
+        code, payload = run_json(capsys, "observables", "--nu", nu, "--c", "1")
+        assert code == 0
+        bits = payload["meta"]["precision_bits"]
+        with mpmath.workprec(4 * bits):
+            reference = -mpmath.log(rho_closed_form(Fraction(nu), 4 * bits))
+            assert payload["result"]["F"] == mpmath.nstr(reference, cli._digits(bits))
+
     def test_tol_is_rejected_where_it_has_no_effect(self, capsys):
         for argv in (("observables", "--nu", "2", "--c", "21/20"),
                      ("puiseux", "--nu", "2", "--c", "1")):
@@ -235,6 +248,23 @@ class TestExponentFit:
         assert 2.0 < alpha < 3.0
         assert result["n_range"] == [10, 80]
         assert "amplitude" in result and "residual" in result
+
+
+    def test_radius_solve_skips_exponent_and_scan(self, capsys, monkeypatch):
+        seen = []
+        original = cli.radius_numeric
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "radius_numeric", recording)
+        code, _ = run_json(capsys, "exponent-fit", "--nu", "2", "--c", "21/20",
+                           "--n-max", "8")
+        assert code == 0
+        assert len(seen) == 1
+        assert seen[0]["with_exponent"] is False
+        assert seen[0]["scan_uniqueness"] is False
 
 
 class TestCheck:
@@ -283,3 +313,15 @@ class TestPolynomialString:
     def test_zero(self):
         from isingmaps.exactalg import ParamPoly
         assert ParamPoly().to_str() == "0"
+
+
+class TestGoldenEnvelopes:
+    """Envelopes pinned digit for digit; only meta.elapsed_seconds may move."""
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_envelope_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("ISINGMAPS_PRECISION", raising=False)
+        code, payload = run_json(capsys, *command.split())
+        assert code == 0
+        del payload["meta"]["elapsed_seconds"]
+        assert payload == GOLDEN[command]

@@ -10,8 +10,10 @@ from isingmaps.exactalg import (
     ParamPoly,
     SturmChain,
     UniPoly,
+    bisect_isolated_root,
     cauchy_root_bound,
     discriminant,
+    interpolate,
     isolate_real_roots,
     poly_gcd,
     pseudo_rem,
@@ -358,3 +360,56 @@ class TestSturm:
         # intervals are pairwise disjoint and ordered
         for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
             assert b1 <= a2
+
+    @given(st.lists(small_rationals, min_size=1, max_size=5),
+           st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
+                                 max_denominator=7),
+                    min_size=1, max_size=4, unique=True),
+           st.integers(min_value=0, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_sign_bisection_matches_sturm_bisection(self, coeffs, roots, k):
+        p = squarefree_part(poly_from_coeffs(coeffs or [1]) * UniPoly.from_roots(roots))
+        if p.degree() < 1:
+            return
+        width = Fraction(1, 2 ** k)
+        for a, b in isolate_real_roots(p):
+            assert refine_isolated_root(p, a, b, width) == _sturm_bisection(p, a, b, width)
+
+    def test_sign_bisection_reaches_an_irrational_root(self):
+        p = poly_from_coeffs([-2, 0, 1])  # root sqrt(2)
+        lo, hi = bisect_isolated_root(p, Fraction(1), Fraction(2), Fraction(1, 2 ** 30))
+        assert lo < hi and hi - lo <= Fraction(1, 2 ** 30)
+        assert lo * lo < 2 < hi * hi
+
+
+def _sturm_bisection(p, a, b, width):
+    """Refinement by a Sturm count per bisection step: the oracle that sign
+    bisection must reproduce interval for interval."""
+    sf = squarefree_part(p)
+    if sf.eval_scalar(b) == 0:
+        return (b, b)
+    chain = SturmChain(sf)
+    assert chain.count(a, b) == 1
+    while b - a > width:
+        mid = (a + b) / 2
+        if sf.eval_scalar(mid) == 0:
+            return (mid, mid)
+        if chain.count(a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    return (a, b)
+
+
+class TestInterpolate:
+    @given(rational_polys, small_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_rebuilds_the_polynomial(self, p, start):
+        nodes = [start + k for k in range(p.degree() + 2)]
+        assert interpolate(nodes, [p.eval_scalar(x) for x in nodes]) == p
+
+    def test_lowest_degree_through_points(self):
+        nodes = [Fraction(0), Fraction(1), Fraction(3)]
+        assert interpolate(nodes, [Fraction(1)] * 3) == poly_from_coeffs([1])
+        assert interpolate(nodes, [Fraction(0), Fraction(1), Fraction(9)]) == \
+            poly_from_coeffs([0, 0, 1])

@@ -4,13 +4,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from isingmaps import singular
 from isingmaps.errors import DegenerateBranch, FactorizationMismatch
-from isingmaps.exactalg import UniPoly, sturm_count
+from isingmaps.exactalg import UniPoly, discriminant, poly_gcd, sturm_count
 from isingmaps.series import IsingParams, lagrangian_numer_denom
 from isingmaps.singular import (
     SingularityReport,
+    cancelling_polynomial,
+    cancelling_polynomial_squarefree,
     char_factors,
     characteristic_root_polynomial,
+    critical_point,
     discriminant_in_z,
     dominant_exponent,
     newton_polygon_expand,
@@ -202,6 +206,100 @@ class TestDiscriminant:
     def test_nonzero_off_c_one(self):
         disc = discriminant_in_z(params(2, Fraction(19, 20)))
         assert disc.degree() >= 7
+
+
+class TestCriticalPoint:
+    def test_one_radius_call_builds_it_once(self, monkeypatch):
+        calls = []
+        for name in ("characteristic_root_polynomial",
+                     "cancelling_polynomial_squarefree"):
+            original = getattr(singular, name)
+
+            def counted(p, original=original, name=name):
+                calls.append(name)
+                return original(p)
+
+            monkeypatch.setattr(singular, name, counted)
+        singular._critical_point.cache_clear()
+        # exponent and uniqueness scan both read the same CriticalPoint
+        radius_numeric(params(Fraction(5, 2), Fraction(21, 20)))
+        assert singular._critical_point.cache_info().misses == 1
+        assert singular._critical_point.cache_info().hits >= 1
+        assert sorted(calls) == ["cancelling_polynomial_squarefree",
+                                 "characteristic_root_polynomial"]
+
+    def test_keyed_on_the_point_only(self):
+        a = critical_point(IsingParams(nu=2, c=Fraction(19, 20)))
+        b = critical_point(IsingParams(nu=2, c=Fraction(19, 20), precision_bits=64))
+        assert a is b
+
+    def test_interval_isolates_the_characteristic_root(self):
+        p = params(Fraction(3, 4), Fraction(11, 10))
+        cp = critical_point(p)
+        lo, hi = cp.interval
+        bound = _root_interval_bound(p)
+        assert 0 <= lo < hi <= bound
+        assert hi - lo <= bound / 2 ** 20
+        assert sturm_count(cp.char, lo, hi) == 1
+
+    def test_exact_endpoint_interval(self):
+        cp = critical_point(params(5))
+        assert cp.interval == (Fraction(1, 72), Fraction(1, 72))
+        assert cp.z_at(Fraction(1, 72)) == Fraction(67, 20736)
+
+    def test_refine_rejects_a_piece_without_the_root(self):
+        cp = critical_point(params(2, Fraction(19, 20)))
+        lo, hi = cp.interval
+        mid = (lo + hi) / 2
+        half = cp.refine(lo, hi, (hi - lo) / 2)
+        other = (mid, hi) if half == (lo, mid) else (lo, mid)
+        with pytest.raises(ValueError):
+            cp.refine(*other, Fraction(1, 2 ** 60))
+        with pytest.raises(ValueError):
+            cp.refine(hi, hi + 1, Fraction(1, 2 ** 60))
+        lo2, hi2 = cp.refine(lo, hi, Fraction(1, 2 ** 60))
+        assert hi2 - lo2 <= Fraction(1, 2 ** 60)
+        assert sturm_count(cp.char, lo2, hi2) == 1
+
+
+class TestSquarefreeCancellingPolynomial:
+    """The univariate construction against the bivariate gcd it replaced."""
+
+    @pytest.mark.parametrize("nu, c", [
+        (Fraction(1, 2), 1), (2, 1), (4, 1), (Fraction(13, 2), 1),
+        (1, 1), (2, Fraction(19, 20)),
+    ])
+    def test_matches_bivariate_gcd_up_to_a_rational_factor(self, nu, c):
+        p = params(nu, c)
+        c_poly = cancelling_polynomial(p)
+        oracle = c_poly.exact_div(poly_gcd(c_poly, c_poly.derivative()))
+        c_sf = cancelling_polynomial_squarefree(p)
+        assert c_sf.degree() == oracle.degree()
+        pairs = [(o.coeff(j), n.coeff(j))
+                 for o, n in zip(oracle.coeffs, c_sf.coeffs) for j in (0, 1)]
+        assert all((a == 0) == (b == 0) for a, b in pairs)
+        assert len({a / b for a, b in pairs if b != 0}) == 1
+
+    def test_strips_one_factor_at_c_one_only(self):
+        for c, drop in ((1, 1), (Fraction(21, 20), 0)):
+            p = params(3, c)
+            assert (cancelling_polynomial(p).degree()
+                    - cancelling_polynomial_squarefree(p).degree()) == drop
+            # the divisor is 1 at S = 0, so C_sf(z, 0) = C(z, 0)
+            assert cancelling_polynomial_squarefree(p).coeff(0) == \
+                cancelling_polynomial(p).coeff(0)
+
+
+class TestDiscriminantInterpolation:
+    @pytest.mark.parametrize("nu, c", [
+        (2, Fraction(19, 20)),           # off c = 1
+        (Fraction(1, 2), 1), (2, 1), (4, 1), (5, 1),
+        (1, Fraction(9, 10)),            # nu = 1: Cauchy-bound search interval
+        (2, Fraction(3, 2)),             # far field
+    ])
+    def test_matches_bivariate_discriminant(self, nu, c):
+        p = params(nu, c)
+        assert discriminant_in_z(p) == discriminant(cancelling_polynomial_squarefree(p))
 
 
 class TestNewtonPolygon:
