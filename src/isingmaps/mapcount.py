@@ -2,13 +2,17 @@
 
 A map on n vertices is encoded by permutations of the darts 1..4n: the
 vertex rotation is pinned to the canonical permutation with cycles
-(1,2,3,4)(5,6,7,8)..., so enumerating maps reduces to enumerating the edge
-pairings (fixed-point-free involutions) alpha.  Faces are the cycles of
-sigma o alpha (alpha applied first); Euler's relation V - E + F = 2 - 2g
-then gives the genus.  Each planar pairing is weighted by its spin sum
-(root vertex forced to spin +) and the dart-labelled total is converted to
-a rooted-map count through the normalization 4n / (n! 4^n), which is the
-orbit size correction for the centralizer of the canonical rotation.
+(1,2,3,4)(5,6,7,8)..., so a map is an edge pairing (a fixed-point-free
+involution) alpha.  Faces are the cycles of sigma o alpha (alpha applied
+first); Euler's relation V - E + F = 2 - 2g then gives the genus.
+
+:func:`survey` generates one pairing per connected rooted map, its
+canonical labelling: the root dart is 1, and vertices and their darts are
+numbered in the order a walk from the root discovers them (see the
+docstring of :func:`survey`).  A rooted map has no automorphism, so every
+count over all (4n - 1)!! labelled pairings follows from the rooted ones
+by the orbit size (n - 1)! 4^(n-1).  Each planar rooted map is weighted by
+its spin sum, with the root vertex forced to spin +.
 
 Deliberately independent of the series pipeline: no shared model tables,
 just permutations and dictionaries.
@@ -19,12 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import EnumerationBound
 from .exactalg import ParamPoly
 
-MAX_VERTICES = 4
+MAX_VERTICES = 5
 
 
 def canonical_sigma(n: int) -> List[int]:
@@ -38,6 +42,22 @@ def canonical_sigma(n: int) -> List[int]:
 def dart_vertex(d: int) -> int:
     """Vertex owning dart d (vertices numbered from 0)."""
     return (d - 1) // 4
+
+
+def _face_count(sigma: Sequence[int], alpha: Sequence[int]) -> int:
+    """Number of cycles of sigma o alpha (alpha first) on darts 1..len - 1."""
+    total = len(alpha) - 1
+    seen = [False] * (total + 1)
+    faces = 0
+    for start in range(1, total + 1):
+        if seen[start]:
+            continue
+        faces += 1
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            d = sigma[alpha[d]]
+    return faces
 
 
 @dataclass(frozen=True)
@@ -63,18 +83,7 @@ class DartMap:
 
     def face_count(self) -> int:
         """Number of cycles of sigma o alpha (alpha first)."""
-        sigma = canonical_sigma(self.n)
-        seen = [False] * (4 * self.n + 1)
-        faces = 0
-        for start in range(1, 4 * self.n + 1):
-            if seen[start]:
-                continue
-            faces += 1
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                d = sigma[self.alpha[d]]
-        return faces
+        return _face_count(canonical_sigma(self.n), self.alpha)
 
     def is_connected(self) -> bool:
         """Transitivity of the group generated by sigma and alpha on darts."""
@@ -137,7 +146,7 @@ def _spin_polynomial(edges: Tuple[Tuple[int, int], ...], n: int) -> ParamPoly:
 
 @dataclass(frozen=True)
 class EnumerationSurvey:
-    """Full result of the exhaustive pairing enumeration at size n."""
+    """Rooted-map enumeration at size n, with the labelled-pairing counts."""
 
     n: int
     total_matchings: int
@@ -149,132 +158,95 @@ class EnumerationSurvey:
 
 @lru_cache(maxsize=8)
 def survey(n: int) -> EnumerationSurvey:
-    """Enumerate every edge pairing on 4n darts and aggregate the results."""
+    """Enumerate the connected rooted maps on n vertices by canonical labelling.
+
+    The walk: vertex 0 owns the root dart 1.  With k vertices discovered
+    (darts 1..4k), pair the smallest unpaired dart d with either an unpaired
+    dart e in (d, 4k], or, when k < n, with dart 4k + 1, which opens vertex k
+    with its darts labelled along sigma from the dart it was entered by.  If
+    all 4k darts are paired while k < n the map is disconnected and the
+    branch is dropped; at k = n the leaf is a connected map, planar when it
+    has n + 2 faces.
+
+    Bijection: every leaf is connected, since each vertex is entered along
+    an edge from one discovered before it.  Conversely, running the walk's
+    rule on a connected rooted map (take the smallest labelled dart with an
+    unlabelled edge; if its partner sits on an unlabelled vertex, label that
+    vertex next, from the partner along sigma) labels every dart in one way
+    only, and that labelling is a leaf.  Two leaves are distinct labelled
+    pairings, so they are distinct rooted maps.
+
+    Orbit size: relabellings that keep the canonical rotation form its
+    centralizer, of order n! 4^n (permute the vertices, turn each).  A
+    relabelling that fixes a connected pairing and one dart fixes every
+    dart, because sigma and alpha act transitively.  The centralizer thus
+    acts freely on (connected pairing, root dart) pairs, whose orbits are
+    the rooted maps, so each rooted map stands for n! 4^n / (4n) =
+    (n - 1)! 4^(n-1) connected labelled pairings, exactly.  Forcing spin +
+    on vertex 0 of each pairing and on the root vertex of each rooted map
+    gives the same total, since the walk puts the root on vertex 0.
+    """
     if not 1 <= n <= MAX_VERTICES:
         raise EnumerationBound(
             "enumeration is limited to 1 <= n <= %d vertices" % MAX_VERTICES
         )
     sigma = canonical_sigma(n)
-    total_darts = 4 * n
-    alpha = [0] * (total_darts + 1)
-    # Union-find over vertices with per-component open-dart counts and an
-    # explicit undo stack (no path compression so undo is exact).
-    parent = list(range(n))
-    size = [1] * n
-    open_darts = [4] * n
-    components = [n]
+    alpha = [0] * (4 * n + 1)
+    connected = 0
+    planar_edge_sets: Dict[Tuple[Tuple[int, int], ...], int] = {}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    stats = {"total": 0, "connected": 0, "planar": 0}
-    spin_cache: Dict[Tuple[Tuple[int, int], ...], ParamPoly] = {}
-    accum: Dict[Tuple[int, int], Fraction] = {}
-
-    def matchings_on(k: int) -> int:
-        """(k-1)!! -- matchings of k points; counts leaves under a pruned node."""
-        out = 1
-        while k > 1:
-            out *= k - 1
-            k -= 2
-        return out
-
-    def face_count_of(alpha_arr: List[int]) -> int:
-        seen = [False] * (total_darts + 1)
-        faces = 0
-        for start in range(1, total_darts + 1):
-            if seen[start]:
-                continue
-            faces += 1
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                d = sigma[alpha_arr[d]]
-        return faces
-
-    def handle_leaf():
-        stats["total"] += 1
-        if components[0] != 1:
+    def leaf():
+        nonlocal connected
+        connected += 1
+        if _face_count(sigma, alpha) != n + 2:
             return
-        stats["connected"] += 1
-        if face_count_of(alpha) != n + 2:
-            return
-        stats["planar"] += 1
-        edge_list = []
-        for d in range(1, total_darts + 1):
-            a = alpha[d]
-            if d < a:
-                u, v = dart_vertex(d), dart_vertex(a)
-                edge_list.append((u, v) if u <= v else (v, u))
-        key = tuple(sorted(edge_list))
-        poly = spin_cache.get(key)
-        if poly is None:
-            poly = _spin_polynomial(key, n)
-            spin_cache[key] = poly
-        for term_key, coef in poly.terms.items():
-            accum[term_key] = accum.get(term_key, Fraction(0)) + coef
+        key = tuple(sorted(
+            (dart_vertex(d), dart_vertex(a))
+            for d, a in enumerate(alpha) if d < a
+        ))
+        planar_edge_sets[key] = planar_edge_sets.get(key, 0) + 1
 
-    def pair_from(d: int, remaining: int):
-        while d <= total_darts and alpha[d]:
+    def pair_from(d: int, k: int):
+        top = 4 * k
+        while d <= top and alpha[d]:
             d += 1
-        if d > total_darts:
-            handle_leaf()
+        if d > top:
+            if k == n:
+                leaf()
             return
-        u = dart_vertex(d)
-        for e in range(d + 1, total_darts + 1):
-            if alpha[e]:
-                continue
-            v = dart_vertex(e)
-            alpha[d], alpha[e] = e, d
-            ru, rv = find(u), find(v)
-            undo = None
-            if ru != rv:
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
-                open_darts[ru] += open_darts[rv]
-                components[0] -= 1
-                undo = (ru, rv)
-            open_darts[ru] -= 2
-            closed_early = open_darts[ru] == 0 and remaining > 2
-            if closed_early:
-                # every completion of this partial pairing is disconnected
-                stats["total"] += matchings_on(remaining - 2)
-            else:
-                pair_from(d + 1, remaining - 2)
-            open_darts[ru] += 2
-            if undo is not None:
-                ru, rv = undo
-                parent[rv] = rv
-                size[ru] -= size[rv]
-                open_darts[ru] -= open_darts[rv]
-                components[0] += 1
-            alpha[d], alpha[e] = 0, 0
+        for e in range(d + 1, top + 1):
+            if not alpha[e]:
+                alpha[d], alpha[e] = e, d
+                pair_from(d + 1, k)
+                alpha[e] = 0
+        if k < n:
+            alpha[d], alpha[top + 1] = top + 1, d
+            pair_from(d + 1, k + 1)
+            alpha[top + 1] = 0
+        alpha[d] = 0
 
-    pair_from(1, total_darts)
+    pair_from(1, 1)
 
-    norm = Fraction(4 * n, factorial(n) * 4 ** n)
-    poly = ParamPoly({k: v * norm for k, v in accum.items()})
-    rooted = Fraction(stats["planar"]) * norm
-    if rooted.denominator != 1:
-        raise ArithmeticError(
-            "planar matching count is not a multiple of the orbit size"
-        )
+    poly = ParamPoly()
+    for key, multiplicity in planar_edge_sets.items():
+        poly = poly + _spin_polynomial(key, n) * multiplicity
+    rooted = sum(planar_edge_sets.values())
+    orbit = factorial(n - 1) * 4 ** (n - 1)
+    total = 1
+    for odd in range(1, 4 * n, 2):
+        total *= odd
     return EnumerationSurvey(
         n=n,
-        total_matchings=stats["total"],
-        connected_matchings=stats["connected"],
-        planar_matchings=stats["planar"],
-        rooted_map_count=int(rooted),
+        total_matchings=total,
+        connected_matchings=connected * orbit,
+        planar_matchings=rooted * orbit,
+        rooted_map_count=rooted,
         partition_polynomial=poly,
     )
 
 
 def bruteforce_Z(n: int) -> ParamPoly:
-    """Z_n(nu, c) by exhaustive enumeration (n <= 4)."""
+    """Z_n(nu, c) by exhaustive enumeration (n <= MAX_VERTICES)."""
     return survey(n).partition_polynomial
 
 

@@ -868,15 +868,38 @@ def _expansions_at(
     """Puiseux branches of the cancelling polynomial at (rho, s*).
 
     At an exact critical point they are expanded in exact arithmetic.
-    Otherwise s* is refined to width 2^(-3 bits/4), the midpoint is placed
-    exactly on the curve, and the expansion runs at ``bits``.
+    Otherwise s* is refined to width 2^(-3 bits/4) and expanded by
+    :func:`_expansions_near`.
     """
     if exact:
         support = _shifted_cancelling_support(cp.cancelling_sf, s_iv[0], rho_iv[0])
         return newton_polygon_expand(
             support, max_terms=max_terms, precision_bits=bits, center=rho_iv[0]
         )
-    lo, hi = cp.refine(s_iv[0], s_iv[1], Fraction(1, 2 ** (3 * bits // 4)))
+    return _expansions_near(cp, _refine_for(cp, s_iv, bits), bits, max_terms)
+
+
+def _refine_for(
+    cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction], bits: int
+) -> Tuple[Fraction, Fraction]:
+    """s_iv refined to width 2^(-3 bits/4); an exact hit (r, r) stays as it is."""
+    if s_iv[0] == s_iv[1]:
+        return s_iv
+    return cp.refine(s_iv[0], s_iv[1], Fraction(1, 2 ** (3 * bits // 4)))
+
+
+def _expansions_near(
+    cp: CriticalPoint,
+    s_iv: Tuple[Fraction, Fraction],
+    bits: int,
+    max_terms: int,
+) -> List[PuiseuxExpansion]:
+    """Numeric Puiseux branches at the midpoint of a refined s-interval.
+
+    The midpoint is placed exactly on the curve, and the expansion runs at
+    ``bits``.
+    """
+    lo, hi = s_iv
     s0 = (lo + hi) / 2
     rho0 = cp.z_at(s0)
     support = _shifted_cancelling_support(cp.cancelling_sf, s0, rho0)
@@ -895,9 +918,14 @@ def _dominant_exponent_at(
     exact: bool,
     bits: int,
 ) -> Fraction:
-    def exponent(run_bits: int, max_terms: int) -> Fraction:
-        found = _smallest_noninteger_exponent(
-            _expansions_at(cp, s_iv, rho_iv, exact, run_bits, max_terms))
+    """The smallest fractional branch exponent at the critical point.
+
+    Off an exact point it is read at ``bits`` and at ``2 bits``, which must
+    agree.  Sign bisection is deterministic, so the 2 bits interval is
+    reached by refining on from the ``bits`` one.
+    """
+    def exponent(expansions: List[PuiseuxExpansion]) -> Fraction:
+        found = _smallest_noninteger_exponent(expansions)
         if found is None:
             raise DegenerateBranch(
                 "no fractional branch exponent at the exact critical point"
@@ -906,9 +934,11 @@ def _dominant_exponent_at(
         return found
 
     if exact:
-        return exponent(bits, 2)
-    first = exponent(bits, 1)
-    second = exponent(2 * bits, 1)
+        return exponent(_expansions_at(cp, s_iv, rho_iv, exact, bits, 2))
+    s_iv = _refine_for(cp, s_iv, bits)
+    first = exponent(_expansions_near(cp, s_iv, bits, 1))
+    s_iv = _refine_for(cp, s_iv, 2 * bits)
+    second = exponent(_expansions_near(cp, s_iv, 2 * bits, 1))
     if first != second:
         raise PrecisionExhausted(
             "dominant exponent disagrees between %d and %d bits" % (bits, 2 * bits)

@@ -97,7 +97,7 @@ class TestEnumerate:
         assert brute == coeffs["result"]["coefficients"][2]["value"]
 
     def test_size_bound(self, capsys):
-        code, payload = run_json(capsys, "enumerate", "--n", "5")
+        code, payload = run_json(capsys, "enumerate", "--n", "6")
         assert code == 1
         assert payload["error"]["type"] == "EnumerationBound"
 

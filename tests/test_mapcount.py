@@ -1,5 +1,6 @@
 """Tests for the brute-force map enumeration oracle."""
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -7,6 +8,7 @@ from isingmaps.errors import EnumerationBound
 from isingmaps.exactalg import ParamPoly
 from isingmaps.mapcount import (
     DartMap,
+    _spin_polynomial,
     all_pairings,
     bruteforce_Z,
     canonical_sigma,
@@ -14,6 +16,58 @@ from isingmaps.mapcount import (
     survey,
 )
 from isingmaps.series import IsingParams, solve_Z
+
+
+def labelled_pairing_survey(n):
+    """The survey by walking all (4n - 1)!! labelled pairings on 4n darts.
+
+    Each planar pairing is weighted by its spin sum with vertex 0 forced to
+    spin +, and the totals are divided by the orbit size n! 4^n / (4n).
+    Returns the five counts and the polynomial as a tuple.
+    """
+    total_darts = 4 * n
+    alpha = [0] * (total_darts + 1)
+    stats = {"total": 0, "connected": 0, "planar": 0}
+    accum = ParamPoly()
+
+    def leaf():
+        nonlocal accum
+        stats["total"] += 1
+        m = DartMap(n=n, alpha=tuple(alpha))
+        if not m.is_connected():
+            return
+        stats["connected"] += 1
+        if m.face_count() != n + 2:
+            return
+        stats["planar"] += 1
+        accum = accum + _spin_polynomial(tuple(sorted(m.edges())), n)
+
+    def pair_from(d):
+        while d <= total_darts and alpha[d]:
+            d += 1
+        if d > total_darts:
+            leaf()
+            return
+        for e in range(d + 1, total_darts + 1):
+            if not alpha[e]:
+                alpha[d], alpha[e] = e, d
+                pair_from(d + 1)
+                alpha[d], alpha[e] = 0, 0
+
+    pair_from(1)
+    norm = Fraction(4 * n, factorial(n) * 4 ** n)
+    rooted = stats["planar"] * norm
+    assert rooted.denominator == 1
+    return (n, stats["total"], stats["connected"], stats["planar"],
+            int(rooted), accum * norm)
+
+
+def tutte_rooted_quartic(n):
+    """Rooted planar 4-valent maps on n vertices: 2 3^n (2n)! / (n! (n+2)!)."""
+    return 2 * 3 ** n * factorial(2 * n) // (factorial(n) * factorial(n + 2))
+
+
+ALL_SIZES = [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
 
 
 class TestDartMap:
@@ -83,9 +137,37 @@ class TestEnumeration:
         value = s.partition_polynomial.evaluate(Fraction(1), Fraction(1))
         assert value == 2 ** (n - 1) * s.rooted_map_count
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_labelled_pairing_walk(self, n):
+        s = survey(n)
+        assert (s.n, s.total_matchings, s.connected_matchings,
+                s.planar_matchings, s.rooted_map_count,
+                s.partition_polynomial) == labelled_pairing_survey(n)
+
+    @pytest.mark.parametrize("n", ALL_SIZES)
+    def test_rooted_maps_match_tutte(self, n):
+        assert survey(n).rooted_map_count == tutte_rooted_quartic(n)
+
+    @pytest.mark.parametrize("n", ALL_SIZES)
+    def test_connected_matchings_exponential_formula(self, n):
+        # a pairing splits into the component of vertex 0, on k vertices,
+        # and an arbitrary pairing of the other n - k vertices
+        def total(m):
+            return survey(m).total_matchings if m else 1
+
+        assert total(n) == sum(
+            comb(n - 1, k - 1) * survey(k).connected_matchings * total(n - k)
+            for k in range(1, n + 1)
+        )
+
+    def test_four_vertices_pinned(self):
+        s = survey(4)
+        assert s.connected_matchings == 1880064
+        assert s.planar_matchings == 145152
+
     def test_enumeration_bound(self):
         with pytest.raises(EnumerationBound):
-            bruteforce_Z(5)
+            bruteforce_Z(6)
         with pytest.raises(EnumerationBound):
             bruteforce_Z(0)
 
@@ -106,10 +188,19 @@ class TestStructuralInvariants:
             assert (m.face_count() - m.n) % 2 == 0
 
 
-@pytest.mark.slow
 class TestExtendedEnumeration:
     def test_four_vertices_matches_series(self):
         s = survey(4)
         assert s.rooted_map_count == 378
         z_series = solve_Z(IsingParams(nu=2, c=1), 4)
         assert s.partition_polynomial == z_series.coefficient(4)
+
+    @pytest.mark.slow
+    def test_five_vertices_matches_series(self):
+        s = survey(5)
+        assert s.rooted_map_count == 2916
+        assert s.connected_matchings == 616108032
+        assert s.planar_matchings == 17915904
+        assert s.total_matchings == 654729075
+        z_series = solve_Z(IsingParams(nu=2, c=1), 5)
+        assert s.partition_polynomial == z_series.coefficient(5)

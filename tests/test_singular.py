@@ -379,3 +379,35 @@ class TestDominantExponent:
 
     def test_square_root_off_c_one(self):
         assert dominant_exponent(params(4, Fraction(21, 20))) == Fraction(1, 2)
+
+    def test_refines_on_from_the_first_interval(self, monkeypatch):
+        p = params(Fraction(3, 4), Fraction(11, 10))
+        cp = critical_point(p)
+        report = radius_numeric(p, with_exponent=False, scan_uniqueness=False)
+        s_iv = report.s_interval
+        first = cp.refine(*s_iv, Fraction(1, 2 ** 144))
+        second = cp.refine(*s_iv, Fraction(1, 2 ** 288))
+        expanded, refined_from = [], []
+        original_near = singular._expansions_near
+        original_refine = singular.CriticalPoint.refine
+
+        def recording_near(cp_, s_iv_, bits, max_terms):
+            expanded.append(s_iv_)
+            return original_near(cp_, s_iv_, bits, max_terms)
+
+        def recording_refine(self, lo, hi, width):
+            refined_from.append((lo, hi))
+            return original_refine(self, lo, hi, width)
+
+        monkeypatch.setattr(singular, "_expansions_near", recording_near)
+        monkeypatch.setattr(singular.CriticalPoint, "refine", recording_refine)
+        assert singular._dominant_exponent_at(
+            cp, s_iv, report.rho_interval, False, 192) == Fraction(1, 2)
+        # the same intervals as refining from the certified s_iv each time
+        assert expanded == [first, second]
+        assert refined_from == [s_iv, first]
+
+    def test_exact_hit_is_not_refined_again(self):
+        cp = critical_point(params(5))
+        hit = (Fraction(1, 72), Fraction(1, 72))
+        assert singular._refine_for(cp, hit, 384) == hit
