@@ -19,7 +19,9 @@ class DegenerateInterval(ComputationError):
 
 
 class PrecisionExhausted(ComputationError):
-    """Two runs at working precision p and 2p disagree beyond p/2 bits."""
+    """The working precision cannot certify a result: a thermodynamic
+    enclosure is not finite, a Puiseux branch fails its back-substitution
+    self-check, or the dominant exponent changes when the bits double."""
 
 
 class NumericModeAtNuOne(ComputationError):

@@ -1,8 +1,9 @@
 """Working-precision helpers for the numeric (mpmath) code paths.
 
-The package follows a two-precision audit convention: any numeric pipeline
-that feeds user-facing results is run at the requested precision p and again
-at 2p bits, and a value is accepted only when the two runs agree to p/2 bits.
+The numeric series are exact at the point and rounded once, so no package
+path runs the two-precision audit :func:`audited` any more.  It stays only
+as a target of the benchmark's layer trace; its removal waits for the
+ROADMAP item that retires the audit.
 """
 from __future__ import annotations
 
@@ -44,6 +45,8 @@ def agree_to_bits(a, b, bits: int) -> bool:
 
 def audited(run, precision_bits: int, *, agreement_bits: int | None = None):
     """Run ``run(bits)`` at p and 2p bits and compare the results.
+
+    No package path calls this; it is kept as a benchmark trace target.
 
     ``run`` must return either a single mpf or a sequence of mpfs.  Values are
     accepted if every entry agrees to ``agreement_bits`` (default p/2) bits;

@@ -11,10 +11,15 @@ where N and D are explicit polynomials in S over Q[nu, c] (see
 by 9 z^2 (1 - nu^2) (1 + 3 c^2 (1 - nu^2) S) then yields Z(nu, c, c z), from
 which the coefficients are read off after a per-order rescale by c^-n.
 
-Two coefficient rings are supported, selected by :class:`IsingParams`:
-symbolic (coefficients are :class:`~isingmaps.exactalg.ParamPoly`) and
-numeric-at-point (mpmath reals at a rational point, always run at two
-precisions and cross-checked).
+Two modes are supported, selected by :class:`IsingParams`: symbolic
+(coefficients are :class:`~isingmaps.exactalg.ParamPoly`) and
+numeric-at-point.  Numeric mode is exact at the point, rounded once: the
+solve runs over plain ``int`` after the rescaling S = L T, z = L w with
+L = (den nu * den c)^2, which makes every table entry an integer and every
+series division a division by a unit; each exact rational Z_n (or S_n) is
+then rounded to the nearest mpf at the requested precision.  Both modes
+share one pipeline, including the exact check that the three lowest
+coefficients cancel.
 """
 from __future__ import annotations
 
@@ -24,10 +29,11 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import NonZeroRemainder, NumericModeAtNuOne
 from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, is_zero_elem
-from .precision import audited, to_mpf
+from .precision import to_mpf
 
 
 @dataclass(frozen=True)
@@ -36,8 +42,9 @@ class IsingParams:
 
     ``nu`` is the monochromatic-edge weight, ``c`` the spin-imbalance weight;
     both are kept as exact rationals no matter the mode.  ``precision_bits``
-    selects the coefficient ring for series work: ``None`` for symbolic
-    coefficients, a bit count for numeric-at-point mode.  Numeric mode
+    selects the mode for series work: ``None`` for symbolic coefficients, a
+    bit count for numeric-at-point mode, whose values are exact at the
+    point and rounded once to that many bits.  Numeric mode
     refuses nu = 1 because the parametrization's 1/(1 - nu^2) prefactor is a
     pointwise 0/0 there; symbolic mode divides it out exactly instead.
     """
@@ -117,7 +124,15 @@ class _Model:
     """The tables of :func:`_symbolic_tables` realized over a concrete ring.
 
     ``kind`` is one of "symbolic", "exact" (Fractions at the rational point)
-    or "numeric" (mpmath reals at the ambient precision).
+    or "integer" (the exact tables in the variables T = S/L and w = z/L,
+    with L = (den nu * den c)^2, over plain ``int``).
+
+    In the integer kind the N and D coefficients of degree k carry L^k, e1
+    carries L and the bracket entry of S^i z^j carries L^(i+j); each is an
+    integer because its nu- and c-degrees are at most twice its power of L.
+    N(0) = D(0) = 1 survive the rescaling, so the Newton divisor and the
+    bracket divisor 1 + e1 T have constant term 1 and the solve never
+    leaves the integers.  ``nine_gamma`` stays the exact 9(1 - nu^2).
     """
 
     def __init__(self, params: IsingParams, kind: str):
@@ -126,13 +141,9 @@ class _Model:
         if kind == "symbolic":
             conv = lambda p: p
             self.zero, self.one = PP_ZERO, PP_ONE
-        elif kind == "exact":
+        elif kind in ("exact", "integer"):
             conv = lambda p: p.evaluate(params.nu, params.c)
             self.zero, self.one = Fraction(0), Fraction(1)
-        elif kind == "numeric":
-            nu_x, c_x = to_mpf(params.nu), to_mpf(params.c)
-            conv = lambda p: p.evaluate(nu_x, c_x)
-            self.zero, self.one = mpmath.mpf(0), mpmath.mpf(1)
         else:  # pragma: no cover - internal misuse
             raise ValueError(kind)
         self.n_tab = {k: conv(v) for k, v in n_tab.items()}
@@ -141,14 +152,46 @@ class _Model:
         self.e1 = conv(e1)
         self.nine_gamma = conv(nine_gamma)
         self.params = params
+        if kind == "integer":
+            self._rescale_to_int()
 
-    def rescale_coefficient(self, value, n: int):
-        """Multiply a coefficient by c^-n (undo the z -> cz substitution)."""
+    def _rescale_to_int(self):
+        big_l = (self.params.nu.denominator * self.params.c.denominator) ** 2
+        self.scale = big_l
+        self.zero, self.one = 0, 1
+        self.n_tab = {k: _integral(v * big_l ** k) for k, v in self.n_tab.items()}
+        self.d_tab = {k: _integral(v * big_l ** k) for k, v in self.d_tab.items()}
+        self.e1 = _integral(self.e1 * big_l)
+        self.bracket_tab = {(i, j): _integral(v * big_l ** (i + j))
+                            for (i, j), v in self.bracket_tab.items()}
+
+    def z_coefficient(self, g, n: int):
+        """Z_n from the coefficient g of z^(n+2) (w^(n+2) in the integer
+        kind) of bracket / (1 + e1 S): divide by 9(1 - nu^2) and undo the
+        z -> cz substitution and, in the integer kind, the rescaling."""
         if self.kind == "symbolic":
-            return value.shift_c(-n)
-        if self.kind == "exact":
-            return value / self.params.c ** n
-        return value * to_mpf(self.params.c) ** (-n)
+            return g.exact_div(self.nine_gamma).shift_c(-n)
+        return (Fraction(g, self.scale ** (n + 2))
+                / (self.nine_gamma * self.params.c ** n))
+
+    def s_coefficients(self, t_coeffs) -> List[Fraction]:
+        """Coefficients in z of L * F(z / L), for the integer-kind series F(w)."""
+        return [Fraction(t) * Fraction(self.scale) ** (1 - n)
+                for n, t in enumerate(t_coeffs)]
+
+
+def _integral(x: Fraction) -> int:
+    if x.denominator != 1:  # pragma: no cover - the degree bounds exclude it
+        raise ArithmeticError("rescaled table entry %s is not an integer" % x)
+    return x.numerator
+
+
+def _rounded(values, bits: int) -> List[mpmath.mpf]:
+    """Each exact rational rounded to the nearest mpf with ``bits`` bits."""
+    with mpmath.workprec(bits):
+        return [mpmath.mpf(from_rational(q.numerator, q.denominator, bits,
+                                         round_nearest))
+                for q in map(Fraction, values)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,34 +379,22 @@ def solve_S(params: IsingParams, order: int) -> TruncatedSeries:
     """The unique series S with S(0) = 0 solving z = S N(S)/D(S)^2, to z^order.
 
     Symbolic mode gives ParamPoly coefficients (integer polynomials in nu, c
-    with nonnegative coefficients); numeric mode gives mpmath reals computed
-    at two precisions and cross-checked.
+    with nonnegative coefficients); numeric mode gives each S_n exact at the
+    point, rounded once to the nearest mpf at ``precision_bits``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if params.symbolic:
         return _solve_S_ring(_Model(params, "symbolic"), order)
+    model = _Model(params, "integer")
+    t = _solve_S_ring(model, order)
+    return TruncatedSeries(
+        _rounded(model.s_coefficients(t.coeffs), params.precision_bits),
+        mpmath.mpf(0),
+    )
 
-    def run(bits: int):
-        return _solve_S_ring(_Model(params, "numeric"), order).coeffs
 
-    coeffs = audited(run, params.precision_bits)
-    return TruncatedSeries(coeffs, mpmath.mpf(0))
-
-
-def pol_Z_eval(
-    s: TruncatedSeries, params: IsingParams, order: Optional[int] = None
-) -> TruncatedSeries:
-    """The bracket polynomial of the parametrization, evaluated on the series S.
-
-    The bracket is a degree-7 polynomial in s whose coefficients carry z- and
-    z^2-terms; the result is its value at s = S(z), truncated at ``order``
-    (default: the order of S).
-    """
-    kind = "symbolic" if params.symbolic else "numeric"
-    model = _Model(params, kind)
-    if order is None:
-        order = s.order
+def _bracket_eval(model: _Model, s: TruncatedSeries, order: int) -> TruncatedSeries:
     s = s.truncate(order)
     pw = _series_powers(s, 7)
     out = TruncatedSeries([model.zero] * (order + 1), model.zero)
@@ -375,72 +406,65 @@ def pol_Z_eval(
     return out
 
 
-def _solve_Z_symbolic(params: IsingParams, order: int) -> TruncatedSeries:
-    model = _Model(params, "symbolic")
+def pol_Z_eval(
+    s: TruncatedSeries, params: IsingParams, order: Optional[int] = None
+) -> TruncatedSeries:
+    """The bracket polynomial of the parametrization, evaluated on the series S.
+
+    The bracket is a degree-7 polynomial in s whose coefficients carry z- and
+    z^2-terms; the result is its value at s = S(z), truncated at ``order``
+    (default: the order of S).  Numeric mode evaluates at ``precision_bits``.
+    """
+    if order is None:
+        order = s.order
+    if params.symbolic:
+        return _bracket_eval(_Model(params, "symbolic"), s, order)
+    model = _Model(params, "exact")
+    with mpmath.workprec(params.precision_bits):
+        model.bracket_tab = {k: to_mpf(v) for k, v in model.bracket_tab.items()}
+        return _bracket_eval(model, s, order)
+
+
+def _solve_Z_ring(model: _Model, order: int) -> list:
+    """[0, Z_1, ..., Z_order], exact: ParamPoly or Fraction by the model kind."""
     s = _solve_S_ring(model, order + 2)
-    w = pol_Z_eval(s, params, order + 2)
+    w = _bracket_eval(model, s, order + 2)
     e_series = TruncatedSeries(
         [model.one] + [model.zero] * (order + 2), model.zero
     ) + s.scale(model.e1)
     g = w.divide(e_series)
     for i in (0, 1, 2):
-        if not g.coefficient(i).is_zero():
+        if not is_zero_elem(g.coefficient(i)):
             raise NonZeroRemainder(
                 "low-order coefficients of the parametrization numerator "
                 "did not cancel (z^%d)" % i
             )
-    shifted = g.shift_down(2)
-    out = [PP_ZERO]
-    for n in range(1, order + 1):
-        coef = shifted.coefficient(n).exact_div(model.nine_gamma)
-        out.append(model.rescale_coefficient(coef, n))
-    return TruncatedSeries(out, PP_ZERO)
-
-
-def _solve_Z_numeric_once(params: IsingParams, order: int, bits: int) -> list:
-    model = _Model(params, "numeric")
-    s = _solve_S_ring(model, order + 2)
-    w = pol_Z_eval(s, params, order + 2)
-    e_series = TruncatedSeries(
-        [model.one] + [model.zero] * (order + 2), model.zero
-    ) + s.scale(model.e1)
-    g = w.divide(e_series)
-    scale = max([abs(x) for x in g.coeffs[:6]] + [mpmath.mpf(1)])
-    tol = mpmath.mpf(2) ** (-(bits // 2))
-    for i in (0, 1, 2):
-        if abs(g.coefficient(i)) > tol * scale:
-            raise NonZeroRemainder(
-                "low-order cancellation failed numerically at z^%d" % i
-            )
-    shifted = g.shift_down(2)
-    out = [mpmath.mpf(0)]
-    for n in range(1, order + 1):
-        out.append(model.rescale_coefficient(shifted.coefficient(n) / model.nine_gamma, n))
-    return out
+    return [model.zero] + [model.z_coefficient(g.coefficient(n + 2), n)
+                           for n in range(1, order + 1)]
 
 
 def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
     """The partition-function series sum_{n>=1} Z_n(nu,c) z^n, up to z^order.
 
     Pipeline: evaluate the bracket polynomial on S, divide by the series
-    1 + 3c^2(1-nu^2)S, check that the three lowest z-coefficients cancel,
-    shift down by z^2, divide exactly by 9(1-nu^2), then rescale coefficient
-    n by c^-n (the parametrization natively produces Z(nu, c, cz)).
+    1 + 3c^2(1-nu^2)S, check exactly that the three lowest z-coefficients
+    cancel, shift down by z^2, divide exactly by 9(1-nu^2), then rescale
+    coefficient n by c^-n (the parametrization natively produces
+    Z(nu, c, cz)).  Numeric mode runs the same pipeline over ``int`` and
+    rounds each exact Z_n once to the nearest mpf at ``precision_bits``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if params.symbolic:
-        return _solve_Z_symbolic(params, order)
-
-    def run(bits: int):
-        return _solve_Z_numeric_once(params, order, bits)
-
-    coeffs = audited(run, params.precision_bits)
-    return TruncatedSeries(coeffs, mpmath.mpf(0))
+        return TruncatedSeries(_solve_Z_ring(_Model(params, "symbolic"), order),
+                               PP_ZERO)
+    exact = _solve_Z_ring(_Model(params, "integer"), order)
+    return TruncatedSeries(_rounded(exact, params.precision_bits), mpmath.mpf(0))
 
 
 def coefficient_sequence(params: IsingParams, n_max: int) -> List[mpmath.mpf]:
-    """Z_n(nu, c) for n = 1..n_max as certified high-precision reals."""
+    """Z_n(nu, c) for n = 1..n_max, each exact at the point and rounded once
+    to the nearest mpf at ``precision_bits``."""
     if params.symbolic:
         raise ValueError("coefficient_sequence requires numeric mode")
     series = solve_Z(params, n_max)
@@ -450,8 +474,8 @@ def coefficient_sequence(params: IsingParams, n_max: int) -> List[mpmath.mpf]:
 def fixed_point_residual(params: IsingParams, order: int) -> list:
     """Coefficients of S N(S) - z D(S)^2 for the computed S (all should vanish).
 
-    Symbolic mode returns ParamPoly entries that must be exactly zero; numeric
-    mode returns mpmath residuals bounded by roundoff.
+    Symbolic mode returns ParamPoly entries; numeric mode returns the exact
+    residual at the point, rounded to mpf.  Both must be exactly zero.
     """
 
     def run_with(model):
@@ -462,5 +486,5 @@ def fixed_point_residual(params: IsingParams, order: int) -> list:
 
     if params.symbolic:
         return run_with(_Model(params, "symbolic"))
-    with mpmath.workprec(params.precision_bits):
-        return run_with(_Model(params, "numeric"))
+    model = _Model(params, "integer")
+    return _rounded(model.s_coefficients(run_with(model)), params.precision_bits)

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
-from isingmaps.errors import NumericModeAtNuOne
+from isingmaps.errors import NonZeroRemainder, NumericModeAtNuOne
 from isingmaps.exactalg import ParamPoly
 from isingmaps.series import (
     IsingParams,
     TruncatedSeries,
+    _Model,
+    _series_powers,
+    _solve_S_ring,
+    _solve_Z_ring,
     coefficient_sequence,
     fixed_point_residual,
     lagrangian_numer_denom,
@@ -37,6 +42,27 @@ def expected_Z(n: int) -> ParamPoly:
             + NU ** 2 * C ** -1
         )
     raise ValueError(n)
+
+
+def exact_ring_Z(nu, c, order):
+    """Z_1..Z_order over Fractions at the point, with no rescaling: the
+    reference the integer pipeline must reproduce exactly."""
+    model = _Model(IsingParams(nu=nu, c=c), "exact")
+    s = _solve_S_ring(model, order + 2)
+    pw = _series_powers(s, 7)
+    one = TruncatedSeries([model.one] + [model.zero] * (order + 2), model.zero)
+    w = TruncatedSeries([model.zero] * (order + 3), model.zero)
+    for (spow, zpow), coef in model.bracket_tab.items():
+        w = w + (pw[spow] if spow else one).shift_up(zpow).scale(coef)
+    g = w.divide(one + s.scale(model.e1))
+    assert all(g.coefficient(i) == 0 for i in (0, 1, 2))
+    return [g.coefficient(n + 2) / model.nine_gamma / c ** n
+            for n in range(1, order + 1)]
+
+
+def rounded(q: Fraction, bits: int):
+    """The raw mpf nearest to q with ``bits`` bits."""
+    return from_rational(q.numerator, q.denominator, bits, round_nearest)
 
 
 # -- parameter validation ---------------------------------------------------
@@ -137,9 +163,17 @@ class TestSolveS:
         params = IsingParams(nu=Fraction(5, 2), c=Fraction(9, 10),
                              precision_bits=128)
         residual = fixed_point_residual(params, 20)
-        scale = max(abs(s) for s in solve_S(params, 20).coeffs)
-        bound = mpmath.mpf(2) ** -64 * max(1, scale)
-        assert all(abs(r) <= bound for r in residual)
+        assert len(residual) == 21
+        assert all(r == 0 for r in residual)
+
+    @pytest.mark.parametrize("nu, c", [
+        (Fraction(3, 2), Fraction(21, 20)), (Fraction(7, 5), Fraction(11, 13)),
+    ])
+    def test_numeric_is_exact_ring_rounded(self, nu, c):
+        exact = _solve_S_ring(_Model(IsingParams(nu=nu, c=c), "exact"), 30)
+        got = solve_S(IsingParams(nu=nu, c=c, precision_bits=96), 30)
+        for n in range(31):
+            assert got.coefficient(n)._mpf_ == rounded(exact.coefficient(n), 96)
 
 
 # -- the partition-function series -----------------------------------------
@@ -190,13 +224,37 @@ class TestSolveZ:
         for nu, c in points:
             params = IsingParams(nu=nu, c=c, precision_bits=128)
             z_num = solve_Z(params, 12)
-            with mpmath.workprec(192):
-                for n in range(1, 13):
-                    exact = z_sym.coefficient(n).evaluate(nu, c)
-                    got = z_num.coefficient(n)
-                    ref = mpmath.mpf(exact.numerator) / exact.denominator
-                    scale = max(mpmath.mpf(1), abs(ref))
-                    assert abs(got - ref) <= mpmath.mpf(2) ** -64 * scale
+            for n in range(1, 13):
+                exact = z_sym.coefficient(n).evaluate(nu, c)
+                assert z_num.coefficient(n)._mpf_ == rounded(exact, 128), "n=%d" % n
+
+    @pytest.mark.parametrize("nu, c", [
+        (Fraction(3, 2), Fraction(21, 20)),
+        (Fraction(7, 5), Fraction(11, 13)),
+        (Fraction(13, 7), Fraction(5, 3)),
+        (Fraction(1, 3), Fraction(2)),
+    ])
+    def test_integer_ring_equals_exact_ring(self, nu, c):
+        # L = (den nu * den c)^2 mixes distinct primes from nu and from c.
+        got = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "integer"), 60)
+        assert got[0] == 0
+        assert got[1:] == exact_ring_Z(nu, c, 60)
+
+    def test_corrupted_bracket_fails_exact_cancellation(self):
+        model = _Model(IsingParams(nu=Fraction(3, 2), c=Fraction(21, 20)), "integer")
+        model.bracket_tab[(2, 0)] += 1
+        with pytest.raises(NonZeroRemainder):
+            _solve_Z_ring(model, 5)
+
+    def test_bracket_at_point_matches_symbolic(self):
+        nu, c = Fraction(5, 2), Fraction(9, 10)
+        params = IsingParams(nu=nu, c=c, precision_bits=128)
+        w_num = pol_Z_eval(solve_S(params, 8), params)
+        w_sym = pol_Z_eval(solve_S(SYM, 8), SYM)
+        with mpmath.workprec(128):
+            for n in range(9):
+                ref = mpmath.mpf(rounded(w_sym.coefficient(n).evaluate(nu, c), 256))
+                assert abs(w_num.coefficient(n) - ref) <= mpmath.mpf(2) ** -100 * max(1, abs(ref))
 
 
 class TestCoefficientSequence:
@@ -207,6 +265,19 @@ class TestCoefficientSequence:
         assert abs(seq[0] - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -40
         seq2 = coefficient_sequence(IsingParams(nu=2, c=1, precision_bits=96), 2)
         assert abs(seq2[1] - 177) < mpmath.mpf(2) ** -40
+
+    @pytest.mark.parametrize("nu, c", [
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(2), Fraction(1)),
+        (Fraction(3, 2), Fraction(11, 10)),
+        (Fraction(4), Fraction(9, 10)),
+        (Fraction(1, 3), Fraction(2)),
+    ])
+    def test_correctly_rounded(self, nu, c):
+        exact = exact_ring_Z(nu, c, 30)
+        for bits in (96, 128):
+            seq = coefficient_sequence(IsingParams(nu=nu, c=c, precision_bits=bits), 30)
+            assert [z._mpf_ for z in seq] == [rounded(q, bits) for q in exact]
 
     def test_positivity(self):
         seq = coefficient_sequence(IsingParams(nu=4, c=1, precision_bits=128), 50)
