@@ -3,7 +3,9 @@
 This module supplies the arithmetic backbone used everywhere else:
 
 * ``ParamPoly`` -- sparse polynomials in the vertex weight ``nu`` that are
-  Laurent polynomials in the magnetic weight ``c``;
+  Laurent polynomials in the magnetic weight ``c``, with integer
+  coefficients kept as ``int`` and a Fraction only where a quotient is not
+  integral;
 * ``UniPoly`` -- dense univariate polynomials over a pluggable coefficient
   ring (rationals, ``ParamPoly``, nested ``UniPoly`` or mpmath floats);
 * resultants and discriminants through a primitive polynomial-remainder
@@ -50,15 +52,28 @@ def _fmt_coeff(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
+def _q(x):
+    """A ParamPoly coefficient: ``x`` as an ``int`` when it is integral, else
+    as a Fraction.  Never a float: ``int / int`` must not reach the ring."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError("float coefficient %r in an exact ring" % x)
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 # ---------------------------------------------------------------------------
 # ParamPoly: sparse in nu, Laurent in c
 # ---------------------------------------------------------------------------
 
 class ParamPoly:
-    """Sparse element of Q[nu, c, c^-1].
+    """Sparse element of Q[nu, c, c^-1], kept in Z[nu, c, c^-1] when it can be.
 
-    ``terms`` maps ``(deg_nu, deg_c)`` to a nonzero Fraction; ``deg_nu >= 0``
-    while ``deg_c`` may be negative.  Instances are treated as immutable.
+    ``terms`` maps ``(deg_nu, deg_c)`` to a nonzero coefficient: an ``int``
+    when it is integral, a Fraction only when it is not (see :func:`_q`).
+    ``deg_nu >= 0`` while ``deg_c`` may be negative.  Instances are treated
+    as immutable.
     """
 
     __slots__ = ("terms",)
@@ -67,14 +82,14 @@ class ParamPoly:
         clean: dict = {}
         if terms:
             for (dv, dc), coef in terms.items():
-                coef = Fraction(coef)
+                coef = _q(coef)
                 if coef:
                     key = (int(dv), int(dc))
                     prev = clean.get(key)
                     if prev is None:
                         clean[key] = coef
                     else:
-                        tot = prev + coef
+                        tot = _q(prev + coef)
                         if tot:
                             clean[key] = tot
                         else:
@@ -85,19 +100,19 @@ class ParamPoly:
 
     @classmethod
     def constant(cls, value) -> "ParamPoly":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): _q(value)})
 
     @classmethod
     def monomial(cls, coef, deg_nu: int = 0, deg_c: int = 0) -> "ParamPoly":
-        return cls({(deg_nu, deg_c): Fraction(coef)})
+        return cls({(deg_nu, deg_c): _q(coef)})
 
     @classmethod
     def nu(cls) -> "ParamPoly":
-        return cls({(1, 0): _ONE})
+        return cls({(1, 0): 1})
 
     @classmethod
     def c(cls) -> "ParamPoly":
-        return cls({(0, 1): _ONE})
+        return cls({(0, 1): 1})
 
     # -- predicates / structure --------------------------------------------
 
@@ -144,6 +159,8 @@ class ParamPoly:
             else:
                 tot = prev + v
                 if tot:
+                    if type(tot) is not int and tot.denominator == 1:
+                        tot = tot.numerator
                     res[k] = tot
                 else:
                     del res[k]
@@ -165,11 +182,11 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _q(other)
             if not q:
                 return ParamPoly()
             out = ParamPoly()
-            out.terms = {k: v * q for k, v in self.terms.items()}
+            out.terms = {k: _q(v * q) for k, v in self.terms.items()}
             return out
         if not isinstance(other, ParamPoly):
             return NotImplemented
@@ -187,6 +204,9 @@ class ParamPoly:
                         res[key] = tot
                     else:
                         del res[key]
+        for key, v in res.items():
+            if type(v) is not int and v.denominator == 1:
+                res[key] = v.numerator
         out = ParamPoly()
         out.terms = res
         return out
@@ -199,7 +219,8 @@ class ParamPoly:
             if len(self.terms) == 1:
                 ((dv, dc), coef), = self.terms.items()
                 if dv == 0:
-                    return ParamPoly({(0, dc * k): coef ** k})
+                    # Fraction, not int: int ** -k is a float.
+                    return ParamPoly({(0, dc * k): Fraction(coef) ** k})
             raise ValueError("negative power of a non-invertible ParamPoly")
         result = ParamPoly.constant(1)
         base = self
@@ -215,7 +236,7 @@ class ParamPoly:
     def c_log_derivative(self) -> "ParamPoly":
         """Apply the Euler operator c * d/dc (degree-preserving)."""
         out = ParamPoly()
-        out.terms = {k: v * k[1] for k, v in self.terms.items() if k[1]}
+        out.terms = {k: _q(v * k[1]) for k, v in self.terms.items() if k[1]}
         return out
 
     def substitute_neg_nu(self) -> "ParamPoly":
@@ -234,6 +255,9 @@ class ParamPoly:
         """Evaluate at a point.  Accepts Fractions (exact result) or mpmath
         floats (result at the ambient precision)."""
         exact = isinstance(nu, (int, Fraction)) and isinstance(c, (int, Fraction))
+        if exact:
+            # Fractions, so that c ** -k stays exact for an int c.
+            nu, c = Fraction(nu), Fraction(c)
         total = _ZERO if exact else mpmath.mpf(0)
         for (dv, dc), coef in self.terms.items():
             term = (nu ** dv) * (c ** dc)
@@ -268,18 +292,18 @@ class ParamPoly:
             if rk[0] < lead_key[0]:
                 raise NonZeroRemainder("leading term not divisible")
             qk = (rk[0] - lead_key[0], rk[1] - lead_key[1])
-            qc = rem[rk] / lead_coef
-            quo[qk] = quo.get(qk, _ZERO) + qc
+            qc = _q(Fraction(rem[rk]) / lead_coef)
+            quo[qk] = quo.get(qk, 0) + qc
             for dk, dv in divisor.terms.items():
                 key = (qk[0] + dk[0], qk[1] + dk[1])
-                prev = rem.get(key, _ZERO)
+                prev = rem.get(key, 0)
                 tot = prev - qc * dv
                 if tot:
                     rem[key] = tot
                 elif key in rem:
                     del rem[key]
         out = ParamPoly()
-        out.terms = {k: v for k, v in quo.items() if v}
+        out.terms = {k: _q(v) for k, v in quo.items() if v}
         return out
 
     # -- formatting ---------------------------------------------------------
@@ -360,6 +384,8 @@ def ring_exact_div(a, b):
         return a.exact_div(b)
     if isinstance(b, UniPoly):
         raise NonZeroRemainder("scalar not divisible by nonconstant polynomial")
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
     return a / b
 
 

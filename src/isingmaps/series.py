@@ -32,7 +32,8 @@ import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import NonZeroRemainder, NumericModeAtNuOne
-from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, is_zero_elem
+from .exactalg import (PP_ONE, PP_ZERO, ParamPoly, UniPoly, is_zero_elem,
+                       ring_exact_div)
 from .precision import to_mpf
 
 
@@ -250,13 +251,13 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         out = [self.zero] * (n + 1)
+        right = _nonzero_terms(other.coeffs, 0, n)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if is_zero_elem(a):
                 continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if is_zero_elem(b):
-                    continue
+            for j, b in right:
+                if i + j > n:
+                    break
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, self.zero)
 
@@ -282,28 +283,31 @@ class TruncatedSeries:
         if is_zero_elem(b0):
             raise ZeroDivisionError("series division by z-divisible series")
         unit = _is_ring_one(b0)
+        right = _nonzero_terms(other.coeffs, 1, n)
         out = []
+        live = []  # live[k]: out[k] is nonzero
         for i in range(n + 1):
             acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                bj = other.coeffs[j]
-                if is_zero_elem(bj) or is_zero_elem(out[i - j]):
-                    continue
-                acc = acc - bj * out[i - j]
-            out.append(acc if unit else _ring_div(acc, b0))
+            for j, bj in right:
+                if j > i:
+                    break
+                if live[i - j]:
+                    acc = acc - bj * out[i - j]
+            val = acc if unit else ring_exact_div(acc, b0)
+            out.append(val)
+            live.append(not is_zero_elem(val))
         return TruncatedSeries(out, self.zero)
+
+
+def _nonzero_terms(coeffs, lo: int, hi: int) -> list:
+    """[(j, coeffs[j])] for lo <= j <= hi with coeffs[j] nonzero, j ascending."""
+    return [(j, coeffs[j]) for j in range(lo, hi + 1) if not is_zero_elem(coeffs[j])]
 
 
 def _is_ring_one(x) -> bool:
     if isinstance(x, ParamPoly):
         return x == PP_ONE
     return x == 1
-
-
-def _ring_div(a, b):
-    if isinstance(a, ParamPoly):
-        return a.exact_div(b)
-    return a / b
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_03_auxiliary_series_integrality():
     series = solve_S(IsingParams(nu=2, c=1), 15)
     for n in range(16):
         for coef in series.coefficient(n).terms.values():
-            assert coef.denominator == 1
+            assert type(coef) is int
             assert coef >= 0
     assert time.monotonic() - started < 30.0
 

@@ -20,6 +20,7 @@ from isingmaps.exactalg import (
     rational_sqrt,
     refine_isolated_root,
     resultant,
+    ring_exact_div,
     ring_pow,
     squarefree_part,
     sturm_count,
@@ -123,6 +124,97 @@ class TestParamPoly:
         if b.is_zero():
             return
         assert (a * b).exact_div(b) == a
+
+
+# -- the coefficient ring of ParamPoly: int when integral, else Fraction -----
+
+def assert_ring_coefficients(p: ParamPoly):
+    for coef in p.terms.values():
+        assert type(coef) in (int, Fraction), "coefficient %r" % (coef,)
+        if type(coef) is Fraction:
+            assert coef.denominator != 1, "integral Fraction %r" % (coef,)
+
+
+mixed_coefficients = st.one_of(st.integers(-6, 6), small_rationals)
+param_polys = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(-2, 3), mixed_coefficients), max_size=5,
+).map(lambda ts: ParamPoly({(dv, dc): q for dv, dc, q in ts}))
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 5), max_value=Fraction(5), max_denominator=7
+)
+
+
+class TestParamPolyRing:
+    @given(param_polys, param_polys, positive_rationals, positive_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations_commute_with_evaluation(self, p, q, nu_v, c_v):
+        pv, qv = p.evaluate(nu_v, c_v), q.evaluate(nu_v, c_v)
+        third = Fraction(1, 3)
+        for got, want in [
+            (p + q, pv + qv),
+            (p - q, pv - qv),
+            (p * q, pv * qv),
+            (p * third, pv * third),
+            (third * p, pv * third),
+            (p * 3, pv * 3),
+        ]:
+            assert_ring_coefficients(got)
+            assert got.evaluate(nu_v, c_v) == want
+
+    @given(param_polys, st.integers(-2, 2), positive_rationals, positive_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_exact_div_by_non_unit_leading_coefficient(self, p, shift, nu_v, c_v):
+        nu, c = ParamPoly.nu(), ParamPoly.c()
+        divisor = (3 * nu + 2).shift_c(shift)
+        product = p * divisor
+        quotient = product.exact_div(divisor)
+        assert_ring_coefficients(product)
+        assert_ring_coefficients(quotient)
+        assert quotient == p
+        want = product.evaluate(nu_v, c_v) / divisor.evaluate(nu_v, c_v)
+        assert quotient.evaluate(nu_v, c_v) == want
+        even = 2 * c ** 2 + 4 * nu
+        halves = (p * Fraction(1, 2) * even).exact_div(even)
+        assert_ring_coefficients(halves)
+        assert halves == p * Fraction(1, 2)
+
+    @given(st.sampled_from([2, 3, -5, Fraction(2, 3)]), st.integers(-3, 3).filter(bool),
+           st.integers(1, 3), positive_rationals)
+    @settings(max_examples=50, deadline=None)
+    def test_negative_powers_of_c_monomials(self, coef, deg, k, c_v):
+        m = coef * ParamPoly.c() ** deg
+        inv = m ** -k
+        assert_ring_coefficients(inv)
+        assert inv.terms == {(0, -deg * k): Fraction(coef) ** -k}
+        assert inv.evaluate(Fraction(1), c_v) == m.evaluate(Fraction(1), c_v) ** -k
+        assert_ring_coefficients(inv * m ** k)
+        assert inv * m ** k == 1
+
+    def test_integral_coefficients_are_int(self):
+        nu, c = ParamPoly.nu(), ParamPoly.c()
+        for p in (nu, c, ParamPoly.constant(Fraction(4, 2)), ParamPoly.monomial(3, 1, -1),
+                  ParamPoly({(0, 0): Fraction(1, 2), (1, 0): 2}) * 2,
+                  (nu * Fraction(1, 2) + c) + nu * Fraction(1, 2),
+                  (nu * Fraction(3, 2)) * (c * Fraction(2, 3))):
+            assert_ring_coefficients(p)
+        assert (nu * Fraction(3, 2)) * (c * Fraction(2, 3)) == nu * c
+        assert ParamPoly.constant(Fraction(4, 2)).to_str() == "2"
+
+    def test_non_integral_quotients_are_fractions(self):
+        third = ParamPoly.constant(1).exact_div(ParamPoly.constant(3))
+        assert third.terms == {(0, 0): Fraction(1, 3)}
+        assert type(third.terms[(0, 0)]) is Fraction
+        half = (2 * ParamPoly.c()) ** -1
+        assert half.terms == {(0, -1): Fraction(1, 2)}
+        assert type(half.terms[(0, -1)]) is Fraction
+        with pytest.raises(TypeError):
+            ParamPoly.constant(0.5)
+
+    def test_no_float_from_int_division(self):
+        assert (ParamPoly.c() ** -2).evaluate(1, 3) == Fraction(1, 9)
+        assert type((ParamPoly.c() ** -2).evaluate(1, 3)) is Fraction
+        assert type(ring_exact_div(1, 3)) is Fraction
+        assert ring_exact_div(1, 3) == Fraction(1, 3)
 
 
 # -- UniPoly basics ---------------------------------------------------------

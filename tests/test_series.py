@@ -105,6 +105,20 @@ class TestTruncatedSeries:
                             Fraction(0))
         assert a.shift_down(2).coeffs == [Fraction(3), Fraction(4)]
 
+    def test_sparse_operands_over_int(self):
+        a = TruncatedSeries([0, 3, 0, 0, -2, 0, 1], 0)
+        b = TruncatedSeries([1, 0, 0, 5, 0, 0, 0], 0)
+        dense = [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
+                 for k in range(7)]
+        assert (a * b).coeffs == dense
+        assert (b * a).coeffs == dense
+        assert (a * b).divide(b).coeffs == a.coeffs
+
+    def test_divide_by_non_unit_int_stays_exact(self):
+        q = TruncatedSeries([1, 0, 0], 0).divide(TruncatedSeries([3, 1, 0], 0))
+        assert q.coeffs == [Fraction(1, 3), Fraction(-1, 9), Fraction(1, 27)]
+        assert all(type(x) is Fraction for x in q.coeffs)
+
 
 # -- the defining polynomials ----------------------------------------------
 
@@ -152,7 +166,7 @@ class TestSolveS:
             rng = coef.c_degree_range()
             assert rng is not None and rng[0] >= 0, "not a polynomial in c"
             for q in coef.terms.values():
-                assert q.denominator == 1, "non-integer coefficient"
+                assert type(q) is int, "non-integer coefficient %r" % (q,)
                 assert q >= 0, "negative coefficient"
 
     def test_fixed_point_residual_symbolic(self):
@@ -184,6 +198,12 @@ class TestSolveZ:
         assert z_series.coefficient(0).is_zero()
         for n in (1, 2, 3):
             assert z_series.coefficient(n) == expected_Z(n), "n=%d" % n
+
+    def test_symbolic_coefficients_are_int(self):
+        z_series = solve_Z(SYM, 12)
+        for n in range(1, 13):
+            for q in z_series.coefficient(n).terms.values():
+                assert type(q) is int, "Z_%d has coefficient %r" % (n, q)
 
     def test_laurent_window_and_parity(self):
         z_series = solve_Z(SYM, 6)
