@@ -98,10 +98,6 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
     return format(value, "g")
 
 
-def _interval(iv, dps: int) -> List[str]:
-    return [format_value(iv[0], dps), format_value(iv[1], dps)]
-
-
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns (result, warnings, csv_rows) where
 # csv_rows is None for commands without a tabular form.
@@ -210,7 +206,6 @@ def _cmd_puiseux(args, bits):
         params, max_terms=args.max_terms, precision_bits=bits
     )
     branches = []
-    dominant: Optional[Fraction] = None
     for exp in expansions:
         terms = [{"exponent": str(e), "coefficient": format_value(coef, dps)}
                  for coef, e in exp.terms]
@@ -221,15 +216,11 @@ def _cmd_puiseux(args, bits):
             "exact": exp.exact,
             "terms": terms,
         })
-        for _, e in exp.terms:
-            if e.denominator != 1 and (dominant is None or e < dominant):
-                dominant = e
-                break
     result = {
         "rho": format_value(report.rho, dps),
         "s_at_rho": format_value(report.s_at_rho, dps),
         "exact_center": report.exact,
-        "exponent": None if dominant is None else str(dominant),
+        "exponent": str(report.exponent),
         "branches": branches,
     }
     return result, list(report.warnings), None
@@ -348,13 +339,15 @@ def _check_battery(bits) -> List[dict]:
     # dominant singular exponents
     ok = True
     details = []
-    for nu_q, expected in ((Fraction(4), Fraction(1, 3)),
-                           (Fraction(5), Fraction(1, 2)),
-                           (Fraction(2), Fraction(1, 2))):
-        rep = radius_numeric(IsingParams(nu=nu_q, c=1), with_exponent=True)
+    for nu_q, c_q, expected in ((Fraction(4), Fraction(1), Fraction(1, 3)),
+                                (Fraction(5), Fraction(1), Fraction(1, 2)),
+                                (Fraction(2), Fraction(1), Fraction(1, 2)),
+                                (Fraction(2), Fraction(21, 20), Fraction(1, 2))):
+        rep = radius_numeric(IsingParams(nu=nu_q, c=c_q), with_exponent=True)
         good = rep.exponent == expected
         ok = ok and good
-        details.append("nu=%s:%s" % (nu_q, rep.exponent))
+        label = "nu=%s" % nu_q if c_q == 1 else "nu=%s,c=%s" % (nu_q, c_q)
+        details.append("%s:%s" % (label, rep.exponent))
     add("singular_exponents", ok, " ".join(details))
     return checks
 

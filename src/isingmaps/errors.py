@@ -20,8 +20,8 @@ class DegenerateInterval(ComputationError):
 
 class PrecisionExhausted(ComputationError):
     """The working precision cannot certify a result: a thermodynamic
-    enclosure is not finite, a Puiseux branch fails its back-substitution
-    self-check, or the dominant exponent changes when the bits double."""
+    enclosure is not finite, or a Puiseux branch fails its
+    back-substitution self-check."""
 
 
 class NumericModeAtNuOne(ComputationError):

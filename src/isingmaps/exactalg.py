@@ -762,7 +762,7 @@ def _divmod_field(f: UniPoly, g: UniPoly):
         if len(rem) - 1 < dd or not rem:
             break
         k = len(rem) - 1 - dd
-        q = rem[-1] / glc
+        q = ring_exact_div(rem[-1], glc)
         quo[k] = q
         for j in range(dd + 1):
             rem[k + j] = rem[k + j] - q * g.coeffs[j]
@@ -779,7 +779,7 @@ def poly_gcd_field(f: UniPoly, g: UniPoly) -> UniPoly:
     if a.is_zero():
         return a
     lc = a.lc()
-    return a.map(lambda c: c / lc)
+    return a.map(lambda c: ring_exact_div(c, lc))
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -873,7 +873,7 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
         return Fraction(1)
     lc = abs(p.lc())
     mx = max((abs(c) for c in p.coeffs[:-1]), default=_ZERO)
-    return Fraction(1) + mx / lc
+    return Fraction(1) + ring_exact_div(mx, lc)
 
 
 def isolate_real_roots(p: UniPoly):

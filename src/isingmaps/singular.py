@@ -15,11 +15,13 @@ terms, the squarefree characteristic polynomial, an interval isolating s*
 polynomial.  rho is recovered by evaluating the defining rational function
 at s*, with certified interval arithmetic; mu = c * rho.
 
-Singular exponents are obtained from Newton-polygon Puiseux expansions of
-the cancelling polynomial z D(S)^2 - S N(S) shifted to (rho, s*): slope 1/2
-branches generically, 1/3 at the critical point (nu, c) = (4, 1).  Its
-discriminant in z, which carries the other candidate singularities, is
-interpolated from univariate discriminants at integer z.
+The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
+the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
+two saddles coalesce, at (nu, c) = (4, 1).  Newton-polygon Puiseux
+expansions of the cancelling polynomial z D(S)^2 - S N(S) shifted to
+(rho, s*) give the branches themselves.  Its discriminant in z, which carries
+the other candidate singularities, is interpolated from univariate
+discriminants at integer z.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import mpmath
 
@@ -252,8 +254,10 @@ class SingularityReport:
 
     ``rho`` and ``mu = c * rho`` are midpoints of the certified intervals;
     when ``exact`` is True the intervals have zero width and the values are
-    exact rationals.  ``exponent`` is the dominant singular exponent of S
-    (1/2 generically, 1/3 at the critical point), or None if not requested.
+    exact rationals.  ``exponent`` is the dominant singular exponent of S,
+    exact and independent of the working precision (1/2 generically, 1/3 at
+    the critical point; see :meth:`CriticalPoint.exponent`), or None if not
+    requested.
     """
 
     rho: Fraction
@@ -337,6 +341,31 @@ class CriticalPoint:
                 and (lo == a or self.char.eval_scalar(lo) * top < 0)):
             raise ValueError("(%s, %s] does not hold the critical point" % (lo, hi))
         return bisect_isolated_root(self.char, lo, hi, width)
+
+    def exponent(self) -> Fraction:
+        """The branch exponent 1/(m + 1) of S at s*.
+
+        m is the multiplicity of s* as a root of dz = num' den - num den',
+        the number of successive derivatives of dz that vanish there.
+        den(s*) != 0, so z - rho ~ a (s - s*)^(m + 1) with a != 0.  On an
+        exact hit a polynomial q vanishes at s* iff q(s*) = 0; otherwise iff
+        gcd(q, char) changes sign over ``interval``, which holds no other
+        root of char and none at either end.
+        """
+        lo, hi = self.interval
+
+        def vanishes(q: UniPoly) -> bool:
+            if lo == hi:
+                return q.eval_scalar(lo) == 0
+            g = poly_gcd_field(q, self.char)
+            return g.degree() >= 1 and g.eval_scalar(lo) * g.eval_scalar(hi) < 0
+
+        q = self.num.derivative() * self.den - self.num * self.den.derivative()
+        m = 0
+        while vanishes(q):
+            m += 1
+            q = q.derivative()
+        return Fraction(1, m + 1)
 
 
 def critical_point(params: IsingParams) -> CriticalPoint:
@@ -473,10 +502,6 @@ def radius_numeric(
     s_mid = (s_iv[0] + s_iv[1]) / 2 if not exact else s_iv[0]
     mu_iv = (params.c * rho_iv[0], params.c * rho_iv[1])
     unique = _uniqueness_scan(params, rho_mid, warnings) if scan_uniqueness else False
-    exponent = None
-    if with_exponent:
-        bits = params.precision_bits or default_precision_bits()
-        exponent = _dominant_exponent_at(cp, s_iv, rho_iv, exact, bits)
     return SingularityReport(
         rho=rho_mid,
         rho_interval=rho_iv,
@@ -485,7 +510,7 @@ def radius_numeric(
         s_at_rho=s_mid,
         s_interval=s_iv,
         exact=exact,
-        exponent=exponent,
+        exponent=cp.exponent() if with_exponent else None,
         uniqueness_checked=unique,
         warnings=tuple(warnings),
     )
@@ -844,41 +869,6 @@ def _shifted_cancelling_support(
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _smallest_noninteger_exponent(
-    expansions: Sequence[PuiseuxExpansion],
-) -> Optional[Fraction]:
-    best: Optional[Fraction] = None
-    for exp in expansions:
-        for _, e in exp.terms:
-            if e.denominator != 1:
-                if best is None or e < best:
-                    best = e
-                break
-    return best
-
-
-def _expansions_at(
-    cp: CriticalPoint,
-    s_iv: Tuple[Fraction, Fraction],
-    rho_iv: Tuple[Fraction, Fraction],
-    exact: bool,
-    bits: int,
-    max_terms: int,
-) -> List[PuiseuxExpansion]:
-    """Puiseux branches of the cancelling polynomial at (rho, s*).
-
-    At an exact critical point they are expanded in exact arithmetic.
-    Otherwise s* is refined to width 2^(-3 bits/4) and expanded by
-    :func:`_expansions_near`.
-    """
-    if exact:
-        support = _shifted_cancelling_support(cp.cancelling_sf, s_iv[0], rho_iv[0])
-        return newton_polygon_expand(
-            support, max_terms=max_terms, precision_bits=bits, center=rho_iv[0]
-        )
-    return _expansions_near(cp, _refine_for(cp, s_iv, bits), bits, max_terms)
-
-
 def _refine_for(
     cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction], bits: int
 ) -> Tuple[Fraction, Fraction]:
@@ -911,41 +901,6 @@ def _expansions_near(
         )
 
 
-def _dominant_exponent_at(
-    cp: CriticalPoint,
-    s_iv: Tuple[Fraction, Fraction],
-    rho_iv: Tuple[Fraction, Fraction],
-    exact: bool,
-    bits: int,
-) -> Fraction:
-    """The smallest fractional branch exponent at the critical point.
-
-    Off an exact point it is read at ``bits`` and at ``2 bits``, which must
-    agree.  Sign bisection is deterministic, so the 2 bits interval is
-    reached by refining on from the ``bits`` one.
-    """
-    def exponent(expansions: List[PuiseuxExpansion]) -> Fraction:
-        found = _smallest_noninteger_exponent(expansions)
-        if found is None:
-            raise DegenerateBranch(
-                "no fractional branch exponent at the exact critical point"
-                if exact else "no fractional branch exponent found"
-            )
-        return found
-
-    if exact:
-        return exponent(_expansions_at(cp, s_iv, rho_iv, exact, bits, 2))
-    s_iv = _refine_for(cp, s_iv, bits)
-    first = exponent(_expansions_near(cp, s_iv, bits, 1))
-    s_iv = _refine_for(cp, s_iv, 2 * bits)
-    second = exponent(_expansions_near(cp, s_iv, 2 * bits, 1))
-    if first != second:
-        raise PrecisionExhausted(
-            "dominant exponent disagrees between %d and %d bits" % (bits, 2 * bits)
-        )
-    return first
-
-
 def dominant_exponent(params: IsingParams) -> Fraction:
     """The singular exponent of S at its radius: 1/2 generically, 1/3 at (4,1)."""
     report = radius_numeric(params, with_exponent=True, scan_uniqueness=False)
@@ -961,10 +916,17 @@ def dominant_expansions(
 
     At exact endpoint singularities the branches are exact; otherwise the
     critical point is refined to width 2^(-3 bits/4), placed exactly on the
-    curve, and expanded numerically at the working precision.
+    curve, and expanded numerically at the working precision.  The report
+    carries the exact exponent.
     """
-    report = radius_numeric(params, with_exponent=False, scan_uniqueness=False)
+    report = radius_numeric(params, scan_uniqueness=False)
     bits = precision_bits or params.precision_bits or default_precision_bits()
-    expansions = _expansions_at(critical_point(params), report.s_interval,
-                                report.rho_interval, report.exact, bits, max_terms)
-    return report, expansions
+    cp = critical_point(params)
+    if report.exact:
+        support = _shifted_cancelling_support(cp.cancelling_sf, report.s_at_rho,
+                                              report.rho)
+        return report, newton_polygon_expand(
+            support, max_terms=max_terms, precision_bits=bits, center=report.rho
+        )
+    return report, _expansions_near(cp, _refine_for(cp, report.s_interval, bits),
+                                    bits, max_terms)

@@ -383,6 +383,20 @@ class TestGcd:
         assert squarefree_part(sf).degree() == sf.degree()
         assert sf.degree() == len(roots)
 
+    def test_integer_coefficients_stay_exact(self):
+        def exact(values):
+            return all(isinstance(v, (int, Fraction)) for v in values)
+
+        roots = isolate_real_roots(UniPoly([-2, 0, 3]))
+        assert roots == [(Fraction(-5, 3), 0), (0, Fraction(5, 3))]
+        assert all(exact(iv) for iv in roots)
+        g = poly_gcd(UniPoly([-1, 0, 3]), UniPoly([1, 3]))
+        assert g == UniPoly([1]) and exact(g.coeffs)
+        sf = squarefree_part(UniPoly([1, 2, 1]))
+        assert sf == UniPoly([1, 1]) and exact(sf.coeffs)
+        bound = cauchy_root_bound(UniPoly([1, 2, 3]))
+        assert bound == Fraction(5, 3) and exact([bound])
+
 
 # -- Sturm counting and isolation ------------------------------------------
 

@@ -16,6 +16,7 @@ from isingmaps.singular import (
     characteristic_root_polynomial,
     critical_point,
     discriminant_in_z,
+    dominant_expansions,
     dominant_exponent,
     newton_polygon_expand,
     p1_p2_p3,
@@ -380,32 +381,38 @@ class TestDominantExponent:
     def test_square_root_off_c_one(self):
         assert dominant_exponent(params(4, Fraction(21, 20))) == Fraction(1, 2)
 
-    def test_refines_on_from_the_first_interval(self, monkeypatch):
-        p = params(Fraction(3, 4), Fraction(11, 10))
-        cp = critical_point(p)
-        report = radius_numeric(p, with_exponent=False, scan_uniqueness=False)
-        s_iv = report.s_interval
-        first = cp.refine(*s_iv, Fraction(1, 2 ** 144))
-        second = cp.refine(*s_iv, Fraction(1, 2 ** 288))
-        expanded, refined_from = [], []
-        original_near = singular._expansions_near
-        original_refine = singular.CriticalPoint.refine
+    def test_independent_of_precision(self):
+        p = IsingParams(nu=2, c=Fraction(21, 20), precision_bits=16)
+        assert radius_numeric(p).exponent == Fraction(1, 2)
 
-        def recording_near(cp_, s_iv_, bits, max_terms):
-            expanded.append(s_iv_)
-            return original_near(cp_, s_iv_, bits, max_terms)
+    @pytest.mark.parametrize("num,z_prime,char,interval,expected", [
+        # z' = (s^2 - 2)^2: m = 2 at s* = sqrt 2
+        ([0, 4, 0, Fraction(-4, 3), 0, Fraction(1, 5)], [4, 0, -4, 0, 1],
+         [-2, 0, 1], (1, 2), Fraction(1, 3)),
+        # z' = (s - 1)(s + 1)^2: m = 1 at s* = 1; the double root of z' at
+        # -1, a root of char outside the interval, does not count
+        ([0, -1, Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)], [-1, -1, 1, 1],
+         [-1, 0, 1], (0, 2), Fraction(1, 2)),
+    ])
+    def test_multiplicity_off_an_exact_hit(self, num, z_prime, char, interval,
+                                           expected):
+        num = UniPoly(num)
+        assert num.derivative() == UniPoly(z_prime)
+        cp = singular.CriticalPoint(
+            num=num, den=UniPoly([1]), char=UniPoly(char),
+            interval=tuple(map(Fraction, interval)), cancelling_sf=UniPoly([]),
+        )
+        assert cp.exponent() == expected
 
-        def recording_refine(self, lo, hi, width):
-            refined_from.append((lo, hi))
-            return original_refine(self, lo, hi, width)
-
-        monkeypatch.setattr(singular, "_expansions_near", recording_near)
-        monkeypatch.setattr(singular.CriticalPoint, "refine", recording_refine)
-        assert singular._dominant_exponent_at(
-            cp, s_iv, report.rho_interval, False, 192) == Fraction(1, 2)
-        # the same intervals as refining from the certified s_iv each time
-        assert expanded == [first, second]
-        assert refined_from == [s_iv, first]
+    @pytest.mark.parametrize("nu,c", [
+        (4, 1), (5, 1), (2, 1), (Fraction(3, 4), Fraction(11, 10)),
+        (4, Fraction(21, 20)),
+    ])
+    def test_matches_puiseux_branches(self, nu, c):
+        report, expansions = dominant_expansions(params(nu, c), max_terms=1)
+        leads = [e.leading_exponent() for e in expansions]
+        assert report.exponent == min(x for x in leads
+                                      if x is not None and x.denominator != 1)
 
     def test_exact_hit_is_not_refined_again(self):
         cp = critical_point(params(5))
