@@ -7,7 +7,6 @@ from .errors import (
     DegenerateBranch,
     DegenerateInterval,
     EnumerationBound,
-    FactorizationMismatch,
     NonPositiveSequence,
     NonZeroRemainder,
     NoRootInRange,
@@ -20,7 +19,6 @@ __all__ = [
     "DegenerateBranch",
     "DegenerateInterval",
     "EnumerationBound",
-    "FactorizationMismatch",
     "NonPositiveSequence",
     "NonZeroRemainder",
     "NoRootInRange",

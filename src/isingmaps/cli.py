@@ -38,11 +38,10 @@ from .mapcount import survey
 from .precision import default_precision_bits
 from .series import IsingParams, coefficient_sequence, solve_Z
 from .singular import (
+    critical_point,
     discriminant_in_z,
     dominant_expansions,
-    characteristic_root_polynomial,
     p1_p2_p3,
-    _root_interval_bound,
     radius_numeric,
     rho_closed_form,
     s_at_rho_closed_form,
@@ -293,7 +292,7 @@ def _check_battery(bits) -> List[dict]:
     details = []
     for nu_q in (Fraction(1, 4), Fraction(5)):
         rep = radius_numeric(IsingParams(nu=nu_q, c=1), tol=Fraction(1, 10 ** 12),
-                             with_exponent=False)
+                             with_exponent=False, scan_uniqueness=False)
         closed = rho_closed_form(nu_q)
         lo, hi = rep.rho_interval
         good = lo - Fraction(1, 10 ** 10) <= closed <= hi + Fraction(1, 10 ** 10)
@@ -323,9 +322,8 @@ def _check_battery(bits) -> List[dict]:
     count_list = []
     for nu_q in (Fraction(1, 2), Fraction(2), Fraction(5)):
         for c_q in (Fraction(9, 10), Fraction(19, 20), Fraction(1)):
-            poly = characteristic_root_polynomial(IsingParams(nu=nu_q, c=c_q))
-            bound = _root_interval_bound(IsingParams(nu=nu_q, c=c_q))
-            count = sturm_count(poly, Fraction(0), bound)
+            cp = critical_point(IsingParams(nu=nu_q, c=c_q))
+            count = sturm_count(cp.char, Fraction(0), cp.bound)
             ok = ok and count == 1
             count_list.append(count)
     add("sturm_single_root", ok, "counts=%s" % count_list)
@@ -343,11 +341,11 @@ def _check_battery(bits) -> List[dict]:
                                 (Fraction(5), Fraction(1), Fraction(1, 2)),
                                 (Fraction(2), Fraction(1), Fraction(1, 2)),
                                 (Fraction(2), Fraction(21, 20), Fraction(1, 2))):
-        rep = radius_numeric(IsingParams(nu=nu_q, c=c_q), with_exponent=True)
-        good = rep.exponent == expected
+        exponent = critical_point(IsingParams(nu=nu_q, c=c_q)).exponent()
+        good = exponent == expected
         ok = ok and good
         label = "nu=%s" % nu_q if c_q == 1 else "nu=%s,c=%s" % (nu_q, c_q)
-        details.append("%s:%s" % (label, rep.exponent))
+        details.append("%s:%s" % (label, exponent))
     add("singular_exponents", ok, " ".join(details))
     return checks
 

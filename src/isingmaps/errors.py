@@ -33,11 +33,6 @@ class EnumerationBound(ComputationError):
     """Brute-force enumeration was requested beyond the supported size."""
 
 
-class FactorizationMismatch(ComputationError):
-    """The two characteristic factors do not multiply back to the
-    cleared numerator of phi(S) - S*phi'(S)."""
-
-
 class NoRootInRange(ComputationError):
     """The certified root count in the admissible interval is not one."""
 

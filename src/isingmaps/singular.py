@@ -1,19 +1,17 @@
 """Singularity analysis for the map partition-function series.
 
 Everything here works at an exact rational parameter point (nu, c).  The
-radius of convergence rho of the z-series is located through the
-characteristic equation of the defining fixed point: writing the defining
-equation as z = S N(S)/D(S)^2, the value s* = S(rho) is a root of
-
-    Q1(S) * Q2(S),   Q1 = D,   Q2 = D N - 2 S D' N + S D N',
-
-and in the validated parameter region it is the unique root of Q2 in
-(0, 1/(3 c^2 |1 - nu^2|)].  The exact data of that critical point are
-computed once per (nu, c) and cached as a CriticalPoint: z(s) in lowest
-terms, the squarefree characteristic polynomial, an interval isolating s*
-(Sturm isolation, sign bisection), and the squarefree cancelling
-polynomial.  rho is recovered by evaluating the defining rational function
-at s*, with certified interval arithmetic; mu = c * rho.
+radius of convergence rho of the z-series is located through the critical
+point of the defining equation z = S N(S)/D(S)^2: the value s* = S(rho) is
+a root of the characteristic polynomial ``char``, the numerator of z'(s)
+for z(s) in lowest terms with its poles stripped, and in the validated
+parameter region it is the unique root of ``char`` in (0, B],
+B = 1/(3 c^2 |1 - nu^2|) (a Cauchy root bound at nu = 1).  The exact data
+of that critical point are computed once per (nu, c), from one evaluation
+of N and D, and cached as a CriticalPoint: z(s) in lowest terms, ``char``,
+B, an interval isolating s* (one Sturm count, sign bisection), and the
+squarefree cancelling polynomial.  rho is recovered by evaluating z(s) at
+s*, with certified interval arithmetic; mu = c * rho.
 
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
@@ -33,12 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import mpmath
 
-from .errors import (
-    DegenerateBranch,
-    FactorizationMismatch,
-    NoRootInRange,
-    PrecisionExhausted,
-)
+from .errors import DegenerateBranch, NoRootInRange, PrecisionExhausted
 from .exactalg import (
     SturmChain,
     UniPoly,
@@ -58,70 +51,14 @@ VALIDATED_C_HALF_WIDTH = Fraction(1, 4)
 Number = Union[Fraction, mpmath.mpf]
 
 
-# ---------------------------------------------------------------------------
-# Characteristic factors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CharFactors:
-    """The two factors of the characteristic-equation numerator."""
-
-    q1: UniPoly
-    q2: UniPoly
-
-
-def char_factors(params: IsingParams) -> CharFactors:
-    """Q1 = D and Q2 = D N - 2 S D' N + S D N', over exact rationals.
-
-    The product Q1*Q2 is re-derived independently from the quotient rule and
-    compared; a mismatch means the tables or the algebra are corrupted.
-    """
-    n_poly, d_poly = lagrangian_numer_denom(params, symbolic=False)
-    s_var = UniPoly.variable()
-    n_prime = n_poly.derivative()
-    d_prime = d_poly.derivative()
-    q1 = d_poly
-    q2 = d_poly * n_poly - (s_var * d_prime * n_poly).scale(Fraction(2)) \
-        + s_var * d_poly * n_prime
-    # numerator of phi - S*phi' for phi = D^2/N, cleared over N^2
-    direct = d_poly * d_poly * n_poly \
-        - (s_var * d_poly * d_prime * n_poly).scale(Fraction(2)) \
-        + s_var * d_poly * d_poly * n_prime
-    if q1 * q2 != direct:
-        raise FactorizationMismatch(
-            "characteristic factors do not multiply back to the cleared numerator"
-        )
-    return CharFactors(q1=q1, q2=q2)
-
-
 def characteristic_root_polynomial(params: IsingParams) -> UniPoly:
     """Numerator of z'(s) for the reduced defining function, poles stripped.
 
-    Away from c = 1 the defining function s N/D^2 is already in lowest terms
-    and this is exactly Q2.  At c = 1 the numerator N degenerates to
-    (1 + 3(1-nu^2)S)^2 * Ntilde; reducing the fraction first and then
-    removing any factor shared with the reduced denominator discards the
-    spurious pole-located roots Q2 inherits from D (they sit exactly at the
-    end of the search interval for nu on one side of 1), while the genuine
-    critical point always survives - for nu >= 4 it coincides with the
-    cancelled-factor location but persists as a root of Ntilde'.
+    This is ``critical_point(params).char`` (see :func:`critical_point`), so
+    it raises NoRootInRange where the polynomial does not have exactly one
+    root in the search interval (0, B].
     """
-    num, den = _reduced_radius_parts(params)
-    g_poly = num.derivative() * den - num * den.derivative()
-    g = poly_gcd_field(g_poly, den)
-    while g.degree() >= 1:
-        g_poly = g_poly.exact_div(g)
-        g = poly_gcd_field(g_poly, den)
-    sf = squarefree_part(g_poly)
-    bound = _root_interval_bound(params)
-    if bound == 0:
-        bound = cauchy_root_bound(sf)
-    # At c = 1 with nu between 1 and 4 the endpoint of the search interval is
-    # itself a critical point, but of a further sheet (its z-value lies below
-    # the radius); it is only the dominant point when it is the *sole* root.
-    if sf.eval_scalar(bound) == 0 and SturmChain(sf).count(Fraction(0), bound) > 1:
-        sf = sf.exact_div(UniPoly([-bound, Fraction(1)]))
-    return sf
+    return critical_point(params).char
 
 
 def _z_linear(b: UniPoly, a: UniPoly) -> UniPoly:
@@ -153,13 +90,12 @@ def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
     discriminant that does not vanish identically.  Off c = 1, g is 1 and C
     is returned as it is.  The divisor is scaled to 1 at S = 0, so the
     result agrees with C there.
+
+    This is ``critical_point(params).cancelling_sf``, so it raises
+    NoRootInRange where the characteristic polynomial does not have exactly
+    one root in the search interval.
     """
-    s_n, d_sq, g = _lagrangian_parts(params)
-    h = poly_gcd_field(g, g.derivative())
-    if h.degree() < 1:
-        return _z_linear(d_sq, s_n)
-    h = h.scale(1 / h.coeff(0))  # D(0) = 1, so S does not divide h
-    return _z_linear(d_sq.exact_div(h), s_n.exact_div(h))
+    return critical_point(params).cancelling_sf
 
 
 def discriminant_in_z(params: IsingParams) -> UniPoly:
@@ -272,13 +208,6 @@ class SingularityReport:
     warnings: Tuple[str, ...] = ()
 
 
-def _root_interval_bound(params: IsingParams) -> Fraction:
-    nu, c = params.nu, params.c
-    if nu == 1:
-        return Fraction(0)  # sentinel: caller substitutes a Cauchy bound
-    return Fraction(1, 3) / (c ** 2 * abs(1 - nu ** 2))
-
-
 def _poly_abs_bound(p: UniPoly, b: Fraction) -> Fraction:
     """Crude sup bound for |p| on [0, b]."""
     scale = max(b, Fraction(1))
@@ -293,19 +222,6 @@ def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, UniPoly, UniPoly]:
     return s_n, d_sq, poly_gcd_field(s_n, d_sq)
 
 
-def _reduced_radius_parts(params: IsingParams) -> Tuple[UniPoly, UniPoly]:
-    """(P, Q) with z(s) = P(s)/Q(s) in lowest terms.
-
-    Reduction matters at c = 1 for nu >= 4, where s* is a root of D and the
-    unreduced s N(S)/D(S)^2 is a 0/0 there.
-    """
-    num, den, g = _lagrangian_parts(params)
-    if g.degree() > 0:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    return num, den
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     """The exact critical point s* of z(s) at one parameter point (nu, c).
@@ -313,15 +229,18 @@ class CriticalPoint:
     Built once per (nu, c) by :func:`critical_point`; the certified radius,
     the uniqueness scan, the dominant exponent and the Puiseux expansions
     all read it.  ``num / den`` is z(s) in lowest terms and ``char`` the
-    squarefree characteristic polynomial, whose one root in the search
-    interval (0, B] is s*, as one Sturm count certifies.  ``interval`` =
-    (lo, hi] isolates s* to width B / 2^20, or is (s*, s*) when s* = B.
-    ``cancelling_sf`` is the squarefree cancelling polynomial.
+    squarefree numerator of z'(s) with its poles stripped, whose one root
+    in the search interval (0, B] is s*, as one Sturm count certifies.
+    ``bound`` is B: 1/(3 c^2 |1 - nu^2|), or the Cauchy root bound of
+    ``char`` at nu = 1.  ``interval`` = (lo, hi] isolates s* to width
+    B / 2^20, or is (s*, s*) when s* = B.  ``cancelling_sf`` is the
+    squarefree cancelling polynomial.
     """
 
     num: UniPoly
     den: UniPoly
     char: UniPoly
+    bound: Fraction
     interval: Tuple[Fraction, Fraction]
     cancelling_sf: UniPoly
 
@@ -372,18 +291,37 @@ def critical_point(params: IsingParams) -> CriticalPoint:
     """The CriticalPoint of (params.nu, params.c), computed once and cached.
 
     Raises NoRootInRange unless the characteristic polynomial has exactly
-    one root in (0, 1/(3 c^2 |1 - nu^2|)] (a Cauchy bound at nu = 1).
+    one root in (0, B] (see :class:`CriticalPoint`).
     """
     return _critical_point(params.nu, params.c)
 
 
 @lru_cache(maxsize=512)
 def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
-    params = IsingParams(nu=nu, c=c)
-    num, den = _reduced_radius_parts(params)
-    char = characteristic_root_polynomial(params)
-    bound = _root_interval_bound(params) or cauchy_root_bound(char)
+    s_n, d_sq, g = _lagrangian_parts(IsingParams(nu=nu, c=c))
+    # z(s) in lowest terms: at c = 1 for nu >= 4, s* is a root of D and the
+    # unreduced s N(S)/D(S)^2 is a 0/0 there
+    num, den = (s_n.exact_div(g), d_sq.exact_div(g)) if g.degree() > 0 else (s_n, d_sq)
+    # Removing every factor the numerator of z' shares with den discards
+    # the spurious pole-located roots D would contribute (at c = 1 they sit
+    # at the end of the search interval for nu on one side of 1), while the
+    # genuine critical point survives: for nu >= 4 it is the cancelled
+    # factor's location, a root of the reduced numerator's derivative.
+    char = num.derivative() * den - num * den.derivative()
+    common = poly_gcd_field(char, den)
+    while common.degree() >= 1:
+        char = char.exact_div(common)
+        common = poly_gcd_field(char, den)
+    char = squarefree_part(char)
+    bound = cauchy_root_bound(char) if nu == 1 else \
+        Fraction(1, 3) / (c ** 2 * abs(1 - nu ** 2))
     count = SturmChain(char).count(Fraction(0), bound)
+    # At c = 1 with nu between 1 and 4 the end of the search interval is
+    # itself a critical point, but of a further sheet (its z-value lies below
+    # the radius); it is only the dominant point when it is the *sole* root.
+    if count > 1 and char.eval_scalar(bound) == 0:
+        char = char.exact_div(UniPoly([-bound, Fraction(1)]))
+        count = SturmChain(char).count(Fraction(0), bound)
     if count != 1:
         raise NoRootInRange(
             "expected exactly one characteristic root in (0, %s], found %d"
@@ -393,8 +331,14 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
         interval = (bound, bound)
     else:
         interval = bisect_isolated_root(char, Fraction(0), bound, bound / 2 ** 20)
-    return CriticalPoint(num=num, den=den, char=char, interval=interval,
-                         cancelling_sf=cancelling_polynomial_squarefree(params))
+    # squarefree cancelling polynomial: divide g (z B - A) by gcd(g, g'),
+    # scaled to 1 at S = 0 (D(0) = 1, so S does not divide it)
+    h = poly_gcd_field(g, g.derivative())
+    if h.degree() >= 1:
+        h = h.scale(1 / h.coeff(0))
+        s_n, d_sq = s_n.exact_div(h), d_sq.exact_div(h)
+    return CriticalPoint(num=num, den=den, char=char, bound=bound,
+                         interval=interval, cancelling_sf=_z_linear(d_sq, s_n))
 
 
 def _certify_rho(
@@ -467,6 +411,22 @@ def _uniqueness_scan(
     return True
 
 
+def _far_field_warnings(params: IsingParams, allow_far_field: bool) -> List[str]:
+    """Guard the validated region |c - 1| <= 1/4.
+
+    Outside it, raise ValueError unless ``allow_far_field``, in which case
+    the returned list carries a warning; inside it the list is empty.
+    """
+    if abs(params.c - 1) <= VALIDATED_C_HALF_WIDTH:
+        return []
+    if not allow_far_field:
+        raise ValueError(
+            "c is outside the validated neighborhood of 1; "
+            "pass allow_far_field=True to proceed anyway"
+        )
+    return ["c outside the validated region |c-1| <= 1/4; results carry no guarantee"]
+
+
 def radius_numeric(
     params: IsingParams,
     tol: Fraction = Fraction(1, 10 ** 12),
@@ -476,26 +436,18 @@ def radius_numeric(
 ) -> SingularityReport:
     """Certified radius of convergence rho, mu = c rho, and S(rho).
 
-    s* is the unique root of Q2 in (0, 1/(3 c^2 |1 - nu^2|)] (Cauchy bound at
-    nu = 1), isolated by one Sturm count and refined by sign bisection (see
-    :class:`CriticalPoint`); rho is the reduced rational function
-    z(s) evaluated there, with an interval enclosure of width <= tol.  Points
-    with |c - 1| > 1/4 are outside the validated region and require
-    ``allow_far_field=True``, which records a warning instead.
+    s* is the unique root of the characteristic polynomial in (0, B],
+    B = 1/(3 c^2 |1 - nu^2|) (Cauchy bound at nu = 1), isolated by one
+    Sturm count and refined by sign bisection (see :class:`CriticalPoint`);
+    rho is the reduced rational function z(s) evaluated there, with an
+    interval enclosure of width <= tol.  Points with |c - 1| > 1/4 are
+    outside the validated region and require ``allow_far_field=True``,
+    which records a warning instead.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    warnings: List[str] = []
-    if abs(params.c - 1) > VALIDATED_C_HALF_WIDTH:
-        if not allow_far_field:
-            raise ValueError(
-                "c is outside the validated neighborhood of 1; "
-                "pass allow_far_field=True to proceed anyway"
-            )
-        warnings.append(
-            "c outside the validated region |c-1| <= 1/4; results carry no guarantee"
-        )
+    warnings = _far_field_warnings(params, allow_far_field)
     cp = critical_point(params)
     s_iv, rho_iv, exact = _certify_rho(cp, tol)
     rho_mid = (rho_iv[0] + rho_iv[1]) / 2 if not exact else rho_iv[0]
@@ -869,42 +821,14 @@ def _shifted_cancelling_support(
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _refine_for(
-    cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction], bits: int
-) -> Tuple[Fraction, Fraction]:
-    """s_iv refined to width 2^(-3 bits/4); an exact hit (r, r) stays as it is."""
-    if s_iv[0] == s_iv[1]:
-        return s_iv
-    return cp.refine(s_iv[0], s_iv[1], Fraction(1, 2 ** (3 * bits // 4)))
-
-
-def _expansions_near(
-    cp: CriticalPoint,
-    s_iv: Tuple[Fraction, Fraction],
-    bits: int,
-    max_terms: int,
-) -> List[PuiseuxExpansion]:
-    """Numeric Puiseux branches at the midpoint of a refined s-interval.
-
-    The midpoint is placed exactly on the curve, and the expansion runs at
-    ``bits``.
-    """
-    lo, hi = s_iv
-    s0 = (lo + hi) / 2
-    rho0 = cp.z_at(s0)
-    support = _shifted_cancelling_support(cp.cancelling_sf, s0, rho0)
-    with mpmath.workprec(bits):
-        num_support = {k: to_mpf(v) for k, v in support.items()}
-        return newton_polygon_expand(
-            num_support, max_terms=max_terms, precision_bits=bits,
-            center=to_mpf(rho0),
-        )
-
-
 def dominant_exponent(params: IsingParams) -> Fraction:
-    """The singular exponent of S at its radius: 1/2 generically, 1/3 at (4,1)."""
-    report = radius_numeric(params, with_exponent=True, scan_uniqueness=False)
-    return report.exponent
+    """The singular exponent of S at its radius: 1/2 generically, 1/3 at (4,1).
+
+    Points outside the validated region raise ValueError, as in
+    :func:`radius_numeric`.
+    """
+    _far_field_warnings(params, allow_far_field=False)
+    return critical_point(params).exponent()
 
 
 def dominant_expansions(
@@ -916,8 +840,8 @@ def dominant_expansions(
 
     At exact endpoint singularities the branches are exact; otherwise the
     critical point is refined to width 2^(-3 bits/4), placed exactly on the
-    curve, and expanded numerically at the working precision.  The report
-    carries the exact exponent.
+    curve at the refined midpoint, and expanded numerically at the working
+    precision.  The report carries the exact exponent.
     """
     report = radius_numeric(params, scan_uniqueness=False)
     bits = precision_bits or params.precision_bits or default_precision_bits()
@@ -928,5 +852,13 @@ def dominant_expansions(
         return report, newton_polygon_expand(
             support, max_terms=max_terms, precision_bits=bits, center=report.rho
         )
-    return report, _expansions_near(cp, _refine_for(cp, report.s_interval, bits),
-                                    bits, max_terms)
+    lo, hi = cp.refine(*report.s_interval, Fraction(1, 2 ** (3 * bits // 4)))
+    s0 = (lo + hi) / 2
+    rho0 = cp.z_at(s0)
+    support = _shifted_cancelling_support(cp.cancelling_sf, s0, rho0)
+    with mpmath.workprec(bits):
+        num_support = {k: to_mpf(v) for k, v in support.items()}
+        return report, newton_polygon_expand(
+            num_support, max_terms=max_terms, precision_bits=bits,
+            center=to_mpf(rho0),
+        )

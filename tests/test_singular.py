@@ -5,14 +5,19 @@ import mpmath
 import pytest
 
 from isingmaps import singular
-from isingmaps.errors import DegenerateBranch, FactorizationMismatch
-from isingmaps.exactalg import UniPoly, discriminant, poly_gcd, sturm_count
+from isingmaps.errors import DegenerateBranch
+from isingmaps.exactalg import (
+    UniPoly,
+    cauchy_root_bound,
+    discriminant,
+    poly_gcd,
+    sturm_count,
+)
 from isingmaps.series import IsingParams, lagrangian_numer_denom
 from isingmaps.singular import (
     SingularityReport,
     cancelling_polynomial,
     cancelling_polynomial_squarefree,
-    char_factors,
     characteristic_root_polynomial,
     critical_point,
     discriminant_in_z,
@@ -23,40 +28,11 @@ from isingmaps.singular import (
     radius_numeric,
     rho_closed_form,
     s_at_rho_closed_form,
-    _root_interval_bound,
 )
 
 
 def params(nu, c=1):
     return IsingParams(nu=nu, c=c)
-
-
-class TestCharFactors:
-    def test_q2_degree_eight(self):
-        cf = char_factors(params(2))
-        assert cf.q2.degree() == 8
-        assert cf.q1.degree() == 2
-
-    def test_q1_is_difference_of_squares(self):
-        nu, c = Fraction(3), Fraction(19, 20)
-        cf = char_factors(params(nu, c))
-        gamma = 1 - nu ** 2
-        lin_m = UniPoly([Fraction(1), -3 * c * gamma])
-        lin_p = UniPoly([Fraction(1), 3 * c * gamma])
-        assert cf.q1 == lin_m * lin_p
-
-    def test_nu_one_reduces_to_n_plus_s_nprime(self):
-        p = params(1, Fraction(21, 20))
-        cf = char_factors(p)
-        n_poly, d_poly = lagrangian_numer_denom(p, symbolic=False)
-        assert d_poly == UniPoly([Fraction(1)])
-        expected = n_poly + UniPoly.variable() * n_poly.derivative()
-        assert cf.q2 == expected
-
-    def test_multiply_back_check_runs(self):
-        # construction includes the FactorizationMismatch self-check
-        for nu in (Fraction(1, 2), 2, 4, 7):
-            char_factors(params(nu))
 
 
 class TestClosedForms:
@@ -172,8 +148,7 @@ class TestSturmGrid:
             for c in (Fraction(9, 10), Fraction(19, 20), Fraction(1)):
                 p = params(nu, c)
                 q = characteristic_root_polynomial(p)
-                bound = _root_interval_bound(p)
-                assert sturm_count(q, 0, bound) == 1, (nu, c)
+                assert sturm_count(q, 0, critical_point(p).bound) == 1, (nu, c)
 
 
 class TestDiscriminant:
@@ -212,22 +187,18 @@ class TestDiscriminant:
 class TestCriticalPoint:
     def test_one_radius_call_builds_it_once(self, monkeypatch):
         calls = []
-        for name in ("characteristic_root_polynomial",
-                     "cancelling_polynomial_squarefree"):
-            original = getattr(singular, name)
 
-            def counted(p, original=original, name=name):
-                calls.append(name)
-                return original(p)
+        def counted(p, symbolic=None):
+            calls.append((p.nu, p.c))
+            return lagrangian_numer_denom(p, symbolic=symbolic)
 
-            monkeypatch.setattr(singular, name, counted)
+        monkeypatch.setattr(singular, "lagrangian_numer_denom", counted)
         singular._critical_point.cache_clear()
         # exponent and uniqueness scan both read the same CriticalPoint
         radius_numeric(params(Fraction(5, 2), Fraction(21, 20)))
         assert singular._critical_point.cache_info().misses == 1
         assert singular._critical_point.cache_info().hits >= 1
-        assert sorted(calls) == ["cancelling_polynomial_squarefree",
-                                 "characteristic_root_polynomial"]
+        assert calls == [(Fraction(5, 2), Fraction(21, 20))]
 
     def test_keyed_on_the_point_only(self):
         a = critical_point(IsingParams(nu=2, c=Fraction(19, 20)))
@@ -238,10 +209,16 @@ class TestCriticalPoint:
         p = params(Fraction(3, 4), Fraction(11, 10))
         cp = critical_point(p)
         lo, hi = cp.interval
-        bound = _root_interval_bound(p)
+        bound = cp.bound
+        assert bound == 1 / (3 * Fraction(11, 10) ** 2 * (1 - Fraction(3, 4) ** 2))
         assert 0 <= lo < hi <= bound
         assert hi - lo <= bound / 2 ** 20
         assert sturm_count(cp.char, lo, hi) == 1
+
+    def test_cauchy_bound_at_nu_one(self):
+        cp = critical_point(params(1, Fraction(9, 10)))
+        assert cp.bound == cauchy_root_bound(cp.char)
+        assert sturm_count(cp.char, 0, cp.bound) == 1
 
     def test_exact_endpoint_interval(self):
         cp = critical_point(params(5))
@@ -399,7 +376,7 @@ class TestDominantExponent:
         num = UniPoly(num)
         assert num.derivative() == UniPoly(z_prime)
         cp = singular.CriticalPoint(
-            num=num, den=UniPoly([1]), char=UniPoly(char),
+            num=num, den=UniPoly([1]), char=UniPoly(char), bound=Fraction(2),
             interval=tuple(map(Fraction, interval)), cancelling_sf=UniPoly([]),
         )
         assert cp.exponent() == expected
@@ -413,8 +390,3 @@ class TestDominantExponent:
         leads = [e.leading_exponent() for e in expansions]
         assert report.exponent == min(x for x in leads
                                       if x is not None and x.denominator != 1)
-
-    def test_exact_hit_is_not_refined_again(self):
-        cp = critical_point(params(5))
-        hit = (Fraction(1, 72), Fraction(1, 72))
-        assert singular._refine_for(cp, hit, 384) == hit
