@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath
 
 from .critical import (
+    FIT_GUARD_BITS,
     chi_closed,
     exponent_fit,
     finite_free_energy,
@@ -253,7 +254,8 @@ def _cmd_exponent_fit(args, bits):
     if args.n_max < 4:
         raise ValueError("--n-max must be at least 4")
     n_min = args.n_min if args.n_min is not None else max(2, args.n_max // 8)
-    params = IsingParams(nu=args.nu, c=args.c, precision_bits=bits)
+    # Z_n carry the fit's guard bits too, so every printed digit is right
+    params = IsingParams(nu=args.nu, c=args.c, precision_bits=bits + FIT_GUARD_BITS)
     seq = coefficient_sequence(params, args.n_max)
     report = radius_numeric(IsingParams(nu=args.nu, c=args.c), tol=args.tol,
                             with_exponent=False, scan_uniqueness=False)

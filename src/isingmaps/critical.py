@@ -348,8 +348,7 @@ def observables(params: IsingParams, n: Optional[int] = None,
 # Coefficient asymptotics
 # ---------------------------------------------------------------------------
 
-def _positive_logs(sequence: Sequence, mu, n_lo: int, n_hi: int,
-                   bits: int) -> List[mpmath.mpf]:
+def _positive_logs(sequence: Sequence, mu, n_lo: int, n_hi: int) -> List[mpmath.mpf]:
     """y_n = log(Z_n mu^n) for n in [n_lo, n_hi]; raises on nonpositive input."""
     log_mu = mpmath.log(to_mpf(Fraction(mu)) if isinstance(mu, (int, Fraction))
                         else mu)
@@ -363,6 +362,12 @@ def _positive_logs(sequence: Sequence, mu, n_lo: int, n_hi: int,
     return ys
 
 
+# The Aitken step loses about log2(n^3) bits (its second difference cancels
+# about 7 digits at n = 200) and the least-squares sums a few more, so the
+# fit runs this many bits above the precision its results are good to.
+FIT_GUARD_BITS = 64
+
+
 def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
                  precision_bits: Optional[int] = None) -> FitResult:
     """Fit log(Z_n mu^n) ~ log(amplitude) - alpha log n on n in n_range.
@@ -370,6 +375,10 @@ def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
     ``sequence`` lists Z_1, Z_2, ... (index n-1 holds Z_n).  The global
     least-squares slope gives alpha_exponent; an Aitken-accelerated pointwise
     difference quotient at n_max gives an independent estimate.
+
+    The fit runs at ``precision_bits`` + FIT_GUARD_BITS, so that its values
+    are right to ``precision_bits`` for the given Z_n and mu; mpf entries of
+    ``sequence`` should carry as many bits (exact ones are rounded there).
     """
     n_lo, n_hi = n_range
     if n_lo < 2:
@@ -379,8 +388,8 @@ def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
     if n_hi > len(sequence):
         raise ValueError("sequence too short for requested n_range")
     bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
-        ys = _positive_logs(sequence, mu, n_lo, n_hi, bits)
+    with mpmath.workprec(bits + FIT_GUARD_BITS):
+        ys = _positive_logs(sequence, mu, n_lo, n_hi)
         xs = [mpmath.log(n) for n in range(n_lo, n_hi + 1)]
         count = len(xs)
         sx = mpmath.fsum(xs)

@@ -11,21 +11,29 @@ where N and D are explicit polynomials in S over Q[nu, c] (see
 by 9 z^2 (1 - nu^2) (1 + 3 c^2 (1 - nu^2) S) then yields Z(nu, c, c z), from
 which the coefficients are read off after a per-order rescale by c^-n.
 
+S is solved by one forward pass: with S = O(z), the defining equation
+makes S_n explicit in S_1..S_(n-1) through the coefficients of S^2..S^7,
+and those powers are filled coefficient by coefficient alongside S (see
+:func:`_power_columns`).  The bracket is then a linear combination of the
+same power columns, followed by one online division by the bracket's
+denominator factor; no step divides by anything but 1, so the pass runs
+unchanged over every coefficient ring.
+
 Two modes are supported, selected by :class:`IsingParams`: symbolic
 (coefficients are :class:`~isingmaps.exactalg.ParamPoly`) and
 numeric-at-point.  Numeric mode is exact at the point, rounded once: the
 solve runs over plain ``int`` after the rescaling S = L T, z = L w with
-L = (den nu * den c)^2, which makes every table entry an integer and every
-series division a division by a unit; each exact rational Z_n (or S_n) is
-then rounded to the nearest mpf at the requested precision.  Both modes
-share one pipeline, including the exact check that the three lowest
-coefficients cancel.
+L = (den nu * den c)^2, which makes every table entry an integer; each
+exact rational Z_n (or S_n) is then rounded to the nearest mpf at the
+requested precision.  Both modes share one pipeline, including the exact
+check that the three lowest coefficients cancel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import List, Optional, Tuple
 
 import mpmath
@@ -131,9 +139,10 @@ class _Model:
     In the integer kind the N and D coefficients of degree k carry L^k, e1
     carries L and the bracket entry of S^i z^j carries L^(i+j); each is an
     integer because its nu- and c-degrees are at most twice its power of L.
-    N(0) = D(0) = 1 survive the rescaling, so the Newton divisor and the
-    bracket divisor 1 + e1 T have constant term 1 and the solve never
-    leaves the integers.  ``nine_gamma`` stays the exact 9(1 - nu^2).
+    N(0) = D(0) = 1 survive the rescaling, so the forward recurrence for T
+    needs no division and the bracket divisor 1 + e1 T has constant term 1:
+    the solve never leaves the integers.  ``nine_gamma`` stays the exact
+    9(1 - nu^2).
     """
 
     def __init__(self, params: IsingParams, kind: str):
@@ -346,37 +355,64 @@ def _series_powers(s: TruncatedSeries, top: int) -> List[TruncatedSeries]:
     return powers
 
 
-def _eval_lagrangian(model: _Model, s: TruncatedSeries):
-    """Return (N(S), D(S), S*N'(S), D(S)*D'(S)) as series."""
-    order = s.order
-    pw = _series_powers(s, 6)
-    one_series = TruncatedSeries([model.one] + [model.zero] * order, model.zero)
+def _dot(left, right, zero):
+    """sum(l * r) over the paired entries, the ring zero as the start value."""
+    return sum(map(mul, left, right), zero)
 
-    ns = one_series
-    nps = TruncatedSeries([model.n_tab[1]] + [model.zero] * order, model.zero)
-    for k in (1, 2, 4, 6):
-        ns = ns + pw[k].scale(model.n_tab[k])
-        if k >= 2:
-            nps = nps + pw[k - 1].scale(k * model.n_tab[k])
-    ds = one_series + pw[2].scale(model.d_tab[2])
-    s_nps = s * nps
-    # D'(S) = 2 * d2 * S
-    d_dps = (ds * s).scale(2 * model.d_tab[2])
-    return ns, ds, s_nps, d_dps
+
+def _power_columns(model: _Model, order: int) -> list:
+    """[None, P_1, ..., P_top], P_k the coefficient list of S^k to z^order.
+
+    S N(S) = z D(S)^2 with N(0) = 1 and S = O(z) gives, coefficient by
+    coefficient,
+
+        S_n = [z^(n-1)] D(S)^2 - sum_{k>=1} n_k [S^(k+1)]_n,
+
+    and for k >= 2 the entry [S^k]_n involves only S_1..S_(n-k+1).  So step n
+    first fills [S^k]_n for every k >= 2 as one dot product each, with
+    S^k = S^a * S^(k-a), a = k // 2 (half the terms, doubled, for a square),
+    and then S_n from the powers.  No division happens, so the same code
+    runs over every ring of the model.  ``top`` is the highest power that the
+    recurrence or the bracket reads.
+    """
+    zero = model.zero
+    d_sq = {}
+    for i, di in model.d_tab.items():
+        for j, dj in model.d_tab.items():
+            d_sq[i + j] = d_sq.get(i + j, zero) + di * dj
+    n_terms = [(k + 1, v) for k, v in model.n_tab.items() if k >= 1]
+    d_terms = [(k, v) for k, v in d_sq.items() if k >= 1]
+    top = max([k for k, _ in n_terms + d_terms]
+              + [i for i, _ in model.bracket_tab])
+    cols = [None] + [[zero] * (order + 1) for _ in range(top)]
+    s = cols[1]
+    if order >= 1:
+        s[1] = d_sq[0]
+    for n in range(2, order + 1):
+        for k in range(2, min(top, n) + 1):
+            a, b = k // 2, k - k // 2
+            pa = cols[a]
+            if a == b:
+                half = _dot(pa[a:(n + 1) // 2], pa[n - a:n // 2:-1], zero)
+                val = half + half
+                if n % 2 == 0:
+                    val = val + pa[n // 2] * pa[n // 2]
+            else:
+                val = _dot(pa[a:n - b + 1], cols[b][n - a:b - 1:-1], zero)
+            cols[k][n] = val
+        acc = zero
+        for k, coef in d_terms:
+            acc = acc + coef * cols[k][n - 1]
+        for k, coef in n_terms:
+            acc = acc - coef * cols[k][n]
+        s[n] = acc
+    return cols
 
 
 def _solve_S_ring(model: _Model, order: int) -> TruncatedSeries:
-    """Newton iteration with order doubling on F(S) = S N(S) - z D(S)^2."""
-    s = TruncatedSeries([model.zero, model.one], model.zero)
-    good = 1
-    while good < order:
-        good = min(2 * good + 1, order)
-        s = s.pad(good)
-        ns, ds, s_nps, d_dps = _eval_lagrangian(model, s)
-        f = s * ns - (ds * ds).shift_up(1)
-        fprime = ns + s_nps - d_dps.shift_up(1).scale(2)
-        s = s - f.divide(fprime)
-    return s
+    """S to z^order over the model's ring, by the forward recurrence of
+    :func:`_power_columns`."""
+    return TruncatedSeries(_power_columns(model, order)[1], model.zero)
 
 
 def solve_S(params: IsingParams, order: int) -> TruncatedSeries:
@@ -430,21 +466,34 @@ def pol_Z_eval(
 
 
 def _solve_Z_ring(model: _Model, order: int) -> list:
-    """[0, Z_1, ..., Z_order], exact: ParamPoly or Fraction by the model kind."""
-    s = _solve_S_ring(model, order + 2)
-    w = _bracket_eval(model, s, order + 2)
-    e_series = TruncatedSeries(
-        [model.one] + [model.zero] * (order + 2), model.zero
-    ) + s.scale(model.e1)
-    g = w.divide(e_series)
+    """[0, Z_1, ..., Z_order], exact: ParamPoly or Fraction by the model kind.
+
+    The bracket is a linear combination of the power columns (S^0 = 1),
+    divided online by 1 + e1 S; its three lowest coefficients must cancel.
+    """
+    top = order + 2
+    zero = model.zero
+    cols = _power_columns(model, top)
+    w = [zero] * (top + 1)
+    for (i, j), coef in model.bracket_tab.items():
+        if i == 0:
+            w[j] = w[j] + coef
+            continue
+        col = cols[i]
+        for n in range(i + j, top + 1):
+            w[n] = w[n] + coef * col[n - j]
+    s = cols[1]
+    e1 = model.e1
+    g = [w[0]]
+    for n in range(1, top + 1):
+        g.append(w[n] - e1 * _dot(s[1:n + 1], g[::-1], zero))
     for i in (0, 1, 2):
-        if not is_zero_elem(g.coefficient(i)):
+        if not is_zero_elem(g[i]):
             raise NonZeroRemainder(
                 "low-order coefficients of the parametrization numerator "
                 "did not cancel (z^%d)" % i
             )
-    return [model.zero] + [model.z_coefficient(g.coefficient(n + 2), n)
-                           for n in range(1, order + 1)]
+    return [zero] + [model.z_coefficient(g[n + 2], n) for n in range(1, order + 1)]
 
 
 def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
@@ -478,13 +527,25 @@ def coefficient_sequence(params: IsingParams, n_max: int) -> List[mpmath.mpf]:
 def fixed_point_residual(params: IsingParams, order: int) -> list:
     """Coefficients of S N(S) - z D(S)^2 for the computed S (all should vanish).
 
-    Symbolic mode returns ParamPoly entries; numeric mode returns the exact
-    residual at the point, rounded to mpf.  Both must be exactly zero.
+    The residual is formed from TruncatedSeries products, not from the
+    power columns of the forward recurrence, so it checks that recurrence
+    independently.  Symbolic mode returns ParamPoly entries; numeric mode
+    returns the exact residual at the point, rounded to mpf.  Both must be
+    exactly zero.
     """
 
     def run_with(model):
         s = _solve_S_ring(model, order)
-        ns, ds, _, _ = _eval_lagrangian(model, s)
+        pw = _series_powers(s, max(max(model.n_tab), max(model.d_tab)))
+        pw[0] = TruncatedSeries([model.one] + [model.zero] * order, model.zero)
+
+        def at_s(tab):
+            out = TruncatedSeries([model.zero] * (order + 1), model.zero)
+            for k, coef in tab.items():
+                out = out + pw[k].scale(coef)
+            return out
+
+        ns, ds = at_s(model.n_tab), at_s(model.d_tab)
         f = s * ns - (ds * ds).shift_up(1)
         return f.coeffs
 

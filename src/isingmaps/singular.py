@@ -208,9 +208,8 @@ class SingularityReport:
     warnings: Tuple[str, ...] = ()
 
 
-def _poly_abs_bound(p: UniPoly, b: Fraction) -> Fraction:
-    """Crude sup bound for |p| on [0, b]."""
-    scale = max(b, Fraction(1))
+def _poly_abs_bound(p: UniPoly, scale: Fraction) -> Fraction:
+    """Crude sup bound for |p| on [0, b], given scale = max(b, 1)."""
     return sum((abs(c) * scale ** k for k, c in enumerate(p.coeffs)), Fraction(0))
 
 
@@ -346,30 +345,45 @@ def _certify_rho(
 ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction], bool]:
     """From the isolating interval for s*, certify an interval for rho.
 
+    Sign bisection as in :meth:`CriticalPoint.refine`, one step at a time
+    until the Lipschitz enclosure of z over the interval is within ``tol``.
     Returns (s_interval, rho_interval, exact).
     """
     lo, hi = cp.interval
+    if lo == hi:
+        z_exact = cp.z_at(lo)
+        return (lo, hi), (z_exact, z_exact), True
     num_d = cp.num.derivative()
     den_d = cp.den.derivative()
-    while lo != hi:
-        den_lo = cp.den.eval_scalar(lo)
-        den_hi = cp.den.eval_scalar(hi)
+    up = cp.char.eval_scalar(hi) > 0  # the sign of char just above s*
+    num_lo, den_lo = cp.num.eval_scalar(lo), cp.den.eval_scalar(lo)
+    num_hi, den_hi = cp.num.eval_scalar(hi), cp.den.eval_scalar(hi)
+    bounds_scale = None
+    while True:
         if den_lo > 0 and den_hi > 0:
+            # the sup bounds on [0, hi] depend on hi only through max(hi, 1)
+            scale = max(hi, Fraction(1))
+            if scale != bounds_scale:
+                bounds_scale = scale
+                sup_num_d = _poly_abs_bound(num_d, scale)
+                sup_num_den_d = (_poly_abs_bound(cp.num, scale)
+                                 * _poly_abs_bound(den_d, scale))
             width = hi - lo
-            z_lo = cp.num.eval_scalar(lo) / den_lo
-            z_hi = cp.num.eval_scalar(hi) / den_hi
             den_min = min(den_lo, den_hi)  # D^2 is decreasing on [0, s_D)
-            lip = (
-                _poly_abs_bound(num_d, hi) / den_min
-                + _poly_abs_bound(cp.num, hi) * _poly_abs_bound(den_d, hi) / den_min ** 2
-            )
-            lower = max(z_lo, z_hi)
+            lip = sup_num_d / den_min + sup_num_den_d / den_min ** 2
+            lower = max(num_lo / den_lo, num_hi / den_hi)
             upper = lower + lip * width
             if upper - lower <= tol:
                 return (lo, hi), (lower, upper), False
-        lo, hi = bisect_isolated_root(cp.char, lo, hi, (hi - lo) / 2)  # one step
-    z_exact = cp.z_at(lo)
-    return (lo, hi), (z_exact, z_exact), True
+        mid = (lo + hi) / 2
+        side = cp.char.eval_scalar(mid)
+        if side == 0:
+            z_exact = cp.z_at(mid)
+            return (mid, mid), (z_exact, z_exact), True
+        if (side > 0) == up:
+            hi, num_hi, den_hi = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
+        else:
+            lo, num_lo, den_lo = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
 
 
 def _uniqueness_scan(

@@ -10,7 +10,8 @@ import pytest
 
 from isingmaps import cli
 from isingmaps.cli import main, parse_rational
-from isingmaps.critical import thermo_enclosures
+from isingmaps.critical import exponent_fit, thermo_enclosures
+from isingmaps.series import IsingParams, _Model, _solve_Z_ring
 from isingmaps.singular import rho_closed_form
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json"
@@ -249,6 +250,22 @@ class TestExponentFit:
         assert result["n_range"] == [10, 80]
         assert "amplitude" in result and "residual" in result
 
+
+    @pytest.mark.parametrize("nu, c", [("2", "1"), ("3/2", "21/20")])
+    def test_printed_digits_match_a_1024_bit_fit(self, capsys, nu, c):
+        # the Aitken step cancels about 7 digits: without guard bits only
+        # 47-49 of the 55 printed digits were right
+        code, payload = run_json(capsys, "exponent-fit", "--nu", nu, "--c", c,
+                                 "--n-max", "200")
+        assert code == 0
+        result = payload["result"]
+        params = IsingParams(nu=Fraction(nu), c=Fraction(c))
+        exact = _solve_Z_ring(_Model(params, "integer"), 200)[1:]
+        ref = exponent_fit(exact, Fraction(result["mu"]), tuple(result["n_range"]),
+                           precision_bits=1024)
+        dps = cli._digits(payload["meta"]["precision_bits"])
+        for key in ("alpha_exponent", "aitken_exponent", "amplitude", "residual"):
+            assert result[key] == mpmath.nstr(getattr(ref, key), dps), key
 
     def test_radius_solve_skips_exponent_and_scan(self, capsys, monkeypatch):
         seen = []

@@ -1,4 +1,5 @@
 """The standalone studies in scripts/ run end to end on small inputs."""
+import importlib.util
 import runpy
 import sys
 from pathlib import Path
@@ -26,3 +27,24 @@ def test_script_runs_and_prints_its_header(name, argv, header, monkeypatch, caps
         assert exc.code in (None, 0), exc.code
     out = capsys.readouterr().out
     assert header in out.splitlines()[0]
+
+
+def test_reference_generator_imports_and_matches_the_engine(monkeypatch):
+    """perfbench/make_refs.py still imports against the series engine, and
+    its exact-Fraction Z_n agree with the integer engine's; importing it runs
+    nothing and writes no refs.json."""
+    from fractions import Fraction
+
+    from isingmaps.series import IsingParams, _Model, _solve_Z_ring
+
+    path = SCRIPTS.parent / "perfbench" / "make_refs.py"
+    refs = path.parent / "refs.json"
+    before = refs.read_bytes()
+    monkeypatch.setattr(sys, "path", list(sys.path))  # make_refs prepends to it
+    spec = importlib.util.spec_from_file_location("make_refs", path)
+    make_refs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_refs)
+    assert refs.read_bytes() == before
+    nu, c = Fraction(3, 2), Fraction(21, 20)
+    expect = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "integer"), 30)[1:]
+    assert make_refs.exact_Z(nu, c, 30) == expect

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from isingmaps.errors import NonZeroRemainder, NumericModeAtNuOne
@@ -58,6 +59,25 @@ def exact_ring_Z(nu, c, order):
     assert all(g.coefficient(i) == 0 for i in (0, 1, 2))
     return [g.coefficient(n + 2) / model.nine_gamma / c ** n
             for n in range(1, order + 1)]
+
+
+def lagrange_S(params: IsingParams, order: int, symbolic: bool) -> list:
+    """S_1..S_order by Lagrange inversion of z = S / phi(S), phi = D^2 / N:
+    S_n = (1/n) [u^(n-1)] phi(u)^n, with no use of the engine's recurrence."""
+    n_poly, d_poly = lagrangian_numer_denom(params, symbolic=symbolic)
+    zero = n_poly.zero
+
+    def series(poly):
+        return TruncatedSeries((list(poly.coeffs) + [zero] * order)[:order], zero)
+
+    d_series = series(d_poly)
+    phi = (d_series * d_series).divide(series(n_poly))
+    out = []
+    power = phi
+    for n in range(1, order + 1):
+        out.append(power.coefficient(n - 1) * Fraction(1, n))
+        power = power * phi
+    return out
 
 
 def rounded(q: Fraction, bits: int):
@@ -180,6 +200,21 @@ class TestSolveS:
         assert len(residual) == 21
         assert all(r == 0 for r in residual)
 
+    def test_lagrange_inversion_oracle_symbolic(self):
+        s = solve_S(SYM, 8)
+        for n, expect in enumerate(lagrange_S(SYM, 8, symbolic=True), start=1):
+            assert s.coefficient(n) == expect, "S_%d" % n
+
+    @pytest.mark.parametrize("nu, c", [
+        (Fraction(3, 2), Fraction(21, 20)), (Fraction(7, 5), Fraction(11, 13)),
+    ])
+    def test_lagrange_inversion_oracle_at_points(self, nu, c):
+        oracle = lagrange_S(IsingParams(nu=nu, c=c), 30, symbolic=False)
+        exact = _solve_S_ring(_Model(IsingParams(nu=nu, c=c), "exact"), 30)
+        assert exact.coeffs[1:] == oracle
+        got = solve_S(IsingParams(nu=nu, c=c, precision_bits=96), 30)
+        assert [x._mpf_ for x in got.coeffs[1:]] == [rounded(q, 96) for q in oracle]
+
     @pytest.mark.parametrize("nu, c", [
         (Fraction(3, 2), Fraction(21, 20)), (Fraction(7, 5), Fraction(11, 13)),
     ])
@@ -259,6 +294,15 @@ class TestSolveZ:
         got = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "integer"), 60)
         assert got[0] == 0
         assert got[1:] == exact_ring_Z(nu, c, 60)
+
+    @given(st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+           .filter(lambda nu: nu != 1),
+           st.fractions(min_value=Fraction(3, 4), max_value=Fraction(5, 4),
+                        max_denominator=12))
+    @settings(max_examples=12, deadline=None)
+    def test_integer_ring_equals_exact_ring_property(self, nu, c):
+        got = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "integer"), 25)
+        assert got[1:] == exact_ring_Z(nu, c, 25)
 
     def test_corrupted_bracket_fails_exact_cancellation(self):
         model = _Model(IsingParams(nu=Fraction(3, 2), c=Fraction(21, 20)), "integer")
