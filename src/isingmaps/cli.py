@@ -37,7 +37,7 @@ from .errors import ComputationError
 from .exactalg import sturm_count
 from .mapcount import survey
 from .precision import default_precision_bits
-from .series import IsingParams, coefficient_sequence, solve_Z
+from .series import IsingParams, _Model, _solve_Z_ring, coefficient_sequence, solve_Z
 from .singular import (
     critical_point,
     discriminant_in_z,
@@ -65,7 +65,23 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_rational_list(text: str) -> Tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
+    """Comma-separated rationals; a part "lo:hi:count" stands for count
+    evenly spaced exact rationals from lo to hi (count 1 needs lo == hi)."""
+    values: List[Fraction] = []
+    for part in text.split(","):
+        if ":" not in part:
+            values.append(parse_rational(part))
+            continue
+        fields = part.split(":")
+        if len(fields) != 3 or not fields[2].strip().isdecimal():
+            raise argparse.ArgumentTypeError("not a lo:hi:count grid: %r" % part)
+        lo, hi, count = parse_rational(fields[0]), parse_rational(fields[1]), int(fields[2])
+        if count < 1 or (count == 1 and lo != hi):
+            raise argparse.ArgumentTypeError(
+                "a grid needs count >= 1, and lo == hi when count is 1: %r" % part)
+        step = (hi - lo) / (count - 1) if count > 1 else 0
+        values.extend(lo + k * step for k in range(count))
+    return tuple(values)
 
 
 def _digits(bits: int) -> int:
@@ -123,9 +139,16 @@ def _cmd_coeffs(args, bits):
     else:
         if args.nu is None or args.c is None:
             raise ValueError("coeffs needs --symbolic, or --nu and --c")
-        series = solve_Z(IsingParams(nu=2, c=1), n_max)
-        for n in range(1, n_max + 1):
-            value = series.coefficient(n).evaluate(args.nu, args.c)
+        params = IsingParams(nu=args.nu, c=args.c)
+        if params.nu != 1:
+            # the integer engine gives the same exact Z_n at the point
+            values = _solve_Z_ring(_Model(params, "integer"), n_max)[1:]
+        else:
+            # 9 (1 - nu^2) vanishes at nu = 1: divide it out symbolically
+            series = solve_Z(params, n_max)
+            values = [series.coefficient(n).evaluate(params.nu, params.c)
+                      for n in range(1, n_max + 1)]
+        for n, value in enumerate(values, start=1):
             rows.append({"n": n, "value": format_value(value)})
     csv_rows = [("n", "value")] + [(r["n"], r["value"]) for r in rows]
     return {"coefficients": rows}, [], csv_rows

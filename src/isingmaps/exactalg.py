@@ -6,10 +6,10 @@ This module supplies the arithmetic backbone used everywhere else:
   Laurent polynomials in the magnetic weight ``c``, with integer
   coefficients kept as ``int`` and a Fraction only where a quotient is not
   integral;
-* ``UniPoly`` -- dense univariate polynomials over a pluggable coefficient
-  ring (rationals, ``ParamPoly``, nested ``UniPoly`` or mpmath floats);
-* resultants and discriminants through a primitive polynomial-remainder
-  sequence (pseudo-remainders with content reduction, no modular arithmetic);
+* ``UniPoly`` -- dense univariate polynomials over Q (other coefficients
+  are held as data only);
+* gcds, resultants and discriminants along one Euclidean remainder
+  sequence over Q (no modular arithmetic);
 * exact polynomial interpolation (Newton divided differences);
 * Sturm sequences and certified real-root isolation over the rationals,
   with sign bisection to refine an isolated simple root.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import mpmath
 
@@ -340,107 +340,46 @@ PP_ONE = ParamPoly.constant(1)
 
 
 # ---------------------------------------------------------------------------
-# Generic ring helpers
+# Coefficient helpers
 # ---------------------------------------------------------------------------
 
-def is_zero_elem(x) -> bool:
-    if isinstance(x, ParamPoly):
-        return x.is_zero()
-    if isinstance(x, UniPoly):
-        return x.is_zero()
-    return x == 0
-
-
-def ring_zero_like(x):
-    if isinstance(x, ParamPoly):
-        return PP_ZERO
-    if isinstance(x, UniPoly):
-        return UniPoly([], zero=x.zero)
-    if isinstance(x, Fraction):
-        return _ZERO
-    return x * 0
-
-
-def ring_one_like(x):
-    if isinstance(x, ParamPoly):
-        return PP_ONE
-    if isinstance(x, UniPoly):
-        return UniPoly([ring_one_like(x.zero)], zero=x.zero)
-    if isinstance(x, Fraction):
-        return _ONE
-    return x * 0 + 1
-
-
 def ring_exact_div(a, b):
-    """Exact division in the coefficient ring; raises NonZeroRemainder when
-    the quotient does not exist in the ring."""
+    """Exact quotient of two rationals (``int / int`` gives a Fraction, never
+    a float) or of two ParamPoly; raises NonZeroRemainder when a ParamPoly
+    quotient does not exist."""
     if isinstance(a, ParamPoly) or isinstance(b, ParamPoly):
         if not isinstance(a, ParamPoly):
             a = ParamPoly.constant(a)
         if not isinstance(b, ParamPoly):
             b = ParamPoly.constant(b)
         return a.exact_div(b)
-    if isinstance(a, UniPoly):
-        return a.exact_div(b)
-    if isinstance(b, UniPoly):
-        raise NonZeroRemainder("scalar not divisible by nonconstant polynomial")
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
     return a / b
 
 
-def ring_pow(a, k: int):
-    out = ring_one_like(a)
-    base = a
-    while k:
-        if k & 1:
-            out = ring_mul(out, base)
-        base = ring_mul(base, base)
-        k >>= 1
-    return out
-
-
-def ring_mul(a, b):
-    if isinstance(a, UniPoly) and isinstance(b, UniPoly):
-        return a * b
-    if isinstance(a, UniPoly):
-        return a.scale(b)
-    if isinstance(b, UniPoly):
-        return b.scale(a)
-    return a * b
-
-
-def ring_add(a, b):
-    if isinstance(a, UniPoly) and not isinstance(b, UniPoly):
-        return a + UniPoly([b], zero=a.zero)
-    if isinstance(b, UniPoly) and not isinstance(a, UniPoly):
-        return b + UniPoly([a], zero=b.zero)
-    return a + b
-
-
-def ring_neg(a):
-    return -a
-
-
 # ---------------------------------------------------------------------------
-# UniPoly: dense univariate over a ring
+# UniPoly: dense univariate over Q
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """Dense univariate polynomial; index equals degree.
+    """Dense univariate polynomial over Q; index equals degree.
 
-    The coefficient ring is whatever the entries are: Fraction, ParamPoly,
-    another UniPoly (for bivariate work such as Q[z][S]) or mpmath numbers.
-    The ``zero`` sample fixes the ring for empty/padded slots.  Ring-scalar
-    multiplication goes through :meth:`scale`; ``*`` combines two UniPoly of
-    the same level.
+    Arithmetic, division, gcd, resultants and root finding take rational
+    coefficients (``int`` or Fraction).  A UniPoly may also hold other
+    objects as data only: ParamPoly coefficients (the symbolic N and D of
+    :func:`~isingmaps.series.lagrangian_numer_denom`) or UniPoly
+    coefficients in z (the cancelling polynomial in S over Q[z]).  Such
+    holders are built, read through :meth:`coeff`, :meth:`lc`,
+    :meth:`degree` and ``==``, and evaluated coefficient by coefficient.
+    ``zero`` is what :meth:`coeff` returns past the degree.
     """
 
     __slots__ = ("coeffs", "zero")
 
     def __init__(self, coeffs: Sequence = (), zero=_ZERO):
         cs = list(coeffs)
-        while cs and is_zero_elem(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
         self.zero = zero
@@ -455,9 +394,8 @@ class UniPoly:
         return p
 
     @classmethod
-    def variable(cls, zero=_ZERO) -> "UniPoly":
-        one = ring_one_like(zero)
-        return cls([zero, one], zero=zero)
+    def variable(cls) -> "UniPoly":
+        return cls([_ZERO, _ONE])
 
     # -- structure ----------------------------------------------------------
 
@@ -478,12 +416,7 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(
-            is_zero_elem(a - b) if not isinstance(a, UniPoly) else a == b
-            for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
@@ -493,21 +426,15 @@ class UniPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([ring_neg(c) for c in self.coeffs], zero=self.zero)
+        return UniPoly([-c for c in self.coeffs], zero=self.zero)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            out.append(self.coeff(i) + other.coeff(i))
-        return UniPoly(out, zero=self.zero)
+        return UniPoly([self.coeff(i) + other.coeff(i) for i in range(n)], zero=self.zero)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            out.append(self.coeff(i) - other.coeff(i))
-        return UniPoly(out, zero=self.zero)
+        return UniPoly([self.coeff(i) - other.coeff(i) for i in range(n)], zero=self.zero)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -516,36 +443,21 @@ class UniPoly:
             return UniPoly([], zero=self.zero)
         out = [self.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if is_zero_elem(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ring_mul(a, b)
+                out[i + j] = out[i + j] + a * b
         return UniPoly(out, zero=self.zero)
 
     def scale(self, factor) -> "UniPoly":
-        """Multiply by a ring scalar."""
-        if is_zero_elem(factor):
+        """Multiply by a rational scalar."""
+        if not factor:
             return UniPoly([], zero=self.zero)
-        return UniPoly([ring_mul(c, factor) for c in self.coeffs], zero=self.zero)
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return UniPoly([self.zero] * k + self.coeffs, zero=self.zero)
+        return UniPoly([c * factor for c in self.coeffs], zero=self.zero)
 
     def derivative(self) -> "UniPoly":
-        out = [ring_mul(c, i) for i, c in enumerate(self.coeffs[1:], start=1)]
+        out = [c * i for i, c in enumerate(self.coeffs[1:], start=1)]
         return UniPoly(out, zero=self.zero)
-
-    def __call__(self, x):
-        """Horner evaluation; x may be a ring scalar or another UniPoly."""
-        if not self.coeffs:
-            return self.zero
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = ring_add(ring_mul(acc, x), c)
-        return acc
 
     def eval_scalar(self, x):
         """Horner evaluation when coefficients are plain scalars."""
@@ -554,11 +466,8 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def map(self, fn: Callable, zero=None) -> "UniPoly":
-        return UniPoly([fn(c) for c in self.coeffs], zero=self.zero if zero is None else zero)
-
     def exact_div(self, divisor) -> "UniPoly":
-        """Exact division by a UniPoly or a ring scalar."""
+        """Exact division by a UniPoly or a rational scalar."""
         if not isinstance(divisor, UniPoly):
             return UniPoly([ring_exact_div(c, divisor) for c in self.coeffs], zero=self.zero)
         if divisor.is_zero():
@@ -574,147 +483,86 @@ class UniPoly:
         quo = [self.zero] * (qdeg + 1)
         for k in range(qdeg, -1, -1):
             top = rem[k + dd]
-            if is_zero_elem(top):
+            if not top:
                 continue
             q = ring_exact_div(top, dlc)
             quo[k] = q
             for j, dc in enumerate(divisor.coeffs):
-                rem[k + j] = rem[k + j] - ring_mul(q, dc)
-        if any(not is_zero_elem(r) for r in rem):
+                rem[k + j] = rem[k + j] - q * dc
+        if any(rem):
             raise NonZeroRemainder("polynomial division left a remainder")
         return UniPoly(quo, zero=self.zero)
 
-    # -- formatting ---------------------------------------------------------
-
-    def to_str(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if is_zero_elem(c):
-                continue
-            if isinstance(c, ParamPoly):
-                body = "(%s)" % c.to_str()
-                neg = False
-            elif isinstance(c, UniPoly):
-                body = "(%s)" % c.to_str("z")
-                neg = False
-            else:
-                neg = c < 0
-                mag = abs(c)
-                body = _fmt_coeff(Fraction(mag))
-            if k:
-                xpart = var if k == 1 else "%s^%d" % (var, k)
-                if not isinstance(c, (ParamPoly, UniPoly)) and abs(c) == 1:
-                    body = xpart
-                else:
-                    body = body + "*" + xpart
-            pieces.append(("- " if neg else "+ ") + body)
-        head = pieces[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + pieces[1:])
-
     def __repr__(self):
-        return "UniPoly(%s)" % self.to_str()
+        return "UniPoly(%r)" % (self.coeffs,)
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-remainders, contents, resultants
+# Euclidean remainder sequence over Q (gcd, squarefree part, resultant,
+# discriminant) and interpolation
 # ---------------------------------------------------------------------------
 
-def pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Pseudo-remainder with the deterministic scaling
-    lc(g)^(deg f - deg g + 1) * f = q*g + prem(f, g)."""
-    n, m = f.degree(), g.degree()
-    if m < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero")
-    if n < m:
-        return f
-    lcg = g.lc()
-    r = f
-    steps = 0
-    while not r.is_zero() and r.degree() >= m:
-        k = r.degree() - m
-        r = r.scale(lcg) - g.shift(k).scale(r.lc())
-        steps += 1
-    want = n - m + 1
-    if steps < want:
-        r = r.scale(ring_pow(lcg, want - steps))
-    return r
-
-
-def poly_content(p: UniPoly):
-    """Content of a UniPoly whose coefficients are themselves UniPoly over a
-    field: the monic gcd of the coefficients.  Over a field the content is 1."""
-    if p.is_zero():
-        return ring_one_like(p.zero)
-    sample = p.coeffs[-1]
-    if not isinstance(sample, UniPoly):
-        return ring_one_like(sample)
-    g = None
-    for c in p.coeffs:
-        if is_zero_elem(c):
+def _remainder(f: UniPoly, g: UniPoly) -> UniPoly:
+    """f mod g over Q."""
+    dd = g.degree()
+    if dd < 0:
+        raise ZeroDivisionError("remainder by the zero polynomial")
+    rem = list(f.coeffs)
+    glc = g.lc()
+    while len(rem) - 1 >= dd:
+        if not rem[-1]:
+            rem.pop()
             continue
-        g = c if g is None else poly_gcd_field(g, c)
-        if g.degree() == 0:
-            break
-    return g if g is not None else ring_one_like(sample)
+        k = len(rem) - 1 - dd
+        q = ring_exact_div(rem[-1], glc)
+        for j in range(dd + 1):
+            rem[k + j] = rem[k + j] - q * g.coeffs[j]
+        rem.pop()
+    return UniPoly(rem, zero=f.zero)
 
 
-def poly_primitive(p: UniPoly) -> UniPoly:
-    cont = poly_content(p)
-    if isinstance(cont, UniPoly) and cont.degree() == 0:
-        cont = cont.coeffs[0]
-        return p.map(lambda c: c.exact_div(cont))
-    if isinstance(cont, UniPoly):
-        return p.map(lambda c: c.exact_div(cont))
-    return p
+def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Monic gcd over Q (the zero polynomial when both are zero)."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, _remainder(a, b)
+    if a.is_zero():
+        return a
+    return a.exact_div(a.lc())
+
+
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """p divided by gcd(p, p'), computed so the division is exact."""
+    if p.degree() < 1:
+        return p
+    g = poly_gcd(p, p.derivative())
+    if g.degree() == 0:
+        return p
+    return p.exact_div(g)
 
 
 def resultant(f: UniPoly, g: UniPoly):
     """Resultant with the convention res(p, q) = lc(q)^deg(p) * prod p(beta)
     over the roots beta of q.
 
-    Computed by a polynomial-remainder sequence with pseudo-remainders whose
-    growth is controlled by content (primitive-part) reduction; divisions stay
-    exact in the coefficient ring throughout.
+    Computed along the Euclidean remainder sequence over Q with two
+    identities: r = p mod q agrees with p at every root of q, so
+    res(p, q) = lc(q)^(deg p - deg r) * res(r, q); and
+    res(p, q) = (-1)^(deg p * deg q) * res(q, p).  A constant q ends the
+    sequence with res(p, q) = lc(q)^deg(p), a zero remainder with 0.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    one = ring_one_like(f.lc())
-    sign_neg = False
-    num = one
-    den = one
-    while True:
-        n, m = f.degree(), g.degree()
-        if m == 0:
-            base = ring_pow(g.lc(), n)
-            val = ring_mul(num, base)
-            res = ring_exact_div(val, den)
-            return ring_neg(res) if sign_neg else res
-        if n < m:
-            if (n * m) % 2:
-                sign_neg = not sign_neg
-            f, g = g, f
-            continue
-        r = pseudo_rem(f, g)
+    acc = _ONE
+    while g.degree() > 0:
+        r = _remainder(f, g)
         if r.is_zero():
-            z = ring_zero_like(f.lc())
-            return z
-        cont = poly_content(r)
-        nontrivial = isinstance(cont, UniPoly) and cont.degree() > 0
-        if nontrivial:
-            r = r.map(lambda c: c.exact_div(cont))
-        k = r.degree()
-        l = n - m + 1
-        e = l * m + k - n
-        if nontrivial:
-            num = ring_mul(num, ring_pow(cont, m))
-        den = ring_mul(den, ring_pow(g.lc(), e))
-        if (k * m) % 2:
-            sign_neg = not sign_neg
+            return _ZERO
+        acc = acc * g.lc() ** (f.degree() - r.degree())
+        if (r.degree() * g.degree()) % 2:
+            acc = -acc
         f, g = g, r
+    return acc * g.lc() ** f.degree()
 
 
 def discriminant(p: UniPoly):
@@ -722,11 +570,8 @@ def discriminant(p: UniPoly):
     d = p.degree()
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    res = resultant(p, p.derivative())
-    val = ring_exact_div(res, p.lc())
-    if (d * (d - 1) // 2) % 2:
-        val = ring_neg(val)
-    return val
+    val = ring_exact_div(resultant(p, p.derivative()), p.lc())
+    return -val if (d * (d - 1) // 2) % 2 else val
 
 
 def interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> UniPoly:
@@ -743,70 +588,6 @@ def interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> UniPol
     for i in range(len(nodes) - 2, -1, -1):
         poly = poly * UniPoly([-Fraction(nodes[i]), _ONE]) + UniPoly([diffs[i]])
     return poly
-
-
-# ---------------------------------------------------------------------------
-# Gcd and squarefree machinery
-# ---------------------------------------------------------------------------
-
-def _divmod_field(f: UniPoly, g: UniPoly):
-    rem = list(f.coeffs)
-    dd = g.degree()
-    if dd < 0:
-        raise ZeroDivisionError
-    glc = g.lc()
-    quo = [f.zero] * max(0, len(rem) - dd)
-    while len(rem) - 1 >= dd and rem:
-        while rem and is_zero_elem(rem[-1]):
-            rem.pop()
-        if len(rem) - 1 < dd or not rem:
-            break
-        k = len(rem) - 1 - dd
-        q = ring_exact_div(rem[-1], glc)
-        quo[k] = q
-        for j in range(dd + 1):
-            rem[k + j] = rem[k + j] - q * g.coeffs[j]
-        rem.pop()
-    return UniPoly(quo, zero=f.zero), UniPoly(rem, zero=f.zero)
-
-
-def poly_gcd_field(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over a coefficient field (Fraction entries)."""
-    a, b = f, g
-    while not b.is_zero():
-        _, r = _divmod_field(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    lc = a.lc()
-    return a.map(lambda c: ring_exact_div(c, lc))
-
-
-def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Gcd up to a unit/content, valid over Fraction or UniPoly coefficients."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    if not isinstance(f.lc(), UniPoly):
-        return poly_gcd_field(f, g)
-    a, b = (f, g) if f.degree() >= g.degree() else (g, f)
-    while not b.is_zero():
-        r = pseudo_rem(a, b)
-        if not r.is_zero():
-            r = poly_primitive(r)
-        a, b = b, r
-    return poly_primitive(a)
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'), computed so the division is exact."""
-    if p.degree() < 1:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return p
-    return p.exact_div(g)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +613,7 @@ class SturmChain:
         if p.degree() >= 1:
             seq.append(p.derivative())
             while seq[-1].degree() > 0:
-                _, r = _divmod_field(seq[-2], seq[-1])
+                r = _remainder(seq[-2], seq[-1])
                 if r.is_zero():
                     break
                 seq.append(-r)

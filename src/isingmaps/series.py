@@ -40,8 +40,7 @@ import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import NonZeroRemainder, NumericModeAtNuOne
-from .exactalg import (PP_ONE, PP_ZERO, ParamPoly, UniPoly, is_zero_elem,
-                       ring_exact_div)
+from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, ring_exact_div
 from .precision import to_mpf
 
 
@@ -262,7 +261,7 @@ class TruncatedSeries:
         out = [self.zero] * (n + 1)
         right = _nonzero_terms(other.coeffs, 0, n)
         for i, a in enumerate(self.coeffs[: n + 1]):
-            if is_zero_elem(a):
+            if not a:
                 continue
             for j, b in right:
                 if i + j > n:
@@ -289,7 +288,7 @@ class TruncatedSeries:
         """Series division; the divisor's constant term must be invertible."""
         n = min(self.order, other.order)
         b0 = other.coeffs[0]
-        if is_zero_elem(b0):
+        if not b0:
             raise ZeroDivisionError("series division by z-divisible series")
         unit = _is_ring_one(b0)
         right = _nonzero_terms(other.coeffs, 1, n)
@@ -304,13 +303,13 @@ class TruncatedSeries:
                     acc = acc - bj * out[i - j]
             val = acc if unit else ring_exact_div(acc, b0)
             out.append(val)
-            live.append(not is_zero_elem(val))
+            live.append(bool(val))
         return TruncatedSeries(out, self.zero)
 
 
 def _nonzero_terms(coeffs, lo: int, hi: int) -> list:
     """[(j, coeffs[j])] for lo <= j <= hi with coeffs[j] nonzero, j ascending."""
-    return [(j, coeffs[j]) for j in range(lo, hi + 1) if not is_zero_elem(coeffs[j])]
+    return [(j, coeffs[j]) for j in range(lo, hi + 1) if coeffs[j]]
 
 
 def _is_ring_one(x) -> bool:
@@ -488,7 +487,7 @@ def _solve_Z_ring(model: _Model, order: int) -> list:
     for n in range(1, top + 1):
         g.append(w[n] - e1 * _dot(s[1:n + 1], g[::-1], zero))
     for i in (0, 1, 2):
-        if not is_zero_elem(g[i]):
+        if g[i]:
             raise NonZeroRemainder(
                 "low-order coefficients of the parametrization numerator "
                 "did not cancel (z^%d)" % i

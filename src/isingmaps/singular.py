@@ -39,7 +39,7 @@ from .exactalg import (
     cauchy_root_bound,
     discriminant,
     interpolate,
-    poly_gcd_field,
+    poly_gcd,
     rational_sqrt,
     squarefree_part,
 )
@@ -102,22 +102,29 @@ def discriminant_in_z(params: IsingParams) -> UniPoly:
     """Discriminant (in S) of the squarefree cancelling polynomial.
 
     Returned as a UniPoly in z with exact rational coefficients at the point.
-    The discriminant is homogeneous of degree 2d - 2 in the coefficients of
-    C_sf, which has S-degree d and z-linear coefficients, so its z-degree is
-    at most 2d - 2.  It is evaluated by the univariate discriminant at 2d - 1
-    integers z where the leading S-coefficient does not vanish, so that the
-    S-degree and with it the formula are kept, and interpolated exactly.
+
+    Degree bound.  C_sf = z B(S) - A(S) has S-degree d, and its coefficient
+    of S^k depends on z exactly when k <= b = deg B = deg(D^2 / h).  In the
+    Sylvester matrix of C_sf and C_sf' (2d - 1 columns, for S^(2d-2) down to
+    S^0), row i of the C_sf block holds the coefficient of S^(k-i) in column
+    S^k, i <= d - 2, and row i of the C_sf' block that of S^(k-i+1) times
+    k - i + 1, i <= d - 1; so every z-dependent entry lies in the d + b - 1
+    columns S^0..S^(d+b-2).  Each term of the determinant takes one entry
+    per column, hence at most d + b - 1 z-linear factors, and the resultant
+    has z-degree at most d + b - 1.  With b < d the leading S-coefficient
+    is a nonzero constant, so dividing by it keeps the bound.  The
+    discriminant is evaluated by the univariate formula at the d + b
+    integers z = 0..d+b-1, where the S-degree is always d, and interpolated
+    exactly.
     """
     c_sf = critical_point(params).cancelling_sf
-    lead = c_sf.lc()
-    nodes: List[Fraction] = []
-    values: List[Fraction] = []
-    z = Fraction(0)
-    while len(nodes) < 2 * c_sf.degree() - 1:
-        if lead.eval_scalar(z) != 0:
-            nodes.append(z)
-            values.append(discriminant(UniPoly([q.eval_scalar(z) for q in c_sf.coeffs])))
-        z += 1
+    d = c_sf.degree()
+    b = max(k for k, q in enumerate(c_sf.coeffs) if q.degree() >= 1)
+    if b >= d:
+        raise ArithmeticError("leading S-coefficient of C_sf depends on z")
+    nodes = [Fraction(z) for z in range(d + b)]
+    values = [discriminant(UniPoly([q.eval_scalar(z) for q in c_sf.coeffs]))
+              for z in nodes]
     return interpolate(nodes, values)
 
 
@@ -218,7 +225,7 @@ def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, UniPoly, UniPoly]:
     n_poly, d_poly = lagrangian_numer_denom(params, symbolic=False)
     s_n = UniPoly.variable() * n_poly
     d_sq = d_poly * d_poly
-    return s_n, d_sq, poly_gcd_field(s_n, d_sq)
+    return s_n, d_sq, poly_gcd(s_n, d_sq)
 
 
 @dataclass(frozen=True)
@@ -275,7 +282,7 @@ class CriticalPoint:
         def vanishes(q: UniPoly) -> bool:
             if lo == hi:
                 return q.eval_scalar(lo) == 0
-            g = poly_gcd_field(q, self.char)
+            g = poly_gcd(q, self.char)
             return g.degree() >= 1 and g.eval_scalar(lo) * g.eval_scalar(hi) < 0
 
         q = self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -307,10 +314,10 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
     # genuine critical point survives: for nu >= 4 it is the cancelled
     # factor's location, a root of the reduced numerator's derivative.
     char = num.derivative() * den - num * den.derivative()
-    common = poly_gcd_field(char, den)
+    common = poly_gcd(char, den)
     while common.degree() >= 1:
         char = char.exact_div(common)
-        common = poly_gcd_field(char, den)
+        common = poly_gcd(char, den)
     char = squarefree_part(char)
     bound = cauchy_root_bound(char) if nu == 1 else \
         Fraction(1, 3) / (c ** 2 * abs(1 - nu ** 2))
@@ -332,7 +339,7 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
         interval = bisect_isolated_root(char, Fraction(0), bound, bound / 2 ** 20)
     # squarefree cancelling polynomial: divide g (z B - A) by gcd(g, g'),
     # scaled to 1 at S = 0 (D(0) = 1, so S does not divide it)
-    h = poly_gcd_field(g, g.derivative())
+    h = poly_gcd(g, g.derivative())
     if h.degree() >= 1:
         h = h.scale(1 / h.coeff(0))
         s_n, d_sq = s_n.exact_div(h), d_sq.exact_div(h)
@@ -395,11 +402,7 @@ def _uniqueness_scan(
     are fine; a root at distance < 1e-6 in modulus (other than rho itself)
     leaves uniqueness unconfirmed.
     """
-    try:
-        disc = discriminant_in_z(params)
-    except Exception as exc:  # pragma: no cover - defensive
-        warnings.append("uniqueness scan skipped: %s" % exc)
-        return False
+    disc = discriminant_in_z(params)
     if disc.degree() < 1:
         warnings.append("uniqueness scan skipped: constant discriminant")
         return False
@@ -409,7 +412,7 @@ def _uniqueness_scan(
         coeffs = [to_mpf(c) for c in reversed(sf.coeffs)]
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
-        except Exception as exc:
+        except mpmath.mp.NoConvergence as exc:
             warnings.append("uniqueness scan skipped: root solve failed (%s)" % exc)
             return False
         rho_x = to_mpf(rho_mid)

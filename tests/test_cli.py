@@ -45,6 +45,30 @@ class TestParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_rational("4.0.5")
 
+    def test_grid_forms(self):
+        from isingmaps.cli import parse_rational_list
+        assert parse_rational_list("1/2,4") == (Fraction(1, 2), Fraction(4))
+        assert parse_rational_list("1/2:6:12") == tuple(
+            Fraction(1, 2) + Fraction(k, 2) for k in range(12))
+        assert parse_rational_list("1:0:3") == (1, Fraction(1, 2), 0)
+        assert parse_rational_list("3/4:0.75:1") == (Fraction(3, 4),)
+        assert parse_rational_list("1:2:2,5") == (1, 2, 5)
+
+    @pytest.mark.parametrize("text", [
+        "1:2", "1:2:3:4", "1:2:0", "1:2:-1", "1:2:1", "1:2:x", "1:2:2.5",
+        "1:2:", "a:2:3", "1:2:3/1",
+    ])
+    def test_rejects_malformed_grids(self, text):
+        import argparse
+        from isingmaps.cli import parse_rational_list
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_rational_list(text)
+
+    def test_radius_grid_is_a_usage_error_when_malformed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--nu", "1:2:1", "--c", "1"])
+        assert exc.value.code == 2
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["radius", "--bogus"])
@@ -83,6 +107,29 @@ class TestCoeffs:
         assert lines[2] == "2,177"
 
 
+    def test_point_rows_equal_the_symbolic_polynomials_at_the_point(self, capsys):
+        nu, c = Fraction(3, 2), Fraction(21, 20)
+        code, payload = run_json(capsys, "coeffs", "--nu", "3/2", "--c", "21/20",
+                                 "--n-max", "12")
+        assert code == 0
+        symbolic = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "symbolic"), 12)
+        assert [row["value"] for row in payload["result"]["coefficients"]] == \
+            [str(symbolic[n].evaluate(nu, c)) for n in range(1, 13)]
+
+    def test_point_rows_at_nu_one(self, capsys):
+        code, payload = run_json(capsys, "coeffs", "--nu", "1", "--c", "9/10",
+                                 "--n-max", "4")
+        assert code == 0
+        symbolic = _solve_Z_ring(_Model(IsingParams(nu=1, c=1), "symbolic"), 4)
+        assert [row["value"] for row in payload["result"]["coefficients"]] == \
+            [str(symbolic[n].evaluate(1, Fraction(9, 10))) for n in range(1, 5)]
+
+    def test_point_rows_refuse_nonpositive_weights(self, capsys):
+        code, payload = run_json(capsys, "coeffs", "--nu", "0", "--c", "1")
+        assert code == 2
+        assert "positive" in payload["error"]["message"]
+
+
 class TestEnumerate:
     def test_single_vertex(self, capsys):
         code, payload = run_json(capsys, "enumerate", "--n", "1")
@@ -113,6 +160,13 @@ class TestRadius:
         assert result["s_at_rho"] == "1/45"
         assert result["exponent"] == "1/3"
         assert result["exact"] is True
+
+    def test_grid_sweep_equals_the_explicit_list(self, capsys):
+        args = ("--c", "1", "--format", "csv", "--no-exponent")
+        _, grid = run_cli(capsys, "radius", "--nu", "1/4:5:3", *args)
+        _, listed = run_cli(capsys, "radius", "--nu", "1/4,21/8,5", *args)
+        assert grid == listed
+        assert len(grid.strip().splitlines()) == 4
 
     def test_sweep_csv_columns(self, capsys):
         code, out = run_cli(capsys, "radius", "--nu", "1/4,5", "--c", "1",

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from isingmaps import singular
 from isingmaps.errors import DegenerateBranch
 from isingmaps.exactalg import (
     UniPoly,
     cauchy_root_bound,
-    discriminant,
-    poly_gcd,
     sturm_count,
 )
 from isingmaps.series import IsingParams, lagrangian_numer_denom
@@ -141,6 +140,15 @@ class TestRadiusNumeric:
         assert rep.uniqueness_checked
         assert isinstance(rep, SingularityReport)
 
+    def test_root_solve_failure_is_reported(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise mpmath.mp.NoConvergence("no convergence")
+
+        monkeypatch.setattr(singular.mpmath, "polyroots", no_convergence)
+        rep = radius_numeric(params(2), with_exponent=False)
+        assert not rep.uniqueness_checked
+        assert any("root solve failed" in w for w in rep.warnings)
+
 
 class TestSturmGrid:
     def test_exactly_one_characteristic_root(self):
@@ -240,8 +248,21 @@ class TestCriticalPoint:
         assert sturm_count(cp.char, lo2, hi2) == 1
 
 
+SYM_S, SYM_Z = sympy.symbols("S z")
+
+
+def sympy_poly(coeffs, var):
+    return sum(sympy.Rational(q.numerator, q.denominator) * var ** k
+               for k, q in enumerate(map(Fraction, coeffs)))
+
+
+def sympy_in_s_and_z(c_sf: UniPoly):
+    """A polynomial in S over Q[z] as a sympy expression in S and z."""
+    return sum(sympy_poly(q.coeffs, SYM_Z) * SYM_S ** k for k, q in enumerate(c_sf.coeffs))
+
+
 class TestSquarefreeCancellingPolynomial:
-    """The univariate construction against the bivariate gcd it replaced."""
+    """The univariate construction against sympy's bivariate gcd."""
 
     @pytest.mark.parametrize("nu, c", [
         (Fraction(1, 2), 1), (2, 1), (4, 1), (Fraction(13, 2), 1),
@@ -249,12 +270,15 @@ class TestSquarefreeCancellingPolynomial:
     ])
     def test_matches_bivariate_gcd_up_to_a_rational_factor(self, nu, c):
         p = params(nu, c)
-        c_poly = cancelling_polynomial(p)
-        oracle = c_poly.exact_div(poly_gcd(c_poly, c_poly.derivative()))
+        n_poly, d_poly = lagrangian_numer_denom(p, symbolic=False)
+        big_c = sympy.expand(SYM_Z * sympy_poly(d_poly.coeffs, SYM_S) ** 2
+                             - SYM_S * sympy_poly(n_poly.coeffs, SYM_S))
+        oracle = sympy.Poly(sympy.cancel(big_c / sympy.gcd(big_c, sympy.diff(big_c, SYM_S))),
+                            SYM_S, SYM_Z)
         c_sf = cancelling_polynomial_squarefree(p)
-        assert c_sf.degree() == oracle.degree()
-        pairs = [(o.coeff(j), n.coeff(j))
-                 for o, n in zip(oracle.coeffs, c_sf.coeffs) for j in (0, 1)]
+        assert c_sf.degree() == oracle.degree(SYM_S)
+        pairs = [(Fraction(str(oracle.coeff_monomial(SYM_S ** k * SYM_Z ** j))), q.coeff(j))
+                 for k, q in enumerate(c_sf.coeffs) for j in (0, 1)]
         assert all((a == 0) == (b == 0) for a, b in pairs)
         assert len({a / b for a, b in pairs if b != 0}) == 1
 
@@ -277,7 +301,9 @@ class TestDiscriminantInterpolation:
     ])
     def test_matches_bivariate_discriminant(self, nu, c):
         p = params(nu, c)
-        assert discriminant_in_z(p) == discriminant(cancelling_polynomial_squarefree(p))
+        disc = sympy.discriminant(sympy_in_s_and_z(cancelling_polynomial_squarefree(p)), SYM_S)
+        expect = [Fraction(str(q)) for q in reversed(sympy.Poly(disc, SYM_Z).all_coeffs())]
+        assert discriminant_in_z(p) == UniPoly(expect)
 
 
 class TestNewtonPolygon:
