@@ -36,7 +36,7 @@ from .critical import (
 from .errors import ComputationError
 from .exactalg import sturm_count
 from .mapcount import survey
-from .precision import default_precision_bits
+from .precision import check_precision_bits, default_precision_bits
 from .series import IsingParams, _Model, _solve_Z_ring, coefficient_sequence, solve_Z
 from .singular import (
     critical_point,
@@ -485,9 +485,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    bits = args.precision_bits or default_precision_bits()
     started = time.time()
     try:
+        if args.precision_bits is None:
+            bits = default_precision_bits()
+        else:
+            bits = check_precision_bits(args.precision_bits, "--precision-bits")
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         if args.command in ("observables", "puiseux"):

@@ -11,6 +11,9 @@ This module supplies the arithmetic backbone used everywhere else:
 * gcds, resultants and discriminants along one Euclidean remainder
   sequence over Q (no modular arithmetic);
 * exact polynomial interpolation (Newton divided differences);
+* ``IntegerForm`` -- a rational polynomial as integer coefficients over
+  one positive denominator, evaluated at a point x/w by homogeneous integer
+  Horner; every sign test below runs on it;
 * Sturm sequences and certified real-root isolation over the rationals,
   with sign bisection to refine an isolated simple root.
 
@@ -25,8 +28,8 @@ Sign conventions (fixed by the test suite):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Sequence
+from math import isqrt, lcm
+from typing import Iterable, List, Sequence, Tuple
 
 import mpmath
 
@@ -372,10 +375,11 @@ class UniPoly:
     coefficients in z (the cancelling polynomial in S over Q[z]).  Such
     holders are built, read through :meth:`coeff`, :meth:`lc`,
     :meth:`degree` and ``==``, and evaluated coefficient by coefficient.
-    ``zero`` is what :meth:`coeff` returns past the degree.
+    ``zero`` is what :meth:`coeff` returns past the degree.  Instances are
+    treated as immutable: :meth:`integer_form` is computed once and kept.
     """
 
-    __slots__ = ("coeffs", "zero")
+    __slots__ = ("coeffs", "zero", "_form")
 
     def __init__(self, coeffs: Sequence = (), zero=_ZERO):
         cs = list(coeffs)
@@ -383,6 +387,7 @@ class UniPoly:
             cs.pop()
         self.coeffs = cs
         self.zero = zero
+        self._form = None
 
     # -- constructors -------------------------------------------------------
 
@@ -460,11 +465,28 @@ class UniPoly:
         return UniPoly(out, zero=self.zero)
 
     def eval_scalar(self, x):
-        """Horner evaluation when coefficients are plain scalars."""
+        """Horner evaluation when coefficients are plain scalars.
+
+        For a value, not a sign: sign tests at a rational point run on
+        :meth:`integer_form` (see :meth:`sign_at`).
+        """
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def integer_form(self) -> "IntegerForm":
+        """The :class:`IntegerForm` of a rational polynomial, built once."""
+        if self._form is None:
+            for c in self.coeffs:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError("integer form of a non-rational coefficient %r" % (c,))
+            self._form = IntegerForm(*common_denominator(self.coeffs))
+        return self._form
+
+    def sign_at(self, x) -> int:
+        """The sign (-1, 0 or 1) of p(x) at a rational x, in integers."""
+        return _sign(self.integer_form().value(x.numerator, x.denominator))
 
     def exact_div(self, divisor) -> "UniPoly":
         """Exact division by a UniPoly or a rational scalar."""
@@ -495,6 +517,56 @@ class UniPoly:
 
     def __repr__(self):
         return "UniPoly(%r)" % (self.coeffs,)
+
+
+def common_denominator(xs: Sequence) -> Tuple[List[int], int]:
+    """Integers n_i and the least w > 0 with x_i = n_i / w, for rationals x_i."""
+    w = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (w // x.denominator) for x in xs], w
+
+
+class IntegerForm:
+    """A rational polynomial p as p(x) = (a_0 + a_1 x + ... + a_d x^d) / den.
+
+    The a_i are ``int`` and ``den`` is a positive ``int`` (the lcm of the
+    coefficient denominators, from :meth:`UniPoly.integer_form`).  At a point x/w with integers x and w > 0 the homogeneous
+    form H(x, w) = sum a_i x^i w^(d - i) equals den * w^d * p(x/w), so it has
+    the sign of p(x/w), and p(x/w) = H / (den * w^d): sign tests and exact
+    values need no Fraction arithmetic.  Instances are immutable.
+    """
+
+    __slots__ = ("coeffs", "den")
+
+    def __init__(self, coeffs: Sequence[int], den: int):
+        self.coeffs = tuple(coeffs)
+        self.den = den
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def value(self, x: int, w: int) -> int:
+        """H(x, w) = den * w^d * p(x/w), for w > 0."""
+        acc, wp = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * x + c * wp
+            wp *= w
+        return acc
+
+    def dyadic(self, x: int, k: int) -> int:
+        """H(x, 2^k) = den * 2^(k d) * p(x / 2^k), by shifts instead of the
+        powers of w."""
+        acc, shift = 0, 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + (c << shift)
+            shift += k
+        return acc
+
+    def scaled(self, w: int) -> "IntegerForm":
+        """The form of y -> p(y/w), w > 0: coefficients a_i w^(d - i) over
+        den * w^d, so its H(y, v) is H(y, w v) of this form."""
+        d = self.degree()
+        return IntegerForm([c * w ** (d - i) for i, c in enumerate(self.coeffs)],
+                           self.den * w ** max(d, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +676,12 @@ def _sign(x) -> int:
 
 class SturmChain:
     """Sturm chain of a squarefree rational polynomial, with evaluation
-    caching kept to the caller."""
+    caching kept to the caller.
+
+    Each member is evaluated through its :class:`IntegerForm`: the sign at
+    a rational x = n/m is that of the integer H(n, m), so counting sign
+    variations takes integer Horner only.
+    """
 
     def __init__(self, p: UniPoly):
         if p.degree() < 0:
@@ -617,12 +694,13 @@ class SturmChain:
                 if r.is_zero():
                     break
                 seq.append(-r)
-        self.seq = seq
+        self.forms = [q.integer_form() for q in seq]
 
     def variations(self, x: Fraction) -> int:
+        n, m = x.numerator, x.denominator
         signs = []
-        for q in self.seq:
-            s = _sign(q.eval_scalar(x))
+        for form in self.forms:
+            s = _sign(form.value(n, m))
             if s:
                 signs.append(s)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -694,7 +772,7 @@ def refine_isolated_root(p: UniPoly, a, b, width) -> tuple:
     b = Fraction(b)
     width = Fraction(width)
     sf = squarefree_part(p)
-    if sf.eval_scalar(b) == 0:
+    if sf.sign_at(b) == 0:
         return (b, b)
     if SturmChain(sf).count(a, b) != 1:
         raise ValueError("interval does not isolate exactly one root")
@@ -709,15 +787,28 @@ def bisect_isolated_root(sf: UniPoly, a: Fraction, b: Fraction, width) -> tuple:
     r: each midpoint's sign says which half holds r, and the halves chosen
     are those a Sturm count per step would choose.  Returns (lo, hi) with
     hi - lo <= width, or (r, r) when a midpoint hits r.
+
+    The loop runs in integers.  With w0 the lcm of the denominators of a
+    and b, the ends are lo/(w0 2^k) and hi/(w0 2^k), and a step doubles the
+    shared denominator: lo, hi -> 2 lo, 2 hi around the midpoint lo + hi.
+    The sign at a point y/(w0 2^k) is that of the :class:`IntegerForm` of
+    sf(y/w0) at y/2^k, integer Horner with shifts.  Fractions are built only
+    for the returned ends.
     """
-    side_b = _sign(sf.eval_scalar(b))
-    while b - a > width:
-        mid = (a + b) / 2
-        side = _sign(sf.eval_scalar(mid))
+    (lo, hi), w0 = common_denominator((a, b))
+    form = sf.integer_form().scaled(w0)
+    width = Fraction(width)
+    side_b = _sign(form.dyadic(hi, 0))
+    k = 0
+    while (hi - lo) * width.denominator > width.numerator * (w0 << k):
+        mid = lo + hi
+        lo, hi, k = lo << 1, hi << 1, k + 1
+        side = _sign(form.dyadic(mid, k))
         if side == 0:
-            return (mid, mid)
+            root = Fraction(mid, w0 << k)
+            return (root, root)
         if side == side_b:
-            b = mid
+            hi = mid
         else:
-            a = mid
-    return (a, b)
+            lo = mid
+    return (Fraction(lo, w0 << k), Fraction(hi, w0 << k))

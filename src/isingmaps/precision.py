@@ -15,7 +15,17 @@ from mpmath import mp, mpf, workprec
 from .errors import PrecisionExhausted
 
 DEFAULT_PRECISION_BITS = 192
+MIN_PRECISION_BITS = 8
 PRECISION_ENV_VAR = "ISINGMAPS_PRECISION"
+
+
+def check_precision_bits(bits: int, source: str) -> int:
+    """``bits`` when it is at least MIN_PRECISION_BITS; otherwise ValueError
+    naming ``source``, the flag or variable the value came from."""
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError("%s must be at least %d bits, got %d"
+                         % (source, MIN_PRECISION_BITS, bits))
+    return bits
 
 
 def default_precision_bits() -> int:
@@ -23,10 +33,12 @@ def default_precision_bits() -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
         return DEFAULT_PRECISION_BITS
-    bits = int(raw)
-    if bits < 8:
-        raise ValueError("precision must be at least 8 bits")
-    return bits
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise ValueError("%s must be an integer number of bits, got %r"
+                         % (PRECISION_ENV_VAR, raw)) from None
+    return check_precision_bits(bits, PRECISION_ENV_VAR)
 
 
 def to_mpf(x):

@@ -37,6 +37,7 @@ from .exactalg import (
     UniPoly,
     bisect_isolated_root,
     cauchy_root_bound,
+    common_denominator,
     discriminant,
     interpolate,
     poly_gcd,
@@ -257,13 +258,14 @@ class CriticalPoint:
         """Shrink (lo, hi], a piece of ``interval`` that holds s*, below width.
 
         On ``interval``, char has the sign of its value at the top end
-        exactly at the points above s*.  That sign test certifies the piece
-        and drives the bisection; no Sturm count is needed.
+        exactly at the points above s*.  That sign test, in integers
+        (:meth:`UniPoly.sign_at`), certifies the piece and drives the
+        bisection; no Sturm count is needed.
         """
         a, b = self.interval
-        top = self.char.eval_scalar(b)
-        if not (a <= lo < hi <= b and self.char.eval_scalar(hi) * top > 0
-                and (lo == a or self.char.eval_scalar(lo) * top < 0)):
+        top = self.char.sign_at(b)
+        if not (a <= lo < hi <= b and self.char.sign_at(hi) * top > 0
+                and (lo == a or self.char.sign_at(lo) * top < 0)):
             raise ValueError("(%s, %s] does not hold the critical point" % (lo, hi))
         return bisect_isolated_root(self.char, lo, hi, width)
 
@@ -281,9 +283,9 @@ class CriticalPoint:
 
         def vanishes(q: UniPoly) -> bool:
             if lo == hi:
-                return q.eval_scalar(lo) == 0
+                return q.sign_at(lo) == 0
             g = poly_gcd(q, self.char)
-            return g.degree() >= 1 and g.eval_scalar(lo) * g.eval_scalar(hi) < 0
+            return g.degree() >= 1 and g.sign_at(lo) * g.sign_at(hi) < 0
 
         q = self.num.derivative() * self.den - self.num * self.den.derivative()
         m = 0
@@ -325,7 +327,7 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
     # At c = 1 with nu between 1 and 4 the end of the search interval is
     # itself a critical point, but of a further sheet (its z-value lies below
     # the radius); it is only the dominant point when it is the *sole* root.
-    if count > 1 and char.eval_scalar(bound) == 0:
+    if count > 1 and char.sign_at(bound) == 0:
         char = char.exact_div(UniPoly([-bound, Fraction(1)]))
         count = SturmChain(char).count(Fraction(0), bound)
     if count != 1:
@@ -333,7 +335,7 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
             "expected exactly one characteristic root in (0, %s], found %d"
             % (bound, count)
         )
-    if char.eval_scalar(bound) == 0:
+    if char.sign_at(bound) == 0:
         interval = (bound, bound)
     else:
         interval = bisect_isolated_root(char, Fraction(0), bound, bound / 2 ** 20)
@@ -353,8 +355,22 @@ def _certify_rho(
     """From the isolating interval for s*, certify an interval for rho.
 
     Sign bisection as in :meth:`CriticalPoint.refine`, one step at a time
-    until the Lipschitz enclosure of z over the interval is within ``tol``.
+    until the Lipschitz enclosure of z over the interval is within ``tol``:
+    with den_min the smaller value of den at the two ends (den is decreasing
+    on [0, s_D)) and sup bounds of |num'| and |num| |den'| on [0, max(hi, 1)],
+    lip = sup|num'| / den_min + sup(|num| |den'|) / den_min^2, and the
+    enclosure is lower = max z(end), upper = lower + lip * (hi - lo).
     Returns (s_interval, rho_interval, exact).
+
+    The loop runs in integers, as :func:`~isingmaps.exactalg.bisect_isolated_root`
+    does: the ends are L/W and H/W over one shared W = w0 2^k, and char and
+    den are evaluated by integer Horner on their forms scaled by 1/w0.  The
+    stored den values u den(end), u = q W^e (q the denominator of den's
+    integer form, e = deg den), only shift left by e bits when a step
+    doubles W.  The stopping test
+    lip (hi - lo) <= tol is cross-multiplied over u, W and the common
+    denominator of the bounds and tol.  Fractions are built once, for the
+    returned intervals.
     """
     lo, hi = cp.interval
     if lo == hi:
@@ -362,35 +378,46 @@ def _certify_rho(
         return (lo, hi), (z_exact, z_exact), True
     num_d = cp.num.derivative()
     den_d = cp.den.derivative()
-    up = cp.char.eval_scalar(hi) > 0  # the sign of char just above s*
-    num_lo, den_lo = cp.num.eval_scalar(lo), cp.den.eval_scalar(lo)
-    num_hi, den_hi = cp.num.eval_scalar(hi), cp.den.eval_scalar(hi)
+    (L, H), w0 = common_denominator((lo, hi))
+    k = 0
+    char = cp.char.integer_form().scaled(w0)
+    den = cp.den.integer_form().scaled(w0)
+    e = den.degree()
+    up = char.dyadic(H, 0) > 0  # the sign of char just above s*
+    den_lo, den_hi, u = den.dyadic(L, 0), den.dyadic(H, 0), den.den
     bounds_scale = None
     while True:
         if den_lo > 0 and den_hi > 0:
             # the sup bounds on [0, hi] depend on hi only through max(hi, 1)
-            scale = max(hi, Fraction(1))
+            scale = Fraction(H, w0 << k) if H > w0 << k else Fraction(1)
             if scale != bounds_scale:
                 bounds_scale = scale
                 sup_num_d = _poly_abs_bound(num_d, scale)
                 sup_num_den_d = (_poly_abs_bound(cp.num, scale)
                                  * _poly_abs_bound(den_d, scale))
-            width = hi - lo
-            den_min = min(den_lo, den_hi)  # D^2 is decreasing on [0, s_D)
-            lip = sup_num_d / den_min + sup_num_den_d / den_min ** 2
-            lower = max(num_lo / den_lo, num_hi / den_hi)
-            upper = lower + lip * width
-            if upper - lower <= tol:
-                return (lo, hi), (lower, upper), False
-        mid = (lo + hi) / 2
-        side = cp.char.eval_scalar(mid)
+                (alpha, beta, tau), _ = common_denominator(
+                    (sup_num_d, sup_num_den_d, tol))
+            dm = min(den_lo, den_hi)
+            if (alpha * dm + beta * u) * u * (H - L) <= tau * dm * dm * (w0 << k):
+                break
+        mid = L + H
+        L, H, k = L << 1, H << 1, k + 1
+        den_lo, den_hi, u = den_lo << e, den_hi << e, u << e
+        side = char.dyadic(mid, k)
         if side == 0:
-            z_exact = cp.z_at(mid)
-            return (mid, mid), (z_exact, z_exact), True
+            s_exact = Fraction(mid, w0 << k)
+            z_exact = cp.z_at(s_exact)
+            return (s_exact, s_exact), (z_exact, z_exact), True
         if (side > 0) == up:
-            hi, num_hi, den_hi = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
+            H, den_hi = mid, den.dyadic(mid, k)
         else:
-            lo, num_lo, den_lo = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
+            L, den_lo = mid, den.dyadic(mid, k)
+    lo, hi = Fraction(L, w0 << k), Fraction(H, w0 << k)
+    den_min = Fraction(dm, u)
+    lip = sup_num_d / den_min + sup_num_den_d / den_min ** 2
+    lower = max(cp.z_at(lo), cp.z_at(hi))
+    upper = lower + lip * (hi - lo)
+    return (lo, hi), (lower, upper), False
 
 
 def _uniqueness_scan(

@@ -370,6 +370,31 @@ class TestEnvelope:
         assert code == 0
         assert payload["meta"]["precision_bits"] == 96
 
+    @pytest.mark.parametrize("bits", ["0", "-5", "4", "7"])
+    def test_too_few_precision_bits_is_a_usage_error(self, capsys, monkeypatch, bits):
+        monkeypatch.delenv("ISINGMAPS_PRECISION", raising=False)
+        code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1",
+                                 "--precision-bits", bits)
+        assert code == 2
+        assert payload["error"]["type"] == "UsageError"
+        assert "--precision-bits" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("raw", ["abc", "4", "-1", ""])
+    def test_bad_precision_env_var_is_a_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ISINGMAPS_PRECISION", raw)
+        code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1")
+        assert code == 2
+        assert payload["error"]["type"] == "UsageError"
+        assert "ISINGMAPS_PRECISION" in payload["error"]["message"]
+
+    def test_eight_bits_is_the_least_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv("ISINGMAPS_PRECISION", "8")
+        code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1")
+        assert code == 0 and payload["meta"]["precision_bits"] == 8
+        code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1",
+                                 "--precision-bits", "8")
+        assert code == 0 and payload["config"]["precision_bits"] == 8
+
     def test_error_envelope_validates(self, capsys):
         _, payload = run_json(capsys, "enumerate", "--n", "9")
         assert "error" in payload

@@ -450,6 +450,51 @@ class TestSturm:
         assert lo * lo < 2 < hi * hi
 
 
+class TestIntegerForm:
+    """Integer Horner against Fraction Horner: same value, same sign."""
+
+    coefficients = st.one_of(st.integers(-50, 50), small_rationals)
+    points = st.fractions(min_value=Fraction(-40), max_value=Fraction(40),
+                          max_denominator=10 ** 6)
+
+    @given(st.lists(coefficients, max_size=7), st.lists(small_rationals, max_size=3),
+           points)
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_eval_scalar(self, coeffs, roots, x):
+        # the roots are exact roots of p: its sign there is 0
+        p = UniPoly(coeffs) * UniPoly.from_roots(roots)
+        form = p.integer_form()
+        assert all(type(a) is int for a in form.coeffs)
+        assert type(form.den) is int and form.den > 0
+        assert form is p.integer_form()
+        for point in [x, -x] + roots:
+            n, m = point.numerator, point.denominator
+            value = p.eval_scalar(point)
+            h = form.value(n, m)
+            assert type(h) is int
+            assert Fraction(h, form.den * m ** max(p.degree(), 0)) == value
+            assert p.sign_at(point) == (value > 0) - (value < 0)
+        for point in roots:
+            assert p.sign_at(point) == 0
+
+    @given(st.lists(coefficients, max_size=7), st.integers(-10 ** 9, 10 ** 9),
+           st.integers(1, 10 ** 6), st.integers(0, 70))
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_dyadic_is_the_value_at_the_product(self, coeffs, y, w, k):
+        form = UniPoly(coeffs).integer_form()
+        scaled = form.scaled(w)
+        assert scaled.dyadic(y, k) == form.value(y, w << k) == scaled.value(y, 1 << k)
+        assert all(type(a) is int for a in scaled.coeffs)
+
+    def test_no_float_reaches_the_form(self):
+        with pytest.raises(TypeError):
+            UniPoly([1, 0.5]).integer_form()
+        form = UniPoly([-2, 0, 3]).integer_form()
+        assert form.coeffs == (-2, 0, 3) and form.den == 1
+        form = UniPoly([Fraction(1, 6), Fraction(-3, 4)]).integer_form()
+        assert form.coeffs == (2, -9) and form.den == 12
+
+
 def _sturm_bisection(p, a, b, width):
     """Refinement by a Sturm count per bisection step: the oracle that sign
     bisection must reproduce interval for interval."""

@@ -1,4 +1,5 @@
 """Singularity location, discriminant structure, and Puiseux machinery."""
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -246,6 +247,94 @@ class TestCriticalPoint:
         lo2, hi2 = cp.refine(lo, hi, Fraction(1, 2 ** 60))
         assert hi2 - lo2 <= Fraction(1, 2 ** 60)
         assert sturm_count(cp.char, lo2, hi2) == 1
+
+
+def _fraction_certify_rho(cp, tol):
+    """The rho-enclosure loop of ``singular._certify_rho`` run in Fraction
+    arithmetic, step for step: the oracle the integer loop must reproduce."""
+    lo, hi = cp.interval
+    if lo == hi:
+        z_exact = cp.z_at(lo)
+        return (lo, hi), (z_exact, z_exact), True
+    num_d = cp.num.derivative()
+    den_d = cp.den.derivative()
+    up = cp.char.eval_scalar(hi) > 0
+    num_lo, den_lo = cp.num.eval_scalar(lo), cp.den.eval_scalar(lo)
+    num_hi, den_hi = cp.num.eval_scalar(hi), cp.den.eval_scalar(hi)
+    bounds_scale = None
+    while True:
+        if den_lo > 0 and den_hi > 0:
+            scale = max(hi, Fraction(1))
+            if scale != bounds_scale:
+                bounds_scale = scale
+                sup_num_d = singular._poly_abs_bound(num_d, scale)
+                sup_num_den_d = (singular._poly_abs_bound(cp.num, scale)
+                                 * singular._poly_abs_bound(den_d, scale))
+            width = hi - lo
+            den_min = min(den_lo, den_hi)
+            lip = sup_num_d / den_min + sup_num_den_d / den_min ** 2
+            lower = max(num_lo / den_lo, num_hi / den_hi)
+            upper = lower + lip * width
+            if upper - lower <= tol:
+                return (lo, hi), (lower, upper), False
+        mid = (lo + hi) / 2
+        side = cp.char.eval_scalar(mid)
+        if side == 0:
+            z_exact = cp.z_at(mid)
+            return (mid, mid), (z_exact, z_exact), True
+        if (side > 0) == up:
+            hi, num_hi, den_hi = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
+        else:
+            lo, num_lo, den_lo = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
+
+
+CERTIFY_POINTS = [
+    (Fraction(1, 2), Fraction(9, 10)), (Fraction(3, 4), Fraction(11, 10)),
+    (1, Fraction(9, 10)), (1, Fraction(21, 20)), (Fraction(3, 2), Fraction(19, 20)),
+    (2, 1), (Fraction(1, 2), 1), (4, 1), (5, 1), (Fraction(1, 4), 1),
+    (4, Fraction(21, 20)), (6, Fraction(11, 10)),
+]
+CERTIFY_TOLS = [Fraction(1, 10 ** 6), Fraction(1, 10 ** 12), Fraction(1, 10 ** 28),
+                Fraction(1, 10 ** 40), Fraction(1, 10 ** 60)]
+
+
+class TestCertifyRhoOracle:
+    """The integer loop returns the Fraction loop's intervals, exactly."""
+
+    @pytest.mark.parametrize("nu, c", CERTIFY_POINTS)
+    def test_matches_the_fraction_loop(self, nu, c):
+        cp = critical_point(params(nu, c))
+        for tol in CERTIFY_TOLS:
+            got = singular._certify_rho(cp, tol)
+            assert got == _fraction_certify_rho(cp, tol), (nu, c, tol)
+            (s_lo, s_hi), (r_lo, r_hi), exact = got
+            assert all(type(v) is Fraction for v in (s_lo, s_hi, r_lo, r_hi))
+            assert exact == (s_lo == s_hi) and r_hi - r_lo <= tol
+
+    def test_exact_hits_at_c_one(self):
+        # (4, 1) and (5, 1): s* is the end B of the search interval
+        for nu in (4, 5):
+            cp = critical_point(params(nu))
+            assert cp.interval[0] == cp.interval[1]
+            assert singular._certify_rho(cp, CERTIFY_TOLS[-1])[2]
+        # (1/4, 1): s* = B/2, so a loop started on (0, B] hits it at the
+        # first midpoint
+        cp = critical_point(params(Fraction(1, 4)))
+        wide = dataclasses.replace(cp, interval=(Fraction(0), cp.bound))
+        got = singular._certify_rho(wide, CERTIFY_TOLS[-1])
+        assert got == _fraction_certify_rho(wide, CERTIFY_TOLS[-1])
+        assert got[0] == (cp.bound / 2, cp.bound / 2) and got[2]
+
+    @pytest.mark.parametrize("nu, c", [(1, Fraction(9, 10)), (1, Fraction(11, 10)),
+                                       (Fraction(3, 4), Fraction(11, 10)),
+                                       (2, Fraction(19, 20))])
+    def test_from_the_whole_search_interval(self, nu, c):
+        # started on (0, B]: at nu = 1, B > 1, so the sup bounds are retaken
+        # at every step while hi > 1
+        cp = critical_point(params(nu, c))
+        wide = dataclasses.replace(cp, interval=(Fraction(0), cp.bound))
+        for tol in (CERTIFY_TOLS[1], CERTIFY_TOLS[-1]):
+            assert singular._certify_rho(wide, tol) == _fraction_certify_rho(wide, tol)
 
 
 SYM_S, SYM_Z = sympy.symbols("S z")
