@@ -16,8 +16,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
@@ -209,6 +209,9 @@ def _cmd_radius(args, bits):
              for nu in args.nu for c in args.c]
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the process pool costs every other run start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_radius_worker, specs))
     else:
@@ -422,7 +425,10 @@ def _emit(text: str, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace each call and leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, metavar="PATH")

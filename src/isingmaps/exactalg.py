@@ -561,6 +561,15 @@ class IntegerForm:
             shift += k
         return acc
 
+    def gaussian(self, x: int, y: int, k: int) -> Tuple[int, int]:
+        """Real and imaginary parts of H(x + iy, 2^k) = den * 2^(k d) *
+        p((x + iy) / 2^k), by complex Horner on Gaussian integers."""
+        re = im = shift = 0
+        for c in reversed(self.coeffs):
+            re, im = re * x - im * y + (c << shift), re * y + im * x
+            shift += k
+        return re, im
+
     def scaled(self, w: int) -> "IntegerForm":
         """The form of y -> p(y/w), w > 0: coefficients a_i w^(d - i) over
         den * w^d, so its H(y, v) is H(y, w v) of this form."""

@@ -17,22 +17,30 @@ The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
 two saddles coalesce, at (nu, c) = (4, 1).  Newton-polygon Puiseux
 expansions of the cancelling polynomial z D(S)^2 - S N(S) shifted to
-(rho, s*) give the branches themselves.  Its discriminant in z, which carries
-the other candidate singularities, is interpolated from univariate
-discriminants at integer z.
+(rho, s*) give the branches themselves.
+
+That rho is the only singularity on |z| = rho is certified from the same
+CriticalPoint: the other candidates are z at the roots of ``char`` and at
+one or two exact points, and disjoint root disks of ``char``, checked in
+integers, bound each candidate's modulus away from the rho interval (see
+:func:`radius_numeric`).  The discriminant in z of the cancelling
+polynomial, whose roots are those candidates, is interpolated from
+univariate discriminants at integer z; it serves as the reference for that
+candidate set and for the c = 1 factors of :func:`p1_p2_p3`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, isfinite, isqrt, lcm, ldexp
 from typing import Dict, List, Optional, Tuple, Union
 
 import mpmath
 
 from .errors import DegenerateBranch, NoRootInRange, PrecisionExhausted
 from .exactalg import (
+    IntegerForm,
     SturmChain,
     UniPoly,
     bisect_isolated_root,
@@ -48,6 +56,7 @@ from .precision import default_precision_bits, to_mpf
 from .series import IsingParams, lagrangian_numer_denom
 
 VALIDATED_C_HALF_WIDTH = Fraction(1, 4)
+UNIQUENESS_TOL = Fraction(1, 10 ** 12)
 
 Number = Union[Fraction, mpmath.mpf]
 
@@ -201,7 +210,10 @@ class SingularityReport:
     exact rationals.  ``exponent`` is the dominant singular exponent of S,
     exact and independent of the working precision (1/2 generically, 1/3 at
     the critical point; see :meth:`CriticalPoint.exponent`), or None if not
-    requested.
+    requested.  ``uniqueness_checked`` is True when the root-disk
+    certificate of :func:`radius_numeric` shows that no candidate
+    singularity other than rho has modulus rho; False when it was not
+    requested or could not decide, the latter with a warning that says why.
     """
 
     rho: Fraction
@@ -234,10 +246,12 @@ class CriticalPoint:
     """The exact critical point s* of z(s) at one parameter point (nu, c).
 
     Built once per (nu, c) by :func:`critical_point`; the certified radius,
-    the uniqueness scan, the dominant exponent and the Puiseux expansions
-    all read it.  ``num / den`` is z(s) in lowest terms and ``char`` the
-    squarefree numerator of z'(s) with its poles stripped, whose one root
-    in the search interval (0, B] is s*, as one Sturm count certifies.
+    the uniqueness certificate, the dominant exponent and the Puiseux
+    expansions all read it.  ``num / den`` is z(s) in lowest terms and
+    ``char`` the squarefree numerator of z'(s) with its poles stripped,
+    whose one root in the search interval (0, B] is s*, as one Sturm count
+    certifies; z at its other roots are the branch points the uniqueness
+    certificate bounds away from |z| = rho.
     ``bound`` is B: 1/(3 c^2 |1 - nu^2|), or the Cauchy root bound of
     ``char`` at nu = 1.  ``interval`` = (lo, hi] isolates s* to width
     B / 2^20, or is (s*, s*) when s* = B.  ``cancelling_sf`` is the
@@ -420,39 +434,133 @@ def _certify_rho(
     return (lo, hi), (lower, upper), False
 
 
-def _uniqueness_scan(
-    params: IsingParams, rho_mid: Fraction, warnings: List[str]
-) -> bool:
-    """Heuristic check that no other discriminant root shares the modulus of rho.
+def _approximate_roots(char: UniPoly, bound: Fraction) -> List[complex]:
+    """Complex-float approximations of the roots of ``char``, or [] when
+    floats cannot hold the problem.
 
-    Roots strictly inside the disc belong to other sheets of the curve and
-    are fine; a root at distance < 1e-6 in modulus (other than rho itself)
-    leaves uniqueness unconfirmed.
+    Durand-Kerner on the monic char(B t) / lc, B = ``bound``, whose roots t
+    are of order 1, from the usual spiral of starting points at twice the
+    Fujiwara bound; returned as the points B t.  Only a hint for
+    :func:`_uniqueness_certificate`, which checks every disk exactly: a
+    poor approximation can lose the verdict, never make a false one.
     """
-    disc = discriminant_in_z(params)
-    if disc.degree() < 1:
-        warnings.append("uniqueness scan skipped: constant discriminant")
-        return False
-    sf = squarefree_part(disc)
-    with mpmath.workprec(128):
-        gap = mpmath.mpf(10) ** -6
-        coeffs = [to_mpf(c) for c in reversed(sf.coeffs)]
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
-        except mpmath.mp.NoConvergence as exc:
-            warnings.append("uniqueness scan skipped: root solve failed (%s)" % exc)
-            return False
-        rho_x = to_mpf(rho_mid)
-        for r in roots:
-            if abs(r - rho_x) < gap:
-                continue
-            if abs(abs(r) - rho_x) < gap:
-                warnings.append(
-                    "another branch point has modulus within 1e-6 of rho; "
-                    "dominant-singularity uniqueness not confirmed"
-                )
-                return False
-    return True
+    scaled = [c * bound ** k for k, c in enumerate(char.coeffs)]
+    d = len(scaled) - 1
+    try:
+        a = [float(c / scaled[-1]) for c in scaled[:-1]]
+        r = 2 * max(abs(x) ** (1 / (d - k)) for k, x in enumerate(a)) or 1.0
+        ts = [r * (0.4 + 0.9j) ** k for k in range(d)]
+        polish = False
+        for _ in range(100):
+            step = 0.0
+            for i, t in enumerate(ts):
+                p = 1.0
+                for x in reversed(a):
+                    p = p * t + x
+                q = 1.0
+                for j, u in enumerate(ts):
+                    if j != i:
+                        q *= t - u
+                ts[i] = t - p / q
+                step = max(step, abs(p / q))
+            # convergence is quadratic: one sweep past 2^-40 reaches rounding
+            if polish:
+                break
+            polish = step <= r * 2.0 ** -40
+        b = float(bound)
+    except (OverflowError, ZeroDivisionError):
+        return []
+    return [b * t for t in ts]
+
+
+def _modulus_bounds(re: int, im: int) -> Tuple[int, int]:
+    """Integers lo <= |re + i im| <= hi."""
+    sq = re * re + im * im
+    lo = isqrt(sq)
+    return lo, lo if lo * lo == sq else lo + 1
+
+
+def _derivative_form(form: IntegerForm, absolute: bool = False) -> IntegerForm:
+    """The form of p' over the same denominator as p's (of |p|' termwise
+    if ``absolute``): coefficients j a_j, degree d - 1."""
+    return IntegerForm([j * (abs(a) if absolute else a)
+                        for j, a in enumerate(form.coeffs)][1:], form.den)
+
+
+def _uniqueness_certificate(
+    cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction],
+    rho_iv: Tuple[Fraction, Fraction], extra: Tuple[Fraction, ...],
+) -> Optional[str]:
+    """None if no candidate singularity other than rho itself has modulus
+    in ``rho_iv``, else the reason the check is undecided.
+
+    The candidates are z(sigma) for the roots sigma of ``char`` and the
+    exact z(s) for s in ``extra`` (see :func:`radius_numeric`).  Each
+    approximate root from :func:`_approximate_roots` is rounded to a
+    dyadic point sigma = (x + iy) / 2^k, k = 64 bits past the order of B,
+    and given the disk of radius d |char / char'|(sigma): char'/char is the
+    sum of 1/(s - r_j) over the d roots r_j, so one of them lies in that
+    disk (Henrici, Applied and Computational Complex Analysis I), and d
+    pairwise disjoint disks hold one root each.  The disk of s* is then
+    the only one that meets ``s_iv``.  Over every other disk |num| and
+    |den| lie within radius * sup |num'| and radius * sup |den'| of their
+    values at sigma, which bounds |z| = |num| / |den|; the bound must lie
+    strictly below or strictly above ``rho_iv``.
+
+    Integers only: values at sigma by complex Horner on the integer forms
+    (:meth:`IntegerForm.gaussian`), moduli bounded by ``math.isqrt``, radii
+    rounded up to whole units of 2^-k, and every comparison cross-multiplied.
+    """
+    (a_lo, b_lo), (a_hi, b_hi) = ((r.numerator, r.denominator) for r in rho_iv)
+    for s in extra:
+        if cp.den.sign_at(s) != 0 and s_iv != (s, s) \
+                and rho_iv[0] <= abs(cp.z_at(s)) <= rho_iv[1]:
+            return "z(%s) has modulus within the rho interval" % s
+    char = cp.char.integer_form()
+    d = char.degree()
+    approx = _approximate_roots(cp.char, cp.bound)
+    if len(approx) != d or not all(isfinite(abs(root)) for root in approx):
+        return "no usable root approximations of char"
+    k = max(0, 64 - cp.bound.numerator.bit_length() + cp.bound.denominator.bit_length())
+    char_d = _derivative_form(char)
+    disks = []
+    for root in approx:
+        x, y = round(ldexp(root.real, k)), round(ldexp(root.imag, k))
+        q_lo = _modulus_bounds(*char_d.gaussian(x, y, k))[0]
+        if q_lo == 0:
+            return "char' vanishes at an approximate root"
+        p_hi = _modulus_bounds(*char.gaussian(x, y, k))[1]
+        disks.append((x, y, -(-d * p_hi // q_lo)))
+    for i, (x1, y1, r1) in enumerate(disks):
+        for x2, y2, r2 in disks[:i]:
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
+                return "root disks of char overlap"
+    s_lo = (s_iv[0].numerator << k) // s_iv[0].denominator
+    s_hi = -((-s_iv[1].numerator << k) // s_iv[1].denominator)
+    meets = [disk for disk in disks
+             if max(s_lo - disk[0], disk[0] - s_hi, 0) ** 2 + disk[1] ** 2 <= disk[2] ** 2]
+    if len(meets) != 1:
+        return "%d root disks of char meet the s* interval" % len(meets)
+    num, den = cp.num.integer_form(), cp.den.integer_form()
+    num_d, den_d = _derivative_form(num, True), _derivative_form(den, True)
+    scale_n, scale_d = num.den << k * num.degree(), den.den << k * den.degree()
+    for x, y, r in disks:
+        if (x, y, r) == meets[0]:
+            continue
+        # |num| on the disk lies in [n_lo, n_hi] / scale_n, |den| in
+        # [d_lo, d_hi] / scale_d
+        reach = abs(x) + abs(y) + r
+        spread = r * num_d.dyadic(reach, k)
+        n_lo, n_hi = _modulus_bounds(*num.gaussian(x, y, k))
+        n_lo, n_hi = n_lo - spread, n_hi + spread
+        spread = r * den_d.dyadic(reach, k)
+        d_lo, d_hi = _modulus_bounds(*den.gaussian(x, y, k))
+        d_lo, d_hi = d_lo - spread, d_hi + spread
+        inside = d_lo > 0 and n_hi * scale_d * b_lo < a_lo * scale_n * d_lo
+        outside = n_lo * scale_d * b_hi > a_hi * scale_n * d_hi
+        if not (inside or outside):
+            return "a root of char maps near |z| = rho"
+    return None
 
 
 def _far_field_warnings(params: IsingParams, allow_far_field: bool) -> List[str]:
@@ -487,6 +595,24 @@ def radius_numeric(
     interval enclosure of width <= tol.  Points with |c - 1| > 1/4 are
     outside the validated region and require ``allow_far_field=True``,
     which records a warning instead.
+
+    With ``scan_uniqueness``, ``uniqueness_checked`` is True when no other
+    candidate singularity of Z has modulus in the rho interval, certified
+    at tol 1e-12 or finer whatever ``tol``; otherwise it is False and a
+    warning "dominant-singularity uniqueness undecided: <reason>" says why.
+    The candidates: the leading S-coefficient of the squarefree cancelling
+    polynomial is a constant, so S has no poles and every singularity of S
+    is a root of its z-discriminant, which is z(sigma) for a root sigma of
+    ``char`` or z(B), B being the endpoint factor :func:`critical_point`
+    drops at c = 1.  Z = Q(S) adds at most a pole where 1 + e1 S = 0,
+    e1 = 3 c^2 (1 - nu^2): at S = B for nu > 1, at S = -B for nu < 1.
+    :func:`_uniqueness_certificate` checks every candidate exactly.
+    Candidates strictly inside |z| < rho are allowed on the Pringsheim
+    argument: Z_n >= 0, since Z counts maps with positive weights, so the
+    radius of Z is a singularity on the positive axis (Flajolet-Sedgewick,
+    Analytic Combinatorics, Thm IV.6), and with that radius equal to rho
+    the candidates inside the disc lie on other sheets.  That the radius of
+    Z is rho is the argument's premise, not something this check proves.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -497,7 +623,17 @@ def radius_numeric(
     rho_mid = (rho_iv[0] + rho_iv[1]) / 2 if not exact else rho_iv[0]
     s_mid = (s_iv[0] + s_iv[1]) / 2 if not exact else s_iv[0]
     mu_iv = (params.c * rho_iv[0], params.c * rho_iv[1])
-    unique = _uniqueness_scan(params, rho_mid, warnings) if scan_uniqueness else False
+    unique = False
+    if scan_uniqueness:
+        extra = {cp.bound}
+        if params.nu != 1:
+            extra.add(1 / (3 * params.c ** 2 * (params.nu ** 2 - 1)))
+        # the verdict reads rho to UNIQUENESS_TOL at least, whatever ``tol``
+        ivs = (s_iv, rho_iv) if tol <= UNIQUENESS_TOL else _certify_rho(cp, UNIQUENESS_TOL)
+        reason = _uniqueness_certificate(cp, *ivs[:2], tuple(sorted(extra)))
+        unique = reason is None
+        if not unique:
+            warnings.append("dominant-singularity uniqueness undecided: " + reason)
     return SingularityReport(
         rho=rho_mid,
         rho_interval=rho_iv,

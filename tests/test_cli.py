@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface."""
+import concurrent.futures
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -200,7 +204,7 @@ class TestRadius:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         for nus, expected in (("1/4,5", 2), ("1/4,2,4,5", 3)):
             code, _ = run_cli(capsys, "radius", "--nu", nus, "--c", "1",
@@ -211,6 +215,25 @@ class TestRadius:
         code, _ = run_cli(capsys, "radius", "--nu", "1/4,5", "--c", "1",
                           "--no-exponent", "--jobs", "4")
         assert code == 0 and seen == []
+
+    def test_parser_reused_across_calls(self, capsys):
+        # one process, two calls on the one cached parser, against a fresh
+        # process per call: the first call's --tol must not carry over
+        calls = (["radius", "--nu", "2", "--c", "21/20", "--tol", "1/1000000"],
+                 ["radius", "--nu", "2", "--c", "21/20"])
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for argv in calls:
+            code, in_process = run_json(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "isingmaps", *argv], env=env,
+                                   capture_output=True, text=True, check=True)
+            separate = json.loads(fresh.stdout)
+            for envelope in (in_process, separate):
+                del envelope["meta"]["elapsed_seconds"]
+            assert code == 0 and in_process == separate
+        assert in_process["config"]["tol"] == "1/1000000000000"
+        assert cli._build_parser.cache_info().misses <= 1
 
     def test_far_field_guard(self, capsys):
         code, payload = run_json(capsys, "radius", "--nu", "2", "--c", "3/2")

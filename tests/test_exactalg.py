@@ -486,6 +486,20 @@ class TestIntegerForm:
         assert scaled.dyadic(y, k) == form.value(y, w << k) == scaled.value(y, 1 << k)
         assert all(type(a) is int for a in scaled.coeffs)
 
+    @given(st.lists(coefficients, max_size=7), st.integers(-10 ** 9, 10 ** 9),
+           st.integers(-10 ** 9, 10 ** 9), st.integers(0, 70))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_is_the_value_at_a_complex_dyadic(self, coeffs, x, y, k):
+        # Horner over Q(i) as pairs of Fractions is the oracle
+        p = UniPoly(coeffs)
+        form = p.integer_form()
+        re, im = Fraction(x, 1 << k), Fraction(y, 1 << k)
+        acc = (Fraction(0), Fraction(0))
+        for c in reversed(p.coeffs):
+            acc = (acc[0] * re - acc[1] * im + c, acc[0] * im + acc[1] * re)
+        scale = form.den << k * max(p.degree(), 0)
+        assert form.gaussian(x, y, k) == (acc[0] * scale, acc[1] * scale)
+
     def test_no_float_reaches_the_form(self):
         with pytest.raises(TypeError):
             UniPoly([1, 0.5]).integer_form()

@@ -11,6 +11,7 @@ from isingmaps.errors import DegenerateBranch
 from isingmaps.exactalg import (
     UniPoly,
     cauchy_root_bound,
+    squarefree_part,
     sturm_count,
 )
 from isingmaps.series import IsingParams, lagrangian_numer_denom
@@ -141,14 +142,112 @@ class TestRadiusNumeric:
         assert rep.uniqueness_checked
         assert isinstance(rep, SingularityReport)
 
-    def test_root_solve_failure_is_reported(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise mpmath.mp.NoConvergence("no convergence")
+    def test_bad_root_hint_is_reported(self, monkeypatch):
+        # every approximate root at 0: the disks coincide, so the float hint
+        # loses the verdict instead of faking one
+        monkeypatch.setattr(singular, "_approximate_roots",
+                            lambda char, bound: [0j] * char.degree())
+        for nu, c in ((2, 1), (Fraction(3, 4), Fraction(11, 10))):
+            rep = radius_numeric(params(nu, c), with_exponent=False)
+            assert not rep.uniqueness_checked
+            assert [w for w in rep.warnings if "uniqueness undecided: " in w] == \
+                ["dominant-singularity uniqueness undecided: root disks of char overlap"]
 
-        monkeypatch.setattr(singular.mpmath, "polyroots", no_convergence)
-        rep = radius_numeric(params(2), with_exponent=False)
-        assert not rep.uniqueness_checked
-        assert any("root solve failed" in w for w in rep.warnings)
+
+GRID_NUS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, Fraction(3, 2), 2,
+            Fraction(5, 2), 3, Fraction(7, 2), 4, Fraction(9, 2), 5, 6, 9]
+GRID_CS = [Fraction(3, 4), Fraction(9, 10), Fraction(19, 20), 1, Fraction(21, 20),
+           Fraction(11, 10), Fraction(5, 4)]
+
+
+def _candidate_moduli(p):
+    """|z| at the code's approximate roots of char, and the exact |z(B)|."""
+    cp = critical_point(p)
+    with mpmath.workprec(64):
+        num, den = ([mpmath.mpf(q.numerator) / q.denominator for q in reversed(f.coeffs)]
+                    for f in (cp.num, cp.den))
+        char_z = [abs(mpmath.polyval(num, r) / mpmath.polyval(den, r))
+                  for r in singular._approximate_roots(cp.char, cp.bound)]
+    z_b = abs(cp.z_at(cp.bound)) if cp.den.sign_at(cp.bound) else None
+    return char_z, z_b
+
+
+class TestUniquenessCertificate:
+    """The root-disk certificate behind ``uniqueness_checked``."""
+
+    @pytest.mark.slow
+    def test_grid_certified_and_candidates_are_the_discriminant_roots(self):
+        for nu in GRID_NUS:
+            for c in GRID_CS:
+                p = params(nu, c)
+                rep = radius_numeric(p, with_exponent=False, allow_far_field=True)
+                assert rep.uniqueness_checked, (nu, c, rep.warnings)
+                char_z, z_b = _candidate_moduli(p)
+                # the reference roots, solved in w = z / rho so they are of order 1
+                disc = squarefree_part(discriminant_in_z(p))
+                scaled = [q * rep.rho ** k for k, q in enumerate(disc.coeffs)]
+                with mpmath.workprec(64):
+                    ref = [abs(w) * rep.rho for w in mpmath.polyroots(
+                        [mpmath.mpf(q.numerator) / q.denominator for q in reversed(scaled)],
+                        maxsteps=100, extraprec=64)]
+
+                    def near(x, xs):
+                        return any(abs(x - y) <= 1e-9 * (y + rep.rho) for y in xs)
+
+                    # every z(sigma) is a branch point; the discriminant has
+                    # no other root but z(B), the dropped endpoint factor
+                    assert all(near(x, ref) for x in char_z), (nu, c)
+                    extra = char_z + ([mpmath.mpf(z_b.numerator) / z_b.denominator]
+                                      if z_b is not None else [])
+                    assert all(near(x, extra) for x in ref), (nu, c)
+
+    @pytest.mark.parametrize("nu, c", [(6, Fraction(9, 10)), (Fraction(1, 2), 1)])
+    def test_rho_interval_on_another_candidate_is_undecided(self, nu, c):
+        p = params(nu, c)
+        cp = critical_point(p)
+        rep = radius_numeric(p, with_exponent=False, scan_uniqueness=False)
+        char_z, _ = _candidate_moduli(p)
+        rho = mpmath.mpf(rep.rho.numerator) / rep.rho.denominator
+        others = [x for x in char_z if abs(x - rho) > 1e-6 * rho]
+        assert others
+        for x in others:
+            mid = Fraction(mpmath.nstr(x, 30))
+            fake = (mid - mid / 10 ** 12, mid + mid / 10 ** 12)
+            reason = singular._uniqueness_certificate(cp, rep.s_interval, fake,
+                                                      (cp.bound,))
+            assert reason == "a root of char maps near |z| = rho", (x, reason)
+        if cp.den.sign_at(cp.bound):
+            fake = (abs(cp.z_at(cp.bound)),) * 2
+            assert singular._uniqueness_certificate(
+                cp, rep.s_interval, fake, (cp.bound,)).startswith("z(")
+
+    @pytest.mark.parametrize("nu, c", [(Fraction(9, 2), 1), (4, 1), (2, 1)])
+    def test_close_calls_certify(self, nu, c):
+        p = params(nu, c)
+        rep = radius_numeric(p, with_exponent=False)
+        assert rep.uniqueness_checked and not rep.warnings
+        cp = critical_point(p)
+        char_z, z_b = _candidate_moduli(p)
+        rho = float(rep.rho)
+        if (nu, c) == (Fraction(9, 2), 1):
+            # a root of char maps to 0.9997 rho
+            assert any(0.9996 < x / rho < 0.9998 for x in char_z)
+        if (nu, c) == (4, 1):
+            assert rep.exact and rep.s_interval == (cp.bound, cp.bound)
+        if (nu, c) == (2, 1):
+            # z(B) = 1/81 is inside the disc, not on its circle
+            assert z_b == Fraction(1, 81) < rep.rho_interval[0]
+
+    def test_verdict_reads_rho_at_least_to_default_width(self):
+        # at tol 1e-3 the reported rho interval reaches another candidate;
+        # the verdict reads rho to 1e-12 instead, so it still certifies
+        p = params(3, Fraction(9, 10))
+        cp = critical_point(p)
+        rep = radius_numeric(p, tol=Fraction(1, 1000), with_exponent=False)
+        assert rep.uniqueness_checked
+        assert rep.rho_interval[1] - rep.rho_interval[0] > Fraction(1, 10 ** 12)
+        assert singular._uniqueness_certificate(cp, rep.s_interval, rep.rho_interval,
+                                                (cp.bound,)) is not None
 
 
 class TestSturmGrid:
@@ -203,10 +302,11 @@ class TestCriticalPoint:
 
         monkeypatch.setattr(singular, "lagrangian_numer_denom", counted)
         singular._critical_point.cache_clear()
-        # exponent and uniqueness scan both read the same CriticalPoint
+        # the exponent and the uniqueness certificate both read the one
+        # CriticalPoint that radius_numeric looked up
         radius_numeric(params(Fraction(5, 2), Fraction(21, 20)))
         assert singular._critical_point.cache_info().misses == 1
-        assert singular._critical_point.cache_info().hits >= 1
+        assert singular._critical_point.cache_info().hits == 0
         assert calls == [(Fraction(5, 2), Fraction(21, 20))]
 
     def test_keyed_on_the_point_only(self):
