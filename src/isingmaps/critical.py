@@ -1,7 +1,10 @@
 """Observables and critical exponents for the spin-decorated map ensemble.
 
-Finite-size observables come from exact logarithmic c-derivatives of the
-symbolic partition polynomials.  Thermodynamic ones come from one certified
+Finite-size observables come from exact logarithmic c-derivatives of Z_n
+at the point: one integer series pass over jets (Z, theta Z, theta^2 Z),
+theta = c d/dc, gives all three at once (at nu = 1, where that pass is
+undefined, the symbolic partition polynomial is evaluated instead).
+Thermodynamic ones come from one certified
 radius solve: rho(c) = z(s*(c), c) with z = s N(s)/D(s)^2 stationary in s at
 s*, so the envelope theorem turns the c-derivatives of log rho into exact
 derivatives of z at s*, evaluated in interval arithmetic on the certified
@@ -26,7 +29,7 @@ import mpmath
 from .errors import NonPositiveSequence, PrecisionExhausted
 from .exactalg import UniPoly, rational_sqrt
 from .precision import default_precision_bits, to_mpf
-from .series import IsingParams, lagrangian_numer_denom, solve_Z
+from .series import IsingParams, lagrangian_numer_denom, solve_Z, solve_Z_jets
 from .singular import SingularityReport, radius_numeric, rho_closed_form
 
 Number = Union[Fraction, mpmath.mpf]
@@ -104,35 +107,39 @@ def _symbolic_Z(order: int):
     return tuple(series.coefficient(n) for n in range(order + 1))
 
 
-def finite_magnetization(n: int, params: IsingParams) -> Fraction:
-    """M_n = c d_c Z_n / (n Z_n), exact from the symbolic polynomial."""
+@lru_cache(maxsize=64)
+def _theta_Z(nu: Fraction, c: Fraction, n: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """(Z_n, theta Z_n, theta^2 Z_n) at the point, theta = c d/dc, exact.
+
+    One integer pass over theta-jets (:func:`solve_Z_jets`), shared by the
+    three finite-size observables.  At nu = 1 that pass divides by
+    9(1 - nu^2) = 0, so there the symbolic polynomial is evaluated instead.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    zn = _symbolic_Z(n)[n]
-    zf = zn.evaluate(params.nu, params.c)
-    df = zn.c_log_derivative().evaluate(params.nu, params.c)
+    if nu == 1:
+        zn = _symbolic_Z(n)[n]
+        tzn = zn.c_log_derivative()
+        return tuple(p.evaluate(nu, c) for p in (zn, tzn, tzn.c_log_derivative()))
+    return solve_Z_jets(IsingParams(nu=nu, c=c), n)[n]
+
+
+def finite_magnetization(n: int, params: IsingParams) -> Fraction:
+    """M_n = c d_c Z_n / (n Z_n), exact at the point."""
+    zf, df, _ = _theta_Z(params.nu, params.c, n)
     return df / (n * zf)
 
 
 def finite_susceptibility(n: int, params: IsingParams) -> Fraction:
-    """chi_n = (c d_c)^2 log Z_n / n, exact from the symbolic polynomial."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    zn = _symbolic_Z(n)[n]
-    zd = zn.c_log_derivative()
-    zdd = zd.c_log_derivative()
-    zf = zn.evaluate(params.nu, params.c)
-    df = zd.evaluate(params.nu, params.c)
-    ddf = zdd.evaluate(params.nu, params.c)
+    """chi_n = (c d_c)^2 log Z_n / n, exact at the point."""
+    zf, df, ddf = _theta_Z(params.nu, params.c, n)
     return (ddf * zf - df * df) / (n * zf * zf)
 
 
 def finite_free_energy(n: int, params: IsingParams,
                        precision_bits: Optional[int] = None) -> mpmath.mpf:
-    """F_n = (1/n) log Z_n."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    zn = _symbolic_Z(n)[n].evaluate(params.nu, params.c)
+    """F_n = (1/n) log Z_n, from the exact Z_n rounded to the working precision."""
+    zn = _theta_Z(params.nu, params.c, n)[0]
     bits = precision_bits or params.precision_bits or default_precision_bits()
     with mpmath.workprec(bits):
         return mpmath.log(to_mpf(zn)) / n
@@ -401,10 +408,10 @@ def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
         residual = mpmath.sqrt(mpmath.fsum(
             (y - intercept - slope * x) ** 2 for x, y in zip(xs, ys)
         ) / count)
-        # pointwise difference-quotient estimates, then one Aitken step
-        alphas = []
-        for i in range(1, count):
-            alphas.append(-(ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1]))
+        # the last (up to) three pointwise difference quotients, then one
+        # Aitken step on them
+        alphas = [-(ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
+                  for i in range(max(1, count - 3), count)]
         if len(alphas) >= 3:
             a0, a1, a2 = alphas[-3], alphas[-2], alphas[-1]
             dd = a2 - 2 * a1 + a0

@@ -257,18 +257,37 @@ class ParamPoly:
     def evaluate(self, nu, c):
         """Evaluate at a point.  Accepts Fractions (exact result) or mpmath
         floats (result at the ambient precision)."""
-        exact = isinstance(nu, (int, Fraction)) and isinstance(c, (int, Fraction))
-        if exact:
-            # Fractions, so that c ** -k stays exact for an int c.
-            nu, c = Fraction(nu), Fraction(c)
-        total = _ZERO if exact else mpmath.mpf(0)
+        if isinstance(nu, (int, Fraction)) and isinstance(c, (int, Fraction)):
+            return self._evaluate_rational(Fraction(nu), Fraction(c))
+        total = mpmath.mpf(0)
         for (dv, dc), coef in self.terms.items():
-            term = (nu ** dv) * (c ** dc)
-            if exact:
-                total += coef * term
-            else:
-                total += term * coef.numerator / coef.denominator
+            total += (nu ** dv) * (c ** dc) * coef.numerator / coef.denominator
         return total
+
+    def _evaluate_rational(self, nu: Fraction, c: Fraction) -> Fraction:
+        """The exact value at nu = p/q, c = r/s, as one Fraction.
+
+        With dv <= top and lo <= dc <= hi over the support, each term is
+        coef p^dv q^(top-dv) r^(dc-lo) s^(hi-dc) over q^top s^(hi-lo),
+        times c^lo; the integer powers are built once per call.
+        """
+        if not self.terms:
+            return _ZERO
+        p, q = nu.numerator, nu.denominator
+        r, s = c.numerator, c.denominator
+        top = max(dv for dv, _ in self.terms)
+        lo, hi = self.c_degree_range()
+        nu_w = [p ** i * q ** (top - i) for i in range(top + 1)]
+        c_w = [r ** j * s ** (hi - lo - j) for j in range(hi - lo + 1)]
+        den = lcm(*(v.denominator for v in self.terms.values()))
+        acc = 0
+        for (dv, dc), coef in self.terms.items():
+            acc += coef.numerator * (den // coef.denominator) * nu_w[dv] * c_w[dc - lo]
+        den *= q ** top * s ** (hi - lo)
+        # c^lo: a negative lo moves r into the denominator, exactly.
+        if lo >= 0:
+            return Fraction(acc * r ** lo, den * s ** lo)
+        return Fraction(acc * s ** -lo, den * r ** -lo)
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
         """Exact division; raises NonZeroRemainder when not divisible.

@@ -26,7 +26,9 @@ solve runs over plain ``int`` after the rescaling S = L T, z = L w with
 L = (den nu * den c)^2, which makes every table entry an integer; each
 exact rational Z_n (or S_n) is then rounded to the nearest mpf at the
 requested precision.  Both modes share one pipeline, including the exact
-check that the three lowest coefficients cancel.
+check that the three lowest coefficients cancel.  The same integer pass
+over jets (f, theta f, theta^2 f), theta = c d/dc, gives Z_n and its first
+two theta-derivatives exactly at the point (:func:`solve_Z_jets`).
 """
 from __future__ import annotations
 
@@ -128,58 +130,117 @@ def _symbolic_tables():
     return n_tab, d_tab, bracket_tab, e1, nine_gamma
 
 
+class _Jet:
+    """(f, theta f, theta^2 f) at a point, theta = c d/dc: a truncated jet.
+
+    The parts are ``int``.  Sums act on each part; products follow the Leibniz rule, so one pass over jets carries
+    the first two theta-derivatives of every coefficient (forward-mode
+    differentiation).  A jet is true when any part is nonzero.
+    """
+
+    __slots__ = ("f", "tf", "ttf")
+
+    def __init__(self, f, tf=0, ttf=0):
+        self.f, self.tf, self.ttf = f, tf, ttf
+
+    def __add__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.f + other.f, self.tf + other.tf, self.ttf + other.ttf)
+
+    def __sub__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.f - other.f, self.tf - other.tf, self.ttf - other.ttf)
+
+    def __mul__(self, other: "_Jet") -> "_Jet":
+        a, b, c = self.f, self.tf, self.ttf
+        x, y, z = other.f, other.tf, other.ttf
+        return _Jet(a * x, a * y + b * x, a * z + 2 * b * y + c * x)
+
+    def __bool__(self) -> bool:
+        return bool(self.f or self.tf or self.ttf)
+
+
 class _Model:
     """The tables of :func:`_symbolic_tables` realized over a concrete ring.
 
-    ``kind`` is one of "symbolic", "exact" (Fractions at the rational point)
-    or "integer" (the exact tables in the variables T = S/L and w = z/L,
-    with L = (den nu * den c)^2, over plain ``int``).
+    ``kind`` is one of "symbolic", "exact" (Fractions at the rational point),
+    "integer" (the exact tables in the variables T = S/L and w = z/L,
+    with L = (den nu * den c)^2, over plain ``int``) or "jet" (the integer
+    tables with each entry t carried as the :class:`_Jet` (t, theta t,
+    theta^2 t) at the point).
 
     In the integer kind the N and D coefficients of degree k carry L^k, e1
     carries L and the bracket entry of S^i z^j carries L^(i+j); each is an
     integer because its nu- and c-degrees are at most twice its power of L.
     N(0) = D(0) = 1 survive the rescaling, so the forward recurrence for T
     needs no division and the bracket divisor 1 + e1 T has constant term 1:
-    the solve never leaves the integers.  ``nine_gamma`` stays the exact
-    9(1 - nu^2).
+    the solve never leaves the integers.  theta only multiplies each
+    monomial by its c-degree, so the jet kind keeps the same denominators
+    and stays integral too.  ``nine_gamma`` stays the exact 9(1 - nu^2),
+    which does not depend on c.
     """
 
     def __init__(self, params: IsingParams, kind: str):
         n_tab, d_tab, bracket_tab, e1, nine_gamma = _symbolic_tables()
         self.kind = kind
+        self.params = params
         if kind == "symbolic":
             conv = lambda p: p
             self.zero, self.one = PP_ZERO, PP_ONE
         elif kind in ("exact", "integer"):
             conv = lambda p: p.evaluate(params.nu, params.c)
             self.zero, self.one = Fraction(0), Fraction(1)
+        elif kind == "jet":
+            conv = self._jet_at_point
         else:  # pragma: no cover - internal misuse
             raise ValueError(kind)
         self.n_tab = {k: conv(v) for k, v in n_tab.items()}
         self.d_tab = {k: conv(v) for k, v in d_tab.items()}
         self.bracket_tab = {k: conv(v) for k, v in bracket_tab.items()}
         self.e1 = conv(e1)
-        self.nine_gamma = conv(nine_gamma)
-        self.params = params
-        if kind == "integer":
+        self.nine_gamma = (nine_gamma if kind == "symbolic"
+                           else nine_gamma.evaluate(params.nu, params.c))
+        if kind in ("integer", "jet"):
             self._rescale_to_int()
+
+    def _jet_at_point(self, p: ParamPoly) -> _Jet:
+        tp = p.c_log_derivative()
+        nu, c = self.params.nu, self.params.c
+        return _Jet(p.evaluate(nu, c), tp.evaluate(nu, c),
+                    tp.c_log_derivative().evaluate(nu, c))
 
     def _rescale_to_int(self):
         big_l = (self.params.nu.denominator * self.params.c.denominator) ** 2
         self.scale = big_l
-        self.zero, self.one = 0, 1
-        self.n_tab = {k: _integral(v * big_l ** k) for k, v in self.n_tab.items()}
-        self.d_tab = {k: _integral(v * big_l ** k) for k, v in self.d_tab.items()}
-        self.e1 = _integral(self.e1 * big_l)
-        self.bracket_tab = {(i, j): _integral(v * big_l ** (i + j))
+        if self.kind == "jet":
+            self.zero, self.one = _Jet(0), _Jet(1)
+            integral = lambda v, k: _Jet(*(_integral(x * big_l ** k)
+                                           for x in (v.f, v.tf, v.ttf)))
+        else:
+            self.zero, self.one = 0, 1
+            integral = lambda v, k: _integral(v * big_l ** k)
+        self.n_tab = {k: integral(v, k) for k, v in self.n_tab.items()}
+        self.d_tab = {k: integral(v, k) for k, v in self.d_tab.items()}
+        self.e1 = integral(self.e1, 1)
+        self.bracket_tab = {(i, j): integral(v, i + j)
                             for (i, j), v in self.bracket_tab.items()}
 
     def z_coefficient(self, g, n: int):
         """Z_n from the coefficient g of z^(n+2) (w^(n+2) in the integer
-        kind) of bracket / (1 + e1 S): divide by 9(1 - nu^2) and undo the
-        z -> cz substitution and, in the integer kind, the rescaling."""
+        kinds) of bracket / (1 + e1 S): divide by 9(1 - nu^2) and undo the
+        z -> cz substitution and, in the integer kinds, the rescaling.
+
+        In the jet kind g / (L^(n+2) 9(1 - nu^2)) is the jet of
+        X = c^n Z_n, and Z_n = c^-n X gives theta Z_n = c^-n (theta X - n X)
+        and theta^2 Z_n = c^-n (theta^2 X - 2n theta X + n^2 X); the result
+        is the tuple (Z_n, theta Z_n, theta^2 Z_n) of Fractions.
+        """
         if self.kind == "symbolic":
             return g.exact_div(self.nine_gamma).shift_c(-n)
+        if self.kind == "jet":
+            den = self.scale ** (n + 2) * self.nine_gamma
+            x, tx, ttx = (Fraction(v) / den for v in (g.f, g.tf, g.ttf))
+            back = self.params.c ** -n
+            return (back * x, back * (tx - n * x),
+                    back * (ttx - 2 * n * tx + n * n * x))
         return (Fraction(g, self.scale ** (n + 2))
                 / (self.nine_gamma * self.params.c ** n))
 
@@ -333,17 +394,17 @@ def lagrangian_numer_denom(
     """
     if symbolic is None:
         symbolic = params.symbolic
-    kind = "symbolic" if symbolic else "exact"
-    model = _Model(params, kind)
-    n_deg = max(model.n_tab)
-    d_deg = max(model.d_tab)
-    n_poly = UniPoly(
-        [model.n_tab.get(k, model.zero) for k in range(n_deg + 1)], zero=model.zero
-    )
-    d_poly = UniPoly(
-        [model.d_tab.get(k, model.zero) for k in range(d_deg + 1)], zero=model.zero
-    )
-    return n_poly, d_poly
+    n_tab, d_tab = _symbolic_tables()[:2]
+    if symbolic:
+        zero = PP_ZERO
+        conv = lambda p: p
+    else:
+        zero = Fraction(0)
+        conv = lambda p: p.evaluate(params.nu, params.c)
+    return tuple(
+        UniPoly([conv(tab[k]) if k in tab else zero for k in range(max(tab) + 1)],
+                zero=zero)
+        for tab in (n_tab, d_tab))
 
 
 def _series_powers(s: TruncatedSeries, top: int) -> List[TruncatedSeries]:
@@ -512,6 +573,22 @@ def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
                                PP_ZERO)
     exact = _solve_Z_ring(_Model(params, "integer"), order)
     return TruncatedSeries(_rounded(exact, params.precision_bits), mpmath.mpf(0))
+
+
+def solve_Z_jets(params: IsingParams, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """(Z_n, theta Z_n, theta^2 Z_n) at the point for n = 0..order, exact.
+
+    theta = c d/dc.  One integer pass over :class:`_Jet` coefficients
+    replaces the symbolic series and its evaluation.  nu = 1 is refused
+    with :class:`NumericModeAtNuOne`, as in numeric mode: 9(1 - nu^2)
+    vanishes there.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if params.nu == 1:
+        raise NumericModeAtNuOne(
+            "the jet pass is undefined at nu = 1; use symbolic mode")
+    return [(Fraction(0),) * 3] + _solve_Z_ring(_Model(params, "jet"), order)[1:]
 
 
 def coefficient_sequence(params: IsingParams, n_max: int) -> List[mpmath.mpf]:

@@ -6,7 +6,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from isingmaps import critical
 from isingmaps.critical import (
+    FIT_GUARD_BITS,
     FitResult,
     ObservableSet,
     chi_closed,
@@ -15,6 +17,8 @@ from isingmaps.critical import (
     finite_magnetization,
     finite_susceptibility,
     _rho_point,
+    _symbolic_Z,
+    _theta_Z,
     free_energy,
     m0_closed,
     m_critical_asymptote,
@@ -26,6 +30,7 @@ from isingmaps.critical import (
     thermo_susceptibility,
 )
 from isingmaps.errors import NonPositiveSequence
+from isingmaps.precision import to_mpf
 from isingmaps.series import IsingParams, coefficient_sequence, lagrangian_numer_denom
 from isingmaps.singular import rho_closed_form
 
@@ -102,6 +107,52 @@ class TestFiniteObservables:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             finite_magnetization(0, IsingParams(nu=1, c=1))
+
+    @pytest.mark.parametrize("nu", [Fraction(1), Fraction(2)])
+    def test_every_observable_rejects_nonpositive_size(self, nu):
+        for n in (0, -1):
+            for observable in (finite_magnetization, finite_susceptibility,
+                               finite_free_energy):
+                with pytest.raises(ValueError):
+                    observable(n, IsingParams(nu=nu, c=Fraction(21, 20)))
+
+    def test_nu_one_reads_the_symbolic_polynomial(self, monkeypatch):
+        def no_jets(*args):
+            raise AssertionError("the jet pass is undefined at nu = 1")
+
+        monkeypatch.setattr(critical, "solve_Z_jets", no_jets)
+        _theta_Z.cache_clear()
+        nu, c = Fraction(1), Fraction(3, 2)
+        z3 = _symbolic_Z(3)[3]
+        t3 = z3.c_log_derivative()
+        zf, df, ddf = (p.evaluate(nu, c) for p in (z3, t3, t3.c_log_derivative()))
+        params = IsingParams(nu=nu, c=c)
+        assert finite_magnetization(3, params) == df / (3 * zf)
+        assert finite_susceptibility(3, params) == (ddf * zf - df * df) / (3 * zf * zf)
+        with pytest.raises(AssertionError):
+            finite_magnetization(3, IsingParams(nu=2, c=c))
+
+    def test_off_nu_one_one_jet_pass_serves_all_three(self, monkeypatch):
+        def no_symbolic(*args):
+            raise AssertionError("the symbolic series is only for nu = 1")
+
+        monkeypatch.setattr(critical, "_symbolic_Z", no_symbolic)
+        _theta_Z.cache_clear()
+        obs = observables(IsingParams(nu=Fraction(3, 2), c=Fraction(19, 20)), n=9)
+        assert obs.n == 9 and 0 < obs.M < 1 and obs.chi > 0
+        info = _theta_Z.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_size_twenty_matches_symbolic_polynomial(self):
+        nu, c = Fraction(2), Fraction(21, 20)
+        z = _symbolic_Z(20)[20]
+        tz = z.c_log_derivative()
+        zf, df, ddf = (p.evaluate(nu, c) for p in (z, tz, tz.c_log_derivative()))
+        params = IsingParams(nu=nu, c=c)
+        assert finite_magnetization(20, params) == df / (20 * zf)
+        assert finite_susceptibility(20, params) == (ddf * zf - df * df) / (20 * zf * zf)
+        with mpmath.workprec(192):
+            assert finite_free_energy(20, params, 192) == mpmath.log(to_mpf(zf)) / 20
 
 
 class TestClosedForms:
@@ -327,6 +378,27 @@ class TestExponentFit:
             target = mpmath.mpf(5) / 2
             assert abs(fit.alpha_exponent - target) < mpmath.mpf(1) / 10
             assert abs(fit.aitken_exponent - target) < mpmath.mpf(1) / 20
+
+    @pytest.mark.parametrize("n_range", [(2, 3), (2, 4), (2, 5), (7, 40)])
+    def test_aitken_step_on_the_last_pointwise_slopes(self, n_range):
+        # every pointwise slope over the range, then the Aitken step on the
+        # last three (or the last slope alone when there are fewer)
+        bits = 96
+        with mpmath.workprec(bits + FIT_GUARD_BITS):
+            seq = [mpmath.mpf(5) ** n * mpmath.mpf(n) ** -mpmath.mpf(2.5)
+                   * (1 + mpmath.mpf(1) / n) for n in range(1, 41)]
+            fit = exponent_fit(seq, Fraction(1, 5), n_range, precision_bits=bits)
+            ns = range(n_range[0], n_range[1] + 1)
+            ys = [mpmath.log(seq[n - 1]) + n * mpmath.log(mpmath.mpf(1) / 5) for n in ns]
+            xs = [mpmath.log(n) for n in ns]
+            slopes = [-(ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
+                      for i in range(1, len(xs))]
+            if len(slopes) < 3:
+                want = slopes[-1]
+            else:
+                a0, a1, a2 = slopes[-3:]
+                want = a2 - (a2 - a1) ** 2 / (a2 - 2 * a1 + a0)
+            assert fit.aitken_exponent == want
 
     def test_rejects_nonpositive_terms(self):
         with pytest.raises(NonPositiveSequence):

@@ -188,6 +188,26 @@ class TestParamPolyRing:
         assert_ring_coefficients(inv * m ** k)
         assert inv * m ** k == 1
 
+    @given(param_polys, small_rationals, small_rationals.filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_matches_termwise_sum(self, p, nu_v, c_v):
+        # one common denominator per call against one Fraction per term;
+        # nu and c may be negative, and c-exponents go down to -2
+        want = sum((Fraction(coef) * nu_v ** dv * c_v ** dc
+                    for (dv, dc), coef in p.terms.items()), Fraction(0))
+        got = p.evaluate(nu_v, c_v)
+        assert type(got) is Fraction
+        assert got == want
+        assert p.evaluate(int(3), int(2)) == sum(
+            (Fraction(coef) * 3 ** dv * Fraction(2) ** dc
+             for (dv, dc), coef in p.terms.items()), Fraction(0))
+
+    def test_evaluate_negative_c_power_at_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            ParamPoly.monomial(1, 0, -1).evaluate(Fraction(1), Fraction(0))
+        assert ParamPoly.monomial(5, 2, 1).evaluate(Fraction(0), Fraction(0)) == 0
+        assert ParamPoly.constant(5).evaluate(Fraction(0), Fraction(0)) == 5
+
     def test_integral_coefficients_are_int(self):
         nu, c = ParamPoly.nu(), ParamPoly.c()
         for p in (nu, c, ParamPoly.constant(Fraction(4, 2)), ParamPoly.monomial(3, 1, -1),

@@ -11,6 +11,7 @@ from isingmaps.exactalg import ParamPoly
 from isingmaps.series import (
     IsingParams,
     TruncatedSeries,
+    _Jet,
     _Model,
     _series_powers,
     _solve_S_ring,
@@ -21,6 +22,7 @@ from isingmaps.series import (
     pol_Z_eval,
     solve_S,
     solve_Z,
+    solve_Z_jets,
 )
 
 NU = ParamPoly.nu()
@@ -319,6 +321,65 @@ class TestSolveZ:
             for n in range(9):
                 ref = mpmath.mpf(rounded(w_sym.coefficient(n).evaluate(nu, c), 256))
                 assert abs(w_num.coefficient(n) - ref) <= mpmath.mpf(2) ** -100 * max(1, abs(ref))
+
+
+def symbolic_theta_Z(z_sym, nu, c, n):
+    """(Z_n, theta Z_n, theta^2 Z_n) from the symbolic polynomial at (nu, c)."""
+    zn = z_sym.coefficient(n)
+    tzn = zn.c_log_derivative()
+    return tuple(p.evaluate(nu, c) for p in (zn, tzn, tzn.c_log_derivative()))
+
+
+@pytest.fixture(scope="module")
+def z_sym_14():
+    return solve_Z(SYM, 14)
+
+
+class TestJetPass:
+    def test_leibniz_product(self):
+        # theta(f g) = f theta g + g theta f and
+        # theta^2(f g) = f theta^2 g + 2 theta f theta g + g theta^2 f
+        j = _Jet(3, 2, 5) * _Jet(-1, 4, 1)
+        assert (j.f, j.tf, j.ttf) == (-3, 3 * 4 + 2 * -1, 3 * 1 + 2 * 2 * 4 + 5 * -1)
+        assert not _Jet(0) and _Jet(0, 0, 1) and _Jet(0, 1)
+
+    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(3, 2), Fraction(2),
+                                    Fraction(3), Fraction(4), Fraction(5), Fraction(6)])
+    def test_equals_symbolic_theta_derivatives(self, z_sym_14, nu):
+        for c in (Fraction(1), Fraction(9, 10), Fraction(11, 10), Fraction(19, 20),
+                  Fraction(21, 20)):
+            jets = solve_Z_jets(IsingParams(nu=nu, c=c), 14)
+            assert len(jets) == 15 and jets[0] == (0, 0, 0)
+            for n in range(1, 15):
+                want = symbolic_theta_Z(z_sym_14, nu, c, n)
+                assert jets[n] == want, "nu=%s c=%s n=%d" % (nu, c, n)
+                assert all(type(x) is Fraction for x in jets[n])
+
+    @given(st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+           .filter(lambda nu: nu != 1),
+           st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=7),
+           st.integers(1, 10))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_symbolic_theta_derivatives_property(self, z_sym_14, nu, c, n):
+        assert solve_Z_jets(IsingParams(nu=nu, c=c), n)[n] \
+            == symbolic_theta_Z(z_sym_14, nu, c, n)
+
+    def test_value_part_equals_integer_pass(self):
+        params = IsingParams(nu=Fraction(7, 5), c=Fraction(11, 13))
+        values = [j[0] for j in solve_Z_jets(params, 30)]
+        assert values[1:] == _solve_Z_ring(_Model(params, "integer"), 30)[1:]
+
+    def test_refuses_nu_one_and_empty_order(self):
+        with pytest.raises(NumericModeAtNuOne):
+            solve_Z_jets(IsingParams(nu=1, c=Fraction(3, 2)), 4)
+        with pytest.raises(ValueError):
+            solve_Z_jets(IsingParams(nu=2, c=1), 0)
+
+    def test_corrupted_bracket_fails_exact_cancellation(self):
+        model = _Model(IsingParams(nu=Fraction(3, 2), c=Fraction(21, 20)), "jet")
+        model.bracket_tab[(2, 0)] = model.bracket_tab[(2, 0)] + _Jet(0, 0, 1)
+        with pytest.raises(NonZeroRemainder):
+            _solve_Z_ring(model, 5)
 
 
 class TestCoefficientSequence:
