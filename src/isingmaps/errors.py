@@ -34,7 +34,7 @@ class EnumerationBound(ComputationError):
 
 
 class NoRootInRange(ComputationError):
-    """The certified root count in the admissible interval is not one."""
+    """The admissible interval holds no certified root."""
 
 
 class DegenerateBranch(ComputationError):

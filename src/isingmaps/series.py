@@ -4,37 +4,45 @@ The partition-function series Z(nu, c, z) = sum_{n>=1} Z_n(nu, c) z^n is
 produced through an auxiliary algebraic series S(z) with S(0) = 0 that
 satisfies
 
-    z = S * N(S) / D(S)^2,
+    S * N(S) = z * E(S),    E = D^2,
 
 where N and D are explicit polynomials in S over Q[nu, c] (see
-:func:`lagrangian_numer_denom`).  A fixed bracket polynomial in (S, z) divided
-by 9 z^2 (1 - nu^2) (1 + 3 c^2 (1 - nu^2) S) then yields Z(nu, c, c z), from
-which the coefficients are read off after a per-order rescale by c^-n.
+:func:`lagrangian_numer_denom`).  A fixed bracket polynomial B in (S, z)
+divided by 9 z^2 (1 - nu^2) (1 + e1 S), e1 = 3 c^2 (1 - nu^2), then yields
+Z(nu, c, c z), from which the coefficients are read off after a per-order
+rescale by c^-n.
 
 S is solved by one forward pass: with S = O(z), the defining equation
-makes S_n explicit in S_1..S_(n-1) through the coefficients of S^2..S^7,
-and those powers are filled coefficient by coefficient alongside S (see
-:func:`_power_columns`).  The bracket is then a linear combination of the
-same power columns, followed by one online division by the bracket's
-denominator factor; no step divides by anything but 1, so the pass runs
-unchanged over every coefficient ring.
+makes S_n explicit in S_1..S_(n-1) through the coefficients of the powers
+of S, and those powers are filled coefficient by coefficient alongside S
+(see :func:`_power_columns`).  The bracket is then a linear combination of
+the same power columns, followed, where the model keeps the divisor, by
+one online division by 1 + e1 S; no step divides by anything but 1, so the
+pass runs unchanged over every coefficient ring.
 
 Two modes are supported, selected by :class:`IsingParams`: symbolic
 (coefficients are :class:`~isingmaps.exactalg.ParamPoly`) and
 numeric-at-point.  Numeric mode is exact at the point, rounded once: the
-solve runs over plain ``int`` after the rescaling S = L T, z = L w with
-L = (den nu * den c)^2, which makes every table entry an integer; each
-exact rational Z_n (or S_n) is then rounded to the nearest mpf at the
-requested precision.  Both modes share one pipeline, including the exact
-check that the three lowest coefficients cancel.  The same integer pass
-over jets (f, theta f, theta^2 f), theta = c d/dc, gives Z_n and its first
-two theta-derivatives exactly at the point (:func:`solve_Z_jets`).
+solve runs over plain ``int`` on a reduced model of the point (see
+:class:`_Model`).  Off c = 1 the divisor is folded into the bracket: B and
+P = S N - z E leave remainders modulo 1 + e1 S that are proportional, so
+on the curve Z(nu, c, c z) = A(S, z) / (9 z^2 (1 - nu^2)) with A a
+polynomial.  At c = 1, 1 + e1 S divides N, D and B, and is cancelled from
+the curve itself.  The rescaling S = lambda T, z = lambda w then makes
+every table entry an integer, lambda being the smallest such scale at the
+primes below 64; each exact rational Z_n (or S_n) is rounded to the
+nearest mpf at the requested precision.  Both modes share one pipeline,
+including the exact check that the three lowest coefficients cancel.  The
+same integer pass over jets (f, theta f, theta^2 f), theta = c d/dc, keeps
+the unreduced tables and gives Z_n and its first two theta-derivatives
+exactly at the point (:func:`solve_Z_jets`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
 from typing import List, Optional, Tuple
 
@@ -161,21 +169,39 @@ class _Jet:
 class _Model:
     """The tables of :func:`_symbolic_tables` realized over a concrete ring.
 
-    ``kind`` is one of "symbolic", "exact" (Fractions at the rational point),
-    "integer" (the exact tables in the variables T = S/L and w = z/L,
-    with L = (den nu * den c)^2, over plain ``int``) or "jet" (the integer
-    tables with each entry t carried as the :class:`_Jet` (t, theta t,
-    theta^2 t) at the point).
+    Every kind carries the curve S N(S) = z E(S) as ``n_tab`` and ``e_tab``
+    ({s_degree: coefficient}) and the numerator of Z as ``bracket_tab``
+    ({(s_degree, z_degree): coefficient}) over the divisor 1 + ``e1`` S: on
+    the curve, bracket / (1 + e1 S) is ``bracket_den`` 9 z^2 (1 - nu^2)
+    Z(nu, c, c z), with z read as the rescaled variable in the kinds that
+    rescale.  ``kind`` is one of
 
-    In the integer kind the N and D coefficients of degree k carry L^k, e1
-    carries L and the bracket entry of S^i z^j carries L^(i+j); each is an
-    integer because its nu- and c-degrees are at most twice its power of L.
-    N(0) = D(0) = 1 survive the rescaling, so the forward recurrence for T
-    needs no division and the bracket divisor 1 + e1 T has constant term 1:
-    the solve never leaves the integers.  theta only multiplies each
-    monomial by its c-degree, so the jet kind keeps the same denominators
-    and stays integral too.  ``nine_gamma`` stays the exact 9(1 - nu^2),
-    which does not depend on c.
+      * "symbolic": ParamPoly entries, E = D^2, also keeping ``d_tab``;
+      * "exact": Fractions at the rational point, likewise: the unreduced
+        reference;
+      * "integer": the reduced model of the point (:meth:`_fold_divisor`),
+        with no divisor left (e1 = 0) and no ``d_tab``, rescaled to plain
+        ``int``;
+      * "jet": the unreduced tables, each entry t carried as the
+        :class:`_Jet` (t, theta t, theta^2 t) at the point, rescaled to
+        ``int`` parts, E = D^2 formed after the rescaling.  It keeps the
+        divisor: the fold's factor k has c^2 - 1 in its denominator and
+        the c = 1 cancellation holds at c = 1 only, so neither is carried
+        to the c-derivatives.
+
+    The rescaling (:meth:`_rescale_to_int`) is S = lambda T, z = lambda w,
+    ``scale`` = lambda.  N, D and E coefficients of degree k carry
+    lambda^k, e1 carries lambda and the bracket entry of S^i z^j carries
+    lambda^(i+j) and the common denominator ``bracket_den``.  The jet kind
+    takes lambda = L = (den nu * den c)^2, which makes each entry an
+    integer because its nu- and c-degrees are at most twice its power of L
+    (theta only multiplies each monomial by its c-degree), so
+    ``bracket_den`` = 1 there.  The integer kind takes the smallest lambda
+    that makes its N and E integral (:func:`_smallest_scale`), a fraction
+    at some points.  N(0) = E(0) = 1 survive, so the forward recurrence for
+    T needs no division and a divisor that is kept has constant term 1:
+    the solve never leaves the integers.  ``nine_gamma`` stays the exact
+    9(1 - nu^2), which does not depend on c.
     """
 
     def __init__(self, params: IsingParams, kind: str):
@@ -190,16 +216,25 @@ class _Model:
             self.zero, self.one = Fraction(0), Fraction(1)
         elif kind == "jet":
             conv = self._jet_at_point
+            self.zero, self.one = _Jet(0), _Jet(1)
         else:  # pragma: no cover - internal misuse
             raise ValueError(kind)
         self.n_tab = {k: conv(v) for k, v in n_tab.items()}
-        self.d_tab = {k: conv(v) for k, v in d_tab.items()}
+        d_tab = {k: conv(v) for k, v in d_tab.items()}
         self.bracket_tab = {k: conv(v) for k, v in bracket_tab.items()}
         self.e1 = conv(e1)
         self.nine_gamma = (nine_gamma if kind == "symbolic"
                            else nine_gamma.evaluate(params.nu, params.c))
-        if kind in ("integer", "jet"):
+        self.bracket_den = 1
+        if kind == "integer":
+            self.e_tab = _square(d_tab, self.zero)
+            self._fold_divisor()
             self._rescale_to_int()
+        else:
+            self.d_tab = d_tab
+            if kind == "jet":
+                self._rescale_to_int()
+            self.e_tab = _square(self.d_tab, self.zero)
 
     def _jet_at_point(self, p: ParamPoly) -> _Jet:
         tp = p.c_log_derivative()
@@ -207,51 +242,156 @@ class _Model:
         return _Jet(p.evaluate(nu, c), tp.evaluate(nu, c),
                     tp.c_log_derivative().evaluate(nu, c))
 
-    def _rescale_to_int(self):
-        big_l = (self.params.nu.denominator * self.params.c.denominator) ** 2
-        self.scale = big_l
-        if self.kind == "jet":
-            self.zero, self.one = _Jet(0), _Jet(1)
-            integral = lambda v, k: _Jet(*(_integral(x * big_l ** k)
-                                           for x in (v.f, v.tf, v.ttf)))
+    def _fold_divisor(self):
+        """Replace bracket / (1 + e1 S) by one polynomial A on the curve.
+
+        B (the bracket) and P = S N - z E are divided by 1 + e1 S in S over
+        Q[z]: B = (1 + e1 S) q_B + r_B(z) and P = (1 + e1 S) q_P + r_P(z).
+        Off c = 1, r_P is linear in z and divides r_B, r_B = k r_P, so on
+        the curve P = 0 the quotient is A = q_B - k q_P, of S-degree <= 6
+        and z-degree <= 2.  At c = 1, D = (1 - e1 S)(1 + e1 S) and 1 + e1 S
+        divides N and B: r_P = r_B = 0, the factor, a unit on S = O(z), is
+        cancelled from the curve, q_P = S N~ - z E~ with E~ of degree 3,
+        and A = q_B.  A division that leaves a remainder raises
+        NonZeroRemainder.
+        """
+        curve = {(k + 1, 0): v for k, v in self.n_tab.items()}
+        curve.update({(k, 1): -v for k, v in self.e_tab.items()})
+        q_b, r_b = _divide_by_unit_linear(self.bracket_tab, self.e1)
+        q_p, r_p = _divide_by_unit_linear(curve, self.e1)
+        if r_p[1]:
+            k1 = r_b[2] / r_p[1]
+            k0 = (r_b[1] - k1 * r_p[0]) / r_p[1]
+            if r_b[0] != k0 * r_p[0]:
+                raise NonZeroRemainder("the bracket's remainder mod 1 + e1 S "
+                                       "is not a multiple of the curve's")
+            a = [[qb[j] - k0 * qp[j] - (k1 * qp[j - 1] if j else 0)
+                  for j in range(3)] for qb, qp in zip(q_b, q_p)]
+        elif any(r_p) or any(r_b):
+            raise NonZeroRemainder("1 + e1 S divides the curve but not the bracket")
         else:
+            self.n_tab = {i - 1: row[0] for i, row in enumerate(q_p) if row[0]}
+            self.e_tab = {i: -row[1] for i, row in enumerate(q_p) if row[1]}
+            a = q_b
+        self.bracket_tab = {(i, j): v for i, row in enumerate(a)
+                            for j, v in enumerate(row) if v}
+        self.e1 = self.zero
+
+    def _rescale_to_int(self):
+        if self.kind == "jet":
+            parts = lambda v: (v.f, v.tf, v.ttf)
+            make = lambda xs: _Jet(*map(_integral, xs))
+        else:
+            parts = lambda v: (v,)
+            make = lambda xs: _integral(xs[0])
             self.zero, self.one = 0, 1
-            integral = lambda v, k: _integral(v * big_l ** k)
+        lam = (self.params.nu.denominator * self.params.c.denominator) ** 2
+        den = 1
+        if self.kind == "integer":
+            lam = _smallest_scale([(x, k) for tab in (self.n_tab, self.e_tab)
+                                   for k, x in tab.items() if k], lam)
+            den = lcm(*((v * lam ** (i + j)).denominator
+                        for (i, j), v in self.bracket_tab.items()))
+        integral = lambda v, k, f=1: make([x * (f * lam ** k) for x in parts(v)])
+        if self.kind == "integer":
+            self.e_tab = {k: integral(v, k) for k, v in self.e_tab.items()}
+        else:
+            # E = D^2 is formed after the rescaling, over int parts
+            self.d_tab = {k: integral(v, k) for k, v in self.d_tab.items()}
+        self.scale, self.bracket_den = lam, den
         self.n_tab = {k: integral(v, k) for k, v in self.n_tab.items()}
-        self.d_tab = {k: integral(v, k) for k, v in self.d_tab.items()}
         self.e1 = integral(self.e1, 1)
-        self.bracket_tab = {(i, j): integral(v, i + j)
+        self.bracket_tab = {(i, j): integral(v, i + j, den)
                             for (i, j), v in self.bracket_tab.items()}
 
     def z_coefficient(self, g, n: int):
-        """Z_n from the coefficient g of z^(n+2) (w^(n+2) in the integer
+        """Z_n from the coefficient g of z^(n+2) (w^(n+2) in the rescaled
         kinds) of bracket / (1 + e1 S): divide by 9(1 - nu^2) and undo the
-        z -> cz substitution and, in the integer kinds, the rescaling.
+        z -> cz substitution and, in the rescaled kinds, the rescaling and
+        ``bracket_den``.
 
-        In the jet kind g / (L^(n+2) 9(1 - nu^2)) is the jet of
-        X = c^n Z_n, and Z_n = c^-n X gives theta Z_n = c^-n (theta X - n X)
-        and theta^2 Z_n = c^-n (theta^2 X - 2n theta X + n^2 X); the result
-        is the tuple (Z_n, theta Z_n, theta^2 Z_n) of Fractions.
+        In the jet kind g / (bracket_den lambda^(n+2) 9(1 - nu^2)) is the
+        jet of X = c^n Z_n, and Z_n = c^-n X gives
+        theta Z_n = c^-n (theta X - n X) and
+        theta^2 Z_n = c^-n (theta^2 X - 2n theta X + n^2 X); the result is
+        the tuple (Z_n, theta Z_n, theta^2 Z_n) of Fractions.
         """
         if self.kind == "symbolic":
             return g.exact_div(self.nine_gamma).shift_c(-n)
+        den = self.bracket_den * self.scale ** (n + 2) * self.nine_gamma
         if self.kind == "jet":
-            den = self.scale ** (n + 2) * self.nine_gamma
             x, tx, ttx = (Fraction(v) / den for v in (g.f, g.tf, g.ttf))
             back = self.params.c ** -n
             return (back * x, back * (tx - n * x),
                     back * (ttx - 2 * n * tx + n * n * x))
-        return (Fraction(g, self.scale ** (n + 2))
-                / (self.nine_gamma * self.params.c ** n))
+        return Fraction(g) / (den * self.params.c ** n)
 
     def s_coefficients(self, t_coeffs) -> List[Fraction]:
-        """Coefficients in z of L * F(z / L), for the integer-kind series F(w)."""
-        return [Fraction(t) * Fraction(self.scale) ** (1 - n)
-                for n, t in enumerate(t_coeffs)]
+        """Coefficients in z of lambda * F(z / lambda), for the rescaled
+        series F(w)."""
+        return [Fraction(t) * self.scale ** (1 - n) for n, t in enumerate(t_coeffs)]
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _square(tab: dict, zero) -> dict:
+    """{degree: coefficient} of the square of the polynomial ``tab``."""
+    out = {}
+    for i, a in tab.items():
+        for j, b in tab.items():
+            out[i + j] = out.get(i + j, zero) + a * b
+    return out
+
+
+def _divide_by_unit_linear(tab: dict, e1) -> Tuple[list, list]:
+    """(q, r) with tab = (1 + e1 S) q + r, by synthetic division in S over
+    Q[z] from the top degree down.
+
+    ``tab`` maps (s_degree, z_degree <= 2) to a coefficient; q is returned
+    as rows q[i] = [z^0, z^1, z^2 coefficients of S^i] and r, free of S, as
+    one such row.
+    """
+    rows = [[Fraction(0)] * 3 for _ in range(max(i for i, _ in tab) + 1)]
+    for (i, j), v in tab.items():
+        rows[i][j] += v
+    q = [None] * (len(rows) - 1)
+    above = [0] * 3
+    for i in range(len(rows) - 1, 0, -1):
+        above = q[i - 1] = [(b - a) / e1 for b, a in zip(rows[i], above)]
+    return q, [b - a for b, a in zip(rows[0], above)]
+
+
+def _valuation(x: Fraction, p: int) -> int:
+    """The exponent of the prime p in the nonzero rational x."""
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _smallest_scale(weighted: list, big_l: int) -> Fraction:
+    """The scale lambda of :meth:`_Model._rescale_to_int`.
+
+    Every x lambda^k, (x, k) in ``weighted``, is an integer with
+    lambda = ``big_l``.  At each prime p < 64 the smallest exponent that
+    does it is e_p = max over the nonzero x of ceil(-v_p(x) / k), which
+    may be negative; what trial division by those primes leaves of
+    ``big_l`` is kept whole.
+    """
+    lam = Fraction(1)
+    for p in _SMALL_PRIMES:
+        while big_l % p == 0:
+            big_l //= p
+        lam *= Fraction(p) ** max((-(_valuation(x, p) // k) for x, k in weighted if x),
+                                  default=0)
+    return lam * big_l
 
 
 def _integral(x: Fraction) -> int:
-    if x.denominator != 1:  # pragma: no cover - the degree bounds exclude it
+    if x.denominator != 1:  # pragma: no cover - the scale excludes it
         raise ArithmeticError("rescaled table entry %s is not an integer" % x)
     return x.numerator
 
@@ -423,10 +563,10 @@ def _dot(left, right, zero):
 def _power_columns(model: _Model, order: int) -> list:
     """[None, P_1, ..., P_top], P_k the coefficient list of S^k to z^order.
 
-    S N(S) = z D(S)^2 with N(0) = 1 and S = O(z) gives, coefficient by
-    coefficient,
+    S N(S) = z E(S) with N(0) = E(0) = 1 and S = O(z) gives, coefficient
+    by coefficient,
 
-        S_n = [z^(n-1)] D(S)^2 - sum_{k>=1} n_k [S^(k+1)]_n,
+        S_n = [z^(n-1)] E(S) - sum_{k>=1} n_k [S^(k+1)]_n,
 
     and for k >= 2 the entry [S^k]_n involves only S_1..S_(n-k+1).  So step n
     first fills [S^k]_n for every k >= 2 as one dot product each, with
@@ -436,18 +576,14 @@ def _power_columns(model: _Model, order: int) -> list:
     recurrence or the bracket reads.
     """
     zero = model.zero
-    d_sq = {}
-    for i, di in model.d_tab.items():
-        for j, dj in model.d_tab.items():
-            d_sq[i + j] = d_sq.get(i + j, zero) + di * dj
     n_terms = [(k + 1, v) for k, v in model.n_tab.items() if k >= 1]
-    d_terms = [(k, v) for k, v in d_sq.items() if k >= 1]
-    top = max([k for k, _ in n_terms + d_terms]
+    e_terms = [(k, v) for k, v in model.e_tab.items() if k >= 1]
+    top = max([k for k, _ in n_terms + e_terms]
               + [i for i, _ in model.bracket_tab])
     cols = [None] + [[zero] * (order + 1) for _ in range(top)]
     s = cols[1]
     if order >= 1:
-        s[1] = d_sq[0]
+        s[1] = model.e_tab[0]
     for n in range(2, order + 1):
         for k in range(2, min(top, n) + 1):
             a, b = k // 2, k - k // 2
@@ -461,7 +597,7 @@ def _power_columns(model: _Model, order: int) -> list:
                 val = _dot(pa[a:n - b + 1], cols[b][n - a:b - 1:-1], zero)
             cols[k][n] = val
         acc = zero
-        for k, coef in d_terms:
+        for k, coef in e_terms:
             acc = acc + coef * cols[k][n - 1]
         for k, coef in n_terms:
             acc = acc - coef * cols[k][n]
@@ -529,7 +665,8 @@ def _solve_Z_ring(model: _Model, order: int) -> list:
     """[0, Z_1, ..., Z_order], exact: ParamPoly or Fraction by the model kind.
 
     The bracket is a linear combination of the power columns (S^0 = 1),
-    divided online by 1 + e1 S; its three lowest coefficients must cancel.
+    divided online by 1 + e1 S unless the model has folded that divisor in
+    (e1 = 0); its three lowest coefficients must cancel.
     """
     top = order + 2
     zero = model.zero
@@ -544,9 +681,11 @@ def _solve_Z_ring(model: _Model, order: int) -> list:
             w[n] = w[n] + coef * col[n - j]
     s = cols[1]
     e1 = model.e1
-    g = [w[0]]
-    for n in range(1, top + 1):
-        g.append(w[n] - e1 * _dot(s[1:n + 1], g[::-1], zero))
+    g = w
+    if e1:
+        g = [w[0]]
+        for n in range(1, top + 1):
+            g.append(w[n] - e1 * _dot(s[1:n + 1], g[::-1], zero))
     for i in (0, 1, 2):
         if g[i]:
             raise NonZeroRemainder(
@@ -603,29 +742,32 @@ def coefficient_sequence(params: IsingParams, n_max: int) -> List[mpmath.mpf]:
 def fixed_point_residual(params: IsingParams, order: int) -> list:
     """Coefficients of S N(S) - z D(S)^2 for the computed S (all should vanish).
 
-    The residual is formed from TruncatedSeries products, not from the
-    power columns of the forward recurrence, so it checks that recurrence
+    The residual is formed from TruncatedSeries products with the unreduced
+    N and D, not from the power columns of the forward recurrence or the
+    reduced curve that numeric mode solves, so it checks both
     independently.  Symbolic mode returns ParamPoly entries; numeric mode
     returns the exact residual at the point, rounded to mpf.  Both must be
     exactly zero.
     """
-
-    def run_with(model):
-        s = _solve_S_ring(model, order)
-        pw = _series_powers(s, max(max(model.n_tab), max(model.d_tab)))
-        pw[0] = TruncatedSeries([model.one] + [model.zero] * order, model.zero)
-
-        def at_s(tab):
-            out = TruncatedSeries([model.zero] * (order + 1), model.zero)
-            for k, coef in tab.items():
-                out = out + pw[k].scale(coef)
-            return out
-
-        ns, ds = at_s(model.n_tab), at_s(model.d_tab)
-        f = s * ns - (ds * ds).shift_up(1)
-        return f.coeffs
-
     if params.symbolic:
-        return run_with(_Model(params, "symbolic"))
-    model = _Model(params, "integer")
-    return _rounded(model.s_coefficients(run_with(model)), params.precision_bits)
+        model = _Model(params, "symbolic")
+        s = _solve_S_ring(model, order)
+    else:
+        model = _Model(params, "exact")
+        reduced = _Model(params, "integer")
+        s = TruncatedSeries(
+            reduced.s_coefficients(_solve_S_ring(reduced, order).coeffs), model.zero)
+    pw = _series_powers(s, max(max(model.n_tab), max(model.d_tab)))
+    pw[0] = TruncatedSeries([model.one] + [model.zero] * order, model.zero)
+
+    def at_s(tab):
+        out = TruncatedSeries([model.zero] * (order + 1), model.zero)
+        for k, coef in tab.items():
+            out = out + pw[k].scale(coef)
+        return out
+
+    ns, ds = at_s(model.n_tab), at_s(model.d_tab)
+    residual = (s * ns - (ds * ds).shift_up(1)).coeffs
+    if params.symbolic:
+        return residual
+    return _rounded(residual, params.precision_bits)

@@ -5,11 +5,11 @@ radius of convergence rho of the z-series is located through the critical
 point of the defining equation z = S N(S)/D(S)^2: the value s* = S(rho) is
 a root of the characteristic polynomial ``char``, the numerator of z'(s)
 for z(s) in lowest terms with its poles stripped, and in the validated
-parameter region it is the unique root of ``char`` in (0, B],
+parameter region it is the smallest root of ``char`` in (0, B],
 B = 1/(3 c^2 |1 - nu^2|) (a Cauchy root bound at nu = 1).  The exact data
 of that critical point are computed once per (nu, c), from one evaluation
 of N and D, and cached as a CriticalPoint: z(s) in lowest terms, ``char``,
-B, an interval isolating s* (one Sturm count, sign bisection), and the
+B, an interval isolating s* (Sturm counts, sign bisection), and the
 squarefree cancelling polynomial.  rho is recovered by evaluating z(s) at
 s*, with certified interval arithmetic; mu = c * rho.
 
@@ -21,7 +21,7 @@ expansions of the cancelling polynomial z D(S)^2 - S N(S) shifted to
 
 That rho is the only singularity on |z| = rho is certified from the same
 CriticalPoint: the other candidates are z at the roots of ``char`` and at
-one or two exact points, and disjoint root disks of ``char``, checked in
+one exact point, and disjoint root disks of ``char``, checked in
 integers, bound each candidate's modulus away from the rho interval (see
 :func:`radius_numeric`).  The discriminant in z of the cancelling
 polynomial, whose roots are those candidates, is interpolated from
@@ -65,8 +65,8 @@ def characteristic_root_polynomial(params: IsingParams) -> UniPoly:
     """Numerator of z'(s) for the reduced defining function, poles stripped.
 
     This is ``critical_point(params).char`` (see :func:`critical_point`), so
-    it raises NoRootInRange where the polynomial does not have exactly one
-    root in the search interval (0, B].
+    it raises NoRootInRange where the polynomial has no root in the search
+    interval (0, B].
     """
     return critical_point(params).char
 
@@ -102,8 +102,8 @@ def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
     result agrees with C there.
 
     This is ``critical_point(params).cancelling_sf``, so it raises
-    NoRootInRange where the characteristic polynomial does not have exactly
-    one root in the search interval.
+    NoRootInRange where the characteristic polynomial has no root in the
+    search interval.
     """
     return critical_point(params).cancelling_sf
 
@@ -248,14 +248,20 @@ class CriticalPoint:
     Built once per (nu, c) by :func:`critical_point`; the certified radius,
     the uniqueness certificate, the dominant exponent and the Puiseux
     expansions all read it.  ``num / den`` is z(s) in lowest terms and
-    ``char`` the squarefree numerator of z'(s) with its poles stripped,
-    whose one root in the search interval (0, B] is s*, as one Sturm count
-    certifies; z at its other roots are the branch points the uniqueness
-    certificate bounds away from |z| = rho.
-    ``bound`` is B: 1/(3 c^2 |1 - nu^2|), or the Cauchy root bound of
-    ``char`` at nu = 1.  ``interval`` = (lo, hi] isolates s* to width
-    B / 2^20, or is (s*, s*) when s* = B.  ``cancelling_sf`` is the
-    squarefree cancelling polynomial.
+    ``char`` the squarefree numerator of z'(s) with its poles stripped;
+    z at its roots other than s* are the branch points the uniqueness
+    certificate bounds away from |z| = rho.  ``bound`` is B:
+    1/(3 c^2 |1 - nu^2|), or the Cauchy root bound of ``char`` at nu = 1.
+
+    s* is the smallest root of ``char`` in the search interval (0, B].
+    S_n >= 0 and z'(0) = 1, so z increases on [0, s*) and s* is the first
+    positive zero of z'; a pole of z before it would carry S along all of
+    [0, infinity), which its finite radius excludes.  Usually s* is the
+    only root there, as one Sturm count certifies; where the count is
+    higher, as at (1/100, 9/10), Sturm bisection isolates the smallest.
+    ``interval`` = (lo, hi] isolates s* to width B / 2^20, or is (s*, s*)
+    when a bisection point hits s*, as s* = B does at c = 1, nu >= 4.
+    ``cancelling_sf`` is the squarefree cancelling polynomial.
     """
 
     num: UniPoly
@@ -312,8 +318,8 @@ class CriticalPoint:
 def critical_point(params: IsingParams) -> CriticalPoint:
     """The CriticalPoint of (params.nu, params.c), computed once and cached.
 
-    Raises NoRootInRange unless the characteristic polynomial has exactly
-    one root in (0, B] (see :class:`CriticalPoint`).
+    Raises NoRootInRange when the characteristic polynomial has no root
+    in (0, B] (see :class:`CriticalPoint`).
     """
     return _critical_point(params.nu, params.c)
 
@@ -337,22 +343,31 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
     char = squarefree_part(char)
     bound = cauchy_root_bound(char) if nu == 1 else \
         Fraction(1, 3) / (c ** 2 * abs(1 - nu ** 2))
-    count = SturmChain(char).count(Fraction(0), bound)
+    chain = SturmChain(char)
+    count = chain.count(Fraction(0), bound)
     # At c = 1 with nu between 1 and 4 the end of the search interval is
     # itself a critical point, but of a further sheet (its z-value lies below
     # the radius); it is only the dominant point when it is the *sole* root.
     if count > 1 and char.sign_at(bound) == 0:
         char = char.exact_div(UniPoly([-bound, Fraction(1)]))
-        count = SturmChain(char).count(Fraction(0), bound)
-    if count != 1:
-        raise NoRootInRange(
-            "expected exactly one characteristic root in (0, %s], found %d"
-            % (bound, count)
-        )
-    if char.sign_at(bound) == 0:
-        interval = (bound, bound)
+        chain = SturmChain(char)
+        count = chain.count(Fraction(0), bound)
+    if count == 0:
+        raise NoRootInRange("no characteristic root in (0, %s]" % bound)
+    # s* is the smallest root (see CriticalPoint): Sturm bisection keeps
+    # (0, lo] free of roots and (lo, hi] holding count >= 1 of them
+    lo, hi = Fraction(0), bound
+    while count > 1:
+        mid = (lo + hi) / 2
+        below = chain.count(lo, mid)
+        if below:
+            hi, count = mid, below
+        else:
+            lo = mid
+    if char.sign_at(hi) == 0:
+        interval = (hi, hi)
     else:
-        interval = bisect_isolated_root(char, Fraction(0), bound, bound / 2 ** 20)
+        interval = bisect_isolated_root(char, lo, hi, bound / 2 ** 20)
     # squarefree cancelling polynomial: divide g (z B - A) by gcd(g, g'),
     # scaled to 1 at S = 0 (D(0) = 1, so S does not divide it)
     h = poly_gcd(g, g.derivative())
@@ -588,9 +603,9 @@ def radius_numeric(
 ) -> SingularityReport:
     """Certified radius of convergence rho, mu = c rho, and S(rho).
 
-    s* is the unique root of the characteristic polynomial in (0, B],
-    B = 1/(3 c^2 |1 - nu^2|) (Cauchy bound at nu = 1), isolated by one
-    Sturm count and refined by sign bisection (see :class:`CriticalPoint`);
+    s* is the smallest root of the characteristic polynomial in (0, B],
+    B = 1/(3 c^2 |1 - nu^2|) (Cauchy bound at nu = 1), isolated by Sturm
+    counts and refined by sign bisection (see :class:`CriticalPoint`);
     rho is the reduced rational function z(s) evaluated there, with an
     interval enclosure of width <= tol.  Points with |c - 1| > 1/4 are
     outside the validated region and require ``allow_far_field=True``,
@@ -604,8 +619,9 @@ def radius_numeric(
     polynomial is a constant, so S has no poles and every singularity of S
     is a root of its z-discriminant, which is z(sigma) for a root sigma of
     ``char`` or z(B), B being the endpoint factor :func:`critical_point`
-    drops at c = 1.  Z = Q(S) adds at most a pole where 1 + e1 S = 0,
-    e1 = 3 c^2 (1 - nu^2): at S = B for nu > 1, at S = -B for nu < 1.
+    drops at c = 1.  Z = Q(S) adds none: on the curve, Z(nu, c, c z) =
+    A(S, z) / (9 (1 - nu^2) z^2) with A a polynomial (the reduced model of
+    :mod:`isingmaps.series`), so 1 + e1 S = 0 is no pole of Z.
     :func:`_uniqueness_certificate` checks every candidate exactly.
     Candidates strictly inside |z| < rho are allowed on the Pringsheim
     argument: Z_n >= 0, since Z counts maps with positive weights, so the
@@ -625,12 +641,9 @@ def radius_numeric(
     mu_iv = (params.c * rho_iv[0], params.c * rho_iv[1])
     unique = False
     if scan_uniqueness:
-        extra = {cp.bound}
-        if params.nu != 1:
-            extra.add(1 / (3 * params.c ** 2 * (params.nu ** 2 - 1)))
         # the verdict reads rho to UNIQUENESS_TOL at least, whatever ``tol``
         ivs = (s_iv, rho_iv) if tol <= UNIQUENESS_TOL else _certify_rho(cp, UNIQUENESS_TOL)
-        reason = _uniqueness_certificate(cp, *ivs[:2], tuple(sorted(extra)))
+        reason = _uniqueness_certificate(cp, *ivs[:2], (cp.bound,))
         unique = reason is None
         if not unique:
             warnings.append("dominant-singularity uniqueness undecided: " + reason)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
+from isingmaps import series
 from isingmaps.errors import NonZeroRemainder, NumericModeAtNuOne
 from isingmaps.exactalg import ParamPoly
 from isingmaps.series import (
@@ -202,6 +204,16 @@ class TestSolveS:
         assert len(residual) == 21
         assert all(r == 0 for r in residual)
 
+    @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(2), Fraction(5)])
+    def test_fixed_point_residual_numeric_at_c_one(self, nu):
+        # the residual reads the unreduced N and D, while the S under test
+        # comes from the curve with 1 + e1 S cancelled
+        params = IsingParams(nu=nu, c=1, precision_bits=128)
+        assert "d_tab" not in vars(_Model(params, "integer"))
+        residual = fixed_point_residual(params, 20)
+        assert len(residual) == 21
+        assert all(r == 0 for r in residual)
+
     def test_lagrange_inversion_oracle_symbolic(self):
         s = solve_S(SYM, 8)
         for n, expect in enumerate(lagrange_S(SYM, 8, symbolic=True), start=1):
@@ -290,9 +302,16 @@ class TestSolveZ:
         (Fraction(7, 5), Fraction(11, 13)),
         (Fraction(13, 7), Fraction(5, 3)),
         (Fraction(1, 3), Fraction(2)),
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(7, 2), Fraction(1)),
+        (Fraction(4), Fraction(1)),
+        (Fraction(5), Fraction(1)),
+        (Fraction(4), Fraction(19, 20)),
+        (Fraction(1, 3), Fraction(7, 5)),
     ])
     def test_integer_ring_equals_exact_ring(self, nu, c):
-        # L = (den nu * den c)^2 mixes distinct primes from nu and from c.
+        # The scale mixes distinct primes from nu and from c, and can be a
+        # fraction; at c = 1 the curve itself is reduced.
         got = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "integer"), 60)
         assert got[0] == 0
         assert got[1:] == exact_ring_Z(nu, c, 60)
@@ -311,6 +330,60 @@ class TestSolveZ:
         model.bracket_tab[(2, 0)] += 1
         with pytest.raises(NonZeroRemainder):
             _solve_Z_ring(model, 5)
+
+    @pytest.mark.parametrize("c", [Fraction(21, 20), Fraction(1)])
+    def test_bracket_off_the_curve_fails_the_fold(self, monkeypatch, c):
+        # a bracket term that is not a multiple of 1 + e1 S on the curve
+        # leaves a remainder in the fold, off c = 1 and at c = 1
+        n_tab, d_tab, bracket_tab, e1, nine_gamma = series._symbolic_tables()
+        bracket_tab = dict(bracket_tab)
+        bracket_tab[(0, 0)] = ParamPoly.constant(1)
+        monkeypatch.setattr(series, "_symbolic_tables",
+                            lambda: (n_tab, d_tab, bracket_tab, e1, nine_gamma))
+        with pytest.raises(NonZeroRemainder):
+            _Model(IsingParams(nu=Fraction(3, 2), c=c), "integer")
+
+    @pytest.mark.parametrize("nu, c, scale", [
+        (Fraction(1, 2), 1, Fraction(4, 3)), (Fraction(2), 1, Fraction(1, 3)),
+        (Fraction(5), 1, Fraction(1, 6)), (Fraction(6), 1, Fraction(1)),
+        (Fraction(4), Fraction(19, 20), Fraction(100, 3)),
+        (Fraction(3, 2), Fraction(19, 20), Fraction(1600)),
+    ])
+    def test_reduced_model_shape(self, nu, c, scale):
+        model = _Model(IsingParams(nu=nu, c=c), "integer")
+        assert model.scale == scale and model.e1 == 0
+        assert max(i for i, _ in model.bracket_tab) == 6
+        assert max(j for _, j in model.bracket_tab) <= 2
+        # at c = 1 the curve has degree 6, so S^7 is never formed
+        assert max(k + 1 for k in model.n_tab) == (6 if c == 1 else 7)
+        assert max(model.e_tab) == (3 if c == 1 else 4)
+        assert model.n_tab[0] == model.e_tab[0] == 1
+        tabs = list(model.n_tab.values()) + list(model.e_tab.values()) \
+            + list(model.bracket_tab.values())
+        assert all(type(v) is int for v in tabs)
+
+    def test_fold_identities_hold_identically(self):
+        # the remainders of B and P = S N - z D^2 modulo 1 + e1 S satisfy
+        # r_B = k(z) r_P with k linear in z, identically in nu and c; and
+        # at c = 1, 1 + e1 S divides both N and D
+        n_tab, d_tab, bracket_tab, e1, _ = series._symbolic_tables()
+        nu, c, s, z = sympy.symbols("nu c s z")
+
+        def sym(p):
+            return sum(q * nu ** dv * c ** dc for (dv, dc), q in p.terms.items())
+
+        big_n = sum(sym(v) * s ** k for k, v in n_tab.items())
+        big_d = sum(sym(v) * s ** k for k, v in d_tab.items())
+        bracket = sum(sym(v) * s ** i * z ** j for (i, j), v in bracket_tab.items())
+        root = -1 / sym(e1)
+        r_b = sympy.together(bracket.subs(s, root))
+        r_p = sympy.together((s * big_n - z * big_d ** 2).subs(s, root))
+        k = (36 * c ** 2 * (nu ** 2 - 1) ** 2 * z - 3 * nu ** 2 + 8) \
+            / (3 * (c ** 2 - 1) * (nu ** 2 - 1))
+        assert sympy.cancel(r_b - k * r_p) == 0
+        unit = (1 + sym(e1) * s).subs(c, 1)
+        for poly in (big_n, big_d):
+            assert sympy.rem(sympy.expand(poly.subs(c, 1)), unit, s) == 0
 
     def test_bracket_at_point_matches_symbolic(self):
         nu, c = Fraction(5, 2), Fraction(9, 10)

@@ -14,7 +14,7 @@ from isingmaps.exactalg import (
     squarefree_part,
     sturm_count,
 )
-from isingmaps.series import IsingParams, lagrangian_numer_denom
+from isingmaps.series import IsingParams, coefficient_sequence, lagrangian_numer_denom
 from isingmaps.singular import (
     SingularityReport,
     cancelling_polynomial,
@@ -328,6 +328,23 @@ class TestCriticalPoint:
         cp = critical_point(params(1, Fraction(9, 10)))
         assert cp.bound == cauchy_root_bound(cp.char)
         assert sturm_count(cp.char, 0, cp.bound) == 1
+
+    def test_smallest_of_several_roots(self):
+        # at (1/100, 9/10) char has two roots in (0, B], on either side of
+        # the pole of z at s ~ 0.37041; s* is the smaller one
+        p = params(Fraction(1, 100), Fraction(9, 10))
+        cp = critical_point(p)
+        lo, hi = cp.interval
+        assert sturm_count(cp.char, 0, cp.bound) == 2
+        assert sturm_count(cp.char, 0, lo) == 0 and sturm_count(cp.char, lo, hi) == 1
+        assert 0.33333 < lo < hi < 0.33335
+        rep = radius_numeric(p)
+        assert rep.uniqueness_checked and rep.exponent == Fraction(1, 2)
+        # Z_n ~ C mu^-n n^(-5/2): mu from the series excludes the second
+        # root, whose c z is about 0.215144
+        z = coefficient_sequence(IsingParams(nu=p.nu, c=p.c, precision_bits=128), 200)
+        estimate = mpmath.sqrt(z[197] / z[199]) * (mpmath.mpf(198) / 200) ** 1.25
+        assert abs(estimate - float(rep.mu)) < 1e-4
 
     def test_exact_endpoint_interval(self):
         cp = critical_point(params(5))
