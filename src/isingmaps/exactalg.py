@@ -8,8 +8,10 @@ This module supplies the arithmetic backbone used everywhere else:
   integral;
 * ``UniPoly`` -- dense univariate polynomials over Q (other coefficients
   are held as data only);
-* gcds, resultants and discriminants along one Euclidean remainder
-  sequence over Q (no modular arithmetic);
+* gcds, squarefree parts, Sturm chains, resultants and discriminants
+  along one primitive pseudo-remainder sequence over Z (Brown, J. ACM 18,
+  1971), each member a positive multiple of the Euclidean one over Q; a
+  gcd of 1 is certified modulo a prime first, without the sequence;
 * exact polynomial interpolation (Newton divided differences);
 * ``IntegerForm`` -- a rational polynomial as integer coefficients over
   one positive denominator, evaluated at a point x/w by homogeneous integer
@@ -28,7 +30,7 @@ Sign conventions (fixed by the test suite):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 import mpmath
@@ -417,10 +419,6 @@ class UniPoly:
             p = p * cls([-Fraction(r), _ONE])
         return p
 
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls([_ZERO, _ONE])
-
     # -- structure ----------------------------------------------------------
 
     def degree(self) -> int:
@@ -508,7 +506,8 @@ class UniPoly:
         return _sign(self.integer_form().value(x.numerator, x.denominator))
 
     def exact_div(self, divisor) -> "UniPoly":
-        """Exact division by a UniPoly or a rational scalar."""
+        """Exact division by a UniPoly or a rational scalar.  An integer
+        polynomial divided by one of its divisors in Z[x] stays in ``int``."""
         if not isinstance(divisor, UniPoly):
             return UniPoly([ring_exact_div(c, divisor) for c in self.coeffs], zero=self.zero)
         if divisor.is_zero():
@@ -526,7 +525,10 @@ class UniPoly:
             top = rem[k + dd]
             if not top:
                 continue
-            q = ring_exact_div(top, dlc)
+            if type(top) is int and type(dlc) is int and not top % dlc:
+                q = top // dlc
+            else:
+                q = ring_exact_div(top, dlc)
             quo[k] = q
             for j, dc in enumerate(divisor.coeffs):
                 rem[k + j] = rem[k + j] - q * dc
@@ -598,71 +600,160 @@ class IntegerForm:
 
 
 # ---------------------------------------------------------------------------
-# Euclidean remainder sequence over Q (gcd, squarefree part, resultant,
-# discriminant) and interpolation
+# One primitive remainder sequence over Z (gcd, squarefree part, Sturm
+# chain, resultant, discriminant), a modular coprimality certificate in
+# front of the gcd, and interpolation
 # ---------------------------------------------------------------------------
 
-def _remainder(f: UniPoly, g: UniPoly) -> UniPoly:
-    """f mod g over Q."""
-    dd = g.degree()
-    if dd < 0:
-        raise ZeroDivisionError("remainder by the zero polynomial")
-    rem = list(f.coeffs)
-    glc = g.lc()
-    while len(rem) - 1 >= dd:
-        if not rem[-1]:
-            rem.pop()
+# Mersenne primes for the certificate; a later one is used only when an
+# earlier one divides a leading coefficient.
+_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1)
+
+
+def _primitive(p: UniPoly) -> Tuple[List[int], int]:
+    """Coprime integers P and t > 0 with p = (t / den) P, den that of
+    p's :class:`IntegerForm`: P is a positive multiple of p."""
+    form = p.integer_form()
+    t = gcd(*form.coeffs)
+    return [c // t for c in form.coeffs], t
+
+
+def primitive(p: UniPoly) -> UniPoly:
+    """The positive multiple of a nonzero rational polynomial whose
+    coefficients are coprime integers (``int``, with ``zero=0``)."""
+    return UniPoly(_primitive(p)[0], zero=0)
+
+
+def _coprime_mod_p(f: List[int], g: List[int]) -> bool:
+    """True when f and g, integer coefficient lists, are certified coprime
+    over Q: for a prime p that divides neither leading coefficient, every
+    common factor over Q is, by Gauss's lemma, a primitive integer
+    polynomial whose leading coefficient p does not divide, so it survives
+    mod p; a gcd of degree 0 mod p leaves none (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 6).  False means undecided."""
+    for p in _PRIMES:
+        if f[-1] % p and g[-1] % p:
+            break
+    else:
+        return False
+    a, b = [c % p for c in f], [c % p for c in g]
+    while len(b) > 1:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            top = a.pop() * inv % p
+            if top:
+                k = len(a) - db
+                for j in range(db):
+                    a[k + j] = (a[k + j] - top * b[j]) % p
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _pseudo_remainder(f: List[int], g: List[int]) -> Tuple[List[int], int, int]:
+    """(r, t, m) with m f - q g = t r over Z[x]: deg r < deg g, r primitive
+    (``[]`` when g divides f), t its content and m > 0 a product of
+    divisors of |lc g|.  So f mod g = (t / m) r over Q, a positive multiple
+    of r.  Each step multiplies by |lc g| / gcd(|lc g|, lead) only."""
+    r = list(f)
+    dg = len(g) - 1
+    a = abs(g[-1])
+    low = g[:-1] if g[-1] > 0 else [-c for c in g[:-1]]
+    m = 1
+    while len(r) > dg:
+        top = r.pop()
+        if not top:
             continue
-        k = len(rem) - 1 - dd
-        q = ring_exact_div(rem[-1], glc)
-        for j in range(dd + 1):
-            rem[k + j] = rem[k + j] - q * g.coeffs[j]
-        rem.pop()
-    return UniPoly(rem, zero=f.zero)
+        t = gcd(top, a)
+        if t != a:
+            u = a // t
+            r = [u * c for c in r]
+            m *= u
+        top //= t
+        k = len(r) - dg
+        for j, c in enumerate(low):
+            r[k + j] -= top * c
+    while r and not r[-1]:
+        r.pop()
+    t = gcd(*r)
+    return [c // t for c in r] if t > 1 else r, t, m
+
+
+def _remainder_sequence(f: List[int], g: List[int], sturm: bool = False):
+    """The primitive pseudo-remainder sequence f, g, r_2, ... over Z.
+
+    Member i + 1 is the primitive remainder of members i - 1 and i,
+    negated when ``sturm``, so each is a positive multiple of the member of
+    the Euclidean (or Sturm) sequence over Q.  It stops at a constant
+    member or before a zero remainder.  Returns the members and, per
+    remainder, its (t, m) from :func:`_pseudo_remainder`.
+    """
+    seq, scalars = [f, g], []
+    while len(seq[-1]) > 1:
+        r, t, m = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r] if sturm else r)
+        scalars.append((t, m))
+    return seq, scalars
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over Q (the zero polynomial when both are zero)."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, _remainder(a, b)
-    if a.is_zero():
-        return a
-    return a.exact_div(a.lc())
+    """Monic gcd over Q (the zero polynomial when both are zero).
+
+    The modular certificate (:func:`_coprime_mod_p`) decides a gcd of 1
+    first, without a remainder sequence; only when it fails does the
+    primitive sequence over Z run, whose last member is the gcd.
+    """
+    if f.is_zero() or g.is_zero():
+        a = g if f.is_zero() else f
+        return a if a.is_zero() else a.exact_div(a.lc())
+    a, b = _primitive(f)[0], _primitive(g)[0]
+    if _coprime_mod_p(a, b):
+        return UniPoly([_ONE])
+    h = UniPoly(_remainder_sequence(a, b)[0][-1])
+    return h.exact_div(h.lc())
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'), computed so the division is exact."""
+    """p divided by gcd(p, p'): p itself when the two are coprime, else the
+    primitive integer quotient (a positive multiple of p / gcd)."""
     if p.degree() < 1:
         return p
     g = poly_gcd(p, p.derivative())
     if g.degree() == 0:
         return p
-    return p.exact_div(g)
+    return primitive(p).exact_div(primitive(g))
 
 
 def resultant(f: UniPoly, g: UniPoly):
     """Resultant with the convention res(p, q) = lc(q)^deg(p) * prod p(beta)
     over the roots beta of q.
 
-    Computed along the Euclidean remainder sequence over Q with two
+    Computed along the primitive remainder sequence over Z with three
     identities: r = p mod q agrees with p at every root of q, so
-    res(p, q) = lc(q)^(deg p - deg r) * res(r, q); and
+    res(p, q) = lc(q)^(deg p - deg r) * res(r, q); res(alpha p, q) =
+    alpha^deg(q) * res(p, q), with the symmetric rule for q; and
     res(p, q) = (-1)^(deg p * deg q) * res(q, p).  A constant q ends the
     sequence with res(p, q) = lc(q)^deg(p), a zero remainder with 0.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    acc = _ONE
-    while g.degree() > 0:
-        r = _remainder(f, g)
-        if r.is_zero():
-            return _ZERO
-        acc = acc * g.lc() ** (f.degree() - r.degree())
-        if (r.degree() * g.degree()) % 2:
+    (a, ta), (b, tb) = _primitive(f), _primitive(g)
+    acc = (Fraction(ta, f.integer_form().den) ** g.degree()
+           * Fraction(tb, g.integer_form().den) ** f.degree())
+    seq, scalars = _remainder_sequence(a, b)
+    if len(seq[-1]) > 1:
+        return _ZERO
+    for p, q, r, (t, m) in zip(seq, seq[1:], seq[2:], scalars):
+        # p mod q = (t / m) r
+        acc *= q[-1] ** (len(p) - len(r)) * Fraction(t, m) ** (len(q) - 1)
+        if (len(q) - 1) * (len(r) - 1) % 2:
             acc = -acc
-        f, g = g, r
-    return acc * g.lc() ** f.degree()
+    return acc * seq[-1][-1] ** (len(seq[-2]) - 1)
 
 
 def discriminant(p: UniPoly):
@@ -706,23 +797,21 @@ class SturmChain:
     """Sturm chain of a squarefree rational polynomial, with evaluation
     caching kept to the caller.
 
-    Each member is evaluated through its :class:`IntegerForm`: the sign at
-    a rational x = n/m is that of the integer H(n, m), so counting sign
+    The members are the primitive remainder sequence over Z of p and p',
+    each remainder negated (:func:`_remainder_sequence`): positive
+    multiples of the chain over Q, so the signs and every count are the
+    same.  Each is kept as an :class:`IntegerForm` over 1: the sign at a
+    rational x = n/m is that of the integer H(n, m), so counting sign
     variations takes integer Horner only.
     """
 
     def __init__(self, p: UniPoly):
         if p.degree() < 0:
             raise ValueError("Sturm chain of the zero polynomial")
-        seq = [p]
-        if p.degree() >= 1:
-            seq.append(p.derivative())
-            while seq[-1].degree() > 0:
-                r = _remainder(seq[-2], seq[-1])
-                if r.is_zero():
-                    break
-                seq.append(-r)
-        self.forms = [q.integer_form() for q in seq]
+        f = _primitive(p)[0]
+        df = [j * c for j, c in enumerate(f)][1:]
+        seq = _remainder_sequence(f, df, sturm=True)[0] if df else [f]
+        self.forms = [IntegerForm(q, 1) for q in seq]
 
     def variations(self, x: Fraction) -> int:
         n, m = x.numerator, x.denominator

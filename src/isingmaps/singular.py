@@ -8,10 +8,11 @@ for z(s) in lowest terms with its poles stripped, and in the validated
 parameter region it is the smallest root of ``char`` in (0, B],
 B = 1/(3 c^2 |1 - nu^2|) (a Cauchy root bound at nu = 1).  The exact data
 of that critical point are computed once per (nu, c), from one evaluation
-of N and D, and cached as a CriticalPoint: z(s) in lowest terms, ``char``,
-B, an interval isolating s* (Sturm counts, sign bisection), and the
-squarefree cancelling polynomial.  rho is recovered by evaluating z(s) at
-s*, with certified interval arithmetic; mu = c * rho.
+of N and D, and cached as a CriticalPoint built over Z (gcds certified
+modulo a prime, one primitive remainder sequence where that fails): z(s)
+in lowest terms, ``char``, B, an interval isolating s* (Sturm counts, sign
+bisection), and the squarefree cancelling polynomial.  rho is recovered
+by evaluating z(s) at s*, with certified interval arithmetic; mu = c * rho.
 
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isfinite, isqrt, lcm, ldexp
+from math import comb, gcd, isfinite, isqrt, lcm, ldexp
 from typing import Dict, List, Optional, Tuple, Union
 
 import mpmath
@@ -49,6 +50,7 @@ from .exactalg import (
     discriminant,
     interpolate,
     poly_gcd,
+    primitive,
     rational_sqrt,
     squarefree_part,
 )
@@ -84,8 +86,8 @@ def cancelling_polynomial(params: IsingParams) -> UniPoly:
 
     Coefficients are UniPoly in z over exact rationals at the point.
     """
-    s_n, d_sq, _ = _lagrangian_parts(params)
-    return _z_linear(d_sq, s_n)
+    sn, a, d, b = _lagrangian_parts(params)
+    return _z_linear(_over(d * d, b * b), _over(sn, a))
 
 
 def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
@@ -229,16 +231,22 @@ class SingularityReport:
 
 
 def _poly_abs_bound(p: UniPoly, scale: Fraction) -> Fraction:
-    """Crude sup bound for |p| on [0, b], given scale = max(b, 1)."""
-    return sum((abs(c) * scale ** k for k, c in enumerate(p.coeffs)), Fraction(0))
+    """Crude sup bound for |p| on [0, b], given scale = max(b, 1); an
+    ``int`` for integer p and scale."""
+    return sum(abs(c) * scale ** k for k, c in enumerate(p.coeffs))
 
 
-def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, UniPoly, UniPoly]:
-    """S N(S), D(S)^2 and their monic gcd in Q[S]."""
+def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, int, UniPoly, int]:
+    """(sn, a, d, b): S N(S) = sn / a and D(S) = d / b, sn and d integer
+    polynomials and a, b positive integers."""
     n_poly, d_poly = lagrangian_numer_denom(params, symbolic=False)
-    s_n = UniPoly.variable() * n_poly
-    d_sq = d_poly * d_poly
-    return s_n, d_sq, poly_gcd(s_n, d_sq)
+    n, d = n_poly.integer_form(), d_poly.integer_form()
+    return UniPoly((0,) + n.coeffs, zero=0), n.den, UniPoly(d.coeffs, zero=0), d.den
+
+
+def _over(p: UniPoly, w: int) -> UniPoly:
+    """The rational polynomial p / w."""
+    return UniPoly([Fraction(c, w) for c in p.coeffs])
 
 
 @dataclass(frozen=True)
@@ -247,10 +255,14 @@ class CriticalPoint:
 
     Built once per (nu, c) by :func:`critical_point`; the certified radius,
     the uniqueness certificate, the dominant exponent and the Puiseux
-    expansions all read it.  ``num / den`` is z(s) in lowest terms and
-    ``char`` the squarefree numerator of z'(s) with its poles stripped;
-    z at its roots other than s* are the branch points the uniqueness
-    certificate bounds away from |z| = rho.  ``bound`` is B:
+    expansions all read it.  ``num / den`` is z(s) in lowest terms, both
+    integer polynomials over one shared positive scale (their coefficients
+    coprime taken together), so :meth:`z_at` is exact integer Horner.
+    ``char`` is the squarefree numerator of z'(s) with its poles stripped,
+    as a primitive integer polynomial: a positive multiple of the one over
+    Q, so every sign and count is that of the rational one.  z at its
+    roots other than s* are the branch points the uniqueness certificate
+    bounds away from |z| = rho.  ``bound`` is B:
     1/(3 c^2 |1 - nu^2|), or the Cauchy root bound of ``char`` at nu = 1.
 
     s* is the smallest root of ``char`` in the search interval (0, B].
@@ -272,7 +284,12 @@ class CriticalPoint:
     cancelling_sf: UniPoly
 
     def z_at(self, s: Fraction) -> Fraction:
-        return self.num.eval_scalar(s) / self.den.eval_scalar(s)
+        """z(s) exactly, from the integer forms of num and den."""
+        x, w = s.numerator, s.denominator
+        e = self.den.degree() - self.num.degree()
+        n = self.num.integer_form().value(x, w)
+        d = self.den.integer_form().value(x, w)
+        return Fraction(n * w ** e, d) if e >= 0 else Fraction(n, d * w ** -e)
 
     def refine(self, lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
         """Shrink (lo, hi], a piece of ``interval`` that holds s*, below width.
@@ -294,10 +311,14 @@ class CriticalPoint:
 
         m is the multiplicity of s* as a root of dz = num' den - num den',
         the number of successive derivatives of dz that vanish there.
-        den(s*) != 0, so z - rho ~ a (s - s*)^(m + 1) with a != 0.  On an
+        den(s*) != 0, so z - rho ~ a (s - s*)^(m + 1) with a != 0.  m >= 1:
+        char divides dz by construction, so the count starts at dz'.  On an
         exact hit a polynomial q vanishes at s* iff q(s*) = 0; otherwise iff
         gcd(q, char) changes sign over ``interval``, which holds no other
-        root of char and none at either end.
+        root of char and none at either end.  That gcd is 1 at generic
+        points, which the modular certificate of
+        :func:`~isingmaps.exactalg.poly_gcd` shows without a remainder
+        sequence.
         """
         lo, hi = self.interval
 
@@ -307,8 +328,8 @@ class CriticalPoint:
             g = poly_gcd(q, self.char)
             return g.degree() >= 1 and g.sign_at(lo) * g.sign_at(hi) < 0
 
-        q = self.num.derivative() * self.den - self.num * self.den.derivative()
-        m = 0
+        dz = self.num.derivative() * self.den - self.num * self.den.derivative()
+        q, m = dz.derivative(), 1
         while vanishes(q):
             m += 1
             q = q.derivative()
@@ -326,19 +347,32 @@ def critical_point(params: IsingParams) -> CriticalPoint:
 
 @lru_cache(maxsize=512)
 def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
-    s_n, d_sq, g = _lagrangian_parts(IsingParams(nu=nu, c=c))
-    # z(s) in lowest terms: at c = 1 for nu >= 4, s* is a root of D and the
-    # unreduced s N(S)/D(S)^2 is a 0/0 there
-    num, den = (s_n.exact_div(g), d_sq.exact_div(g)) if g.degree() > 0 else (s_n, d_sq)
+    sn, a, d, b = _lagrangian_parts(IsingParams(nu=nu, c=c))
+    dd = d * d
+    # z(s) = b^2 sn / (a d^2) in lowest terms: at c = 1 for nu >= 4, s* is
+    # a root of D and the unreduced s N(S)/D(S)^2 is a 0/0 there.  Off
+    # c = 1 the modular certificate shows gcd 1 without a remainder
+    # sequence.  Divisors are primitive, so every quotient stays in Z[x].
+    g = primitive(poly_gcd(sn, dd))
+    num, den = sn.scale(b * b).exact_div(g), dd.scale(a).exact_div(g)
+    t = gcd(*num.coeffs, *den.coeffs)
+    num, den = (UniPoly([x // t for x in q.coeffs], zero=0) for q in (num, den))
     # Removing every factor the numerator of z' shares with den discards
     # the spurious pole-located roots D would contribute (at c = 1 they sit
     # at the end of the search interval for nu on one side of 1), while the
     # genuine critical point survives: for nu >= 4 it is the cancelled
     # factor's location, a root of the reduced numerator's derivative.
-    char = num.derivative() * den - num * den.derivative()
+    if g.degree() == 0:
+        # den = (a / t) d^2, so num' den - num den' is (a / t) d times
+        # num' d - 2 num d': that factor d is stripped here, the sign of
+        # its leading coefficient kept
+        char = primitive(num.derivative() * d - (num * d.derivative()).scale(2))
+        char = char if d.lc() > 0 else -char
+    else:
+        char = primitive(num.derivative() * den - num * den.derivative())
     common = poly_gcd(char, den)
     while common.degree() >= 1:
-        char = char.exact_div(common)
+        char = char.exact_div(primitive(common))
         common = poly_gcd(char, den)
     char = squarefree_part(char)
     bound = cauchy_root_bound(char) if nu == 1 else \
@@ -349,7 +383,7 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
     # itself a critical point, but of a further sheet (its z-value lies below
     # the radius); it is only the dominant point when it is the *sole* root.
     if count > 1 and char.sign_at(bound) == 0:
-        char = char.exact_div(UniPoly([-bound, Fraction(1)]))
+        char = char.exact_div(primitive(UniPoly([-bound, Fraction(1)])))
         chain = SturmChain(char)
         count = chain.count(Fraction(0), bound)
     if count == 0:
@@ -370,12 +404,11 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
         interval = bisect_isolated_root(char, lo, hi, bound / 2 ** 20)
     # squarefree cancelling polynomial: divide g (z B - A) by gcd(g, g'),
     # scaled to 1 at S = 0 (D(0) = 1, so S does not divide it)
-    h = poly_gcd(g, g.derivative())
+    h = primitive(poly_gcd(g, g.derivative()))
     if h.degree() >= 1:
-        h = h.scale(1 / h.coeff(0))
-        s_n, d_sq = s_n.exact_div(h), d_sq.exact_div(h)
-    return CriticalPoint(num=num, den=den, char=char, bound=bound,
-                         interval=interval, cancelling_sf=_z_linear(d_sq, s_n))
+        sn, dd = (q.exact_div(h).scale(h.coeff(0)) for q in (sn, dd))
+    return CriticalPoint(num=num, den=den, char=char, bound=bound, interval=interval,
+                         cancelling_sf=_z_linear(_over(dd, b * b), _over(sn, a)))
 
 
 def _certify_rho(
@@ -418,7 +451,7 @@ def _certify_rho(
     while True:
         if den_lo > 0 and den_hi > 0:
             # the sup bounds on [0, hi] depend on hi only through max(hi, 1)
-            scale = Fraction(H, w0 << k) if H > w0 << k else Fraction(1)
+            scale = Fraction(H, w0 << k) if H > w0 << k else 1
             if scale != bounds_scale:
                 bounds_scale = scale
                 sup_num_d = _poly_abs_bound(num_d, scale)

@@ -1,10 +1,12 @@
 """Unit and property tests for the exact-algebra layer."""
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from isingmaps import exactalg
 from isingmaps.errors import DegenerateInterval, NonZeroRemainder
 from isingmaps.exactalg import (
     ParamPoly,
@@ -378,6 +380,104 @@ class TestGcd:
         assert sf == UniPoly([1, 1]) and exact(sf.coeffs)
         bound = cauchy_root_bound(UniPoly([1, 2, 3]))
         assert bound == Fraction(5, 3) and exact([bound])
+
+
+# -- the modular certificate and the remainder sequence over Z --------------
+
+def _q_mod(a, b):
+    """a mod b over Q, for coefficient lists (low degree first)."""
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b):
+        q = r[-1] / b[-1]
+        k = len(r) - len(b)
+        for j, c in enumerate(b):
+            r[k + j] -= q * c
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _q_euclid_gcd(f, g):
+    """Monic gcd by the Euclidean algorithm over Q: the reference."""
+    a, b = [Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]
+    while b:
+        a, b = b, _q_mod(a, b)
+    return UniPoly([c / a[-1] for c in a])
+
+
+def _q_sturm_chain(p):
+    """The Sturm chain over Q, remainders negated: the reference."""
+    seq = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
+    while len(seq[-1]) > 1:
+        r = _q_mod(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def _q_variations(chain, x):
+    signs = [s for s in ((v > 0) - (v < 0) for v in
+                         (UniPoly(q).eval_scalar(x) for q in chain)) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
+    lambda cs: UniPoly(cs, zero=0)).filter(bool)
+
+
+class TestIntegerSequence:
+    @given(int_polys, int_polys, int_polys.filter(lambda h: h.degree() >= 1))
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_with_a_common_factor_matches_q_euclid(self, f, g, h):
+        got = poly_gcd(f * h, g * h)
+        assert got == _q_euclid_gcd(f * h, g * h)
+        got.exact_div(h.exact_div(h.lc()))  # raises NonZeroRemainder if h does not divide
+
+    def test_leading_coefficient_divisible_by_the_prime(self, monkeypatch):
+        runs = []
+        sequence = exactalg._remainder_sequence
+        monkeypatch.setattr(exactalg, "_remainder_sequence",
+                            lambda *args, **kw: runs.append(args) or sequence(*args, **kw))
+        one = UniPoly([1])
+        # the first prime divides the leading coefficient: the next one certifies
+        f = UniPoly([1, exactalg._PRIMES[0]])
+        assert poly_gcd(f, UniPoly([3, 1])) == one and not runs
+        # every prime of the list divides it: the sequence over Z decides
+        f = UniPoly([1, prod(exactalg._PRIMES)])
+        assert not exactalg._coprime_mod_p(f.coeffs, [3, 1])
+        assert poly_gcd(f, UniPoly([3, 1])) == one and len(runs) == 1
+        h = UniPoly([-2, 1])
+        assert poly_gcd(f * h, UniPoly([3, 1]) * h) == h and len(runs) == 2
+
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=8),
+           st.lists(st.fractions(min_value=Fraction(-12), max_value=Fraction(12),
+                                 max_denominator=50), min_size=2, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_z_chain_counts_as_the_q_chain(self, coeffs, points):
+        p = UniPoly(coeffs)
+        if p.degree() < 1 or _q_euclid_gcd(p, p.derivative()).degree() > 0:
+            return
+        q_chain = _q_sturm_chain(p)
+        chain = SturmChain(p)
+        # each member over Z is a positive multiple of the member over Q
+        assert len(chain.forms) == len(q_chain)
+        for form, q in zip(chain.forms, q_chain):
+            assert form.den == 1 and len(form.coeffs) == len(q)
+            assert all((a == 0) == (b == 0) for a, b in zip(form.coeffs, q))
+            assert len({Fraction(a) / b for a, b in zip(form.coeffs, q) if b}) == 1
+            assert form.coeffs[-1] * q[-1] > 0
+        for x in points:
+            assert chain.variations(x) == _q_variations(q_chain, x)
+        a, b = min(points), max(points)
+        if a < b:
+            assert chain.count(a, b) == _q_variations(q_chain, a) - _q_variations(q_chain, b)
+
+    def test_squarefree_part_is_a_positive_primitive_multiple(self):
+        p = UniPoly.from_roots([Fraction(2, 3), Fraction(2, 3), -5])
+        sf = squarefree_part(p)
+        assert sf.coeffs == [-10, 13, 3]  # 3 (x - 2/3)(x + 5)
 
 
 # -- Sturm counting and isolation ------------------------------------------

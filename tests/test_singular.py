@@ -6,7 +6,7 @@ import mpmath
 import pytest
 import sympy
 
-from isingmaps import singular
+from isingmaps import exactalg, singular
 from isingmaps.errors import DegenerateBranch
 from isingmaps.exactalg import (
     UniPoly,
@@ -238,6 +238,17 @@ class TestUniquenessCertificate:
             # z(B) = 1/81 is inside the disc, not on its circle
             assert z_b == Fraction(1, 81) < rep.rho_interval[0]
 
+    def test_conjugate_pair_on_the_circle_is_undecided(self):
+        # z(s) = s and char = (s - 1/2)(s^2 + 1/4): rho = z(1/2) = 1/2, and
+        # the roots +-i/2 of char map onto |z| = rho
+        half = Fraction(1, 2)
+        cp = singular.CriticalPoint(
+            num=UniPoly([0, 1]), den=UniPoly([1]), char=UniPoly([-1, 2, -4, 8]),
+            bound=Fraction(1), interval=(half, half), cancelling_sf=UniPoly([]))
+        assert cp.z_at(half) == half
+        reason = singular._uniqueness_certificate(cp, (half, half), (half, half), ())
+        assert reason == "a root of char maps near |z| = rho"
+
     def test_verdict_reads_rho_at_least_to_default_width(self):
         # at tol 1e-3 the reported rho interval reaches another candidate;
         # the verdict reads rho to 1e-12 instead, so it still certifies
@@ -308,6 +319,31 @@ class TestCriticalPoint:
         assert singular._critical_point.cache_info().misses == 1
         assert singular._critical_point.cache_info().hits == 0
         assert calls == [(Fraction(5, 2), Fraction(21, 20))]
+
+    def test_generic_point_runs_no_gcd_sequence(self, monkeypatch):
+        # every gcd is 1 at a generic point: the modular certificate decides
+        # each one, and the only remainder sequence is char's Sturm chain
+        runs = []
+        sequence = exactalg._remainder_sequence
+
+        def counted(f, g, sturm=False):
+            runs.append(sturm)
+            return sequence(f, g, sturm)
+
+        monkeypatch.setattr(exactalg, "_remainder_sequence", counted)
+        singular._critical_point.cache_clear()
+        cp = singular._critical_point(Fraction(5, 2), Fraction(21, 20))
+        assert cp.exponent() == Fraction(1, 2)
+        assert runs == [True]
+        # at c = 1 the gcds are not 1, and the sequence gives the same char
+        # (up to a positive factor) and interval as the Euclidean one over Q
+        runs.clear()
+        cp = singular._critical_point(Fraction(2), Fraction(1))
+        assert False in runs
+        assert cp.char.lc() > 0 and cp.char.exact_div(cp.char.lc()) == UniPoly(
+            [Fraction(-1, 2187), Fraction(4, 729), Fraction(2, 27), Fraction(4, 9), 1])
+        assert cp.interval == (Fraction(72389, 1572864), Fraction(434335, 9437184))
+        assert cp.exponent() == Fraction(1, 2)
 
     def test_keyed_on_the_point_only(self):
         a = critical_point(IsingParams(nu=2, c=Fraction(19, 20)))
