@@ -267,29 +267,9 @@ class ParamPoly:
         return total
 
     def _evaluate_rational(self, nu: Fraction, c: Fraction) -> Fraction:
-        """The exact value at nu = p/q, c = r/s, as one Fraction.
-
-        With dv <= top and lo <= dc <= hi over the support, each term is
-        coef p^dv q^(top-dv) r^(dc-lo) s^(hi-dc) over q^top s^(hi-lo),
-        times c^lo; the integer powers are built once per call.
-        """
-        if not self.terms:
-            return _ZERO
-        p, q = nu.numerator, nu.denominator
-        r, s = c.numerator, c.denominator
-        top = max(dv for dv, _ in self.terms)
-        lo, hi = self.c_degree_range()
-        nu_w = [p ** i * q ** (top - i) for i in range(top + 1)]
-        c_w = [r ** j * s ** (hi - lo - j) for j in range(hi - lo + 1)]
-        den = lcm(*(v.denominator for v in self.terms.values()))
-        acc = 0
-        for (dv, dc), coef in self.terms.items():
-            acc += coef.numerator * (den // coef.denominator) * nu_w[dv] * c_w[dc - lo]
-        den *= q ** top * s ** (hi - lo)
-        # c^lo: a negative lo moves r into the denominator, exactly.
-        if lo >= 0:
-            return Fraction(acc * r ** lo, den * s ** lo)
-        return Fraction(acc * s ** -lo, den * r ** -lo)
+        """The exact value at a rational point, as one Fraction."""
+        (acc,), den = evaluate_together((self,), nu, c)
+        return Fraction(acc, den)
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
         """Exact division; raises NonZeroRemainder when not divisible.
@@ -361,6 +341,36 @@ class ParamPoly:
 
 PP_ZERO = ParamPoly()
 PP_ONE = ParamPoly.constant(1)
+
+
+def evaluate_together(polys: Sequence[ParamPoly], nu: Fraction,
+                      c: Fraction) -> Tuple[List[int], int]:
+    """Integers h_i and one positive den with p_i(nu, c) = h_i / den.
+
+    With nu = p/q, c = r/s, dv <= top and lo <= dc <= hi over all the
+    supports, and L the lcm of the coefficient denominators, each term is
+    coef L p^dv q^(top-dv) r^(dc-lo) s^(hi-dc) over L q^top s^(hi-lo),
+    times c^lo; the integer powers are built once per call.
+    """
+    degrees = [k for poly in polys for k in poly.terms]
+    if not degrees:
+        return [0] * len(polys), 1
+    p, q = nu.numerator, nu.denominator
+    r, s = c.numerator, c.denominator
+    nu_degrees, c_degrees = zip(*degrees)
+    top, lo, hi = max(nu_degrees), min(c_degrees), max(c_degrees)
+    nu_w = [p ** i * q ** (top - i) for i in range(top + 1)]
+    c_w = [r ** j * s ** (hi - lo - j) for j in range(hi - lo + 1)]
+    den = lcm(*(v.denominator for poly in polys for v in poly.terms.values()))
+    # c^lo: a negative lo moves r into the denominator, exactly.
+    c_num, c_den = (r ** lo, s ** lo) if lo >= 0 else (s ** -lo, r ** -lo)
+    values = []
+    for poly in polys:
+        acc = 0
+        for (dv, dc), coef in poly.terms.items():
+            acc += coef.numerator * (den // coef.denominator) * nu_w[dv] * c_w[dc - lo]
+        values.append(acc * c_num)
+    return values, den * q ** top * s ** (hi - lo) * c_den
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,29 @@ pass runs unchanged over every coefficient ring.
 
 Two modes are supported, selected by :class:`IsingParams`: symbolic
 (coefficients are :class:`~isingmaps.exactalg.ParamPoly`) and
-numeric-at-point.  Numeric mode is exact at the point, rounded once: the
-solve runs over plain ``int`` on a reduced model of the point (see
-:class:`_Model`).  Off c = 1 the divisor is folded into the bracket: B and
+numeric-at-point.  Both run the pass over plain ``int``.
+
+Symbolic mode runs it at one packed point (Kronecker substitution).  Every
+table entry lies in Z[nu^2, c^2]; it is evaluated at nu^2 = 2^(W K),
+c^2 = 2^W, which puts the coefficient of nu^(2a) c^(2b) in the W-bit slot
+a K + b.  Packing is a ring homomorphism, so the pass over the packed
+``int`` tables yields the packed coefficients, which balanced base-2^W
+digits unpack exactly when each has c^2-degree below K and every
+coefficient is below 2^(W - 1) in absolute value.  Both hold by
+construction, not by trial.  The degree bound: the entries of N and D at
+S^k have c^2-degree at most k, the bracket's entry of S^i z^j at most
+i + j and e1 at most 1, so by induction S_n has c^2-degree at most n - 1,
+[S^k]_n at most n - k, and the coefficient g_m of z^m of the bracket over
+1 + e1 S at most m; K = order + 3 covers g_(order+2).  The size bound: a majorant pass, the same pass run over the l1 norms of the table
+entries with signs set so that every step adds, bounds the l1 norm of
+every S_n and g_m, hence every coefficient that is tested for zero or
+unpacked, and each quotient g_m / (9 (1 - nu^2)) has coefficients at most
+l1(g_m) / 9.  W - 1 is the bit length of twice the largest majorant value:
+W holds a sign bit, and room for the product 9 (1 - nu^2) q that certifies
+a quotient q (see :meth:`_Model.z_coefficient`).
+
+Numeric mode is exact at the point, rounded once: the solve runs on a
+reduced model of the point (see :class:`_Model`).  Off c = 1 the divisor is folded into the bracket: B and
 P = S N - z E leave remainders modulo 1 + e1 S that are proportional, so
 on the curve Z(nu, c, c z) = A(S, z) / (9 z^2 (1 - nu^2)) with A a
 polynomial.  At c = 1, 1 + e1 S divides N, D and B, and is cancelled from
@@ -44,13 +64,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import NonZeroRemainder, NumericModeAtNuOne
-from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, ring_exact_div
+from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, evaluate_together, ring_exact_div
 from .precision import to_mpf
 
 
@@ -176,7 +197,10 @@ class _Model:
     Z(nu, c, c z), with z read as the rescaled variable in the kinds that
     rescale.  ``kind`` is one of
 
-      * "symbolic": ParamPoly entries, E = D^2, also keeping ``d_tab``;
+      * "symbolic": the tables packed to plain ``int`` (:func:`_pack`) at
+        the point of the module docstring for a pass to z^(``order`` + 2),
+        with ``bits`` = W and ``slots`` = K from :func:`_packing`; E = D^2,
+        also keeping ``d_tab``;
       * "exact": Fractions at the rational point, likewise: the unreduced
         reference;
       * "integer": the reduced model of the point (:meth:`_fold_divisor`),
@@ -204,13 +228,16 @@ class _Model:
     9(1 - nu^2), which does not depend on c.
     """
 
-    def __init__(self, params: IsingParams, kind: str):
+    def __init__(self, params: IsingParams, kind: str, order: Optional[int] = None):
         n_tab, d_tab, bracket_tab, e1, nine_gamma = _symbolic_tables()
         self.kind = kind
         self.params = params
         if kind == "symbolic":
-            conv = lambda p: p
-            self.zero, self.one = PP_ZERO, PP_ONE
+            self.bits, self.slots = _packing(n_tab, d_tab, bracket_tab, e1, nine_gamma,
+                                             order)
+            self.nine_gamma_l1 = _l1(nine_gamma)
+            conv = lambda p: _pack(p, self.bits, self.slots)
+            self.zero, self.one = 0, 1
         elif kind in ("exact", "integer"):
             conv = lambda p: p.evaluate(params.nu, params.c)
             self.zero, self.one = Fraction(0), Fraction(1)
@@ -223,9 +250,9 @@ class _Model:
         d_tab = {k: conv(v) for k, v in d_tab.items()}
         self.bracket_tab = {k: conv(v) for k, v in bracket_tab.items()}
         self.e1 = conv(e1)
-        self.nine_gamma = (nine_gamma if kind == "symbolic"
+        self.nine_gamma = (conv(nine_gamma) if kind == "symbolic"
                            else nine_gamma.evaluate(params.nu, params.c))
-        self.bracket_den = 1
+        self.scale = self.bracket_den = 1
         if kind == "integer":
             self.e_tab = _square(d_tab, self.zero)
             self._fold_divisor()
@@ -238,9 +265,9 @@ class _Model:
 
     def _jet_at_point(self, p: ParamPoly) -> _Jet:
         tp = p.c_log_derivative()
-        nu, c = self.params.nu, self.params.c
-        return _Jet(p.evaluate(nu, c), tp.evaluate(nu, c),
-                    tp.c_log_derivative().evaluate(nu, c))
+        values, den = evaluate_together((p, tp, tp.c_log_derivative()),
+                                        self.params.nu, self.params.c)
+        return _Jet(*(Fraction(v, den) for v in values))
 
     def _fold_divisor(self):
         """Replace bracket / (1 + e1 S) by one polynomial A on the curve.
@@ -315,9 +342,26 @@ class _Model:
         theta Z_n = c^-n (theta X - n X) and
         theta^2 Z_n = c^-n (theta^2 X - 2n theta X + n^2 X); the result is
         the tuple (Z_n, theta Z_n, theta^2 Z_n) of Fractions.
+
+        In the symbolic kind g is packed: the integer quotient by the packed
+        9(1 - nu^2) unpacks into c^n Z_n, returned as a ParamPoly with c
+        shifted by -n.  A remainder, or a quotient q with
+        l1(9(1 - nu^2)) |q| >= 2^(W - 1) (then the product 9(1 - nu^2) q
+        might not be the polynomial g), raises NonZeroRemainder.  Below that
+        bound both the product and g unpack exactly from one packed value,
+        so they are equal; a true quotient is at most l1(g) / 9, which W
+        leaves room for.
         """
         if self.kind == "symbolic":
-            return g.exact_div(self.nine_gamma).shift_c(-n)
+            if n + 3 > self.slots:
+                raise ValueError("the model is packed for orders up to %d" % (self.slots - 3))
+            q, r = divmod(g, self.nine_gamma)
+            zn = _unpack(q, self.bits, self.slots, -n)
+            if r or self.nine_gamma_l1 * max(map(abs, zn.terms.values()), default=0) \
+                    >> (self.bits - 1):
+                raise NonZeroRemainder("9(1 - nu^2) does not divide the coefficient "
+                                       "of z^%d" % (n + 2))
+            return zn
         den = self.bracket_den * self.scale ** (n + 2) * self.nine_gamma
         if self.kind == "jet":
             x, tx, ttx = (Fraction(v) / den for v in (g.f, g.tf, g.ttf))
@@ -326,9 +370,14 @@ class _Model:
                     back * (ttx - 2 * n * tx + n * n * x))
         return Fraction(g) / (den * self.params.c ** n)
 
-    def s_coefficients(self, t_coeffs) -> List[Fraction]:
-        """Coefficients in z of lambda * F(z / lambda), for the rescaled
-        series F(w)."""
+    def s_coefficients(self, t_coeffs) -> list:
+        """S_0, S_1, ... from the column of the pass: unpacked in the
+        symbolic kind, else the coefficients in z of lambda * F(z / lambda),
+        for the rescaled series F(w)."""
+        if self.kind == "symbolic":
+            if len(t_coeffs) > self.slots:
+                raise ValueError("the model is packed for orders up to %d" % (self.slots - 3))
+            return [_unpack(t, self.bits, self.slots) for t in t_coeffs]
         return [Fraction(t) * self.scale ** (1 - n) for n, t in enumerate(t_coeffs)]
 
 
@@ -394,6 +443,78 @@ def _integral(x: Fraction) -> int:
     if x.denominator != 1:  # pragma: no cover - the scale excludes it
         raise ArithmeticError("rescaled table entry %s is not an integer" % x)
     return x.numerator
+
+
+def _l1(p: ParamPoly) -> int:
+    """The l1 norm of an integer ParamPoly: the sum of |coefficients|."""
+    return sum(map(abs, p.terms.values()))
+
+
+def _pack(p: ParamPoly, bits: int, slots: int) -> int:
+    """p(nu^2, c^2) at nu^2 = 2^(bits * slots), c^2 = 2^bits: the
+    coefficient of nu^(2a) c^(2b) lands in the bits-wide slot a * slots + b."""
+    return sum(v << bits * (slots * (dv >> 1) + (dc >> 1))
+               for (dv, dc), v in p.terms.items())
+
+
+def _unpack(x: int, bits: int, slots: int, c_shift: int = 0) -> ParamPoly:
+    """The polynomial that :func:`_pack` sent to x, times c^c_shift.
+
+    x is read as balanced base-2^bits digits d_k in [-2^(bits-1), 2^(bits-1)),
+    so the result is exact whenever the packed polynomial has every
+    coefficient below 2^(bits - 1) in absolute value and every c^2-degree
+    below ``slots``.  Adding 2^(bits-1) to every digit turns them into plain
+    base-2^bits digits, which one binary string yields at once.
+    """
+    count = x.bit_length() // bits + 2  # enough balanced digits for x
+    half = 1 << (bits - 1)
+    digits = format(x + (int("1".zfill(bits) * count, 2) << (bits - 1)), "b")
+    digits = digits.zfill(bits * count)
+    terms = {}
+    for k in range(count):
+        end = len(digits) - bits * k
+        d = int(digits[end - bits:end], 2) - half
+        if d:
+            terms[(2 * (k // slots), 2 * (k % slots) + c_shift)] = d
+    out = ParamPoly()
+    out.terms = terms
+    return out
+
+
+def _packing(n_tab, d_tab, bracket_tab, e1, nine_gamma, order) -> Tuple[int, int]:
+    """(W, K) of the packed point for a symbolic pass to z^(order + 2).
+
+    Refuses, with ValueError, a table entry with a non-integer coefficient,
+    one outside Z[nu^2, c^2], or one above its c^2-degree bound (entries of
+    N, D at S^k: k; of the bracket at S^i z^j: i + j; e1: 1; 9(1 - nu^2):
+    0), on which the degree bound K = order + 3 rests.  W - 1 is the bit
+    length of twice the largest value of :func:`_majorant`.
+    """
+    if order is None or order < 1:
+        raise ValueError("the symbolic model needs an order >= 1")
+    bounded = ([(p, k) for tab in (n_tab, d_tab) for k, p in tab.items()]
+               + [(p, i + j) for (i, j), p in bracket_tab.items()]
+               + [(e1, 1), (nine_gamma, 0)])
+    for p, degree in bounded:
+        for (dv, dc), v in p.terms.items():
+            if type(v) is not int or dv % 2 or dc % 2 or not 0 <= dc <= 2 * degree:
+                raise ValueError("table entry %s is not in Z[nu^2, c^2] with "
+                                 "c^2-degree at most %d" % (p.to_str(), degree))
+    s_major, g_major = _majorant(n_tab, d_tab, bracket_tab, e1, order + 2)
+    return (2 * max(s_major + g_major)).bit_length() + 1, order + 3
+
+
+def _majorant(n_tab, d_tab, bracket_tab, e1, top: int) -> Tuple[list, list]:
+    """Bounds on the l1 norms of S_0..S_top and of g_0..g_top (the bracket
+    over 1 + e1 S, :func:`_over_divisor`), from the same pass over ``int``
+    run on the l1 norms of the table entries, with N and e1 negated so that
+    every step adds: l1 is subadditive and submultiplicative."""
+    major = SimpleNamespace(
+        zero=0, n_tab={k: -_l1(p) for k, p in n_tab.items()},
+        e_tab=_square({k: _l1(p) for k, p in d_tab.items()}, 0),
+        bracket_tab={k: _l1(p) for k, p in bracket_tab.items()}, e1=-_l1(e1))
+    cols = _power_columns(major, top)
+    return cols[1], _over_divisor(major, cols, top)
 
 
 def _rounded(values, bits: int) -> List[mpmath.mpf]:
@@ -491,7 +612,7 @@ class TruncatedSeries:
         b0 = other.coeffs[0]
         if not b0:
             raise ZeroDivisionError("series division by z-divisible series")
-        unit = _is_ring_one(b0)
+        unit = b0 == 1
         right = _nonzero_terms(other.coeffs, 1, n)
         out = []
         live = []  # live[k]: out[k] is nonzero
@@ -511,12 +632,6 @@ class TruncatedSeries:
 def _nonzero_terms(coeffs, lo: int, hi: int) -> list:
     """[(j, coeffs[j])] for lo <= j <= hi with coeffs[j] nonzero, j ascending."""
     return [(j, coeffs[j]) for j in range(lo, hi + 1) if coeffs[j]]
-
-
-def _is_ring_one(x) -> bool:
-    if isinstance(x, ParamPoly):
-        return x == PP_ONE
-    return x == 1
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +730,16 @@ def solve_S(params: IsingParams, order: int) -> TruncatedSeries:
     """The unique series S with S(0) = 0 solving z = S N(S)/D(S)^2, to z^order.
 
     Symbolic mode gives ParamPoly coefficients (integer polynomials in nu, c
-    with nonnegative coefficients); numeric mode gives each S_n exact at the
-    point, rounded once to the nearest mpf at ``precision_bits``.
+    with nonnegative coefficients), unpacked from the packed pass; numeric
+    mode gives each S_n exact at the point, rounded once to the nearest mpf
+    at ``precision_bits``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if params.symbolic:
-        return _solve_S_ring(_Model(params, "symbolic"), order)
+        model = _Model(params, "symbolic", order)
+        return TruncatedSeries(model.s_coefficients(_solve_S_ring(model, order).coeffs),
+                               PP_ZERO)
     model = _Model(params, "integer")
     t = _solve_S_ring(model, order)
     return TruncatedSeries(
@@ -630,14 +748,13 @@ def solve_S(params: IsingParams, order: int) -> TruncatedSeries:
     )
 
 
-def _bracket_eval(model: _Model, s: TruncatedSeries, order: int) -> TruncatedSeries:
+def _bracket_eval(bracket_tab: dict, s: TruncatedSeries, order: int,
+                  zero, one) -> TruncatedSeries:
     s = s.truncate(order)
     pw = _series_powers(s, 7)
-    out = TruncatedSeries([model.zero] * (order + 1), model.zero)
-    for (spow, zpow), coef in model.bracket_tab.items():
-        term = pw[spow] if spow else TruncatedSeries(
-            [model.one] + [model.zero] * order, model.zero
-        )
+    out = TruncatedSeries([zero] * (order + 1), zero)
+    for (spow, zpow), coef in bracket_tab.items():
+        term = pw[spow] if spow else TruncatedSeries([one] + [zero] * order, zero)
         out = out + term.shift_up(zpow).scale(coef)
     return out
 
@@ -654,23 +771,18 @@ def pol_Z_eval(
     if order is None:
         order = s.order
     if params.symbolic:
-        return _bracket_eval(_Model(params, "symbolic"), s, order)
+        return _bracket_eval(_symbolic_tables()[2], s, order, PP_ZERO, PP_ONE)
     model = _Model(params, "exact")
     with mpmath.workprec(params.precision_bits):
-        model.bracket_tab = {k: to_mpf(v) for k, v in model.bracket_tab.items()}
-        return _bracket_eval(model, s, order)
+        return _bracket_eval({k: to_mpf(v) for k, v in model.bracket_tab.items()},
+                             s, order, model.zero, model.one)
 
 
-def _solve_Z_ring(model: _Model, order: int) -> list:
-    """[0, Z_1, ..., Z_order], exact: ParamPoly or Fraction by the model kind.
-
-    The bracket is a linear combination of the power columns (S^0 = 1),
-    divided online by 1 + e1 S unless the model has folded that divisor in
-    (e1 = 0); its three lowest coefficients must cancel.
-    """
-    top = order + 2
+def _over_divisor(model, cols: list, top: int) -> list:
+    """[g_0, ..., g_top]: the bracket at S, a linear combination of the power
+    columns ``cols`` (S^0 = 1), divided online by 1 + e1 S unless the model
+    has folded that divisor in (e1 = 0)."""
     zero = model.zero
-    cols = _power_columns(model, top)
     w = [zero] * (top + 1)
     for (i, j), coef in model.bracket_tab.items():
         if i == 0:
@@ -686,13 +798,23 @@ def _solve_Z_ring(model: _Model, order: int) -> list:
         g = [w[0]]
         for n in range(1, top + 1):
             g.append(w[n] - e1 * _dot(s[1:n + 1], g[::-1], zero))
+    return g
+
+
+def _solve_Z_ring(model: _Model, order: int) -> list:
+    """[0, Z_1, ..., Z_order], exact: ParamPoly, Fraction or jet tuples by
+    the model kind, read from the bracket over 1 + e1 S (:func:`_over_divisor`),
+    whose three lowest coefficients must cancel.
+    """
+    top = order + 2
+    g = _over_divisor(model, _power_columns(model, top), top)
     for i in (0, 1, 2):
         if g[i]:
             raise NonZeroRemainder(
                 "low-order coefficients of the parametrization numerator "
                 "did not cancel (z^%d)" % i
             )
-    return [zero] + [model.z_coefficient(g[n + 2], n) for n in range(1, order + 1)]
+    return [model.zero] + [model.z_coefficient(g[n + 2], n) for n in range(1, order + 1)]
 
 
 def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
@@ -708,8 +830,8 @@ def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     if params.symbolic:
-        return TruncatedSeries(_solve_Z_ring(_Model(params, "symbolic"), order),
-                               PP_ZERO)
+        model = _Model(params, "symbolic", order)
+        return TruncatedSeries([PP_ZERO] + _solve_Z_ring(model, order)[1:], PP_ZERO)
     exact = _solve_Z_ring(_Model(params, "integer"), order)
     return TruncatedSeries(_rounded(exact, params.precision_bits), mpmath.mpf(0))
 
@@ -750,23 +872,25 @@ def fixed_point_residual(params: IsingParams, order: int) -> list:
     exactly zero.
     """
     if params.symbolic:
-        model = _Model(params, "symbolic")
-        s = _solve_S_ring(model, order)
+        n_tab, d_tab = _symbolic_tables()[:2]
+        zero, one = PP_ZERO, PP_ONE
+        s = solve_S(params, order)
     else:
         model = _Model(params, "exact")
+        n_tab, d_tab, zero, one = model.n_tab, model.d_tab, model.zero, model.one
         reduced = _Model(params, "integer")
         s = TruncatedSeries(
-            reduced.s_coefficients(_solve_S_ring(reduced, order).coeffs), model.zero)
-    pw = _series_powers(s, max(max(model.n_tab), max(model.d_tab)))
-    pw[0] = TruncatedSeries([model.one] + [model.zero] * order, model.zero)
+            reduced.s_coefficients(_solve_S_ring(reduced, order).coeffs), zero)
+    pw = _series_powers(s, max(max(n_tab), max(d_tab)))
+    pw[0] = TruncatedSeries([one] + [zero] * order, zero)
 
     def at_s(tab):
-        out = TruncatedSeries([model.zero] * (order + 1), model.zero)
+        out = TruncatedSeries([zero] * (order + 1), zero)
         for k, coef in tab.items():
             out = out + pw[k].scale(coef)
         return out
 
-    ns, ds = at_s(model.n_tab), at_s(model.d_tab)
+    ns, ds = at_s(n_tab), at_s(d_tab)
     residual = (s * ns - (ds * ds).shift_up(1)).coeffs
     if params.symbolic:
         return residual

@@ -41,6 +41,7 @@ import mpmath
 
 from .errors import DegenerateBranch, NoRootInRange, PrecisionExhausted
 from .exactalg import (
+    PP_ZERO,
     IntegerForm,
     SturmChain,
     UniPoly,
@@ -48,6 +49,7 @@ from .exactalg import (
     cauchy_root_bound,
     common_denominator,
     discriminant,
+    evaluate_together,
     interpolate,
     poly_gcd,
     primitive,
@@ -55,7 +57,7 @@ from .exactalg import (
     squarefree_part,
 )
 from .precision import default_precision_bits, to_mpf
-from .series import IsingParams, lagrangian_numer_denom
+from .series import IsingParams, _symbolic_tables
 
 VALIDATED_C_HALF_WIDTH = Fraction(1, 4)
 UNIQUENESS_TOL = Fraction(1, 10 ** 12)
@@ -238,10 +240,21 @@ def _poly_abs_bound(p: UniPoly, scale: Fraction) -> Fraction:
 
 def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, int, UniPoly, int]:
     """(sn, a, d, b): S N(S) = sn / a and D(S) = d / b, sn and d integer
-    polynomials and a, b positive integers."""
-    n_poly, d_poly = lagrangian_numer_denom(params, symbolic=False)
-    n, d = n_poly.integer_form(), d_poly.integer_form()
-    return UniPoly((0,) + n.coeffs, zero=0), n.den, UniPoly(d.coeffs, zero=0), d.den
+    polynomials and a, b the least positive integers that serve.
+
+    The N and D tables are evaluated together over one denominator of the
+    point; dividing a polynomial's values and that denominator by their gcd
+    leaves the least denominator.
+    """
+    n_tab, d_tab = _symbolic_tables()[:2]
+    rows = [[tab.get(k, PP_ZERO) for k in range(max(tab) + 1)] for tab in (n_tab, d_tab)]
+    values, den = evaluate_together(rows[0] + rows[1], params.nu, params.c)
+    parts = []
+    for vals in (values[:len(rows[0])], values[len(rows[0]):]):
+        t = gcd(den, *vals)
+        parts.append((UniPoly([v // t for v in vals], zero=0), den // t))
+    (n, a), (d, b) = parts
+    return UniPoly([0] + n.coeffs, zero=0), a, d, b
 
 
 def _over(p: UniPoly, w: int) -> UniPoly:

@@ -15,7 +15,10 @@ import pytest
 from isingmaps import cli
 from isingmaps.cli import main, parse_rational
 from isingmaps.critical import exponent_fit, thermo_enclosures
-from isingmaps.series import IsingParams, _Model, _solve_Z_ring
+from isingmaps.exactalg import PP_ONE, PP_ZERO
+from isingmaps.series import (
+    IsingParams, TruncatedSeries, _Model, _solve_Z_ring, _symbolic_tables, pol_Z_eval,
+)
 from isingmaps.singular import rho_closed_form
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json"
@@ -35,6 +38,30 @@ def run_json(capsys, *argv):
     payload = json.loads(out)
     jsonschema.validate(payload, SCHEMA)
     return code, payload
+
+
+def param_poly_Z(order):
+    """Z_1..Z_order as ParamPoly from TruncatedSeries arithmetic over ParamPoly
+    alone, not the engine's packed pass: S by Lagrange inversion of
+    z = S / phi(S), phi = D^2 / N, then the bracket at S over 1 + e1 S,
+    divided exactly by 9(1 - nu^2) and shifted by c^-n."""
+    n_tab, d_tab, _, e1, nine_gamma = _symbolic_tables()
+    top = order + 2
+
+    def series(tab):
+        return TruncatedSeries([tab.get(k, PP_ZERO) for k in range(top + 1)], PP_ZERO)
+
+    d = series(d_tab)
+    phi = (d * d).divide(series(n_tab))
+    s, power = [PP_ZERO], phi
+    for n in range(1, top + 1):
+        s.append(power.coefficient(n - 1) * Fraction(1, n))
+        power = power * phi
+    s = TruncatedSeries(s, PP_ZERO)
+    one = TruncatedSeries([PP_ONE] + [PP_ZERO] * top, PP_ZERO)
+    g = pol_Z_eval(s, IsingParams(nu=1, c=1), top).divide(one + s.scale(e1))
+    return [g.coefficient(n + 2).exact_div(nine_gamma).shift_c(-n)
+            for n in range(1, order + 1)]
 
 
 class TestParsing:
@@ -116,17 +143,17 @@ class TestCoeffs:
         code, payload = run_json(capsys, "coeffs", "--nu", "3/2", "--c", "21/20",
                                  "--n-max", "12")
         assert code == 0
-        symbolic = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "symbolic"), 12)
+        exact = _solve_Z_ring(_Model(IsingParams(nu=nu, c=c), "exact"), 12)
         assert [row["value"] for row in payload["result"]["coefficients"]] == \
-            [str(symbolic[n].evaluate(nu, c)) for n in range(1, 13)]
+            [str(exact[n]) for n in range(1, 13)]
 
     def test_point_rows_at_nu_one(self, capsys):
         code, payload = run_json(capsys, "coeffs", "--nu", "1", "--c", "9/10",
                                  "--n-max", "4")
         assert code == 0
-        symbolic = _solve_Z_ring(_Model(IsingParams(nu=1, c=1), "symbolic"), 4)
+        reference = param_poly_Z(4)
         assert [row["value"] for row in payload["result"]["coefficients"]] == \
-            [str(symbolic[n].evaluate(1, Fraction(9, 10))) for n in range(1, 5)]
+            [str(z.evaluate(1, Fraction(9, 10))) for z in reference]
 
     def test_point_rows_refuse_nonpositive_weights(self, capsys):
         code, payload = run_json(capsys, "coeffs", "--nu", "0", "--c", "1")

@@ -1,4 +1,5 @@
 """Tests for the Lagrangian series engine."""
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,13 +9,18 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from isingmaps import series
+from isingmaps.cli import main
 from isingmaps.errors import NonZeroRemainder, NumericModeAtNuOne
-from isingmaps.exactalg import ParamPoly
+from isingmaps.exactalg import PP_ONE, PP_ZERO, ParamPoly
 from isingmaps.series import (
     IsingParams,
     TruncatedSeries,
     _Jet,
     _Model,
+    _l1,
+    _majorant,
+    _pack,
+    _unpack,
     _series_powers,
     _solve_S_ring,
     _solve_Z_ring,
@@ -394,6 +400,139 @@ class TestSolveZ:
             for n in range(9):
                 ref = mpmath.mpf(rounded(w_sym.coefficient(n).evaluate(nu, c), 256))
                 assert abs(w_num.coefficient(n) - ref) <= mpmath.mpf(2) ** -100 * max(1, abs(ref))
+
+
+@pytest.fixture(scope="module")
+def param_poly_pass_18():
+    """S_0..S_18 and g_0..g_18 (the bracket at S over 1 + e1 S) over ParamPoly,
+    from TruncatedSeries arithmetic alone: S by Lagrange inversion."""
+    top = 18
+    s = TruncatedSeries([PP_ZERO] + lagrange_S(SYM, top, symbolic=True), PP_ZERO)
+    one = TruncatedSeries([PP_ONE] + [PP_ZERO] * top, PP_ZERO)
+    g = pol_Z_eval(s, SYM, top).divide(one + s.scale(series._symbolic_tables()[3]))
+    return s.coeffs, g.coeffs
+
+
+even_param_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5).map(lambda a: 2 * a), st.integers(0, 4).map(lambda b: 2 * b)),
+    st.integers(-2 ** 20, 2 ** 20), max_size=8).map(ParamPoly)
+
+
+def tables_with(**changes):
+    """The model tables with some bracket or N entries replaced."""
+    n_tab, d_tab, bracket_tab, e1, nine_gamma = series._symbolic_tables()
+    n_tab, bracket_tab = dict(n_tab), dict(bracket_tab)
+    for key, entry in changes.get("bracket", {}).items():
+        bracket_tab[key] = entry
+    for key, entry in changes.get("n", {}).items():
+        n_tab[key] = entry
+    return lambda: (n_tab, d_tab, bracket_tab, e1, nine_gamma)
+
+
+class TestPackedPass:
+    @given(even_param_polys, even_param_polys, st.integers(-6, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_pack_is_a_ring_homomorphism(self, a, b, shift):
+        # slot bound 2^47 > 8 * 2^40 bounds every coefficient of a b;
+        # c^2-degrees stay below 9 slots
+        bits, slots = 48, 9
+        pa, pb = _pack(a, bits, slots), _pack(b, bits, slots)
+        assert _unpack(pa, bits, slots) == a
+        assert _unpack(pa + pb, bits, slots) == a + b
+        assert _unpack(pa - pb, bits, slots) == a - b
+        assert _unpack(pa * pb, bits, slots) == a * b
+        assert _unpack(pa, bits, slots, shift) == a.shift_c(shift)
+        assert _unpack(pa, bits, slots, shift).shift_c(-shift) == a
+
+    def test_majorant_bounds_every_coefficient(self, param_poly_pass_18):
+        s_ref, g_ref = param_poly_pass_18
+        tables = series._symbolic_tables()
+        nine_gamma = tables[4]
+        for order in range(1, 17):
+            top = order + 2
+            s_major, g_major = _majorant(*tables[:4], top)
+            model = _Model(SYM, "symbolic", order)
+            half = 1 << (model.bits - 1)
+            assert 2 * max(s_major + g_major) < half
+            for m in range(top + 1):
+                assert _l1(s_ref[m]) <= s_major[m], "S_%d" % m
+                assert _l1(g_ref[m]) <= g_major[m], "g_%d" % m
+                if m >= 3:
+                    q = g_ref[m].exact_div(nine_gamma)
+                    assert 9 * max(map(abs, q.terms.values())) <= g_major[m], "q_%d" % m
+
+    def test_matches_the_param_poly_pass(self, param_poly_pass_18):
+        s_ref, g_ref = param_poly_pass_18
+        nine_gamma = series._symbolic_tables()[4]
+        assert solve_S(SYM, 16).coeffs == s_ref[:17]
+        z = solve_Z(SYM, 16)
+        assert z.coefficient(0).is_zero()
+        for n in range(1, 17):
+            assert z.coefficient(n) == g_ref[n + 2].exact_div(nine_gamma).shift_c(-n)
+
+    def test_indivisible_bracket_raises(self, monkeypatch):
+        # nu^2 c^6 S^7 first reaches z^7, past the low-order check, and
+        # 9(1 - nu^2) does not divide what it adds there
+        entry = series._symbolic_tables()[2][(7, 0)] + NU ** 2 * C ** 6
+        monkeypatch.setattr(series, "_symbolic_tables", tables_with(bracket={(7, 0): entry}))
+        with pytest.raises(NonZeroRemainder):
+            solve_Z(SYM, 6)
+
+    def test_remainder_or_quotient_outside_the_slot_range_raises(self):
+        # an exact integer quotient whose digit is too large for the product
+        # with 9(1 - nu^2) to be read back is no proof of divisibility
+        model = _Model(SYM, "symbolic", 4)
+        half = 1 << (model.bits - 1)
+        big = model.nine_gamma * (half - 1)
+        with pytest.raises(NonZeroRemainder):
+            model.z_coefficient(big, 1)
+        small = model.nine_gamma * (half // 18)
+        assert model.z_coefficient(small, 1) == ParamPoly({(0, -1): half // 18})
+        with pytest.raises(NonZeroRemainder):
+            model.z_coefficient(small + 1, 1)
+
+    @pytest.mark.parametrize("changes", [
+        {"bracket": {(0, 2): 3 * C ** 6 * (1 - NU ** 2)}},  # c^2-degree 3 > 0 + 2
+        {"n": {1: -3 * NU ** 2 * (C ** 4 + 1)}},  # c^2-degree 2 > 1
+        {"n": {2: NU * C ** 2}},  # odd power of nu
+    ])
+    def test_table_outside_the_degree_bound_is_refused(self, monkeypatch, changes):
+        monkeypatch.setattr(series, "_symbolic_tables", tables_with(**changes))
+        with pytest.raises(ValueError, match="c\\^2-degree"):
+            _Model(SYM, "symbolic", 4)
+
+    def test_packed_model_refuses_higher_orders(self):
+        model = _Model(SYM, "symbolic", 4)
+        with pytest.raises(ValueError):
+            _solve_Z_ring(model, 5)
+        with pytest.raises(ValueError):
+            model.s_coefficients(_solve_S_ring(model, 7).coeffs)
+        assert len(model.s_coefficients(_solve_S_ring(model, 6).coeffs)) == 7
+        with pytest.raises(ValueError):
+            _Model(SYM, "symbolic")
+
+    def test_no_param_poly_product_in_the_pass(self, monkeypatch, capsys):
+        inside, outside = [], []
+        passes = {"_power_columns", "_solve_Z_ring"}
+        mul = ParamPoly.__mul__
+
+        def counted(self, other):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in passes:
+                frame = frame.f_back
+            (outside if frame is None else inside).append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(ParamPoly, "__mul__", counted)
+        monkeypatch.setattr(ParamPoly, "__rmul__", counted)
+        series._symbolic_tables.cache_clear()
+        try:
+            assert main(["coeffs", "--symbolic", "--n-max", "12"]) == 0
+        finally:
+            series._symbolic_tables.cache_clear()
+        assert "9*nu^4*c^2 + 8*nu^2 + 1" in capsys.readouterr().out
+        assert outside, "the counter saw no ParamPoly product at all"
+        assert not inside
 
 
 def symbolic_theta_Z(z_sym, nu, c, n):

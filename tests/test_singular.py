@@ -306,12 +306,13 @@ class TestDiscriminant:
 class TestCriticalPoint:
     def test_one_radius_call_builds_it_once(self, monkeypatch):
         calls = []
+        parts = singular._lagrangian_parts
 
-        def counted(p, symbolic=None):
+        def counted(p):
             calls.append((p.nu, p.c))
-            return lagrangian_numer_denom(p, symbolic=symbolic)
+            return parts(p)
 
-        monkeypatch.setattr(singular, "lagrangian_numer_denom", counted)
+        monkeypatch.setattr(singular, "_lagrangian_parts", counted)
         singular._critical_point.cache_clear()
         # the exponent and the uniqueness certificate both read the one
         # CriticalPoint that radius_numeric looked up
@@ -319,6 +320,21 @@ class TestCriticalPoint:
         assert singular._critical_point.cache_info().misses == 1
         assert singular._critical_point.cache_info().hits == 0
         assert calls == [(Fraction(5, 2), Fraction(21, 20))]
+
+    @pytest.mark.parametrize("nu, c", [(nu, "1") for nu in (
+        "1/2", "3/4", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "5", "6")]
+        + [(nu, c) for nu in ("1/2", "3/4", "6") for c in ("9/10", "11/10")]
+        + [(nu, c) for nu in ("1/2", "5/2", "9/2", "6")
+           for c in ("9/10", "19/20", "21/20", "11/10")])
+    def test_lagrangian_parts_equal_the_integer_forms(self, nu, c):
+        # the radius-sweep and thermo-observables benchmark points: the
+        # tables evaluated over one denominator give the integer forms of
+        # the Fraction-valued N and D
+        p = params(Fraction(nu), Fraction(c))
+        n, d = (q.integer_form() for q in lagrangian_numer_denom(p, symbolic=False))
+        sn, a, dd, b = singular._lagrangian_parts(p)
+        assert (sn.coeffs, a, dd.coeffs, b) == ([0, *n.coeffs], n.den, list(d.coeffs), d.den)
+        assert all(type(x) is int for x in sn.coeffs + dd.coeffs)
 
     def test_generic_point_runs_no_gcd_sequence(self, monkeypatch):
         # every gcd is 1 at a generic point: the modular certificate decides
