@@ -100,18 +100,22 @@ def format_value(x, dps: int = 17) -> str:
 def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
     """The shortest decimal inside [lo, hi], so that no printed digit is false.
 
-    Endpoints at the working precision are at least one ulp apart unless
-    they are equal, so dps + 3 significant digits always suffice; a point
-    enclosure prints to that many digits.
+    The midpoint is rounded to 1, 2, ... significant digits until the
+    rounding lies in [lo, hi].  When lo < hi the midpoint is interior, so
+    this ends; endpoints at the working precision are at least one ulp
+    apart, so dps + 3 digits suffice for them.  A point enclosure prints to
+    at most dps + 3 digits.
     """
     mid = (lo + hi) / 2
-    for digits in range(1, dps + 4):
+    num, den = decimal.Decimal(mid.numerator), decimal.Decimal(mid.denominator)
+    digits = 0
+    while True:
+        digits += 1
         with decimal.localcontext() as ctx:
             ctx.prec = digits
-            value = decimal.Decimal(mid.numerator) / mid.denominator
-        if lo <= Fraction(value) <= hi:
-            break
-    return format(value, "g")
+            value = num / den
+        if lo <= Fraction(value) <= hi or (lo == hi and digits >= dps + 3):
+            return format(value, "g")
 
 
 # ---------------------------------------------------------------------------

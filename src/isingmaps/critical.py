@@ -7,8 +7,13 @@ undefined, the symbolic partition polynomial is evaluated instead).
 Thermodynamic ones come from one certified
 radius solve: rho(c) = z(s*(c), c) with z = s N(s)/D(s)^2 stationary in s at
 s*, so the envelope theorem turns the c-derivatives of log rho into exact
-derivatives of z at s*, evaluated in interval arithmetic on the certified
-s-interval.  Each value carries an enclosure.  Closed forms for the
+derivatives of z at s*.  Those are evaluated on the certified s-interval
+in fixed-point interval arithmetic over ``int``: scale 2^-(bits + 64), so
+64 guard bits below the working precision, outward rounding of every
+product and quotient, and the final ends rounded outward to ``bits``
+significant bits.  The expression tree is that of the former evaluation
+in mpmath's interval context, so each box lies inside the one it gave.
+Each value carries an enclosure.  Closed forms for the
 spontaneous magnetization, the susceptibility, and the critical-isotherm
 asymptote are provided alongside, with exact rational fast paths; they also
 cover c = 1 with nu >= 4, where s* is a root of D.
@@ -25,9 +30,10 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
+from mpmath.libmp import from_rational, mpf_log, round_ceiling, round_floor, to_rational
 
 from .errors import NonPositiveSequence, PrecisionExhausted
-from .exactalg import UniPoly, rational_sqrt
+from .exactalg import UniPoly, evaluate_together, rational_sqrt
 from .precision import default_precision_bits, to_mpf
 from .series import IsingParams, lagrangian_numer_denom, solve_Z, solve_Z_jets
 from .singular import SingularityReport, radius_numeric, rho_closed_form
@@ -209,27 +215,87 @@ def _defining_polys():
                  for p in lagrangian_numer_denom(dummy, symbolic=True))
 
 
-def _iv(q: Fraction):
-    return mpmath.iv.mpf(q.numerator) / q.denominator
+# Fixed-point intervals: a pair (lo, hi) of ints at scale 2^-p encloses every
+# x with lo 2^-p <= x <= hi 2^-p.  Sums are exact; every product and
+# quotient rounds its lower end down and its upper end up (naive interval
+# arithmetic with outward rounding, as in Moore, Interval Analysis, 1966).
+
+def _fx_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
 
 
-def _iv_eval(poly: UniPoly, s):
-    acc = mpmath.iv.mpf(0)
-    for a in reversed(poly.coeffs):
-        acc = acc * s + _iv(a)
-    return acc
+def _fx_sub(a, b):
+    return a[0] - b[1], a[1] - b[0]
 
 
-def _log_derivatives(polys, nu: Fraction, c: Fraction, s):
-    """theta, theta^2, d_s theta and d_s^2 of log f at (s, c), for f = polys[0]."""
-    f, tf, ttf = (UniPoly([a.evaluate(nu, c) for a in p.coeffs]) for p in polys)
-    value = _iv_eval(f, s)
-    t = _iv_eval(tf, s) / value
-    fs = _iv_eval(f.derivative(), s) / value
+def _fx_mul(a, b, p):
+    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(ends) >> p, -(-max(ends) >> p)
+
+
+def _fx_square(a, p):
+    lo, hi = a
+    if lo >= 0:
+        small, big = lo * lo, hi * hi
+    elif hi <= 0:
+        small, big = hi * hi, lo * lo
+    else:
+        small, big = 0, max(lo * lo, hi * hi)
+    return small >> p, -(-big >> p)
+
+
+def _fx_div(a, b, p):
+    if b[0] <= 0 <= b[1]:
+        raise PrecisionExhausted("interval divisor contains 0")
+    tops = (a[0] << p, a[1] << p)
+    return (min(x // y for x in tops for y in b),
+            max(-(-x // y) for x in tops for y in b))
+
+
+def _fx_horner(coeffs: Sequence[int], s, p):
+    """The integer polynomial sum coeffs[k] s^k over an interval s >= 0.
+
+    Each step is _fx_mul(acc, s) plus the coefficient; with s >= 0 the
+    lower end of that product is lo s_lo or lo s_hi by the sign of lo, and
+    the upper end likewise.
+    """
+    s_lo, s_hi = s
+    lo = hi = 0
+    for a in reversed(coeffs):
+        a <<= p
+        lo = (lo * (s_lo if lo >= 0 else s_hi) >> p) + a
+        hi = -(-hi * (s_hi if hi >= 0 else s_lo) >> p) + a
+    return lo, hi
+
+
+def _log_derivatives(family, nu: Fraction, c: Fraction, s, p):
+    """theta, theta^2, d_s theta and d_s^2 of log f over the interval s, for
+    the family (f, theta f, theta^2 f) of polynomials in s.
+
+    The family is evaluated at (nu, c) over one denominator, which cancels
+    from every ratio below, so the integer numerators are used as they are.
+    """
+    f, tf, ttf = family
+    h, _ = evaluate_together(f.coeffs + tf.coeffs + ttf.coeffs, nu, c)
+    i, j = len(f.coeffs), len(f.coeffs) + len(tf.coeffs)
+    f, tf, ttf = h[:i], h[i:j], h[j:]
+    value = _fx_horner(f, s, p)
+    t = _fx_div(_fx_horner(tf, s, p), value, p)
+    fs = _fx_div(_fx_horner(_derivative(f), s, p), value, p)
     return (t,
-            _iv_eval(ttf, s) / value - t ** 2,
-            _iv_eval(tf.derivative(), s) / value - t * fs,
-            _iv_eval(f.derivative().derivative(), s) / value - fs ** 2)
+            _fx_sub(_fx_div(_fx_horner(ttf, s, p), value, p), _fx_square(t, p)),
+            _fx_sub(_fx_div(_fx_horner(_derivative(tf), s, p), value, p),
+                    _fx_mul(t, fs, p)),
+            _fx_sub(_fx_div(_fx_horner(_derivative(_derivative(f)), s, p), value, p),
+                    _fx_square(fs, p)))
+
+
+def _derivative(coeffs: Sequence[int]) -> List[int]:
+    return [k * a for k, a in enumerate(coeffs)][1:]
+
+
+# Guard bits of the fixed-point evaluation below the working precision.
+THERMO_GUARD_BITS = 64
 
 
 def thermo_enclosures(nu, c, precision_bits: Optional[int] = None
@@ -239,42 +305,54 @@ def thermo_enclosures(nu, c, precision_bits: Optional[int] = None
     With l(s, c) = log z = log s + log N - 2 log D, the critical point s*
     has l_s = 0, so the envelope theorem gives theta log rho = theta l and
     theta^2 log rho = theta^2 l - (d_s theta l)^2 / l_ss there.  Then
-    M = -(1 + theta log rho) and chi = theta M.  Everything is evaluated in
-    interval arithmetic on the certified s-interval of one radius solve.
-    At c = 1 with nu >= 4, s* is a root of D and the enclosures are
-    unbounded; the closed forms cover that point.
+    M = -(1 + theta log rho) and chi = theta M.
+
+    M and chi are evaluated over the certified s-interval of one radius
+    solve in fixed-point interval arithmetic on ``int``, at scale
+    2^-(bits + THERMO_GUARD_BITS) with outward rounding.  It follows the
+    expression tree of the former evaluation in mpmath's interval context
+    at ``bits`` (Horner, squares as squares) with finer rounding, so each
+    box lies inside the one that evaluation gave; the ends are then rounded
+    outward to ``bits`` significant bits.  F = -log(c rho) takes ``mpf_log``
+    of the ends of c times the radius interval, rounded down and up.  At
+    c = 1 with nu >= 4, s* is a root of D, a divisor interval contains 0 and
+    PrecisionExhausted is raised; the closed forms cover that point.
     """
     nu, c = Fraction(nu), Fraction(c)
     report = _rho_point(nu, c)
     bits = precision_bits or default_precision_bits()
-    iv = mpmath.iv
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        (s_lo, s_hi), (r_lo, r_hi) = report.s_interval, report.rho_interval
-        s = iv.mpf([_iv(s_lo).a, _iv(s_hi).b])
-        mu = iv.mpf([_iv(c * r_lo).a, _iv(c * r_hi).b])
-        n_polys, d_polys = _defining_polys()
-        t, tt, st, ss = (a - 2 * b for a, b in zip(
-            _log_derivatives(n_polys, nu, c, s), _log_derivatives(d_polys, nu, c, s)))
-        ss = ss - 1 / s ** 2
-        values = {"F": -iv.log(mu), "M": -(1 + t), "chi": st ** 2 / ss - tt}
-    finally:
-        iv.prec = saved
-    out = {}
-    with mpmath.workprec(bits):
-        for name, v in values.items():
-            ends = (mpmath.mpf(v.a), mpmath.mpf(v.b))
-            if not all(mpmath.isfinite(x) for x in ends):
-                raise PrecisionExhausted(
-                    "%s has no finite enclosure at nu=%s, c=%s" % (name, nu, c))
-            out[name] = tuple(_mpf_fraction(x) for x in ends)
+    p = bits + THERMO_GUARD_BITS
+    (s_lo, s_hi), (r_lo, r_hi) = report.s_interval, report.rho_interval
+    s = ((s_lo.numerator << p) // s_lo.denominator,
+         -((-s_hi.numerator << p) // s_hi.denominator))
+    n_family, d_family = _defining_polys()
+    t, tt, st, ss = (_fx_sub(a, (2 * b[0], 2 * b[1])) for a, b in zip(
+        _log_derivatives(n_family, nu, c, s, p), _log_derivatives(d_family, nu, c, s, p)))
+    one = (1 << p, 1 << p)
+    ss = _fx_sub(ss, _fx_div(one, _fx_square(s, p), p))
+    m_lo, m_hi = _fx_add(one, t)
+    out = {"F": _negated_log(c * r_lo, c * r_hi, bits)}
+    for name, (lo, hi) in (("M", (-m_hi, -m_lo)),
+                           ("chi", _fx_sub(_fx_div(_fx_square(st, p), ss, p), tt))):
+        out[name] = (_round_bits(lo, p, bits, floor=True),
+                     _round_bits(hi, p, bits, floor=False))
     return out
 
 
-def _mpf_fraction(x: mpmath.mpf) -> Fraction:
-    man, exp = x.man_exp  # the mantissa comes without its sign
-    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+def _round_bits(x: int, p: int, bits: int, floor: bool) -> Fraction:
+    """x 2^-p rounded down (``floor``) or up to ``bits`` significant bits."""
+    shift = max(abs(x).bit_length() - bits, 0)
+    x = x >> shift if floor else -(-x >> shift)
+    return Fraction(x << shift, 1 << p)
+
+
+def _negated_log(lo: Fraction, hi: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
+    """An enclosure of -log x over [lo, hi], lo > 0, ends of ``bits`` bits."""
+    ends = (mpf_log(from_rational(hi.numerator, hi.denominator, bits, round_ceiling),
+                    bits, round_ceiling),
+            mpf_log(from_rational(lo.numerator, lo.denominator, bits, round_floor),
+                    bits, round_floor))
+    return tuple(-Fraction(*to_rational(x)) for x in ends)
 
 
 def _enclosed_value(name: str, nu, c, precision_bits: Optional[int]) -> mpmath.mpf:

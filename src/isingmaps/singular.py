@@ -446,6 +446,15 @@ def _certify_rho(
     lip (hi - lo) <= tol is cross-multiplied over u, W and the common
     denominator of the bounds and tol.  Fractions are built once, for the
     returned intervals.
+
+    The global bound is loose on purpose: it refines s far past what the
+    rho width needs, and that s-interval is what makes the thermodynamic M
+    and chi enclosures (:func:`~isingmaps.critical.thermo_enclosures`)
+    1e-31 to 1e-45 wide at tol 1e-28.  Since z'(s*) = 0, a bound local to
+    the interval would stop once |z''| w^2 / 2 <= tol, at an s-width w of
+    about sqrt(2 tol / |z''|), near 1e-15; M, which depends on s to first
+    order, would then be only about 1e-13 wide at (1/2, 19/20) and 1e-11
+    at (6, 11/10).
     """
     lo, hi = cp.interval
     if lo == hi:

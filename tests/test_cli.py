@@ -324,6 +324,15 @@ class TestObservables:
         assert cli.format_enclosure(-third - eps, -third + eps, 55) == "-0.333"
         assert cli.format_enclosure(Fraction(1, 4), Fraction(1, 4), 55) == "0.25"
 
+    def test_enclosure_narrower_than_the_digit_cap_prints_inside(self):
+        # 2e-20 wide around 2/3: no decimal of at most dps + 3 = 13 digits
+        # lies inside, so more digits are printed
+        mid, eps, dps = Fraction(2, 3), Fraction(1, 10 ** 20), 10
+        printed = cli.format_enclosure(mid - eps, mid + eps, dps)
+        assert mid - eps <= Fraction(printed) <= mid + eps
+        assert len(printed) - len("0.") > dps + 3
+        assert cli.format_enclosure(mid, mid, dps) == "0.6666666666667"
+
     @pytest.mark.parametrize("nu", ["2", "1/2"])
     def test_free_energy_at_c_one_prints_only_true_digits(self, capsys, nu):
         code, payload = run_json(capsys, "observables", "--nu", nu, "--c", "1")

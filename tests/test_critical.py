@@ -2,11 +2,12 @@
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import finf, fninf, to_rational
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from isingmaps import critical
+from isingmaps import cli, critical
 from isingmaps.critical import (
     FIT_GUARD_BITS,
     FitResult,
@@ -29,8 +30,9 @@ from isingmaps.critical import (
     thermo_magnetization,
     thermo_susceptibility,
 )
-from isingmaps.errors import NonPositiveSequence
-from isingmaps.precision import to_mpf
+from isingmaps.errors import NonPositiveSequence, PrecisionExhausted
+from isingmaps.exactalg import UniPoly
+from isingmaps.precision import default_precision_bits, to_mpf
 from isingmaps.series import IsingParams, coefficient_sequence, lagrangian_numer_denom
 from isingmaps.singular import rho_closed_form
 
@@ -325,6 +327,161 @@ class TestEnvelopeDerivatives:
         for nu in (Fraction(1), Fraction(2), Fraction(3), Fraction(7, 2)):
             cf = _as_mpf(chi_closed(nu))
             assert abs(thermo_susceptibility(nu, 1) - cf) < mpmath.mpf(10) ** -25 * cf
+
+
+def _iv(q: Fraction):
+    return mpmath.iv.mpf(q.numerator) / q.denominator
+
+
+def _iv_eval(poly: UniPoly, s):
+    acc = mpmath.iv.mpf(0)
+    for a in reversed(poly.coeffs):
+        acc = acc * s + _iv(a)
+    return acc
+
+
+def _iv_log_derivatives(polys, nu, c, s):
+    f, tf, ttf = (UniPoly([a.evaluate(nu, c) for a in p.coeffs]) for p in polys)
+    value = _iv_eval(f, s)
+    t = _iv_eval(tf, s) / value
+    fs = _iv_eval(f.derivative(), s) / value
+    return (t,
+            _iv_eval(ttf, s) / value - t ** 2,
+            _iv_eval(tf.derivative(), s) / value - t * fs,
+            _iv_eval(f.derivative().derivative(), s) / value - fs ** 2)
+
+
+def _iv_enclosures(nu, c, bits):
+    """The envelope-theorem enclosures in mpmath's interval context at
+    ``bits``: the same expression tree as thermo_enclosures, with every
+    coefficient rounded to a ``bits``-bit interval.  None for a name whose
+    box is unbounded."""
+    report = _rho_point(nu, c)
+    iv = mpmath.iv
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        (s_lo, s_hi), (r_lo, r_hi) = report.s_interval, report.rho_interval
+        s = iv.mpf([_iv(s_lo).a, _iv(s_hi).b])
+        mu = iv.mpf([_iv(c * r_lo).a, _iv(c * r_hi).b])
+        n_polys, d_polys = critical._defining_polys()
+        t, tt, st, ss = (a - 2 * b for a, b in zip(
+            _iv_log_derivatives(n_polys, nu, c, s), _iv_log_derivatives(d_polys, nu, c, s)))
+        ss = ss - 1 / s ** 2
+        values = {"F": -iv.log(mu), "M": -(1 + t), "chi": st ** 2 / ss - tt}
+    finally:
+        iv.prec = saved
+    return {name: None if finf in v._mpi_ or fninf in v._mpi_
+            else tuple(Fraction(*to_rational(e)) for e in v._mpi_)
+            for name, v in values.items()}
+
+
+class TestThermoOracle:
+    GRID_NU = ("1/100", "1/2", "1", "5/2", "4", "9/2", "6", "10")
+    GRID_C = ("9/10", "19/20", "21/20", "11/10")
+
+    @pytest.mark.parametrize("nu", GRID_NU)
+    def test_boxes_lie_inside_the_interval_context_ones(self, nu):
+        bits = default_precision_bits()
+        dps = cli._digits(bits)
+        for c in map(Fraction, self.GRID_C):
+            box = thermo_enclosures(Fraction(nu), c)
+            reference = _iv_enclosures(Fraction(nu), c, bits)
+            for name in ("F", "M", "chi"):
+                lo, hi = box[name]
+                ref_lo, ref_hi = reference[name]
+                assert ref_lo <= lo <= hi <= ref_hi, (nu, c, name)
+                assert cli.format_enclosure(lo, hi, dps) \
+                    == cli.format_enclosure(ref_lo, ref_hi, dps), (nu, c, name)
+
+    @pytest.mark.parametrize("bits", [8, 53, 256])
+    def test_boxes_lie_inside_at_other_precisions(self, bits):
+        for nu, c in ((Fraction(1, 2), Fraction(19, 20)), (Fraction(6), Fraction(11, 10))):
+            box = thermo_enclosures(nu, c, bits)
+            reference = _iv_enclosures(nu, c, bits)
+            for name in ("F", "M", "chi"):
+                lo, hi = box[name]
+                # ends of at most ``bits`` significant bits
+                for end in (lo, hi):
+                    man = end.numerator
+                    man //= man & -man  # drop the factors of 2
+                    assert abs(man).bit_length() <= bits
+                if reference[name] is not None:
+                    ref_lo, ref_hi = reference[name]
+                    assert ref_lo <= lo <= hi <= ref_hi, (nu, c, name)
+
+    @pytest.mark.parametrize("nu", [4, 5, 6])
+    def test_s_at_a_root_of_d_has_no_enclosure(self, nu):
+        with pytest.raises(PrecisionExhausted):
+            thermo_enclosures(nu, 1)
+
+
+P = 40
+mixed = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+intervals = st.tuples(mixed, mixed).map(lambda ab: tuple(sorted(ab)))
+
+
+def _fixed(box):
+    """The fixed-point interval at scale 2^-P around a Fraction interval."""
+    lo, hi = box
+    return (lo.numerator << P) // lo.denominator, -((-hi.numerator << P) // hi.denominator)
+
+
+def _holds(fx, exact_values):
+    lo, hi = Fraction(fx[0], 1 << P), Fraction(fx[1], 1 << P)
+    return lo <= min(exact_values) and max(exact_values) <= hi
+
+
+class TestFixedPointIntervals:
+    @given(intervals, intervals)
+    @settings(max_examples=200, deadline=None)
+    def test_add_sub_mul_enclose_the_exact_result(self, a, b):
+        fa, fb = _fixed(a), _fixed(b)
+        assert _holds(critical._fx_add(fa, fb), (a[0] + b[0], a[1] + b[1]))
+        assert _holds(critical._fx_sub(fa, fb), (a[0] - b[1], a[1] - b[0]))
+        assert _holds(critical._fx_mul(fa, fb, P), [x * y for x in a for y in b])
+
+    @given(intervals)
+    @settings(max_examples=200, deadline=None)
+    def test_square_encloses_the_exact_result(self, a):
+        lo, hi = critical._fx_square(_fixed(a), P)
+        squares = [a[0] ** 2, a[1] ** 2] + ([0] if a[0] <= 0 <= a[1] else [])
+        assert _holds((lo, hi), squares)
+        assert lo >= 0
+
+    @given(intervals, intervals)
+    @settings(max_examples=200, deadline=None)
+    def test_div_encloses_the_exact_result_or_refuses_zero(self, a, b):
+        fb = _fixed(b)
+        if fb[0] <= 0 <= fb[1]:
+            with pytest.raises(PrecisionExhausted):
+                critical._fx_div(_fixed(a), fb, P)
+        else:
+            assert _holds(critical._fx_div(_fixed(a), fb, P), [x / y for x in a for y in b])
+
+    def test_div_by_a_box_that_holds_zero_is_refused(self):
+        one = (1 << P, 1 << P)
+        for divisor in ((0, 0), (-1, 1), (0, 5), (-5, 0)):
+            with pytest.raises(PrecisionExhausted):
+                critical._fx_div(one, divisor, P)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=7),
+           st.tuples(st.fractions(0, 3, max_denominator=10 ** 6),
+                     st.fractions(0, 3, max_denominator=10 ** 6)).map(
+               lambda ab: tuple(sorted(ab))))
+    @settings(max_examples=200, deadline=None)
+    def test_horner_encloses_the_polynomial_on_the_interval(self, coeffs, s):
+        fx = critical._fx_horner(coeffs, _fixed(s), P)
+        points = (s[0], (s[0] + s[1]) / 2, s[1])
+        assert _holds(fx, [sum(a * x ** k for k, a in enumerate(coeffs)) for x in points])
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=7),
+           st.integers(0, 3 << P))
+    @settings(max_examples=200, deadline=None)
+    def test_horner_rounds_outward_at_a_point(self, coeffs, x):
+        fx = critical._fx_horner(coeffs, (x, x), P)
+        s = Fraction(x, 1 << P)
+        assert _holds(fx, [sum(a * s ** k for k, a in enumerate(coeffs))])
 
 
 class TestObservableBundle:
