@@ -105,17 +105,41 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
     this ends; endpoints at the working precision are at least one ulp
     apart, so dps + 3 digits suffice for them.  A point enclosure prints to
     at most dps + 3 digits.
+
+    The digit count is found over the integers.  With 10^e <= |mid| <
+    10^(e+1), d digits round x = |mid| 10^(d-1-e) to an integer; the
+    fraction part r/b of x is carried by long division, one decimal digit
+    per step.  The rounding moves x by min(r, b - r)/b (at a tie either
+    way, so half-even's choice does not matter), and as mid is the centre
+    of [lo, hi] it lies inside when that is at most (hi - lo)/2 times
+    10^(d-1-e), compared by cross-multiplying.  One Decimal division at the
+    digit count found, correctly rounded half-even, gives the value to print.
     """
-    mid = (lo + hi) / 2
-    num, den = decimal.Decimal(mid.numerator), decimal.Decimal(mid.denominator)
-    digits = 0
-    while True:
-        digits += 1
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            value = num / den
-        if lo <= Fraction(value) <= hi or (lo == hi and digits >= dps + 3):
-            return format(value, "g")
+    if lo > hi:
+        raise ValueError("empty enclosure: lo > hi")
+    mid = Fraction(lo + hi, 2)
+    num, den = mid.numerator, mid.denominator
+    digits = 1
+    if num:
+        half = Fraction(hi - lo, 2)
+        h_num, h_den = half.numerator, half.denominator
+        mag = abs(num)
+        e = len(str(mag)) - len(str(den))  # floor(log10 |mid|) is e or e - 1
+        if (mag * 10 ** -e if e < 0 else mag) < (den * 10 ** e if e > 0 else den):
+            e -= 1
+        # at one digit x = |mid| 10^-e has fraction part r/b, and the bound
+        # half 10^-e on the rounding error is slack / (h_den b)
+        b = den * 10 ** max(e, 0)
+        r = mag * 10 ** max(-e, 0) % b
+        slack = h_num * den * 10 ** max(-e, 0)
+        while min(r, b - r) * h_den > slack and (slack or digits < dps + 3):
+            digits += 1
+            r = 10 * r % b
+            slack *= 10
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        value = decimal.Decimal(num) / decimal.Decimal(den)
+    return format(value, "g")
 
 
 # ---------------------------------------------------------------------------

@@ -355,10 +355,14 @@ def _negated_log(lo: Fraction, hi: Fraction, bits: int) -> Tuple[Fraction, Fract
     return tuple(-Fraction(*to_rational(x)) for x in ends)
 
 
-def _enclosed_value(name: str, nu, c, precision_bits: Optional[int]) -> mpmath.mpf:
-    lo, hi = thermo_enclosures(nu, c, precision_bits)[name]
+def _midpoint(box: Tuple[Fraction, Fraction], precision_bits: Optional[int]) -> mpmath.mpf:
+    lo, hi = box
     with mpmath.workprec(precision_bits or default_precision_bits()):
         return to_mpf((lo + hi) / 2)
+
+
+def _enclosed_value(name: str, nu, c, precision_bits: Optional[int]) -> mpmath.mpf:
+    return _midpoint(thermo_enclosures(nu, c, precision_bits)[name], precision_bits)
 
 
 def thermo_magnetization(nu, c, precision_bits: Optional[int] = None) -> mpmath.mpf:
@@ -406,8 +410,9 @@ def observables(params: IsingParams, n: Optional[int] = None,
                 precision_bits: Optional[int] = None) -> ObservableSet:
     """Bundle F, M, chi at a point: finite-size if n is given, else limiting.
 
-    In the limit at c = 1 the closed forms are used; off c = 1 the
-    envelope-theorem derivatives of the certified radius are.
+    In the limit at c = 1 the closed forms are used; off c = 1 M and chi
+    are the midpoints of one :func:`thermo_enclosures` box, the
+    envelope-theorem derivatives of the certified radius.
     """
     if n is not None:
         return ObservableSet(
@@ -420,10 +425,9 @@ def observables(params: IsingParams, n: Optional[int] = None,
         m_val = m0_closed(params.nu, precision_bits)
         chi_val = chi_closed(params.nu, precision_bits)
     else:
-        m_val = thermo_magnetization(params.nu, params.c,
-                                     precision_bits=precision_bits)
-        chi_val = thermo_susceptibility(params.nu, params.c,
-                                        precision_bits=precision_bits)
+        box = thermo_enclosures(params.nu, params.c, precision_bits)
+        m_val = _midpoint(box["M"], precision_bits)
+        chi_val = _midpoint(box["chi"], precision_bits)
     return ObservableSet(
         F=free_energy(params, precision_bits), M=m_val, chi=chi_val, n=None,
     )

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 import concurrent.futures
+import decimal
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -291,6 +293,36 @@ class TestPuiseux:
         assert payload["result"]["exponent"] == "1/2"
 
 
+def format_enclosure_by_decimal(lo, hi, dps):
+    """The digit loop :func:`cli.format_enclosure` replaces: one Decimal
+    division and one Fraction comparison per digit count."""
+    mid = (lo + hi) / 2
+    num, den = decimal.Decimal(mid.numerator), decimal.Decimal(mid.denominator)
+    digits = 0
+    while True:
+        digits += 1
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            value = num / den
+        if lo <= Fraction(value) <= hi or (lo == hi and digits >= dps + 3):
+            return format(value, "g")
+
+
+def random_enclosures(seed, count):
+    """Intervals around random rationals of either sign, from 10^-30 to 10^30,
+    with widths from 10^-75 to 1 times |mid|, a tenth of them points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mid = Fraction(rng.randrange(-10 ** 40, 10 ** 40), rng.randrange(1, 10 ** 40))
+        mid *= Fraction(10) ** rng.randrange(-30, 31)
+        if rng.random() < 0.1:
+            yield mid, mid, rng.choice((5, 15, 57))
+            continue
+        width = abs(mid) * Fraction(rng.randrange(1, 10 ** 6), 10 ** rng.randrange(6, 76))
+        left = width * Fraction(rng.randrange(1, 100), 100)
+        yield mid - left, mid - left + width, rng.choice((5, 15, 57))
+
+
 class TestObservables:
     def test_closed_forms_at_critical_coupling(self, capsys):
         code, payload = run_json(capsys, "observables", "--nu", "5", "--c", "1")
@@ -332,6 +364,22 @@ class TestObservables:
         assert mid - eps <= Fraction(printed) <= mid + eps
         assert len(printed) - len("0.") > dps + 3
         assert cli.format_enclosure(mid, mid, dps) == "0.6666666666667"
+
+    def test_enclosure_digits_match_the_decimal_loop(self):
+        cases = list(random_enclosures(2026, 1000))
+        cases += [(Fraction(0), Fraction(0), 10), (Fraction(-1, 8), Fraction(-1, 8), 10),
+                  (Fraction(-1, 3), Fraction(-1, 3), 10), (Fraction(-1), Fraction(1), 10),
+                  (Fraction(95, 100), Fraction(1049, 1000), 10),
+                  (Fraction(-10 ** 12), Fraction(-10 ** 12), 5)]
+        for nu, c in ((Fraction(1, 2), Fraction(9, 10)), (6, Fraction(11, 10))):
+            box = thermo_enclosures(nu, c)
+            cases += [(lo, hi, cli._digits(192)) for lo, hi in box.values()]
+        for lo, hi, dps in cases:
+            assert cli.format_enclosure(lo, hi, dps) == format_enclosure_by_decimal(lo, hi, dps)
+
+    def test_empty_enclosure_is_rejected(self):
+        with pytest.raises(ValueError):
+            cli.format_enclosure(Fraction(1), Fraction(0), 10)
 
     @pytest.mark.parametrize("nu", ["2", "1/2"])
     def test_free_energy_at_c_one_prints_only_true_digits(self, capsys, nu):

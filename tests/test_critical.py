@@ -504,6 +504,21 @@ class TestObservableBundle:
         assert obs.chi > 0
         assert 0 < obs.M < 1
 
+    def test_off_critical_bundle_reads_one_box(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return thermo_enclosures(*args, **kwargs)
+
+        monkeypatch.setattr(critical, "thermo_enclosures", counted)
+        nu, c = 6, Fraction(11, 10)
+        obs = observables(IsingParams(nu=nu, c=c))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert obs.M == critical.thermo_magnetization(nu, c)
+        assert obs.chi == critical.thermo_susceptibility(nu, c)
+
 
 class TestExponentFit:
     def test_synthetic_power_law(self):

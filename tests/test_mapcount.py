@@ -6,12 +6,18 @@ import pytest
 
 from isingmaps.errors import EnumerationBound
 from isingmaps.exactalg import ParamPoly
+from isingmaps import mapcount
 from isingmaps.mapcount import (
     DartMap,
+    EnumerationSurvey,
+    _face_count,
+    _open_darts_on_face,
     _spin_polynomial,
+    _walk_planar,
     all_pairings,
     bruteforce_Z,
     canonical_sigma,
+    dart_vertex,
     genus_check,
     survey,
 )
@@ -60,6 +66,73 @@ def labelled_pairing_survey(n):
     assert rooted.denominator == 1
     return (n, stats["total"], stats["connected"], stats["planar"],
             int(rooted), accum * norm)
+
+
+def unpruned_canonical_survey(n):
+    """The survey by the canonical walk over every connected rooted map.
+
+    The walk of :func:`survey` without the face rule: the smallest unpaired
+    dart d pairs with any unpaired dart in (d, 4k] or opens vertex k, so
+    every genus is reached and the planar maps are picked at the leaves.
+    Returns the survey, with connected pairings counted at the leaves, and
+    the planar leaf pairings as alpha tuples.
+    """
+    sigma = canonical_sigma(n)
+    alpha = [0] * (4 * n + 1)
+    connected = 0
+    planar_leaves = []
+
+    def leaf():
+        nonlocal connected
+        connected += 1
+        if _face_count(sigma, alpha) == n + 2:
+            planar_leaves.append(tuple(alpha))
+
+    def pair_from(d, k):
+        top = 4 * k
+        while d <= top and alpha[d]:
+            d += 1
+        if d > top:
+            if k == n:
+                leaf()
+            return
+        for e in range(d + 1, top + 1):
+            if not alpha[e]:
+                alpha[d], alpha[e] = e, d
+                pair_from(d + 1, k)
+                alpha[e] = 0
+        if k < n:
+            alpha[d], alpha[top + 1] = top + 1, d
+            pair_from(d + 1, k + 1)
+            alpha[top + 1] = 0
+        alpha[d] = 0
+
+    pair_from(1, 1)
+
+    poly = ParamPoly()
+    for leaf_alpha in planar_leaves:
+        edges = tuple(sorted((dart_vertex(d), dart_vertex(a))
+                             for d, a in enumerate(leaf_alpha) if d < a))
+        poly = poly + _spin_polynomial(edges, n)
+    orbit = factorial(n - 1) * 4 ** (n - 1)
+    total = 1
+    for odd in range(1, 4 * n, 2):
+        total *= odd
+    report = EnumerationSurvey(
+        n=n,
+        total_matchings=total,
+        connected_matchings=connected * orbit,
+        planar_matchings=len(planar_leaves) * orbit,
+        rooted_map_count=len(planar_leaves),
+        partition_polynomial=poly,
+    )
+    return report, planar_leaves
+
+
+def planar_walk_leaves(n):
+    leaves = []
+    _walk_planar(n, lambda alpha: leaves.append(tuple(alpha)))
+    return leaves
 
 
 def tutte_rooted_quartic(n):
@@ -170,6 +243,44 @@ class TestEnumeration:
             bruteforce_Z(6)
         with pytest.raises(EnumerationBound):
             bruteforce_Z(0)
+
+
+class TestFaceRule:
+    """The pruned walk of :func:`survey` against the unpruned oracle."""
+
+    def test_one_vertex_leaves(self):
+        # (1 2)(3 4) and (1 4)(2 3) are planar leaves; the torus pairing
+        # (1 3)(2 4) is not reached
+        assert sorted(planar_walk_leaves(1)) == [(0, 2, 1, 4, 3), (0, 4, 3, 2, 1)]
+
+    def test_empty_vertex_is_one_face(self):
+        sigma = canonical_sigma(1)
+        assert sorted(_open_darts_on_face(sigma, [0] * 5, 1)) == [2, 3, 4]
+
+    def test_crossing_pair_splits_darts_two_and_four(self):
+        # with (1 3) paired the faces are (1 4) and (2 3): 4 is off 2's face
+        sigma = canonical_sigma(1)
+        alpha = [0, 3, 0, 1, 0]
+        assert _open_darts_on_face(sigma, alpha, 2) == []
+        assert _open_darts_on_face(sigma, alpha, 4) == []
+        # with (1 2) paired, 3 and 4 share a face, as they do with (1 4)
+        assert _open_darts_on_face(sigma, [0, 2, 1, 0, 0], 3) == [4]
+        assert _open_darts_on_face(sigma, [0, 4, 0, 0, 1], 2) == [3]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_survey_equals_unpruned_walk(self, n):
+        assert survey(n) == unpruned_canonical_survey(n)[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_leaves_are_the_planar_leaves_of_the_unpruned_walk(self, n):
+        leaves = planar_walk_leaves(n)
+        assert len(set(leaves)) == len(leaves)
+        assert sorted(leaves) == sorted(unpruned_canonical_survey(n)[1])
+
+    def test_leaf_failing_the_face_count_raises(self, monkeypatch):
+        monkeypatch.setattr(mapcount, "_face_count", lambda sigma, alpha: 0)
+        with pytest.raises(RuntimeError, match="faces"):
+            survey.__wrapped__(2)
 
 
 class TestStructuralInvariants:
