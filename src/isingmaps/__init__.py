@@ -10,7 +10,6 @@ from .errors import (
     NonPositiveSequence,
     NonZeroRemainder,
     NoRootInRange,
-    NumericModeAtNuOne,
     PrecisionExhausted,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "NonPositiveSequence",
     "NonZeroRemainder",
     "NoRootInRange",
-    "NumericModeAtNuOne",
     "PrecisionExhausted",
     "__version__",
 ]

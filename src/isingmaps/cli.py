@@ -24,6 +24,7 @@ import mpmath
 
 from .critical import (
     FIT_GUARD_BITS,
+    _symbolic_Z,
     chi_closed,
     exponent_fit,
     finite_free_energy,
@@ -37,7 +38,7 @@ from .errors import ComputationError
 from .exactalg import sturm_count
 from .mapcount import survey
 from .precision import check_precision_bits, default_precision_bits
-from .series import IsingParams, _Model, _solve_Z_ring, coefficient_sequence, solve_Z
+from .series import IsingParams, coefficient_sequence, exact_Z, nu_one_jets, solve_Z
 from .singular import (
     critical_point,
     discriminant_in_z,
@@ -102,9 +103,10 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
 
     The midpoint is rounded to 1, 2, ... significant digits until the
     rounding lies in [lo, hi].  When lo < hi the midpoint is interior, so
-    this ends; endpoints at the working precision are at least one ulp
-    apart, so dps + 3 digits suffice for them.  A point enclosure prints to
-    at most dps + 3 digits.
+    this ends.  Ends one ulp apart at b significant bits are wider than
+    |mid| 2^-b, so ceil(b log10 2) + 1 digits suffice for them: 59 at
+    b = 192, where dps is 55.  A point enclosure prints to at most dps + 3
+    digits.
 
     The digit count is found over the integers.  With 10^e <= |mid| <
     10^(e+1), d digits round x = |mid| 10^(d-1-e) to an integer; the
@@ -151,33 +153,18 @@ def _cmd_coeffs(args, bits):
     n_max = args.n_max
     if n_max < 1:
         raise ValueError("--n-max must be at least 1")
-    rows = []
     if args.symbolic:
         series = solve_Z(IsingParams(nu=2, c=1), n_max)
-        for n in range(1, n_max + 1):
-            rows.append({"n": n, "value": series.coefficient(n).to_str()})
+        values = [series.coefficient(n).to_str() for n in range(1, n_max + 1)]
+    elif args.nu is None or args.c is None:
+        raise ValueError("--numeric requires --nu and --c" if args.numeric
+                         else "coeffs needs --symbolic, or --nu and --c")
     elif args.numeric:
-        if args.nu is None or args.c is None:
-            raise ValueError("--numeric requires --nu and --c")
         params = IsingParams(nu=args.nu, c=args.c, precision_bits=bits)
-        seq = coefficient_sequence(params, n_max)
-        dps = _digits(bits)
-        for n in range(1, n_max + 1):
-            rows.append({"n": n, "value": format_value(seq[n - 1], dps)})
+        values = [format_value(z, _digits(bits)) for z in coefficient_sequence(params, n_max)]
     else:
-        if args.nu is None or args.c is None:
-            raise ValueError("coeffs needs --symbolic, or --nu and --c")
-        params = IsingParams(nu=args.nu, c=args.c)
-        if params.nu != 1:
-            # the integer engine gives the same exact Z_n at the point
-            values = _solve_Z_ring(_Model(params, "integer"), n_max)[1:]
-        else:
-            # 9 (1 - nu^2) vanishes at nu = 1: divide it out symbolically
-            series = solve_Z(params, n_max)
-            values = [series.coefficient(n).evaluate(params.nu, params.c)
-                      for n in range(1, n_max + 1)]
-        for n, value in enumerate(values, start=1):
-            rows.append({"n": n, "value": format_value(value)})
+        values = list(map(format_value, exact_Z(IsingParams(nu=args.nu, c=args.c), n_max)[1:]))
+    rows = [{"n": n, "value": value} for n, value in enumerate(values, start=1)]
     csv_rows = [("n", "value")] + [(r["n"], r["value"]) for r in rows]
     return {"coefficients": rows}, [], csv_rows
 
@@ -403,6 +390,15 @@ def _check_battery(bits) -> List[dict]:
         label = "nu=%s" % nu_q if c_q == 1 else "nu=%s,c=%s" % (nu_q, c_q)
         details.append("%s:%s" % (label, exponent))
     add("singular_exponents", ok, " ".join(details))
+
+    # the packed Z_n at nu = 1 and the closed form q_n c^(2-n) (c^2 + 1)^(n-1)
+    # are Laurent polynomials in c: equal at more points than their span
+    ok = True
+    for n, zn in enumerate(_symbolic_Z(12)[1:], start=1):
+        span = [dc for _, dc in zn.terms] + [2 - n, n]
+        ok = ok and all(zn.evaluate(1, c) == nu_one_jets(c, n)[n][0]
+                        for c in range(1, max(span) - min(span) + 2))
+    add("nu_one_closed_form", ok, "Z_1..Z_12 at nu=1")
     return checks
 
 

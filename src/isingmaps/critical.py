@@ -2,8 +2,7 @@
 
 Finite-size observables come from exact logarithmic c-derivatives of Z_n
 at the point: one integer series pass over jets (Z, theta Z, theta^2 Z),
-theta = c d/dc, gives all three at once (at nu = 1, where that pass is
-undefined, the symbolic partition polynomial is evaluated instead).
+theta = c d/dc, gives all three at once, or at nu = 1 the closed form.
 Thermodynamic ones come from one certified
 radius solve: rho(c) = z(s*(c), c) with z = s N(s)/D(s)^2 stationary in s at
 s*, so the envelope theorem turns the c-derivatives of log rho into exact
@@ -108,6 +107,11 @@ def free_energy(params: IsingParams, precision_bits: Optional[int] = None) -> mp
 
 @lru_cache(maxsize=8)
 def _symbolic_Z(order: int):
+    """(Z_0, ..., Z_order) as polynomials in nu and c: one packed pass, cached.
+
+    The ``check`` battery compares it with the nu = 1 closed form, and
+    ``perfbench/layertrace.py`` reports its cache counters.
+    """
     dummy = IsingParams(nu=2, c=1)  # symbolic tables do not depend on the point
     series = solve_Z(dummy, order)
     return tuple(series.coefficient(n) for n in range(order + 1))
@@ -117,16 +121,11 @@ def _symbolic_Z(order: int):
 def _theta_Z(nu: Fraction, c: Fraction, n: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(Z_n, theta Z_n, theta^2 Z_n) at the point, theta = c d/dc, exact.
 
-    One integer pass over theta-jets (:func:`solve_Z_jets`), shared by the
-    three finite-size observables.  At nu = 1 that pass divides by
-    9(1 - nu^2) = 0, so there the symbolic polynomial is evaluated instead.
+    Read from :func:`solve_Z_jets` (one integer jet pass, or the closed
+    form at nu = 1), shared by the three finite-size observables.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if nu == 1:
-        zn = _symbolic_Z(n)[n]
-        tzn = zn.c_log_derivative()
-        return tuple(p.evaluate(nu, c) for p in (zn, tzn, tzn.c_log_derivative()))
     return solve_Z_jets(IsingParams(nu=nu, c=c), n)[n]
 
 

@@ -24,11 +24,6 @@ class PrecisionExhausted(ComputationError):
     back-substitution self-check."""
 
 
-class NumericModeAtNuOne(ComputationError):
-    """Numeric-at-point evaluation requested at nu = 1, where the
-    partition-function extraction divides by (1 - nu^2)."""
-
-
 class EnumerationBound(ComputationError):
     """Brute-force enumeration was requested beyond the supported size."""
 

@@ -55,7 +55,9 @@ nearest mpf at the requested precision.  Both modes share one pipeline,
 including the exact check that the three lowest coefficients cancel.  The
 same integer pass over jets (f, theta f, theta^2 f), theta = c d/dc, keeps
 the unreduced tables and gives Z_n and its first two theta-derivatives
-exactly at the point (:func:`solve_Z_jets`).
+exactly at the point (:func:`solve_Z_jets`).  At nu = 1, where every
+point model would divide by 9(1 - nu^2) = 0, Z_n is in closed form
+(:func:`nu_one_jets`).
 """
 from __future__ import annotations
 
@@ -70,9 +72,8 @@ from typing import List, Optional, Tuple
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
-from .errors import NonZeroRemainder, NumericModeAtNuOne
+from .errors import NonZeroRemainder
 from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, evaluate_together, ring_exact_div
-from .precision import to_mpf
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,7 @@ class IsingParams:
     both are kept as exact rationals no matter the mode.  ``precision_bits``
     selects the mode for series work: ``None`` for symbolic coefficients, a
     bit count for numeric-at-point mode, whose values are exact at the
-    point and rounded once to that many bits.  Numeric mode
-    refuses nu = 1 because the parametrization's 1/(1 - nu^2) prefactor is a
-    pointwise 0/0 there; symbolic mode divides it out exactly instead.
+    point and rounded once to that many bits.
     """
 
     nu: Fraction
@@ -99,13 +98,8 @@ class IsingParams:
             raise ValueError("nu must be positive")
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.precision_bits is not None:
-            if self.precision_bits < 8:
-                raise ValueError("precision_bits must be at least 8")
-            if self.nu == 1:
-                raise NumericModeAtNuOne(
-                    "numeric mode is undefined at nu = 1; use symbolic mode"
-                )
+        if self.precision_bits is not None and self.precision_bits < 8:
+            raise ValueError("precision_bits must be at least 8")
 
     @property
     def symbolic(self) -> bool:
@@ -225,10 +219,13 @@ class _Model:
     at some points.  N(0) = E(0) = 1 survive, so the forward recurrence for
     T needs no division and a divisor that is kept has constant term 1:
     the solve never leaves the integers.  ``nine_gamma`` stays the exact
-    9(1 - nu^2), which does not depend on c.
+    9(1 - nu^2), which does not depend on c.  The point kinds refuse
+    nu = 1, where it and e1 vanish, with ValueError.
     """
 
     def __init__(self, params: IsingParams, kind: str, order: Optional[int] = None):
+        if kind != "symbolic" and params.nu == 1:
+            raise ValueError("the point models divide by 9(1 - nu^2) = 0 at nu = 1")
         n_tab, d_tab, bracket_tab, e1, nine_gamma = _symbolic_tables()
         self.kind = kind
         self.params = params
@@ -554,18 +551,6 @@ class TruncatedSeries:
             return self.coeffs[n]
         return self.zero
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self.pad(order)
-        return TruncatedSeries(self.coeffs[: order + 1], self.zero)
-
-    def pad(self, order: int) -> "TruncatedSeries":
-        if order <= self.order:
-            return self
-        return TruncatedSeries(
-            self.coeffs + [self.zero] * (order - self.order), self.zero
-        )
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         return TruncatedSeries(
@@ -748,36 +733,6 @@ def solve_S(params: IsingParams, order: int) -> TruncatedSeries:
     )
 
 
-def _bracket_eval(bracket_tab: dict, s: TruncatedSeries, order: int,
-                  zero, one) -> TruncatedSeries:
-    s = s.truncate(order)
-    pw = _series_powers(s, 7)
-    out = TruncatedSeries([zero] * (order + 1), zero)
-    for (spow, zpow), coef in bracket_tab.items():
-        term = pw[spow] if spow else TruncatedSeries([one] + [zero] * order, zero)
-        out = out + term.shift_up(zpow).scale(coef)
-    return out
-
-
-def pol_Z_eval(
-    s: TruncatedSeries, params: IsingParams, order: Optional[int] = None
-) -> TruncatedSeries:
-    """The bracket polynomial of the parametrization, evaluated on the series S.
-
-    The bracket is a degree-7 polynomial in s whose coefficients carry z- and
-    z^2-terms; the result is its value at s = S(z), truncated at ``order``
-    (default: the order of S).  Numeric mode evaluates at ``precision_bits``.
-    """
-    if order is None:
-        order = s.order
-    if params.symbolic:
-        return _bracket_eval(_symbolic_tables()[2], s, order, PP_ZERO, PP_ONE)
-    model = _Model(params, "exact")
-    with mpmath.workprec(params.precision_bits):
-        return _bracket_eval({k: to_mpf(v) for k, v in model.bracket_tab.items()},
-                             s, order, model.zero, model.one)
-
-
 def _over_divisor(model, cols: list, top: int) -> list:
     """[g_0, ..., g_top]: the bracket at S, a linear combination of the power
     columns ``cols`` (S^0 = 1), divided online by 1 + e1 S unless the model
@@ -824,31 +779,60 @@ def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
     1 + 3c^2(1-nu^2)S, check exactly that the three lowest z-coefficients
     cancel, shift down by z^2, divide exactly by 9(1-nu^2), then rescale
     coefficient n by c^-n (the parametrization natively produces
-    Z(nu, c, cz)).  Numeric mode runs the same pipeline over ``int`` and
-    rounds each exact Z_n once to the nearest mpf at ``precision_bits``.
+    Z(nu, c, cz)).  Numeric mode rounds each exact Z_n of :func:`exact_Z`
+    once to the nearest mpf at ``precision_bits``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if params.symbolic:
         model = _Model(params, "symbolic", order)
         return TruncatedSeries([PP_ZERO] + _solve_Z_ring(model, order)[1:], PP_ZERO)
-    exact = _solve_Z_ring(_Model(params, "integer"), order)
-    return TruncatedSeries(_rounded(exact, params.precision_bits), mpmath.mpf(0))
+    return TruncatedSeries(_rounded(exact_Z(params, order), params.precision_bits),
+                           mpmath.mpf(0))
+
+
+def exact_Z(params: IsingParams, order: int) -> list:
+    """[0, Z_1, ..., Z_order], exact at the point whatever the mode: the
+    reduced integer pass, or the closed form at nu = 1."""
+    if params.nu == 1:
+        return [z for z, _, _ in nu_one_jets(params.c, order)]
+    return _solve_Z_ring(_Model(params, "integer"), order)
+
+
+def nu_one_jets(c, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """(Z_n, theta Z_n, theta^2 Z_n) at nu = 1 for n = 0..order, exact.
+
+    At nu = 1 every edge weighs 1 whatever its spins, so the spins decouple:
+    the root vertex's spin is fixed and each other vertex contributes
+    c + 1/c.  So Z_n(1, c) = q_n c (c + 1/c)^(n - 1), where
+    q_n = 2 3^n (2n)! / (n! (n + 2)!) = 2, 9, 54, 378, ... counts rooted
+    quartic maps with n vertices (Tutte, "A census of planar maps", 1963),
+    and theta = c d/dc gives theta log Z_n = 1 + (n - 1)(c^2 - 1)/(c^2 + 1)
+    and theta^2 log Z_n = 4 (n - 1) c^2 / (c^2 + 1)^2.
+    """
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("c must be positive")
+    slope, curve = (c * c - 1) / (c * c + 1), 4 * c * c / (c * c + 1) ** 2
+    out, z = [(Fraction(0),) * 3], 2 * c
+    for n in range(1, order + 1):
+        t = 1 + (n - 1) * slope  # theta log Z_n
+        out.append((z, z * t, z * ((n - 1) * curve + t * t)))
+        z = z * (c + 1 / c) * (6 * (2 * n + 1)) / (n + 3)  # q_(n+1) = q_n 6 (2n + 1)/(n + 3)
+    return out
 
 
 def solve_Z_jets(params: IsingParams, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
     """(Z_n, theta Z_n, theta^2 Z_n) at the point for n = 0..order, exact.
 
     theta = c d/dc.  One integer pass over :class:`_Jet` coefficients
-    replaces the symbolic series and its evaluation.  nu = 1 is refused
-    with :class:`NumericModeAtNuOne`, as in numeric mode: 9(1 - nu^2)
-    vanishes there.
+    replaces the symbolic series and its evaluation; :func:`nu_one_jets`
+    serves nu = 1.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if params.nu == 1:
-        raise NumericModeAtNuOne(
-            "the jet pass is undefined at nu = 1; use symbolic mode")
+        return nu_one_jets(params.c, order)
     return [(Fraction(0),) * 3] + _solve_Z_ring(_Model(params, "jet"), order)[1:]
 
 

@@ -285,7 +285,8 @@ class CriticalPoint:
     only root there, as one Sturm count certifies; where the count is
     higher, as at (1/100, 9/10), Sturm bisection isolates the smallest.
     ``interval`` = (lo, hi] isolates s* to width B / 2^20, or is (s*, s*)
-    when a bisection point hits s*, as s* = B does at c = 1, nu >= 4.
+    when char is linear, as at nu = 1, or when a bisection point hits s*,
+    as s* = B does at c = 1, nu >= 4.
     ``cancelling_sf`` is the squarefree cancelling polynomial.
     """
 
@@ -411,7 +412,9 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
             hi, count = mid, below
         else:
             lo = mid
-    if char.sign_at(hi) == 0:
+    if char.degree() == 1:
+        interval = (Fraction(-char.coeff(0), char.coeff(1)),) * 2
+    elif char.sign_at(hi) == 0:
         interval = (hi, hi)
     else:
         interval = bisect_isolated_root(char, lo, hi, bound / 2 ** 20)
@@ -436,6 +439,10 @@ def _certify_rho(
     lip = sup|num'| / den_min + sup(|num| |den'|) / den_min^2, and the
     enclosure is lower = max z(end), upper = lower + lip * (hi - lo).
     Returns (s_interval, rho_interval, exact).
+
+    A rational s* is a multiple of 1/lc(char), char being primitive over Z,
+    so the one such multiple in an interval narrower than 1/lc is tested
+    once; a root there makes the result exact, with no extra bisection step.
 
     The loop runs in integers, as :func:`~isingmaps.exactalg.bisect_isolated_root`
     does: the ends are L/W and H/W over one shared W = w0 2^k, and char and
@@ -470,7 +477,15 @@ def _certify_rho(
     up = char.dyadic(H, 0) > 0  # the sign of char just above s*
     den_lo, den_hi, u = den.dyadic(L, 0), den.dyadic(H, 0), den.den
     bounds_scale = None
+    lc = abs(cp.char.lc())
+    candidate = True  # the one multiple of 1/lc in (lo, hi] is still untested
     while True:
+        if candidate and (H - L) * lc < w0 << k:
+            candidate = False
+            s_exact = Fraction(H * lc // (w0 << k), lc)  # the last multiple up to hi
+            if s_exact > Fraction(L, w0 << k) and cp.char.sign_at(s_exact) == 0:
+                z_exact = cp.z_at(s_exact)
+                return (s_exact, s_exact), (z_exact, z_exact), True
         if den_lo > 0 and den_hi > 0:
             # the sup bounds on [0, hi] depend on hi only through max(hi, 1)
             scale = Fraction(H, w0 << k) if H > w0 << k else 1
@@ -637,9 +652,12 @@ def _far_field_warnings(params: IsingParams, allow_far_field: bool) -> List[str]
     """Guard the validated region |c - 1| <= 1/4.
 
     Outside it, raise ValueError unless ``allow_far_field``, in which case
-    the returned list carries a warning; inside it the list is empty.
+    the returned list carries a warning; inside it the list is empty.  At
+    nu = 1 every c is validated: Z is Tutte's quartic-map series at
+    z (c + 1/c) (:func:`~isingmaps.series.nu_one_jets`), whose only
+    singularity on its circle is mu = c / (12 (1 + c^2)).
     """
-    if abs(params.c - 1) <= VALIDATED_C_HALF_WIDTH:
+    if params.nu == 1 or abs(params.c - 1) <= VALIDATED_C_HALF_WIDTH:
         return []
     if not allow_far_field:
         raise ValueError(
@@ -1067,16 +1085,6 @@ def _shifted_cancelling_support(
                 key = (a, zdeg)
                 out[key] = out.get(key, Fraction(0)) + coef_y * cz
     return {k: v for k, v in out.items() if v != 0}
-
-
-def dominant_exponent(params: IsingParams) -> Fraction:
-    """The singular exponent of S at its radius: 1/2 generically, 1/3 at (4,1).
-
-    Points outside the validated region raise ValueError, as in
-    :func:`radius_numeric`.
-    """
-    _far_field_warnings(params, allow_far_field=False)
-    return critical_point(params).exponent()
 
 
 def dominant_expansions(

@@ -2,6 +2,7 @@
 import concurrent.futures
 import decimal
 import json
+import math
 import os
 import pathlib
 import random
@@ -13,13 +14,14 @@ from fractions import Fraction
 import jsonschema
 import mpmath
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from isingmaps import cli
 from isingmaps.cli import main, parse_rational
 from isingmaps.critical import exponent_fit, thermo_enclosures
 from isingmaps.exactalg import PP_ONE, PP_ZERO
 from isingmaps.series import (
-    IsingParams, TruncatedSeries, _Model, _solve_Z_ring, _symbolic_tables, pol_Z_eval,
+    IsingParams, TruncatedSeries, _Model, _series_powers, _solve_Z_ring, _symbolic_tables,
 )
 from isingmaps.singular import rho_closed_form
 
@@ -47,7 +49,7 @@ def param_poly_Z(order):
     alone, not the engine's packed pass: S by Lagrange inversion of
     z = S / phi(S), phi = D^2 / N, then the bracket at S over 1 + e1 S,
     divided exactly by 9(1 - nu^2) and shifted by c^-n."""
-    n_tab, d_tab, _, e1, nine_gamma = _symbolic_tables()
+    n_tab, d_tab, bracket_tab, e1, nine_gamma = _symbolic_tables()
     top = order + 2
 
     def series(tab):
@@ -61,7 +63,12 @@ def param_poly_Z(order):
         power = power * phi
     s = TruncatedSeries(s, PP_ZERO)
     one = TruncatedSeries([PP_ONE] + [PP_ZERO] * top, PP_ZERO)
-    g = pol_Z_eval(s, IsingParams(nu=1, c=1), top).divide(one + s.scale(e1))
+    pw = _series_powers(s, 7)
+    pw[0] = one
+    w = TruncatedSeries([PP_ZERO] * (top + 1), PP_ZERO)
+    for (i, j), coef in bracket_tab.items():
+        w = w + pw[i].shift_up(j).scale(coef)
+    g = w.divide(one + s.scale(e1))
     return [g.coefficient(n + 2).exact_div(nine_gamma).shift_c(-n)
             for n in range(1, order + 1)]
 
@@ -124,11 +131,18 @@ class TestCoeffs:
         rows = payload["result"]["coefficients"]
         assert rows[1]["value"] == "177"
 
-    def test_numeric_mode_refuses_nu_one(self, capsys):
-        code, payload = run_json(capsys, "coeffs", "--nu", "1", "--c", "1",
-                                 "--numeric")
-        assert code == 1
-        assert payload["error"]["type"] == "NumericModeAtNuOne"
+    @pytest.mark.parametrize("c", ["9/10", "21/20"])
+    def test_numeric_rows_at_nu_one_round_the_exact_rows(self, capsys, c):
+        _, exact = run_json(capsys, "coeffs", "--nu", "1", "--c", c, "--n-max", "24")
+        code, payload = run_json(capsys, "coeffs", "--nu", "1", "--c", c, "--numeric",
+                                 "--n-max", "24")
+        assert code == 0
+        bits = payload["meta"]["precision_bits"]
+        with mpmath.workprec(bits):
+            want = [mpmath.nstr(mpmath.mpf(from_rational(
+                        q.numerator, q.denominator, bits, round_nearest)), cli._digits(bits))
+                    for q in (Fraction(row["value"]) for row in exact["result"]["coefficients"])]
+        assert [row["value"] for row in payload["result"]["coefficients"]] == want
 
     def test_csv_sequence(self, capsys):
         code, out = run_cli(capsys, "coeffs", "--nu", "2", "--c", "1",
@@ -264,6 +278,14 @@ class TestRadius:
         assert in_process["config"]["tol"] == "1/1000000000000"
         assert cli._build_parser.cache_info().misses <= 1
 
+    def test_nu_one_is_exact(self, capsys):
+        code, payload = run_json(capsys, "radius", "--nu", "1", "--c", "21/20")
+        assert code == 0
+        result = payload["result"]
+        assert result["exact"] is True
+        assert result["rho"] == "100/2523" and result["s_at_rho"] == "200/2523"
+        assert result["mu"] == str(Fraction(21, 20) * Fraction(100, 2523))
+
     def test_far_field_guard(self, capsys):
         code, payload = run_json(capsys, "radius", "--nu", "2", "--c", "3/2")
         assert code == 2
@@ -342,6 +364,37 @@ class TestObservables:
                             "--format", "csv")
         assert code == 2
 
+    def test_finite_size_at_nu_one(self, capsys):
+        code, payload = run_json(capsys, "observables", "--nu", "1", "--c", "21/20",
+                                 "--n", "24")
+        assert code == 0
+        assert payload["result"] == {
+            "n": 24, "M": "223/2523", "chi": "676200/707281",
+            "F": "2.821078107578384650488496711673941727162932505241340232"}
+
+    @pytest.mark.parametrize("c", ["9/10", "21/20", "3"])
+    def test_nu_one_prints_inside_the_exact_values_enclosures(self, capsys, c):
+        # rho = 1/(12 (1 + c^2)) gives M = (c^2 - 1)/(c^2 + 1), chi = 4 c^2/(c^2 + 1)^2
+        code, payload = run_json(capsys, "observables", "--nu", "1", "--c", c)
+        assert code == 0
+        c = Fraction(c)
+        box = thermo_enclosures(1, c)
+        exact = {"M": (c * c - 1) / (c * c + 1), "chi": 4 * c * c / (c * c + 1) ** 2}
+        for name, value in exact.items():
+            lo, hi = box[name]
+            assert lo <= value <= hi
+            assert lo <= Fraction(payload["result"][name]) <= hi
+
+    def test_nu_one_thermodynamic_strings(self, capsys):
+        # s* = 1/(6 (1 + c^2)) is exact, so the boxes are one or two ulps wide
+        # at 192 bits and print past dps = 55: M = 41/841, chi = 705600/707281
+        code, payload = run_json(capsys, "observables", "--nu", "1", "--c", "21/20")
+        assert code == 0
+        assert payload["result"] == {
+            "F": "3.179243598483534374660431988054455841826339743995109247471",
+            "M": "0.04875148632580261593341260404280618311533888228299643281807",
+            "chi": "0.997623292581025080554970372454512421512807498009984716117"}
+
     def test_printed_values_lie_in_their_enclosures(self, capsys):
         code, payload = run_json(capsys, "observables", "--nu", "9/2", "--c", "19/20")
         assert code == 0
@@ -376,6 +429,17 @@ class TestObservables:
             cases += [(lo, hi, cli._digits(192)) for lo, hi in box.values()]
         for lo, hi, dps in cases:
             assert cli.format_enclosure(lo, hi, dps) == format_enclosure_by_decimal(lo, hi, dps)
+
+    @pytest.mark.parametrize("bits", [53, 192])
+    def test_one_ulp_enclosure_prints_at_most_its_bits_in_digits(self, bits):
+        rng, longest = random.Random(bits), 0
+        for _ in range(500):
+            ulp = Fraction(2) ** rng.randrange(-bits - 40, 40 - bits)
+            lo = rng.choice((1, -1)) * rng.randrange(1 << (bits - 1), 1 << bits) * ulp
+            printed = cli.format_enclosure(lo, lo + ulp, cli._digits(bits))
+            assert lo <= Fraction(printed) <= lo + ulp
+            longest = max(longest, len(decimal.Decimal(printed).as_tuple().digits))
+        assert cli._digits(bits) < longest <= math.ceil(bits * math.log10(2)) + 1
 
     def test_empty_enclosure_is_rejected(self):
         with pytest.raises(ValueError):
@@ -428,6 +492,13 @@ class TestExponentFit:
         for key in ("alpha_exponent", "aitken_exponent", "amplitude", "residual"):
             assert result[key] == mpmath.nstr(getattr(ref, key), dps), key
 
+    def test_nu_one_runs_on_the_closed_form(self, capsys):
+        code, payload = run_json(capsys, "exponent-fit", "--nu", "1", "--c", "21/20",
+                                 "--n-max", "400")
+        assert code == 0
+        assert payload["result"]["mu_exact"] is True
+        assert abs(float(payload["result"]["alpha_exponent"]) - 2.5) < 0.05
+
     def test_radius_solve_skips_exponent_and_scan(self, capsys, monkeypatch):
         seen = []
         original = cli.radius_numeric
@@ -452,7 +523,7 @@ class TestCheck:
         assert payload["result"]["ok"] is True
         names = {c["name"] for c in payload["result"]["checks"]}
         assert {"branch_continuity", "discriminant_divisibility",
-                "sturm_single_root", "singular_exponents"} <= names
+                "sturm_single_root", "singular_exponents", "nu_one_closed_form"} <= names
 
 
 class TestEnvelope:

@@ -1,4 +1,6 @@
 """Tests for observables and exponent estimation."""
+import decimal
+import math
 from fractions import Fraction
 
 import mpmath
@@ -33,7 +35,9 @@ from isingmaps.critical import (
 from isingmaps.errors import NonPositiveSequence, PrecisionExhausted
 from isingmaps.exactalg import UniPoly
 from isingmaps.precision import default_precision_bits, to_mpf
-from isingmaps.series import IsingParams, coefficient_sequence, lagrangian_numer_denom
+from isingmaps.series import (
+    IsingParams, coefficient_sequence, lagrangian_numer_denom, nu_one_jets,
+)
 from isingmaps.singular import rho_closed_form
 
 
@@ -118,27 +122,17 @@ class TestFiniteObservables:
                 with pytest.raises(ValueError):
                     observable(n, IsingParams(nu=nu, c=Fraction(21, 20)))
 
-    def test_nu_one_reads_the_symbolic_polynomial(self, monkeypatch):
-        def no_jets(*args):
-            raise AssertionError("the jet pass is undefined at nu = 1")
+    @pytest.mark.parametrize("c", [Fraction(9, 10), Fraction(21, 20), Fraction(3)])
+    def test_nu_one_spins_are_independent(self, c):
+        # Z_n(1, c) = q_n c (c + 1/c)^(n - 1): the n - 1 free spins are independent
+        params = IsingParams(nu=1, c=c)
+        u, v = (c * c - 1) / (c * c + 1), 4 * c * c / (c * c + 1) ** 2
+        for n in (1, 2, 24):
+            assert finite_magnetization(n, params) == (1 + (n - 1) * u) / n
+            assert finite_susceptibility(n, params) == (n - 1) * v / n
+            assert _theta_Z(Fraction(1), c, n) == nu_one_jets(c, n)[n]
 
-        monkeypatch.setattr(critical, "solve_Z_jets", no_jets)
-        _theta_Z.cache_clear()
-        nu, c = Fraction(1), Fraction(3, 2)
-        z3 = _symbolic_Z(3)[3]
-        t3 = z3.c_log_derivative()
-        zf, df, ddf = (p.evaluate(nu, c) for p in (z3, t3, t3.c_log_derivative()))
-        params = IsingParams(nu=nu, c=c)
-        assert finite_magnetization(3, params) == df / (3 * zf)
-        assert finite_susceptibility(3, params) == (ddf * zf - df * df) / (3 * zf * zf)
-        with pytest.raises(AssertionError):
-            finite_magnetization(3, IsingParams(nu=2, c=c))
-
-    def test_off_nu_one_one_jet_pass_serves_all_three(self, monkeypatch):
-        def no_symbolic(*args):
-            raise AssertionError("the symbolic series is only for nu = 1")
-
-        monkeypatch.setattr(critical, "_symbolic_Z", no_symbolic)
+    def test_off_nu_one_one_jet_pass_serves_all_three(self):
         _theta_Z.cache_clear()
         obs = observables(IsingParams(nu=Fraction(3, 2), c=Fraction(19, 20)), n=9)
         assert obs.n == 9 and 0 < obs.M < 1 and obs.chi > 0
@@ -308,6 +302,18 @@ class TestEnvelopeDerivatives:
             assert abs(thermo_magnetization(nu, c) - reference["M"]) < mpmath.mpf(10) ** -25
             assert abs(thermo_susceptibility(nu, c) - reference["chi"]) < mpmath.mpf(10) ** -25
 
+    @pytest.mark.parametrize("c", [Fraction(9, 10), Fraction(21, 20), Fraction(3)])
+    def test_nu_one_enclosures_hold_the_exact_values(self, c):
+        # rho = 1/(12 (1 + c^2)) exactly, so M = -(1 + theta log rho) and
+        # chi = theta M are rational; s* is exact, so the s-box is a point
+        s_star = 1 / (6 * (1 + c * c))
+        assert _rho_point(Fraction(1), c).s_interval == (s_star, s_star)
+        box = thermo_enclosures(1, c)
+        exact = {"M": (c * c - 1) / (c * c + 1), "chi": 4 * c * c / (c * c + 1) ** 2}
+        for name, value in exact.items():
+            lo, hi = box[name]
+            assert lo <= value <= hi and hi - lo < Fraction(1, 10 ** 50)
+
     def test_fine_step_differences_of_the_radius(self):
         for nu, c in self.POINTS[:2]:
             rho = lambda x: _rho_point(nu, x).rho
@@ -387,12 +393,27 @@ class TestThermoOracle:
         for c in map(Fraction, self.GRID_C):
             box = thermo_enclosures(Fraction(nu), c)
             reference = _iv_enclosures(Fraction(nu), c, bits)
+            s_lo, s_hi = _rho_point(Fraction(nu), c).s_interval
             for name in ("F", "M", "chi"):
                 lo, hi = box[name]
                 ref_lo, ref_hi = reference[name]
                 assert ref_lo <= lo <= hi <= ref_hi, (nu, c, name)
-                assert cli.format_enclosure(lo, hi, dps) \
-                    == cli.format_enclosure(ref_lo, ref_hi, dps), (nu, c, name)
+                new = cli.format_enclosure(lo, hi, dps)
+                old = cli.format_enclosure(ref_lo, ref_hi, dps)
+                if s_lo < s_hi:
+                    assert new == old, (nu, c, name)
+                    continue
+                # s* is exact (nu = 1), so the boxes are one or two ulps wide at
+                # ``bits`` and print to every digit they resolve: past dps,
+                # inside the interval-context box, and M and chi as close to
+                # (c^2 - 1)/(c^2 + 1) and 4c^2/(c^2 + 1)^2 as the box is wide
+                digits = decimal.Decimal(new).as_tuple().digits
+                assert dps < len(digits) <= math.ceil(bits * math.log10(2)) + 1, (c, name)
+                assert ref_lo <= Fraction(new) <= ref_hi, (c, name)
+                exact = {"M": (c * c - 1) / (c * c + 1), "chi": 4 * c * c / (c * c + 1) ** 2}
+                if name in exact:
+                    error = abs(Fraction(new) - exact[name])
+                    assert error <= hi - lo < abs(exact[name]) / 10 ** dps, (c, name)
 
     @pytest.mark.parametrize("bits", [8, 53, 256])
     def test_boxes_lie_inside_at_other_precisions(self, bits):

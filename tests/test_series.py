@@ -10,8 +10,10 @@ from mpmath.libmp import from_rational, round_nearest
 
 from isingmaps import series
 from isingmaps.cli import main
-from isingmaps.errors import NonZeroRemainder, NumericModeAtNuOne
+from isingmaps.errors import NonZeroRemainder
 from isingmaps.exactalg import PP_ONE, PP_ZERO, ParamPoly
+from isingmaps.mapcount import survey
+from isingmaps.precision import to_mpf
 from isingmaps.series import (
     IsingParams,
     TruncatedSeries,
@@ -25,9 +27,10 @@ from isingmaps.series import (
     _solve_S_ring,
     _solve_Z_ring,
     coefficient_sequence,
+    exact_Z,
     fixed_point_residual,
     lagrangian_numer_denom,
-    pol_Z_eval,
+    nu_one_jets,
     solve_S,
     solve_Z,
     solve_Z_jets,
@@ -53,6 +56,18 @@ def expected_Z(n: int) -> ParamPoly:
             + NU ** 2 * C ** -1
         )
     raise ValueError(n)
+
+
+def bracket_at(s, tab, order, zero, one):
+    """The bracket polynomial ``tab`` ({(s_degree, z_degree): coefficient})
+    at the series S, to z^order, from TruncatedSeries products alone."""
+    s = TruncatedSeries((s.coeffs + [zero] * order)[:order + 1], zero)
+    pw = _series_powers(s, 7)
+    pw[0] = TruncatedSeries([one] + [zero] * order, zero)
+    out = TruncatedSeries([zero] * (order + 1), zero)
+    for (i, j), coef in tab.items():
+        out = out + pw[i].shift_up(j).scale(coef)
+    return out
 
 
 def exact_ring_Z(nu, c, order):
@@ -103,10 +118,6 @@ class TestIsingParams:
             IsingParams(nu=0, c=1)
         with pytest.raises(ValueError):
             IsingParams(nu=2, c=Fraction(-1, 2))
-
-    def test_numeric_mode_rejects_nu_one(self):
-        with pytest.raises(NumericModeAtNuOne):
-            IsingParams(nu=1, c=1, precision_bits=192)
 
     def test_symbolic_mode_allows_nu_one(self):
         p = IsingParams(nu=1, c=1)
@@ -283,7 +294,7 @@ class TestSolveZ:
         e_series = TruncatedSeries([ParamPoly.constant(1)] + [zero] * order,
                                    zero) + s.scale(3 * C ** 2 * g)
         lhs = (rescaled * e_series).scale(9 * g).shift_up(2)
-        rhs = pol_Z_eval(s, SYM, order)
+        rhs = bracket_at(s, series._symbolic_tables()[2], order, PP_ZERO, PP_ONE)
         for n in range(order + 1):
             assert lhs.coefficient(n) == rhs.coefficient(n), "z^%d" % n
 
@@ -394,8 +405,12 @@ class TestSolveZ:
     def test_bracket_at_point_matches_symbolic(self):
         nu, c = Fraction(5, 2), Fraction(9, 10)
         params = IsingParams(nu=nu, c=c, precision_bits=128)
-        w_num = pol_Z_eval(solve_S(params, 8), params)
-        w_sym = pol_Z_eval(solve_S(SYM, 8), SYM)
+        model = _Model(params, "exact")
+        with mpmath.workprec(128):
+            w_num = bracket_at(solve_S(params, 8), {k: to_mpf(v) for k, v in
+                                                    model.bracket_tab.items()},
+                               8, model.zero, model.one)
+        w_sym = bracket_at(solve_S(SYM, 8), series._symbolic_tables()[2], 8, PP_ZERO, PP_ONE)
         with mpmath.workprec(128):
             for n in range(9):
                 ref = mpmath.mpf(rounded(w_sym.coefficient(n).evaluate(nu, c), 256))
@@ -409,7 +424,8 @@ def param_poly_pass_18():
     top = 18
     s = TruncatedSeries([PP_ZERO] + lagrange_S(SYM, top, symbolic=True), PP_ZERO)
     one = TruncatedSeries([PP_ONE] + [PP_ZERO] * top, PP_ZERO)
-    g = pol_Z_eval(s, SYM, top).divide(one + s.scale(series._symbolic_tables()[3]))
+    g = bracket_at(s, series._symbolic_tables()[2], top, PP_ZERO, PP_ONE).divide(
+        one + s.scale(series._symbolic_tables()[3]))
     return s.coeffs, g.coeffs
 
 
@@ -581,11 +597,14 @@ class TestJetPass:
         values = [j[0] for j in solve_Z_jets(params, 30)]
         assert values[1:] == _solve_Z_ring(_Model(params, "integer"), 30)[1:]
 
-    def test_refuses_nu_one_and_empty_order(self):
-        with pytest.raises(NumericModeAtNuOne):
-            solve_Z_jets(IsingParams(nu=1, c=Fraction(3, 2)), 4)
-        with pytest.raises(ValueError):
-            solve_Z_jets(IsingParams(nu=2, c=1), 0)
+    def test_refuses_empty_order(self):
+        for nu in (1, 2):
+            with pytest.raises(ValueError):
+                solve_Z_jets(IsingParams(nu=nu, c=1), 0)
+
+    def test_nu_one_reads_the_closed_form(self):
+        c = Fraction(3, 2)
+        assert solve_Z_jets(IsingParams(nu=1, c=c), 16) == nu_one_jets(c, 16)
 
     def test_corrupted_bracket_fails_exact_cancellation(self):
         model = _Model(IsingParams(nu=Fraction(3, 2), c=Fraction(21, 20)), "jet")
@@ -624,3 +643,61 @@ class TestCoefficientSequence:
     def test_requires_numeric_mode(self):
         with pytest.raises(ValueError):
             coefficient_sequence(SYM, 5)
+
+
+def _agree_as_laurent_polynomials(poly, value_at, n):
+    """poly(1, c) == value_at(c) as Laurent polynomials in c, where value_at
+    is one of Z_n, theta Z_n, theta^2 Z_n in closed form, whose exponents lie
+    in [2 - n, n].  Both sides are Laurent polynomials, so agreement at more
+    positive points than the span of their exponents proves the identity."""
+    exponents = [dc for _, dc in poly.terms] + [2 - n, n]
+    span = max(exponents) - min(exponents)
+    return all(poly.evaluate(1, c) == value_at(c) for c in range(1, span + 2))
+
+
+class TestNuOneClosedForm:
+    """Z_n(1, c) = q_n c (c + 1/c)^(n - 1): the spins decouple at nu = 1."""
+
+    def test_equals_the_packed_pass_to_order_24(self):
+        z_sym = solve_Z(SYM, 24)  # one packed pass
+        for n in range(1, 25):
+            zn = z_sym.coefficient(n)
+            tzn = zn.c_log_derivative()
+            for k, poly in enumerate((zn, tzn, tzn.c_log_derivative())):
+                assert _agree_as_laurent_polynomials(
+                    poly, lambda c: nu_one_jets(c, n)[n][k], n), (n, k)
+
+    def test_equals_the_enumeration_oracle(self):
+        for n in range(1, 6):
+            report = survey(n)
+            assert _agree_as_laurent_polynomials(
+                report.partition_polynomial, lambda c: nu_one_jets(c, n)[n][0], n)
+            assert nu_one_jets(1, n)[n][0] == report.rooted_map_count * 2 ** (n - 1)
+
+    def test_tutte_census(self):
+        # q_n = 2 3^n (2n)! / (n! (n + 2)!) rooted quartic maps, at c = 1 times 2^(n - 1)
+        q = [2, 9, 54, 378, 2916, 24057, 208494]
+        assert [z for z, _, _ in nu_one_jets(1, 7)[1:]] == \
+            [qn * 2 ** (n - 1) for n, qn in enumerate(q, start=1)]
+
+    def test_logarithmic_derivatives(self):
+        c = Fraction(21, 20)
+        u, v = (c * c - 1) / (c * c + 1), 4 * c * c / (c * c + 1) ** 2
+        for n, (z, tz, ttz) in enumerate(nu_one_jets(c, 30)[1:], start=1):
+            assert tz / z == 1 + (n - 1) * u
+            assert (ttz * z - tz * tz) / (z * z) == (n - 1) * v
+
+    def test_numeric_mode_rounds_the_closed_form(self):
+        c = Fraction(9, 10)
+        exact = exact_Z(IsingParams(nu=1, c=c), 40)
+        assert exact == [z for z, _, _ in nu_one_jets(c, 40)]
+        for bits in (53, 192):
+            seq = coefficient_sequence(IsingParams(nu=1, c=c, precision_bits=bits), 40)
+            assert [z._mpf_ for z in seq] == [rounded(q, bits) for q in exact[1:]]
+
+    def test_point_models_refuse_nu_one(self):
+        params = IsingParams(nu=1, c=Fraction(21, 20), precision_bits=64)
+        for call in (lambda: solve_S(params, 5), lambda: fixed_point_residual(params, 5)):
+            with pytest.raises(ValueError, match="nu = 1"):
+                call()
+        assert solve_S(IsingParams(nu=1, c=Fraction(21, 20)), 3).coefficient(1) == PP_ONE

@@ -1,5 +1,6 @@
 """Singularity location, discriminant structure, and Puiseux machinery."""
 import dataclasses
+import math
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,6 @@ from isingmaps.singular import (
     critical_point,
     discriminant_in_z,
     dominant_expansions,
-    dominant_exponent,
     newton_polygon_expand,
     p1_p2_p3,
     radius_numeric,
@@ -420,7 +420,9 @@ class TestCriticalPoint:
 
 def _fraction_certify_rho(cp, tol):
     """The rho-enclosure loop of ``singular._certify_rho`` run in Fraction
-    arithmetic, step for step: the oracle the integer loop must reproduce."""
+    arithmetic, step for step: the oracle the integer loop must reproduce.
+    A rational s* is a multiple of 1/lc(char); it is tested for once, when
+    the interval first gets narrower than 1/lc."""
     lo, hi = cp.interval
     if lo == hi:
         z_exact = cp.z_at(lo)
@@ -431,7 +433,15 @@ def _fraction_certify_rho(cp, tol):
     num_lo, den_lo = cp.num.eval_scalar(lo), cp.den.eval_scalar(lo)
     num_hi, den_hi = cp.num.eval_scalar(hi), cp.den.eval_scalar(hi)
     bounds_scale = None
+    lc = abs(cp.char.lc())
+    candidate = True
     while True:
+        if candidate and hi - lo < Fraction(1, lc):
+            candidate = False
+            s = Fraction(math.floor(hi * lc), lc)
+            if lo < s and cp.char.eval_scalar(s) == 0:
+                z_exact = cp.z_at(s)
+                return (s, s), (z_exact, z_exact), True
         if den_lo > 0 and den_hi > 0:
             scale = max(hi, Fraction(1))
             if scale != bounds_scale:
@@ -461,7 +471,7 @@ CERTIFY_POINTS = [
     (Fraction(1, 2), Fraction(9, 10)), (Fraction(3, 4), Fraction(11, 10)),
     (1, Fraction(9, 10)), (1, Fraction(21, 20)), (Fraction(3, 2), Fraction(19, 20)),
     (2, 1), (Fraction(1, 2), 1), (4, 1), (5, 1), (Fraction(1, 4), 1),
-    (4, Fraction(21, 20)), (6, Fraction(11, 10)),
+    (4, Fraction(21, 20)), (6, Fraction(11, 10)), (Fraction(4, 9), 1),
 ]
 CERTIFY_TOLS = [Fraction(1, 10 ** 6), Fraction(1, 10 ** 12), Fraction(1, 10 ** 28),
                 Fraction(1, 10 ** 40), Fraction(1, 10 ** 60)]
@@ -493,6 +503,31 @@ class TestCertifyRhoOracle:
         got = singular._certify_rho(wide, CERTIFY_TOLS[-1])
         assert got == _fraction_certify_rho(wide, CERTIFY_TOLS[-1])
         assert got[0] == (cp.bound / 2, cp.bound / 2) and got[2]
+
+    def test_rational_s_star_off_a_bisection_point_is_exact(self):
+        # s* = 9/65 at (4/9, 1) is no bisection point of the search interval;
+        # the one multiple of 1/lc(char) in a narrow enough interval is s*
+        nu = Fraction(4, 9)
+        cp = critical_point(params(nu))
+        assert cp.interval[0] < cp.interval[1]
+        for tol in (Fraction(1, 10 ** 12), Fraction(1, 10 ** 28)):
+            rep = radius_numeric(params(nu), tol=tol, with_exponent=False)
+            assert rep.exact and rep.s_at_rho == Fraction(9, 65) == s_at_rho_closed_form(nu)
+            assert rep.rho == rho_closed_form(nu)
+        # an irrational s* stays an interval
+        assert not radius_numeric(params(Fraction(1, 2)), with_exponent=False).exact
+
+    @pytest.mark.parametrize("c", [Fraction(9, 10), Fraction(21, 20), Fraction(3)])
+    def test_linear_char_at_nu_one_is_exact(self, c):
+        # z(s) = s - 3 (1 + c^2) s^2, so s* = 1/(6 (1 + c^2)), rho = 1/(12 (1 + c^2))
+        cp = critical_point(params(1, c))
+        s_star = 1 / (6 * (1 + c * c))
+        assert cp.char.degree() == 1 and cp.interval == (s_star, s_star)
+        rep = radius_numeric(params(1, c))
+        assert rep.exact and rep.rho == 1 / (12 * (1 + c * c)) and rep.s_at_rho == s_star
+        assert rep.exponent == Fraction(1, 2)
+        # every c is validated at nu = 1, far field included
+        assert rep.uniqueness_checked and rep.warnings == ()
 
     @pytest.mark.parametrize("nu, c", [(1, Fraction(9, 10)), (1, Fraction(11, 10)),
                                        (Fraction(3, 4), Fraction(11, 10)),
@@ -630,17 +665,17 @@ class TestNewtonPolygon:
 
 class TestDominantExponent:
     def test_cube_root_at_critical_point(self):
-        assert dominant_exponent(params(4)) == Fraction(1, 3)
+        assert critical_point(params(4)).exponent() == Fraction(1, 3)
 
     def test_square_root_at_rational_endpoint(self):
-        assert dominant_exponent(params(5)) == Fraction(1, 2)
-        assert dominant_exponent(params(9)) == Fraction(1, 2)
+        assert critical_point(params(5)).exponent() == Fraction(1, 2)
+        assert critical_point(params(9)).exponent() == Fraction(1, 2)
 
     def test_square_root_on_numeric_path(self):
-        assert dominant_exponent(params(2)) == Fraction(1, 2)
+        assert critical_point(params(2)).exponent() == Fraction(1, 2)
 
     def test_square_root_off_c_one(self):
-        assert dominant_exponent(params(4, Fraction(21, 20))) == Fraction(1, 2)
+        assert critical_point(params(4, Fraction(21, 20))).exponent() == Fraction(1, 2)
 
     def test_independent_of_precision(self):
         p = IsingParams(nu=2, c=Fraction(21, 20), precision_bits=16)
