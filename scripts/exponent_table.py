@@ -38,9 +38,9 @@ def main():
           ("nu", "c", "alpha(fit)", "alpha(Aitken)", "amplitude", "seconds"))
     for nu, c in args.points:
         started = time.time()
-        params = IsingParams(nu=nu, c=c, precision_bits=args.precision_bits)
-        seq = coefficient_sequence(params, args.n_max)
-        report = radius_numeric(IsingParams(nu=nu, c=c))
+        params = IsingParams(nu=nu, c=c)
+        seq = coefficient_sequence(params, args.n_max, args.precision_bits)
+        report = radius_numeric(params)
         fit = exponent_fit(seq, report.mu,
                            (max(2, args.n_max // 8), args.n_max),
                            precision_bits=args.precision_bits)

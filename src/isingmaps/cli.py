@@ -37,7 +37,7 @@ from .critical import (
 from .errors import ComputationError
 from .exactalg import sturm_count
 from .mapcount import survey
-from .precision import check_precision_bits, default_precision_bits
+from .precision import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .series import IsingParams, coefficient_sequence, exact_Z, nu_one_jets, solve_Z
 from .singular import (
     critical_point,
@@ -146,7 +146,7 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns (result, warnings, csv_rows) where
-# csv_rows is None for commands without a tabular form.
+# csv_rows is None for the commands that take no --format.
 # ---------------------------------------------------------------------------
 
 def _cmd_coeffs(args, bits):
@@ -154,14 +154,16 @@ def _cmd_coeffs(args, bits):
     if n_max < 1:
         raise ValueError("--n-max must be at least 1")
     if args.symbolic:
+        if args.nu is not None or args.c is not None:
+            raise ValueError("--symbolic takes no --nu or --c")
         series = solve_Z(IsingParams(nu=2, c=1), n_max)
         values = [series.coefficient(n).to_str() for n in range(1, n_max + 1)]
     elif args.nu is None or args.c is None:
         raise ValueError("--numeric requires --nu and --c" if args.numeric
                          else "coeffs needs --symbolic, or --nu and --c")
     elif args.numeric:
-        params = IsingParams(nu=args.nu, c=args.c, precision_bits=bits)
-        values = [format_value(z, _digits(bits)) for z in coefficient_sequence(params, n_max)]
+        values = [format_value(z, _digits(bits))
+                  for z in coefficient_sequence(IsingParams(nu=args.nu, c=args.c), n_max, bits)]
     else:
         values = list(map(format_value, exact_Z(IsingParams(nu=args.nu, c=args.c), n_max)[1:]))
     rows = [{"n": n, "value": value} for n, value in enumerate(values, start=1)]
@@ -219,6 +221,8 @@ def _radius_worker(spec):
 
 
 def _cmd_radius(args, bits):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     dps = _digits(bits)
     specs = [(nu, c, args.tol, args.allow_far_field, not args.no_exponent, dps)
              for nu in args.nu for c in args.c]
@@ -295,11 +299,11 @@ def _cmd_exponent_fit(args, bits):
     if args.n_max < 4:
         raise ValueError("--n-max must be at least 4")
     n_min = args.n_min if args.n_min is not None else max(2, args.n_max // 8)
+    params = IsingParams(nu=args.nu, c=args.c)
     # Z_n carry the fit's guard bits too, so every printed digit is right
-    params = IsingParams(nu=args.nu, c=args.c, precision_bits=bits + FIT_GUARD_BITS)
-    seq = coefficient_sequence(params, args.n_max)
-    report = radius_numeric(IsingParams(nu=args.nu, c=args.c), tol=args.tol,
-                            with_exponent=False, scan_uniqueness=False)
+    seq = coefficient_sequence(params, args.n_max, bits + FIT_GUARD_BITS)
+    report = radius_numeric(params, tol=args.tol, with_exponent=False,
+                            scan_uniqueness=False)
     fit = exponent_fit(seq, report.mu, (n_min, args.n_max), precision_bits=bits)
     result = {
         "mu": format_value(report.mu, dps),
@@ -313,7 +317,7 @@ def _cmd_exponent_fit(args, bits):
     return result, [], None
 
 
-def _check_battery(bits) -> List[dict]:
+def _check_battery() -> List[dict]:
     checks = []
 
     def add(name: str, ok: bool, detail: str):
@@ -403,7 +407,7 @@ def _check_battery(bits) -> List[dict]:
 
 
 def _cmd_check(args, bits):
-    checks = _check_battery(bits)
+    checks = _check_battery()
     ok = all(c["ok"] for c in checks)
     return {"ok": ok, "checks": checks}, [], None
 
@@ -449,17 +453,25 @@ def _emit(text: str, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args returns a
-    fresh namespace each call and leaves the parser as it was."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--precision-bits", type=int, default=None,
-                        dest="precision_bits")
-    common.add_argument("--tol", type=parse_rational, default=None)
-    common.add_argument("--jobs", type=int, default=1)
+    fresh namespace each call and leaves the parser as it was.
+
+    Each command takes only the options it reads, so any other is a usage
+    error (exit 2).  --precision-bits defaults to None, which main reads as
+    DEFAULT_PRECISION_BITS, so that config lists only a precision given."""
+    out = _option("--out", default=None, metavar="PATH")
+    bits = _option("--precision-bits", type=int, default=None, dest="precision_bits")
+    tol = _option("--tol", type=parse_rational, default=Fraction(1, 10 ** 12))
+    table = _option("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(
         prog="isingmaps",
@@ -468,47 +480,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", parents=[common],
+    p = sub.add_parser("coeffs", parents=[out, bits, table],
                        help="partition-function coefficients")
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--numeric", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--symbolic", action="store_true")
+    mode.add_argument("--numeric", action="store_true")
     p.add_argument("--nu", type=parse_rational, default=None)
     p.add_argument("--c", type=parse_rational, default=None)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[out],
                        help="exhaustive map enumeration oracle")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("radius", parents=[common],
+    p = sub.add_parser("radius", parents=[out, bits, tol, table],
                        help="certified dominant singularity")
     p.add_argument("--nu", type=parse_rational_list, required=True)
     p.add_argument("--c", type=parse_rational_list, required=True)
     p.add_argument("--allow-far-field", action="store_true",
                    dest="allow_far_field")
     p.add_argument("--no-exponent", action="store_true", dest="no_exponent")
+    p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("puiseux", parents=[common],
+    # puiseux and observables work to a fixed radius tolerance: a weaker one
+    # would void F's guarantee, so they take no --tol
+    p = sub.add_parser("puiseux", parents=[out, bits],
                        help="fractional-power branches at the singularity")
     p.add_argument("--nu", type=parse_rational, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--max-terms", type=int, default=3, dest="max_terms")
 
-    p = sub.add_parser("observables", parents=[common],
+    p = sub.add_parser("observables", parents=[out, bits],
                        help="free energy, magnetization, susceptibility")
     p.add_argument("--nu", type=parse_rational, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--n", type=int, default=None)
 
-    p = sub.add_parser("exponent-fit", parents=[common],
+    p = sub.add_parser("exponent-fit", parents=[out, bits, tol],
                        help="coefficient-asymptotics exponent fit")
     p.add_argument("--nu", type=parse_rational, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--n-max", type=int, default=400, dest="n_max")
     p.add_argument("--n-min", type=int, default=None, dest="n_min")
 
-    sub.add_parser("check", parents=[common],
-                   help="run the invariant battery")
+    sub.add_parser("check", parents=[out], help="run the invariant battery")
     return parser
 
 
@@ -516,19 +531,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.time()
+    given = getattr(args, "precision_bits", None)
+    bits = DEFAULT_PRECISION_BITS if given is None else given
     try:
-        if args.precision_bits is None:
-            bits = default_precision_bits()
-        else:
-            bits = check_precision_bits(args.precision_bits, "--precision-bits")
-        if args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        if args.command in ("observables", "puiseux"):
-            # their radius tolerance is fixed; a weaker one would void F's guarantee
-            if args.tol is not None:
-                raise ValueError("--tol does not apply to %s" % args.command)
-        elif args.tol is None:
-            args.tol = Fraction(1, 10 ** 12)
+        if bits < MIN_PRECISION_BITS:
+            raise ValueError("--precision-bits must be at least %d bits, got %d"
+                             % (MIN_PRECISION_BITS, bits))
         result, warnings, csv_rows = _HANDLERS[args.command](args, bits)
     except ComputationError as exc:
         envelope = {
@@ -545,19 +553,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(json.dumps(envelope, sort_keys=True, indent=2) + "\n", args.out)
         return 2
 
-    if args.format == "csv":
-        if csv_rows is None:
-            envelope = {
-                "command": args.command,
-                "error": {"type": "UsageError",
-                          "message": "no CSV form for this command"},
-            }
-            _emit(json.dumps(envelope, sort_keys=True, indent=2) + "\n",
-                  args.out)
-            return 2
+    if getattr(args, "format", "json") == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerows(csv_rows)
+        csv.writer(buf).writerows(csv_rows)
         _emit(buf.getvalue(), args.out)
         return 0
 

@@ -33,7 +33,7 @@ from mpmath.libmp import from_rational, mpf_log, round_ceiling, round_floor, to_
 
 from .errors import NonPositiveSequence, PrecisionExhausted
 from .exactalg import UniPoly, evaluate_together, rational_sqrt
-from .precision import default_precision_bits, to_mpf
+from .precision import DEFAULT_PRECISION_BITS, to_mpf
 from .series import IsingParams, lagrangian_numer_denom, solve_Z, solve_Z_jets
 from .singular import SingularityReport, radius_numeric, rho_closed_form
 
@@ -90,18 +90,17 @@ def _rho_point(nu: Fraction, c: Fraction) -> SingularityReport:
     )
 
 
-def free_energy(params: IsingParams, precision_bits: Optional[int] = None) -> mpmath.mpf:
+def free_energy(params: IsingParams, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """F = -log(mu) with mu = c rho.
 
     At c = 1 rho is the closed form at the working precision; elsewhere it
     is the midpoint of the certified radius, good to _RADIUS_TOL.
     """
-    bits = precision_bits or params.precision_bits or default_precision_bits()
     if params.c == 1:
-        mu = rho_closed_form(params.nu, bits)
+        mu = rho_closed_form(params.nu, precision_bits)
     else:
         mu = params.c * _rho_point(params.nu, params.c).rho
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         return -mpmath.log(to_mpf(mu))
 
 
@@ -142,11 +141,10 @@ def finite_susceptibility(n: int, params: IsingParams) -> Fraction:
 
 
 def finite_free_energy(n: int, params: IsingParams,
-                       precision_bits: Optional[int] = None) -> mpmath.mpf:
+                       precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """F_n = (1/n) log Z_n, from the exact Z_n rounded to the working precision."""
     zn = _theta_Z(params.nu, params.c, n)[0]
-    bits = precision_bits or params.precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         return mpmath.log(to_mpf(zn)) / n
 
 
@@ -154,7 +152,7 @@ def finite_free_energy(n: int, params: IsingParams,
 # Closed forms at c = 1
 # ---------------------------------------------------------------------------
 
-def m0_closed(nu, precision_bits: Optional[int] = None) -> Number:
+def m0_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
     """Spontaneous magnetization: 3 nu sqrt(nu^2-16)/(3 nu^2 - 8) for nu >= 4, else 0."""
     nu = Fraction(nu)
     if nu <= 0:
@@ -165,12 +163,11 @@ def m0_closed(nu, precision_bits: Optional[int] = None) -> Number:
     root = rational_sqrt(disc)
     if root is not None:
         return 3 * nu * root / (3 * nu ** 2 - 8)
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         return 3 * to_mpf(nu) * mpmath.sqrt(to_mpf(disc)) / to_mpf(3 * nu ** 2 - 8)
 
 
-def chi_closed(nu, precision_bits: Optional[int] = None) -> Number:
+def chi_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
     """Zero-field susceptibility: 3 nu/((2 sqrt(nu)+1)(sqrt(nu)-2)^2), +inf for nu >= 4."""
     nu = Fraction(nu)
     if nu <= 0:
@@ -180,19 +177,17 @@ def chi_closed(nu, precision_bits: Optional[int] = None) -> Number:
     root = rational_sqrt(nu)
     if root is not None:
         return 3 * nu / ((2 * root + 1) * (root - 2) ** 2)
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         r = mpmath.sqrt(to_mpf(nu))
         return 3 * to_mpf(nu) / ((2 * r + 1) * (r - 2) ** 2)
 
 
-def m_critical_asymptote(c, precision_bits: Optional[int] = None) -> mpmath.mpf:
+def m_critical_asymptote(c, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """Critical-isotherm magnetization scale (3/5) 2^(3/5) (c-1)^(1/5)."""
     c = Fraction(c)
     if c <= 1:
         raise ValueError("c must exceed 1")
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         return mpmath.mpf(3) / 5 * mpmath.mpf(2) ** (mpmath.mpf(3) / 5) \
             * to_mpf(c - 1) ** (mpmath.mpf(1) / 5)
 
@@ -297,7 +292,7 @@ def _derivative(coeffs: Sequence[int]) -> List[int]:
 THERMO_GUARD_BITS = 64
 
 
-def thermo_enclosures(nu, c, precision_bits: Optional[int] = None
+def thermo_enclosures(nu, c, precision_bits: int = DEFAULT_PRECISION_BITS
                       ) -> Dict[str, Tuple[Fraction, Fraction]]:
     """Certified enclosures {"F", "M", "chi": (lo, hi)} at a rational point.
 
@@ -319,8 +314,7 @@ def thermo_enclosures(nu, c, precision_bits: Optional[int] = None
     """
     nu, c = Fraction(nu), Fraction(c)
     report = _rho_point(nu, c)
-    bits = precision_bits or default_precision_bits()
-    p = bits + THERMO_GUARD_BITS
+    p = precision_bits + THERMO_GUARD_BITS
     (s_lo, s_hi), (r_lo, r_hi) = report.s_interval, report.rho_interval
     s = ((s_lo.numerator << p) // s_lo.denominator,
          -((-s_hi.numerator << p) // s_hi.denominator))
@@ -330,11 +324,11 @@ def thermo_enclosures(nu, c, precision_bits: Optional[int] = None
     one = (1 << p, 1 << p)
     ss = _fx_sub(ss, _fx_div(one, _fx_square(s, p), p))
     m_lo, m_hi = _fx_add(one, t)
-    out = {"F": _negated_log(c * r_lo, c * r_hi, bits)}
+    out = {"F": _negated_log(c * r_lo, c * r_hi, precision_bits)}
     for name, (lo, hi) in (("M", (-m_hi, -m_lo)),
                            ("chi", _fx_sub(_fx_div(_fx_square(st, p), ss, p), tt))):
-        out[name] = (_round_bits(lo, p, bits, floor=True),
-                     _round_bits(hi, p, bits, floor=False))
+        out[name] = (_round_bits(lo, p, precision_bits, floor=True),
+                     _round_bits(hi, p, precision_bits, floor=False))
     return out
 
 
@@ -354,26 +348,26 @@ def _negated_log(lo: Fraction, hi: Fraction, bits: int) -> Tuple[Fraction, Fract
     return tuple(-Fraction(*to_rational(x)) for x in ends)
 
 
-def _midpoint(box: Tuple[Fraction, Fraction], precision_bits: Optional[int]) -> mpmath.mpf:
+def _midpoint(box: Tuple[Fraction, Fraction], precision_bits: int) -> mpmath.mpf:
     lo, hi = box
-    with mpmath.workprec(precision_bits or default_precision_bits()):
+    with mpmath.workprec(precision_bits):
         return to_mpf((lo + hi) / 2)
 
 
-def _enclosed_value(name: str, nu, c, precision_bits: Optional[int]) -> mpmath.mpf:
+def _enclosed_value(name: str, nu, c, precision_bits: int) -> mpmath.mpf:
     return _midpoint(thermo_enclosures(nu, c, precision_bits)[name], precision_bits)
 
 
-def thermo_magnetization(nu, c, precision_bits: Optional[int] = None) -> mpmath.mpf:
+def thermo_magnetization(nu, c, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """M = -(1 + c rho'/rho): the midpoint of its certified enclosure."""
     nu, c = Fraction(nu), Fraction(c)
     if c == 1 and nu >= NU_CRITICAL:
-        with mpmath.workprec(precision_bits or default_precision_bits()):
+        with mpmath.workprec(precision_bits):
             return to_mpf(m0_closed(nu, precision_bits))
     return _enclosed_value("M", nu, c, precision_bits)
 
 
-def thermo_susceptibility(nu, c, precision_bits: Optional[int] = None) -> mpmath.mpf:
+def thermo_susceptibility(nu, c, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """chi = c dM/dc: the midpoint of its certified enclosure."""
     nu, c = Fraction(nu), Fraction(c)
     if c == 1 and nu >= NU_CRITICAL:
@@ -383,7 +377,7 @@ def thermo_susceptibility(nu, c, precision_bits: Optional[int] = None) -> mpmath
 
 def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000),
                                               Fraction(1, 10000)),
-                                 precision_bits: Optional[int] = None) -> mpmath.mpf:
+                                 precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """Extrapolate thermo_magnetization(nu, 1 + t) to t -> 0+.
 
     For nu >= 4 the radius is a series in sqrt(c - 1) at c = 1, so the
@@ -393,9 +387,8 @@ def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000
     ts = sorted((Fraction(t) for t in offsets), reverse=True)
     if not ts or ts[-1] <= 0:
         raise ValueError("offsets must be positive")
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
-        ys = [thermo_magnetization(nu, 1 + t, precision_bits=bits) for t in ts]
+    with mpmath.workprec(precision_bits):
+        ys = [thermo_magnetization(nu, 1 + t, precision_bits=precision_bits) for t in ts]
         xs = [mpmath.sqrt(to_mpf(t)) if nu >= NU_CRITICAL else to_mpf(t)
               for t in ts]
         for lvl in range(1, len(ys)):
@@ -406,7 +399,7 @@ def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000
 
 
 def observables(params: IsingParams, n: Optional[int] = None,
-                precision_bits: Optional[int] = None) -> ObservableSet:
+                precision_bits: int = DEFAULT_PRECISION_BITS) -> ObservableSet:
     """Bundle F, M, chi at a point: finite-size if n is given, else limiting.
 
     In the limit at c = 1 the closed forms are used; off c = 1 M and chi
@@ -457,7 +450,7 @@ FIT_GUARD_BITS = 64
 
 
 def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
-                 precision_bits: Optional[int] = None) -> FitResult:
+                 precision_bits: int = DEFAULT_PRECISION_BITS) -> FitResult:
     """Fit log(Z_n mu^n) ~ log(amplitude) - alpha log n on n in n_range.
 
     ``sequence`` lists Z_1, Z_2, ... (index n-1 holds Z_n).  The global
@@ -475,8 +468,7 @@ def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
         raise ValueError("n_range must be increasing")
     if n_hi > len(sequence):
         raise ValueError("sequence too short for requested n_range")
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits + FIT_GUARD_BITS):
+    with mpmath.workprec(precision_bits + FIT_GUARD_BITS):
         ys = _positive_logs(sequence, mu, n_lo, n_hi)
         xs = [mpmath.log(n) for n in range(n_lo, n_hi + 1)]
         count = len(xs)
@@ -496,7 +488,7 @@ def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
         if len(alphas) >= 3:
             a0, a1, a2 = alphas[-3], alphas[-2], alphas[-1]
             dd = a2 - 2 * a1 + a0
-            if abs(dd) > mpmath.mpf(2) ** (-bits // 2):
+            if abs(dd) > mpmath.mpf(2) ** (-precision_bits // 2):
                 aitken = a2 - (a2 - a1) ** 2 / dd
             else:
                 aitken = a2
@@ -514,7 +506,7 @@ def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
 
 
 def mu_from_ratios(sequence: Sequence, nodes: Optional[Sequence[int]] = None,
-                   precision_bits: Optional[int] = None) -> mpmath.mpf:
+                   precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
     """Extrapolate the ratios Z_{n-1}/Z_n to n = infinity.
 
     The ratio tends to mu with corrections forming a power series in 1/n, so
@@ -529,8 +521,7 @@ def mu_from_ratios(sequence: Sequence, nodes: Optional[Sequence[int]] = None,
         raise ValueError("ratio nodes must be >= 2")
     if nodes[-1] > len(sequence):
         raise ValueError("sequence too short for requested nodes")
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         xs = []
         tab = []
         for n in nodes:

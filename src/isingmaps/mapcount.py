@@ -70,70 +70,6 @@ def _face_count(sigma: Sequence[int], alpha: Sequence[int]) -> int:
     return faces
 
 
-@dataclass(frozen=True)
-class DartMap:
-    """A rooted map: canonical rotation plus an edge involution on 4n darts.
-
-    ``alpha`` is a tuple of length 4n+1 with alpha[0] = 0 unused; the root
-    dart is always 1.
-    """
-
-    n: int
-    alpha: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.alpha) != 4 * self.n + 1:
-            raise ValueError("alpha must cover darts 1..4n")
-        for d in range(1, 4 * self.n + 1):
-            a = self.alpha[d]
-            if a == d:
-                raise ValueError("alpha must be fixed-point free")
-            if not 1 <= a <= 4 * self.n or self.alpha[a] != d:
-                raise ValueError("alpha must be an involution on 1..4n")
-
-    def face_count(self) -> int:
-        """Number of cycles of sigma o alpha (alpha first)."""
-        return _face_count(canonical_sigma(self.n), self.alpha)
-
-    def is_connected(self) -> bool:
-        """Transitivity of the group generated by sigma and alpha on darts."""
-        sigma = canonical_sigma(self.n)
-        seen = [False] * (4 * self.n + 1)
-        stack = [1]
-        seen[1] = True
-        count = 0
-        while stack:
-            d = stack.pop()
-            count += 1
-            for nxt in (sigma[d], self.alpha[d]):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        return count == 4 * self.n
-
-    def genus(self) -> int:
-        """From Euler's relation with V = n, E = 2n (map must be connected)."""
-        chi = self.n - 2 * self.n + self.face_count()
-        return (2 - chi) // 2
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """Edges as sorted vertex pairs (self-loops allowed), one per dart pair."""
-        out = []
-        for d in range(1, 4 * self.n + 1):
-            a = self.alpha[d]
-            if d < a:
-                u, v = dart_vertex(d), dart_vertex(a)
-                out.append((u, v) if u <= v else (v, u))
-        return out
-
-
-def genus_check(dart_map: DartMap) -> bool:
-    """True iff the map is connected and embeds in the sphere (genus 0)."""
-    if not dart_map.is_connected():
-        return False
-    return dart_map.face_count() == dart_map.n + 2
-
-
 def _spin_polynomial(edges: Tuple[Tuple[int, int], ...], n: int) -> ParamPoly:
     """Sum over spin assignments with vertex 0 forced to spin +.
 
@@ -314,37 +250,3 @@ def survey(n: int) -> EnumerationSurvey:
         rooted_map_count=rooted,
         partition_polynomial=poly,
     )
-
-
-def bruteforce_Z(n: int) -> ParamPoly:
-    """Z_n(nu, c) by exhaustive enumeration (n <= MAX_VERTICES)."""
-    return survey(n).partition_polynomial
-
-
-def all_pairings(n: int) -> List[DartMap]:
-    """Every fixed-point-free involution on 4n darts as a DartMap (n <= 2).
-
-    Intended for exhaustive structural tests; (4n-1)!! grows too fast beyond
-    tiny n for this convenience form.
-    """
-    if not 1 <= n <= 2:
-        raise EnumerationBound("all_pairings is for n <= 2 only")
-    total = 4 * n
-    out: List[DartMap] = []
-    alpha = [0] * (total + 1)
-
-    def rec(d: int):
-        while d <= total and alpha[d]:
-            d += 1
-        if d > total:
-            out.append(DartMap(n=n, alpha=tuple(alpha)))
-            return
-        for e in range(d + 1, total + 1):
-            if alpha[e]:
-                continue
-            alpha[d], alpha[e] = e, d
-            rec(d + 1)
-            alpha[d], alpha[e] = 0, 0
-
-    rec(1)
-    return out

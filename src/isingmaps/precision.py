@@ -1,44 +1,24 @@
 """Working-precision helpers for the numeric (mpmath) code paths.
 
-The numeric series are exact at the point and rounded once, so no package
-path runs the two-precision audit :func:`audited` any more.  It stays only
-as a target of the benchmark's layer trace; its removal waits for the
-ROADMAP item that retires the audit.
+The package computes exactly at the point and rounds only to print or to
+fit.  Every function that rounds takes ``precision_bits`` as an argument,
+defaulting to DEFAULT_PRECISION_BITS; the command line passes the one value
+``--precision-bits`` decides, and nothing reads the environment.
+
+No package path runs the two-precision audit :func:`audited` any more.  It
+stays only as a target of the benchmark's layer trace; its removal waits
+for the ROADMAP item that retires the audit.
 """
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-from mpmath import mp, mpf, workprec
+from mpmath import mpf, workprec
 
 from .errors import PrecisionExhausted
 
 DEFAULT_PRECISION_BITS = 192
 MIN_PRECISION_BITS = 8
-PRECISION_ENV_VAR = "ISINGMAPS_PRECISION"
-
-
-def check_precision_bits(bits: int, source: str) -> int:
-    """``bits`` when it is at least MIN_PRECISION_BITS; otherwise ValueError
-    naming ``source``, the flag or variable the value came from."""
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError("%s must be at least %d bits, got %d"
-                         % (source, MIN_PRECISION_BITS, bits))
-    return bits
-
-
-def default_precision_bits() -> int:
-    """Default working precision in bits, overridable via the environment."""
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer number of bits, got %r"
-                         % (PRECISION_ENV_VAR, raw)) from None
-    return check_precision_bits(bits, PRECISION_ENV_VAR)
 
 
 def to_mpf(x):

@@ -20,12 +20,14 @@ the same power columns, followed, where the model keeps the divisor, by
 one online division by 1 + e1 S; no step divides by anything but 1, so the
 pass runs unchanged over every coefficient ring.
 
-Two modes are supported, selected by :class:`IsingParams`: symbolic
-(coefficients are :class:`~isingmaps.exactalg.ParamPoly`) and
-numeric-at-point.  Both run the pass over plain ``int``.
+The pass runs over plain ``int`` in two ways.  :func:`solve_Z` and
+:func:`solve_S` give the symbolic series, whose coefficients are
+:class:`~isingmaps.exactalg.ParamPoly` polynomials in nu and c, whatever
+point their :class:`IsingParams` names; :func:`exact_Z`,
+:func:`coefficient_sequence` and :func:`solve_Z_jets` work at the point.
 
-Symbolic mode runs it at one packed point (Kronecker substitution).  Every
-table entry lies in Z[nu^2, c^2]; it is evaluated at nu^2 = 2^(W K),
+The symbolic series comes from one packed point (Kronecker substitution).
+Every table entry lies in Z[nu^2, c^2]; it is evaluated at nu^2 = 2^(W K),
 c^2 = 2^W, which puts the coefficient of nu^(2a) c^(2b) in the W-bit slot
 a K + b.  Packing is a ring homomorphism, so the pass over the packed
 ``int`` tables yields the packed coefficients, which balanced base-2^W
@@ -43,21 +45,21 @@ l1(g_m) / 9.  W - 1 is the bit length of twice the largest majorant value:
 W holds a sign bit, and room for the product 9 (1 - nu^2) q that certifies
 a quotient q (see :meth:`_Model.z_coefficient`).
 
-Numeric mode is exact at the point, rounded once: the solve runs on a
-reduced model of the point (see :class:`_Model`).  Off c = 1 the divisor is folded into the bracket: B and
-P = S N - z E leave remainders modulo 1 + e1 S that are proportional, so
-on the curve Z(nu, c, c z) = A(S, z) / (9 z^2 (1 - nu^2)) with A a
-polynomial.  At c = 1, 1 + e1 S divides N, D and B, and is cancelled from
-the curve itself.  The rescaling S = lambda T, z = lambda w then makes
-every table entry an integer, lambda being the smallest such scale at the
-primes below 64; each exact rational Z_n (or S_n) is rounded to the
-nearest mpf at the requested precision.  Both modes share one pipeline,
-including the exact check that the three lowest coefficients cancel.  The
-same integer pass over jets (f, theta f, theta^2 f), theta = c d/dc, keeps
-the unreduced tables and gives Z_n and its first two theta-derivatives
-exactly at the point (:func:`solve_Z_jets`).  At nu = 1, where every
-point model would divide by 9(1 - nu^2) = 0, Z_n is in closed form
-(:func:`nu_one_jets`).
+At a point the series is exact: the solve runs on a reduced model of the
+point (see :class:`_Model`).  Off c = 1 the divisor is folded into the
+bracket: B and P = S N - z E leave remainders modulo 1 + e1 S that are
+proportional, so on the curve Z(nu, c, c z) = A(S, z) / (9 z^2 (1 - nu^2))
+with A a polynomial.  At c = 1, 1 + e1 S divides N, D and B, and is
+cancelled from the curve itself.  The rescaling S = lambda T, z = lambda w
+then makes every table entry an integer, lambda being the smallest such
+scale at the primes below 64.  :func:`coefficient_sequence` rounds each
+exact rational Z_n once to the nearest mpf at the precision it is given.
+The symbolic and the point series share one pipeline, including the exact
+check that the three lowest coefficients cancel.  The same integer pass
+over jets (f, theta f, theta^2 f), theta = c d/dc, keeps the unreduced
+tables and gives Z_n and its first two theta-derivatives exactly at the
+point (:func:`solve_Z_jets`).  At nu = 1, where every point model would
+divide by 9(1 - nu^2) = 0, Z_n is in closed form (:func:`nu_one_jets`).
 """
 from __future__ import annotations
 
@@ -74,22 +76,19 @@ from mpmath.libmp import from_rational, round_nearest
 
 from .errors import NonZeroRemainder
 from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, evaluate_together, ring_exact_div
+from .precision import DEFAULT_PRECISION_BITS
 
 
 @dataclass(frozen=True)
 class IsingParams:
-    """A parameter point (nu, c) plus the computation mode.
+    """A parameter point (nu, c) of the model, as exact rationals.
 
-    ``nu`` is the monochromatic-edge weight, ``c`` the spin-imbalance weight;
-    both are kept as exact rationals no matter the mode.  ``precision_bits``
-    selects the mode for series work: ``None`` for symbolic coefficients, a
-    bit count for numeric-at-point mode, whose values are exact at the
-    point and rounded once to that many bits.
+    ``nu`` is the monochromatic-edge weight, ``c`` the external-field
+    weight; both must be positive.
     """
 
     nu: Fraction
     c: Fraction
-    precision_bits: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "nu", Fraction(self.nu))
@@ -98,12 +97,6 @@ class IsingParams:
             raise ValueError("nu must be positive")
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.precision_bits is not None and self.precision_bits < 8:
-            raise ValueError("precision_bits must be at least 8")
-
-    @property
-    def symbolic(self) -> bool:
-        return self.precision_bits is None
 
 
 # ---------------------------------------------------------------------------
@@ -623,17 +616,13 @@ def _nonzero_terms(coeffs, lo: int, hi: int) -> list:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def lagrangian_numer_denom(
-    params: IsingParams, symbolic: Optional[bool] = None
-) -> Tuple[UniPoly, UniPoly]:
+def lagrangian_numer_denom(params: IsingParams, symbolic: bool) -> Tuple[UniPoly, UniPoly]:
     """The polynomials N and D of the defining equation z = S N(S)/D(S)^2.
 
-    Returned as UniPoly in S.  With ``symbolic=True`` the coefficients are
+    Returned as UniPoly in S.  With ``symbolic`` the coefficients are
     ParamPoly; otherwise they are exact rationals evaluated at the point
-    (params.nu, params.c).  Defaults to the params' own mode.
+    (params.nu, params.c).
     """
-    if symbolic is None:
-        symbolic = params.symbolic
     n_tab, d_tab = _symbolic_tables()[:2]
     if symbolic:
         zero = PP_ZERO
@@ -714,23 +703,15 @@ def _solve_S_ring(model: _Model, order: int) -> TruncatedSeries:
 def solve_S(params: IsingParams, order: int) -> TruncatedSeries:
     """The unique series S with S(0) = 0 solving z = S N(S)/D(S)^2, to z^order.
 
-    Symbolic mode gives ParamPoly coefficients (integer polynomials in nu, c
-    with nonnegative coefficients), unpacked from the packed pass; numeric
-    mode gives each S_n exact at the point, rounded once to the nearest mpf
-    at ``precision_bits``.
+    The coefficients are ParamPoly (integer polynomials in nu, c with
+    nonnegative coefficients), unpacked from the packed pass; they do not
+    depend on the point ``params`` names.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if params.symbolic:
-        model = _Model(params, "symbolic", order)
-        return TruncatedSeries(model.s_coefficients(_solve_S_ring(model, order).coeffs),
-                               PP_ZERO)
-    model = _Model(params, "integer")
-    t = _solve_S_ring(model, order)
-    return TruncatedSeries(
-        _rounded(model.s_coefficients(t.coeffs), params.precision_bits),
-        mpmath.mpf(0),
-    )
+    model = _Model(params, "symbolic", order)
+    return TruncatedSeries(model.s_coefficients(_solve_S_ring(model, order).coeffs),
+                           PP_ZERO)
 
 
 def _over_divisor(model, cols: list, top: int) -> list:
@@ -779,21 +760,19 @@ def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
     1 + 3c^2(1-nu^2)S, check exactly that the three lowest z-coefficients
     cancel, shift down by z^2, divide exactly by 9(1-nu^2), then rescale
     coefficient n by c^-n (the parametrization natively produces
-    Z(nu, c, cz)).  Numeric mode rounds each exact Z_n of :func:`exact_Z`
-    once to the nearest mpf at ``precision_bits``.
+    Z(nu, c, cz)).  The coefficients are ParamPoly, from the packed pass,
+    whatever point ``params`` names; :func:`exact_Z` and
+    :func:`coefficient_sequence` evaluate at the point.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if params.symbolic:
-        model = _Model(params, "symbolic", order)
-        return TruncatedSeries([PP_ZERO] + _solve_Z_ring(model, order)[1:], PP_ZERO)
-    return TruncatedSeries(_rounded(exact_Z(params, order), params.precision_bits),
-                           mpmath.mpf(0))
+    model = _Model(params, "symbolic", order)
+    return TruncatedSeries([PP_ZERO] + _solve_Z_ring(model, order)[1:], PP_ZERO)
 
 
 def exact_Z(params: IsingParams, order: int) -> list:
-    """[0, Z_1, ..., Z_order], exact at the point whatever the mode: the
-    reduced integer pass, or the closed form at nu = 1."""
+    """[0, Z_1, ..., Z_order], exact at the point: the reduced integer
+    pass, or the closed form at nu = 1."""
     if params.nu == 1:
         return [z for z, _, _ in nu_one_jets(params.c, order)]
     return _solve_Z_ring(_Model(params, "integer"), order)
@@ -836,46 +815,10 @@ def solve_Z_jets(params: IsingParams, order: int) -> List[Tuple[Fraction, Fracti
     return [(Fraction(0),) * 3] + _solve_Z_ring(_Model(params, "jet"), order)[1:]
 
 
-def coefficient_sequence(params: IsingParams, n_max: int) -> List[mpmath.mpf]:
-    """Z_n(nu, c) for n = 1..n_max, each exact at the point and rounded once
-    to the nearest mpf at ``precision_bits``."""
-    if params.symbolic:
-        raise ValueError("coefficient_sequence requires numeric mode")
-    series = solve_Z(params, n_max)
-    return series.coeffs[1:]
-
-
-def fixed_point_residual(params: IsingParams, order: int) -> list:
-    """Coefficients of S N(S) - z D(S)^2 for the computed S (all should vanish).
-
-    The residual is formed from TruncatedSeries products with the unreduced
-    N and D, not from the power columns of the forward recurrence or the
-    reduced curve that numeric mode solves, so it checks both
-    independently.  Symbolic mode returns ParamPoly entries; numeric mode
-    returns the exact residual at the point, rounded to mpf.  Both must be
-    exactly zero.
-    """
-    if params.symbolic:
-        n_tab, d_tab = _symbolic_tables()[:2]
-        zero, one = PP_ZERO, PP_ONE
-        s = solve_S(params, order)
-    else:
-        model = _Model(params, "exact")
-        n_tab, d_tab, zero, one = model.n_tab, model.d_tab, model.zero, model.one
-        reduced = _Model(params, "integer")
-        s = TruncatedSeries(
-            reduced.s_coefficients(_solve_S_ring(reduced, order).coeffs), zero)
-    pw = _series_powers(s, max(max(n_tab), max(d_tab)))
-    pw[0] = TruncatedSeries([one] + [zero] * order, zero)
-
-    def at_s(tab):
-        out = TruncatedSeries([zero] * (order + 1), zero)
-        for k, coef in tab.items():
-            out = out + pw[k].scale(coef)
-        return out
-
-    ns, ds = at_s(n_tab), at_s(d_tab)
-    residual = (s * ns - (ds * ds).shift_up(1)).coeffs
-    if params.symbolic:
-        return residual
-    return _rounded(residual, params.precision_bits)
+def coefficient_sequence(params: IsingParams, n_max: int,
+                         precision_bits: int = DEFAULT_PRECISION_BITS) -> List[mpmath.mpf]:
+    """Z_n(nu, c) for n = 1..n_max, each exact at the point (:func:`exact_Z`)
+    and rounded once to the nearest mpf at ``precision_bits``."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return _rounded(exact_Z(params, n_max)[1:], precision_bits)

@@ -56,7 +56,7 @@ from .exactalg import (
     rational_sqrt,
     squarefree_part,
 )
-from .precision import default_precision_bits, to_mpf
+from .precision import DEFAULT_PRECISION_BITS, to_mpf
 from .series import IsingParams, _symbolic_tables
 
 VALIDATED_C_HALF_WIDTH = Fraction(1, 4)
@@ -165,7 +165,7 @@ def p1_p2_p3(nu: Fraction) -> Tuple[UniPoly, UniPoly, UniPoly]:
 # Closed forms for the radius at c = 1
 # ---------------------------------------------------------------------------
 
-def rho_closed_form(nu, precision_bits: Optional[int] = None) -> Number:
+def rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
     """Radius of convergence of the z-series at c = 1.
 
     Exact Fraction when nu >= 4 (rational) or sqrt(nu) is rational; otherwise
@@ -179,13 +179,12 @@ def rho_closed_form(nu, precision_bits: Optional[int] = None) -> Number:
     root = rational_sqrt(nu)
     if root is not None:
         return 2 * (1 + 2 * root) / (9 * (1 + root) ** 2 * (1 + nu) ** 2)
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         r = mpmath.sqrt(to_mpf(nu))
         return 2 * (1 + 2 * r) / (9 * (1 + r) ** 2 * to_mpf((1 + nu) ** 2))
 
 
-def s_at_rho_closed_form(nu, precision_bits: Optional[int] = None) -> Number:
+def s_at_rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
     """Value of the algebraic series S at its radius, at c = 1."""
     nu = Fraction(nu)
     if nu <= 0:
@@ -195,8 +194,7 @@ def s_at_rho_closed_form(nu, precision_bits: Optional[int] = None) -> Number:
     root = rational_sqrt(nu)
     if root is not None:
         return Fraction(1, 3) / ((root + 1) * (nu + 1))
-    bits = precision_bits or default_precision_bits()
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         r = mpmath.sqrt(to_mpf(nu))
         return 1 / (3 * (r + 1) * to_mpf(nu + 1))
 
@@ -976,7 +974,7 @@ def _expand_support(
 
 
 def newton_polygon_expand(
-    P, max_terms: int = 3, precision_bits: Optional[int] = None,
+    P, max_terms: int = 3, precision_bits: int = DEFAULT_PRECISION_BITS,
     center: Optional[Number] = None,
 ) -> List[PuiseuxExpansion]:
     """All Puiseux branches y(Z) with y(0) = 0 of a bivariate polynomial.
@@ -987,12 +985,11 @@ def newton_polygon_expand(
     coefficients continue in mpmath arithmetic at ``precision_bits``.  Every
     returned expansion is verified by back-substitution.
     """
-    bits = precision_bits or default_precision_bits()
     support, exact = _as_support(P)
     if not support:
         raise ValueError("zero polynomial has no Puiseux branches")
     results: List[Tuple[List[Tuple[object, Fraction]], bool]] = []
-    _expand_support(support, exact, max_terms, bits, [], Fraction(0), results)
+    _expand_support(support, exact, max_terms, precision_bits, [], Fraction(0), results)
     expansions = []
     for terms, is_exact in results:
         denoms = [e.denominator for _, e in terms] or [1]
@@ -1006,7 +1003,7 @@ def newton_polygon_expand(
             exact=is_exact and all(isinstance(c, (int, Fraction))
                                    for c, _ in terms),
         )
-        _verify_expansion(support, exact, exp, bits)
+        _verify_expansion(support, exact, exp, precision_bits)
         expansions.append(exp)
     return expansions
 
@@ -1090,7 +1087,7 @@ def _shifted_cancelling_support(
 def dominant_expansions(
     params: IsingParams,
     max_terms: int = 3,
-    precision_bits: Optional[int] = None,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Tuple[SingularityReport, List[PuiseuxExpansion]]:
     """Puiseux branches of the cancelling polynomial at the dominant singularity.
 
@@ -1100,21 +1097,20 @@ def dominant_expansions(
     precision.  The report carries the exact exponent.
     """
     report = radius_numeric(params, scan_uniqueness=False)
-    bits = precision_bits or params.precision_bits or default_precision_bits()
     cp = critical_point(params)
     if report.exact:
         support = _shifted_cancelling_support(cp.cancelling_sf, report.s_at_rho,
                                               report.rho)
         return report, newton_polygon_expand(
-            support, max_terms=max_terms, precision_bits=bits, center=report.rho
+            support, max_terms=max_terms, precision_bits=precision_bits, center=report.rho
         )
-    lo, hi = cp.refine(*report.s_interval, Fraction(1, 2 ** (3 * bits // 4)))
+    lo, hi = cp.refine(*report.s_interval, Fraction(1, 2 ** (3 * precision_bits // 4)))
     s0 = (lo + hi) / 2
     rho0 = cp.z_at(s0)
     support = _shifted_cancelling_support(cp.cancelling_sf, s0, rho0)
-    with mpmath.workprec(bits):
+    with mpmath.workprec(precision_bits):
         num_support = {k: to_mpf(v) for k, v in support.items()}
         return report, newton_polygon_expand(
-            num_support, max_terms=max_terms, precision_bits=bits,
+            num_support, max_terms=max_terms, precision_bits=precision_bits,
             center=to_mpf(rho0),
         )

@@ -40,8 +40,7 @@ FIT_RANGE = (50, N_MAX)
 
 
 def _sequence(nu, c):
-    params = IsingParams(nu=Fraction(nu), c=Fraction(c), precision_bits=BITS)
-    return coefficient_sequence(params, N_MAX)
+    return coefficient_sequence(IsingParams(nu=Fraction(nu), c=Fraction(c)), N_MAX, BITS)
 
 
 @pytest.fixture(scope="module")

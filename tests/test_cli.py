@@ -30,6 +30,29 @@ SCHEMA = json.loads(SCHEMA_PATH.read_text())
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent
                      / "golden_envelopes.json").read_text())
 
+# The options each command reads; every other shared option is a usage error.
+# Beyond the shared ones: coeffs --n-max --symbolic --numeric --nu --c,
+# enumerate --n, radius --nu --c --allow-far-field --no-exponent,
+# puiseux --nu --c --max-terms, observables --nu --c --n,
+# exponent-fit --nu --c --n-max --n-min.
+SHARED_OPTIONS = {"--out": "o.json", "--precision-bits": "64", "--tol": "1/1000",
+                  "--jobs": "2", "--format": "csv"}
+TAKES = {
+    "coeffs": ("--out", "--precision-bits", "--format"),
+    "enumerate": ("--out",),
+    "radius": ("--out", "--precision-bits", "--tol", "--jobs", "--format"),
+    "puiseux": ("--out", "--precision-bits"),
+    "observables": ("--out", "--precision-bits"),
+    "exponent-fit": ("--out", "--precision-bits", "--tol"),
+    "check": ("--out",),
+}
+MINIMAL_ARGS = {
+    "coeffs": ("--symbolic",), "enumerate": ("--n", "5"),
+    "radius": ("--nu", "2", "--c", "1"), "puiseux": ("--nu", "2", "--c", "1"),
+    "observables": ("--nu", "2", "--c", "21/20"),
+    "exponent-fit": ("--nu", "2", "--c", "1"), "check": (),
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -114,6 +137,31 @@ class TestParsing:
             main(["radius", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command in cli.COMMANDS for option in SHARED_OPTIONS
+        if option not in TAKES[command]])
+    def test_unread_option_exits_2(self, capsys, monkeypatch, command, option):
+        # refused while parsing, before the command computes anything
+        monkeypatch.setitem(cli._HANDLERS, command, None)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *MINIMAL_ARGS[command], option, SHARED_OPTIONS[option]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % option in capsys.readouterr().err
+
+    def test_each_command_takes_the_options_it_reads(self):
+        parser = cli._build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        slots = 0
+        for command, options in TAKES.items():
+            flags = {flag for action in commands[command]._actions
+                     for flag in action.option_strings} - {"-h", "--help"}
+            assert flags & set(SHARED_OPTIONS) == set(options), command
+            slots += len(flags)
+            args = parser.parse_args([command, *MINIMAL_ARGS[command], *(
+                arg for option in options for arg in (option, SHARED_OPTIONS[option]))])
+            assert args.command == command
+        assert slots == 37
+
 
 class TestCoeffs:
     def test_symbolic_printed_expansion(self, capsys):
@@ -170,6 +218,18 @@ class TestCoeffs:
         reference = param_poly_Z(4)
         assert [row["value"] for row in payload["result"]["coefficients"]] == \
             [str(z.evaluate(1, Fraction(9, 10))) for z in reference]
+
+    def test_symbolic_and_numeric_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--symbolic", "--numeric", "--nu", "3", "--c", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("point", [("--nu", "3"), ("--c", "2"), ("--nu", "3", "--c", "2")])
+    def test_symbolic_takes_no_point(self, capsys, point):
+        code, payload = run_json(capsys, "coeffs", "--symbolic", *point)
+        assert code == 2
+        assert payload["error"] == {"type": "UsageError",
+                                    "message": "--symbolic takes no --nu or --c"}
 
     def test_point_rows_refuse_nonpositive_weights(self, capsys):
         code, payload = run_json(capsys, "coeffs", "--nu", "0", "--c", "1")
@@ -258,6 +318,12 @@ class TestRadius:
         code, _ = run_cli(capsys, "radius", "--nu", "1/4,5", "--c", "1",
                           "--no-exponent", "--jobs", "4")
         assert code == 0 and seen == []
+
+    def test_jobs_below_one_is_a_usage_error(self, capsys):
+        code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1", "--jobs", "0")
+        assert code == 2
+        assert payload["error"] == {"type": "UsageError",
+                                    "message": "--jobs must be at least 1"}
 
     def test_parser_reused_across_calls(self, capsys):
         # one process, two calls on the one cached parser, against a fresh
@@ -360,9 +426,9 @@ class TestObservables:
         assert payload["result"]["M"] == "1/2"
 
     def test_csv_unsupported(self, capsys):
-        code, out = run_cli(capsys, "observables", "--nu", "5", "--c", "1",
-                            "--format", "csv")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["observables", "--nu", "5", "--c", "1", "--format", "csv"])
+        assert exc.value.code == 2
 
     def test_finite_size_at_nu_one(self, capsys):
         code, payload = run_json(capsys, "observables", "--nu", "1", "--c", "21/20",
@@ -454,15 +520,6 @@ class TestObservables:
             reference = -mpmath.log(rho_closed_form(Fraction(nu), 4 * bits))
             assert payload["result"]["F"] == mpmath.nstr(reference, cli._digits(bits))
 
-    def test_tol_is_rejected_where_it_has_no_effect(self, capsys):
-        for argv in (("observables", "--nu", "2", "--c", "21/20"),
-                     ("puiseux", "--nu", "2", "--c", "1")):
-            code, payload = run_json(capsys, *argv, "--tol", "1/1000")
-            assert code == 2
-            assert payload["error"]["type"] == "UsageError"
-        _, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1")
-        assert payload["config"]["tol"] == "1/1000000000000"
-
 
 class TestExponentFit:
     def test_short_run_reports_fields(self, capsys):
@@ -542,36 +599,29 @@ class TestEnvelope:
         jsonschema.validate(payload, SCHEMA)
         assert payload["result"]["rho"] == "2/405"
 
-    def test_env_var_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISINGMAPS_PRECISION", "96")
-        code, payload = run_json(capsys, "observables", "--nu", "5", "--c", "1")
-        assert code == 0
-        assert payload["meta"]["precision_bits"] == 96
-
     @pytest.mark.parametrize("bits", ["0", "-5", "4", "7"])
-    def test_too_few_precision_bits_is_a_usage_error(self, capsys, monkeypatch, bits):
-        monkeypatch.delenv("ISINGMAPS_PRECISION", raising=False)
+    def test_too_few_precision_bits_is_a_usage_error(self, capsys, bits):
         code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1",
                                  "--precision-bits", bits)
         assert code == 2
         assert payload["error"]["type"] == "UsageError"
         assert "--precision-bits" in payload["error"]["message"]
 
-    @pytest.mark.parametrize("raw", ["abc", "4", "-1", ""])
-    def test_bad_precision_env_var_is_a_usage_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("ISINGMAPS_PRECISION", raw)
-        code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1")
-        assert code == 2
-        assert payload["error"]["type"] == "UsageError"
-        assert "ISINGMAPS_PRECISION" in payload["error"]["message"]
-
-    def test_eight_bits_is_the_least_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISINGMAPS_PRECISION", "8")
-        code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1")
-        assert code == 0 and payload["meta"]["precision_bits"] == 8
+    def test_eight_bits_is_the_least_precision(self, capsys):
         code, payload = run_json(capsys, "radius", "--nu", "4", "--c", "1",
                                  "--precision-bits", "8")
         assert code == 0 and payload["config"]["precision_bits"] == 8
+        assert payload["meta"]["precision_bits"] == 8
+
+    def test_precision_variable_in_the_environment_changes_nothing(self, capsys,
+                                                                   monkeypatch):
+        box = thermo_enclosures(Fraction(1, 2), Fraction(9, 10))
+        monkeypatch.setenv("ISINGMAPS_PRECISION", "16")
+        assert thermo_enclosures(Fraction(1, 2), Fraction(9, 10)) == box
+        for command in sorted(GOLDEN):
+            code, payload = run_json(capsys, *command.split())
+            del payload["meta"]["elapsed_seconds"]
+            assert code == 0 and payload == GOLDEN[command], command
 
     def test_error_envelope_validates(self, capsys):
         _, payload = run_json(capsys, "enumerate", "--n", "9")
@@ -593,8 +643,7 @@ class TestGoldenEnvelopes:
     """Envelopes pinned digit for digit; only meta.elapsed_seconds may move."""
 
     @pytest.mark.parametrize("command", sorted(GOLDEN))
-    def test_envelope_unchanged(self, capsys, monkeypatch, command):
-        monkeypatch.delenv("ISINGMAPS_PRECISION", raising=False)
+    def test_envelope_unchanged(self, capsys, command):
         code, payload = run_json(capsys, *command.split())
         assert code == 0
         del payload["meta"]["elapsed_seconds"]

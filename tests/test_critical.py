@@ -34,7 +34,7 @@ from isingmaps.critical import (
 )
 from isingmaps.errors import NonPositiveSequence, PrecisionExhausted
 from isingmaps.exactalg import UniPoly
-from isingmaps.precision import default_precision_bits, to_mpf
+from isingmaps.precision import DEFAULT_PRECISION_BITS, to_mpf
 from isingmaps.series import (
     IsingParams, coefficient_sequence, lagrangian_numer_denom, nu_one_jets,
 )
@@ -71,8 +71,7 @@ class TestFreeEnergy:
 
     def test_finite_size_gap_shrinks(self):
         # |F_{2n} - F_n| decreasing along a doubling ladder of sizes
-        params = IsingParams(nu=2, c=1, precision_bits=128)
-        seq = coefficient_sequence(params, 200)
+        seq = coefficient_sequence(IsingParams(nu=2, c=1), 200, 128)
         with mpmath.workprec(128):
             F = {n: mpmath.log(seq[n - 1]) / n for n in (25, 50, 100, 200)}
             gaps = [abs(F[50] - F[25]), abs(F[100] - F[50]), abs(F[200] - F[100])]
@@ -388,7 +387,7 @@ class TestThermoOracle:
 
     @pytest.mark.parametrize("nu", GRID_NU)
     def test_boxes_lie_inside_the_interval_context_ones(self, nu):
-        bits = default_precision_bits()
+        bits = DEFAULT_PRECISION_BITS
         dps = cli._digits(bits)
         for c in map(Fraction, self.GRID_C):
             box = thermo_enclosures(Fraction(nu), c)
@@ -563,8 +562,7 @@ class TestExponentFit:
             assert abs(fit.alpha_exponent - af) < mpmath.mpf(10) ** -25
 
     def test_real_sequence_recovers_generic_exponent(self):
-        params = IsingParams(nu=2, c=1, precision_bits=128)
-        seq = coefficient_sequence(params, 120)
+        seq = coefficient_sequence(IsingParams(nu=2, c=1), 120, 128)
         mu = rho_closed_form(2, precision_bits=128)
         fit = exponent_fit(seq, mu, (30, 120), precision_bits=128)
         with mpmath.workprec(128):
@@ -615,8 +613,7 @@ class TestRatioExtrapolation:
             assert abs(mu - mpmath.mpf(1) / 2) < mpmath.mpf(10) ** -6
 
     def test_real_sequence(self):
-        params = IsingParams(nu=2, c=1, precision_bits=128)
-        seq = coefficient_sequence(params, 120)
+        seq = coefficient_sequence(IsingParams(nu=2, c=1), 120, 128)
         mu = mu_from_ratios(seq, nodes=[15, 30, 60, 120], precision_bits=128)
         target = rho_closed_form(2, precision_bits=128)
         assert abs(mu - target) < mpmath.mpf(10) ** -6

@@ -1,6 +1,8 @@
 """Tests for the brute-force map enumeration oracle."""
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import List, Tuple
 
 import pytest
 
@@ -8,20 +10,102 @@ from isingmaps.errors import EnumerationBound
 from isingmaps.exactalg import ParamPoly
 from isingmaps import mapcount
 from isingmaps.mapcount import (
-    DartMap,
     EnumerationSurvey,
     _face_count,
     _open_darts_on_face,
     _spin_polynomial,
     _walk_planar,
-    all_pairings,
-    bruteforce_Z,
     canonical_sigma,
     dart_vertex,
-    genus_check,
     survey,
 )
 from isingmaps.series import IsingParams, solve_Z
+
+
+@dataclass(frozen=True)
+class DartMap:
+    """A rooted map: canonical rotation plus an edge involution on 4n darts.
+
+    ``alpha`` is a tuple of length 4n+1 with alpha[0] = 0 unused; the root
+    dart is always 1.  An oracle for the walk of :func:`survey`, which never
+    builds one.
+    """
+
+    n: int
+    alpha: Tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.alpha) != 4 * self.n + 1:
+            raise ValueError("alpha must cover darts 1..4n")
+        for d in range(1, 4 * self.n + 1):
+            a = self.alpha[d]
+            if a == d:
+                raise ValueError("alpha must be fixed-point free")
+            if not 1 <= a <= 4 * self.n or self.alpha[a] != d:
+                raise ValueError("alpha must be an involution on 1..4n")
+
+    def face_count(self) -> int:
+        """Number of cycles of sigma o alpha (alpha first)."""
+        return _face_count(canonical_sigma(self.n), self.alpha)
+
+    def is_connected(self) -> bool:
+        """Transitivity of the group generated by sigma and alpha on darts."""
+        sigma = canonical_sigma(self.n)
+        seen = [False] * (4 * self.n + 1)
+        stack = [1]
+        seen[1] = True
+        count = 0
+        while stack:
+            d = stack.pop()
+            count += 1
+            for nxt in (sigma[d], self.alpha[d]):
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(nxt)
+        return count == 4 * self.n
+
+    def genus(self) -> int:
+        """From Euler's relation with V = n, E = 2n (map must be connected)."""
+        chi = self.n - 2 * self.n + self.face_count()
+        return (2 - chi) // 2
+
+    def edges(self) -> List[Tuple[int, int]]:
+        """Edges as sorted vertex pairs (self-loops allowed), one per dart pair."""
+        out = []
+        for d in range(1, 4 * self.n + 1):
+            a = self.alpha[d]
+            if d < a:
+                u, v = dart_vertex(d), dart_vertex(a)
+                out.append((u, v) if u <= v else (v, u))
+        return out
+
+
+def genus_check(dart_map: DartMap) -> bool:
+    """True iff the map is connected and embeds in the sphere (genus 0)."""
+    return dart_map.is_connected() and dart_map.face_count() == dart_map.n + 2
+
+
+def all_pairings(n: int) -> List[DartMap]:
+    """Every fixed-point-free involution on 4n darts as a DartMap."""
+    total = 4 * n
+    out: List[DartMap] = []
+    alpha = [0] * (total + 1)
+
+    def rec(d: int):
+        while d <= total and alpha[d]:
+            d += 1
+        if d > total:
+            out.append(DartMap(n=n, alpha=tuple(alpha)))
+            return
+        for e in range(d + 1, total + 1):
+            if alpha[e]:
+                continue
+            alpha[d], alpha[e] = e, d
+            rec(d + 1)
+            alpha[d], alpha[e] = 0, 0
+
+    rec(1)
+    return out
 
 
 def labelled_pairing_survey(n):
@@ -202,7 +286,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_oracle_equals_series(self, n):
         z_series = solve_Z(IsingParams(nu=2, c=1), 3)
-        assert bruteforce_Z(n) == z_series.coefficient(n)
+        assert survey(n).partition_polynomial == z_series.coefficient(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_spinless_specialization(self, n):
@@ -240,9 +324,9 @@ class TestEnumeration:
 
     def test_enumeration_bound(self):
         with pytest.raises(EnumerationBound):
-            bruteforce_Z(6)
+            survey(6)
         with pytest.raises(EnumerationBound):
-            bruteforce_Z(0)
+            survey(0)
 
 
 class TestFaceRule:

@@ -1,4 +1,5 @@
 """Tests for the Lagrangian series engine."""
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from isingmaps.series import (
     _solve_Z_ring,
     coefficient_sequence,
     exact_Z,
-    fixed_point_residual,
     lagrangian_numer_denom,
     nu_one_jets,
     solve_S,
@@ -39,7 +39,7 @@ from isingmaps.series import (
 NU = ParamPoly.nu()
 C = ParamPoly.c()
 
-SYM = IsingParams(nu=2, c=1)  # mode is symbolic; the point is irrelevant there
+SYM = IsingParams(nu=2, c=1)  # the symbolic series does not depend on the point
 
 
 def expected_Z(n: int) -> ParamPoly:
@@ -110,6 +110,43 @@ def rounded(q: Fraction, bits: int):
     return from_rational(q.numerator, q.denominator, bits, round_nearest)
 
 
+def reduced_S(params: IsingParams, order: int) -> TruncatedSeries:
+    """S_0..S_order exact at the point, from the reduced integer pass."""
+    model = _Model(params, "integer")
+    return TruncatedSeries(model.s_coefficients(_solve_S_ring(model, order).coeffs),
+                           Fraction(0))
+
+
+def fixed_point_residual(params: IsingParams, order: int, symbolic: bool) -> list:
+    """Coefficients of S N(S) - z D(S)^2 for the computed S (all should vanish).
+
+    The residual is formed from TruncatedSeries products with the unreduced
+    N and D, not from the power columns of the forward recurrence or the
+    reduced curve the point pass solves, so it checks both independently.
+    ``symbolic`` reads the packed pass and returns ParamPoly entries;
+    otherwise the reduced pass at the point, with exact Fraction entries.
+    """
+    if symbolic:
+        n_tab, d_tab = series._symbolic_tables()[:2]
+        zero, one = PP_ZERO, PP_ONE
+        s = solve_S(params, order)
+    else:
+        model = _Model(params, "exact")
+        n_tab, d_tab, zero, one = model.n_tab, model.d_tab, model.zero, model.one
+        s = reduced_S(params, order)
+    pw = _series_powers(s, max(max(n_tab), max(d_tab)))
+    pw[0] = TruncatedSeries([one] + [zero] * order, zero)
+
+    def at_s(tab):
+        out = TruncatedSeries([zero] * (order + 1), zero)
+        for k, coef in tab.items():
+            out = out + pw[k].scale(coef)
+        return out
+
+    ns, ds = at_s(n_tab), at_s(d_tab)
+    return (s * ns - (ds * ds).shift_up(1)).coeffs
+
+
 # -- parameter validation ---------------------------------------------------
 
 class TestIsingParams:
@@ -121,7 +158,12 @@ class TestIsingParams:
 
     def test_symbolic_mode_allows_nu_one(self):
         p = IsingParams(nu=1, c=1)
-        assert p.symbolic
+        assert solve_S(p, 3).coefficient(1) == PP_ONE
+
+    def test_is_a_bare_point(self):
+        assert [f.name for f in dataclasses.fields(IsingParams)] == ["nu", "c"]
+        p = IsingParams(nu=Fraction(3, 2), c="21/20")
+        assert (p.nu, p.c) == (Fraction(3, 2), Fraction(21, 20))
 
 
 # -- truncated series plumbing ---------------------------------------------
@@ -211,13 +253,12 @@ class TestSolveS:
                 assert q >= 0, "negative coefficient"
 
     def test_fixed_point_residual_symbolic(self):
-        residual = fixed_point_residual(SYM, 8)
+        residual = fixed_point_residual(SYM, 8, symbolic=True)
         assert all(r.is_zero() for r in residual)
 
     def test_fixed_point_residual_numeric(self):
-        params = IsingParams(nu=Fraction(5, 2), c=Fraction(9, 10),
-                             precision_bits=128)
-        residual = fixed_point_residual(params, 20)
+        params = IsingParams(nu=Fraction(5, 2), c=Fraction(9, 10))
+        residual = fixed_point_residual(params, 20, symbolic=False)
         assert len(residual) == 21
         assert all(r == 0 for r in residual)
 
@@ -225,9 +266,9 @@ class TestSolveS:
     def test_fixed_point_residual_numeric_at_c_one(self, nu):
         # the residual reads the unreduced N and D, while the S under test
         # comes from the curve with 1 + e1 S cancelled
-        params = IsingParams(nu=nu, c=1, precision_bits=128)
+        params = IsingParams(nu=nu, c=1)
         assert "d_tab" not in vars(_Model(params, "integer"))
-        residual = fixed_point_residual(params, 20)
+        residual = fixed_point_residual(params, 20, symbolic=False)
         assert len(residual) == 21
         assert all(r == 0 for r in residual)
 
@@ -243,17 +284,17 @@ class TestSolveS:
         oracle = lagrange_S(IsingParams(nu=nu, c=c), 30, symbolic=False)
         exact = _solve_S_ring(_Model(IsingParams(nu=nu, c=c), "exact"), 30)
         assert exact.coeffs[1:] == oracle
-        got = solve_S(IsingParams(nu=nu, c=c, precision_bits=96), 30)
-        assert [x._mpf_ for x in got.coeffs[1:]] == [rounded(q, 96) for q in oracle]
+        assert reduced_S(IsingParams(nu=nu, c=c), 30).coeffs[1:] == oracle
 
     @pytest.mark.parametrize("nu, c", [
         (Fraction(3, 2), Fraction(21, 20)), (Fraction(7, 5), Fraction(11, 13)),
     ])
     def test_numeric_is_exact_ring_rounded(self, nu, c):
+        # the reduced pass, rounded once, against the unreduced exact ring
         exact = _solve_S_ring(_Model(IsingParams(nu=nu, c=c), "exact"), 30)
-        got = solve_S(IsingParams(nu=nu, c=c, precision_bits=96), 30)
+        got = series._rounded(reduced_S(IsingParams(nu=nu, c=c), 30).coeffs, 96)
         for n in range(31):
-            assert got.coefficient(n)._mpf_ == rounded(exact.coefficient(n), 96)
+            assert got[n]._mpf_ == rounded(exact.coefficient(n), 96)
 
 
 # -- the partition-function series -----------------------------------------
@@ -308,11 +349,10 @@ class TestSolveZ:
             (Fraction(1, 3), Fraction(2)),
         ]
         for nu, c in points:
-            params = IsingParams(nu=nu, c=c, precision_bits=128)
-            z_num = solve_Z(params, 12)
+            z_num = coefficient_sequence(IsingParams(nu=nu, c=c), 12, 128)
             for n in range(1, 13):
                 exact = z_sym.coefficient(n).evaluate(nu, c)
-                assert z_num.coefficient(n)._mpf_ == rounded(exact, 128), "n=%d" % n
+                assert z_num[n - 1]._mpf_ == rounded(exact, 128), "n=%d" % n
 
     @pytest.mark.parametrize("nu, c", [
         (Fraction(3, 2), Fraction(21, 20)),
@@ -404,10 +444,12 @@ class TestSolveZ:
 
     def test_bracket_at_point_matches_symbolic(self):
         nu, c = Fraction(5, 2), Fraction(9, 10)
-        params = IsingParams(nu=nu, c=c, precision_bits=128)
+        params = IsingParams(nu=nu, c=c)
         model = _Model(params, "exact")
         with mpmath.workprec(128):
-            w_num = bracket_at(solve_S(params, 8), {k: to_mpf(v) for k, v in
+            s_num = TruncatedSeries(series._rounded(reduced_S(params, 8).coeffs, 128),
+                                    mpmath.mpf(0))
+            w_num = bracket_at(s_num, {k: to_mpf(v) for k, v in
                                                     model.bracket_tab.items()},
                                8, model.zero, model.one)
         w_sym = bracket_at(solve_S(SYM, 8), series._symbolic_tables()[2], 8, PP_ZERO, PP_ONE)
@@ -615,11 +657,9 @@ class TestJetPass:
 
 class TestCoefficientSequence:
     def test_small_values(self):
-        seq = coefficient_sequence(
-            IsingParams(nu=Fraction(1, 2), c=1, precision_bits=96), 2
-        )
+        seq = coefficient_sequence(IsingParams(nu=Fraction(1, 2), c=1), 2, 96)
         assert abs(seq[0] - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -40
-        seq2 = coefficient_sequence(IsingParams(nu=2, c=1, precision_bits=96), 2)
+        seq2 = coefficient_sequence(IsingParams(nu=2, c=1), 2, 96)
         assert abs(seq2[1] - 177) < mpmath.mpf(2) ** -40
 
     @pytest.mark.parametrize("nu, c", [
@@ -632,17 +672,20 @@ class TestCoefficientSequence:
     def test_correctly_rounded(self, nu, c):
         exact = exact_ring_Z(nu, c, 30)
         for bits in (96, 128):
-            seq = coefficient_sequence(IsingParams(nu=nu, c=c, precision_bits=bits), 30)
+            seq = coefficient_sequence(IsingParams(nu=nu, c=c), 30, bits)
             assert [z._mpf_ for z in seq] == [rounded(q, bits) for q in exact]
 
     def test_positivity(self):
-        seq = coefficient_sequence(IsingParams(nu=4, c=1, precision_bits=128), 50)
+        seq = coefficient_sequence(IsingParams(nu=4, c=1), 50, 128)
         assert len(seq) == 50
         assert all(v > 0 for v in seq)
 
-    def test_requires_numeric_mode(self):
+    def test_defaults_to_the_default_precision(self):
+        params = IsingParams(nu=Fraction(3, 2), c=Fraction(21, 20))
+        seq = coefficient_sequence(params, 12)
+        assert [z._mpf_ for z in seq] == [rounded(q, 192) for q in exact_Z(params, 12)[1:]]
         with pytest.raises(ValueError):
-            coefficient_sequence(SYM, 5)
+            coefficient_sequence(params, 0)
 
 
 def _agree_as_laurent_polynomials(poly, value_at, n):
@@ -692,12 +735,12 @@ class TestNuOneClosedForm:
         exact = exact_Z(IsingParams(nu=1, c=c), 40)
         assert exact == [z for z, _, _ in nu_one_jets(c, 40)]
         for bits in (53, 192):
-            seq = coefficient_sequence(IsingParams(nu=1, c=c, precision_bits=bits), 40)
+            seq = coefficient_sequence(IsingParams(nu=1, c=c), 40, bits)
             assert [z._mpf_ for z in seq] == [rounded(q, bits) for q in exact[1:]]
 
     def test_point_models_refuse_nu_one(self):
-        params = IsingParams(nu=1, c=Fraction(21, 20), precision_bits=64)
-        for call in (lambda: solve_S(params, 5), lambda: fixed_point_residual(params, 5)):
+        params = IsingParams(nu=1, c=Fraction(21, 20))
+        for kind in ("integer", "exact", "jet"):
             with pytest.raises(ValueError, match="nu = 1"):
-                call()
+                _Model(params, kind)
         assert solve_S(IsingParams(nu=1, c=Fraction(21, 20)), 3).coefficient(1) == PP_ONE

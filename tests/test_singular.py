@@ -363,7 +363,7 @@ class TestCriticalPoint:
 
     def test_keyed_on_the_point_only(self):
         a = critical_point(IsingParams(nu=2, c=Fraction(19, 20)))
-        b = critical_point(IsingParams(nu=2, c=Fraction(19, 20), precision_bits=64))
+        b = critical_point(IsingParams(nu=2, c=Fraction(19, 20)))
         assert a is b
 
     def test_interval_isolates_the_characteristic_root(self):
@@ -394,7 +394,7 @@ class TestCriticalPoint:
         assert rep.uniqueness_checked and rep.exponent == Fraction(1, 2)
         # Z_n ~ C mu^-n n^(-5/2): mu from the series excludes the second
         # root, whose c z is about 0.215144
-        z = coefficient_sequence(IsingParams(nu=p.nu, c=p.c, precision_bits=128), 200)
+        z = coefficient_sequence(p, 200, 128)
         estimate = mpmath.sqrt(z[197] / z[199]) * (mpmath.mpf(198) / 200) ** 1.25
         assert abs(estimate - float(rep.mu)) < 1e-4
 
@@ -676,10 +676,6 @@ class TestDominantExponent:
 
     def test_square_root_off_c_one(self):
         assert critical_point(params(4, Fraction(21, 20))).exponent() == Fraction(1, 2)
-
-    def test_independent_of_precision(self):
-        p = IsingParams(nu=2, c=Fraction(21, 20), precision_bits=16)
-        assert radius_numeric(p).exponent == Fraction(1, 2)
 
     @pytest.mark.parametrize("num,z_prime,char,interval,expected", [
         # z' = (s^2 - 2)^2: m = 2 at s* = sqrt 2
