@@ -153,6 +153,8 @@ def _cmd_coeffs(args, bits):
     n_max = args.n_max
     if n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    if args.precision_bits is not None and not args.numeric:
+        raise ValueError("--precision-bits applies only with --numeric")
     if args.symbolic:
         if args.nu is not None or args.c is not None:
             raise ValueError("--symbolic takes no --nu or --c")

@@ -10,9 +10,9 @@ B = 1/(3 c^2 |1 - nu^2|) (a Cauchy root bound at nu = 1).  The exact data
 of that critical point are computed once per (nu, c), from one evaluation
 of N and D, and cached as a CriticalPoint built over Z (gcds certified
 modulo a prime, one primitive remainder sequence where that fails): z(s)
-in lowest terms, ``char``, B, an interval isolating s* (Sturm counts, sign
-bisection), and the squarefree cancelling polynomial.  rho is recovered
-by evaluating z(s) at s*, with certified interval arithmetic; mu = c * rho.
+in lowest terms, ``char``, B, and an interval isolating s* (Sturm counts,
+quadratic interval refinement).  rho is recovered by evaluating z(s) at
+s*, with certified interval arithmetic; mu = c * rho.
 
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
@@ -54,6 +54,7 @@ from .exactalg import (
     poly_gcd,
     primitive,
     rational_sqrt,
+    refine_root_cell,
     squarefree_part,
 )
 from .precision import DEFAULT_PRECISION_BITS, to_mpf
@@ -92,6 +93,7 @@ def cancelling_polynomial(params: IsingParams) -> UniPoly:
     return _z_linear(_over(d * d, b * b), _over(sn, a))
 
 
+@lru_cache(maxsize=512)
 def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
     """The cancelling polynomial with repeated S-factors removed.
 
@@ -105,11 +107,18 @@ def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
     is returned as it is.  The divisor is scaled to 1 at S = 0, so the
     result agrees with C there.
 
-    This is ``critical_point(params).cancelling_sf``, so it raises
-    NoRootInRange where the characteristic polynomial has no root in the
-    search interval.
+    Like :func:`critical_point` it raises NoRootInRange where the
+    characteristic polynomial has no root in the search interval.  Only
+    the commands that read it compute it, once per point.
     """
-    return critical_point(params).cancelling_sf
+    critical_point(params)
+    sn, a, d, b = _lagrangian_parts(params)
+    dd = d * d
+    g = primitive(poly_gcd(sn, dd))
+    h = primitive(poly_gcd(g, g.derivative()))
+    if h.degree() >= 1:
+        sn, dd = (q.exact_div(h).scale(h.coeff(0)) for q in (sn, dd))
+    return _z_linear(_over(dd, b * b), _over(sn, a))
 
 
 def discriminant_in_z(params: IsingParams) -> UniPoly:
@@ -131,7 +140,7 @@ def discriminant_in_z(params: IsingParams) -> UniPoly:
     integers z = 0..d+b-1, where the S-degree is always d, and interpolated
     exactly.
     """
-    c_sf = critical_point(params).cancelling_sf
+    c_sf = cancelling_polynomial_squarefree(params)
     d = c_sf.degree()
     b = max(k for k, q in enumerate(c_sf.coeffs) if q.degree() >= 1)
     if b >= d:
@@ -282,10 +291,11 @@ class CriticalPoint:
     [0, infinity), which its finite radius excludes.  Usually s* is the
     only root there, as one Sturm count certifies; where the count is
     higher, as at (1/100, 9/10), Sturm bisection isolates the smallest.
-    ``interval`` = (lo, hi] isolates s* to width B / 2^20, or is (s*, s*)
-    when char is linear, as at nu = 1, or when a bisection point hits s*,
-    as s* = B does at c = 1, nu >= 4.
-    ``cancelling_sf`` is the squarefree cancelling polynomial.
+    ``interval`` = (lo, hi] is the cell of width at most B / 2^20 in which
+    bisection by the sign of char would stop, found by quadratic interval
+    refinement (:func:`~isingmaps.exactalg.bisect_isolated_root`), or is
+    (s*, s*) when char is linear, as at nu = 1, or when a bisection
+    midpoint is s*, as s* = B is at c = 1, nu >= 4.
     """
 
     num: UniPoly
@@ -293,7 +303,6 @@ class CriticalPoint:
     char: UniPoly
     bound: Fraction
     interval: Tuple[Fraction, Fraction]
-    cancelling_sf: UniPoly
 
     def z_at(self, s: Fraction) -> Fraction:
         """z(s) exactly, from the integer forms of num and den."""
@@ -309,7 +318,9 @@ class CriticalPoint:
         On ``interval``, char has the sign of its value at the top end
         exactly at the points above s*.  That sign test, in integers
         (:meth:`UniPoly.sign_at`), certifies the piece and drives the
-        bisection; no Sturm count is needed.
+        quadratic interval refinement of
+        :func:`~isingmaps.exactalg.bisect_isolated_root`; no Sturm count is
+        needed.
         """
         a, b = self.interval
         top = self.char.sign_at(b)
@@ -416,13 +427,7 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
         interval = (hi, hi)
     else:
         interval = bisect_isolated_root(char, lo, hi, bound / 2 ** 20)
-    # squarefree cancelling polynomial: divide g (z B - A) by gcd(g, g'),
-    # scaled to 1 at S = 0 (D(0) = 1, so S does not divide it)
-    h = primitive(poly_gcd(g, g.derivative()))
-    if h.degree() >= 1:
-        sn, dd = (q.exact_div(h).scale(h.coeff(0)) for q in (sn, dd))
-    return CriticalPoint(num=num, den=den, char=char, bound=bound, interval=interval,
-                         cancelling_sf=_z_linear(_over(dd, b * b), _over(sn, a)))
+    return CriticalPoint(num=num, den=den, char=char, bound=bound, interval=interval)
 
 
 def _certify_rho(
@@ -430,27 +435,39 @@ def _certify_rho(
 ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction], bool]:
     """From the isolating interval for s*, certify an interval for rho.
 
-    Sign bisection as in :meth:`CriticalPoint.refine`, one step at a time
-    until the Lipschitz enclosure of z over the interval is within ``tol``:
-    with den_min the smaller value of den at the two ends (den is decreasing
-    on [0, s_D)) and sup bounds of |num'| and |num| |den'| on [0, max(hi, 1)],
-    lip = sup|num'| / den_min + sup(|num| |den'|) / den_min^2, and the
-    enclosure is lower = max z(end), upper = lower + lip * (hi - lo).
-    Returns (s_interval, rho_interval, exact).
+    The s-interval is the cell where bisection of ``interval`` by the sign
+    of char would stop: the first whose Lipschitz enclosure of z is within
+    ``tol``.  With den_min the smaller value of den at the two ends and sup
+    bounds of |num'| and |num| |den'| on [0, max(hi, 1)], lip =
+    sup|num'| / den_min + sup(|num| |den'|) / den_min^2; the enclosure is
+    lower = max z(end), upper = lower + lip (hi - lo), tested only where
+    den is positive at both ends.  Returns (s_interval, rho_interval, exact).
+
+    :func:`~isingmaps.exactalg.refine_root_cell` finds that cell by
+    quadratic interval refinement, which needs the test to pass on every
+    cell nested in a passing one.  It does when den is monotone on
+    ``interval`` = (a, b], certified by |den'(b)| > sup|den''| (b - a): on a
+    nested cell the width halves; hi does not grow, nor do max(hi, 1) and
+    the sup bounds, sums of |coefficient| max(hi, 1)^j; and den_min, den at
+    the end where den is lower, does not fall, so den stays positive at
+    both ends once it is.  lip (hi - lo) never grows.  Monotone den also
+    bounds den_min on every cell by its values at a and b, so the test is
+    decided without den above the first level where the bound with the
+    larger value passes, and from the first where the one with the smaller
+    passes; no step goes below that one.  Where den is not certified
+    monotone, as on the whole search interval at nu = 1, every step is a
+    bisection step and the test is asked at every level.
 
     A rational s* is a multiple of 1/lc(char), char being primitive over Z,
-    so the one such multiple in an interval narrower than 1/lc is tested
-    once; a root there makes the result exact, with no extra bisection step.
+    so the one such multiple in a cell narrower than 1/lc is s* if any is.
+    Bisection stops on it at the first such cell; the test does not depend
+    on the cell, so it is made on the returned one, if that is narrower.
 
-    The loop runs in integers, as :func:`~isingmaps.exactalg.bisect_isolated_root`
-    does: the ends are L/W and H/W over one shared W = w0 2^k, and char and
-    den are evaluated by integer Horner on their forms scaled by 1/w0.  The
-    stored den values u den(end), u = q W^e (q the denominator of den's
-    integer form, e = deg den), only shift left by e bits when a step
-    doubles W.  The stopping test
-    lip (hi - lo) <= tol is cross-multiplied over u, W and the common
-    denominator of the bounds and tol.  Fractions are built once, for the
-    returned intervals.
+    All runs in integers: the cells of level k have ends L/W and H/W over
+    W = w0 2^k, and char and den are evaluated on their integer forms
+    scaled by 1/w0 as u den(end), u = q 2^(k e) (q the denominator of den's
+    form, e = deg den).  The test lip (hi - lo) <= tol is cross-multiplied
+    over u, W and the common denominator of the bounds and tol.
 
     The global bound is loose on purpose: it refines s far past what the
     rho width needs, and that s-interval is what makes the thermodynamic M
@@ -467,51 +484,68 @@ def _certify_rho(
         return (lo, hi), (z_exact, z_exact), True
     num_d = cp.num.derivative()
     den_d = cp.den.derivative()
+    # den is monotone on [lo, hi] when |den'(hi)| > sup|den''| (hi - lo)
+    slope = den_d.eval_scalar(hi)
+    monotone = abs(slope) > _poly_abs_bound(den_d.derivative(), max(hi, 1)) * (hi - lo)
     (L, H), w0 = common_denominator((lo, hi))
-    k = 0
-    char = cp.char.integer_form().scaled(w0)
     den = cp.den.integer_form().scaled(w0)
     e = den.degree()
-    up = char.dyadic(H, 0) > 0  # the sign of char just above s*
-    den_lo, den_hi, u = den.dyadic(L, 0), den.dyadic(H, 0), den.den
-    bounds_scale = None
-    lc = abs(cp.char.lc())
-    candidate = True  # the one multiple of 1/lc in (lo, hi] is still untested
-    while True:
-        if candidate and (H - L) * lc < w0 << k:
-            candidate = False
-            s_exact = Fraction(H * lc // (w0 << k), lc)  # the last multiple up to hi
-            if s_exact > Fraction(L, w0 << k) and cp.char.sign_at(s_exact) == 0:
-                z_exact = cp.z_at(s_exact)
-                return (s_exact, s_exact), (z_exact, z_exact), True
-        if den_lo > 0 and den_hi > 0:
-            # the sup bounds on [0, hi] depend on hi only through max(hi, 1)
-            scale = Fraction(H, w0 << k) if H > w0 << k else 1
-            if scale != bounds_scale:
-                bounds_scale = scale
-                sup_num_d = _poly_abs_bound(num_d, scale)
-                sup_num_den_d = (_poly_abs_bound(cp.num, scale)
-                                 * _poly_abs_bound(den_d, scale))
-                (alpha, beta, tau), _ = common_denominator(
-                    (sup_num_d, sup_num_den_d, tol))
-            dm = min(den_lo, den_hi)
-            if (alpha * dm + beta * u) * u * (H - L) <= tau * dm * dm * (w0 << k):
-                break
-        mid = L + H
-        L, H, k = L << 1, H << 1, k + 1
-        den_lo, den_hi, u = den_lo << e, den_hi << e, u << e
-        side = char.dyadic(mid, k)
-        if side == 0:
-            s_exact = Fraction(mid, w0 << k)
-            z_exact = cp.z_at(s_exact)
-            return (s_exact, s_exact), (z_exact, z_exact), True
-        if (side > 0) == up:
-            H, den_hi = mid, den.dyadic(mid, k)
-        else:
-            L, den_lo = mid, den.dyadic(mid, k)
+    bounds = {}
+
+    def sup_bounds(scale):
+        if scale not in bounds:
+            sup_num_d = _poly_abs_bound(num_d, scale)
+            sup_num_den_d = _poly_abs_bound(cp.num, scale) * _poly_abs_bound(den_d, scale)
+            bounds[scale] = ((sup_num_d, sup_num_den_d),
+                             common_denominator((sup_num_d, sup_num_den_d, tol))[0])
+        return bounds[scale]
+
+    def den_min(x: int, y: int, k: int) -> int:
+        # u min(den(x/W), den(y/W)), positive iff den is at both ends
+        if monotone:
+            return den.dyadic(y if slope < 0 else x, k)
+        return min(den.dyadic(x, k), den.dyadic(y, k))
+
+    def first_level(dm: int, scale) -> int:
+        # the first level whose cells pass the test with den_min = dm / q
+        alpha, beta, tau = sup_bounds(scale)[1]
+        q = den.den
+        return (-(-(alpha * dm + beta * q) * q * (H - L) // (tau * dm * dm * w0)) - 1).bit_length()
+
+    # den monotone: its values at the ends of ``interval`` bound den_min on
+    # every cell, so every cell of a level below ``fails_below`` fails the
+    # test and every cell of level ``passes_from`` or deeper passes
+    ends = sorted((den.dyadic(L, 0), den.dyadic(H, 0))) if monotone else (0, 0)
+    fails_below = first_level(ends[1], max(lo, 1)) if ends[1] > 0 else 0
+    passes_from = first_level(ends[0], max(hi, 1)) if ends[0] > 0 else None
+
+    def narrow(x: int, y: int, k: int) -> bool:
+        if k < fails_below:
+            return False
+        if passes_from is not None and k >= passes_from:
+            return True
+        dm = den_min(x, y, k)
+        if dm <= 0:
+            return False
+        # the sup bounds on [0, hi] depend on hi only through max(hi, 1)
+        alpha, beta, tau = sup_bounds(Fraction(y, w0 << k) if y > w0 << k else 1)[1]
+        u = den.den << (e * k)
+        return (alpha * dm + beta * u) * u * (y - x) <= tau * dm * dm * (w0 << k)
+
+    L, H, k = refine_root_cell(cp.char.integer_form().scaled(w0), L, H, narrow,
+                               nested=monotone, depth=passes_from)
     lo, hi = Fraction(L, w0 << k), Fraction(H, w0 << k)
-    den_min = Fraction(dm, u)
-    lip = sup_num_d / den_min + sup_num_den_d / den_min ** 2
+    lc = abs(cp.char.lc())
+    if L < H and (H - L) * lc < w0 << k:
+        s_exact = Fraction(H * lc // (w0 << k), lc)  # the last multiple up to hi
+        if s_exact > lo and cp.char.sign_at(s_exact) == 0:
+            lo = hi = s_exact
+    if lo == hi:
+        z_exact = cp.z_at(lo)
+        return (lo, hi), (z_exact, z_exact), True
+    den_min_q = Fraction(den_min(L, H, k), den.den << (e * k))
+    (sup_num_d, sup_num_den_d), _ = sup_bounds(max(hi, 1))
+    lip = sup_num_d / den_min_q + sup_num_den_d / den_min_q ** 2
     lower = max(cp.z_at(lo), cp.z_at(hi))
     upper = lower + lip * (hi - lo)
     return (lo, hi), (lower, upper), False
@@ -676,7 +710,9 @@ def radius_numeric(
 
     s* is the smallest root of the characteristic polynomial in (0, B],
     B = 1/(3 c^2 |1 - nu^2|) (Cauchy bound at nu = 1), isolated by Sturm
-    counts and refined by sign bisection (see :class:`CriticalPoint`);
+    counts and refined by quadratic interval refinement to the cell sign
+    bisection would stop in (see :class:`CriticalPoint` and
+    :func:`_certify_rho`);
     rho is the reduced rational function z(s) evaluated there, with an
     interval enclosure of width <= tol.  Points with |c - 1| > 1/4 are
     outside the validated region and require ``allow_far_field=True``,
@@ -1099,7 +1135,8 @@ def dominant_expansions(
     report = radius_numeric(params, scan_uniqueness=False)
     cp = critical_point(params)
     if report.exact:
-        support = _shifted_cancelling_support(cp.cancelling_sf, report.s_at_rho,
+        support = _shifted_cancelling_support(cancelling_polynomial_squarefree(params),
+                                              report.s_at_rho,
                                               report.rho)
         return report, newton_polygon_expand(
             support, max_terms=max_terms, precision_bits=precision_bits, center=report.rho
@@ -1107,7 +1144,7 @@ def dominant_expansions(
     lo, hi = cp.refine(*report.s_interval, Fraction(1, 2 ** (3 * precision_bits // 4)))
     s0 = (lo + hi) / 2
     rho0 = cp.z_at(s0)
-    support = _shifted_cancelling_support(cp.cancelling_sf, s0, rho0)
+    support = _shifted_cancelling_support(cancelling_polynomial_squarefree(params), s0, rho0)
     with mpmath.workprec(precision_bits):
         num_support = {k: to_mpf(v) for k, v in support.items()}
         return report, newton_polygon_expand(

@@ -231,6 +231,14 @@ class TestCoeffs:
         assert payload["error"] == {"type": "UsageError",
                                     "message": "--symbolic takes no --nu or --c"}
 
+    @pytest.mark.parametrize("mode", [("--symbolic",), ("--nu", "2", "--c", "1")])
+    def test_precision_bits_needs_numeric(self, capsys, mode):
+        # only the rounded rows read a precision
+        code, payload = run_json(capsys, "coeffs", *mode, "--precision-bits", "64")
+        assert code == 2
+        assert payload["error"] == {"type": "UsageError",
+                                    "message": "--precision-bits applies only with --numeric"}
+
     def test_point_rows_refuse_nonpositive_weights(self, capsys):
         code, payload = run_json(capsys, "coeffs", "--nu", "0", "--c", "1")
         assert code == 2

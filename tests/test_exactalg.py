@@ -553,7 +553,7 @@ class TestSturm:
            st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
                                  max_denominator=7),
                     min_size=1, max_size=4, unique=True),
-           st.integers(min_value=0, max_value=40))
+           st.integers(min_value=0, max_value=200))
     @settings(max_examples=60, deadline=None)
     def test_sign_bisection_matches_sturm_bisection(self, coeffs, roots, k):
         p = squarefree_part(poly_from_coeffs(coeffs or [1]) * UniPoly.from_roots(roots))
@@ -562,6 +562,33 @@ class TestSturm:
         width = Fraction(1, 2 ** k)
         for a, b in isolate_real_roots(p):
             assert refine_isolated_root(p, a, b, width) == _sturm_bisection(p, a, b, width)
+
+    @given(st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=5),
+           st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7)]),
+           st.integers(min_value=0, max_value=200), st.integers(min_value=-30, max_value=60),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_roots_on_the_dyadic_grid_and_off_it(self, a, span, k, offset, data):
+        # r on the grid of level ``level`` of (a, b], or a rational off every
+        # level; the width stops bisection at level k, so a grid root is hit
+        # exactly iff level <= k
+        b, width, level = a + span, span / 2 ** k, max(k + offset, 1)
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(min_value=0, max_value=2 ** (level - 1) - 1))
+            r, on_grid = a + span * (2 * j + 1) / 2 ** level, True
+        else:
+            q = data.draw(st.integers(min_value=1, max_value=10 ** 6)) * 2 + 1
+            r, on_grid = a + span * data.draw(st.integers(min_value=1, max_value=q - 1)) / q, False
+        p = UniPoly.from_roots([r, b + 1, a - Fraction(1, 3)])
+        got = refine_isolated_root(p, a, b, width)
+        assert got == _sturm_bisection(p, a, b, width)
+        assert (got == (r, r)) == (on_grid and level <= k)
+        # uncapped, the steps run past level k, and a grid hit there must
+        # still give the cell of level k
+        (x, y), w0 = exactalg.common_denominator((a, b))
+        x, y, top = exactalg.refine_root_cell(p.integer_form().scaled(w0), x, y,
+                                              lambda x, y, level: level >= k)
+        assert (Fraction(x, w0 << top), Fraction(y, w0 << top)) == got
 
     def test_sign_bisection_reaches_an_irrational_root(self):
         p = poly_from_coeffs([-2, 0, 1])  # root sqrt(2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from isingmaps import exactalg, singular
 from isingmaps.errors import DegenerateBranch
@@ -34,6 +35,16 @@ from isingmaps.singular import (
 
 def params(nu, c=1):
     return IsingParams(nu=nu, c=c)
+
+
+# every point the thermo-observables and radius-sweep benchmark pools draw
+# (perfbench/workloads.py); radius-sweep's nu = 1/2 and 6 off c = 1 are
+# thermo points too
+THERMO_POINTS = [(nu, c) for nu in ("1/2", "5/2", "9/2", "6")
+                 for c in ("9/10", "19/20", "21/20", "11/10")]
+BENCHMARK_POINTS = (
+    [(nu, "1") for nu in ("1/2", "3/4", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "5", "6")]
+    + [("3/4", "9/10"), ("3/4", "11/10")] + THERMO_POINTS)
 
 
 class TestClosedForms:
@@ -244,7 +255,7 @@ class TestUniquenessCertificate:
         half = Fraction(1, 2)
         cp = singular.CriticalPoint(
             num=UniPoly([0, 1]), den=UniPoly([1]), char=UniPoly([-1, 2, -4, 8]),
-            bound=Fraction(1), interval=(half, half), cancelling_sf=UniPoly([]))
+            bound=Fraction(1), interval=(half, half))
         assert cp.z_at(half) == half
         reason = singular._uniqueness_certificate(cp, (half, half), (half, half), ())
         assert reason == "a root of char maps near |z| = rho"
@@ -490,6 +501,21 @@ class TestCertifyRhoOracle:
             assert all(type(v) is Fraction for v in (s_lo, s_hi, r_lo, r_hi))
             assert exact == (s_lo == s_hi) and r_hi - r_lo <= tol
 
+    @pytest.mark.parametrize("nu, c", BENCHMARK_POINTS)
+    def test_matches_the_fraction_loop_at_the_benchmark_points(self, nu, c):
+        cp = critical_point(params(Fraction(nu), Fraction(c)))
+        for tol in CERTIFY_TOLS:
+            assert singular._certify_rho(cp, tol) == _fraction_certify_rho(cp, tol), tol
+
+    @given(st.fractions(min_value=Fraction(1, 4), max_value=Fraction(7), max_denominator=12),
+           st.fractions(min_value=Fraction(9, 10), max_value=Fraction(11, 10),
+                        max_denominator=60))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fraction_loop_near_c_one(self, nu, c):
+        cp = critical_point(params(nu, c))
+        for tol in (CERTIFY_TOLS[1], CERTIFY_TOLS[2]):
+            assert singular._certify_rho(cp, tol) == _fraction_certify_rho(cp, tol), tol
+
     def test_exact_hits_at_c_one(self):
         # (4, 1) and (5, 1): s* is the end B of the search interval
         for nu in (4, 5):
@@ -539,6 +565,30 @@ class TestCertifyRhoOracle:
         wide = dataclasses.replace(cp, interval=(Fraction(0), cp.bound))
         for tol in (CERTIFY_TOLS[1], CERTIFY_TOLS[-1]):
             assert singular._certify_rho(wide, tol) == _fraction_certify_rho(wide, tol)
+
+
+class TestRefinementWork:
+    """Signs counted, not timed: quadratic interval refinement takes a few
+    where bisection took one per bit (21 to isolate s*, 175 to 271 more for
+    the radius at tol 1e-28, at these points)."""
+
+    @pytest.mark.parametrize("nu, c", THERMO_POINTS)
+    def test_sign_evaluations_at_the_thermo_points(self, monkeypatch, nu, c):
+        calls = []
+        dyadic = exactalg.IntegerForm.dyadic
+
+        def counted(form, x, k):
+            calls.append(k)
+            return dyadic(form, x, k)
+
+        monkeypatch.setattr(exactalg.IntegerForm, "dyadic", counted)
+        # the uncached build: its only signs isolate s* to width B / 2^20,
+        # from (0, B], where the first secant steps can fail
+        cp = singular._critical_point.__wrapped__(Fraction(nu), Fraction(c))
+        assert len(calls) <= 15
+        calls.clear()
+        singular._certify_rho(cp, Fraction(1, 10 ** 28))
+        assert len(calls) <= 40
 
 
 SYM_S, SYM_Z = sympy.symbols("S z")
@@ -692,7 +742,7 @@ class TestDominantExponent:
         assert num.derivative() == UniPoly(z_prime)
         cp = singular.CriticalPoint(
             num=num, den=UniPoly([1]), char=UniPoly(char), bound=Fraction(2),
-            interval=tuple(map(Fraction, interval)), cancelling_sf=UniPoly([]),
+            interval=tuple(map(Fraction, interval)),
         )
         assert cp.exponent() == expected
 
