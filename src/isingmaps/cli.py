@@ -263,9 +263,14 @@ def _cmd_puiseux(args, bits):
             "exact": exp.exact,
             "terms": terms,
         })
+    if report.exact:
+        rho, s_at_rho = format_value(report.rho, dps), format_value(report.s_at_rho, dps)
+    else:
+        rho = format_enclosure(*report.rho_interval, dps)
+        s_at_rho = format_enclosure(*report.s_interval, dps)
     result = {
-        "rho": format_value(report.rho, dps),
-        "s_at_rho": format_value(report.s_at_rho, dps),
+        "rho": rho,
+        "s_at_rho": s_at_rho,
         "exact_center": report.exact,
         "exponent": str(report.exponent),
         "branches": branches,

@@ -32,29 +32,14 @@ import mpmath
 from mpmath.libmp import from_rational, mpf_log, round_ceiling, round_floor, to_rational
 
 from .errors import NonPositiveSequence, PrecisionExhausted
-from .exactalg import UniPoly, evaluate_together, rational_sqrt
+from .exactalg import PP_ZERO, evaluate_together, rational_sqrt
 from .precision import DEFAULT_PRECISION_BITS, to_mpf
-from .series import IsingParams, lagrangian_numer_denom, solve_Z, solve_Z_jets
+from .series import IsingParams, _symbolic_tables, solve_Z, solve_Z_jets
 from .singular import SingularityReport, radius_numeric, rho_closed_form
 
 Number = Union[Fraction, mpmath.mpf]
 
 NU_CRITICAL = Fraction(4)
-
-
-@dataclass(frozen=True)
-class ObservableSet:
-    """Free energy, magnetization, and susceptibility at one parameter point.
-
-    ``n`` is the vertex count for finite-size values, or None in the
-    thermodynamic limit.  ``chi`` may be mpmath.inf (structural divergence
-    for nu >= 4 at c = 1).
-    """
-
-    F: Number
-    M: Number
-    chi: Number
-    n: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -196,17 +181,16 @@ def m_critical_asymptote(c, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpm
 # Thermodynamic observables by the envelope theorem
 # ---------------------------------------------------------------------------
 
-def _theta(poly: UniPoly) -> UniPoly:
-    """theta = c d/dc applied to the ParamPoly coefficients of a polynomial in s."""
-    return UniPoly([a.c_log_derivative() for a in poly.coeffs], zero=poly.zero)
-
-
 @lru_cache(maxsize=1)
 def _defining_polys():
-    """(N, theta N, theta^2 N) and (D, theta D, theta^2 D), symbolic in nu and c."""
-    dummy = IsingParams(nu=2, c=1)  # symbolic tables do not depend on the point
-    return tuple((p, _theta(p), _theta(_theta(p)))
-                 for p in lagrangian_numer_denom(dummy, symbolic=True))
+    """(N, theta N, theta^2 N) and (D, theta D, theta^2 D): coefficient
+    lists in s, index equal to degree, of ParamPoly in nu and c."""
+    families = []
+    for tab in _symbolic_tables()[:2]:
+        f = [tab.get(k, PP_ZERO) for k in range(max(tab) + 1)]
+        tf = [a.c_log_derivative() for a in f]
+        families.append((f, tf, [a.c_log_derivative() for a in tf]))
+    return tuple(families)
 
 
 # Fixed-point intervals: a pair (lo, hi) of ints at scale 2^-p encloses every
@@ -270,8 +254,8 @@ def _log_derivatives(family, nu: Fraction, c: Fraction, s, p):
     from every ratio below, so the integer numerators are used as they are.
     """
     f, tf, ttf = family
-    h, _ = evaluate_together(f.coeffs + tf.coeffs + ttf.coeffs, nu, c)
-    i, j = len(f.coeffs), len(f.coeffs) + len(tf.coeffs)
+    h, _ = evaluate_together(f + tf + ttf, nu, c)
+    i, j = len(f), len(f) + len(tf)
     f, tf, ttf = h[:i], h[i:j], h[j:]
     value = _fx_horner(f, s, p)
     t = _fx_div(_fx_horner(tf, s, p), value, p)
@@ -396,33 +380,6 @@ def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000
                 ys[i] = ys[i + 1] + (ys[i + 1] - ys[i]) * xs[i + lvl] \
                     / (xs[i] - xs[i + lvl])
         return ys[0]
-
-
-def observables(params: IsingParams, n: Optional[int] = None,
-                precision_bits: int = DEFAULT_PRECISION_BITS) -> ObservableSet:
-    """Bundle F, M, chi at a point: finite-size if n is given, else limiting.
-
-    In the limit at c = 1 the closed forms are used; off c = 1 M and chi
-    are the midpoints of one :func:`thermo_enclosures` box, the
-    envelope-theorem derivatives of the certified radius.
-    """
-    if n is not None:
-        return ObservableSet(
-            F=finite_free_energy(n, params, precision_bits),
-            M=finite_magnetization(n, params),
-            chi=finite_susceptibility(n, params),
-            n=n,
-        )
-    if params.c == 1:
-        m_val = m0_closed(params.nu, precision_bits)
-        chi_val = chi_closed(params.nu, precision_bits)
-    else:
-        box = thermo_enclosures(params.nu, params.c, precision_bits)
-        m_val = _midpoint(box["M"], precision_bits)
-        chi_val = _midpoint(box["chi"], precision_bits)
-    return ObservableSet(
-        F=free_energy(params, precision_bits), M=m_val, chi=chi_val, n=None,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ This module supplies the arithmetic backbone used everywhere else:
   Laurent polynomials in the magnetic weight ``c``, with integer
   coefficients kept as ``int`` and a Fraction only where a quotient is not
   integral;
-* ``UniPoly`` -- dense univariate polynomials over Q (other coefficients
-  are held as data only);
+* ``UniPoly`` -- dense univariate polynomials over Q, with ``int`` or
+  Fraction coefficients;
 * gcds, squarefree parts, Sturm chains, resultants and discriminants
   along one primitive pseudo-remainder sequence over Z (Brown, J. ACM 18,
   1971), each member a positive multiple of the Euclidean one over Q; a
@@ -33,8 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
-
-import mpmath
 
 from .errors import DegenerateInterval, NonZeroRemainder
 
@@ -257,19 +255,10 @@ class ParamPoly:
         out.terms = {(dv, dc + k): v for (dv, dc), v in self.terms.items()}
         return out
 
-    def evaluate(self, nu, c):
-        """Evaluate at a point.  Accepts Fractions (exact result) or mpmath
-        floats (result at the ambient precision)."""
-        if isinstance(nu, (int, Fraction)) and isinstance(c, (int, Fraction)):
-            return self._evaluate_rational(Fraction(nu), Fraction(c))
-        total = mpmath.mpf(0)
-        for (dv, dc), coef in self.terms.items():
-            total += (nu ** dv) * (c ** dc) * coef.numerator / coef.denominator
-        return total
-
-    def _evaluate_rational(self, nu: Fraction, c: Fraction) -> Fraction:
-        """The exact value at a rational point, as one Fraction."""
-        (acc,), den = evaluate_together((self,), nu, c)
+    def evaluate(self, nu, c) -> Fraction:
+        """The exact value at a rational point (``int`` or Fraction), as
+        one Fraction."""
+        (acc,), den = evaluate_together((self,), Fraction(nu), Fraction(c))
         return Fraction(acc, den)
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
@@ -379,15 +368,8 @@ def evaluate_together(polys: Sequence[ParamPoly], nu: Fraction,
 # ---------------------------------------------------------------------------
 
 def ring_exact_div(a, b):
-    """Exact quotient of two rationals (``int / int`` gives a Fraction, never
-    a float) or of two ParamPoly; raises NonZeroRemainder when a ParamPoly
-    quotient does not exist."""
-    if isinstance(a, ParamPoly) or isinstance(b, ParamPoly):
-        if not isinstance(a, ParamPoly):
-            a = ParamPoly.constant(a)
-        if not isinstance(b, ParamPoly):
-            b = ParamPoly.constant(b)
-        return a.exact_div(b)
+    """Exact quotient of two rationals: ``int / int`` gives a Fraction,
+    never a float."""
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
     return a / b
@@ -400,25 +382,18 @@ def ring_exact_div(a, b):
 class UniPoly:
     """Dense univariate polynomial over Q; index equals degree.
 
-    Arithmetic, division, gcd, resultants and root finding take rational
-    coefficients (``int`` or Fraction).  A UniPoly may also hold other
-    objects as data only: ParamPoly coefficients (the symbolic N and D of
-    :func:`~isingmaps.series.lagrangian_numer_denom`) or UniPoly
-    coefficients in z (the cancelling polynomial in S over Q[z]).  Such
-    holders are built, read through :meth:`coeff`, :meth:`lc`,
-    :meth:`degree` and ``==``, and evaluated coefficient by coefficient.
-    ``zero`` is what :meth:`coeff` returns past the degree.  Instances are
-    treated as immutable: :meth:`integer_form` is computed once and kept.
+    The coefficients are rationals, ``int`` or Fraction; :meth:`coeff` past
+    the degree is 0.  Instances are treated as immutable:
+    :meth:`integer_form` is computed once and kept.
     """
 
-    __slots__ = ("coeffs", "zero", "_form")
+    __slots__ = ("coeffs", "_form")
 
-    def __init__(self, coeffs: Sequence = (), zero=_ZERO):
+    def __init__(self, coeffs: Sequence = ()):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
-        self.zero = zero
         self._form = None
 
     # -- constructors -------------------------------------------------------
@@ -436,9 +411,7 @@ class UniPoly:
         return len(self.coeffs) - 1
 
     def lc(self):
-        if not self.coeffs:
-            return self.zero
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -454,46 +427,46 @@ class UniPoly:
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self.zero
+        return 0
 
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs], zero=self.zero)
+        return UniPoly([-c for c in self.coeffs])
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) + other.coeff(i) for i in range(n)], zero=self.zero)
+        return UniPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) - other.coeff(i) for i in range(n)], zero=self.zero)
+        return UniPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return UniPoly([], zero=self.zero)
-        out = [self.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return UniPoly([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UniPoly(out, zero=self.zero)
+        return UniPoly(out)
 
     def scale(self, factor) -> "UniPoly":
         """Multiply by a rational scalar."""
         if not factor:
-            return UniPoly([], zero=self.zero)
-        return UniPoly([c * factor for c in self.coeffs], zero=self.zero)
+            return UniPoly([])
+        return UniPoly([c * factor for c in self.coeffs])
 
     def derivative(self) -> "UniPoly":
         out = [c * i for i, c in enumerate(self.coeffs[1:], start=1)]
-        return UniPoly(out, zero=self.zero)
+        return UniPoly(out)
 
     def eval_scalar(self, x):
-        """Horner evaluation when coefficients are plain scalars.
+        """Horner evaluation at x.
 
         For a value, not a sign: sign tests at a rational point run on
         :meth:`integer_form` (see :meth:`sign_at`).
@@ -506,9 +479,6 @@ class UniPoly:
     def integer_form(self) -> "IntegerForm":
         """The :class:`IntegerForm` of a rational polynomial, built once."""
         if self._form is None:
-            for c in self.coeffs:
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError("integer form of a non-rational coefficient %r" % (c,))
             self._form = IntegerForm(*common_denominator(self.coeffs))
         return self._form
 
@@ -520,18 +490,18 @@ class UniPoly:
         """Exact division by a UniPoly or a rational scalar.  An integer
         polynomial divided by one of its divisors in Z[x] stays in ``int``."""
         if not isinstance(divisor, UniPoly):
-            return UniPoly([ring_exact_div(c, divisor) for c in self.coeffs], zero=self.zero)
+            return UniPoly([ring_exact_div(c, divisor) for c in self.coeffs])
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return UniPoly([], zero=self.zero)
+            return UniPoly([])
         rem = list(self.coeffs)
         dd = divisor.degree()
         dlc = divisor.lc()
         if len(rem) - 1 < dd:
             raise NonZeroRemainder("degree of dividend below divisor")
         qdeg = len(rem) - 1 - dd
-        quo = [self.zero] * (qdeg + 1)
+        quo = [0] * (qdeg + 1)
         for k in range(qdeg, -1, -1):
             top = rem[k + dd]
             if not top:
@@ -545,7 +515,7 @@ class UniPoly:
                 rem[k + j] = rem[k + j] - q * dc
         if any(rem):
             raise NonZeroRemainder("polynomial division left a remainder")
-        return UniPoly(quo, zero=self.zero)
+        return UniPoly(quo)
 
     def __repr__(self):
         return "UniPoly(%r)" % (self.coeffs,)
@@ -631,8 +601,8 @@ def _primitive(p: UniPoly) -> Tuple[List[int], int]:
 
 def primitive(p: UniPoly) -> UniPoly:
     """The positive multiple of a nonzero rational polynomial whose
-    coefficients are coprime integers (``int``, with ``zero=0``)."""
-    return UniPoly(_primitive(p)[0], zero=0)
+    coefficients are coprime integers (``int``)."""
+    return UniPoly(_primitive(p)[0])
 
 
 def _coprime_mod_p(f: List[int], g: List[int]) -> bool:

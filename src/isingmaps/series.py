@@ -6,9 +6,10 @@ satisfies
 
     S * N(S) = z * E(S),    E = D^2,
 
-where N and D are explicit polynomials in S over Q[nu, c] (see
-:func:`lagrangian_numer_denom`).  A fixed bracket polynomial B in (S, z)
-divided by 9 z^2 (1 - nu^2) (1 + e1 S), e1 = 3 c^2 (1 - nu^2), then yields
+where N and D are explicit polynomials in S over Q[nu, c], kept with the
+rest of the model as {degree: ParamPoly} tables (:func:`_symbolic_tables`).
+A fixed bracket polynomial B in (S, z) divided by
+9 z^2 (1 - nu^2) (1 + e1 S), e1 = 3 c^2 (1 - nu^2), then yields
 Z(nu, c, c z), from which the coefficients are read off after a per-order
 rescale by c^-n.
 
@@ -75,7 +76,7 @@ import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import NonZeroRemainder
-from .exactalg import PP_ONE, PP_ZERO, ParamPoly, UniPoly, evaluate_together, ring_exact_div
+from .exactalg import PP_ONE, PP_ZERO, ParamPoly, evaluate_together, ring_exact_div
 from .precision import DEFAULT_PRECISION_BITS
 
 
@@ -615,26 +616,6 @@ def _nonzero_terms(coeffs, lo: int, hi: int) -> list:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def lagrangian_numer_denom(params: IsingParams, symbolic: bool) -> Tuple[UniPoly, UniPoly]:
-    """The polynomials N and D of the defining equation z = S N(S)/D(S)^2.
-
-    Returned as UniPoly in S.  With ``symbolic`` the coefficients are
-    ParamPoly; otherwise they are exact rationals evaluated at the point
-    (params.nu, params.c).
-    """
-    n_tab, d_tab = _symbolic_tables()[:2]
-    if symbolic:
-        zero = PP_ZERO
-        conv = lambda p: p
-    else:
-        zero = Fraction(0)
-        conv = lambda p: p.evaluate(params.nu, params.c)
-    return tuple(
-        UniPoly([conv(tab[k]) if k in tab else zero for k in range(max(tab) + 1)],
-                zero=zero)
-        for tab in (n_tab, d_tab))
-
 
 def _series_powers(s: TruncatedSeries, top: int) -> List[TruncatedSeries]:
     """[1-placeholder, S, S^2, ..., S^top] (index 0 unused)."""

@@ -76,26 +76,11 @@ def characteristic_root_polynomial(params: IsingParams) -> UniPoly:
     return critical_point(params).char
 
 
-def _z_linear(b: UniPoly, a: UniPoly) -> UniPoly:
-    """z b(S) - a(S) as a polynomial in S over Q[z]."""
-    zero_z = UniPoly([], zero=Fraction(0))
-    deg = max(b.degree(), a.degree())
-    return UniPoly([UniPoly([-a.coeff(k), b.coeff(k)]) for k in range(deg + 1)],
-                   zero=zero_z)
-
-
-def cancelling_polynomial(params: IsingParams) -> UniPoly:
-    """z D(S)^2 - S N(S) as a polynomial in S over Q[z] (z-degree 1).
-
-    Coefficients are UniPoly in z over exact rationals at the point.
-    """
-    sn, a, d, b = _lagrangian_parts(params)
-    return _z_linear(_over(d * d, b * b), _over(sn, a))
-
-
 @lru_cache(maxsize=512)
-def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
-    """The cancelling polynomial with repeated S-factors removed.
+def cancelling_polynomial_squarefree(params: IsingParams) -> Tuple[UniPoly, UniPoly]:
+    """The cancelling polynomial C = z D(S)^2 - S N(S), linear in z, with
+    repeated S-factors removed: the rational pair (A, B) of
+    C_sf = z B(S) - A(S).
 
     With g = gcd(S N, D^2) in Q[S], C = z D^2 - S N is g (z B - A) for
     coprime A = S N / g and B = D^2 / g.  The factor z B - A is linear in z
@@ -104,8 +89,8 @@ def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
     degenerates to a perfect-square multiple, g is that squared linear
     factor, and dividing it out once keeps the curve while giving a
     discriminant that does not vanish identically.  Off c = 1, g is 1 and C
-    is returned as it is.  The divisor is scaled to 1 at S = 0, so the
-    result agrees with C there.
+    is returned as it is: A = S N and B = D^2.  The divisor is scaled to 1
+    at S = 0, so the result agrees with C there.
 
     Like :func:`critical_point` it raises NoRootInRange where the
     characteristic polynomial has no root in the search interval.  Only
@@ -118,7 +103,7 @@ def cancelling_polynomial_squarefree(params: IsingParams) -> UniPoly:
     h = primitive(poly_gcd(g, g.derivative()))
     if h.degree() >= 1:
         sn, dd = (q.exact_div(h).scale(h.coeff(0)) for q in (sn, dd))
-    return _z_linear(_over(dd, b * b), _over(sn, a))
+    return _over(sn, a), _over(dd, b * b)
 
 
 def discriminant_in_z(params: IsingParams) -> UniPoly:
@@ -140,14 +125,12 @@ def discriminant_in_z(params: IsingParams) -> UniPoly:
     integers z = 0..d+b-1, where the S-degree is always d, and interpolated
     exactly.
     """
-    c_sf = cancelling_polynomial_squarefree(params)
-    d = c_sf.degree()
-    b = max(k for k, q in enumerate(c_sf.coeffs) if q.degree() >= 1)
+    a_poly, b_poly = cancelling_polynomial_squarefree(params)
+    d, b = a_poly.degree(), b_poly.degree()
     if b >= d:
         raise ArithmeticError("leading S-coefficient of C_sf depends on z")
     nodes = [Fraction(z) for z in range(d + b)]
-    values = [discriminant(UniPoly([q.eval_scalar(z) for q in c_sf.coeffs]))
-              for z in nodes]
+    values = [discriminant(b_poly.scale(z) - a_poly) for z in nodes]
     return interpolate(nodes, values)
 
 
@@ -259,9 +242,9 @@ def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, int, UniPoly, int]:
     parts = []
     for vals in (values[:len(rows[0])], values[len(rows[0]):]):
         t = gcd(den, *vals)
-        parts.append((UniPoly([v // t for v in vals], zero=0), den // t))
+        parts.append((UniPoly([v // t for v in vals]), den // t))
     (n, a), (d, b) = parts
-    return UniPoly([0] + n.coeffs, zero=0), a, d, b
+    return UniPoly([0] + n.coeffs), a, d, b
 
 
 def _over(p: UniPoly, w: int) -> UniPoly:
@@ -379,7 +362,7 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
     g = primitive(poly_gcd(sn, dd))
     num, den = sn.scale(b * b).exact_div(g), dd.scale(a).exact_div(g)
     t = gcd(*num.coeffs, *den.coeffs)
-    num, den = (UniPoly([x // t for x in q.coeffs], zero=0) for q in (num, den))
+    num, den = (UniPoly([x // t for x in q.coeffs]) for q in (num, den))
     # Removing every factor the numerator of z' shares with den discards
     # the spurious pole-located roots D would contribute (at c = 1 they sit
     # at the end of the search interval for nu on one side of 1), while the
@@ -795,27 +778,15 @@ class PuiseuxExpansion:
 SupportDict = Dict[Tuple[int, Fraction], object]
 
 
-def _as_support(P) -> Tuple[SupportDict, bool]:
-    """Normalize input to {(y_degree, z_exponent): coefficient}."""
+def _as_support(P: dict) -> Tuple[SupportDict, bool]:
+    """Normalize a support dict to {(y_degree, z_exponent): coefficient},
+    zeros dropped, and say whether every coefficient is exact."""
     support: SupportDict = {}
     exact = True
-    if isinstance(P, UniPoly):
-        for i, ci in enumerate(P.coeffs):
-            if isinstance(ci, UniPoly):
-                for j, a in enumerate(ci.coeffs):
-                    if not a == 0:
-                        support[(i, Fraction(j))] = a
-                        exact = exact and isinstance(a, (int, Fraction))
-            elif not ci == 0:
-                support[(i, Fraction(0))] = ci
-                exact = exact and isinstance(ci, (int, Fraction))
-    elif isinstance(P, dict):
-        for (i, j), a in P.items():
-            if not a == 0:
-                support[(int(i), Fraction(j))] = a
-                exact = exact and isinstance(a, (int, Fraction))
-    else:
-        raise TypeError("expected a UniPoly over UniPoly or a support dict")
+    for (i, j), a in P.items():
+        if not a == 0:
+            support[(int(i), Fraction(j))] = a
+            exact = exact and isinstance(a, (int, Fraction))
     return support, exact
 
 
@@ -1015,11 +986,11 @@ def newton_polygon_expand(
 ) -> List[PuiseuxExpansion]:
     """All Puiseux branches y(Z) with y(0) = 0 of a bivariate polynomial.
 
-    ``P`` is either a UniPoly in Y whose coefficients are UniPoly in Z, or a
-    dict {(y_degree, z_degree): coefficient}.  Exact rational coefficients
-    keep exponents and rational branch coefficients exact; irrational branch
-    coefficients continue in mpmath arithmetic at ``precision_bits``.  Every
-    returned expansion is verified by back-substitution.
+    ``P`` is a dict {(y_degree, z_degree): coefficient}.  Exact rational
+    coefficients keep exponents and rational branch coefficients exact;
+    irrational branch coefficients continue in mpmath arithmetic at
+    ``precision_bits``.  Every returned expansion is verified by
+    back-substitution.
     """
     support, exact = _as_support(P)
     if not support:
@@ -1094,21 +1065,16 @@ def _verify_expansion(
 # ---------------------------------------------------------------------------
 
 def _shifted_cancelling_support(
-    c_sf: UniPoly, s_point: Fraction, rho_point: Fraction
+    c_sf: Tuple[UniPoly, UniPoly], s_point: Fraction, rho_point: Fraction
 ) -> Dict[Tuple[int, int], Fraction]:
-    """Exact support of C(rho - Z, s* - Y) for the squarefree cancelling poly."""
+    """Exact support of C_sf(rho - Z, s* - Y) = (rho - Z) B(s* - Y) - A(s* - Y)
+    for the squarefree cancelling polynomial (A, B)."""
+    a_poly, b_poly = c_sf
     out: Dict[Tuple[int, int], Fraction] = {}
-    for k, qk in enumerate(c_sf.coeffs):
-        # qk(z) is z-linear at most: qk(rho - Z) = qk(rho) - qk'(rho) Z ...
-        sub = [qk.eval_scalar(rho_point)]
-        work = qk
-        fact = 1
-        j = 1
-        while work.degree() >= 1:
-            work = work.derivative()
-            fact *= j
-            sub.append(Fraction(-1) ** j * work.eval_scalar(rho_point) / fact)
-            j += 1
+    for k in range(max(len(a_poly.coeffs), len(b_poly.coeffs))):
+        # the coefficient of S^k at z = rho - Z: (rho b_k - a_k) - b_k Z
+        b_k = b_poly.coeff(k)
+        sub = (rho_point * b_k - a_poly.coeff(k), -b_k)
         # (s* - Y)^k
         for a in range(k + 1):
             coef_y = comb(k, a) * s_point ** (k - a) * Fraction(-1) ** a

@@ -477,6 +477,20 @@ class TestObservables:
             lo, hi = box[name]
             assert lo <= Fraction(payload["result"][name]) <= hi
 
+    def test_off_critical_bundle_reads_one_box(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return thermo_enclosures(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "thermo_enclosures", counted)
+        code, payload = run_json(capsys, "observables", "--nu", "6", "--c", "11/10")
+        assert code == 0 and len(calls) == 1
+        box = thermo_enclosures(6, Fraction(11, 10))
+        assert payload["result"] == {
+            name: cli.format_enclosure(*box[name], cli._digits(192)) for name in box}
+
     def test_enclosure_prints_its_shortest_decimal(self):
         third, eps = Fraction(1, 3), Fraction(1, 1000)
         assert cli.format_enclosure(third - eps, third + eps, 55) == "0.333"

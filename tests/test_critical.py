@@ -13,7 +13,6 @@ from isingmaps import cli, critical
 from isingmaps.critical import (
     FIT_GUARD_BITS,
     FitResult,
-    ObservableSet,
     chi_closed,
     exponent_fit,
     finite_free_energy,
@@ -27,7 +26,6 @@ from isingmaps.critical import (
     m_critical_asymptote,
     magnetization_limit_estimate,
     mu_from_ratios,
-    observables,
     thermo_enclosures,
     thermo_magnetization,
     thermo_susceptibility,
@@ -35,9 +33,7 @@ from isingmaps.critical import (
 from isingmaps.errors import NonPositiveSequence, PrecisionExhausted
 from isingmaps.exactalg import UniPoly
 from isingmaps.precision import DEFAULT_PRECISION_BITS, to_mpf
-from isingmaps.series import (
-    IsingParams, coefficient_sequence, lagrangian_numer_denom, nu_one_jets,
-)
+from isingmaps.series import IsingParams, _symbolic_tables, coefficient_sequence, nu_one_jets
 from isingmaps.singular import rho_closed_form
 
 
@@ -133,8 +129,10 @@ class TestFiniteObservables:
 
     def test_off_nu_one_one_jet_pass_serves_all_three(self):
         _theta_Z.cache_clear()
-        obs = observables(IsingParams(nu=Fraction(3, 2), c=Fraction(19, 20)), n=9)
-        assert obs.n == 9 and 0 < obs.M < 1 and obs.chi > 0
+        params = IsingParams(nu=Fraction(3, 2), c=Fraction(19, 20))
+        finite_free_energy(9, params)
+        assert 0 < finite_magnetization(9, params) < 1
+        assert finite_susceptibility(9, params) > 0
         info = _theta_Z.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
@@ -260,14 +258,14 @@ def _implicit_observables(nu, c, dps=80):
     s, cs = sympy.symbols("s c")
     nu, c = Fraction(nu), Fraction(c)
 
-    def to_sympy(poly):
+    def to_sympy(tab):
         return sum(sympy.Rational(a.numerator, a.denominator) * cs ** dc
                    * sympy.Rational(nu.numerator, nu.denominator) ** dn
-                   * s ** k for k, p in enumerate(poly.coeffs)
+                   * s ** k for k, p in tab.items()
                    for (dn, dc), a in p.terms.items())
 
-    n_poly, d_poly = lagrangian_numer_denom(IsingParams(nu=nu, c=c), symbolic=True)
-    z = s * to_sympy(n_poly) / to_sympy(d_poly) ** 2
+    n_tab, d_tab = _symbolic_tables()[:2]
+    z = s * to_sympy(n_tab) / to_sympy(d_tab) ** 2
     parts = {name: sympy.lambdify((s, cs), expr, "mpmath") for name, expr in (
         ("z", z), ("zs", sympy.diff(z, s)), ("zc", sympy.diff(z, cs)),
         ("zss", sympy.diff(z, s, 2)), ("zsc", sympy.diff(z, s, cs)),
@@ -346,7 +344,7 @@ def _iv_eval(poly: UniPoly, s):
 
 
 def _iv_log_derivatives(polys, nu, c, s):
-    f, tf, ttf = (UniPoly([a.evaluate(nu, c) for a in p.coeffs]) for p in polys)
+    f, tf, ttf = (UniPoly([a.evaluate(nu, c) for a in p]) for p in polys)
     value = _iv_eval(f, s)
     t = _iv_eval(tf, s) / value
     fs = _iv_eval(f.derivative(), s) / value
@@ -502,42 +500,6 @@ class TestFixedPointIntervals:
         fx = critical._fx_horner(coeffs, (x, x), P)
         s = Fraction(x, 1 << P)
         assert _holds(fx, [sum(a * s ** k for k, a in enumerate(coeffs))])
-
-
-class TestObservableBundle:
-    def test_finite_bundle(self):
-        obs = observables(IsingParams(nu=1, c=1), n=2)
-        assert obs.n == 2
-        assert obs.M == Fraction(1, 2)
-        assert obs.chi >= 0
-
-    def test_limit_bundle_at_critical_coupling(self):
-        obs = observables(IsingParams(nu=5, c=1))
-        assert obs.n is None
-        assert obs.M == Fraction(45, 67)
-        assert obs.chi == mpmath.inf
-        with mpmath.workprec(80):
-            assert abs(obs.F - mpmath.log(mpmath.mpf(20736) / 67)) < mpmath.mpf(2) ** -40
-
-    def test_limit_bundle_off_critical_coupling(self):
-        obs = observables(IsingParams(nu=1, c=Fraction(11, 10)))
-        assert obs.chi > 0
-        assert 0 < obs.M < 1
-
-    def test_off_critical_bundle_reads_one_box(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return thermo_enclosures(*args, **kwargs)
-
-        monkeypatch.setattr(critical, "thermo_enclosures", counted)
-        nu, c = 6, Fraction(11, 10)
-        obs = observables(IsingParams(nu=nu, c=c))
-        assert len(calls) == 1
-        monkeypatch.undo()
-        assert obs.M == critical.thermo_magnetization(nu, c)
-        assert obs.chi == critical.thermo_susceptibility(nu, c)
 
 
 class TestExponentFit:

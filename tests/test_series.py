@@ -29,7 +29,6 @@ from isingmaps.series import (
     _solve_Z_ring,
     coefficient_sequence,
     exact_Z,
-    lagrangian_numer_denom,
     nu_one_jets,
     solve_S,
     solve_Z,
@@ -88,15 +87,20 @@ def exact_ring_Z(nu, c, order):
 
 def lagrange_S(params: IsingParams, order: int, symbolic: bool) -> list:
     """S_1..S_order by Lagrange inversion of z = S / phi(S), phi = D^2 / N:
-    S_n = (1/n) [u^(n-1)] phi(u)^n, with no use of the engine's recurrence."""
-    n_poly, d_poly = lagrangian_numer_denom(params, symbolic=symbolic)
-    zero = n_poly.zero
+    S_n = (1/n) [u^(n-1)] phi(u)^n, with no use of the engine's recurrence.
+    N and D are read from the model tables: ParamPoly with ``symbolic``,
+    else exact rationals at the point."""
+    zero = PP_ZERO if symbolic else Fraction(0)
 
-    def series(poly):
-        return TruncatedSeries((list(poly.coeffs) + [zero] * order)[:order], zero)
+    def series_of(tab):
+        coeffs = [tab.get(k, PP_ZERO) for k in range(order)]
+        if not symbolic:
+            coeffs = [a.evaluate(params.nu, params.c) for a in coeffs]
+        return TruncatedSeries(coeffs, zero)
 
-    d_series = series(d_poly)
-    phi = (d_series * d_series).divide(series(n_poly))
+    n_tab, d_tab = series._symbolic_tables()[:2]
+    d_series = series_of(d_tab)
+    phi = (d_series * d_series).divide(series_of(n_tab))
     out = []
     power = phi
     for n in range(1, order + 1):
@@ -207,25 +211,22 @@ class TestTruncatedSeries:
 
 class TestLagrangianPolynomials:
     def test_symbolic_degrees(self):
-        n_poly, d_poly = lagrangian_numer_denom(SYM, symbolic=True)
-        n_degs = {k for k, coef in enumerate(n_poly.coeffs) if coef}
-        d_degs = {k for k, coef in enumerate(d_poly.coeffs) if coef}
-        assert n_degs == {0, 1, 2, 4, 6}
-        assert d_degs == {0, 2}
+        n_tab, d_tab = series._symbolic_tables()[:2]
+        assert {k for k, coef in n_tab.items() if coef} == {0, 1, 2, 4, 6}
+        assert {k for k, coef in d_tab.items() if coef} == {0, 2}
 
     def test_point_nu_one(self):
-        n_poly, d_poly = lagrangian_numer_denom(IsingParams(nu=1, c=1),
-                                                symbolic=False)
-        assert n_poly.coeffs == [Fraction(1), Fraction(-6)]
-        assert d_poly.coeffs == [Fraction(1)]
+        n_vals, d_vals = ({k: v for k, coef in tab.items() if (v := coef.evaluate(1, 1))}
+                          for tab in series._symbolic_tables()[:2])
+        assert n_vals == {0: 1, 1: -6} and d_vals == {0: 1}
 
     def test_nu_to_zero_limit(self):
         # As nu -> 0 the numerator degenerates to 1 - 21c^2 S^2 + 135 c^4 S^4
         # - 243 c^6 S^6; compare the symbolic table evaluated at nu=0 against
         # that closed form on a few rational c.
-        n_poly, _ = lagrangian_numer_denom(SYM, symbolic=True)
+        n_tab = series._symbolic_tables()[0]
         for c_val in (Fraction(1), Fraction(1, 2), Fraction(7, 5)):
-            vals = [coef.evaluate(Fraction(0), c_val) for coef in n_poly.coeffs]
+            vals = [n_tab.get(k, PP_ZERO).evaluate(Fraction(0), c_val) for k in range(7)]
             expect = [
                 Fraction(1), 0, -21 * c_val ** 2, 0, 135 * c_val ** 4, 0,
                 -243 * c_val ** 6,

@@ -8,18 +8,18 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from isingmaps import exactalg, singular
+from isingmaps import exactalg, series, singular
 from isingmaps.errors import DegenerateBranch
 from isingmaps.exactalg import (
+    PP_ZERO,
     UniPoly,
     cauchy_root_bound,
     squarefree_part,
     sturm_count,
 )
-from isingmaps.series import IsingParams, coefficient_sequence, lagrangian_numer_denom
+from isingmaps.series import IsingParams, coefficient_sequence
 from isingmaps.singular import (
     SingularityReport,
-    cancelling_polynomial,
     cancelling_polynomial_squarefree,
     characteristic_root_polynomial,
     critical_point,
@@ -35,6 +35,12 @@ from isingmaps.singular import (
 
 def params(nu, c=1):
     return IsingParams(nu=nu, c=c)
+
+
+def point_n_d(p: IsingParams):
+    """N and D at the point, as rational UniPoly read from the model tables."""
+    return tuple(UniPoly([tab.get(k, PP_ZERO).evaluate(p.nu, p.c) for k in range(max(tab) + 1)])
+                 for tab in series._symbolic_tables()[:2])
 
 
 # every point the thermo-observables and radius-sweep benchmark pools draw
@@ -84,7 +90,7 @@ class TestRepeatedFactorOfN:
     def test_u_squared_divides_n_at_c_one(self):
         for nu in (2, 5, Fraction(7, 2), Fraction(1, 3)):
             nu = Fraction(nu)
-            n_poly, _ = lagrangian_numer_denom(params(nu), symbolic=False)
+            n_poly, _ = point_n_d(params(nu))
             gamma = 1 - nu ** 2
             u = UniPoly([Fraction(1), 3 * gamma])
             quotient = n_poly.exact_div(u * u)  # NonZeroRemainder on failure
@@ -342,7 +348,7 @@ class TestCriticalPoint:
         # tables evaluated over one denominator give the integer forms of
         # the Fraction-valued N and D
         p = params(Fraction(nu), Fraction(c))
-        n, d = (q.integer_form() for q in lagrangian_numer_denom(p, symbolic=False))
+        n, d = (q.integer_form() for q in point_n_d(p))
         sn, a, dd, b = singular._lagrangian_parts(p)
         assert (sn.coeffs, a, dd.coeffs, b) == ([0, *n.coeffs], n.den, list(d.coeffs), d.den)
         assert all(type(x) is int for x in sn.coeffs + dd.coeffs)
@@ -599,9 +605,10 @@ def sympy_poly(coeffs, var):
                for k, q in enumerate(map(Fraction, coeffs)))
 
 
-def sympy_in_s_and_z(c_sf: UniPoly):
-    """A polynomial in S over Q[z] as a sympy expression in S and z."""
-    return sum(sympy_poly(q.coeffs, SYM_Z) * SYM_S ** k for k, q in enumerate(c_sf.coeffs))
+def sympy_in_s_and_z(c_sf):
+    """z B(S) - A(S), for the pair (A, B), as a sympy expression in S and z."""
+    a_poly, b_poly = c_sf
+    return SYM_Z * sympy_poly(b_poly.coeffs, SYM_S) - sympy_poly(a_poly.coeffs, SYM_S)
 
 
 class TestSquarefreeCancellingPolynomial:
@@ -613,26 +620,54 @@ class TestSquarefreeCancellingPolynomial:
     ])
     def test_matches_bivariate_gcd_up_to_a_rational_factor(self, nu, c):
         p = params(nu, c)
-        n_poly, d_poly = lagrangian_numer_denom(p, symbolic=False)
+        n_poly, d_poly = point_n_d(p)
         big_c = sympy.expand(SYM_Z * sympy_poly(d_poly.coeffs, SYM_S) ** 2
                              - SYM_S * sympy_poly(n_poly.coeffs, SYM_S))
         oracle = sympy.Poly(sympy.cancel(big_c / sympy.gcd(big_c, sympy.diff(big_c, SYM_S))),
                             SYM_S, SYM_Z)
-        c_sf = cancelling_polynomial_squarefree(p)
-        assert c_sf.degree() == oracle.degree(SYM_S)
-        pairs = [(Fraction(str(oracle.coeff_monomial(SYM_S ** k * SYM_Z ** j))), q.coeff(j))
-                 for k, q in enumerate(c_sf.coeffs) for j in (0, 1)]
+        a_poly, b_poly = cancelling_polynomial_squarefree(p)
+        d = max(a_poly.degree(), b_poly.degree())
+        assert d == oracle.degree(SYM_S)
+        pairs = [(Fraction(str(oracle.coeff_monomial(SYM_S ** k * SYM_Z ** j))), q)
+                 for k in range(d + 1)
+                 for j, q in enumerate((-a_poly.coeff(k), b_poly.coeff(k)))]
         assert all((a == 0) == (b == 0) for a, b in pairs)
         assert len({a / b for a, b in pairs if b != 0}) == 1
 
     def test_strips_one_factor_at_c_one_only(self):
         for c, drop in ((1, 1), (Fraction(21, 20), 0)):
             p = params(3, c)
-            assert (cancelling_polynomial(p).degree()
-                    - cancelling_polynomial_squarefree(p).degree()) == drop
+            n_poly, d_poly = point_n_d(p)
+            sn, dd = UniPoly([0] + n_poly.coeffs), d_poly * d_poly
+            a_poly, b_poly = cancelling_polynomial_squarefree(p)
+            assert (max(sn.degree(), dd.degree())
+                    - max(a_poly.degree(), b_poly.degree())) == drop
             # the divisor is 1 at S = 0, so C_sf(z, 0) = C(z, 0)
-            assert cancelling_polynomial_squarefree(p).coeff(0) == \
-                cancelling_polynomial(p).coeff(0)
+            assert (a_poly.coeff(0), b_poly.coeff(0)) == (sn.coeff(0), dd.coeff(0))
+
+    @pytest.mark.parametrize("nu, c", [(5, 1), (Fraction(1, 4), 1), (4, 1),
+                                       (2, Fraction(21, 20))])
+    def test_shifted_support_is_the_sympy_expansion(self, nu, c):
+        # exact centres (irrational edge roots at (5, 1), rational ones at
+        # (1/4, 1), the cube-root point (4, 1)) and a refined midpoint on the
+        # curve off c = 1, as dominant_expansions builds them
+        p = params(nu, c)
+        report = radius_numeric(p, scan_uniqueness=False)
+        if report.exact:
+            s0, rho0 = report.s_at_rho, report.rho
+        else:
+            s0 = sum(report.s_interval) / 2
+            rho0 = critical_point(p).z_at(s0)
+        c_sf = cancelling_polynomial_squarefree(p)
+        support = singular._shifted_cancelling_support(c_sf, s0, rho0)
+        big_y, big_z = sympy.symbols("Y Z")
+        shifted = sympy_in_s_and_z(c_sf).subs(
+            {SYM_Z: sympy.Rational(rho0.numerator, rho0.denominator) - big_z,
+             SYM_S: sympy.Rational(s0.numerator, s0.denominator) - big_y},
+            simultaneous=True)
+        expect = {key: Fraction(str(coef))
+                  for key, coef in sympy.Poly(sympy.expand(shifted), big_y, big_z).terms()}
+        assert support == expect
 
 
 class TestDiscriminantInterpolation:
