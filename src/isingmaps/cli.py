@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath
 
 from .critical import (
-    FIT_GUARD_BITS,
     _symbolic_Z,
     chi_closed,
     exponent_fit,
@@ -38,7 +37,14 @@ from .errors import ComputationError
 from .exactalg import sturm_count
 from .mapcount import survey
 from .precision import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
-from .series import IsingParams, coefficient_sequence, exact_Z, nu_one_jets, solve_Z
+from .series import (
+    IsingParams,
+    coefficient_sequence,
+    exact_Z,
+    nu_one_jets,
+    scaled_Z,
+    solve_Z,
+)
 from .singular import (
     critical_point,
     discriminant_in_z,
@@ -307,11 +313,12 @@ def _cmd_exponent_fit(args, bits):
         raise ValueError("--n-max must be at least 4")
     n_min = args.n_min if args.n_min is not None else max(2, args.n_max // 8)
     params = IsingParams(nu=args.nu, c=args.c)
-    # Z_n carry the fit's guard bits too, so every printed digit is right
-    seq = coefficient_sequence(params, args.n_max, bits + FIT_GUARD_BITS)
+    # the pass's integers go to the fit as they are: Z_n = h_n / (K r^n)
+    h, scale = scaled_Z(params, args.n_max)
     report = radius_numeric(params, tol=args.tol, with_exponent=False,
                             scan_uniqueness=False)
-    fit = exponent_fit(seq, report.mu, (n_min, args.n_max), precision_bits=bits)
+    fit = exponent_fit(h[1:], report.mu, (n_min, args.n_max), precision_bits=bits,
+                       scale=scale)
     result = {
         "mu": format_value(report.mu, dps),
         "mu_exact": report.exact,

@@ -7,11 +7,12 @@ Thermodynamic ones come from one certified
 radius solve: rho(c) = z(s*(c), c) with z = s N(s)/D(s)^2 stationary in s at
 s*, so the envelope theorem turns the c-derivatives of log rho into exact
 derivatives of z at s*.  Those are evaluated on the certified s-interval
-in fixed-point interval arithmetic over ``int``: scale 2^-(bits + 64), so
-64 guard bits below the working precision, outward rounding of every
-product and quotient, and the final ends rounded outward to ``bits``
-significant bits.  The expression tree is that of the former evaluation
-in mpmath's interval context, so each box lies inside the one it gave.
+in fixed-point interval arithmetic over ``int`` (:mod:`isingmaps.dyadic`):
+scale 2^-(bits + 64), so 64 guard bits below the working precision,
+outward rounding of every product and quotient, and the final ends
+rounded outward to ``bits`` significant bits.  The expression tree is
+that of the former evaluation in mpmath's interval context, so each box
+lies inside the one it gave.
 Each value carries an enclosure.  Closed forms for the
 spontaneous magnetization, the susceptibility, and the critical-isotherm
 asymptote are provided alongside, with exact rational fast paths; they also
@@ -19,19 +20,21 @@ cover c = 1 with nu >= 4, where s* is a root of D.
 
 Coefficient asymptotics are validated by exponent fits of log(Z_n mu^n)
 against log n, with a global least-squares slope cross-checked by an
-Aitken-accelerated pointwise estimate.
+Aitken-accelerated pointwise estimate.  The fit takes the integers of the
+exact series pass as they are, and its logs from the same kernel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import isqrt
+from operator import mul
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
-from mpmath.libmp import from_rational, mpf_log, round_ceiling, round_floor, to_rational
 
-from .errors import NonPositiveSequence, PrecisionExhausted
+from . import dyadic
+from .errors import NonPositiveSequence
 from .exactalg import PP_ZERO, evaluate_together, rational_sqrt
 from .precision import DEFAULT_PRECISION_BITS, to_mpf
 from .series import IsingParams, _symbolic_tables, solve_Z, solve_Z_jets
@@ -42,8 +45,7 @@ Number = Union[Fraction, mpmath.mpf]
 NU_CRITICAL = Fraction(4)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Outcome of a coefficient-asymptotics fit Z_n ~ amplitude mu^-n n^-alpha.
 
     ``alpha_exponent`` is the global least-squares estimate of the polynomial
@@ -193,59 +195,6 @@ def _defining_polys():
     return tuple(families)
 
 
-# Fixed-point intervals: a pair (lo, hi) of ints at scale 2^-p encloses every
-# x with lo 2^-p <= x <= hi 2^-p.  Sums are exact; every product and
-# quotient rounds its lower end down and its upper end up (naive interval
-# arithmetic with outward rounding, as in Moore, Interval Analysis, 1966).
-
-def _fx_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _fx_sub(a, b):
-    return a[0] - b[1], a[1] - b[0]
-
-
-def _fx_mul(a, b, p):
-    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(ends) >> p, -(-max(ends) >> p)
-
-
-def _fx_square(a, p):
-    lo, hi = a
-    if lo >= 0:
-        small, big = lo * lo, hi * hi
-    elif hi <= 0:
-        small, big = hi * hi, lo * lo
-    else:
-        small, big = 0, max(lo * lo, hi * hi)
-    return small >> p, -(-big >> p)
-
-
-def _fx_div(a, b, p):
-    if b[0] <= 0 <= b[1]:
-        raise PrecisionExhausted("interval divisor contains 0")
-    tops = (a[0] << p, a[1] << p)
-    return (min(x // y for x in tops for y in b),
-            max(-(-x // y) for x in tops for y in b))
-
-
-def _fx_horner(coeffs: Sequence[int], s, p):
-    """The integer polynomial sum coeffs[k] s^k over an interval s >= 0.
-
-    Each step is _fx_mul(acc, s) plus the coefficient; with s >= 0 the
-    lower end of that product is lo s_lo or lo s_hi by the sign of lo, and
-    the upper end likewise.
-    """
-    s_lo, s_hi = s
-    lo = hi = 0
-    for a in reversed(coeffs):
-        a <<= p
-        lo = (lo * (s_lo if lo >= 0 else s_hi) >> p) + a
-        hi = -(-hi * (s_hi if hi >= 0 else s_lo) >> p) + a
-    return lo, hi
-
-
 def _log_derivatives(family, nu: Fraction, c: Fraction, s, p):
     """theta, theta^2, d_s theta and d_s^2 of log f over the interval s, for
     the family (f, theta f, theta^2 f) of polynomials in s.
@@ -257,15 +206,15 @@ def _log_derivatives(family, nu: Fraction, c: Fraction, s, p):
     h, _ = evaluate_together(f + tf + ttf, nu, c)
     i, j = len(f), len(f) + len(tf)
     f, tf, ttf = h[:i], h[i:j], h[j:]
-    value = _fx_horner(f, s, p)
-    t = _fx_div(_fx_horner(tf, s, p), value, p)
-    fs = _fx_div(_fx_horner(_derivative(f), s, p), value, p)
+    value = dyadic.horner(f, s, p)
+    t = dyadic.div(dyadic.horner(tf, s, p), value, p)
+    fs = dyadic.div(dyadic.horner(_derivative(f), s, p), value, p)
     return (t,
-            _fx_sub(_fx_div(_fx_horner(ttf, s, p), value, p), _fx_square(t, p)),
-            _fx_sub(_fx_div(_fx_horner(_derivative(tf), s, p), value, p),
-                    _fx_mul(t, fs, p)),
-            _fx_sub(_fx_div(_fx_horner(_derivative(_derivative(f)), s, p), value, p),
-                    _fx_square(fs, p)))
+            dyadic.sub(dyadic.div(dyadic.horner(ttf, s, p), value, p), dyadic.square(t, p)),
+            dyadic.sub(dyadic.div(dyadic.horner(_derivative(tf), s, p), value, p),
+                       dyadic.mul(t, fs, p)),
+            dyadic.sub(dyadic.div(dyadic.horner(_derivative(_derivative(f)), s, p), value, p),
+                       dyadic.square(fs, p)))
 
 
 def _derivative(coeffs: Sequence[int]) -> List[int]:
@@ -291,8 +240,9 @@ def thermo_enclosures(nu, c, precision_bits: int = DEFAULT_PRECISION_BITS
     expression tree of the former evaluation in mpmath's interval context
     at ``bits`` (Horner, squares as squares) with finer rounding, so each
     box lies inside the one that evaluation gave; the ends are then rounded
-    outward to ``bits`` significant bits.  F = -log(c rho) takes ``mpf_log``
-    of the ends of c times the radius interval, rounded down and up.  At
+    outward to ``bits`` significant bits.  F = -log(c rho) takes the
+    enclosed :func:`~isingmaps.dyadic.log` of the ends of c times the radius
+    interval at the same scale, its ends likewise rounded outward.  At
     c = 1 with nu >= 4, s* is a root of D, a divisor interval contains 0 and
     PrecisionExhausted is raised; the closed forms cover that point.
     """
@@ -303,14 +253,14 @@ def thermo_enclosures(nu, c, precision_bits: int = DEFAULT_PRECISION_BITS
     s = ((s_lo.numerator << p) // s_lo.denominator,
          -((-s_hi.numerator << p) // s_hi.denominator))
     n_family, d_family = _defining_polys()
-    t, tt, st, ss = (_fx_sub(a, (2 * b[0], 2 * b[1])) for a, b in zip(
+    t, tt, st, ss = (dyadic.sub(a, (2 * b[0], 2 * b[1])) for a, b in zip(
         _log_derivatives(n_family, nu, c, s, p), _log_derivatives(d_family, nu, c, s, p)))
     one = (1 << p, 1 << p)
-    ss = _fx_sub(ss, _fx_div(one, _fx_square(s, p), p))
-    m_lo, m_hi = _fx_add(one, t)
+    ss = dyadic.sub(ss, dyadic.div(one, dyadic.square(s, p), p))
+    m_lo, m_hi = dyadic.add(one, t)
     out = {"F": _negated_log(c * r_lo, c * r_hi, precision_bits)}
     for name, (lo, hi) in (("M", (-m_hi, -m_lo)),
-                           ("chi", _fx_sub(_fx_div(_fx_square(st, p), ss, p), tt))):
+                           ("chi", dyadic.sub(dyadic.div(dyadic.square(st, p), ss, p), tt))):
         out[name] = (_round_bits(lo, p, precision_bits, floor=True),
                      _round_bits(hi, p, precision_bits, floor=False))
     return out
@@ -324,12 +274,14 @@ def _round_bits(x: int, p: int, bits: int, floor: bool) -> Fraction:
 
 
 def _negated_log(lo: Fraction, hi: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
-    """An enclosure of -log x over [lo, hi], lo > 0, ends of ``bits`` bits."""
-    ends = (mpf_log(from_rational(hi.numerator, hi.denominator, bits, round_ceiling),
-                    bits, round_ceiling),
-            mpf_log(from_rational(lo.numerator, lo.denominator, bits, round_floor),
-                    bits, round_floor))
-    return tuple(-Fraction(*to_rational(x)) for x in ends)
+    """An enclosure of -log x over [lo, hi], lo > 0, ends of ``bits`` bits.
+
+    The logs are enclosed at scale 2^-(bits + THERMO_GUARD_BITS); -log x is
+    far from 0 (x = c rho < 1/12), so ``bits`` significant bits are coarser.
+    """
+    p = bits + THERMO_GUARD_BITS
+    return (_round_bits(-dyadic.log(hi.numerator, hi.denominator, p)[1], p, bits, floor=True),
+            _round_bits(-dyadic.log(lo.numerator, lo.denominator, p)[0], p, bits, floor=False))
 
 
 def _midpoint(box: Tuple[Fraction, Fraction], precision_bits: int) -> mpmath.mpf:
@@ -386,37 +338,77 @@ def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000
 # Coefficient asymptotics
 # ---------------------------------------------------------------------------
 
-def _positive_logs(sequence: Sequence, mu, n_lo: int, n_hi: int) -> List[mpmath.mpf]:
-    """y_n = log(Z_n mu^n) for n in [n_lo, n_hi]; raises on nonpositive input."""
-    log_mu = mpmath.log(to_mpf(Fraction(mu)) if isinstance(mu, (int, Fraction))
-                        else mu)
-    ys = []
-    for n in range(n_lo, n_hi + 1):
-        z = sequence[n - 1]
-        z = to_mpf(Fraction(z)) if isinstance(z, (int, Fraction)) else mpmath.mpf(z)
-        if not z > 0:
-            raise NonPositiveSequence("Z_%d is not positive" % n)
-        ys.append(mpmath.log(z) + n * log_mu)
-    return ys
+def _as_ratio(x) -> Tuple[int, int]:
+    """(num, den), den > 0, of an int, a Fraction, or an mpf, whose value
+    is the dyadic rational (-1)^sign man 2^exp, read from its raw tuple as
+    it is: mpmath.mpf(x) would round it to the ambient precision, and
+    ``man_exp`` drops the sign."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    sign, man, exp, _ = x._mpf_
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
-# The Aitken step loses about log2(n^3) bits (its second difference cancels
-# about 7 digits at n = 200) and the least-squares sums a few more, so the
-# fit runs this many bits above the precision its results are good to.
+def _log_point(a: int, b: int, p: int) -> int:
+    """log(a / b) at scale 2^-(p+1): the midpoint of its enclosure
+    (:func:`~isingmaps.dyadic.log`) at scale 2^-p, within 1 unit of 2^-p."""
+    return sum(dyadic.log(a, b, p))
+
+
+@lru_cache(maxsize=8)
+def _log_range(n_hi: int, p: int) -> Tuple[int, ...]:
+    """(0, 0, x_2, ..., x_n_hi), x_n = log n at scale 2^-(p+1) as a sum of
+    :func:`_log_point` of the primes dividing n, with multiplicity.
+
+    A sieve of least prime factors q gives x_n = x_(n/q) + x_q, so only
+    the primes up to n_hi take a log.
+    """
+    least = list(range(n_hi + 1))
+    for q in range(2, isqrt(n_hi) + 1):
+        if least[q] == q:
+            for m in range(q * q, n_hi + 1, q):
+                if least[m] == m:
+                    least[m] = q
+    xs = [0, 0]
+    for n in range(2, n_hi + 1):
+        q = least[n]
+        xs.append(_log_point(n, 1, p) if q == n else xs[n // q] + xs[q])
+    return tuple(xs)
+
+
+# The fit's logs are taken at scale 2^-(bits + FIT_GUARD_BITS), and all it
+# does with them is exact.  The Aitken step loses about log2(n^3) bits (its
+# second difference cancels about 7 digits at n = 200), n log(mu) up to
+# log2(n) more, and the least-squares sums a few: 64 guard bits leave every
+# result right to ``bits``.
 FIT_GUARD_BITS = 64
 
 
 def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
-                 precision_bits: int = DEFAULT_PRECISION_BITS) -> FitResult:
+                 precision_bits: int = DEFAULT_PRECISION_BITS, *,
+                 scale: Tuple = (1, 1)) -> FitResult:
     """Fit log(Z_n mu^n) ~ log(amplitude) - alpha log n on n in n_range.
 
-    ``sequence`` lists Z_1, Z_2, ... (index n-1 holds Z_n).  The global
-    least-squares slope gives alpha_exponent; an Aitken-accelerated pointwise
-    difference quotient at n_max gives an independent estimate.
+    ``sequence`` lists Z_1, Z_2, ... (index n-1 holds Z_n) as ints,
+    Fractions or mpfs, each read exactly; with ``scale`` = (K, r), two
+    nonzero rationals with r > 0, it lists instead the h_n of
+    Z_n = h_n / (K r^n), as :func:`~isingmaps.series.scaled_Z` gives them.
+    The global least-squares slope gives alpha_exponent; an
+    Aitken-accelerated pointwise difference quotient at n_max gives an
+    independent estimate.
 
-    The fit runs at ``precision_bits`` + FIT_GUARD_BITS, so that its values
-    are right to ``precision_bits`` for the given Z_n and mu; mpf entries of
-    ``sequence`` should carry as many bits (exact ones are rounded there).
+    y_n = log|h_n| - log|K| + n log(mu / r) (NonPositiveSequence unless
+    h_n and K have one sign) and x_n = log n are fixed-point integers at
+    scale 2^-(bits + FIT_GUARD_BITS + 1), from enclosed logs
+    (:func:`_log_point`, :func:`_log_range`): one per term, two for K and
+    mu / r, and one per prime up to n_max.  The slope, intercept, mean
+    squared residual and Aitken step are then exact rationals in those
+    integers, each rounded to an mpf once at ``bits`` + FIT_GUARD_BITS; the
+    amplitude and residual are its exp and sqrt.  So the values are right
+    to ``bits`` for the given Z_n and mu.
     """
     n_lo, n_hi = n_range
     if n_lo < 2:
@@ -425,75 +417,46 @@ def exponent_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
         raise ValueError("n_range must be increasing")
     if n_hi > len(sequence):
         raise ValueError("sequence too short for requested n_range")
-    with mpmath.workprec(precision_bits + FIT_GUARD_BITS):
-        ys = _positive_logs(sequence, mu, n_lo, n_hi)
-        xs = [mpmath.log(n) for n in range(n_lo, n_hi + 1)]
-        count = len(xs)
-        sx = mpmath.fsum(xs)
-        sy = mpmath.fsum(ys)
-        sxx = mpmath.fsum(x * x for x in xs)
-        sxy = mpmath.fsum(x * y for x, y in zip(xs, ys))
-        slope = (count * sxy - sx * sy) / (count * sxx - sx * sx)
-        intercept = (sy - slope * sx) / count
-        residual = mpmath.sqrt(mpmath.fsum(
-            (y - intercept - slope * x) ** 2 for x, y in zip(xs, ys)
-        ) / count)
-        # the last (up to) three pointwise difference quotients, then one
-        # Aitken step on them
-        alphas = [-(ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
-                  for i in range(max(1, count - 3), count)]
-        if len(alphas) >= 3:
-            a0, a1, a2 = alphas[-3], alphas[-2], alphas[-1]
-            dd = a2 - 2 * a1 + a0
-            if abs(dd) > mpmath.mpf(2) ** (-precision_bits // 2):
-                aitken = a2 - (a2 - a1) ** 2 / dd
-            else:
-                aitken = a2
-        else:
-            aitken = alphas[-1]
+    k, r = Fraction(scale[0]), Fraction(scale[1])
+    mu_num, mu_den = _as_ratio(mu)
+    if not (k and r > 0 and mu_num > 0):
+        raise ValueError("mu and r must be positive and K nonzero")
+    p = precision_bits + FIT_GUARD_BITS
+    xs = _log_range(n_hi, p)[n_lo:]
+    base = _log_point(abs(k.numerator), k.denominator, p)
+    step = _log_point(mu_num * r.denominator, mu_den * r.numerator, p)
+    ys = []
+    for n in range(n_lo, n_hi + 1):
+        a, b = _as_ratio(sequence[n - 1])
+        if not a or (a < 0) != (k < 0):
+            raise NonPositiveSequence("Z_%d is not positive" % n)
+        ys.append(_log_point(abs(a), b, p) - base + n * step)
+    count = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    # slope = slope_num / den; intercept = top / (count den) at scale 2^-(p+1)
+    den = count * sum(x * x for x in xs) - sx * sx
+    slope_num = count * sum(map(mul, xs, ys)) - sx * sy
+    top = sy * den - slope_num * sx
+    squares = sum((count * den * y - top - count * slope_num * x) ** 2
+                  for x, y in zip(xs, ys))
+    # the last (up to) three pointwise difference quotients, then one Aitken
+    # step on them
+    alphas = [Fraction(ys[i - 1] - ys[i], xs[i] - xs[i - 1])
+              for i in range(max(1, count - 3), count)]
+    aitken = alphas[-1]
+    if len(alphas) == 3:
+        a0, a1, a2 = alphas
+        dd = a2 - 2 * a1 + a0
+        if abs(dd) > Fraction(1, 2 ** ((precision_bits + 1) // 2)):
+            aitken = a2 - (a2 - a1) ** 2 / dd
+    unit = count * den << (p + 1)
+    with mpmath.workprec(p):
         return FitResult(
             mu_estimate=to_mpf(Fraction(mu)) if isinstance(mu, (int, Fraction))
             else mpmath.mpf(mu),
-            alpha_exponent=-slope,
-            amplitude=mpmath.exp(intercept),
-            residual=residual,
+            alpha_exponent=to_mpf(Fraction(-slope_num, den)),
+            amplitude=mpmath.exp(to_mpf(Fraction(top, unit))),
+            residual=mpmath.sqrt(to_mpf(Fraction(squares, count * unit * unit))),
             n_range=(n_lo, n_hi),
-            aitken_exponent=aitken,
+            aitken_exponent=to_mpf(aitken),
         )
-
-
-def mu_from_ratios(sequence: Sequence, nodes: Optional[Sequence[int]] = None,
-                   precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
-    """Extrapolate the ratios Z_{n-1}/Z_n to n = infinity.
-
-    The ratio tends to mu with corrections forming a power series in 1/n, so
-    Neville extrapolation to 1/n = 0 over geometrically spaced nodes converges
-    much faster than the raw ratio.  ``sequence`` lists Z_1, Z_2, ...
-    """
-    if nodes is None:
-        top = len(sequence)
-        nodes = [top // 8, top // 4, top // 2, top]
-    nodes = sorted(set(int(n) for n in nodes))
-    if nodes[0] < 2:
-        raise ValueError("ratio nodes must be >= 2")
-    if nodes[-1] > len(sequence):
-        raise ValueError("sequence too short for requested nodes")
-    with mpmath.workprec(precision_bits):
-        xs = []
-        tab = []
-        for n in nodes:
-            prev = sequence[n - 2]
-            cur = sequence[n - 1]
-            prev = to_mpf(Fraction(prev)) if isinstance(prev, (int, Fraction)) \
-                else mpmath.mpf(prev)
-            cur = to_mpf(Fraction(cur)) if isinstance(cur, (int, Fraction)) \
-                else mpmath.mpf(cur)
-            if not (prev > 0 and cur > 0):
-                raise NonPositiveSequence("ratio nodes require positive terms")
-            xs.append(mpmath.mpf(1) / n)
-            tab.append(prev / cur)
-        for lvl in range(1, len(tab)):
-            for i in range(len(tab) - lvl):
-                tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + lvl] \
-                    / (xs[i] - xs[i + lvl])
-        return tab[0]

@@ -261,45 +261,6 @@ class ParamPoly:
         (acc,), den = evaluate_together((self,), Fraction(nu), Fraction(c))
         return Fraction(acc, den)
 
-    def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
-        """Exact division; raises NonZeroRemainder when not divisible.
-
-        Monomials are ordered lexicographically by (deg_nu, deg_c); a leading
-        term that the divisor's leading term cannot divide ends the division
-        with an error.  Termination is guarded for Laurent inputs.
-        """
-        if isinstance(divisor, (int, Fraction)):
-            divisor = ParamPoly.constant(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero ParamPoly")
-        lead_key = max(divisor.terms)
-        lead_coef = divisor.terms[lead_key]
-        rem = dict(self.terms)
-        quo: dict = {}
-        guard = 4 * (len(self.terms) + 1) * (len(divisor.terms) + 1) + 64
-        steps = 0
-        while rem:
-            steps += 1
-            if steps > guard * (len(quo) + 1):
-                raise NonZeroRemainder("division did not terminate; remainder nonzero")
-            rk = max(rem)
-            if rk[0] < lead_key[0]:
-                raise NonZeroRemainder("leading term not divisible")
-            qk = (rk[0] - lead_key[0], rk[1] - lead_key[1])
-            qc = _q(Fraction(rem[rk]) / lead_coef)
-            quo[qk] = quo.get(qk, 0) + qc
-            for dk, dv in divisor.terms.items():
-                key = (qk[0] + dk[0], qk[1] + dk[1])
-                prev = rem.get(key, 0)
-                tot = prev - qc * dv
-                if tot:
-                    rem[key] = tot
-                elif key in rem:
-                    del rem[key]
-        out = ParamPoly()
-        out.terms = {k: _q(v) for k, v in quo.items() if v}
-        return out
-
     # -- formatting ---------------------------------------------------------
 
     def to_str(self, nu_name: str = "nu", c_name: str = "c") -> str:

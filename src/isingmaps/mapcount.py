@@ -30,10 +30,9 @@ just permutations and dictionaries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import EnumerationBound
 from .exactalg import ParamPoly
@@ -90,8 +89,7 @@ def _spin_polynomial(edges: Tuple[Tuple[int, int], ...], n: int) -> ParamPoly:
     return ParamPoly(terms)
 
 
-@dataclass(frozen=True)
-class EnumerationSurvey:
+class EnumerationSurvey(NamedTuple):
     """Rooted-map enumeration at size n, with the labelled-pairing counts."""
 
     n: int

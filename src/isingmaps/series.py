@@ -24,7 +24,7 @@ pass runs unchanged over every coefficient ring.
 The pass runs over plain ``int`` in two ways.  :func:`solve_Z` and
 :func:`solve_S` give the symbolic series, whose coefficients are
 :class:`~isingmaps.exactalg.ParamPoly` polynomials in nu and c, whatever
-point their :class:`IsingParams` names; :func:`exact_Z`,
+point their :class:`IsingParams` names; :func:`scaled_Z`, :func:`exact_Z`,
 :func:`coefficient_sequence` and :func:`solve_Z_jets` work at the point.
 
 The symbolic series comes from one packed point (Kronecker substitution).
@@ -53,8 +53,15 @@ proportional, so on the curve Z(nu, c, c z) = A(S, z) / (9 z^2 (1 - nu^2))
 with A a polynomial.  At c = 1, 1 + e1 S divides N, D and B, and is
 cancelled from the curve itself.  The rescaling S = lambda T, z = lambda w
 then makes every table entry an integer, lambda being the smallest such
-scale at the primes below 64.  :func:`coefficient_sequence` rounds each
-exact rational Z_n once to the nearest mpf at the precision it is given.
+scale at the primes below 64, so
+Z_n = g_(n+2) / (bracket_den lambda^2 9(1 - nu^2) (lambda c)^n) with g
+the bracket integers (:meth:`_Model.z_scale`).  :func:`scaled_Z` hands
+over g and that scale as they are; the exponent fit
+(:func:`~isingmaps.critical.exponent_fit`) takes logs of those integers,
+so no Z_n is formed or rounded on its path.  :func:`exact_Z` forms each
+Z_n as a Fraction, and :func:`coefficient_sequence`, for
+``coeffs --numeric``, rounds each once to the nearest mpf at the
+precision it is given.
 The symbolic and the point series share one pipeline, including the exact
 check that the three lowest coefficients cancel.  The same integer pass
 over jets (f, theta f, theta^2 f), theta = c d/dc, keeps the unreduced
@@ -64,13 +71,12 @@ divide by 9(1 - nu^2) = 0, Z_n is in closed form (:func:`nu_one_jets`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -80,24 +86,28 @@ from .exactalg import PP_ONE, PP_ZERO, ParamPoly, evaluate_together, ring_exact_
 from .precision import DEFAULT_PRECISION_BITS
 
 
-@dataclass(frozen=True)
-class IsingParams:
-    """A parameter point (nu, c) of the model, as exact rationals.
-
-    ``nu`` is the monochromatic-edge weight, ``c`` the external-field
-    weight; both must be positive.
-    """
-
+class _Point(NamedTuple):
     nu: Fraction
     c: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", Fraction(self.nu))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.nu <= 0:
+
+class IsingParams(_Point):
+    """A parameter point (nu, c) of the model, as exact rationals.
+
+    ``nu`` is the monochromatic-edge weight, ``c`` the external-field
+    weight; both must be positive.  An immutable value: equal points are
+    equal and hash alike.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nu, c):
+        nu, c = Fraction(nu), Fraction(c)
+        if nu <= 0:
             raise ValueError("nu must be positive")
-        if self.c <= 0:
+        if c <= 0:
             raise ValueError("c must be positive")
+        return super().__new__(cls, nu, c)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +363,22 @@ class _Model:
                 raise NonZeroRemainder("9(1 - nu^2) does not divide the coefficient "
                                        "of z^%d" % (n + 2))
             return zn
-        den = self.bracket_den * self.scale ** (n + 2) * self.nine_gamma
         if self.kind == "jet":
+            den = self.bracket_den * self.scale ** (n + 2) * self.nine_gamma
             x, tx, ttx = (Fraction(v) / den for v in (g.f, g.tf, g.ttf))
             back = self.params.c ** -n
             return (back * x, back * (tx - n * x),
                     back * (ttx - 2 * n * tx + n * n * x))
-        return Fraction(g) / (den * self.params.c ** n)
+        k, r = self.z_scale()
+        return Fraction(g) / (k * r ** n)
+
+    def z_scale(self) -> Tuple[Fraction, Fraction]:
+        """(K, r) with Z_n = g / (K r^n) for the coefficient g of z^(n+2)
+        (w^(n+2) when rescaled) of bracket / (1 + e1 S), in the exact and
+        integer kinds: K = bracket_den lambda^2 9(1 - nu^2) and
+        r = lambda c."""
+        return (self.bracket_den * self.scale ** 2 * self.nine_gamma,
+                self.scale * self.params.c)
 
     def s_coefficients(self, t_coeffs) -> list:
         """S_0, S_1, ... from the column of the pass: unpacked in the
@@ -718,11 +737,9 @@ def _over_divisor(model, cols: list, top: int) -> list:
     return g
 
 
-def _solve_Z_ring(model: _Model, order: int) -> list:
-    """[0, Z_1, ..., Z_order], exact: ParamPoly, Fraction or jet tuples by
-    the model kind, read from the bracket over 1 + e1 S (:func:`_over_divisor`),
-    whose three lowest coefficients must cancel.
-    """
+def _bracket_coefficients(model: _Model, order: int) -> list:
+    """[g_0, ..., g_(order+2)]: the bracket over 1 + e1 S
+    (:func:`_over_divisor`), whose three lowest coefficients must cancel."""
     top = order + 2
     g = _over_divisor(model, _power_columns(model, top), top)
     for i in (0, 1, 2):
@@ -731,6 +748,13 @@ def _solve_Z_ring(model: _Model, order: int) -> list:
                 "low-order coefficients of the parametrization numerator "
                 "did not cancel (z^%d)" % i
             )
+    return g
+
+
+def _solve_Z_ring(model: _Model, order: int) -> list:
+    """[0, Z_1, ..., Z_order], exact: ParamPoly, Fraction or jet tuples by
+    the model kind, read from :func:`_bracket_coefficients`."""
+    g = _bracket_coefficients(model, order)
     return [model.zero] + [model.z_coefficient(g[n + 2], n) for n in range(1, order + 1)]
 
 
@@ -751,12 +775,27 @@ def solve_Z(params: IsingParams, order: int) -> TruncatedSeries:
     return TruncatedSeries([PP_ZERO] + _solve_Z_ring(model, order)[1:], PP_ZERO)
 
 
-def exact_Z(params: IsingParams, order: int) -> list:
-    """[0, Z_1, ..., Z_order], exact at the point: the reduced integer
-    pass, or the closed form at nu = 1."""
+def scaled_Z(params: IsingParams, order: int) -> Tuple[List[int], Tuple[Fraction, Fraction]]:
+    """([0, h_1, ..., h_order], (K, r)) with Z_n = h_n / (K r^n) exactly.
+
+    The h_n are the integers of the reduced pass, g_(n+2) of
+    :func:`_bracket_coefficients`, with (K, r) from :meth:`_Model.z_scale`;
+    at nu = 1 they are Tutte's q_n, with K = (c^2 + 1)/c^2 and
+    r = c/(c^2 + 1) (see :func:`nu_one_jets`).  No Z_n is formed, so no
+    gcd is taken: :func:`~isingmaps.critical.exponent_fit` reads them so.
+    """
     if params.nu == 1:
-        return [z for z, _, _ in nu_one_jets(params.c, order)]
-    return _solve_Z_ring(_Model(params, "integer"), order)
+        c2 = params.c * params.c
+        return _tutte_counts(order), ((c2 + 1) / c2, params.c / (c2 + 1))
+    model = _Model(params, "integer")
+    return [0] + _bracket_coefficients(model, order)[3:], model.z_scale()
+
+
+def exact_Z(params: IsingParams, order: int) -> list:
+    """[0, Z_1, ..., Z_order], exact at the point: each Z_n = h_n / (K r^n)
+    of :func:`scaled_Z` as a Fraction."""
+    h, (k, r) = scaled_Z(params, order)
+    return [0] + [Fraction(x) / (k * r ** n) for n, x in enumerate(h[1:], 1)]
 
 
 def nu_one_jets(c, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
@@ -774,11 +813,22 @@ def nu_one_jets(c, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
     if c <= 0:
         raise ValueError("c must be positive")
     slope, curve = (c * c - 1) / (c * c + 1), 4 * c * c / (c * c + 1) ** 2
-    out, z = [(Fraction(0),) * 3], 2 * c
-    for n in range(1, order + 1):
+    out, spins = [(Fraction(0),) * 3], c
+    for n, q in enumerate(_tutte_counts(order)[1:], 1):
+        z = q * spins
         t = 1 + (n - 1) * slope  # theta log Z_n
         out.append((z, z * t, z * ((n - 1) * curve + t * t)))
-        z = z * (c + 1 / c) * (6 * (2 * n + 1)) / (n + 3)  # q_(n+1) = q_n 6 (2n + 1)/(n + 3)
+        spins *= c + 1 / c
+    return out
+
+
+def _tutte_counts(order: int) -> List[int]:
+    """[0, q_1, ..., q_order]: rooted quartic maps with n vertices,
+    q_1 = 2 and q_(n+1) = q_n 6 (2n + 1) / (n + 3), exactly."""
+    out, q = [0], 2
+    for n in range(1, order + 1):
+        out.append(q)
+        q = q * 6 * (2 * n + 1) // (n + 3)
     return out
 
 

@@ -31,11 +31,10 @@ candidate set and for the c = 1 factors of :func:`p1_p2_p3`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isfinite, isqrt, lcm, ldexp
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
 
@@ -195,8 +194,7 @@ def s_at_rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Nu
 # Certified radius at a rational point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     """Certified location of the dominant singularity at a parameter point.
 
     ``rho`` and ``mu = c * rho`` are midpoints of the certified intervals;
@@ -252,8 +250,7 @@ def _over(p: UniPoly, w: int) -> UniPoly:
     return UniPoly([Fraction(c, w) for c in p.coeffs])
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """The exact critical point s* of z(s) at one parameter point (nu, c).
 
     Built once per (nu, c) by :func:`critical_point`; the certified radius,
@@ -755,8 +752,7 @@ def radius_numeric(
 # Newton-polygon Puiseux expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PuiseuxExpansion:
+class PuiseuxExpansion(NamedTuple):
     """Initial terms of one branch y(Z) = sum coeff * Z^exponent at Z = 0.
 
     ``ramification`` is the lcm of the exponent denominators; ``exact`` marks

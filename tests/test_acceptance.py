@@ -17,7 +17,6 @@ from isingmaps.critical import (
     m0_closed,
     m_critical_asymptote,
     magnetization_limit_estimate,
-    mu_from_ratios,
     thermo_magnetization,
     thermo_susceptibility,
 )
@@ -33,6 +32,7 @@ from isingmaps.singular import (
     rho_closed_form,
     s_at_rho_closed_form,
 )
+from oracles import mu_from_ratios
 
 BITS = 192
 N_MAX = 400

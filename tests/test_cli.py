@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from mpmath.libmp import from_rational, round_nearest
 
-from isingmaps import cli
+from isingmaps import cli, series
 from isingmaps.cli import main, parse_rational
 from isingmaps.critical import exponent_fit, thermo_enclosures
 from isingmaps.exactalg import PP_ONE, PP_ZERO
@@ -24,6 +24,7 @@ from isingmaps.series import (
     IsingParams, TruncatedSeries, _Model, _series_powers, _solve_Z_ring, _symbolic_tables,
 )
 from isingmaps.singular import rho_closed_form
+from oracles import pp_exact_div
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -92,7 +93,7 @@ def param_poly_Z(order):
     for (i, j), coef in bracket_tab.items():
         w = w + pw[i].shift_up(j).scale(coef)
     g = w.divide(one + s.scale(e1))
-    return [g.coefficient(n + 2).exact_div(nine_gamma).shift_c(-n)
+    return [pp_exact_div(g.coefficient(n + 2), nine_gamma).shift_c(-n)
             for n in range(1, order + 1)]
 
 
@@ -571,6 +572,22 @@ class TestExponentFit:
         for key in ("alpha_exponent", "aitken_exponent", "amplitude", "residual"):
             assert result[key] == mpmath.nstr(getattr(ref, key), dps), key
 
+    def test_fit_reads_the_pass_integers_with_no_rounding_or_mpmath_log(self, capsys,
+                                                                        monkeypatch):
+        # no Z_n is formed, rounded to an mpf or passed to mpmath.log
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on the exponent-fit path")
+
+        monkeypatch.setattr(mpmath, "log", refuse)
+        monkeypatch.setattr(series._Model, "z_coefficient", refuse)
+        monkeypatch.setattr(series, "_rounded", refuse)
+        monkeypatch.setattr(series, "coefficient_sequence", refuse)
+        monkeypatch.setattr(cli, "coefficient_sequence", refuse)
+        for nu, c in (("2", "1"), ("3/2", "21/20"), ("1", "21/20")):
+            code, payload = run_json(capsys, "exponent-fit", "--nu", nu, "--c", c,
+                                     "--n-max", "60")
+            assert code == 0, payload
+
     def test_nu_one_runs_on_the_closed_form(self, capsys):
         code, payload = run_json(capsys, "exponent-fit", "--nu", "1", "--c", "21/20",
                                  "--n-max", "400")
@@ -606,6 +623,17 @@ class TestCheck:
 
 
 class TestEnvelope:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # every command pays for its imports: dataclasses pulls in inspect,
+        # about 20 ms of a fresh process
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = "import sys, isingmaps.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        fresh = subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True, check=True)
+        assert fresh.stdout.strip() == "[]"
+
     def test_determinism_modulo_timing(self, capsys):
         _, first = run_cli(capsys, "radius", "--nu", "4", "--c", "1")
         _, second = run_cli(capsys, "radius", "--nu", "4", "--c", "1")

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from isingmaps import cli, critical
+from isingmaps import cli, critical, dyadic
 from isingmaps.critical import (
     FIT_GUARD_BITS,
     FitResult,
@@ -25,7 +25,6 @@ from isingmaps.critical import (
     m0_closed,
     m_critical_asymptote,
     magnetization_limit_estimate,
-    mu_from_ratios,
     thermo_enclosures,
     thermo_magnetization,
     thermo_susceptibility,
@@ -33,8 +32,16 @@ from isingmaps.critical import (
 from isingmaps.errors import NonPositiveSequence, PrecisionExhausted
 from isingmaps.exactalg import UniPoly
 from isingmaps.precision import DEFAULT_PRECISION_BITS, to_mpf
-from isingmaps.series import IsingParams, _symbolic_tables, coefficient_sequence, nu_one_jets
-from isingmaps.singular import rho_closed_form
+from isingmaps.series import (
+    IsingParams,
+    _symbolic_tables,
+    coefficient_sequence,
+    exact_Z,
+    nu_one_jets,
+    scaled_Z,
+)
+from isingmaps.singular import radius_numeric, rho_closed_form
+from oracles import mpmath_fit, mu_from_ratios
 
 
 def _as_mpf(x):
@@ -434,74 +441,6 @@ class TestThermoOracle:
             thermo_enclosures(nu, 1)
 
 
-P = 40
-mixed = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
-intervals = st.tuples(mixed, mixed).map(lambda ab: tuple(sorted(ab)))
-
-
-def _fixed(box):
-    """The fixed-point interval at scale 2^-P around a Fraction interval."""
-    lo, hi = box
-    return (lo.numerator << P) // lo.denominator, -((-hi.numerator << P) // hi.denominator)
-
-
-def _holds(fx, exact_values):
-    lo, hi = Fraction(fx[0], 1 << P), Fraction(fx[1], 1 << P)
-    return lo <= min(exact_values) and max(exact_values) <= hi
-
-
-class TestFixedPointIntervals:
-    @given(intervals, intervals)
-    @settings(max_examples=200, deadline=None)
-    def test_add_sub_mul_enclose_the_exact_result(self, a, b):
-        fa, fb = _fixed(a), _fixed(b)
-        assert _holds(critical._fx_add(fa, fb), (a[0] + b[0], a[1] + b[1]))
-        assert _holds(critical._fx_sub(fa, fb), (a[0] - b[1], a[1] - b[0]))
-        assert _holds(critical._fx_mul(fa, fb, P), [x * y for x in a for y in b])
-
-    @given(intervals)
-    @settings(max_examples=200, deadline=None)
-    def test_square_encloses_the_exact_result(self, a):
-        lo, hi = critical._fx_square(_fixed(a), P)
-        squares = [a[0] ** 2, a[1] ** 2] + ([0] if a[0] <= 0 <= a[1] else [])
-        assert _holds((lo, hi), squares)
-        assert lo >= 0
-
-    @given(intervals, intervals)
-    @settings(max_examples=200, deadline=None)
-    def test_div_encloses_the_exact_result_or_refuses_zero(self, a, b):
-        fb = _fixed(b)
-        if fb[0] <= 0 <= fb[1]:
-            with pytest.raises(PrecisionExhausted):
-                critical._fx_div(_fixed(a), fb, P)
-        else:
-            assert _holds(critical._fx_div(_fixed(a), fb, P), [x / y for x in a for y in b])
-
-    def test_div_by_a_box_that_holds_zero_is_refused(self):
-        one = (1 << P, 1 << P)
-        for divisor in ((0, 0), (-1, 1), (0, 5), (-5, 0)):
-            with pytest.raises(PrecisionExhausted):
-                critical._fx_div(one, divisor, P)
-
-    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=7),
-           st.tuples(st.fractions(0, 3, max_denominator=10 ** 6),
-                     st.fractions(0, 3, max_denominator=10 ** 6)).map(
-               lambda ab: tuple(sorted(ab))))
-    @settings(max_examples=200, deadline=None)
-    def test_horner_encloses_the_polynomial_on_the_interval(self, coeffs, s):
-        fx = critical._fx_horner(coeffs, _fixed(s), P)
-        points = (s[0], (s[0] + s[1]) / 2, s[1])
-        assert _holds(fx, [sum(a * x ** k for k, a in enumerate(coeffs)) for x in points])
-
-    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=7),
-           st.integers(0, 3 << P))
-    @settings(max_examples=200, deadline=None)
-    def test_horner_rounds_outward_at_a_point(self, coeffs, x):
-        fx = critical._fx_horner(coeffs, (x, x), P)
-        s = Fraction(x, 1 << P)
-        assert _holds(fx, [sum(a * s ** k for k, a in enumerate(coeffs))])
-
-
 class TestExponentFit:
     def test_synthetic_power_law(self):
         with mpmath.workprec(128):
@@ -535,27 +474,76 @@ class TestExponentFit:
     @pytest.mark.parametrize("n_range", [(2, 3), (2, 4), (2, 5), (7, 40)])
     def test_aitken_step_on_the_last_pointwise_slopes(self, n_range):
         # every pointwise slope over the range, then the Aitken step on the
-        # last three (or the last slope alone when there are fewer)
+        # last three (or the last slope alone when there are fewer), exact
+        # in the kernel's logs: midpoints at scale 2^-(p+1), log n as a sum
+        # of prime logs, then one rounding to an mpf
         bits = 96
-        with mpmath.workprec(bits + FIT_GUARD_BITS):
+        p = bits + FIT_GUARD_BITS
+
+        def log(q):
+            return sum(dyadic.log(q.numerator, q.denominator, p))
+
+        with mpmath.workprec(p):
             seq = [mpmath.mpf(5) ** n * mpmath.mpf(n) ** -mpmath.mpf(2.5)
                    * (1 + mpmath.mpf(1) / n) for n in range(1, 41)]
             fit = exponent_fit(seq, Fraction(1, 5), n_range, precision_bits=bits)
             ns = range(n_range[0], n_range[1] + 1)
-            ys = [mpmath.log(seq[n - 1]) + n * mpmath.log(mpmath.mpf(1) / 5) for n in ns]
-            xs = [mpmath.log(n) for n in ns]
-            slopes = [-(ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
+            ys = [log(Fraction(*to_rational(seq[n - 1]._mpf_))) + n * log(Fraction(1, 5))
+                  for n in ns]
+            xs = [sum(e * log(Fraction(q)) for q, e in sympy.factorint(n).items())
+                  for n in ns]
+            slopes = [Fraction(ys[i - 1] - ys[i], xs[i] - xs[i - 1])
                       for i in range(1, len(xs))]
             if len(slopes) < 3:
                 want = slopes[-1]
             else:
                 a0, a1, a2 = slopes[-3:]
                 want = a2 - (a2 - a1) ** 2 / (a2 - 2 * a1 + a0)
-            assert fit.aitken_exponent == want
+            assert fit.aitken_exponent == to_mpf(want)
+
+    @pytest.mark.parametrize("nu, c, n_range", [
+        (2, 1, (25, 200)), (Fraction(3, 2), Fraction(21, 20), (10, 120)),
+        (4, 1, (5, 60)), (1, Fraction(9, 10), (12, 100))])
+    def test_outputs_hold_a_1024_bit_mpmath_fit(self, nu, c, n_range):
+        # the same exact Z_n and mu, fitted in mpmath floating point with
+        # mpmath logs at 1024 bits: every output agrees to the precision
+        bits = 128
+        params = IsingParams(nu=nu, c=c)
+        exact = exact_Z(params, n_range[1])[1:]
+        mu = radius_numeric(params, tol=Fraction(1, 10 ** 40)).mu
+        h, scale = scaled_Z(params, n_range[1])
+        ref = mpmath_fit(exact, mu, n_range, precision_bits=1024)
+        for fit in (exponent_fit(exact, mu, n_range, precision_bits=bits),
+                    exponent_fit(h[1:], mu, n_range, precision_bits=bits, scale=scale)):
+            assert fit.n_range == ref.n_range
+            with mpmath.workprec(1024):
+                for key in ("alpha_exponent", "aitken_exponent", "amplitude", "residual"):
+                    want = getattr(ref, key)
+                    assert abs(getattr(fit, key) - want) <= abs(want) * mpmath.mpf(2) ** -bits, key
+
+    def test_mpf_terms_read_exactly_as_dyadic_rationals(self):
+        with mpmath.workprec(100):
+            seq = [mpmath.mpf(7) ** n / mpmath.mpf(n) ** 3 for n in range(1, 51)]
+        as_fractions = [Fraction(*to_rational(z._mpf_)) for z in seq]
+        assert (exponent_fit(seq, Fraction(1, 7), (5, 50), precision_bits=80)
+                == exponent_fit(as_fractions, Fraction(1, 7), (5, 50), precision_bits=80))
+
+    def test_scale_keeps_the_sign_check(self):
+        # Z_n = h_n / (K r^n) is positive only where h_n and K share a sign
+        h = [-(3 ** n) for n in range(1, 11)]
+        fit = exponent_fit(h, Fraction(1, 3), (2, 10), scale=(-1, 1))
+        assert abs(fit.alpha_exponent) < mpmath.mpf(10) ** -40
+        with pytest.raises(NonPositiveSequence):
+            exponent_fit(h, Fraction(1, 3), (2, 10), scale=(1, 1))
+        with pytest.raises(ValueError):
+            exponent_fit(h, Fraction(1, 3), (2, 10), scale=(-1, 0))
 
     def test_rejects_nonpositive_terms(self):
         with pytest.raises(NonPositiveSequence):
             exponent_fit([1, 2, 0, 4, 5, 6], 1, (2, 6))
+        for bad in (mpmath.mpf(-3), mpmath.mpf(0), Fraction(-1, 3)):
+            with pytest.raises(NonPositiveSequence):
+                exponent_fit([1, 2, bad, 4, 5, 6], 1, (2, 6))
 
     def test_range_validation(self):
         seq = [1, 2, 3, 4]

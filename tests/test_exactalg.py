@@ -25,6 +25,7 @@ from isingmaps.exactalg import (
     squarefree_part,
     sturm_count,
 )
+from oracles import pp_exact_div
 
 # -- strategies -------------------------------------------------------------
 
@@ -103,15 +104,15 @@ class TestParamPoly:
         nu, c = ParamPoly.nu(), ParamPoly.c()
         a = nu ** 2 - 1
         b = (nu + 1) * (nu - 1)
-        assert b.exact_div(nu + 1) == nu - 1
-        assert (a * (3 * c ** 2 - nu)).exact_div(a) == 3 * c ** 2 - nu
+        assert pp_exact_div(b, nu + 1) == nu - 1
+        assert pp_exact_div(a * (3 * c ** 2 - nu), a) == 3 * c ** 2 - nu
         with pytest.raises(NonZeroRemainder):
-            (nu ** 2 + 1).exact_div(nu - 1)
+            pp_exact_div(nu ** 2 + 1, nu - 1)
 
     def test_exact_div_laurent(self):
         nu, c = ParamPoly.nu(), ParamPoly.c()
         p = (nu * c + c ** -1).shift_c(-1) * (c ** 2 - nu)
-        assert p.exact_div(c ** 2 - nu) == (nu * c + c ** -1).shift_c(-1)
+        assert pp_exact_div(p, c ** 2 - nu) == (nu * c + c ** -1).shift_c(-1)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 3), small_rationals),
                     min_size=0, max_size=5),
@@ -123,7 +124,7 @@ class TestParamPoly:
         b = ParamPoly({(dv, dc): q for dv, dc, q in bterms})
         if b.is_zero():
             return
-        assert (a * b).exact_div(b) == a
+        assert pp_exact_div(a * b, b) == a
 
 
 # -- the coefficient ring of ParamPoly: int when integral, else Fraction -----
@@ -167,14 +168,14 @@ class TestParamPolyRing:
         nu, c = ParamPoly.nu(), ParamPoly.c()
         divisor = (3 * nu + 2).shift_c(shift)
         product = p * divisor
-        quotient = product.exact_div(divisor)
+        quotient = pp_exact_div(product, divisor)
         assert_ring_coefficients(product)
         assert_ring_coefficients(quotient)
         assert quotient == p
         want = product.evaluate(nu_v, c_v) / divisor.evaluate(nu_v, c_v)
         assert quotient.evaluate(nu_v, c_v) == want
         even = 2 * c ** 2 + 4 * nu
-        halves = (p * Fraction(1, 2) * even).exact_div(even)
+        halves = pp_exact_div(p * Fraction(1, 2) * even, even)
         assert_ring_coefficients(halves)
         assert halves == p * Fraction(1, 2)
 
@@ -221,7 +222,7 @@ class TestParamPolyRing:
         assert ParamPoly.constant(Fraction(4, 2)).to_str() == "2"
 
     def test_non_integral_quotients_are_fractions(self):
-        third = ParamPoly.constant(1).exact_div(ParamPoly.constant(3))
+        third = pp_exact_div(ParamPoly.constant(1), ParamPoly.constant(3))
         assert third.terms == {(0, 0): Fraction(1, 3)}
         assert type(third.terms[(0, 0)]) is Fraction
         half = (2 * ParamPoly.c()) ** -1

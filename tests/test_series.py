@@ -1,5 +1,4 @@
 """Tests for the Lagrangian series engine."""
-import dataclasses
 import sys
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from isingmaps.series import (
     solve_Z,
     solve_Z_jets,
 )
+from oracles import pp_exact_div
 
 NU = ParamPoly.nu()
 C = ParamPoly.c()
@@ -165,7 +165,7 @@ class TestIsingParams:
         assert solve_S(p, 3).coefficient(1) == PP_ONE
 
     def test_is_a_bare_point(self):
-        assert [f.name for f in dataclasses.fields(IsingParams)] == ["nu", "c"]
+        assert IsingParams._fields == ("nu", "c")
         p = IsingParams(nu=Fraction(3, 2), c="21/20")
         assert (p.nu, p.c) == (Fraction(3, 2), Fraction(21, 20))
 
@@ -517,7 +517,7 @@ class TestPackedPass:
                 assert _l1(s_ref[m]) <= s_major[m], "S_%d" % m
                 assert _l1(g_ref[m]) <= g_major[m], "g_%d" % m
                 if m >= 3:
-                    q = g_ref[m].exact_div(nine_gamma)
+                    q = pp_exact_div(g_ref[m], nine_gamma)
                     assert 9 * max(map(abs, q.terms.values())) <= g_major[m], "q_%d" % m
 
     def test_matches_the_param_poly_pass(self, param_poly_pass_18):
@@ -527,7 +527,7 @@ class TestPackedPass:
         z = solve_Z(SYM, 16)
         assert z.coefficient(0).is_zero()
         for n in range(1, 17):
-            assert z.coefficient(n) == g_ref[n + 2].exact_div(nine_gamma).shift_c(-n)
+            assert z.coefficient(n) == pp_exact_div(g_ref[n + 2], nine_gamma).shift_c(-n)
 
     def test_indivisible_bracket_raises(self, monkeypatch):
         # nu^2 c^6 S^7 first reaches z^7, past the low-order check, and

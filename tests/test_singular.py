@@ -1,5 +1,4 @@
 """Singularity location, discriminant structure, and Puiseux machinery."""
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -531,7 +530,7 @@ class TestCertifyRhoOracle:
         # (1/4, 1): s* = B/2, so a loop started on (0, B] hits it at the
         # first midpoint
         cp = critical_point(params(Fraction(1, 4)))
-        wide = dataclasses.replace(cp, interval=(Fraction(0), cp.bound))
+        wide = cp._replace(interval=(Fraction(0), cp.bound))
         got = singular._certify_rho(wide, CERTIFY_TOLS[-1])
         assert got == _fraction_certify_rho(wide, CERTIFY_TOLS[-1])
         assert got[0] == (cp.bound / 2, cp.bound / 2) and got[2]
@@ -568,7 +567,7 @@ class TestCertifyRhoOracle:
         # started on (0, B]: at nu = 1, B > 1, so the sup bounds are retaken
         # at every step while hi > 1
         cp = critical_point(params(nu, c))
-        wide = dataclasses.replace(cp, interval=(Fraction(0), cp.bound))
+        wide = cp._replace(interval=(Fraction(0), cp.bound))
         for tol in (CERTIFY_TOLS[1], CERTIFY_TOLS[-1]):
             assert singular._certify_rho(wide, tol) == _fraction_certify_rho(wide, tol)
 
