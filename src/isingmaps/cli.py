@@ -18,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from math import floor, log10
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
@@ -91,6 +92,9 @@ def parse_rational_list(text: str) -> Tuple[Fraction, ...]:
     return tuple(values)
 
 
+_LOG10_2 = log10(2)
+
+
 def _digits(bits: int) -> int:
     return max(8, int(bits * 0.30103) - 2)
 
@@ -107,21 +111,27 @@ def format_value(x, dps: int = 17) -> str:
 def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
     """The shortest decimal inside [lo, hi], so that no printed digit is false.
 
-    The midpoint is rounded to 1, 2, ... significant digits until the
-    rounding lies in [lo, hi].  When lo < hi the midpoint is interior, so
-    this ends.  Ends one ulp apart at b significant bits are wider than
+    The midpoint is rounded to the fewest significant digits whose rounding
+    lies in [lo, hi].  When lo < hi the midpoint is interior, so such a
+    count exists.  Ends one ulp apart at b significant bits are wider than
     |mid| 2^-b, so ceil(b log10 2) + 1 digits suffice for them: 59 at
     b = 192, where dps is 55.  A point enclosure prints to at most dps + 3
     digits.
 
     The digit count is found over the integers.  With 10^e <= |mid| <
-    10^(e+1), d digits round x = |mid| 10^(d-1-e) to an integer; the
-    fraction part r/b of x is carried by long division, one decimal digit
-    per step.  The rounding moves x by min(r, b - r)/b (at a tie either
-    way, so half-even's choice does not matter), and as mid is the centre
-    of [lo, hi] it lies inside when that is at most (hi - lo)/2 times
-    10^(d-1-e), compared by cross-multiplying.  One Decimal division at the
-    digit count found, correctly rounded half-even, gives the value to print.
+    10^(e+1), d digits round x = |mid| 10^(d-1-e) to an integer, which
+    moves x by min(r, b - r)/b for the fraction part r/b of x (at a tie
+    either way, so half-even's choice does not matter); as mid is the
+    centre of [lo, hi] the rounding lies inside when that is at most
+    (hi - lo)/2 times 10^(d-1-e), compared by cross-multiplying.  That test
+    passes for every count past the least that passes, since the d-digit
+    decimals are among the (d + 1)-digit ones, and it passes once
+    10^(e+1-d) <= hi - lo.  So the count is read off the bit lengths of
+    |mid| and of the width (a point starts at dps + 3), moved up until the
+    test passes and down while it passes one digit lower: two or three
+    tests, unless the rounding lands on a much shorter decimal.  One
+    Decimal division at that count, correctly rounded half-even, gives the
+    value to print.
     """
     if lo > hi:
         raise ValueError("empty enclosure: lo > hi")
@@ -132,22 +142,39 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
         half = Fraction(hi - lo, 2)
         h_num, h_den = half.numerator, half.denominator
         mag = abs(num)
-        e = len(str(mag)) - len(str(den))  # floor(log10 |mid|) is e or e - 1
-        if (mag * 10 ** -e if e < 0 else mag) < (den * 10 ** e if e > 0 else den):
+        e = floor((mag.bit_length() - den.bit_length()) * _LOG10_2)
+        while _ten_power_at_most(e + 1, mag, den):
+            e += 1
+        while not _ten_power_at_most(e, mag, den):
             e -= 1
-        # at one digit x = |mid| 10^-e has fraction part r/b, and the bound
-        # half 10^-e on the rounding error is slack / (h_den b)
         b = den * 10 ** max(e, 0)
-        r = mag * 10 ** max(-e, 0) % b
-        slack = h_num * den * 10 ** max(-e, 0)
-        while min(r, b - r) * h_den > slack and (slack or digits < dps + 3):
-            digits += 1
-            r = 10 * r % b
-            slack *= 10
+
+        def fits(d: int) -> bool:
+            # x = |mid| 10^(d-1-e) = mag 10^p / b, and the bound on its
+            # rounding error half 10^(d-1-e) is h_num den 10^p / (h_den b)
+            t = 10 ** (d - 1 + max(-e, 0))
+            r = mag * t % b
+            return min(r, b - r) * h_den <= h_num * den * t
+
+        if h_num:
+            # 10^(e+1-d) <= 2 half bounds the least count from above
+            width_log = (h_num.bit_length() - h_den.bit_length() + 1) * _LOG10_2
+            digits = max(1, e + 1 - floor(width_log))
+            while not fits(digits):
+                digits += 1
+        else:
+            digits = dps + 3
+        while digits > 1 and fits(digits - 1):
+            digits -= 1
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         value = decimal.Decimal(num) / decimal.Decimal(den)
     return format(value, "g")
+
+
+def _ten_power_at_most(e: int, mag: int, den: int) -> bool:
+    """10^e <= mag / den, for positive integers mag and den."""
+    return den * 10 ** e <= mag if e >= 0 else den <= mag * 10 ** -e
 
 
 # ---------------------------------------------------------------------------
@@ -467,83 +494,99 @@ def _emit(text: str, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _option(*flags, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser holding one option, for the commands that read it."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*flags, **kwargs)
-    return parent
+# The options that several commands read, by flag, and each command's help
+# line with the shared options it takes, in the order its help lists them.
+_SHARED_OPTIONS = {
+    "--out": dict(default=None, metavar="PATH"),
+    "--precision-bits": dict(type=int, default=None, dest="precision_bits"),
+    "--tol": dict(type=parse_rational, default=Fraction(1, 10 ** 12)),
+    "--format": dict(choices=("json", "csv"), default="json"),
+}
+_COMMAND_SPECS = {
+    "coeffs": ("partition-function coefficients",
+               ("--out", "--precision-bits", "--format")),
+    "enumerate": ("exhaustive map enumeration oracle", ("--out",)),
+    "radius": ("certified dominant singularity",
+               ("--out", "--precision-bits", "--tol", "--format")),
+    # puiseux and observables work to a fixed radius tolerance: a weaker one
+    # would void F's guarantee, so they take no --tol
+    "puiseux": ("fractional-power branches at the singularity",
+                ("--out", "--precision-bits")),
+    "observables": ("free energy, magnetization, susceptibility",
+                    ("--out", "--precision-bits")),
+    "exponent-fit": ("coefficient-asymptotics exponent fit",
+                     ("--out", "--precision-bits", "--tol")),
+    "check": ("run the invariant battery", ("--out",)),
+}
+
+
+def _add_command(sub, command: str) -> None:
+    """Add the subparser of one command: its shared options, then its own."""
+    help_text, shared = _COMMAND_SPECS[command]
+    p = sub.add_parser(command, help=help_text)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED_OPTIONS[flag])
+    if command in ("puiseux", "observables", "exponent-fit"):
+        p.add_argument("--nu", type=parse_rational, required=True)
+        p.add_argument("--c", type=parse_rational, required=True)
+    if command == "coeffs":
+        p.add_argument("--n-max", type=int, default=5, dest="n_max")
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--symbolic", action="store_true")
+        mode.add_argument("--numeric", action="store_true")
+        p.add_argument("--nu", type=parse_rational, default=None)
+        p.add_argument("--c", type=parse_rational, default=None)
+    elif command == "enumerate":
+        p.add_argument("--n", type=int, required=True)
+    elif command == "radius":
+        p.add_argument("--nu", type=parse_rational_list, required=True)
+        p.add_argument("--c", type=parse_rational_list, required=True)
+        p.add_argument("--allow-far-field", action="store_true",
+                       dest="allow_far_field")
+        p.add_argument("--no-exponent", action="store_true", dest="no_exponent")
+        p.add_argument("--jobs", type=int, default=1)
+    elif command == "puiseux":
+        p.add_argument("--max-terms", type=int, default=3, dest="max_terms")
+    elif command == "observables":
+        p.add_argument("--n", type=int, default=None)
+    elif command == "exponent-fit":
+        p.add_argument("--n-max", type=int, default=400, dest="n_max")
+        p.add_argument("--n-min", type=int, default=None, dest="n_min")
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args returns a
-    fresh namespace each call and leaves the parser as it was.
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser for ``command``, or for every command when it is
+    None; built once per process and key, since parse_args returns a fresh
+    namespace each call and leaves the parser as it was.
+
+    A call names its command first, so it needs only that subparser: the
+    other six cost as much to build as the call's own parsing.  The
+    subcommand metavar still lists every command, so usage and help read
+    as with all seven; errors that name the command argument (a missing or
+    unknown command) come from the full parser, which keeps argparse's own
+    metavar and wording.
 
     Each command takes only the options it reads, so any other is a usage
     error (exit 2).  --precision-bits defaults to None, which main reads as
     DEFAULT_PRECISION_BITS, so that config lists only a precision given."""
-    out = _option("--out", default=None, metavar="PATH")
-    bits = _option("--precision-bits", type=int, default=None, dest="precision_bits")
-    tol = _option("--tol", type=parse_rational, default=Fraction(1, 10 ** 12))
-    table = _option("--format", choices=("json", "csv"), default="json")
-
     parser = argparse.ArgumentParser(
         prog="isingmaps",
         description="Exact and certified-numeric pipelines for the "
                     "spin-decorated map ensemble.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", parents=[out, bits, table],
-                       help="partition-function coefficients")
-    p.add_argument("--n-max", type=int, default=5, dest="n_max")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--symbolic", action="store_true")
-    mode.add_argument("--numeric", action="store_true")
-    p.add_argument("--nu", type=parse_rational, default=None)
-    p.add_argument("--c", type=parse_rational, default=None)
-
-    p = sub.add_parser("enumerate", parents=[out],
-                       help="exhaustive map enumeration oracle")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("radius", parents=[out, bits, tol, table],
-                       help="certified dominant singularity")
-    p.add_argument("--nu", type=parse_rational_list, required=True)
-    p.add_argument("--c", type=parse_rational_list, required=True)
-    p.add_argument("--allow-far-field", action="store_true",
-                   dest="allow_far_field")
-    p.add_argument("--no-exponent", action="store_true", dest="no_exponent")
-    p.add_argument("--jobs", type=int, default=1)
-
-    # puiseux and observables work to a fixed radius tolerance: a weaker one
-    # would void F's guarantee, so they take no --tol
-    p = sub.add_parser("puiseux", parents=[out, bits],
-                       help="fractional-power branches at the singularity")
-    p.add_argument("--nu", type=parse_rational, required=True)
-    p.add_argument("--c", type=parse_rational, required=True)
-    p.add_argument("--max-terms", type=int, default=3, dest="max_terms")
-
-    p = sub.add_parser("observables", parents=[out, bits],
-                       help="free energy, magnetization, susceptibility")
-    p.add_argument("--nu", type=parse_rational, required=True)
-    p.add_argument("--c", type=parse_rational, required=True)
-    p.add_argument("--n", type=int, default=None)
-
-    p = sub.add_parser("exponent-fit", parents=[out, bits, tol],
-                       help="coefficient-asymptotics exponent fit")
-    p.add_argument("--nu", type=parse_rational, required=True)
-    p.add_argument("--c", type=parse_rational, required=True)
-    p.add_argument("--n-max", type=int, default=400, dest="n_max")
-    p.add_argument("--n-min", type=int, default=None, dest="n_min")
-
-    sub.add_parser("check", parents=[out], help="run the invariant battery")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
+    for name in COMMANDS if command is None else (command,):
+        _add_command(sub, name)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     started = time.time()
     given = getattr(args, "precision_bits", None)
     bits = DEFAULT_PRECISION_BITS if given is None else given

@@ -125,35 +125,40 @@ def _symbolic_tables():
       * e1: the S-coefficient of the denominator factor 1 + 3c^2(1-nu^2)S;
       * nine_gamma: the exact-division constant 9(1-nu^2).
     """
-    nu = ParamPoly.nu()
-    c = ParamPoly.c()
-    g = 1 - nu ** 2
+    # each power is formed once and shared: nu^2, c^2, c^4, c^6 and
+    # g^1..g^5 for g = 1 - nu^2
+    nu2 = ParamPoly.monomial(1, 2, 0)
+    c2 = ParamPoly.monomial(1, 0, 2)
+    c4, c6 = ParamPoly.monomial(1, 0, 4), ParamPoly.monomial(1, 0, 6)
+    g = [PP_ONE, 1 - nu2]
+    for _ in range(4):
+        g.append(g[-1] * g[1])
     n_tab = {
         0: PP_ONE,
-        1: -3 * nu ** 2 * (c ** 2 + 1),
-        2: -3 * c ** 2 * g * (3 * nu ** 2 + 7),
-        4: 135 * c ** 4 * g ** 3,
-        6: -243 * c ** 6 * g ** 5,
+        1: -3 * nu2 * (c2 + 1),
+        2: -3 * c2 * g[1] * (3 * nu2 + 7),
+        4: 135 * c4 * g[3],
+        6: -243 * c6 * g[5],
     }
-    d_tab = {0: PP_ONE, 2: -9 * c ** 2 * g ** 2}
+    d_tab = {0: PP_ONE, 2: -9 * c2 * g[2]}
     bracket_tab = {
-        (7, 0): 405 * c ** 6 * g ** 4,
-        (6, 0): 351 * c ** 4 * g ** 3,
-        (5, 1): -324 * c ** 4 * g ** 4,
-        (5, 0): -27 * c ** 2 * g ** 2 * (5 * c ** 2 - nu ** 2),
-        (4, 1): 108 * c ** 4 * g ** 3,
-        (4, 0): 3 * c ** 2 * g * (-3 * nu ** 2 - 47),
-        (3, 1): 252 * g ** 2 * c ** 2,
-        (3, 0): -(6 * c ** 2 + 15) * nu ** 2 - 9 * c ** 2,
-        (2, 2): -108 * c ** 2 * g ** 3,
-        (2, 1): 9 * g * (4 * c ** 2 + nu ** 2),
+        (7, 0): 405 * c6 * g[4],
+        (6, 0): 351 * c4 * g[3],
+        (5, 1): -324 * c4 * g[4],
+        (5, 0): -27 * c2 * g[2] * (5 * c2 - nu2),
+        (4, 1): 108 * c4 * g[3],
+        (4, 0): 3 * c2 * g[1] * (-3 * nu2 - 47),
+        (3, 1): 252 * g[2] * c2,
+        (3, 0): -(6 * c2 + 15) * nu2 - 9 * c2,
+        (2, 2): -108 * c2 * g[3],
+        (2, 1): 9 * g[1] * (4 * c2 + nu2),
         (2, 0): ParamPoly.constant(5),
-        (1, 2): -27 * c ** 2 * g ** 2,
-        (1, 1): 3 * nu ** 2 - 8,
-        (0, 2): 3 * g,
+        (1, 2): -27 * c2 * g[2],
+        (1, 1): 3 * nu2 - 8,
+        (0, 2): 3 * g[1],
     }
-    e1 = 3 * c ** 2 * g
-    nine_gamma = 9 * g
+    e1 = 3 * c2 * g[1]
+    nine_gamma = 9 * g[1]
     return n_tab, d_tab, bracket_tab, e1, nine_gamma
 
 

@@ -8,11 +8,11 @@ for z(s) in lowest terms with its poles stripped, and in the validated
 parameter region it is the smallest root of ``char`` in (0, B],
 B = 1/(3 c^2 |1 - nu^2|) (a Cauchy root bound at nu = 1).  The exact data
 of that critical point are computed once per (nu, c), from one evaluation
-of N and D, and cached as a CriticalPoint built over Z (gcds certified
-modulo a prime, one primitive remainder sequence where that fails): z(s)
-in lowest terms, ``char``, B, and an interval isolating s* (Sturm counts,
-quadratic interval refinement).  rho is recovered by evaluating z(s) at
-s*, with certified interval arithmetic; mu = c * rho.
+of N and D, and cached as a CriticalPoint built over Z (the factors
+shared with D read off its two linear factors, one gcd for the squarefree
+part): z(s) in lowest terms, ``char``, B, and an interval isolating s*
+(Sturm counts, quadratic interval refinement).  rho is recovered by
+evaluating z(s) at s*, with certified interval arithmetic; mu = c * rho.
 
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
@@ -61,6 +61,7 @@ from .series import IsingParams, _symbolic_tables
 
 VALIDATED_C_HALF_WIDTH = Fraction(1, 4)
 UNIQUENESS_TOL = Fraction(1, 10 ** 12)
+CLUSTER_TOL = Fraction(1, 10 ** 40)
 
 Number = Union[Fraction, mpmath.mpf]
 
@@ -98,10 +99,13 @@ def cancelling_polynomial_squarefree(params: IsingParams) -> Tuple[UniPoly, UniP
     critical_point(params)
     sn, a, d, b = _lagrangian_parts(params)
     dd = d * d
-    g = primitive(poly_gcd(sn, dd))
-    h = primitive(poly_gcd(g, g.derivative()))
-    if h.degree() >= 1:
-        sn, dd = (q.exact_div(h).scale(h.coeff(0)) for q in (sn, dd))
+    # g = gcd(S N, D^2) holds each pole of D to the order k <= 2 that S N
+    # does, so gcd(g, g') holds it to the order k - 1
+    for pole in _poles(params.nu, params.c):
+        k = _divide_out(sn, pole, 2)[1] - 1
+        if k > 0:
+            sn, dd = (_divide_out(q, pole, k)[0].scale((-pole.numerator) ** k)
+                      for q in (sn, dd))
     return _over(sn, a), _over(dd, b * b)
 
 
@@ -348,16 +352,49 @@ def critical_point(params: IsingParams) -> CriticalPoint:
     return _critical_point(params.nu, params.c)
 
 
-@lru_cache(maxsize=512)
-def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
+def _poles(nu: Fraction, c: Fraction) -> Tuple[Fraction, ...]:
+    """The roots +-r, r = 1/(3c(1 - nu^2)), of D; none at nu = 1.
+
+    Over Q, D = (1 - 3c(1 - nu^2)S)(1 + 3c(1 - nu^2)S), and D = 1 at
+    nu = 1.  So any factor that a polynomial shares with a power of D is a
+    product of powers of the linear factors of these roots, and a gcd with
+    D^2 is read off the vanishing orders there (:func:`_divide_out`),
+    with no remainder sequence.
+    """
+    if nu == 1:
+        return ()
+    r = 1 / (3 * c * (1 - nu ** 2))
+    return r, -r
+
+
+def _divide_out(p: UniPoly, root: Fraction, most: Optional[int] = None) -> Tuple[UniPoly, int]:
+    """(p / L^k, k) for L = q x - p0 the linear factor of ``root`` = p0 / q
+    and k its multiplicity in p, capped at ``most``.  L is primitive with
+    positive leading coefficient, as a primitive gcd is, so the quotient of
+    an integer p stays in Z[x] with the sign it had."""
+    factor, k = UniPoly([-root.numerator, root.denominator]), 0
+    while (most is None or k < most) and p.sign_at(root) == 0:
+        p, k = p.exact_div(factor), k + 1
+    return p, k
+
+
+def _reduced_z_and_char(nu: Fraction, c: Fraction) -> Tuple[UniPoly, UniPoly, UniPoly]:
+    """(num, den, char) of :class:`CriticalPoint`, char not yet squarefree.
+
+    The factor S N shares with D^2, and every factor char shares with den,
+    is read off the poles of D (:func:`_poles`).
+    """
     sn, a, d, b = _lagrangian_parts(IsingParams(nu=nu, c=c))
-    dd = d * d
+    poles = _poles(nu, c)
     # z(s) = b^2 sn / (a d^2) in lowest terms: at c = 1 for nu >= 4, s* is
-    # a root of D and the unreduced s N(S)/D(S)^2 is a 0/0 there.  Off
-    # c = 1 the modular certificate shows gcd 1 without a remainder
-    # sequence.  Divisors are primitive, so every quotient stays in Z[x].
-    g = primitive(poly_gcd(sn, dd))
-    num, den = sn.scale(b * b).exact_div(g), dd.scale(a).exact_div(g)
+    # a root of D and the unreduced s N(S)/D(S)^2 is a 0/0 there.  d has
+    # simple roots at the poles, so d^2 double ones.
+    dd, cancelled = d * d, 0
+    for pole in poles:
+        sn, k = _divide_out(sn, pole, 2)
+        dd = _divide_out(dd, pole, k)[0]
+        cancelled += k
+    num, den = sn.scale(b * b), dd.scale(a)
     t = gcd(*num.coeffs, *den.coeffs)
     num, den = (UniPoly([x // t for x in q.coeffs]) for q in (num, den))
     # Removing every factor the numerator of z' shares with den discards
@@ -365,7 +402,7 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
     # at the end of the search interval for nu on one side of 1), while the
     # genuine critical point survives: for nu >= 4 it is the cancelled
     # factor's location, a root of the reduced numerator's derivative.
-    if g.degree() == 0:
+    if not cancelled:
         # den = (a / t) d^2, so num' den - num den' is (a / t) d times
         # num' d - 2 num d': that factor d is stripped here, the sign of
         # its leading coefficient kept
@@ -373,10 +410,15 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
         char = char if d.lc() > 0 else -char
     else:
         char = primitive(num.derivative() * den - num * den.derivative())
-    common = poly_gcd(char, den)
-    while common.degree() >= 1:
-        char = char.exact_div(primitive(common))
-        common = poly_gcd(char, den)
+    for pole in poles:
+        if den.sign_at(pole) == 0:
+            char = _divide_out(char, pole)[0]
+    return num, den, char
+
+
+@lru_cache(maxsize=512)
+def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
+    num, den, char = _reduced_z_and_char(nu, c)
     char = squarefree_part(char)
     bound = cauchy_root_bound(char) if nu == 1 else \
         Fraction(1, 3) / (c ** 2 * abs(1 - nu ** 2))
@@ -541,10 +583,14 @@ def _approximate_roots(char: UniPoly, bound: Fraction) -> List[complex]:
     :func:`_uniqueness_certificate`, which checks every disk exactly: a
     poor approximation can lose the verdict, never make a false one.
     """
-    scaled = [c * bound ** k for k, c in enumerate(char.coeffs)]
-    d = len(scaled) - 1
+    # char(B t) / lc in integers, B = u / v: coefficient k is
+    # a_k u^k v^(d - k) / (a_d u^d), which int true division rounds once,
+    # as float(Fraction) does
+    form = char.integer_form().scaled(bound.denominator)
+    d, u = form.degree(), bound.numerator
+    scaled = [c * u ** k for k, c in enumerate(form.coeffs)]
     try:
-        a = [float(c / scaled[-1]) for c in scaled[:-1]]
+        a = [c / scaled[-1] for c in scaled[:-1]]
         r = 2 * max(abs(x) ** (1 / (d - k)) for k, x in enumerate(a)) or 1.0
         ts = [r * (0.4 + 0.9j) ** k for k in range(d)]
         polish = False
@@ -584,6 +630,72 @@ def _derivative_form(form: IntegerForm, absolute: bool = False) -> IntegerForm:
                         for j, a in enumerate(form.coeffs)][1:], form.den)
 
 
+_OVERLAP = "root disks of char overlap"
+# the grid of the second root pass: at nu = 10^-20, c = 1 four roots of
+# char lie within 5e-11 of 1/3, and the z-bounds over their disks part from
+# rho only on a grid about 2^-256 B fine
+REFINE_BITS = 192
+REFINE_SWEEPS = 200
+
+
+def _root_disks(char: IntegerForm, points: List[Tuple[int, int]],
+                k: int) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
+    """The disks (x, y, radius) in units of 2^-k of the points (x + iy) / 2^k
+    (see :func:`_uniqueness_certificate`), and None when they are pairwise
+    disjoint, else the reason they certify nothing."""
+    d = char.degree()
+    char_d = _derivative_form(char)
+    disks = []
+    for x, y in points:
+        q_lo = _modulus_bounds(*char_d.gaussian(x, y, k))[0]
+        if q_lo == 0:
+            return disks, "char' vanishes at an approximate root"
+        p_hi = _modulus_bounds(*char.gaussian(x, y, k))[1]
+        disks.append((x, y, -(-d * p_hi // q_lo)))
+    for i, (x1, y1, r1) in enumerate(disks):
+        for x2, y2, r2 in disks[:i]:
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
+                return disks, _OVERLAP
+    return disks, None
+
+
+def _refine_roots(char: IntegerForm, points: List[Tuple[int, int]],
+                  k: int) -> Optional[List[Tuple[int, int]]]:
+    """Durand-Kerner on the points (x + iy) / 2^k in Gaussian fixed point,
+    or None when two of them meet.
+
+    Each step sigma_i -= char(sigma_i) / (lc prod_(j != i) (sigma_i -
+    sigma_j)) is formed from exact values (:meth:`IntegerForm.gaussian`)
+    and rounded to the grid, points updated in place as in
+    :func:`_approximate_roots`.  So the roots are found to the grid, and
+    a cluster that floats blur into one is split.  It stops when no point
+    moves by more than one unit of 2^-k, or after ``REFINE_SWEEPS`` sweeps;
+    like the float hints the result is only checked, never trusted.
+    """
+    lc = char.coeffs[-1]
+    points = list(points)
+    for _ in range(REFINE_SWEEPS):
+        moved = 0
+        for i, (x, y) in enumerate(points):
+            # q = lc prod (sigma_i - sigma_j), in units of 2^(-k(d - 1))
+            qr, qi = lc, 0
+            for j, (u, v) in enumerate(points):
+                if j != i:
+                    qr, qi = qr * (x - u) - qi * (y - v), qr * (y - v) + qi * (x - u)
+            m = qr * qr + qi * qi
+            if not m:
+                return None
+            # char(sigma_i) / q in units of 2^-k, rounded: value * conj(q) / |q|^2
+            pr, pi = char.gaussian(x, y, k)
+            sr = (2 * (pr * qr + pi * qi) + m) // (2 * m)
+            si = (2 * (pi * qr - pr * qi) + m) // (2 * m)
+            points[i] = (x - sr, y - si)
+            moved = max(moved, sr * sr + si * si)
+        if moved <= 1:
+            break
+    return points
+
+
 def _uniqueness_certificate(
     cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction],
     rho_iv: Tuple[Fraction, Fraction], extra: Tuple[Fraction, ...],
@@ -604,11 +716,17 @@ def _uniqueness_certificate(
     values at sigma, which bounds |z| = |num| / |den|; the bound must lie
     strictly below or strictly above ``rho_iv``.
 
+    Where these disks overlap, a tight cluster of roots of char that
+    doubles cannot split, the roots are found again from the float hints on
+    a grid ``REFINE_BITS`` finer (:func:`_refine_roots`), and the disks are
+    checked there.  The roots of such a cluster map close to rho, so the s
+    and rho intervals are then certified again to ``CLUSTER_TOL`` where
+    they are wider.  Where the float disks are disjoint neither step runs.
+
     Integers only: values at sigma by complex Horner on the integer forms
     (:meth:`IntegerForm.gaussian`), moduli bounded by ``math.isqrt``, radii
     rounded up to whole units of 2^-k, and every comparison cross-multiplied.
     """
-    (a_lo, b_lo), (a_hi, b_hi) = ((r.numerator, r.denominator) for r in rho_iv)
     for s in extra:
         if cp.den.sign_at(s) != 0 and s_iv != (s, s) \
                 and rho_iv[0] <= abs(cp.z_at(s)) <= rho_iv[1]:
@@ -619,19 +737,19 @@ def _uniqueness_certificate(
     if len(approx) != d or not all(isfinite(abs(root)) for root in approx):
         return "no usable root approximations of char"
     k = max(0, 64 - cp.bound.numerator.bit_length() + cp.bound.denominator.bit_length())
-    char_d = _derivative_form(char)
-    disks = []
-    for root in approx:
-        x, y = round(ldexp(root.real, k)), round(ldexp(root.imag, k))
-        q_lo = _modulus_bounds(*char_d.gaussian(x, y, k))[0]
-        if q_lo == 0:
-            return "char' vanishes at an approximate root"
-        p_hi = _modulus_bounds(*char.gaussian(x, y, k))[1]
-        disks.append((x, y, -(-d * p_hi // q_lo)))
-    for i, (x1, y1, r1) in enumerate(disks):
-        for x2, y2, r2 in disks[:i]:
-            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
-                return "root disks of char overlap"
+    points = [(round(ldexp(root.real, k)), round(ldexp(root.imag, k))) for root in approx]
+    disks, reason = _root_disks(char, points, k)
+    if reason == _OVERLAP:
+        points = _refine_roots(char, [(x << REFINE_BITS, y << REFINE_BITS)
+                                      for x, y in points], k + REFINE_BITS)
+        if points is not None:
+            k += REFINE_BITS
+            disks, reason = _root_disks(char, points, k)
+            if rho_iv[1] - rho_iv[0] > CLUSTER_TOL:
+                s_iv, rho_iv = _certify_rho(cp, CLUSTER_TOL)[:2]
+    if reason:
+        return reason
+    (a_lo, b_lo), (a_hi, b_hi) = ((r.numerator, r.denominator) for r in rho_iv)
     s_lo = (s_iv[0].numerator << k) // s_iv[0].denominator
     s_hi = -((-s_iv[1].numerator << k) // s_iv[1].denominator)
     meets = [disk for disk in disks
@@ -700,7 +818,8 @@ def radius_numeric(
 
     With ``scan_uniqueness``, ``uniqueness_checked`` is True when no other
     candidate singularity of Z has modulus in the rho interval, certified
-    at tol 1e-12 or finer whatever ``tol``; otherwise it is False and a
+    at tol 1e-12 or finer whatever ``tol`` (1e-40 where a tight cluster of
+    roots of ``char`` maps close to rho); otherwise it is False and a
     warning "dominant-singularity uniqueness undecided: <reason>" says why.
     The candidates: the leading S-coefficient of the squarefree cancelling
     polynomial is a constant, so S has no poles and every singularity of S

@@ -3,15 +3,19 @@
 Each was package code that no command reached; the tests keep it as an
 oracle for the code that replaced it or that it checks.
 """
+import decimal
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
 from isingmaps.critical import FIT_GUARD_BITS, FitResult
 from isingmaps.errors import NonPositiveSequence, NonZeroRemainder
-from isingmaps.exactalg import ParamPoly, _q
+from isingmaps.exactalg import PP_ONE, ParamPoly, UniPoly, _q, poly_gcd, primitive
 from isingmaps.precision import DEFAULT_PRECISION_BITS, to_mpf
+from isingmaps.series import IsingParams
+from isingmaps.singular import _lagrangian_parts
 
 
 def pp_exact_div(p: ParamPoly, divisor) -> ParamPoly:
@@ -129,3 +133,131 @@ def mpmath_fit(sequence: Sequence, mu, n_range: Tuple[int, int],
         return FitResult(mu_estimate=_as_mpf(mu), alpha_exponent=-slope,
                          amplitude=mpmath.exp(intercept), residual=residual,
                          n_range=(n_lo, n_hi), aitken_exponent=aitken)
+
+
+def symbolic_tables_by_powers():
+    """The model tables as the factored expressions read, every power of nu,
+    c and g = 1 - nu^2 taken afresh: the reference for the shared powers of
+    :func:`isingmaps.series._symbolic_tables`."""
+    nu = ParamPoly.nu()
+    c = ParamPoly.c()
+    g = 1 - nu ** 2
+    n_tab = {
+        0: PP_ONE,
+        1: -3 * nu ** 2 * (c ** 2 + 1),
+        2: -3 * c ** 2 * g * (3 * nu ** 2 + 7),
+        4: 135 * c ** 4 * g ** 3,
+        6: -243 * c ** 6 * g ** 5,
+    }
+    d_tab = {0: PP_ONE, 2: -9 * c ** 2 * g ** 2}
+    bracket_tab = {
+        (7, 0): 405 * c ** 6 * g ** 4,
+        (6, 0): 351 * c ** 4 * g ** 3,
+        (5, 1): -324 * c ** 4 * g ** 4,
+        (5, 0): -27 * c ** 2 * g ** 2 * (5 * c ** 2 - nu ** 2),
+        (4, 1): 108 * c ** 4 * g ** 3,
+        (4, 0): 3 * c ** 2 * g * (-3 * nu ** 2 - 47),
+        (3, 1): 252 * g ** 2 * c ** 2,
+        (3, 0): -(6 * c ** 2 + 15) * nu ** 2 - 9 * c ** 2,
+        (2, 2): -108 * c ** 2 * g ** 3,
+        (2, 1): 9 * g * (4 * c ** 2 + nu ** 2),
+        (2, 0): ParamPoly.constant(5),
+        (1, 2): -27 * c ** 2 * g ** 2,
+        (1, 1): 3 * nu ** 2 - 8,
+        (0, 2): 3 * g,
+    }
+    return n_tab, d_tab, bracket_tab, 3 * c ** 2 * g, 9 * g
+
+
+def reduced_z_and_char_by_gcd(nu: Fraction, c: Fraction) -> Tuple[UniPoly, UniPoly, UniPoly]:
+    """(num, den, char) of :func:`isingmaps.singular.critical_point` before
+    the search for s*, from two remainder-sequence gcds: gcd(S N, D^2)
+    reduces z(s), and gcd(char, den) is divided out of char until it is 1.
+    The reference for the gcds read off the linear factors of D."""
+    sn, a, d, b = _lagrangian_parts(IsingParams(nu=nu, c=c))
+    dd = d * d
+    g = primitive(poly_gcd(sn, dd))
+    num, den = sn.scale(b * b).exact_div(g), dd.scale(a).exact_div(g)
+    t = gcd(*num.coeffs, *den.coeffs)
+    num, den = (UniPoly([x // t for x in q.coeffs]) for q in (num, den))
+    if g.degree() == 0:
+        char = primitive(num.derivative() * d - (num * d.derivative()).scale(2))
+        char = char if d.lc() > 0 else -char
+    else:
+        char = primitive(num.derivative() * den - num * den.derivative())
+    common = poly_gcd(char, den)
+    while common.degree() >= 1:
+        char = char.exact_div(primitive(common))
+        common = poly_gcd(char, den)
+    return num, den, char
+
+
+def cancelling_pair_by_gcd(params: IsingParams) -> Tuple[UniPoly, UniPoly]:
+    """(A, B) of :func:`isingmaps.singular.cancelling_polynomial_squarefree`
+    from the remainder-sequence gcds g = gcd(S N, D^2) and gcd(g, g')."""
+    sn, a, d, b = _lagrangian_parts(params)
+    dd = d * d
+    g = primitive(poly_gcd(sn, dd))
+    h = primitive(poly_gcd(g, g.derivative()))
+    if h.degree() >= 1:
+        sn, dd = (q.exact_div(h).scale(h.coeff(0)) for q in (sn, dd))
+    return (UniPoly([Fraction(c, a) for c in sn.coeffs]),
+            UniPoly([Fraction(c, b * b) for c in dd.coeffs]))
+
+
+def approximate_roots_by_fractions(char: UniPoly, bound: Fraction) -> List[complex]:
+    """:func:`isingmaps.singular._approximate_roots` with char(B t) scaled
+    through Fraction powers of B, each coefficient rounded by float()."""
+    scaled = [c * bound ** k for k, c in enumerate(char.coeffs)]
+    d = len(scaled) - 1
+    try:
+        a = [float(c / scaled[-1]) for c in scaled[:-1]]
+        r = 2 * max(abs(x) ** (1 / (d - k)) for k, x in enumerate(a)) or 1.0
+        ts = [r * (0.4 + 0.9j) ** k for k in range(d)]
+        polish = False
+        for _ in range(100):
+            step = 0.0
+            for i, t in enumerate(ts):
+                p = 1.0
+                for x in reversed(a):
+                    p = p * t + x
+                q = 1.0
+                for j, u in enumerate(ts):
+                    if j != i:
+                        q *= t - u
+                ts[i] = t - p / q
+                step = max(step, abs(p / q))
+            if polish:
+                break
+            polish = step <= r * 2.0 ** -40
+        b = float(bound)
+    except (OverflowError, ZeroDivisionError):
+        return []
+    return [b * t for t in ts]
+
+
+def format_enclosure_by_long_division(lo: Fraction, hi: Fraction, dps: int) -> str:
+    """:func:`isingmaps.cli.format_enclosure` by one long-division step per
+    digit: the count grows from 1 until the rounding of the midpoint lies
+    in [lo, hi] (a point stops at dps + 3 digits)."""
+    mid = Fraction(lo + hi, 2)
+    num, den = mid.numerator, mid.denominator
+    digits = 1
+    if num:
+        half = Fraction(hi - lo, 2)
+        h_num, h_den = half.numerator, half.denominator
+        mag = abs(num)
+        e = len(str(mag)) - len(str(den))
+        if (mag * 10 ** -e if e < 0 else mag) < (den * 10 ** e if e > 0 else den):
+            e -= 1
+        b = den * 10 ** max(e, 0)
+        r = mag * 10 ** max(-e, 0) % b
+        slack = h_num * den * 10 ** max(-e, 0)
+        while min(r, b - r) * h_den > slack and (slack or digits < dps + 3):
+            digits += 1
+            r = 10 * r % b
+            slack *= 10
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        value = decimal.Decimal(num) / decimal.Decimal(den)
+    return format(value, "g")

@@ -14,6 +14,7 @@ from fractions import Fraction
 import jsonschema
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from isingmaps import cli, series
@@ -23,13 +24,17 @@ from isingmaps.exactalg import PP_ONE, PP_ZERO
 from isingmaps.series import (
     IsingParams, TruncatedSeries, _Model, _series_powers, _solve_Z_ring, _symbolic_tables,
 )
-from isingmaps.singular import rho_closed_form
-from oracles import pp_exact_div
+from isingmaps.singular import dominant_expansions, rho_closed_form
+from oracles import format_enclosure_by_long_division, pp_exact_div
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent
                      / "golden_envelopes.json").read_text())
+# stdout of --help and stderr of usage errors, by argv, as the parser of
+# every command printed them at 80 columns
+PARSER_GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent
+                            / "golden_parser.json").read_text())
 
 # The options each command reads; every other shared option is a usage error.
 # Beyond the shared ones: coeffs --n-max --symbolic --numeric --nu --c,
@@ -150,18 +155,51 @@ class TestParsing:
         assert "unrecognized arguments: %s" % option in capsys.readouterr().err
 
     def test_each_command_takes_the_options_it_reads(self):
+        # the full parser and each command's own parser, which main builds
+        # when the command is the first word, take the same options
         parser = cli._build_parser()
         commands = parser._subparsers._group_actions[0].choices
         slots = 0
         for command, options in TAKES.items():
+            own = cli._build_parser(command)
+            own_commands = own._subparsers._group_actions[0].choices
+            assert list(own_commands) == [command]
             flags = {flag for action in commands[command]._actions
                      for flag in action.option_strings} - {"-h", "--help"}
+            assert flags == {flag for action in own_commands[command]._actions
+                             for flag in action.option_strings} - {"-h", "--help"}
             assert flags & set(SHARED_OPTIONS) == set(options), command
             slots += len(flags)
-            args = parser.parse_args([command, *MINIMAL_ARGS[command], *(
-                arg for option in options for arg in (option, SHARED_OPTIONS[option]))])
+            argv = [command, *MINIMAL_ARGS[command], *(
+                arg for option in options for arg in (option, SHARED_OPTIONS[option]))]
+            args = parser.parse_args(argv)
             assert args.command == command
+            assert own.parse_args(argv) == args
         assert slots == 37
+
+    @pytest.mark.parametrize("argv", sorted(PARSER_GOLDEN))
+    def test_help_and_usage_errors_unchanged(self, capsys, monkeypatch, argv):
+        # help and usage-error texts as the full parser printed them, byte
+        # for byte, though a call that names its command builds only that
+        # command's parser
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = PARSER_GOLDEN[argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == golden["code"]
+        captured = capsys.readouterr()
+        printed = captured.out if golden["stream"] == "stdout" else captured.err
+        assert printed == golden["text"]
+
+    def test_a_call_builds_only_its_own_command(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "radius", lambda args, bits: ({}, [], None))
+        cli._build_parser.cache_clear()
+        assert main(["radius", "--nu", "2", "--c", "1"]) == 0
+        assert main(["radius", "--nu", "3", "--c", "1"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert list(cli._build_parser("radius")._subparsers._group_actions[0].choices) \
+            == ["radius"]
 
 
 class TestCoeffs:
@@ -351,7 +389,9 @@ class TestRadius:
                 del envelope["meta"]["elapsed_seconds"]
             assert code == 0 and in_process == separate
         assert in_process["config"]["tol"] == "1/1000000000000"
-        assert cli._build_parser.cache_info().misses <= 1
+        # one build per command (and one of the full parser) per process
+        info = cli._build_parser.cache_info()
+        assert info.misses == info.currsize <= len(cli.COMMANDS) + 1
 
     def test_nu_one_is_exact(self, capsys):
         code, payload = run_json(capsys, "radius", "--nu", "1", "--c", "21/20")
@@ -518,6 +558,44 @@ class TestObservables:
             cases += [(lo, hi, cli._digits(192)) for lo, hi in box.values()]
         for lo, hi, dps in cases:
             assert cli.format_enclosure(lo, hi, dps) == format_enclosure_by_decimal(lo, hi, dps)
+
+    @given(st.fractions(min_value=-10 ** 30, max_value=10 ** 30), st.integers(0, 250),
+           st.integers(0, 2 ** 64), st.integers(0, 100), st.booleans(),
+           st.sampled_from((5, 15, 55, 57)))
+    @settings(max_examples=400, deadline=None)
+    def test_enclosure_digits_match_the_long_division(self, mid, shift, man, left,
+                                                      relative, dps):
+        # widths from 0 (man = 0: a point) down to 2^-250, absolute or times
+        # |mid|, with mid anywhere from the lower end to the upper
+        width = Fraction(man, 2 ** 64) / 2 ** shift * (abs(mid) if relative else 1)
+        lo = mid - width * Fraction(left, 100)
+        assert cli.format_enclosure(lo, lo + width, dps) == \
+            format_enclosure_by_long_division(lo, lo + width, dps)
+
+    def test_golden_enclosures_match_the_long_division(self):
+        # every golden observables and puiseux field printed from a box
+        dps, seen = cli._digits(192), 0
+        for command, envelope in GOLDEN.items():
+            name, *args = command.split()
+            if name not in ("observables", "puiseux"):
+                continue
+            nu, c, rest = Fraction(args[1]), Fraction(args[3]), args[4:]
+            if name == "observables" and not rest and c != 1:
+                boxes = thermo_enclosures(nu, c)
+            elif name == "puiseux":
+                report = dominant_expansions(IsingParams(nu=nu, c=c), max_terms=3,
+                                             precision_bits=192)[0]
+                if report.exact:
+                    continue
+                boxes = {"rho": report.rho_interval, "s_at_rho": report.s_interval}
+            else:
+                continue
+            for field, (lo, hi) in boxes.items():
+                printed = envelope["result"][field]
+                assert cli.format_enclosure(lo, hi, dps) == printed, (command, field)
+                assert format_enclosure_by_long_division(lo, hi, dps) == printed
+                seen += 1
+        assert seen == 8
 
     @pytest.mark.parametrize("bits", [53, 192])
     def test_one_ulp_enclosure_prints_at_most_its_bits_in_digits(self, bits):

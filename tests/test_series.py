@@ -33,7 +33,7 @@ from isingmaps.series import (
     solve_Z,
     solve_Z_jets,
 )
-from oracles import pp_exact_div
+from oracles import pp_exact_div, symbolic_tables_by_powers
 
 NU = ParamPoly.nu()
 C = ParamPoly.c()
@@ -214,6 +214,17 @@ class TestLagrangianPolynomials:
         n_tab, d_tab = series._symbolic_tables()[:2]
         assert {k for k, coef in n_tab.items() if coef} == {0, 1, 2, 4, 6}
         assert {k for k, coef in d_tab.items() if coef} == {0, 2}
+
+    def test_tables_equal_the_factored_expressions(self):
+        # shared powers of nu^2, c^2 and 1 - nu^2 give the same terms as
+        # each factored expression built on its own
+        fast, slow = series._symbolic_tables(), symbolic_tables_by_powers()
+        for built, reference in zip(fast, slow):
+            if isinstance(reference, dict):
+                assert built.keys() == reference.keys()
+                assert all(built[k].terms == reference[k].terms for k in reference)
+            else:
+                assert built.terms == reference.terms
 
     def test_point_nu_one(self):
         n_vals, d_vals = ({k: v for k, coef in tab.items() if (v := coef.evaluate(1, 1))}

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from isingmaps import exactalg, series, singular
-from isingmaps.errors import DegenerateBranch
+from isingmaps.errors import DegenerateBranch, NoRootInRange
 from isingmaps.exactalg import (
     PP_ZERO,
     UniPoly,
@@ -30,6 +30,9 @@ from isingmaps.singular import (
     rho_closed_form,
     s_at_rho_closed_form,
 )
+from oracles import (
+    approximate_roots_by_fractions, cancelling_pair_by_gcd, reduced_z_and_char_by_gcd,
+)
 
 
 def params(nu, c=1):
@@ -50,6 +53,13 @@ THERMO_POINTS = [(nu, c) for nu in ("1/2", "5/2", "9/2", "6")
 BENCHMARK_POINTS = (
     [(nu, "1") for nu in ("1/2", "3/4", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "5", "6")]
     + [("3/4", "9/10"), ("3/4", "11/10")] + THERMO_POINTS)
+
+
+# c = 1 and nu = 1, and nu >= 4 at c = 1, where D shares a factor with S N
+POLE_GRID = [(Fraction(nu), Fraction(c))
+             for nu in ("1/100", "1/4", "1/2", "3/4", "1", "3/2", "2", "5/2", "3", "4",
+                        "9/2", "5", "6", "9", "1/100000000000000000000")
+             for c in ("3/4", "9/10", "19/20", "1", "21/20", "11/10", "5/4")]
 
 
 class TestClosedForms:
@@ -254,6 +264,38 @@ class TestUniquenessCertificate:
             # z(B) = 1/81 is inside the disc, not on its circle
             assert z_b == Fraction(1, 81) < rep.rho_interval[0]
 
+    def test_root_hints_equal_the_fraction_scaled_ones(self):
+        # char(B t) / lc scaled in integers rounds each coefficient as
+        # float(Fraction) does, so the hints are the same floats
+        for point in POLE_GRID:
+            try:
+                cp = critical_point(params(*point))
+            except NoRootInRange:
+                continue
+            assert singular._approximate_roots(cp.char, cp.bound) == \
+                approximate_roots_by_fractions(cp.char, cp.bound), point
+
+    def test_tight_root_cluster_is_certified(self, monkeypatch):
+        # four roots of char within 5e-11 of 1/3, whose float disks overlap:
+        # the integer pass splits them, and their z-values are told apart
+        # from rho once it is read to CLUSTER_TOL
+        passes = []
+        refine = singular._refine_roots
+        monkeypatch.setattr(singular, "_refine_roots",
+                            lambda *args: passes.append(args[2]) or refine(*args))
+        rep = radius_numeric(params(Fraction(1, 10 ** 20)), with_exponent=False)
+        assert len(passes) == 1
+        assert rep.uniqueness_checked and not rep.warnings
+
+    def test_certified_points_make_no_second_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("second root pass")
+
+        monkeypatch.setattr(singular, "_refine_roots", refuse)
+        for nu, c in BENCHMARK_POINTS:
+            rep = radius_numeric(params(Fraction(nu), Fraction(c)), with_exponent=False)
+            assert rep.uniqueness_checked, (nu, c)
+
     def test_conjugate_pair_on_the_circle_is_undecided(self):
         # z(s) = s and char = (s - 1/2)(s^2 + 1/4): rho = z(1/2) = 1/2, and
         # the roots +-i/2 of char map onto |z| = rho
@@ -320,6 +362,48 @@ class TestDiscriminant:
 
 
 class TestCriticalPoint:
+    def test_gcds_read_off_the_poles_equal_the_remainder_sequences(self, monkeypatch):
+        # the CriticalPoint built from the vanishing orders at the poles of
+        # D equals, field for field, the one built from two poly_gcd
+        # remainder sequences; points with no root in (0, B] fail alike
+        def build(point):
+            try:
+                return singular._critical_point.__wrapped__(*point)
+            except NoRootInRange as exc:
+                return str(exc)
+
+        fast = {point: build(point) for point in POLE_GRID}
+        monkeypatch.setattr(singular, "_reduced_z_and_char", reduced_z_and_char_by_gcd)
+        for point in POLE_GRID:
+            assert build(point) == fast[point], point
+        assert sum(isinstance(cp, str) for cp in fast.values()) < len(POLE_GRID) // 4
+
+    def test_cancelling_pair_equals_the_remainder_sequences(self):
+        for point in POLE_GRID:
+            p = params(*point)
+            try:
+                pair = cancelling_polynomial_squarefree.__wrapped__(p)
+            except NoRootInRange:
+                continue
+            assert pair == cancelling_pair_by_gcd(p), point
+
+    def test_only_the_squarefree_part_takes_a_gcd(self, monkeypatch):
+        calls = []
+        gcd_ = exactalg.poly_gcd
+
+        def counted(f, g):
+            calls.append((f, g))
+            return gcd_(f, g)
+
+        monkeypatch.setattr(exactalg, "poly_gcd", counted)
+        monkeypatch.setattr(singular, "poly_gcd", counted)
+        # at (5, 1) D shares a factor with S N, at (1/2, 21/20) it does not
+        for nu, c in ((Fraction(5), Fraction(1)), (Fraction(1, 2), Fraction(21, 20))):
+            singular._critical_point.__wrapped__(nu, c)
+            (f, g), = calls
+            assert g == f.derivative()
+            calls.clear()
+
     def test_one_radius_call_builds_it_once(self, monkeypatch):
         calls = []
         parts = singular._lagrangian_parts
@@ -367,11 +451,12 @@ class TestCriticalPoint:
         cp = singular._critical_point(Fraction(5, 2), Fraction(21, 20))
         assert cp.exponent() == Fraction(1, 2)
         assert runs == [True]
-        # at c = 1 the gcds are not 1, and the sequence gives the same char
-        # (up to a positive factor) and interval as the Euclidean one over Q
+        # at c = 1 the gcds with D are not 1, but they are read off the
+        # poles of D, so again no sequence runs but Sturm chains, and char
+        # (up to a positive factor) and interval are those over Q
         runs.clear()
         cp = singular._critical_point(Fraction(2), Fraction(1))
-        assert False in runs
+        assert False not in runs
         assert cp.char.lc() > 0 and cp.char.exact_div(cp.char.lc()) == UniPoly(
             [Fraction(-1, 2187), Fraction(4, 729), Fraction(2, 27), Fraction(4, 9), 1])
         assert cp.interval == (Fraction(72389, 1572864), Fraction(434335, 9437184))
