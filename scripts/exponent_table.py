@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Tabulate coefficient-asymptotics exponents at several parameter points.
 
-For each requested (nu, c) the script generates the high-precision
-coefficient sequence, locates mu by certified bisection, and prints the
-global least-squares exponent next to the Aitken-accelerated pointwise one.
+For each requested (nu, c) the script runs the exact series pass to the
+integers h_n of Z_n = h_n / (K r^n), locates mu by quadratic interval
+refinement of the certified critical point, and fits the h_n with
+scale (K, r), as ``isingmaps exponent-fit`` does.  It prints the global
+least-squares exponent next to the Aitken-accelerated pointwise one.
 The two agreeing is the internal consistency check; 7/3 appears exactly at
 the magnetization transition (nu, c) = (4, 1) and 5/2 elsewhere.
 """
@@ -14,7 +16,7 @@ from fractions import Fraction
 import mpmath
 
 from isingmaps.critical import exponent_fit
-from isingmaps.series import IsingParams, coefficient_sequence
+from isingmaps.series import IsingParams, scaled_Z
 from isingmaps.singular import radius_numeric
 
 
@@ -39,11 +41,11 @@ def main():
     for nu, c in args.points:
         started = time.time()
         params = IsingParams(nu=nu, c=c)
-        seq = coefficient_sequence(params, args.n_max, args.precision_bits)
-        report = radius_numeric(params)
-        fit = exponent_fit(seq, report.mu,
+        h, scale = scaled_Z(params, args.n_max)
+        report = radius_numeric(params, with_exponent=False, scan_uniqueness=False)
+        fit = exponent_fit(h[1:], report.mu,
                            (max(2, args.n_max // 8), args.n_max),
-                           precision_bits=args.precision_bits)
+                           precision_bits=args.precision_bits, scale=scale)
         print("%-10s %-8s %-12s %-12s %-12s %-10.1f" % (
             nu, c,
             mpmath.nstr(fit.alpha_exponent, 6),

@@ -118,11 +118,12 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
     b = 192, where dps is 55.  A point enclosure prints to at most dps + 3
     digits.
 
-    The digit count is found over the integers.  With 10^e <= |mid| <
-    10^(e+1), d digits round x = |mid| 10^(d-1-e) to an integer, which
-    moves x by min(r, b - r)/b for the fraction part r/b of x (at a tie
-    either way, so half-even's choice does not matter); as mid is the
-    centre of [lo, hi] the rounding lies inside when that is at most
+    The digit count is found over the integers, with mid and (hi - lo)/2
+    over one unreduced denominator, so no gcd is taken.  With
+    10^e <= |mid| < 10^(e+1), d digits round x = |mid| 10^(d-1-e) to an
+    integer, which moves x by min(r, b - r)/b for the fraction part r/b of
+    x (at a tie either way, so half-even's choice does not matter); as mid
+    is the centre of [lo, hi] the rounding lies inside when that is at most
     (hi - lo)/2 times 10^(d-1-e), compared by cross-multiplying.  That test
     passes for every count past the least that passes, since the d-digit
     decimals are among the (d + 1)-digit ones, and it passes once
@@ -130,17 +131,15 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
     |mid| and of the width (a point starts at dps + 3), moved up until the
     test passes and down while it passes one digit lower: two or three
     tests, unless the rounding lands on a much shorter decimal.  One
-    Decimal division at that count, correctly rounded half-even, gives the
-    value to print.
+    integer division at that count, rounded half-even, gives the value to
+    print, formatted as Decimal division at that precision would give it.
     """
     if lo > hi:
         raise ValueError("empty enclosure: lo > hi")
-    mid = Fraction(lo + hi, 2)
-    num, den = mid.numerator, mid.denominator
-    digits = 1
+    # mid = num / den and (hi - lo) / 2 = half / den
+    ad, cb = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    num, half, den = ad + cb, cb - ad, 2 * lo.denominator * hi.denominator
     if num:
-        half = Fraction(hi - lo, 2)
-        h_num, h_den = half.numerator, half.denominator
         mag = abs(num)
         e = floor((mag.bit_length() - den.bit_length()) * _LOG10_2)
         while _ten_power_at_most(e + 1, mag, den):
@@ -151,14 +150,14 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
 
         def fits(d: int) -> bool:
             # x = |mid| 10^(d-1-e) = mag 10^p / b, and the bound on its
-            # rounding error half 10^(d-1-e) is h_num den 10^p / (h_den b)
+            # rounding error (half / den) 10^(d-1-e) is half 10^p / b
             t = 10 ** (d - 1 + max(-e, 0))
             r = mag * t % b
-            return min(r, b - r) * h_den <= h_num * den * t
+            return min(r, b - r) <= half * t
 
-        if h_num:
-            # 10^(e+1-d) <= 2 half bounds the least count from above
-            width_log = (h_num.bit_length() - h_den.bit_length() + 1) * _LOG10_2
+        if half:
+            # 10^(e+1-d) <= 2 half / den bounds the least count from above
+            width_log = (half.bit_length() - den.bit_length() + 1) * _LOG10_2
             digits = max(1, e + 1 - floor(width_log))
             while not fits(digits):
                 digits += 1
@@ -166,10 +165,18 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
             digits = dps + 3
         while digits > 1 and fits(digits - 1):
             digits -= 1
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        value = decimal.Decimal(num) / decimal.Decimal(den)
-    return format(value, "g")
+        # |mid| rounded half-even to that count, as Decimal division at that
+        # precision gives it: an exact quotient drops its trailing zeros down
+        # to the exponent 0 of integer operands
+        exp, div = e + 1 - digits, den * 10 ** max(e + 1 - digits, 0)
+        q, r = divmod(mag * 10 ** max(digits - 1 - e, 0), div)
+        q += 2 * r > div or (2 * r == div and q % 2)
+        if q == 10 ** digits:
+            q, exp = q // 10, exp + 1
+        while not r and exp < 0 and q % 10 == 0:
+            q, exp = q // 10, exp + 1
+        return format(decimal.Decimal("%s%de%d" % ("-" * (num < 0), q, exp)), "g")
+    return "0"
 
 
 def _ten_power_at_most(e: int, mag: int, den: int) -> bool:
@@ -227,21 +234,24 @@ def _radius_point(nu: Fraction, c: Fraction, tol: Fraction, allow_far_field: boo
     )
 
     def enc(value: Fraction) -> str:
-        # exact singularities stay rational; certified midpoints are decimals
+        # exact singularities stay rational; interval ends are decimals
         if report.exact:
             return str(value)
         with mpmath.workprec(int(dps * 3.33) + 8):
             return mpmath.nstr(mpmath.mpf(value.numerator) / value.denominator,
                                dps)
 
+    def shortest_inside(interval: Tuple[Fraction, Fraction]) -> str:
+        return str(interval[0]) if report.exact else format_enclosure(*interval, dps)
+
     return {
         "nu": str(nu),
         "c": str(c),
-        "rho": enc(report.rho),
+        "rho": shortest_inside(report.rho_interval),
         "rho_interval": [enc(report.rho_interval[0]), enc(report.rho_interval[1])],
-        "mu": enc(report.mu),
+        "mu": shortest_inside(report.mu_interval),
         "mu_interval": [enc(report.mu_interval[0]), enc(report.mu_interval[1])],
-        "s_at_rho": enc(report.s_at_rho),
+        "s_at_rho": shortest_inside(report.s_interval),
         "s_interval": [enc(report.s_interval[0]), enc(report.s_interval[1])],
         "exponent": None if report.exponent is None else str(report.exponent),
         "exact": report.exact,
@@ -279,7 +289,21 @@ def _cmd_radius(args, bits):
     return {"points": points}, warnings, csv_rows
 
 
+def _format_coefficient(coef, dps: int) -> str:
+    """A rational Puiseux coefficient as "p/q", an Enclosure as the shortest
+    decimal inside it: "(re + imj)" or "(re - imj)" when complex."""
+    if isinstance(coef, Fraction):
+        return str(coef)
+    (lo, hi), re = coef.im, format_enclosure(*coef.re, dps)
+    if lo == hi == 0:
+        return re
+    sign, im = ("-", (-hi, -lo)) if lo + hi < 0 else ("+", (lo, hi))
+    return "(%s %s %sj)" % (re, sign, format_enclosure(*im, dps))
+
+
 def _cmd_puiseux(args, bits):
+    if args.max_terms < 1:
+        raise ValueError("--max-terms must be at least 1")
     dps = _digits(bits)
     params = IsingParams(nu=args.nu, c=args.c)
     report, expansions = dominant_expansions(
@@ -287,7 +311,7 @@ def _cmd_puiseux(args, bits):
     )
     branches = []
     for exp in expansions:
-        terms = [{"exponent": str(e), "coefficient": format_value(coef, dps)}
+        terms = [{"exponent": str(e), "coefficient": _format_coefficient(coef, dps)}
                  for coef, e in exp.terms]
         lead = exp.leading_exponent()
         branches.append({
@@ -297,7 +321,7 @@ def _cmd_puiseux(args, bits):
             "terms": terms,
         })
     if report.exact:
-        rho, s_at_rho = format_value(report.rho, dps), format_value(report.s_at_rho, dps)
+        rho, s_at_rho = str(report.rho), str(report.s_at_rho)
     else:
         rho = format_enclosure(*report.rho_interval, dps)
         s_at_rho = format_enclosure(*report.s_interval, dps)
@@ -435,6 +459,18 @@ def _check_battery() -> List[dict]:
         label = "nu=%s" % nu_q if c_q == 1 else "nu=%s,c=%s" % (nu_q, c_q)
         details.append("%s:%s" % (label, exponent))
     add("singular_exponents", ok, " ".join(details))
+
+    # Puiseux branches by series reversion: exact at (1/4, 1), and three
+    # cube-root branches beside the zero branch at (4, 1)
+    quarter, cube = (dominant_expansions(IsingParams(nu=Fraction(nu), c=Fraction(1)))[1]
+                     for nu in ("1/4", "4"))
+    want = [((sign * Fraction(1, 3), Fraction(1, 2)), (Fraction(55, 144), Fraction(1)),
+             (sign * Fraction(2975, 13824), Fraction(3, 2))) for sign in (-1, 1)]
+    exact_pair = [e.terms for e in quarter] == want
+    ramifications = [e.ramification for e in cube]
+    add("puiseux_branches",
+        exact_pair and ramifications == [1, 3, 3, 3] and cube[0].terms == () and cube[0].exact,
+        "nu=1/4:%s nu=4:ramifications=%s" % ("ok" if exact_pair else "MISMATCH", ramifications))
 
     # the packed Z_n at nu = 1 and the closed form q_n c^(2-n) (c^2 + 1)^(n-1)
     # are Laurent polynomials in c: equal at more points than their span

@@ -35,7 +35,7 @@ import mpmath
 
 from . import dyadic
 from .errors import NonPositiveSequence
-from .exactalg import PP_ZERO, evaluate_together, rational_sqrt
+from .exactalg import PP_ZERO, evaluate_together, rational_root
 from .precision import DEFAULT_PRECISION_BITS, to_mpf
 from .series import IsingParams, _symbolic_tables, solve_Z, solve_Z_jets
 from .singular import SingularityReport, radius_numeric, rho_closed_form
@@ -147,7 +147,7 @@ def m0_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
     if nu < 4:
         return Fraction(0)
     disc = nu ** 2 - 16
-    root = rational_sqrt(disc)
+    root = rational_root(disc)
     if root is not None:
         return 3 * nu * root / (3 * nu ** 2 - 8)
     with mpmath.workprec(precision_bits):
@@ -161,7 +161,7 @@ def chi_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
         raise ValueError("nu must be positive")
     if nu >= 4:
         return mpmath.inf
-    root = rational_sqrt(nu)
+    root = rational_root(nu)
     if root is not None:
         return 3 * nu / ((2 * root + 1) * (root - 2) ** 2)
     with mpmath.workprec(precision_bits):
@@ -309,29 +309,6 @@ def thermo_susceptibility(nu, c, precision_bits: int = DEFAULT_PRECISION_BITS) -
     if c == 1 and nu >= NU_CRITICAL:
         return chi_closed(nu, precision_bits)
     return _enclosed_value("chi", nu, c, precision_bits)
-
-
-def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000),
-                                              Fraction(1, 10000)),
-                                 precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
-    """Extrapolate thermo_magnetization(nu, 1 + t) to t -> 0+.
-
-    For nu >= 4 the radius is a series in sqrt(c - 1) at c = 1, so the
-    extrapolation variable is sqrt(t); below nu = 4 it is t itself.
-    """
-    nu = Fraction(nu)
-    ts = sorted((Fraction(t) for t in offsets), reverse=True)
-    if not ts or ts[-1] <= 0:
-        raise ValueError("offsets must be positive")
-    with mpmath.workprec(precision_bits):
-        ys = [thermo_magnetization(nu, 1 + t, precision_bits=precision_bits) for t in ts]
-        xs = [mpmath.sqrt(to_mpf(t)) if nu >= NU_CRITICAL else to_mpf(t)
-              for t in ts]
-        for lvl in range(1, len(ys)):
-            for i in range(len(ys) - lvl):
-                ys[i] = ys[i + 1] + (ys[i + 1] - ys[i]) * xs[i + lvl] \
-                    / (xs[i] - xs[i + lvl])
-        return ys[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the argument by a power of two and by square roots (``math.isqrt``), sums
 the atanh series, and widens that one point value by an a-priori bound on
 its rounding and truncation errors (Brent and Zimmermann, Modern Computer
 Arithmetic, 2010, sec. 4.2 and 4.4).  ln 2 is computed once per precision.
+:func:`root` encloses (a / b)^(1/n) by the integer n-th root :func:`iroot`.
 """
 from __future__ import annotations
 
@@ -68,6 +69,40 @@ def horner(coeffs: Sequence[int], s: Interval, p: int) -> Interval:
         lo = (lo * (s_lo if lo >= 0 else s_hi) >> p) + a
         hi = -(-hi * (s_hi if hi >= 0 else s_lo) >> p) + a
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# n-th root
+# ---------------------------------------------------------------------------
+
+def iroot(x: int, n: int) -> int:
+    """floor(x^(1/n)), x >= 0, n >= 1: integer Newton steps down from
+    2^ceil(bits / n), none below the root (AM-GM), until one does not
+    decrease; ``math.isqrt`` for n = 2."""
+    if x < 0 or n < 1:
+        raise ValueError("iroot needs x >= 0 and n >= 1")
+    if n == 1 or x < 2:
+        return x
+    if n == 2:
+        return isqrt(x)
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        y = ((n - 1) * r + x // r ** (n - 1)) // n
+        if y >= r:
+            return r
+        r = y
+
+
+def root(a: int, b: int, n: int, p: int) -> Interval:
+    """An enclosure (lo, hi) at scale 2^-p of (a / b)^(1/n), a >= 0, b > 0:
+    r = iroot(floor(a 2^(np) / b)) has r^n <= a 2^(np) / b < (r + 1)^n, the
+    right side an integer above the floor, so (r, r + 1), or (r, r) when
+    r^n b = a 2^(np)."""
+    if a < 0 or b <= 0:
+        raise ValueError("root needs a >= 0 and b > 0")
+    top = a << (n * p)
+    r = iroot(top // b, n)
+    return (r, r) if r ** n * b == top else (r, r + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ class DegenerateInterval(ComputationError):
 
 
 class PrecisionExhausted(ComputationError):
-    """The working precision cannot certify a result: a thermodynamic
-    enclosure is not finite, or a Puiseux branch fails its
-    back-substitution self-check."""
+    """The working precision cannot certify a result: an interval divisor
+    of a thermodynamic or Puiseux enclosure contains 0, or the two runs of
+    the precision audit disagree."""
 
 
 class EnumerationBound(ComputationError):
@@ -33,7 +33,8 @@ class NoRootInRange(ComputationError):
 
 
 class DegenerateBranch(ComputationError):
-    """A Newton-polygon step produced no admissible slope."""
+    """A Puiseux expansion was asked of a curve with no branch through the
+    origin, or of branches of ramification 4 or more."""
 
 
 class NonPositiveSequence(ComputationError):

@@ -31,23 +31,23 @@ Sign conventions (fixed by the test suite):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .dyadic import iroot
 from .errors import DegenerateInterval, NonZeroRemainder
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rational_sqrt(x: Fraction):
-    """Exact square root of a rational, or None when irrational/negative."""
+def rational_root(x: Fraction, n: int = 2):
+    """Exact n-th root of a rational, or None when irrational/negative."""
     x = Fraction(x)
     if x < 0:
         return None
-    rn = isqrt(x.numerator)
-    rd = isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
+    rn, rd = iroot(x.numerator, n), iroot(x.denominator, n)
+    if rn ** n == x.numerator and rd ** n == x.denominator:
         return Fraction(rn, rd)
     return None
 
@@ -135,13 +135,6 @@ class ParamPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def c_degree_range(self):
-        """(min, max) c-exponent over the support, or None for zero."""
-        if not self.terms:
-            return None
-        degs = [dc for _, dc in self.terms]
-        return (min(degs), max(degs))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -241,18 +234,6 @@ class ParamPoly:
         """Apply the Euler operator c * d/dc (degree-preserving)."""
         out = ParamPoly()
         out.terms = {k: _q(v * k[1]) for k, v in self.terms.items() if k[1]}
-        return out
-
-    def substitute_neg_nu(self) -> "ParamPoly":
-        """Replace nu by -nu."""
-        out = ParamPoly()
-        out.terms = {k: (-v if k[0] % 2 else v) for k, v in self.terms.items()}
-        return out
-
-    def shift_c(self, k: int) -> "ParamPoly":
-        """Multiply by the monomial c^k (Laurent shift)."""
-        out = ParamPoly()
-        out.terms = {(dv, dc + k): v for (dv, dc), v in self.terms.items()}
         return out
 
     def evaluate(self, nu, c) -> Fraction:
@@ -356,15 +337,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = cs
         self._form = None
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Fraction]) -> "UniPoly":
-        p = cls([_ONE])
-        for r in roots:
-            p = p * cls([-Fraction(r), _ONE])
-        return p
 
     # -- structure ----------------------------------------------------------
 
@@ -792,31 +764,6 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     lc = abs(p.lc())
     mx = max((abs(c) for c in p.coeffs[:-1]), default=_ZERO)
     return Fraction(1) + ring_exact_div(mx, lc)
-
-
-def isolate_real_roots(p: UniPoly):
-    """Disjoint half-open rational intervals (a, b], each containing exactly
-    one distinct real root of p, in increasing order."""
-    if p.degree() < 1:
-        return []
-    sf = squarefree_part(p)
-    chain = SturmChain(sf)
-    bound = cauchy_root_bound(sf)
-    out = []
-    stack = [(-bound, bound)]
-    while stack:
-        a, b = stack.pop()
-        cnt = chain.count(a, b)
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        stack.append((a, mid))
-        stack.append((mid, b))
-    out.sort()
-    return out
 
 
 def refine_isolated_root(p: UniPoly, a, b, width) -> tuple:

@@ -605,10 +605,6 @@ class TruncatedSeries:
             [self.zero] * k + self.coeffs[: len(self.coeffs) - k], self.zero
         )
 
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Divide by z^k, discarding the k lowest coefficients."""
-        return TruncatedSeries(self.coeffs[k:], self.zero)
-
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Series division; the divisor's constant term must be invertible."""
         n = min(self.order, other.order)

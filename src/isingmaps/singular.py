@@ -16,9 +16,9 @@ evaluating z(s) at s*, with certified interval arithmetic; mu = c * rho.
 
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
-two saddles coalesce, at (nu, c) = (4, 1).  Newton-polygon Puiseux
-expansions of the cancelling polynomial z D(S)^2 - S N(S) shifted to
-(rho, s*) give the branches themselves.
+two saddles coalesce, at (nu, c) = (4, 1).  The branches themselves are
+the series reversion of Z = rho - z(s* - Y), exact at exact hits and
+enclosed over the certified s-interval otherwise.
 
 That rho is the only singularity on |z| = rho is certified from the same
 CriticalPoint: the other candidates are z at the roots of ``char`` and at
@@ -33,11 +33,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isfinite, isqrt, lcm, ldexp
+from math import ceil, comb, floor, gcd, isfinite, isqrt, ldexp
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
 
+from . import dyadic
 from .errors import DegenerateBranch, NoRootInRange, PrecisionExhausted
 from .exactalg import (
     PP_ZERO,
@@ -52,7 +53,7 @@ from .exactalg import (
     interpolate,
     poly_gcd,
     primitive,
-    rational_sqrt,
+    rational_root,
     refine_root_cell,
     squarefree_part,
 )
@@ -171,7 +172,7 @@ def rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
         raise ValueError("nu must be positive")
     if nu >= 4:
         return (3 * nu ** 2 - 8) / (36 * (nu ** 2 - 1) ** 2)
-    root = rational_sqrt(nu)
+    root = rational_root(nu)
     if root is not None:
         return 2 * (1 + 2 * root) / (9 * (1 + root) ** 2 * (1 + nu) ** 2)
     with mpmath.workprec(precision_bits):
@@ -186,7 +187,7 @@ def s_at_rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Nu
         raise ValueError("nu must be positive")
     if nu >= 4:
         return Fraction(1, 3) / (nu ** 2 - 1)
-    root = rational_sqrt(nu)
+    root = rational_root(nu)
     if root is not None:
         return Fraction(1, 3) / ((root + 1) * (nu + 1))
     with mpmath.workprec(precision_bits):
@@ -868,337 +869,240 @@ def radius_numeric(
 
 
 # ---------------------------------------------------------------------------
-# Newton-polygon Puiseux expansions
+# Puiseux branches by series reversion
 # ---------------------------------------------------------------------------
 
-class PuiseuxExpansion(NamedTuple):
-    """Initial terms of one branch y(Z) = sum coeff * Z^exponent at Z = 0.
+Interval = Tuple[Fraction, Fraction]
+PUISEUX_GUARD_BITS = 64
+_ZERO = (Fraction(0), Fraction(0))
+_ONE = (Fraction(1), Fraction(1))
 
-    ``ramification`` is the lcm of the exponent denominators; ``exact`` marks
-    a branch whose recorded terms solve the polynomial identically (a
-    polynomial root found in finitely many steps).
+
+class Enclosure(NamedTuple):
+    """A certified box re + i im, each part a closed interval (lo, hi) of
+    rationals; im is the point 0 on a real branch."""
+
+    re: Interval
+    im: Interval = _ZERO
+
+
+class PuiseuxExpansion(NamedTuple):
+    """Initial terms of one branch Y(Z) = sum coeff * Z^exponent at Z = 0.
+
+    Fraction coefficients on a branch whose every term is a rational known
+    exactly, Enclosures (a point where exact) on any other.  ``exact``
+    marks a branch whose recorded terms are all of it: the zero branch,
+    and those of Z = alpha Y^v.  ``center`` is rho, or its enclosure.
     """
 
-    center: Optional[Number]
-    terms: Tuple[Tuple[Number, Fraction], ...]
+    center: Optional[Union[Fraction, Enclosure]]
+    terms: Tuple[Tuple[Union[Fraction, Enclosure], Fraction], ...]
     ramification: int
     exact: bool = False
 
     def leading_exponent(self) -> Optional[Fraction]:
-        for _, e in self.terms:
-            return e
-        return None
+        return self.terms[0][1] if self.terms else None
 
 
-SupportDict = Dict[Tuple[int, Fraction], object]
+def _hull(ends, bits: int) -> Interval:
+    """(min, max) of ``ends``; unless a point, rounded outward to ``bits``
+    significant bits, so that Fraction sizes stay bounded."""
+    lo, hi = min(ends), max(ends)
+    if lo == hi:
+        return lo, hi
+    scales = [Fraction(2) ** (bits - x.numerator.bit_length() + x.denominator.bit_length())
+              for x in (lo, hi)]
+    return floor(lo * scales[0]) / scales[0], ceil(hi * scales[1]) / scales[1]
 
 
-def _as_support(P: dict) -> Tuple[SupportDict, bool]:
-    """Normalize a support dict to {(y_degree, z_exponent): coefficient},
-    zeros dropped, and say whether every coefficient is exact."""
-    support: SupportDict = {}
-    exact = True
-    for (i, j), a in P.items():
-        if not a == 0:
-            support[(int(i), Fraction(j))] = a
-            exact = exact and isinstance(a, (int, Fraction))
-    return support, exact
+def _add(a: Interval, b: Interval, bits: int) -> Interval:
+    return _hull((a[0] + b[0], a[1] + b[1]), bits)
 
 
-def _to_num(x):
-    """Coerce exact scalars to mpmath under the ambient precision."""
-    if isinstance(x, int):
-        return mpmath.mpf(x)
-    if isinstance(x, Fraction):
-        return to_mpf(x)
-    return x
+def _sub(a: Interval, b: Interval, bits: int) -> Interval:
+    return _hull((a[0] - b[1], a[1] - b[0]), bits)
 
 
-def _num_abs(x) -> mpmath.mpf:
-    return abs(_to_num(x))
+def _mul(a: Interval, b: Interval, bits: int) -> Interval:
+    return _hull([x * y for x in a for y in b], bits)
 
 
-def _clean_support(support: SupportDict, exact: bool, threshold) -> SupportDict:
-    if exact:
-        return {k: v for k, v in support.items() if v != 0}
-    if not support:
-        return {}
-    top = max(_num_abs(v) for v in support.values())
-    cut = top * threshold
-    return {k: v for k, v in support.items() if _num_abs(v) > cut}
+def _div(a: Interval, b: Interval, bits: int) -> Interval:
+    if b[0] <= 0 <= b[1]:
+        raise PrecisionExhausted("a Puiseux divisor enclosure contains 0")
+    return _mul(a, (1 / b[1], 1 / b[0]), bits)
 
 
-def _lower_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]]:
-    """Lower convex hull of (i, e) points, increasing in i."""
-    pts = sorted(points)
-    best: Dict[int, Fraction] = {}
-    for i, e in pts:
-        if i not in best or e < best[i]:
-            best[i] = e
-    pts = sorted(best.items())
-    hull: List[Tuple[int, Fraction]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (i1, e1), (i2, e2) = hull[-2], hull[-1]
-            # drop middle point if it lies on or above the chord
-            if (e2 - e1) * (p[0] - i1) >= (p[1] - e1) * (i2 - i1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+def _root(x: Interval, n: int, bits: int) -> Interval:
+    """x^(1/n) over the positive interval x: the point root where x is a
+    point with a rational n-th root (:func:`~isingmaps.exactalg.rational_root`),
+    else ends by :func:`~isingmaps.dyadic.root` at about ``bits`` significant
+    bits."""
+    lo, hi = x
+    exact = rational_root(lo, n) if lo == hi else None
+    if exact is not None:
+        return exact, exact
+    p = max(0, bits + 1 - (lo.numerator.bit_length() - lo.denominator.bit_length()) // n)
+    return (Fraction(dyadic.root(lo.numerator, lo.denominator, n, p)[0], 1 << p),
+            Fraction(dyadic.root(hi.numerator, hi.denominator, n, p)[1], 1 << p))
 
 
-def _edge_roots(chi: List, exact: bool, precision_bits: int):
-    """Distinct nonzero roots of the edge polynomial (list indexed by power).
-
-    Exact rational roots are returned as Fractions whenever verification
-    succeeds; everything else comes back as mpmath numbers.
-    """
-    while chi and (chi[-1] == 0 if exact else _num_abs(chi[-1]) == 0):
-        chi.pop()
-    roots: List[object] = []
-    if exact:
-        poly = UniPoly([Fraction(c) for c in chi])
-        with mpmath.workprec(precision_bits):
-            approx = mpmath.polyroots(
-                [to_mpf(Fraction(c)) for c in reversed(chi)],
-                maxsteps=200, extraprec=precision_bits,
-            )
-        for r in approx:
-            if abs(r) == 0:
-                continue
-            if abs(mpmath.im(r)) < mpmath.mpf(2) ** (-precision_bits // 2):
-                guess = Fraction(str(mpmath.re(r))).limit_denominator(10 ** 12)
-                if poly.eval_scalar(guess) == 0 and guess != 0:
-                    if guess not in roots:
-                        roots.append(guess)
-                    continue
-            roots.append(r)
-    else:
-        with mpmath.workprec(precision_bits):
-            approx = mpmath.polyroots(
-                [_to_num(c) for c in reversed(chi)],
-                maxsteps=200, extraprec=precision_bits,
-            )
-        roots = [r for r in approx if _num_abs(r) > 0]
-    # collapse duplicates (multiple roots reported separately)
-    out: List[object] = []
-    for r in roots:
-        dup = False
-        for s in out:
-            if isinstance(r, Fraction) and isinstance(s, Fraction):
-                dup = r == s
-            else:
-                with mpmath.workprec(precision_bits):
-                    dup = bool(_num_abs(_to_num(r) - _to_num(s))
-                               < mpmath.mpf(2) ** (-precision_bits // 3))
-            if dup:
-                break
-        if not dup:
-            out.append(r)
+def _taylor_at(p: UniPoly, s: Interval, order: int, bits: int) -> List[Interval]:
+    """Enclosures of the coefficients of Y^0 .. Y^(order-1) in p(s - Y)
+    for s in ``s``: (-1)^i p^(i)(s) / i!, each by Horner over ``s``."""
+    out = []
+    for i in range(order):
+        acc = _ZERO
+        for k in range(p.degree(), i - 1, -1):
+            a = (-1) ** i * comb(k, i) * p.coeff(k)
+            acc = _add(_mul(acc, s, bits), (a, a), bits)
+        out.append(acc)
     return out
 
 
-def _substitute_branch(
-    support: SupportDict, mu: Fraction, c_root, exact: bool
-) -> SupportDict:
-    """Support of P(Z, Z^mu (c + Y)) with the minimal z-exponent subtracted."""
-    new: SupportDict = {}
-    c_val = c_root if exact else _to_num(c_root)
-    powers: List[object] = [1 if exact else mpmath.mpf(1)]
-    max_i = max(i for i, _ in support)
-    for _ in range(max_i):
-        powers.append(powers[-1] * c_val)
-    for (i, e), a in support.items():
-        for k in range(i + 1):
-            coef = a * comb(i, k) * powers[i - k]
-            key = (k, e + i * mu)
-            if key in new:
-                new[key] = new[key] + coef
-            else:
-                new[key] = coef
-    new = {k: v for k, v in new.items() if (v != 0 if exact else _num_abs(v) > 0)}
-    if not new:
-        return new
-    shift = min(e for _, e in new)
-    return {(i, e - shift): v for (i, e), v in new.items()}
+def _quotient_tail(a: List[Interval], b: List[Interval], v: int, count: int,
+                   bits: int) -> List[Interval]:
+    """The coefficients of Y^v .. Y^(v+count-1) of the series a / b, whose
+    coefficients below Y^v are 0; those of a there are not read."""
+    q: List[Interval] = []
+    for i in range(v, v + count):
+        acc = a[i] if i < len(a) else _ZERO
+        for k in range(1, min(i - v, len(b) - 1) + 1):
+            acc = _sub(acc, _mul(b[k], q[i - v - k], bits), bits)
+        q.append(_div(acc, b[0], bits))
+    return q
 
 
-def _expand_support(
-    support: SupportDict,
-    exact: bool,
-    terms_left: int,
-    precision_bits: int,
-    acc: List[Tuple[object, Fraction]],
-    base: Fraction,
-    results: List[Tuple[List[Tuple[object, Fraction]], bool]],
-):
-    threshold = mpmath.mpf(2) ** (-(precision_bits // 2))
-    support = _clean_support(support, exact, threshold)
-    if not support:
-        # previous substitution solved the polynomial identically
-        results.append((list(acc), True))
-        return
-    recorded_here = False
-    i_min = min(i for i, _ in support)
-    if i_min > 0:
-        # Y^i_min factors out: the accumulated terms are an exact branch
-        results.append((list(acc), True))
-        recorded_here = True
-        support = {(i - i_min, e): v for (i, e), v in support.items()}
-        support = _clean_support(support, exact, threshold)
-        if all(i == 0 for i, _ in support):
-            return
-    if all(i == 0 for i, _ in support):
-        raise DegenerateBranch(
-            "no Y-dependence left: the polynomial has a Y-independent factor"
-        )
-    if (0, Fraction(0)) in support:
-        if not acc and not recorded_here:
-            raise DegenerateBranch(
-                "polynomial does not vanish at the origin; shift it first"
-            )
-        # no further branch passes through the origin of this node
-        return
-    if terms_left == 0:
-        results.append((list(acc), False))
-        return
-    hull = _lower_hull(list(support.keys()))
-    found_edge = False
-    for (i1, e1), (i2, e2) in zip(hull, hull[1:]):
-        if e1 <= e2:
-            continue  # only strictly falling edges give y -> 0 branches
-        found_edge = True
-        mu = Fraction(e1 - e2, i2 - i1)
-        chi: List[object] = [0] * (i2 - i1 + 1)
-        for (i, e), a in support.items():
-            # on the edge: e = e1 - mu (i - i1)
-            if i1 <= i <= i2 and e == e1 - mu * (i - i1):
-                chi[i - i1] = chi[i - i1] + a
-        for c_root in _edge_roots(chi, exact, precision_bits):
-            branch_exact = exact and isinstance(c_root, Fraction)
-            if exact and not branch_exact:
-                with mpmath.workprec(precision_bits):
-                    sub_support = {k: _to_num(v) for k, v in support.items()}
-            else:
-                sub_support = support
-            with mpmath.workprec(precision_bits):
-                new_support = _substitute_branch(
-                    sub_support, mu, c_root, branch_exact
-                )
-                _expand_support(
-                    new_support, branch_exact, terms_left - 1, precision_bits,
-                    acc + [(c_root, base + mu)], base + mu, results,
-                )
-    if not found_edge:
-        raise DegenerateBranch("no admissible Newton-polygon slope at this node")
+# cos(pi m / 6) for m = 0..11 as (p, q), meaning p + q sqrt(3); sin is the
+# entry at m - 3
+_HALF = Fraction(1, 2)
+_COS_TWELFTHS = ((1, 0), (0, _HALF), (_HALF, 0), (0, 0), (-_HALF, 0), (0, -_HALF),
+                 (-1, 0), (0, -_HALF), (-_HALF, 0), (0, 0), (_HALF, 0), (0, _HALF))
+
+
+def _reversion_branches(z: List[Interval], v: int, bits: int, center,
+                        exact: bool = False) -> List[PuiseuxExpansion]:
+    """The v branches Y(Z) through 0 of Z = sum_i z[i] Y^(v+i), to len(z)
+    terms each: real leading coefficients ascending, then complex ones by
+    ascending imaginary part.
+
+    With alpha = z[0] and Z = alpha Y^v (1 + u(Y)), w = (Z / alpha)^(1/v)
+    is Y (1 + u)^(1/v), and Lagrange inversion gives Y = sum_j c_j w^j,
+    c_j = [Y^(j-1)] (1 + u)^(-j/v) / j (Flajolet-Sedgewick, Analytic
+    Combinatorics, sec. VI.7 and A.6), each power by J. C. P. Miller's
+    recurrence (Knuth, TAOCP 2, sec. 4.7).  The v values of w are
+    |alpha|^(-1/v) Z^(1/v) e^(i pi m / 6) for the m with
+    e^(i pi m v / 6) = sign(alpha), so branch m has the coefficient
+    c_j |alpha|^(-j/v) e^(i pi j m / 6) at Z^(j/v).  For v <= 3 the angles
+    are multiples of pi / 6, whose cosines are rationals or rational
+    multiples of sqrt(3); a larger v raises DegenerateBranch.
+
+    Point intervals z[i], as at an exact hit, keep every step exact.  A
+    branch is rational, with Fraction terms, when every z[i] and
+    |alpha|^(1/v) are and m is 0 or 6.  Any other term is an Enclosure,
+    worked at ``bits`` + PUISEUX_GUARD_BITS and rounded outward to ``bits``
+    significant bits.  Terms with c_j exactly 0 are left out.
+    """
+    if v > 3:
+        raise DegenerateBranch("branches of ramification %d are not expanded (at most 3)" % v)
+    work, alpha = bits + PUISEUX_GUARD_BITS, z[0]
+    if alpha[0] <= 0 <= alpha[1]:
+        raise PrecisionExhausted("the leading Puiseux coefficient enclosure contains 0")
+    g = [_ONE] + [_div(x, alpha, work) for x in z[1:]]
+    c = []
+    for j in range(1, len(z) + 1):
+        f = [_ONE]
+        for n in range(1, j):
+            acc = _ZERO
+            for k in range(1, n + 1):
+                weight = Fraction((v - j) * k - n * v, n * v)
+                acc = _add(acc, _mul(_mul(g[k], f[n - k], work), (weight, weight), work), work)
+            f.append(acc)
+        c.append(_mul(f[j - 1], (Fraction(1, j),) * 2, work))
+    sign = 1 if alpha[0] > 0 else -1
+    inverse = tuple(sorted((sign / alpha[0], sign / alpha[1])))
+    powers = [_ONE]  # |alpha|^(-j/v)
+    for j in range(1, len(z) + 1):
+        powers.append(_mul(powers[j - v], inverse, work) if j >= v else
+                      _root(_hull((inverse[0] ** j, inverse[1] ** j), work), v, work))
+    rational = all(x[0] == x[1] for x in z + powers[1:2])
+    sqrt3 = _root((Fraction(3),) * 2, 2, work)
+    branches = []
+    for m in ((6 * (sign < 0) + 12 * k) // v for k in range(v)):
+        terms = []
+        for j, cj in enumerate(c, start=1):
+            if cj != _ZERO:
+                size = _mul(cj, powers[j], work)
+                re, im = (_mul(_mul(size, sqrt3, work) if q else size, (q or p,) * 2, work)
+                          for p, q in (_COS_TWELFTHS[j * m % 12], _COS_TWELFTHS[(j * m - 3) % 12]))
+                coefficient = re[0] if rational and m % 6 == 0 else \
+                    Enclosure(_hull(re, bits), _hull(im, bits))
+                terms.append((coefficient, Fraction(j, v)))
+        branches.append(PuiseuxExpansion(center, tuple(terms), v, exact))
+
+    def order(branch: PuiseuxExpansion):
+        lead = branch.terms[0][0]
+        if isinstance(lead, Fraction):
+            return False, lead
+        return lead.im != _ZERO, sum(lead.re if lead.im == _ZERO else lead.im)
+    return sorted(branches, key=order)
 
 
 def newton_polygon_expand(
     P, max_terms: int = 3, precision_bits: int = DEFAULT_PRECISION_BITS,
-    center: Optional[Number] = None,
+    center=None,
 ) -> List[PuiseuxExpansion]:
-    """All Puiseux branches y(Z) with y(0) = 0 of a bivariate polynomial.
+    """All Puiseux branches Y(Z) with Y(0) = 0 of a curve linear in Z.
 
-    ``P`` is a dict {(y_degree, z_degree): coefficient}.  Exact rational
-    coefficients keep exponents and rational branch coefficients exact;
-    irrational branch coefficients continue in mpmath arithmetic at
-    ``precision_bits``.  Every returned expansion is verified by
-    back-substitution.
+    ``P`` is a dict {(y_degree, z_degree): coefficient} of exact rationals
+    with z_degree 0 or 1: P = a(Y) - Z b(Y), whose Newton polygon has one
+    edge.  A common factor Y^k of a and b gives the zero branch Y = 0,
+    first and with no terms.  The others solve Z = a / b, whose valuation v
+    in Y is their ramification; :func:`_reversion_branches` expands them
+    to ``max_terms`` terms, ``exact`` when a / b is the monomial alpha Y^v.
+
+    Raises ValueError for any other support, and DegenerateBranch when P
+    has no Y-dependence, does not vanish at the origin, or v > 3.
     """
-    support, exact = _as_support(P)
-    if not support:
-        raise ValueError("zero polynomial has no Puiseux branches")
-    results: List[Tuple[List[Tuple[object, Fraction]], bool]] = []
-    _expand_support(support, exact, max_terms, precision_bits, [], Fraction(0), results)
-    expansions = []
-    for terms, is_exact in results:
-        denoms = [e.denominator for _, e in terms] or [1]
-        ram = 1
-        for d in denoms:
-            ram = lcm(ram, d)
-        exp = PuiseuxExpansion(
-            center=center,
-            terms=tuple((c, e) for c, e in terms),
-            ramification=ram,
-            exact=is_exact and all(isinstance(c, (int, Fraction))
-                                   for c, _ in terms),
-        )
-        _verify_expansion(support, exact, exp, precision_bits)
-        expansions.append(exp)
-    return expansions
-
-
-def _verify_expansion(
-    support: SupportDict, exact: bool, exp: PuiseuxExpansion, bits: int
-) -> None:
-    """Back-substitute the branch; residual must start above the last exponent."""
-    if not exp.terms:
-        return
-    with mpmath.workprec(bits):
-        # represent y(Z) as {exponent: coeff} and P(Z, y) as the same
-        y: Dict[Fraction, object] = {}
-        for c, e in exp.terms:
-            y[e] = y.get(e, 0) + c
-        last = exp.terms[-1][1]
-        residual: Dict[Fraction, object] = {}
-        for (i, e), a in support.items():
-            # expand a * y^i * Z^e, truncating exponents beyond last + 1
-            acc: Dict[Fraction, object] = {Fraction(0): a}
-            for _ in range(i):
-                nxt: Dict[Fraction, object] = {}
-                for e1, c1 in acc.items():
-                    for e2, c2 in y.items():
-                        ee = e1 + e2
-                        if ee > last * (max(i for i, _ in support) + 1) + 1:
-                            continue
-                        nxt[ee] = nxt.get(ee, 0) + c1 * c2
-                acc = nxt
-            for e1, c1 in acc.items():
-                residual[e1 + e] = residual.get(e1 + e, 0) + c1
-        if exact and exp.exact:
-            bad = {e: c for e, c in residual.items() if c != 0 and e <= last}
-        else:
-            vals = [_num_abs(c) for c in residual.values()]
-            top = max(vals) if vals else mpmath.mpf(1)
-            top = max(top, mpmath.mpf(1))
-            tolerance = top * mpmath.mpf(2) ** (-(bits // 3))
-            bad = {
-                e: c for e, c in residual.items()
-                if e <= last and _num_abs(c) > tolerance
-            }
-        if bad:
-            raise PrecisionExhausted(
-                "Puiseux branch failed its back-substitution self-check "
-                "(surviving exponents: %s)" % sorted(bad)
-            )
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
+    support = {(int(i), j): q for (i, j), q in P.items() if q != 0}
+    if support and all(i == 0 for i, _ in support):
+        raise DegenerateBranch("no Y-dependence: the polynomial has a Y-independent factor")
+    if not support or any(j not in (0, 1) or not isinstance(q, (int, Fraction))
+                          for (_, j), q in support.items()):
+        raise ValueError("Puiseux needs a nonzero support of exact rationals, linear in Z")
+    top = max(i for i, _ in support)
+    a, b = ([Fraction(sign * support.get((i, j), 0)) for i in range(top + 1)]
+            for j, sign in ((0, 1), (1, -1)))
+    k = min(next((i for i, x in enumerate(p) if x), top + 1) for p in (a, b))
+    a, b = a[k:], b[k:]
+    branches = [PuiseuxExpansion(center, (), 1, True)] if k else []
+    if not any(a) or not any(b) or a[0]:
+        if not branches:
+            raise DegenerateBranch("the polynomial has no branch Y(Z) through the origin")
+        return branches
+    v = next(i for i, x in enumerate(a) if x)
+    monomial = all(x == a[v] / b[0] * y for x, y in zip(a[v:], b)) and not any(b[len(a) - v:])
+    z = _quotient_tail([(x, x) for x in a], [(x, x) for x in b], v, max_terms, 0)
+    return branches + _reversion_branches(z, v, precision_bits, center, monomial)
 
 
 # ---------------------------------------------------------------------------
-# Dominant exponent
+# Branches at the dominant singularity
 # ---------------------------------------------------------------------------
 
 def _shifted_cancelling_support(
     c_sf: Tuple[UniPoly, UniPoly], s_point: Fraction, rho_point: Fraction
 ) -> Dict[Tuple[int, int], Fraction]:
-    """Exact support of C_sf(rho - Z, s* - Y) = (rho - Z) B(s* - Y) - A(s* - Y)
+    """Exact support of C_sf(rho - Z, s* - Y) = (rho B - A)(s* - Y) - Z B(s* - Y)
     for the squarefree cancelling polynomial (A, B)."""
     a_poly, b_poly = c_sf
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for k in range(max(len(a_poly.coeffs), len(b_poly.coeffs))):
-        # the coefficient of S^k at z = rho - Z: (rho b_k - a_k) - b_k Z
-        b_k = b_poly.coeff(k)
-        sub = (rho_point * b_k - a_poly.coeff(k), -b_k)
-        # (s* - Y)^k
-        for a in range(k + 1):
-            coef_y = comb(k, a) * s_point ** (k - a) * Fraction(-1) ** a
-            for zdeg, cz in enumerate(sub):
-                if cz == 0 or coef_y == 0:
-                    continue
-                key = (a, zdeg)
-                out[key] = out.get(key, Fraction(0)) + coef_y * cz
-    return {k: v for k, v in out.items() if v != 0}
+    order, point = max(len(a_poly.coeffs), len(b_poly.coeffs)), (s_point, s_point)
+    a = _taylor_at(b_poly.scale(rho_point) - a_poly, point, order, 0)
+    b = _taylor_at(b_poly, point, order, 0)
+    return {key: x for key, x in [((i, 0), x) for i, (x, _) in enumerate(a)]
+            + [((i, 1), -x) for i, (x, _) in enumerate(b)] if x}
 
 
 def dominant_expansions(
@@ -1206,29 +1110,32 @@ def dominant_expansions(
     max_terms: int = 3,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Tuple[SingularityReport, List[PuiseuxExpansion]]:
-    """Puiseux branches of the cancelling polynomial at the dominant singularity.
+    """Puiseux branches S = s* - Y(Z), Z = rho - z, at the dominant singularity.
 
-    At exact endpoint singularities the branches are exact; otherwise the
-    critical point is refined to width 2^(-3 bits/4), placed exactly on the
-    curve at the refined midpoint, and expanded numerically at the working
-    precision.  The report carries the exact exponent.
+    At an exact hit the squarefree cancelling polynomial, shifted to
+    (rho, s*), goes to :func:`newton_polygon_expand`, which keeps the zero
+    branch at c = 1, nu >= 4.  Off one, s* is refined to a relative width
+    of 2^-(bits + PUISEUX_GUARD_BITS), and :func:`_reversion_branches`
+    expands Z = a / b, a(Y) = rho den(s* - Y) - num(s* - Y) and
+    b(Y) = den(s* - Y) enclosed there (rho in num(s) / den(s)), each
+    enclosure holding its value at s*.  The coefficients of a below Y^v,
+    v = 1 / exponent, vanish at s* with z', .., z^(v-1) (a multiplicity
+    :meth:`CriticalPoint.exponent` certifies), so they are not read.
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
     report = radius_numeric(params, scan_uniqueness=False)
-    cp = critical_point(params)
     if report.exact:
         support = _shifted_cancelling_support(cancelling_polynomial_squarefree(params),
-                                              report.s_at_rho,
-                                              report.rho)
+                                              report.s_at_rho, report.rho)
         return report, newton_polygon_expand(
             support, max_terms=max_terms, precision_bits=precision_bits, center=report.rho
         )
-    lo, hi = cp.refine(*report.s_interval, Fraction(1, 2 ** (3 * precision_bits // 4)))
-    s0 = (lo + hi) / 2
-    rho0 = cp.z_at(s0)
-    support = _shifted_cancelling_support(cancelling_polynomial_squarefree(params), s0, rho0)
-    with mpmath.workprec(precision_bits):
-        num_support = {k: to_mpf(v) for k, v in support.items()}
-        return report, newton_polygon_expand(
-            num_support, max_terms=max_terms, precision_bits=precision_bits,
-            center=to_mpf(rho0),
-        )
+    cp, v = critical_point(params), report.exponent.denominator
+    work = precision_bits + PUISEUX_GUARD_BITS
+    s = cp.refine(*report.s_interval, report.s_interval[0] / 2 ** work)
+    n, d = (_taylor_at(p, s, v + max_terms, work) for p in (cp.num, cp.den))
+    rho = _div(n[0], d[0], work)
+    a = [_sub(_mul(rho, di, work), ni, work) for ni, di in zip(n, d)]
+    z = _quotient_tail(a, d, v, max_terms, work)
+    return report, _reversion_branches(z, v, precision_bits, Enclosure(report.rho_interval))

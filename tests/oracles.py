@@ -1,21 +1,32 @@
 """Independent references that only the tests use.
 
-Each was package code that no command reached; the tests keep it as an
-oracle for the code that replaced it or that it checks.
+Most were package code that no command reached; the tests keep them as
+oracles for the code that replaced them or that they check.  The
+mpmath reversion and the back-substitution check the Puiseux branches.
 """
 import decimal
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
-from isingmaps.critical import FIT_GUARD_BITS, FitResult
+from isingmaps.critical import FIT_GUARD_BITS, NU_CRITICAL, FitResult, thermo_magnetization
 from isingmaps.errors import NonPositiveSequence, NonZeroRemainder
-from isingmaps.exactalg import PP_ONE, ParamPoly, UniPoly, _q, poly_gcd, primitive
+from isingmaps.exactalg import (
+    PP_ONE, ParamPoly, SturmChain, UniPoly, _q, cauchy_root_bound, poly_gcd, primitive,
+    squarefree_part,
+)
 from isingmaps.precision import DEFAULT_PRECISION_BITS, to_mpf
 from isingmaps.series import IsingParams
-from isingmaps.singular import _lagrangian_parts
+from isingmaps.singular import Enclosure, _lagrangian_parts, critical_point, radius_numeric
+
+
+def shift_c(p: ParamPoly, k: int) -> ParamPoly:
+    """p times the monomial c^k (Laurent shift)."""
+    out = ParamPoly()
+    out.terms = {(dv, dc + k): v for (dv, dc), v in p.terms.items()}
+    return out
 
 
 def pp_exact_div(p: ParamPoly, divisor) -> ParamPoly:
@@ -261,3 +272,151 @@ def format_enclosure_by_long_division(lo: Fraction, hi: Fraction, dps: int) -> s
         ctx.prec = digits
         value = decimal.Decimal(num) / decimal.Decimal(den)
     return format(value, "g")
+
+
+def mp_value(coef):
+    """A Puiseux coefficient as an mpc: a Fraction as it is, an Enclosure
+    by its midpoints, at the ambient precision."""
+    if isinstance(coef, Enclosure):
+        return mpmath.mpc(to_mpf(sum(coef.re) / 2), to_mpf(sum(coef.im) / 2))
+    return mpmath.mpc(to_mpf(coef))
+
+
+def mpmath_reversion(params: IsingParams, max_terms: int, bits: int = 400) -> list:
+    """The branches S = s* - Y(Z), Z = rho - z, at the dominant singularity,
+    as lists [b_1, .., b_max_terms] of mpc with Y = sum_j b_j Z^(j/v).
+
+    s* is the point's exact one, or Newton's root of char from the middle
+    of its isolating interval at ``bits``.  The Taylor coefficients of
+    z(s* - Y) come from the shifted num and den in mpf, and each branch is
+    reverted by undetermined coefficients: b_1 is a v-th root of
+    1 / alpha, and each further b_j makes the coefficient of t^(v+j-1) of
+    Z(Y(t)) - t^v vanish, found from the residuals at b_j = 0 and 1.  No
+    Lagrange inversion and no interval arithmetic.
+    """
+    cp = critical_point(params)
+    report = radius_numeric(params, scan_uniqueness=False)
+    v = report.exponent.denominator
+    order = v + max_terms
+    with mpmath.workprec(bits):
+        if report.exact:
+            s = to_mpf(report.s_at_rho)
+        else:
+            char = [to_mpf(Fraction(c)) for c in reversed(cp.char.coeffs)]
+            s = mpmath.findroot(lambda x: mpmath.polyval(char, x),
+                                to_mpf(sum(cp.interval) / 2), tol=mpmath.mpf(2) ** (8 - bits))
+
+        def shifted(p: UniPoly):
+            return [(-1) ** i * mpmath.fsum(comb(k, i) * to_mpf(Fraction(p.coeff(k)))
+                                            * s ** (k - i)
+                                            for k in range(i, p.degree() + 1))
+                    for i in range(order)]
+        n, d = shifted(cp.num), shifted(cp.den)
+        q = []
+        for i in range(order):
+            q.append((n[i] - mpmath.fsum(d[k] * q[i - k] for k in range(1, i + 1))) / d[0])
+        zc = [mpmath.mpf(0)] * v + [-x for x in q[v:]]
+
+        def residual(b, j):
+            # the coefficient of t^(v+j-1) of sum_i zc[i] Y(t)^i - t^v
+            total, power = mpmath.mpc(0), [mpmath.mpc(1)] + [mpmath.mpc(0)] * order
+            for i in range(1, order):
+                power = [mpmath.fsum(power[a] * b[e - a - 1] for a in range(e)
+                                     if 0 <= e - a - 1 < len(b)) if e else 0
+                         for e in range(order + 1)]
+                total += zc[i] * power[v + j - 1]
+            return total - (1 if j == 1 else 0)
+
+        branches = []
+        for k in range(v):
+            b = [mpmath.root(1 / zc[v], v, k)]
+            for j in range(2, max_terms + 1):
+                r0 = residual(b + [0], j)
+                r1 = residual(b + [1], j)
+                b.append(-r0 / (r1 - r0))
+            branches.append(b)
+        return branches
+
+
+def puiseux_residual(support: dict, terms, bits: int = 192) -> dict:
+    """Back-substitution of one Puiseux branch y(Z) = sum coeff Z^e into the
+    bivariate support {(y_degree, z_degree): a}: the residual P(y(Z), Z) as
+    {exponent: value}, exponents past (last + 1)(deg_y + 1) dropped.
+    Exact (Fraction) where every coefficient is, mpc at ``bits`` otherwise.
+    """
+    exact = all(isinstance(c, Fraction) for c, _ in terms)
+    with mpmath.workprec(bits):
+        y = {}
+        for c, e in terms:
+            y[e] = y.get(e, 0) + (c if exact else mp_value(c))
+        last = terms[-1][1]
+        cap = last * (max(i for i, _ in support) + 1) + 1
+        residual = {}
+        for (i, e), a in support.items():
+            acc = {Fraction(0): a if exact else to_mpf(a)}
+            for _ in range(i):
+                nxt = {}
+                for e1, c1 in acc.items():
+                    for e2, c2 in y.items():
+                        if e1 + e2 <= cap:
+                            nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
+                acc = nxt
+            for e1, c1 in acc.items():
+                residual[e1 + e] = residual.get(e1 + e, 0) + c1
+        return residual
+
+
+def magnetization_limit_estimate(nu, offsets=(Fraction(1, 100), Fraction(1, 1000),
+                                              Fraction(1, 10000)),
+                                 precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
+    """Extrapolate thermo_magnetization(nu, 1 + t) to t -> 0+.
+
+    For nu >= 4 the radius is a series in sqrt(c - 1) at c = 1, so the
+    extrapolation variable is sqrt(t); below nu = 4 it is t itself.
+    """
+    nu = Fraction(nu)
+    ts = sorted((Fraction(t) for t in offsets), reverse=True)
+    if not ts or ts[-1] <= 0:
+        raise ValueError("offsets must be positive")
+    with mpmath.workprec(precision_bits):
+        ys = [thermo_magnetization(nu, 1 + t, precision_bits=precision_bits) for t in ts]
+        xs = [mpmath.sqrt(to_mpf(t)) if nu >= NU_CRITICAL else to_mpf(t)
+              for t in ts]
+        for lvl in range(1, len(ys)):
+            for i in range(len(ys) - lvl):
+                ys[i] = ys[i + 1] + (ys[i + 1] - ys[i]) * xs[i + lvl] \
+                    / (xs[i] - xs[i + lvl])
+        return ys[0]
+
+
+def poly_from_roots(roots) -> UniPoly:
+    """The monic polynomial with the given roots."""
+    p = UniPoly([Fraction(1)])
+    for r in roots:
+        p = p * UniPoly([-Fraction(r), Fraction(1)])
+    return p
+
+
+def isolate_real_roots(p: UniPoly):
+    """Disjoint half-open rational intervals (a, b], each containing exactly
+    one distinct real root of p, in increasing order."""
+    if p.degree() < 1:
+        return []
+    sf = squarefree_part(p)
+    chain = SturmChain(sf)
+    bound = cauchy_root_bound(sf)
+    out = []
+    stack = [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        cnt = chain.count(a, b)
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        stack.append((a, mid))
+        stack.append((mid, b))
+    out.sort()
+    return out

@@ -16,7 +16,6 @@ from isingmaps.critical import (
     exponent_fit,
     m0_closed,
     m_critical_asymptote,
-    magnetization_limit_estimate,
     thermo_magnetization,
     thermo_susceptibility,
 )
@@ -32,7 +31,7 @@ from isingmaps.singular import (
     rho_closed_form,
     s_at_rho_closed_form,
 )
-from oracles import mu_from_ratios
+from oracles import magnetization_limit_estimate, mu_from_ratios
 
 BITS = 192
 N_MAX = 400

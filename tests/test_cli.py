@@ -24,8 +24,8 @@ from isingmaps.exactalg import PP_ONE, PP_ZERO
 from isingmaps.series import (
     IsingParams, TruncatedSeries, _Model, _series_powers, _solve_Z_ring, _symbolic_tables,
 )
-from isingmaps.singular import dominant_expansions, rho_closed_form
-from oracles import format_enclosure_by_long_division, pp_exact_div
+from isingmaps.singular import dominant_expansions, radius_numeric, rho_closed_form
+from oracles import format_enclosure_by_long_division, pp_exact_div, shift_c
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -98,7 +98,7 @@ def param_poly_Z(order):
     for (i, j), coef in bracket_tab.items():
         w = w + pw[i].shift_up(j).scale(coef)
     g = w.divide(one + s.scale(e1))
-    return [pp_exact_div(g.coefficient(n + 2), nine_gamma).shift_c(-n)
+    return [shift_c(pp_exact_div(g.coefficient(n + 2), nine_gamma), -n)
             for n in range(1, order + 1)]
 
 
@@ -401,6 +401,26 @@ class TestRadius:
         assert result["rho"] == "100/2523" and result["s_at_rho"] == "200/2523"
         assert result["mu"] == str(Fraction(21, 20) * Fraction(100, 2523))
 
+    def test_default_rho_is_a_decimal_inside_its_enclosure(self, capsys):
+        # at the default tol the midpoint printed to 55 digits was wrong from
+        # its 12th; the shortest decimal in the enclosure is within one unit
+        # of its last digit of the tol-1e-60 radius
+        code, payload = run_json(capsys, "radius", "--nu", "1/2", "--c", "21/20")
+        assert code == 0
+        printed = payload["result"]["rho"]
+        code, payload = run_json(capsys, "radius", "--nu", "1/2", "--c", "21/20",
+                                 "--tol", "1e-60")
+        assert code == 0
+        tight = Fraction(payload["result"]["rho"])
+        unit = Fraction(1, 10 ** len(printed.split(".")[1]))
+        assert abs(Fraction(printed) - tight) < unit
+        report = radius_numeric(IsingParams(nu=Fraction(1, 2), c=Fraction(21, 20)))
+        for field, (lo, hi) in (("rho", report.rho_interval), ("mu", report.mu_interval),
+                                ("s_at_rho", report.s_interval)):
+            code, payload = run_json(capsys, "radius", "--nu", "1/2", "--c", "21/20")
+            assert lo <= Fraction(payload["result"][field]) <= hi
+            assert payload["result"][field] == cli.format_enclosure(lo, hi, cli._digits(192))
+
     def test_far_field_guard(self, capsys):
         code, payload = run_json(capsys, "radius", "--nu", "2", "--c", "3/2")
         assert code == 2
@@ -410,6 +430,49 @@ class TestRadius:
         assert code == 0
         assert payload["meta"]["warnings"]
 
+
+PUISEUX_POINTS = [("2", "21/20"), ("2", "1"), ("6", "11/10"), ("3/4", "11/10"),
+                  ("5", "1"), ("4", "1"), ("1/4", "1")]
+
+
+def _printed_parts(text):
+    """(re, im) Fractions of a printed Puiseux coefficient."""
+    parts = re.fullmatch(r"\((\S+) ([-+]) (\S+)j\)", text)
+    if not parts:
+        return Fraction(text), Fraction(0)
+    sign = -1 if parts.group(2) == "-" else 1
+    return Fraction(parts.group(1)), sign * Fraction(parts.group(3))
+
+
+class TestPuiseux:
+    @pytest.mark.parametrize("nu, c", PUISEUX_POINTS)
+    def test_every_term_count_prints_inside_its_enclosures(self, capsys, nu, c):
+        expansions = dominant_expansions(IsingParams(nu=Fraction(nu), c=Fraction(c)),
+                                         max_terms=8)[1]
+        for n in range(1, 9):
+            code, payload = run_json(capsys, "puiseux", "--nu", nu, "--c", c,
+                                     "--max-terms", str(n))
+            assert code == 0, n
+            branches = payload["result"]["branches"]
+            assert len(branches) == len(expansions)
+            for printed, branch in zip(branches, expansions):
+                assert len(printed["terms"]) == len(branch.terms[:n])
+                for term, (coef, e) in zip(printed["terms"], branch.terms):
+                    assert term["exponent"] == str(e)
+                    re_part, im_part = _printed_parts(term["coefficient"])
+                    if isinstance(coef, Fraction):
+                        assert (re_part, im_part) == (coef, 0)
+                        continue
+                    assert coef.re[0] <= re_part <= coef.re[1]
+                    assert coef.im[0] <= im_part <= coef.im[1]
+
+    @pytest.mark.parametrize("max_terms", ["0", "-1"])
+    def test_max_terms_below_one_is_a_usage_error(self, capsys, max_terms):
+        code, payload = run_json(capsys, "puiseux", "--nu", "2", "--c", "1",
+                                 "--max-terms", max_terms)
+        assert code == 2
+        assert payload["error"]["type"] == "UsageError"
+        assert "--max-terms" in payload["error"]["message"]
 
 class TestPuiseux:
     def test_cube_root_at_critical_point(self, capsys):
@@ -583,11 +646,26 @@ class TestObservables:
             if name == "observables" and not rest and c != 1:
                 boxes = thermo_enclosures(nu, c)
             elif name == "puiseux":
-                report = dominant_expansions(IsingParams(nu=nu, c=c), max_terms=3,
-                                             precision_bits=192)[0]
-                if report.exact:
-                    continue
-                boxes = {"rho": report.rho_interval, "s_at_rho": report.s_interval}
+                report, expansions = dominant_expansions(IsingParams(nu=nu, c=c), max_terms=3,
+                                                         precision_bits=192)
+                boxes = {} if report.exact else {
+                    "rho": report.rho_interval, "s_at_rho": report.s_interval}
+                result = {}
+                for i, (branch, printed) in enumerate(zip(expansions,
+                                                          envelope["result"]["branches"])):
+                    for k, (coef, _) in enumerate(branch.terms):
+                        if isinstance(coef, Fraction):
+                            continue
+                        text = printed["terms"][k]["coefficient"]
+                        parts = re.fullmatch(r"\((\S+) ([-+]) (\S+)j\)", text)
+                        result[i, k] = parts.group(1) if parts else text
+                        boxes[i, k] = coef.re
+                        if parts:
+                            lo, hi = coef.im
+                            result[i, k, "im"] = parts.group(3)
+                            boxes[i, k, "im"] = (-hi, -lo) if parts.group(2) == "-" else (lo, hi)
+                result.update({f: envelope["result"][f] for f in ("rho", "s_at_rho")})
+                envelope = {"result": result}
             else:
                 continue
             for field, (lo, hi) in boxes.items():
@@ -595,7 +673,9 @@ class TestObservables:
                 assert cli.format_enclosure(lo, hi, dps) == printed, (command, field)
                 assert format_enclosure_by_long_division(lo, hi, dps) == printed
                 seen += 1
-        assert seen == 8
+        # six observables and two puiseux centres, and 25 coefficient parts:
+        # 6 at (2, 21/20) and at (5, 1), 13 at (4, 1)
+        assert seen == 33
 
     @pytest.mark.parametrize("bits", [53, 192])
     def test_one_ulp_enclosure_prints_at_most_its_bits_in_digits(self, bits):
@@ -697,7 +777,8 @@ class TestCheck:
         assert payload["result"]["ok"] is True
         names = {c["name"] for c in payload["result"]["checks"]}
         assert {"branch_continuity", "discriminant_divisibility",
-                "sturm_single_root", "singular_exponents", "nu_one_closed_form"} <= names
+                "sturm_single_root", "singular_exponents", "nu_one_closed_form",
+                "puiseux_branches"} <= names
 
 
 class TestEnvelope:

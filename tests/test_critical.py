@@ -24,7 +24,6 @@ from isingmaps.critical import (
     free_energy,
     m0_closed,
     m_critical_asymptote,
-    magnetization_limit_estimate,
     thermo_enclosures,
     thermo_magnetization,
     thermo_susceptibility,
@@ -41,7 +40,7 @@ from isingmaps.series import (
     scaled_Z,
 )
 from isingmaps.singular import radius_numeric, rho_closed_form
-from oracles import mpmath_fit, mu_from_ratios
+from oracles import magnetization_limit_estimate, mpmath_fit, mu_from_ratios
 
 
 def _as_mpf(x):

@@ -132,3 +132,37 @@ class TestLog:
         for a, b in ((0, 1), (1, 0), (-3, 2), (3, -2)):
             with pytest.raises(ValueError):
                 dyadic.log(a, b, 64)
+
+
+class TestRoot:
+    @given(st.integers(0, 2 ** 300), st.integers(1, 7))
+    @example(0, 3)
+    @example(1, 3)
+    @example(2 ** 192, 3)
+    @example(3 ** 150 - 1, 3)
+    @settings(max_examples=300, deadline=None)
+    def test_iroot_is_the_floor_of_the_root(self, x, n):
+        r = dyadic.iroot(x, n)
+        assert r ** n <= x < (r + 1) ** n
+
+    @given(st.integers(0, 10 ** 40), st.integers(1, 10 ** 40), st.integers(2, 3),
+           st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_root_encloses_the_rational_root(self, a, b, n, p):
+        lo, hi = dyadic.root(a, b, n, p)
+        assert hi - lo in (0, 1)
+        assert Fraction(lo, 2 ** p) ** n <= Fraction(a, b) <= Fraction(hi, 2 ** p) ** n
+        assert (lo == hi) == (Fraction(lo, 2 ** p) ** n == Fraction(a, b))
+
+    def test_exact_dyadic_roots_are_points(self):
+        assert dyadic.root(27, 8, 3, 10) == (3 << 9, 3 << 9)
+        assert dyadic.root(3, 1, 2, 64)[1] - dyadic.root(3, 1, 2, 64)[0] == 1
+
+    def test_refuses_negative_arguments(self):
+        for args in ((-1, 2), (4, 0)):
+            with pytest.raises(ValueError):
+                dyadic.iroot(*args)
+        with pytest.raises(ValueError):
+            dyadic.root(-1, 1, 2, 8)
+        with pytest.raises(ValueError):
+            dyadic.root(1, 0, 2, 8)

@@ -16,6 +16,7 @@ from isingmaps.exactalg import (
     squarefree_part,
     sturm_count,
 )
+from isingmaps.precision import to_mpf
 from isingmaps.series import IsingParams, coefficient_sequence
 from isingmaps.singular import (
     SingularityReport,
@@ -31,7 +32,8 @@ from isingmaps.singular import (
     s_at_rho_closed_form,
 )
 from oracles import (
-    approximate_roots_by_fractions, cancelling_pair_by_gcd, reduced_z_and_char_by_gcd,
+    approximate_roots_by_fractions, cancelling_pair_by_gcd, mp_value, mpmath_reversion,
+    puiseux_residual, reduced_z_and_char_by_gcd,
 )
 
 
@@ -784,20 +786,6 @@ class TestNewtonPolygon:
             assert e.leading_exponent() == Fraction(1, 3)
             assert e.ramification == 3
 
-    def test_three_halves_exponent(self):
-        exps = newton_polygon_expand({(2, 0): Fraction(1), (0, 3): Fraction(-1)})
-        assert all(e.leading_exponent() == Fraction(3, 2) for e in exps)
-
-    def test_transverse_lines_give_integer_branches(self):
-        # (Y - Z)(Y - 2Z) = Y^2 - 3ZY + 2Z^2
-        exps = newton_polygon_expand({
-            (2, 0): Fraction(1), (1, 1): Fraction(-3), (0, 2): Fraction(2),
-        })
-        leads = sorted(e.terms[0][0] for e in exps)
-        assert leads == [Fraction(1), Fraction(2)]
-        assert all(e.leading_exponent() == 1 for e in exps)
-        assert all(e.exact for e in exps)
-
     def test_y_factor_gives_zero_branch(self):
         # Y(Y - Z): the zero branch is reported with no terms
         exps = newton_polygon_expand({(2, 0): Fraction(1), (1, 1): Fraction(-1)})
@@ -813,13 +801,46 @@ class TestNewtonPolygon:
         with pytest.raises(DegenerateBranch):
             newton_polygon_expand({(0, 0): Fraction(1), (1, 1): Fraction(1)})
 
-    def test_numeric_coefficients(self):
-        with mpmath.workprec(128):
-            exps = newton_polygon_expand(
-                {(2, 0): mpmath.mpf(1), (0, 1): mpmath.mpf(-1)},
-                precision_bits=128,
-            )
-        assert all(e.leading_exponent() == Fraction(1, 2) for e in exps)
+    @pytest.mark.parametrize("support", [
+        {(2, 0): Fraction(1), (0, 3): Fraction(-1)},                        # Z^3
+        {(2, 0): Fraction(1), (1, 1): Fraction(-3), (0, 2): Fraction(2)},  # Z^2
+        {(2, 0): mpmath.mpf(1), (0, 1): mpmath.mpf(-1)},                    # mpf
+        {(2, 0): Fraction(1), (0, Fraction(1, 2)): Fraction(-1)},           # Z^(1/2)
+    ])
+    def test_supports_not_exact_and_linear_in_z_raise(self, support):
+        with pytest.raises(ValueError):
+            newton_polygon_expand(support)
+
+    def test_ramification_four_is_refused_and_named(self):
+        with pytest.raises(DegenerateBranch, match="ramification 4"):
+            newton_polygon_expand({(4, 0): Fraction(1), (0, 1): Fraction(-1)})
+
+    @pytest.mark.parametrize("max_terms", [0, -1])
+    def test_max_terms_below_one_raises(self, max_terms):
+        with pytest.raises(ValueError):
+            newton_polygon_expand({(2, 0): Fraction(1), (0, 1): Fraction(-1)},
+                                  max_terms=max_terms)
+        with pytest.raises(ValueError):
+            dominant_expansions(params(2), max_terms=max_terms)
+
+    def test_cube_roots_of_a_negative_leading_coefficient(self):
+        # Y^3 + 8 Z: Y = -2 Z^(1/3) and its two rotations, the real one first
+        exps = newton_polygon_expand({(3, 0): Fraction(1), (0, 1): Fraction(8)})
+        assert exps[0].terms == ((Fraction(-2), Fraction(1, 3)),)
+        assert all(e.exact for e in exps)
+        for e in exps[1:]:
+            (box, _), = e.terms
+            assert box.re == (Fraction(1), Fraction(1))
+            lo, hi = box.im
+            assert lo < hi and lo * hi > 0 and min(lo * lo, hi * hi) < 3 < max(lo * lo, hi * hi)
+
+    def test_imaginary_square_roots(self):
+        # Y^2 + Z + Y Z: Y = +-i Z^(1/2) to leading order
+        exps = newton_polygon_expand({(2, 0): Fraction(1), (0, 1): Fraction(1),
+                                      (1, 1): Fraction(1)}, max_terms=2)
+        leads = [e.terms[0][0] for e in exps]
+        assert [box.im for box in leads] == [(-1, -1), (1, 1)]
+        assert all(box.re == (0, 0) for box in leads)
 
     def test_second_term_of_smooth_branch(self):
         # Y = Z + Z^2 + ... solves Y - Z - Z Y = 0
@@ -830,6 +851,75 @@ class TestNewtonPolygon:
         assert len(exps) == 1
         assert exps[0].terms[0] == (Fraction(1), Fraction(1))
         assert exps[0].terms[1] == (Fraction(1), Fraction(2))
+
+
+PUISEUX_POINTS = [(2, Fraction(21, 20)), (2, 1), (6, Fraction(11, 10)),
+                  (Fraction(3, 4), Fraction(11, 10)), (5, 1), (4, 1), (Fraction(1, 4), 1)]
+
+
+class TestReversion:
+    @pytest.mark.parametrize("nu, c", PUISEUX_POINTS)
+    def test_enclosures_hold_a_400_bit_reversion(self, nu, c):
+        report, expansions = dominant_expansions(params(nu, c), max_terms=8)
+        reference = mpmath_reversion(params(nu, c), 8)
+        branches = [e for e in expansions if e.terms]
+        assert len(branches) == len(reference) == report.exponent.denominator
+        with mpmath.workprec(400):
+            tol = mpmath.mpf(2) ** -300
+            for e in branches:
+                assert e.ramification == report.exponent.denominator
+                lead = mp_value(e.terms[0][0])
+                ref = min(reference, key=lambda b: abs(b[0] - lead))
+                assert [t for _, t in e.terms] == [Fraction(j, e.ramification) for j in range(1, 9)]
+                for (coef, _), x in zip(e.terms, ref):
+                    if isinstance(coef, Fraction):
+                        assert abs(x - to_mpf(coef)) <= tol * abs(x)
+                        continue
+                    for (lo, hi), part in ((coef.re, x.real), (coef.im, x.imag)):
+                        if lo == hi:
+                            assert abs(part - to_mpf(lo)) <= tol * abs(x)
+                        else:
+                            assert to_mpf(lo) < part < to_mpf(hi)
+                            # rounded outward to 192 bits, not wider
+                            assert hi - lo <= max(abs(lo), abs(hi)) / 2 ** 189
+
+    @pytest.mark.parametrize("nu", [Fraction(1, 4), 4, 5, 6, 1])
+    def test_branches_at_exact_hits_back_substitute(self, nu):
+        c = Fraction(21, 20) if nu == 1 else 1
+        report, expansions = dominant_expansions(params(nu, c), max_terms=5)
+        assert report.exact
+        support = singular._shifted_cancelling_support(
+            cancelling_polynomial_squarefree(params(nu, c)), report.s_at_rho, report.rho)
+        for e in expansions:
+            if not e.terms:
+                assert e.exact
+                continue
+            last = e.terms[-1][1]
+            residual = puiseux_residual(support, e.terms)
+            low = {x: r for x, r in residual.items() if x <= last}
+            if all(isinstance(coef, Fraction) for coef, _ in e.terms):
+                assert all(r == 0 for r in low.values())
+            else:
+                top = max([abs(mpmath.mpc(r)) for r in residual.values()] + [1])
+                assert all(abs(mpmath.mpc(r)) <= top * mpmath.mpf(2) ** -150 for r in low.values())
+
+    def test_shorter_runs_are_prefixes(self):
+        full = dominant_expansions(params(2, Fraction(21, 20)), max_terms=6)[1]
+        for n in range(1, 6):
+            assert [e.terms for e in dominant_expansions(params(2, Fraction(21, 20)),
+                                                         max_terms=n)[1]] \
+                == [e.terms[:n] for e in full]
+
+    def test_quarter_is_rational_and_cube_root_point_is_not(self):
+        quarter = dominant_expansions(params(Fraction(1, 4)))[1]
+        assert [e.terms[0][0] for e in quarter] == [Fraction(-1, 3), Fraction(1, 3)]
+        zero, real, low, high = dominant_expansions(params(4))[1]
+        assert zero.terms == () and zero.exact
+        assert real.terms[0][0].im == (0, 0)
+        assert low.terms[0][0].im[1] < 0 < high.terms[0][0].im[0]
+        # Z^1 is c_3 / alpha on every branch: exact, and real
+        assert {e.terms[2][0] for e in (real, low, high)} == \
+            {singular.Enclosure((Fraction(-225, 1024),) * 2)}
 
 
 class TestDominantExponent:
