@@ -34,7 +34,7 @@ from .critical import (
     m0_closed,
     thermo_enclosures,
 )
-from .errors import ComputationError
+from .errors import ComputationError, FarField
 from .exactalg import sturm_count
 from .mapcount import survey
 from .precision import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
@@ -141,11 +141,7 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
     num, half, den = ad + cb, cb - ad, 2 * lo.denominator * hi.denominator
     if num:
         mag = abs(num)
-        e = floor((mag.bit_length() - den.bit_length()) * _LOG10_2)
-        while _ten_power_at_most(e + 1, mag, den):
-            e += 1
-        while not _ten_power_at_most(e, mag, den):
-            e -= 1
+        e = _decimal_exponent(mag, den)
         b = den * 10 ** max(e, 0)
 
         def fits(d: int) -> bool:
@@ -182,6 +178,35 @@ def format_enclosure(lo: Fraction, hi: Fraction, dps: int) -> str:
 def _ten_power_at_most(e: int, mag: int, den: int) -> bool:
     """10^e <= mag / den, for positive integers mag and den."""
     return den * 10 ** e <= mag if e >= 0 else den <= mag * 10 ** -e
+
+
+def _decimal_exponent(mag: int, den: int) -> int:
+    """The e with 10^e <= mag / den < 10^(e+1), for positive integers."""
+    e = floor((mag.bit_length() - den.bit_length()) * _LOG10_2)
+    while _ten_power_at_most(e + 1, mag, den):
+        e += 1
+    while not _ten_power_at_most(e, mag, den):
+        e -= 1
+    return e
+
+
+def format_bound(x: Fraction, dps: int, up: bool) -> str:
+    """x rounded to dps significant digits up (towards +inf) or down, so
+    that the ends of an interval rounded outward hold it; laid out as
+    :func:`format_enclosure` lays out its value, trailing zeros dropped.
+
+    In integers: with 10^e <= |x| < 10^(e+1), q = |x| 10^(dps-1-e) is
+    rounded away from 0 when that is the direction, else towards it.
+    """
+    if not x:
+        return "0"
+    mag, den = abs(x.numerator), x.denominator
+    exp = _decimal_exponent(mag, den) + 1 - dps
+    q, r = divmod(mag * 10 ** max(-exp, 0), den * 10 ** max(exp, 0))
+    q += r > 0 and up == (x > 0)
+    while exp < 0 and q % 10 == 0:
+        q, exp = q // 10, exp + 1
+    return format(decimal.Decimal("%s%de%d" % ("-" * (x < 0), q, exp)), "g")
 
 
 # ---------------------------------------------------------------------------
@@ -226,43 +251,38 @@ def _cmd_enumerate(args, bits):
     return result, [], None
 
 
-def _radius_point(nu: Fraction, c: Fraction, tol: Fraction, allow_far_field: bool,
-                  with_exponent: bool, dps: int) -> dict:
+def _shortest_inside(report, interval: Tuple[Fraction, Fraction], dps: int) -> str:
+    """An exact singularity's value as p/q, else the shortest decimal inside
+    its certified interval."""
+    return str(interval[0]) if report.exact else format_enclosure(*interval, dps)
+
+
+def _radius_point(spec: tuple) -> dict:
+    nu, c, tol, allow_far_field, with_exponent, dps = spec
     report = radius_numeric(
         IsingParams(nu=nu, c=c), tol=tol, allow_far_field=allow_far_field,
         with_exponent=with_exponent,
     )
 
-    def enc(value: Fraction) -> str:
-        # exact singularities stay rational; interval ends are decimals
-        if report.exact:
-            return str(value)
-        with mpmath.workprec(int(dps * 3.33) + 8):
-            return mpmath.nstr(mpmath.mpf(value.numerator) / value.denominator,
-                               dps)
-
-    def shortest_inside(interval: Tuple[Fraction, Fraction]) -> str:
-        return str(interval[0]) if report.exact else format_enclosure(*interval, dps)
+    def ends(interval: Tuple[Fraction, Fraction]) -> List[str]:
+        # exact singularities stay rational; interval ends are rounded outward
+        return [str(x) if report.exact else format_bound(x, dps, up)
+                for x, up in zip(interval, (False, True))]
 
     return {
         "nu": str(nu),
         "c": str(c),
-        "rho": shortest_inside(report.rho_interval),
-        "rho_interval": [enc(report.rho_interval[0]), enc(report.rho_interval[1])],
-        "mu": shortest_inside(report.mu_interval),
-        "mu_interval": [enc(report.mu_interval[0]), enc(report.mu_interval[1])],
-        "s_at_rho": shortest_inside(report.s_interval),
-        "s_interval": [enc(report.s_interval[0]), enc(report.s_interval[1])],
+        "rho": _shortest_inside(report, report.rho_interval, dps),
+        "rho_interval": ends(report.rho_interval),
+        "mu": _shortest_inside(report, report.mu_interval, dps),
+        "mu_interval": ends(report.mu_interval),
+        "s_at_rho": _shortest_inside(report, report.s_interval, dps),
+        "s_interval": ends(report.s_interval),
         "exponent": None if report.exponent is None else str(report.exponent),
         "exact": report.exact,
         "unique_on_circle": report.uniqueness_checked,
         "warnings": list(report.warnings),
     }
-
-
-def _radius_worker(spec):
-    nu, c, tol, allow, with_exp, dps = spec
-    return _radius_point(nu, c, tol, allow, with_exp, dps)
 
 
 def _cmd_radius(args, bits):
@@ -277,9 +297,9 @@ def _cmd_radius(args, bits):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_radius_worker, specs))
+            points = list(pool.map(_radius_point, specs))
     else:
-        points = [_radius_worker(spec) for spec in specs]
+        points = [_radius_point(spec) for spec in specs]
     warnings = [w for p in points for w in p["warnings"]]
     csv_rows = [("nu", "c", "rho", "mu", "exponent")] + [
         (p["nu"], p["c"], p["rho"], p["mu"], p["exponent"] or "") for p in points
@@ -320,14 +340,9 @@ def _cmd_puiseux(args, bits):
             "exact": exp.exact,
             "terms": terms,
         })
-    if report.exact:
-        rho, s_at_rho = str(report.rho), str(report.s_at_rho)
-    else:
-        rho = format_enclosure(*report.rho_interval, dps)
-        s_at_rho = format_enclosure(*report.s_interval, dps)
     result = {
-        "rho": rho,
-        "s_at_rho": s_at_rho,
+        "rho": _shortest_inside(report, report.rho_interval, dps),
+        "s_at_rho": _shortest_inside(report, report.s_interval, dps),
         "exact_center": report.exact,
         "exponent": str(report.exponent),
         "branches": branches,
@@ -505,14 +520,10 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 def _config_dict(args) -> dict:
+    """The options of the run's command as parsed, but those left None."""
     out = {}
-    for key in ("nu", "c", "n", "n_max", "n_min", "max_terms", "tol",
-                "precision_bits", "format", "out", "jobs", "symbolic",
-                "numeric", "allow_far_field", "no_exponent"):
-        if not hasattr(args, key):
-            continue
-        value = getattr(args, key)
-        if value is None:
+    for key, value in vars(args).items():
+        if key == "command" or value is None:
             continue
         if isinstance(value, Fraction):
             value = str(value)
@@ -639,9 +650,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(json.dumps(envelope, sort_keys=True, indent=2) + "\n", args.out)
         return 1
     except ValueError as exc:
+        # name the option only where the command has it
+        hint = "; pass --allow-far-field to proceed anyway" \
+            if isinstance(exc, FarField) and hasattr(args, "allow_far_field") else ""
         envelope = {
             "command": args.command,
-            "error": {"type": "UsageError", "message": str(exc)},
+            "error": {"type": "UsageError", "message": str(exc) + hint},
         }
         _emit(json.dumps(envelope, sort_keys=True, indent=2) + "\n", args.out)
         return 2

@@ -33,9 +33,13 @@ class NoRootInRange(ComputationError):
 
 
 class DegenerateBranch(ComputationError):
-    """A Puiseux expansion was asked of a curve with no branch through the
-    origin, or of branches of ramification 4 or more."""
+    """Puiseux branches of ramification 4 or more were asked for."""
 
 
 class NonPositiveSequence(ComputationError):
     """A log-based exponent fit received a non-positive coefficient."""
+
+
+class FarField(ValueError):
+    """A point outside the validated region |c - 1| <= 1/4, not allowed:
+    a usage error, not a failed computation."""

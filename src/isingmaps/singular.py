@@ -17,29 +17,32 @@ evaluating z(s) at s*, with certified interval arithmetic; mu = c * rho.
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
 two saddles coalesce, at (nu, c) = (4, 1).  The branches themselves are
-the series reversion of Z = rho - z(s* - Y), exact at exact hits and
-enclosed over the certified s-interval otherwise.
+the series reversion of Z = rho - z(s* - Y), by one route at every point:
+the Taylor coefficients of num and den enclosed over the s-interval, a
+point at an exact hit, where every step is exact.
 
 That rho is the only singularity on |z| = rho is certified from the same
 CriticalPoint: the other candidates are z at the roots of ``char`` and at
 one exact point, and disjoint root disks of ``char``, checked in
 integers, bound each candidate's modulus away from the rho interval (see
-:func:`radius_numeric`).  The discriminant in z of the cancelling
-polynomial, whose roots are those candidates, is interpolated from
-univariate discriminants at integer z; it serves as the reference for that
-candidate set and for the c = 1 factors of :func:`p1_p2_p3`.
+:func:`radius_numeric`).  The squarefree cancelling polynomial is read off
+the CriticalPoint too, and its discriminant in z, whose roots are those
+candidates, is interpolated from univariate discriminants at integer z; it
+serves as the reference for that candidate set and for the c = 1 factors
+of :func:`p1_p2_p3`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import ceil, comb, floor, gcd, isfinite, isqrt, ldexp
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
 
 from . import dyadic
-from .errors import DegenerateBranch, NoRootInRange, PrecisionExhausted
+from .errors import DegenerateBranch, FarField, NoRootInRange, PrecisionExhausted
 from .exactalg import (
     PP_ZERO,
     IntegerForm,
@@ -77,37 +80,29 @@ def characteristic_root_polynomial(params: IsingParams) -> UniPoly:
     return critical_point(params).char
 
 
-@lru_cache(maxsize=512)
 def cancelling_polynomial_squarefree(params: IsingParams) -> Tuple[UniPoly, UniPoly]:
     """The cancelling polynomial C = z D(S)^2 - S N(S), linear in z, with
     repeated S-factors removed: the rational pair (A, B) of
-    C_sf = z B(S) - A(S).
+    C_sf = z B(S) - A(S), read off :func:`critical_point`.
 
-    With g = gcd(S N, D^2) in Q[S], C = z D^2 - S N is g (z B - A) for
-    coprime A = S N / g and B = D^2 / g.  The factor z B - A is linear in z
-    with coprime coefficients, hence irreducible, and prime to g, so
-    gcd(C, dC/dS) = gcd(g, g'): a univariate gcd.  At c = 1 the numerator N
-    degenerates to a perfect-square multiple, g is that squared linear
-    factor, and dividing it out once keeps the curve while giving a
-    discriminant that does not vanish identically.  Off c = 1, g is 1 and C
-    is returned as it is: A = S N and B = D^2.  The divisor is scaled to 1
-    at S = 0, so the result agrees with C there.
-
-    Like :func:`critical_point` it raises NoRootInRange where the
-    characteristic polynomial has no root in the search interval.  Only
-    the commands that read it compute it, once per point.
+    With g = gcd(S N, D^2), C = g (z den - num) up to a constant, for z(s)
+    = num / den in lowest terms; z den - num is irreducible and prime to
+    g, so C_sf = (g / gcd(g, g')) (z den - num).  g holds each root of D
+    (:func:`_poles`) to the order k <= 2 that S N does, and den holds it to
+    the order 2 - k, so g / gcd(g, g') is the product of the linear factors
+    of the roots where den has multiplicity below 2: at c = 1 the one at
+    B, which is s* for nu >= 4, and none off c = 1.  B(0) is scaled to 1,
+    so C_sf agrees with C at S = 0.  Raises NoRootInRange as
+    :func:`critical_point` does.
     """
-    critical_point(params)
-    sn, a, d, b = _lagrangian_parts(params)
-    dd = d * d
-    # g = gcd(S N, D^2) holds each pole of D to the order k <= 2 that S N
-    # does, so gcd(g, g') holds it to the order k - 1
+    cp = critical_point(params)
+    a, b = cp.num, cp.den
     for pole in _poles(params.nu, params.c):
-        k = _divide_out(sn, pole, 2)[1] - 1
-        if k > 0:
-            sn, dd = (_divide_out(q, pole, k)[0].scale((-pole.numerator) ** k)
-                      for q in (sn, dd))
-    return _over(sn, a), _over(dd, b * b)
+        if _divide_out(cp.den, pole, 2)[1] < 2:
+            factor = UniPoly([-pole.numerator, pole.denominator])
+            a, b = a * factor, b * factor
+    w = b.coeff(0)
+    return tuple(UniPoly([Fraction(x, w) for x in q.coeffs]) for q in (a, b))
 
 
 def discriminant_in_z(params: IsingParams) -> UniPoly:
@@ -250,19 +245,15 @@ def _lagrangian_parts(params: IsingParams) -> Tuple[UniPoly, int, UniPoly, int]:
     return UniPoly([0] + n.coeffs), a, d, b
 
 
-def _over(p: UniPoly, w: int) -> UniPoly:
-    """The rational polynomial p / w."""
-    return UniPoly([Fraction(c, w) for c in p.coeffs])
-
-
 class CriticalPoint(NamedTuple):
     """The exact critical point s* of z(s) at one parameter point (nu, c).
 
     Built once per (nu, c) by :func:`critical_point`; the certified radius,
-    the uniqueness certificate, the dominant exponent and the Puiseux
-    expansions all read it.  ``num / den`` is z(s) in lowest terms, both
-    integer polynomials over one shared positive scale (their coefficients
-    coprime taken together), so :meth:`z_at` is exact integer Horner.
+    the uniqueness certificate, the dominant exponent, the Puiseux
+    expansions and the cancelling polynomial all read it.  ``num / den``
+    is z(s) in lowest terms, both integer polynomials over one shared
+    positive scale (their coefficients coprime taken together), so
+    :meth:`z_at` is exact integer Horner.
     ``char`` is the squarefree numerator of z'(s) with its poles stripped,
     as a primitive integer polynomial: a positive multiple of the one over
     Q, so every sign and count is that of the rational one.  z at its
@@ -782,7 +773,7 @@ def _uniqueness_certificate(
 def _far_field_warnings(params: IsingParams, allow_far_field: bool) -> List[str]:
     """Guard the validated region |c - 1| <= 1/4.
 
-    Outside it, raise ValueError unless ``allow_far_field``, in which case
+    Outside it, raise FarField unless ``allow_far_field``, in which case
     the returned list carries a warning; inside it the list is empty.  At
     nu = 1 every c is validated: Z is Tutte's quartic-map series at
     z (c + 1/c) (:func:`~isingmaps.series.nu_one_jets`), whose only
@@ -791,10 +782,7 @@ def _far_field_warnings(params: IsingParams, allow_far_field: bool) -> List[str]
     if params.nu == 1 or abs(params.c - 1) <= VALIDATED_C_HALF_WIDTH:
         return []
     if not allow_far_field:
-        raise ValueError(
-            "c is outside the validated neighborhood of 1; "
-            "pass allow_far_field=True to proceed anyway"
-        )
+        raise FarField("c = %s is outside the validated region |c-1| <= 1/4" % params.c)
     return ["c outside the validated region |c-1| <= 1/4; results carry no guarantee"]
 
 
@@ -892,10 +880,10 @@ class PuiseuxExpansion(NamedTuple):
     Fraction coefficients on a branch whose every term is a rational known
     exactly, Enclosures (a point where exact) on any other.  ``exact``
     marks a branch whose recorded terms are all of it: the zero branch,
-    and those of Z = alpha Y^v.  ``center`` is rho, or its enclosure.
+    and those of Z = alpha Y^v.  The centre (rho, s*) is the
+    SingularityReport's.
     """
 
-    center: Optional[Union[Fraction, Enclosure]]
     terms: Tuple[Tuple[Union[Fraction, Enclosure], Fraction], ...]
     ramification: int
     exact: bool = False
@@ -980,8 +968,8 @@ _COS_TWELFTHS = ((1, 0), (0, _HALF), (_HALF, 0), (0, 0), (-_HALF, 0), (0, -_HALF
                  (-1, 0), (0, -_HALF), (-_HALF, 0), (0, 0), (_HALF, 0), (0, _HALF))
 
 
-def _reversion_branches(z: List[Interval], v: int, bits: int, center,
-                        exact: bool = False) -> List[PuiseuxExpansion]:
+def _reversion_branches(z: List[Interval], v: int, bits: int,
+                        exact: bool) -> List[PuiseuxExpansion]:
     """The v branches Y(Z) through 0 of Z = sum_i z[i] Y^(v+i), to len(z)
     terms each: real leading coefficients ascending, then complex ones by
     ascending imaginary part.
@@ -1038,7 +1026,7 @@ def _reversion_branches(z: List[Interval], v: int, bits: int, center,
                 coefficient = re[0] if rational and m % 6 == 0 else \
                     Enclosure(_hull(re, bits), _hull(im, bits))
                 terms.append((coefficient, Fraction(j, v)))
-        branches.append(PuiseuxExpansion(center, tuple(terms), v, exact))
+        branches.append(PuiseuxExpansion(tuple(terms), v, exact))
 
     def order(branch: PuiseuxExpansion):
         lead = branch.terms[0][0]
@@ -1049,61 +1037,29 @@ def _reversion_branches(z: List[Interval], v: int, bits: int, center,
 
 
 def newton_polygon_expand(
-    P, max_terms: int = 3, precision_bits: int = DEFAULT_PRECISION_BITS,
-    center=None,
+    a: List[Interval], b: List[Interval], v: int, max_terms: int = 3,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> List[PuiseuxExpansion]:
-    """All Puiseux branches Y(Z) with Y(0) = 0 of a curve linear in Z.
+    """The v Puiseux branches Y(Z) through 0 of the curve Z b(Y) = a(Y).
 
-    ``P`` is a dict {(y_degree, z_degree): coefficient} of exact rationals
-    with z_degree 0 or 1: P = a(Y) - Z b(Y), whose Newton polygon has one
-    edge.  A common factor Y^k of a and b gives the zero branch Y = 0,
-    first and with no terms.  The others solve Z = a / b, whose valuation v
-    in Y is their ramification; :func:`_reversion_branches` expands them
-    to ``max_terms`` terms, ``exact`` when a / b is the monomial alpha Y^v.
-
-    Raises ValueError for any other support, and DegenerateBranch when P
-    has no Y-dependence, does not vanish at the origin, or v > 3.
+    ``a`` and ``b`` enclose the coefficients of Y^0, Y^1, .. of a and b; a
+    vanishes to order v, so those below Y^v are not read.
+    :func:`_reversion_branches` expands Z = a / b (:func:`_quotient_tail`)
+    to ``max_terms`` terms, ``exact`` when the lists are points and a / b
+    is the monomial alpha Y^v.  Raises DegenerateBranch when v > 3.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    support = {(int(i), j): q for (i, j), q in P.items() if q != 0}
-    if support and all(i == 0 for i, _ in support):
-        raise DegenerateBranch("no Y-dependence: the polynomial has a Y-independent factor")
-    if not support or any(j not in (0, 1) or not isinstance(q, (int, Fraction))
-                          for (_, j), q in support.items()):
-        raise ValueError("Puiseux needs a nonzero support of exact rationals, linear in Z")
-    top = max(i for i, _ in support)
-    a, b = ([Fraction(sign * support.get((i, j), 0)) for i in range(top + 1)]
-            for j, sign in ((0, 1), (1, -1)))
-    k = min(next((i for i, x in enumerate(p) if x), top + 1) for p in (a, b))
-    a, b = a[k:], b[k:]
-    branches = [PuiseuxExpansion(center, (), 1, True)] if k else []
-    if not any(a) or not any(b) or a[0]:
-        if not branches:
-            raise DegenerateBranch("the polynomial has no branch Y(Z) through the origin")
-        return branches
-    v = next(i for i, x in enumerate(a) if x)
-    monomial = all(x == a[v] / b[0] * y for x, y in zip(a[v:], b)) and not any(b[len(a) - v:])
-    z = _quotient_tail([(x, x) for x in a], [(x, x) for x in b], v, max_terms, 0)
-    return branches + _reversion_branches(z, v, precision_bits, center, monomial)
+    z = _quotient_tail(a, b, v, max_terms, precision_bits + PUISEUX_GUARD_BITS)
+    alpha = z[0][0]
+    monomial = all(lo == hi for lo, hi in a[v:] + b) and all(
+        x == alpha * y for (x, _), (y, _) in zip_longest(a[v:], b, fillvalue=_ZERO))
+    return _reversion_branches(z, v, precision_bits, monomial)
 
 
 # ---------------------------------------------------------------------------
 # Branches at the dominant singularity
 # ---------------------------------------------------------------------------
-
-def _shifted_cancelling_support(
-    c_sf: Tuple[UniPoly, UniPoly], s_point: Fraction, rho_point: Fraction
-) -> Dict[Tuple[int, int], Fraction]:
-    """Exact support of C_sf(rho - Z, s* - Y) = (rho B - A)(s* - Y) - Z B(s* - Y)
-    for the squarefree cancelling polynomial (A, B)."""
-    a_poly, b_poly = c_sf
-    order, point = max(len(a_poly.coeffs), len(b_poly.coeffs)), (s_point, s_point)
-    a = _taylor_at(b_poly.scale(rho_point) - a_poly, point, order, 0)
-    b = _taylor_at(b_poly, point, order, 0)
-    return {key: x for key, x in [((i, 0), x) for i, (x, _) in enumerate(a)]
-            + [((i, 1), -x) for i, (x, _) in enumerate(b)] if x}
-
 
 def dominant_expansions(
     params: IsingParams,
@@ -1112,30 +1068,30 @@ def dominant_expansions(
 ) -> Tuple[SingularityReport, List[PuiseuxExpansion]]:
     """Puiseux branches S = s* - Y(Z), Z = rho - z, at the dominant singularity.
 
-    At an exact hit the squarefree cancelling polynomial, shifted to
-    (rho, s*), goes to :func:`newton_polygon_expand`, which keeps the zero
-    branch at c = 1, nu >= 4.  Off one, s* is refined to a relative width
-    of 2^-(bits + PUISEUX_GUARD_BITS), and :func:`_reversion_branches`
-    expands Z = a / b, a(Y) = rho den(s* - Y) - num(s* - Y) and
-    b(Y) = den(s* - Y) enclosed there (rho in num(s) / den(s)), each
-    enclosure holding its value at s*.  The coefficients of a below Y^v,
-    v = 1 / exponent, vanish at s* with z', .., z^(v-1) (a multiplicity
-    :meth:`CriticalPoint.exponent` certifies), so they are not read.
+    One route at every point: :func:`newton_polygon_expand` expands
+    Z = a / b, a(Y) = rho den(s* - Y) - num(s* - Y) and b(Y) = den(s* - Y)
+    for the :class:`CriticalPoint`, v = 1 / exponent, with the Taylor
+    coefficients enclosed over an s-interval, rho = num / den there: the
+    point s* at an exact hit, whole polynomials, else s* refined to a
+    relative width of 2^-(bits + PUISEUX_GUARD_BITS), to Y^(v+max_terms-1).
+    The coefficients of a below Y^v vanish at s* with z', .., z^(v-1), as
+    :meth:`CriticalPoint.exponent` certifies.  Where s* is a root of D
+    (c = 1, nu >= 4) the cancelling curve keeps the line S = s*
+    (:func:`cancelling_polynomial_squarefree`): its zero branch Y = 0 comes
+    first, exact, with no terms.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     report = radius_numeric(params, scan_uniqueness=False)
-    if report.exact:
-        support = _shifted_cancelling_support(cancelling_polynomial_squarefree(params),
-                                              report.s_at_rho, report.rho)
-        return report, newton_polygon_expand(
-            support, max_terms=max_terms, precision_bits=precision_bits, center=report.rho
-        )
     cp, v = critical_point(params), report.exponent.denominator
     work = precision_bits + PUISEUX_GUARD_BITS
-    s = cp.refine(*report.s_interval, report.s_interval[0] / 2 ** work)
-    n, d = (_taylor_at(p, s, v + max_terms, work) for p in (cp.num, cp.den))
+    if report.exact:
+        s, order = report.s_interval, max(len(cp.num.coeffs), len(cp.den.coeffs))
+    else:
+        s, order = cp.refine(*report.s_interval, report.s_interval[0] / 2 ** work), v + max_terms
+    n, d = (_taylor_at(p, s, order, work) for p in (cp.num, cp.den))
     rho = _div(n[0], d[0], work)
     a = [_sub(_mul(rho, di, work), ni, work) for ni, di in zip(n, d)]
-    z = _quotient_tail(a, d, v, max_terms, work)
-    return report, _reversion_branches(z, v, precision_bits, Enclosure(report.rho_interval))
+    on_pole = report.exact and s[0] in _poles(params.nu, params.c)
+    zero = [PuiseuxExpansion((), 1, True)] if on_pole else []
+    return report, zero + newton_polygon_expand(a, d, v, max_terms, precision_bits)

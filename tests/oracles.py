@@ -2,7 +2,8 @@
 
 Most were package code that no command reached; the tests keep them as
 oracles for the code that replaced them or that they check.  The
-mpmath reversion and the back-substitution check the Puiseux branches.
+mpmath reversion and the back-substitution into a sympy-built shifted
+curve check the Puiseux branches.
 """
 import decimal
 from fractions import Fraction
@@ -10,6 +11,7 @@ from math import comb, gcd
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
+import sympy
 
 from isingmaps.critical import FIT_GUARD_BITS, NU_CRITICAL, FitResult, thermo_magnetization
 from isingmaps.errors import NonPositiveSequence, NonZeroRemainder
@@ -338,12 +340,37 @@ def mpmath_reversion(params: IsingParams, max_terms: int, bits: int = 400) -> li
         return branches
 
 
-def puiseux_residual(support: dict, terms, bits: int = 192) -> dict:
-    """Back-substitution of one Puiseux branch y(Z) = sum coeff Z^e into the
-    bivariate support {(y_degree, z_degree): a}: the residual P(y(Z), Z) as
-    {exponent: value}, exponents past (last + 1)(deg_y + 1) dropped.
-    Exact (Fraction) where every coefficient is, mpc at ``bits`` otherwise.
+def shifted_cancelling_curve(params: IsingParams, s0: Fraction, rho0: Fraction) -> dict:
+    """C = z D(S)^2 - S N(S) at z = rho0 - Z, S = s0 - Y, over the largest
+    power Y^k that divides it, as the support {(y_degree, z_degree):
+    Fraction}: N and D from the model tables as the factored expressions
+    read (:func:`symbolic_tables_by_powers`), the shift expanded by sympy.
+    At c = 1, nu >= 4, where s0 is a root of D, k = 2: without the division
+    every residual would move up by 2/v."""
+    n_tab, d_tab = symbolic_tables_by_powers()[:2]
+    y, z = sympy.symbols("Y Z")
+    s = sympy.Rational(s0.numerator, s0.denominator) - y
+
+    def at_s(tab):
+        return sum(sympy.Rational(str(q.evaluate(params.nu, params.c))) * s ** k
+                   for k, q in tab.items())
+
+    curve = (sympy.Rational(rho0.numerator, rho0.denominator) - z) * at_s(d_tab) ** 2 \
+        - s * at_s(n_tab)
+    terms = sympy.Poly(sympy.expand(curve), y, z).terms()
+    k = min(i for (i, _), _ in terms)
+    return {(i - k, j): Fraction(str(coef)) for (i, j), coef in terms}
+
+
+def puiseux_residual(params: IsingParams, s0: Fraction, rho0: Fraction, terms,
+                     bits: int = 192) -> dict:
+    """Back-substitution of one Puiseux branch y(Z) = sum coeff Z^e at the
+    centre (rho0, s0) into :func:`shifted_cancelling_curve`: the residual
+    C(y(Z), Z) as {exponent: value}, exponents past (last + 1)(deg_y + 1)
+    dropped.  Exact (Fraction) where every coefficient is, mpc at ``bits``
+    otherwise.
     """
+    support = shifted_cancelling_curve(params, s0, rho0)
     exact = all(isinstance(c, Fraction) for c, _ in terms)
     with mpmath.workprec(bits):
         y = {}

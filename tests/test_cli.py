@@ -430,6 +430,42 @@ class TestRadius:
         assert code == 0
         assert payload["meta"]["warnings"]
 
+    @pytest.mark.parametrize("command", ["radius", "puiseux", "observables", "exponent-fit"])
+    def test_far_field_message_names_the_region_and_only_real_options(self, capsys,
+                                                                      command):
+        code, payload = run_json(capsys, command, "--nu", "2", "--c", "3")
+        message = payload["error"]["message"]
+        assert code == 2 and payload["error"]["type"] == "UsageError"
+        assert "validated region |c-1| <= 1/4" in message
+        assert "allow_far_field" not in message
+        assert ("--allow-far-field" in message) == (command == "radius")
+
+    @pytest.mark.parametrize("bits", ["8", "192"])
+    def test_interval_ends_are_rounded_outward(self, capsys, bits):
+        # every printed interval holds the certified one, and each printed
+        # end lies within one unit in its last digit of the certified end
+        nus = ("1/2", "3/4", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "5", "6")
+        cs = ("9/10", "19/20", "21/20", "11/10")
+        code, payload = run_json(capsys, "radius", "--nu", ",".join(nus), "--c", ",".join(cs),
+                                 "--precision-bits", bits, "--no-exponent")
+        assert code == 0
+        dps = cli._digits(int(bits))
+        points = payload["result"]["points"]
+        assert len(points) == 44
+        for point in points:
+            report = radius_numeric(IsingParams(nu=Fraction(point["nu"]),
+                                                c=Fraction(point["c"])),
+                                    with_exponent=False, scan_uniqueness=False)
+            assert not report.exact
+            for field, (lo, hi) in (("rho_interval", report.rho_interval),
+                                    ("mu_interval", report.mu_interval),
+                                    ("s_interval", report.s_interval)):
+                printed = [Fraction(end) for end in point[field]]
+                assert printed[0] <= lo and hi <= printed[1], (point, field)
+                for end, exact in zip(printed, (lo, hi)):
+                    unit = Fraction(10) ** (math.floor(math.log10(exact)) + 1 - dps)
+                    assert abs(end - exact) < unit, (point, field)
+
 
 PUISEUX_POINTS = [("2", "21/20"), ("2", "1"), ("6", "11/10"), ("3/4", "11/10"),
                   ("5", "1"), ("4", "1"), ("1/4", "1")]

@@ -12,8 +12,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # Explicit ids keep these test names stable when the list changes.
 @pytest.mark.parametrize("name, argv, header", [
-    pytest.param("exponent_table.py", ["--points", "2:1", "--n-max", "40"],
-                 "alpha(fit)", id="exponent_table.py-argv1-alpha(fit)"),
     pytest.param("transition_scan.py",
                  ["--offsets", "1/100", "--h", "1/1000", "--precision-bits", "128"],
                  "== observables near the transition ==",

@@ -384,7 +384,7 @@ class TestCriticalPoint:
         for point in POLE_GRID:
             p = params(*point)
             try:
-                pair = cancelling_polynomial_squarefree.__wrapped__(p)
+                pair = cancelling_polynomial_squarefree(p)
             except NoRootInRange:
                 continue
             assert pair == cancelling_pair_by_gcd(p), point
@@ -422,6 +422,24 @@ class TestCriticalPoint:
         assert singular._critical_point.cache_info().misses == 1
         assert singular._critical_point.cache_info().hits == 0
         assert calls == [(Fraction(5, 2), Fraction(21, 20))]
+
+    @pytest.mark.parametrize("nu, c", [(Fraction(5), Fraction(1)),
+                                       (Fraction(2), Fraction(21, 20))])
+    def test_branches_and_cancelling_curve_build_it_once(self, monkeypatch, nu, c):
+        # the Puiseux branches and the cancelling curve both read the one
+        # CriticalPoint: no second evaluation of the N and D tables
+        calls = []
+        parts = singular._lagrangian_parts
+
+        def counted(p):
+            calls.append((p.nu, p.c))
+            return parts(p)
+
+        monkeypatch.setattr(singular, "_lagrangian_parts", counted)
+        singular._critical_point.cache_clear()
+        dominant_expansions(params(nu, c))
+        cancelling_polynomial_squarefree(params(nu, c))
+        assert calls == [(nu, c)]
 
     @pytest.mark.parametrize("nu, c", [(nu, "1") for nu in (
         "1/2", "3/4", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "5", "6")]
@@ -731,29 +749,25 @@ class TestSquarefreeCancellingPolynomial:
             # the divisor is 1 at S = 0, so C_sf(z, 0) = C(z, 0)
             assert (a_poly.coeff(0), b_poly.coeff(0)) == (sn.coeff(0), dd.coeff(0))
 
-    @pytest.mark.parametrize("nu, c", [(5, 1), (Fraction(1, 4), 1), (4, 1),
-                                       (2, Fraction(21, 20))])
-    def test_shifted_support_is_the_sympy_expansion(self, nu, c):
-        # exact centres (irrational edge roots at (5, 1), rational ones at
-        # (1/4, 1), the cube-root point (4, 1)) and a refined midpoint on the
-        # curve off c = 1, as dominant_expansions builds them
-        p = params(nu, c)
-        report = radius_numeric(p, scan_uniqueness=False)
-        if report.exact:
-            s0, rho0 = report.s_at_rho, report.rho
-        else:
-            s0 = sum(report.s_interval) / 2
-            rho0 = critical_point(p).z_at(s0)
-        c_sf = cancelling_polynomial_squarefree(p)
-        support = singular._shifted_cancelling_support(c_sf, s0, rho0)
-        big_y, big_z = sympy.symbols("Y Z")
-        shifted = sympy_in_s_and_z(c_sf).subs(
-            {SYM_Z: sympy.Rational(rho0.numerator, rho0.denominator) - big_z,
-             SYM_S: sympy.Rational(s0.numerator, s0.denominator) - big_y},
-            simultaneous=True)
-        expect = {key: Fraction(str(coef))
-                  for key, coef in sympy.Poly(sympy.expand(shifted), big_y, big_z).terms()}
-        assert support == expect
+    @pytest.mark.parametrize("nu, c", [(5, 1), (Fraction(1, 4), 1), (4, 1), (6, 1),
+                                       (1, Fraction(21, 20))])
+    def test_point_taylor_lists_are_the_sympy_expansion(self, nu, c):
+        # at exact hits (irrational edge roots at (5, 1), rational ones at
+        # (1/4, 1), the cube-root point (4, 1), nu = 1) the enclosures of
+        # num(s* - Y) and den(s* - Y) that dominant_expansions reads are
+        # points, the whole polynomials as sympy expands them
+        report = radius_numeric(params(nu, c), scan_uniqueness=False)
+        assert report.exact
+        cp, big_y = critical_point(params(nu, c)), sympy.Symbol("Y")
+        s0 = sympy.Rational(report.s_at_rho.numerator, report.s_at_rho.denominator)
+        for poly in (cp.num, cp.den):
+            order = max(len(cp.num.coeffs), len(cp.den.coeffs))
+            lists = singular._taylor_at(poly, report.s_interval, order, 256)
+            shifted = sympy.Poly(sympy.expand(sympy_poly(poly.coeffs, SYM_S).subs(
+                SYM_S, s0 - big_y)), big_y)
+            expect = [Fraction(str(q)) for q in reversed(shifted.all_coeffs())]
+            expect += [Fraction(0)] * (order - len(expect))
+            assert lists == [(x, x) for x in expect]
 
 
 class TestDiscriminantInterpolation:
@@ -770,9 +784,16 @@ class TestDiscriminantInterpolation:
         assert discriminant_in_z(p) == UniPoly(expect)
 
 
+def point_list(*xs):
+    """Point enclosures of the coefficients xs of Y^0, Y^1, .."""
+    return [(Fraction(x), Fraction(x)) for x in xs]
+
+
 class TestNewtonPolygon:
+    """Toy curves Z b(Y) = a(Y), as (a, b) coefficient lists."""
+
     def test_square_root_branch_pair(self):
-        exps = newton_polygon_expand({(2, 0): Fraction(1), (0, 1): Fraction(-1)})
+        exps = newton_polygon_expand(point_list(0, 0, 1), point_list(1), 2)
         assert len(exps) == 2
         assert sorted(e.terms[0][0] for e in exps) == [Fraction(-1), Fraction(1)]
         assert all(e.leading_exponent() == Fraction(1, 2) for e in exps)
@@ -780,52 +801,26 @@ class TestNewtonPolygon:
         assert all(e.exact for e in exps)
 
     def test_cube_root_branch(self):
-        exps = newton_polygon_expand({(3, 0): Fraction(1), (0, 1): Fraction(-1)})
+        exps = newton_polygon_expand(point_list(0, 0, 0, 1), point_list(1), 3)
         assert any(e.leading_exponent() == Fraction(1, 3) for e in exps)
         for e in exps:
             assert e.leading_exponent() == Fraction(1, 3)
             assert e.ramification == 3
 
-    def test_y_factor_gives_zero_branch(self):
-        # Y(Y - Z): the zero branch is reported with no terms
-        exps = newton_polygon_expand({(2, 0): Fraction(1), (1, 1): Fraction(-1)})
-        term_lists = sorted(e.terms for e in exps)
-        assert term_lists[0] == ()
-        assert term_lists[1] == ((Fraction(1), Fraction(1)),)
-
-    def test_no_y_dependence_raises(self):
-        with pytest.raises(DegenerateBranch):
-            newton_polygon_expand({(0, 1): Fraction(1), (0, 2): Fraction(3)})
-
-    def test_nonvanishing_origin_raises(self):
-        with pytest.raises(DegenerateBranch):
-            newton_polygon_expand({(0, 0): Fraction(1), (1, 1): Fraction(1)})
-
-    @pytest.mark.parametrize("support", [
-        {(2, 0): Fraction(1), (0, 3): Fraction(-1)},                        # Z^3
-        {(2, 0): Fraction(1), (1, 1): Fraction(-3), (0, 2): Fraction(2)},  # Z^2
-        {(2, 0): mpmath.mpf(1), (0, 1): mpmath.mpf(-1)},                    # mpf
-        {(2, 0): Fraction(1), (0, Fraction(1, 2)): Fraction(-1)},           # Z^(1/2)
-    ])
-    def test_supports_not_exact_and_linear_in_z_raise(self, support):
-        with pytest.raises(ValueError):
-            newton_polygon_expand(support)
-
     def test_ramification_four_is_refused_and_named(self):
         with pytest.raises(DegenerateBranch, match="ramification 4"):
-            newton_polygon_expand({(4, 0): Fraction(1), (0, 1): Fraction(-1)})
+            newton_polygon_expand(point_list(0, 0, 0, 0, 1), point_list(1), 4)
 
     @pytest.mark.parametrize("max_terms", [0, -1])
     def test_max_terms_below_one_raises(self, max_terms):
         with pytest.raises(ValueError):
-            newton_polygon_expand({(2, 0): Fraction(1), (0, 1): Fraction(-1)},
-                                  max_terms=max_terms)
+            newton_polygon_expand(point_list(0, 0, 1), point_list(1), 2, max_terms=max_terms)
         with pytest.raises(ValueError):
             dominant_expansions(params(2), max_terms=max_terms)
 
     def test_cube_roots_of_a_negative_leading_coefficient(self):
-        # Y^3 + 8 Z: Y = -2 Z^(1/3) and its two rotations, the real one first
-        exps = newton_polygon_expand({(3, 0): Fraction(1), (0, 1): Fraction(8)})
+        # -8 Z = Y^3: Y = -2 Z^(1/3) and its two rotations, the real one first
+        exps = newton_polygon_expand(point_list(0, 0, 0, 1), point_list(-8), 3)
         assert exps[0].terms == ((Fraction(-2), Fraction(1, 3)),)
         assert all(e.exact for e in exps)
         for e in exps[1:]:
@@ -835,19 +830,16 @@ class TestNewtonPolygon:
             assert lo < hi and lo * hi > 0 and min(lo * lo, hi * hi) < 3 < max(lo * lo, hi * hi)
 
     def test_imaginary_square_roots(self):
-        # Y^2 + Z + Y Z: Y = +-i Z^(1/2) to leading order
-        exps = newton_polygon_expand({(2, 0): Fraction(1), (0, 1): Fraction(1),
-                                      (1, 1): Fraction(1)}, max_terms=2)
+        # -Z (1 + Y) = Y^2: Y = +-i Z^(1/2) to leading order
+        exps = newton_polygon_expand(point_list(0, 0, 1), point_list(-1, -1), 2, max_terms=2)
         leads = [e.terms[0][0] for e in exps]
         assert [box.im for box in leads] == [(-1, -1), (1, 1)]
         assert all(box.re == (0, 0) for box in leads)
+        assert not any(e.exact for e in exps)
 
     def test_second_term_of_smooth_branch(self):
-        # Y = Z + Z^2 + ... solves Y - Z - Z Y = 0
-        exps = newton_polygon_expand(
-            {(1, 0): Fraction(1), (0, 1): Fraction(-1), (1, 1): Fraction(-1)},
-            max_terms=2,
-        )
+        # Y = Z + Z^2 + ... solves Z (1 + Y) = Y
+        exps = newton_polygon_expand(point_list(0, 1), point_list(1, 1), 1, max_terms=2)
         assert len(exps) == 1
         assert exps[0].terms[0] == (Fraction(1), Fraction(1))
         assert exps[0].terms[1] == (Fraction(1), Fraction(2))
@@ -888,20 +880,37 @@ class TestReversion:
         c = Fraction(21, 20) if nu == 1 else 1
         report, expansions = dominant_expansions(params(nu, c), max_terms=5)
         assert report.exact
-        support = singular._shifted_cancelling_support(
-            cancelling_polynomial_squarefree(params(nu, c)), report.s_at_rho, report.rho)
         for e in expansions:
             if not e.terms:
                 assert e.exact
                 continue
             last = e.terms[-1][1]
-            residual = puiseux_residual(support, e.terms)
-            low = {x: r for x, r in residual.items() if x <= last}
+            residual = puiseux_residual(params(nu, c), report.s_at_rho, report.rho, e.terms)
+            # a wrong coefficient at Z^e shows at Z^(e + 1 - 1/v), the
+            # truncation only at Z^(last + 1), which sets the scale: the
+            # terms past it grow like rho^-x and would hide a wrong last one
+            low = {x: r for x, r in residual.items() if x < last + 1}
             if all(isinstance(coef, Fraction) for coef, _ in e.terms):
                 assert all(r == 0 for r in low.values())
             else:
-                top = max([abs(mpmath.mpc(r)) for r in residual.values()] + [1])
+                top = max([abs(mpmath.mpc(r)) for x, r in residual.items()
+                           if x <= last + 1] + [1])
                 assert all(abs(mpmath.mpc(r)) <= top * mpmath.mpf(2) ** -150 for r in low.values())
+
+    @pytest.mark.parametrize("nu, c, zero", [
+        (nu, 1, True) for nu in ("4", "9/2", "5", "6", "25/4")] + [
+        (nu, 1, False) for nu in ("1/4", "9/4", "1/9", "49/16")] + [
+        ("1", c, False) for c in ("1", "21/20", "3/2")])
+    def test_zero_branch_exactly_where_s_star_is_a_root_of_d(self, nu, c, zero):
+        # the exact hits: the line S = s* of the cancelling curve, at c = 1
+        # for nu >= 4, gives the zero branch Y = 0 first; elsewhere none
+        report, expansions = dominant_expansions(params(Fraction(nu), Fraction(c)), max_terms=2)
+        assert report.exact
+        empty = [i for i, e in enumerate(expansions) if not e.terms]
+        assert empty == ([0] if zero else [])
+        if zero:
+            assert expansions[0].exact and expansions[0].ramification == 1
+        assert len(expansions) == zero + report.exponent.denominator
 
     def test_shorter_runs_are_prefixes(self):
         full = dominant_expansions(params(2, Fraction(21, 20)), max_terms=6)[1]
