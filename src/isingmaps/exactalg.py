@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .dyadic import iroot
 from .errors import DegenerateInterval, NonZeroRemainder
@@ -790,124 +790,89 @@ def bisect_isolated_root(sf: UniPoly, a: Fraction, b: Fraction, width) -> tuple:
     sign of sf stops, or (r, r) when one of its midpoints is r; (a, b] must
     isolate the root r of the squarefree ``sf``, and sf(b) != 0.
 
-    :func:`refine_root_cell` finds it by quadratic interval refinement; the
-    width test first passes at a level known in advance.  With w0 the lcm
-    of the denominators of a and b, the cells of level k have ends
-    x/(w0 2^k), where sf has the sign of the :class:`IntegerForm` of
-    sf(y/w0) at x/2^k.  Fractions are built only for the returned ends.
+    That cell lies at the first level k with (b - a) / 2^k <= width, and
+    :func:`refine_root_cell` reaches it by quadratic interval refinement.
+    With w0 the lcm of the denominators of a and b, the cells of level k
+    have ends x/(w0 2^k), where sf has the sign of the :class:`IntegerForm`
+    of sf(y/w0) at x/2^k.  Fractions are built only for the returned ends.
     """
     (lo, hi), w0 = common_denominator((a, b))
     width = Fraction(width)
-    # the first level k with (hi - lo) / (w0 2^k) <= width
-    levels = (-(-(hi - lo) * width.denominator // (w0 * width.numerator)) - 1).bit_length()
-    lo, hi, k = refine_root_cell(sf.integer_form().scaled(w0), lo, hi,
-                                 lambda x, y, k: k >= levels, depth=levels)
+    level = (-(-(hi - lo) * width.denominator // (w0 * width.numerator)) - 1).bit_length()
+    lo, hi, k = refine_root_cell(sf.integer_form().scaled(w0), lo, hi, level)
     return (Fraction(lo, w0 << k), Fraction(hi, w0 << k))
 
 
-def refine_root_cell(form: IntegerForm, lo: int, hi: int, stop: Callable[[int, int, int], bool],
-                     nested: bool = True, depth: Optional[int] = None) -> Tuple[int, int, int]:
-    """Quadratic interval refinement (QIR) of the cell (lo, hi) around the
-    simple root r of p, the polynomial of ``form``, to the cell bisection
-    would stop in.
+def refine_root_cell(form: IntegerForm, lo: int, hi: int, level: int,
+                     k: int = 0) -> Tuple[int, int, int]:
+    """Quadratic interval refinement (QIR) of the cell (lo, hi) of level k
+    around the simple root r of p, the polynomial of ``form``, to its
+    piece of level ``level``: the cell bisection by the sign of p stops in
+    there.
 
-    The cells of level k are the 2^k equal pieces of (lo, hi), with ends
-    x/2^k in the frame of :meth:`IntegerForm.dyadic`; ``stop(x, y, k)``
-    judges the cell (x/2^k, y/2^k).  r must be the only root of p in
-    (lo, hi), and p(hi) != 0.  Bisection by the sign of p at midpoints stops
-    at the first level whose cell passes ``stop``, or at a midpoint that is
-    r; this returns that cell as (x, y, k), or r = x/2^k as (x, x, k).
+    The cells of level j are the 2^j equal pieces of the cell of level 0,
+    with ends x/2^j in the frame of :meth:`IntegerForm.dyadic`, so every
+    cell of every level is hi - lo wide in its own units.  r must be the
+    only root of p in (lo, hi), and p(hi) != 0.  Returns the cell as
+    (x, y, max(k, level)), or r = x/2^j as (x, x, j) when bisection down to
+    ``level`` meets r at a midpoint, that is when r lies on the grid of a
+    level j up to ``level``.
 
     A step of m levels (Abbott, arXiv:1203.1227) snaps the secant root of p
     through the cell's ends to the grid of its 2^m pieces and takes the
-    signs at that grid point and the next one towards r.  If they bracket
+    signs at that grid point j and the next one towards r.  If they bracket
     r the step holds: that piece is the new cell and m doubles.  Otherwise
     m halves, and if the known signs leave r in an aligned block of 2^s
-    pieces at an end of the cell, that block is the new cell.  m = 1 is
-    plain bisection; it also serves while p(lo) = 0, where the secant says
-    nothing, and p(lo) is evaluated only once a secant needs it.  Near a
-    simple root the secant's error is quadratic in the width, so m keeps
-    doubling: the steps grow with log log of the final width.  ``depth``,
-    a level at which every cell passes ``stop``, caps the steps.
-
-    Skipping levels needs ``stop`` monotone, as ``nested`` declares: every
-    cell nested in a passing cell passes.  Then when a step lands on a
-    passing cell, binary search over its ancestors finds the first that
-    passes.  A grid point that is r is the midpoint of one ancestor;
-    bisection meets it only if that ancestor fails ``stop``, and otherwise
-    stops at the first ancestor that passes, which holds r inside.
-    Without ``nested`` every step is a bisection step.
+    pieces at an end of the cell, that block is the new cell.  A step of
+    m = 1 takes j at the midpoint: a bisection step.  It also serves while
+    p(lo) = 0, where the secant says nothing, and p(lo) is evaluated only
+    once a secant needs it.  Near a simple root the secant's error is
+    quadratic in the width, so m keeps doubling: the steps grow with
+    log log of the final width.  No step goes past ``level``, so every grid
+    point met lies on a level up to it, and a block is never a cell below
+    it.
     """
+    if k >= level:
+        return lo, hi, k
     width, shift = hi - lo, form.degree()
 
-    def first_pass(i: int, top: int) -> Tuple[int, int, int]:
-        # stop fails on the cell (lo, hi) of level k and passes on its piece
-        # i of level top: the first passing ancestor of that piece
-        base, k0 = lo, k
-        while top - k0 > 1:
-            level = (k0 + top) // 2
-            x = (base << (level - k0)) + (i >> (top - level)) * width
-            if stop(x, x + width, level):
-                i, top = i >> (top - level), level
-            else:
-                base, i, k0 = x, i & ((1 << (top - level)) - 1), level
-        x = (base << (top - k0)) + i * width
-        return x, x + width, top
-
-    def value(i: int) -> int:
+    def value(i: int) -> Optional[int]:
         # p at grid point i of the step, (lo 2^m + i width) / 2^(k + m)
         if i == 0:
-            return f_lo << (m * shift)
+            return None if f_lo is None else f_lo << (m * shift)
         if i == 1 << m:
             return f_hi << (m * shift)
         return form.dyadic((lo << m) + i * width, k + m)
 
     def hit(i: int) -> Tuple[int, int, int]:
-        # grid point i is r, the midpoint of its ancestor of level k + m - v - 1
-        v = (i & -i).bit_length() - 1
-        level = k + m - v - 1
-        x = (lo << (level - k)) + (i >> (v + 1)) * width
-        if level > k and stop(x, x + width, level):
-            return first_pass(i >> (v + 1), level)
+        # grid point i of the step is r
         x = (lo << m) + i * width
         return x, x, k + m
 
-    k = 0
-    if stop(lo, hi, k):
-        return lo, hi, k
     f_lo, f_hi = None, form.dyadic(hi, k)
     up = f_hi > 0  # p has this sign exactly above r
     m = 1
     while True:
-        m = m if depth is None else min(m, depth - k)
+        m = min(m, level - k)
         if m > 1 and f_lo is None:
             f_lo = form.dyadic(lo, k)
-        if m == 1 or not f_lo:
-            mid = lo + hi
-            f_mid = form.dyadic(mid, k + 1)
-            lo, hi, k = lo << 1, hi << 1, k + 1
-            if not f_mid:
-                return mid, mid, k
-            if (f_mid > 0) == up:
-                hi, f_hi, f_lo = mid, f_mid, None if f_lo is None else f_lo << shift
-            else:
-                lo, f_lo, f_hi = mid, f_mid, f_hi << shift
-            if stop(lo, hi, k):
-                return lo, hi, k
-            m = 2 if nested else 1
-            continue
-        # the grid point j nearest the secant root lo + t (hi - lo), t in (0, 1)
-        t_num, t_den = (f_lo, f_lo - f_hi) if f_lo > 0 else (-f_lo, f_hi - f_lo)
-        j = ((2 * t_num << m) + t_den) // (2 * t_den)
+        if m > 1 and f_lo:
+            # the grid point nearest the secant root lo + t (hi - lo), t in (0, 1)
+            t_num, t_den = (f_lo, f_lo - f_hi) if f_lo > 0 else (-f_lo, f_hi - f_lo)
+            j = ((2 * t_num << m) + t_den) // (2 * t_den)
+        else:
+            m, j = 1, 1
         f_j = value(j)
         if not f_j:
             return hit(j)
-        a = j - 1 if (f_j > 0) == up else j + 1
-        f_a = value(a)
-        if not f_a:
+        above = (f_j > 0) == up
+        a = j - 1 if above else j + 1
+        f_a, inner = value(a), 0 < a < 1 << m
+        if inner and not f_a:
             return hit(a)
-        # r lies in the block of grid pieces from P to Q
-        if (f_j > 0) != (f_a > 0):
+        # r lies in the block of grid pieces from P to Q; an end of the cell
+        # as a lies on r's far side from j
+        if not inner or ((f_a > 0) == up) != above:
             (P, f_P), (Q, f_Q) = sorted(((a, f_a), (j, f_j)))
         elif a < j:
             P, f_P, Q, f_Q = 0, value(0), a, f_a
@@ -918,7 +883,9 @@ def refine_root_cell(form: IntegerForm, lo: int, hi: int, stop: Callable[[int, i
         if size & (size - 1):
             continue
         s = size.bit_length() - 1  # an aligned block is a cell of level top - s
-        x = (lo << (top - s - k)) + (P >> s) * width
-        if stop(x, x + width, top - s):
-            return first_pass(P >> s, top - s)
-        lo, hi, k, f_lo, f_hi = x, x + width, top - s, f_P >> (shift * s), f_Q >> (shift * s)
+        lo = (lo << (top - s - k)) + (P >> s) * width
+        hi, k = lo + width, top - s
+        f_lo = None if f_P is None else f_P >> (shift * s)
+        f_hi = f_Q >> (shift * s)
+        if k == level:
+            return lo, hi, k

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 from .errors import EnumerationBound
 from .exactalg import ParamPoly
 
-MAX_VERTICES = 5
+MAX_VERTICES = 7
 
 
 def canonical_sigma(n: int) -> List[int]:

@@ -10,9 +10,12 @@ B = 1/(3 c^2 |1 - nu^2|) (a Cauchy root bound at nu = 1).  The exact data
 of that critical point are computed once per (nu, c), from one evaluation
 of N and D, and cached as a CriticalPoint built over Z (the factors
 shared with D read off its two linear factors, one gcd for the squarefree
-part): z(s) in lowest terms, ``char``, B, and an interval isolating s*
-(Sturm counts, quadratic interval refinement).  rho is recovered by
-evaluating z(s) at s*, with certified interval arithmetic; mu = c * rho.
+part): z(s) in lowest terms, ``char``, B, an interval isolating s*
+(Sturm counts, quadratic interval refinement), and the zeros of den',
+which are rational.  rho is enclosed from z(s) on a cell around s*: the
+same refinement takes the isolating cell to a level fixed once from a
+Lipschitz bound of z on it, with den's least value there taken exactly at
+the cell's ends and those zeros; mu = c * rho.
 
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
@@ -272,6 +275,13 @@ class CriticalPoint(NamedTuple):
     refinement (:func:`~isingmaps.exactalg.bisect_isolated_root`), or is
     (s*, s*) when char is linear, as at nu = 1, or when a bisection
     midpoint is s*, as s* = B is at c = 1, nu >= 4.
+
+    ``turns`` are the zeros of den', all rational and sorted.  Over Q,
+    den = K (1 - s/r)^m1 (1 + s/r)^m2, +-r the roots of D (:func:`_poles`)
+    and m = 2 - k where k factors cancelled against S N; so den' vanishes
+    at r where m1 = 2, at -r where m2 = 2, and at r (m2 - m1)/(m1 + m2)
+    where both are positive.  :meth:`den_min` reads den's least value over
+    a cell off them.
     """
 
     num: UniPoly
@@ -279,6 +289,7 @@ class CriticalPoint(NamedTuple):
     char: UniPoly
     bound: Fraction
     interval: Tuple[Fraction, Fraction]
+    turns: Tuple[Fraction, ...] = ()
 
     def z_at(self, s: Fraction) -> Fraction:
         """z(s) exactly, from the integer forms of num and den."""
@@ -287,6 +298,13 @@ class CriticalPoint(NamedTuple):
         n = self.num.integer_form().value(x, w)
         d = self.den.integer_form().value(x, w)
         return Fraction(n * w ** e, d) if e >= 0 else Fraction(n, d * w ** -e)
+
+    def den_min(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """The least value of den on [lo, hi], exactly: at an end or at a
+        zero of den' between."""
+        form, e = self.den.integer_form(), self.den.degree()
+        return min(Fraction(form.value(s.numerator, s.denominator), form.den * s.denominator ** e)
+                   for s in (lo, hi, *(t for t in self.turns if lo < t < hi)))
 
     def refine(self, lo: Fraction, hi: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
         """Shrink (lo, hi], a piece of ``interval`` that holds s*, below width.
@@ -370,22 +388,28 @@ def _divide_out(p: UniPoly, root: Fraction, most: Optional[int] = None) -> Tuple
     return p, k
 
 
-def _reduced_z_and_char(nu: Fraction, c: Fraction) -> Tuple[UniPoly, UniPoly, UniPoly]:
-    """(num, den, char) of :class:`CriticalPoint`, char not yet squarefree.
+def _reduced_z_and_char(nu: Fraction, c: Fraction
+                        ) -> Tuple[UniPoly, UniPoly, UniPoly, Tuple[Fraction, ...]]:
+    """(num, den, char, turns) of :class:`CriticalPoint`, char not yet
+    squarefree.
 
-    The factor S N shares with D^2, and every factor char shares with den,
-    is read off the poles of D (:func:`_poles`).
+    The factor S N shares with D^2, every factor char shares with den, and
+    the zeros of den' are read off the poles of D (:func:`_poles`).
     """
     sn, a, d, b = _lagrangian_parts(IsingParams(nu=nu, c=c))
     poles = _poles(nu, c)
     # z(s) = b^2 sn / (a d^2) in lowest terms: at c = 1 for nu >= 4, s* is
     # a root of D and the unreduced s N(S)/D(S)^2 is a 0/0 there.  d has
     # simple roots at the poles, so d^2 double ones.
-    dd, cancelled = d * d, 0
+    dd, orders = d * d, []
     for pole in poles:
         sn, k = _divide_out(sn, pole, 2)
         dd = _divide_out(dd, pole, k)[0]
-        cancelled += k
+        orders.append(2 - k)
+    turns = [pole for pole, m in zip(poles, orders) if m == 2]
+    if poles and all(orders):
+        m1, m2 = orders
+        turns.append(poles[0] * (m2 - m1) / (m1 + m2))
     num, den = sn.scale(b * b), dd.scale(a)
     t = gcd(*num.coeffs, *den.coeffs)
     num, den = (UniPoly([x // t for x in q.coeffs]) for q in (num, den))
@@ -394,7 +418,7 @@ def _reduced_z_and_char(nu: Fraction, c: Fraction) -> Tuple[UniPoly, UniPoly, Un
     # at the end of the search interval for nu on one side of 1), while the
     # genuine critical point survives: for nu >= 4 it is the cancelled
     # factor's location, a root of the reduced numerator's derivative.
-    if not cancelled:
+    if all(m == 2 for m in orders):
         # den = (a / t) d^2, so num' den - num den' is (a / t) d times
         # num' d - 2 num d': that factor d is stripped here, the sign of
         # its leading coefficient kept
@@ -402,15 +426,15 @@ def _reduced_z_and_char(nu: Fraction, c: Fraction) -> Tuple[UniPoly, UniPoly, Un
         char = char if d.lc() > 0 else -char
     else:
         char = primitive(num.derivative() * den - num * den.derivative())
-    for pole in poles:
-        if den.sign_at(pole) == 0:
+    for pole, m in zip(poles, orders):
+        if m:
             char = _divide_out(char, pole)[0]
-    return num, den, char
+    return num, den, char, tuple(sorted(turns))
 
 
 @lru_cache(maxsize=512)
 def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
-    num, den, char = _reduced_z_and_char(nu, c)
+    num, den, char, turns = _reduced_z_and_char(nu, c)
     char = squarefree_part(char)
     bound = cauchy_root_bound(char) if nu == 1 else \
         Fraction(1, 3) / (c ** 2 * abs(1 - nu ** 2))
@@ -441,7 +465,8 @@ def _critical_point(nu: Fraction, c: Fraction) -> CriticalPoint:
         interval = (hi, hi)
     else:
         interval = bisect_isolated_root(char, lo, hi, bound / 2 ** 20)
-    return CriticalPoint(num=num, den=den, char=char, bound=bound, interval=interval)
+    return CriticalPoint(num=num, den=den, char=char, bound=bound, interval=interval,
+                         turns=turns)
 
 
 def _certify_rho(
@@ -449,39 +474,34 @@ def _certify_rho(
 ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction], bool]:
     """From the isolating interval for s*, certify an interval for rho.
 
-    The s-interval is the cell where bisection of ``interval`` by the sign
-    of char would stop: the first whose Lipschitz enclosure of z is within
-    ``tol``.  With den_min the smaller value of den at the two ends and sup
-    bounds of |num'| and |num| |den'| on [0, max(hi, 1)], lip =
-    sup|num'| / den_min + sup(|num| |den'|) / den_min^2; the enclosure is
-    lower = max z(end), upper = lower + lip (hi - lo), tested only where
-    den is positive at both ends.  Returns (s_interval, rho_interval, exact).
+    The s-interval is a cell of the bisection of ``interval`` by the sign
+    of char, at a level fixed before any step.  On a cell (lo, hi] where den
+    is positive, with den_min its least value there
+    (:meth:`CriticalPoint.den_min`, exact) and sup bounds of |num'| and
+    |num| |den'| on [0, max(hi, 1)], lip = sup|num'| / den_min +
+    sup(|num| |den'|) / den_min^2 bounds |z'|; the enclosure is lower =
+    max z(end), upper = lower + lip (hi - lo).  On a nested cell den_min
+    does not fall and the sup bounds, sums of |coefficient| max(hi, 1)^j,
+    do not grow, so lip taken on one cell serves every cell in it: the
+    level where it brings lip (hi - lo) within ``tol`` is fixed from that
+    cell, quadratic interval refinement
+    (:func:`~isingmaps.exactalg.refine_root_cell`) goes straight to it, and
+    the enclosure is formed on the cell it returns.  Returns (s_interval,
+    rho_interval, exact).
 
-    :func:`~isingmaps.exactalg.refine_root_cell` finds that cell by
-    quadratic interval refinement, which needs the test to pass on every
-    cell nested in a passing one.  It does when den is monotone on
-    ``interval`` = (a, b], certified by |den'(b)| > sup|den''| (b - a): on a
-    nested cell the width halves; hi does not grow, nor do max(hi, 1) and
-    the sup bounds, sums of |coefficient| max(hi, 1)^j; and den_min, den at
-    the end where den is lower, does not fall, so den stays positive at
-    both ends once it is.  lip (hi - lo) never grows.  Monotone den also
-    bounds den_min on every cell by its values at a and b, so the test is
-    decided without den above the first level where the bound with the
-    larger value passes, and from the first where the one with the smaller
-    passes; no step goes below that one.  Where den is not certified
-    monotone, as on the whole search interval at nu = 1, every step is a
-    bisection step and the test is asked at every level.
+    Where den_min is not positive, a pole of z lies in the cell: near
+    c = 1 for nu > 4, s* is close to a root of D.  The cell is then first
+    narrowed, by the same refinement to 1, 2, 4, ... levels further down,
+    until den is positive on it.
 
     A rational s* is a multiple of 1/lc(char), char being primitive over Z,
-    so the one such multiple in a cell narrower than 1/lc is s* if any is.
-    Bisection stops on it at the first such cell; the test does not depend
-    on the cell, so it is made on the returned one, if that is narrower.
+    so the one such multiple in a cell narrower than 1/lc is s* if any is;
+    it is looked for on the returned cell, if that is narrower.
 
-    All runs in integers: the cells of level k have ends L/W and H/W over
-    W = w0 2^k, and char and den are evaluated on their integer forms
-    scaled by 1/w0 as u den(end), u = q 2^(k e) (q the denominator of den's
-    form, e = deg den).  The test lip (hi - lo) <= tol is cross-multiplied
-    over u, W and the common denominator of the bounds and tol.
+    All signs run in integers: the cells of level k have ends L/W and H/W
+    over W = w0 2^k, and char is evaluated on its integer form scaled by
+    1/w0.  Fractions are built for the ends of the cells where den_min and
+    z are taken.
 
     The global bound is loose on purpose: it refines s far past what the
     rho width needs, and that s-interval is what makes the thermodynamic M
@@ -492,62 +512,26 @@ def _certify_rho(
     order, would then be only about 1e-13 wide at (1/2, 19/20) and 1e-11
     at (6, 11/10).
     """
+    num_d, den_d = cp.num.derivative(), cp.den.derivative()
+
+    def lip(hi: Fraction, den_min: Fraction) -> Fraction:
+        scale = max(hi, 1)
+        return (_poly_abs_bound(num_d, scale) / den_min
+                + _poly_abs_bound(cp.num, scale) * _poly_abs_bound(den_d, scale) / den_min ** 2)
+
     lo, hi = cp.interval
-    if lo == hi:
-        z_exact = cp.z_at(lo)
-        return (lo, hi), (z_exact, z_exact), True
-    num_d = cp.num.derivative()
-    den_d = cp.den.derivative()
-    # den is monotone on [lo, hi] when |den'(hi)| > sup|den''| (hi - lo)
-    slope = den_d.eval_scalar(hi)
-    monotone = abs(slope) > _poly_abs_bound(den_d.derivative(), max(hi, 1)) * (hi - lo)
     (L, H), w0 = common_denominator((lo, hi))
-    den = cp.den.integer_form().scaled(w0)
-    e = den.degree()
-    bounds = {}
-
-    def sup_bounds(scale):
-        if scale not in bounds:
-            sup_num_d = _poly_abs_bound(num_d, scale)
-            sup_num_den_d = _poly_abs_bound(cp.num, scale) * _poly_abs_bound(den_d, scale)
-            bounds[scale] = ((sup_num_d, sup_num_den_d),
-                             common_denominator((sup_num_d, sup_num_den_d, tol))[0])
-        return bounds[scale]
-
-    def den_min(x: int, y: int, k: int) -> int:
-        # u min(den(x/W), den(y/W)), positive iff den is at both ends
-        if monotone:
-            return den.dyadic(y if slope < 0 else x, k)
-        return min(den.dyadic(x, k), den.dyadic(y, k))
-
-    def first_level(dm: int, scale) -> int:
-        # the first level whose cells pass the test with den_min = dm / q
-        alpha, beta, tau = sup_bounds(scale)[1]
-        q = den.den
-        return (-(-(alpha * dm + beta * q) * q * (H - L) // (tau * dm * dm * w0)) - 1).bit_length()
-
-    # den monotone: its values at the ends of ``interval`` bound den_min on
-    # every cell, so every cell of a level below ``fails_below`` fails the
-    # test and every cell of level ``passes_from`` or deeper passes
-    ends = sorted((den.dyadic(L, 0), den.dyadic(H, 0))) if monotone else (0, 0)
-    fails_below = first_level(ends[1], max(lo, 1)) if ends[1] > 0 else 0
-    passes_from = first_level(ends[0], max(hi, 1)) if ends[0] > 0 else None
-
-    def narrow(x: int, y: int, k: int) -> bool:
-        if k < fails_below:
-            return False
-        if passes_from is not None and k >= passes_from:
-            return True
-        dm = den_min(x, y, k)
-        if dm <= 0:
-            return False
-        # the sup bounds on [0, hi] depend on hi only through max(hi, 1)
-        alpha, beta, tau = sup_bounds(Fraction(y, w0 << k) if y > w0 << k else 1)[1]
-        u = den.den << (e * k)
-        return (alpha * dm + beta * u) * u * (y - x) <= tau * dm * dm * (w0 << k)
-
-    L, H, k = refine_root_cell(cp.char.integer_form().scaled(w0), L, H, narrow,
-                               nested=monotone, depth=passes_from)
+    char = cp.char.integer_form().scaled(w0)
+    k, step = 0, 1
+    while L < H:
+        lo, hi = Fraction(L, w0 << k), Fraction(H, w0 << k)
+        den_min = cp.den_min(lo, hi)
+        if den_min > 0:
+            level = (ceil(lip(hi, den_min) * (H - L) / (w0 * tol)) - 1).bit_length()
+            L, H, k = refine_root_cell(char, L, H, level, k)
+            break
+        L, H, k = refine_root_cell(char, L, H, k + step, k)
+        step *= 2
     lo, hi = Fraction(L, w0 << k), Fraction(H, w0 << k)
     lc = abs(cp.char.lc())
     if L < H and (H - L) * lc < w0 << k:
@@ -557,11 +541,8 @@ def _certify_rho(
     if lo == hi:
         z_exact = cp.z_at(lo)
         return (lo, hi), (z_exact, z_exact), True
-    den_min_q = Fraction(den_min(L, H, k), den.den << (e * k))
-    (sup_num_d, sup_num_den_d), _ = sup_bounds(max(hi, 1))
-    lip = sup_num_d / den_min_q + sup_num_den_d / den_min_q ** 2
     lower = max(cp.z_at(lo), cp.z_at(hi))
-    upper = lower + lip * (hi - lo)
+    upper = lower + lip(hi, cp.den_min(lo, hi)) * (hi - lo)
     return (lo, hi), (lower, upper), False
 
 

@@ -7,6 +7,7 @@ curve check the Puiseux branches.
 """
 import decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -182,11 +183,30 @@ def symbolic_tables_by_powers():
     return n_tab, d_tab, bracket_tab, 3 * c ** 2 * g, 9 * g
 
 
-def reduced_z_and_char_by_gcd(nu: Fraction, c: Fraction) -> Tuple[UniPoly, UniPoly, UniPoly]:
-    """(num, den, char) of :func:`isingmaps.singular.critical_point` before
-    the search for s*, from two remainder-sequence gcds: gcd(S N, D^2)
-    reduces z(s), and gcd(char, den) is divided out of char until it is 1.
-    The reference for the gcds read off the linear factors of D."""
+def real_roots(p: UniPoly) -> Tuple[Fraction, ...]:
+    """The distinct real roots of a rational p, sorted, by sympy; each must
+    be rational."""
+    return _real_roots(tuple(p.coeffs))
+
+
+@lru_cache(maxsize=None)
+def _real_roots(coeffs: Tuple) -> Tuple[Fraction, ...]:
+    if len(coeffs) < 2:
+        return ()
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sum(sympy.Rational(str(q)) * x ** k for k, q in enumerate(coeffs)), x)
+    roots = sorted(set(poly.real_roots()))
+    assert all(r.is_Rational for r in roots), roots
+    return tuple(Fraction(int(r.p), int(r.q)) for r in roots)
+
+
+def reduced_z_and_char_by_gcd(nu: Fraction, c: Fraction
+                              ) -> Tuple[UniPoly, UniPoly, UniPoly, Tuple[Fraction, ...]]:
+    """(num, den, char, turns) of :func:`isingmaps.singular.critical_point`
+    before the search for s*, from two remainder-sequence gcds: gcd(S N, D^2)
+    reduces z(s), and gcd(char, den) is divided out of char until it is 1;
+    the zeros of den' by sympy.  The reference for the gcds and zeros read
+    off the linear factors of D."""
     sn, a, d, b = _lagrangian_parts(IsingParams(nu=nu, c=c))
     dd = d * d
     g = primitive(poly_gcd(sn, dd))
@@ -202,7 +222,7 @@ def reduced_z_and_char_by_gcd(nu: Fraction, c: Fraction) -> Tuple[UniPoly, UniPo
     while common.degree() >= 1:
         char = char.exact_div(primitive(common))
         common = poly_gcd(char, den)
-    return num, den, char
+    return num, den, char, real_roots(den.derivative())
 
 
 def cancelling_pair_by_gcd(params: IsingParams) -> Tuple[UniPoly, UniPoly]:

@@ -299,7 +299,7 @@ class TestEnumerate:
         assert brute == coeffs["result"]["coefficients"][2]["value"]
 
     def test_size_bound(self, capsys):
-        code, payload = run_json(capsys, "enumerate", "--n", "6")
+        code, payload = run_json(capsys, "enumerate", "--n", "8")
         assert code == 1
         assert payload["error"]["type"] == "EnumerationBound"
 

@@ -579,11 +579,13 @@ class TestSturm:
         got = refine_isolated_root(p, a, b, width)
         assert got == _sturm_bisection(p, a, b, width)
         assert (got == (r, r)) == (on_grid and level <= k)
-        # uncapped, the steps run past level k, and a grid hit there must
-        # still give the cell of level k
+        # refined in two legs, to level k // 2 and on from that cell to k,
+        # the cell is the same
         (x, y), w0 = exactalg.common_denominator((a, b))
-        x, y, top = exactalg.refine_root_cell(p.integer_form().scaled(w0), x, y,
-                                              lambda x, y, level: level >= k)
+        form = p.integer_form().scaled(w0)
+        x, y, top = exactalg.refine_root_cell(form, x, y, k // 2)
+        if x < y:
+            x, y, top = exactalg.refine_root_cell(form, x, y, k, top)
         assert (Fraction(x, w0 << top), Fraction(y, w0 << top)) == got
 
     def test_sign_bisection_reaches_an_irrational_root(self):

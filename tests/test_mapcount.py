@@ -324,7 +324,7 @@ class TestEnumeration:
 
     def test_enumeration_bound(self):
         with pytest.raises(EnumerationBound):
-            survey(6)
+            survey(8)
         with pytest.raises(EnumerationBound):
             survey(0)
 
@@ -399,3 +399,13 @@ class TestExtendedEnumeration:
         assert s.total_matchings == 654729075
         z_series = solve_Z(IsingParams(nu=2, c=1), 5)
         assert s.partition_polynomial == z_series.coefficient(5)
+
+    @pytest.mark.slow
+    def test_six_vertices_matches_series(self):
+        s = survey(6)
+        assert s.rooted_map_count == tutte_rooted_quartic(6) == 24057
+        assert s.connected_matchings == 301093355520
+        assert s.planar_matchings == 2956124160
+        assert s.total_matchings == 316234143225
+        z_series = solve_Z(IsingParams(nu=2, c=1), 6)
+        assert s.partition_polynomial == z_series.coefficient(6)

@@ -318,6 +318,16 @@ class TestSolveZ:
             for q in z_series.coefficient(n).terms.values():
                 assert type(q) is int, "Z_%d has coefficient %r" % (n, q)
 
+    def test_top_c_power_is_the_all_up_census(self):
+        # all spins up: the c^n terms of Z_n are Tutte's q_n rooted quartic
+        # maps, each with its 2n edges at weight nu
+        z_series = solve_Z(SYM, 30)
+        for n, q in enumerate(series._tutte_counts(30)[1:], start=1):
+            coef = z_series.coefficient(n)
+            top = max(dc for _, dc in coef.terms)
+            assert {key: v for key, v in coef.terms.items() if key[1] == top} \
+                == {(2 * n, n): q}, n
+
     def test_laurent_window_and_parity(self):
         z_series = solve_Z(SYM, 6)
         for n in range(1, 7):
@@ -717,7 +727,7 @@ class TestNuOneClosedForm:
                     poly, lambda c: nu_one_jets(c, n)[n][k], n), (n, k)
 
     def test_equals_the_enumeration_oracle(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             report = survey(n)
             assert _agree_as_laurent_polynomials(
                 report.partition_polynomial, lambda c: nu_one_jets(c, n)[n][0], n)

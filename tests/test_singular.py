@@ -33,7 +33,7 @@ from isingmaps.singular import (
 )
 from oracles import (
     approximate_roots_by_fractions, cancelling_pair_by_gcd, mp_value, mpmath_reversion,
-    puiseux_residual, reduced_z_and_char_by_gcd,
+    puiseux_residual, real_roots, reduced_z_and_char_by_gcd,
 )
 
 
@@ -55,6 +55,11 @@ THERMO_POINTS = [(nu, c) for nu in ("1/2", "5/2", "9/2", "6")
 BENCHMARK_POINTS = (
     [(nu, "1") for nu in ("1/2", "3/4", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "5", "6")]
     + [("3/4", "9/10"), ("3/4", "11/10")] + THERMO_POINTS)
+# the critical isotherm nu = 4 and the line nu > 4 close to c = 1, where s*
+# nears a root of D; at c = 1 - 10^-20 that root lies in the isolating cell
+NEAR_CRITICAL_POINTS = [(Fraction(nu), 1 + sign * Fraction(1, 10 ** e))
+                        for nu in ("4", "17/4", "5", "6") for sign in (1, -1)
+                        for e in (6, 9, 12, 20)]
 
 
 # c = 1 and nu = 1, and nu >= 4 at c = 1, where D shares a factor with S N
@@ -540,52 +545,69 @@ class TestCriticalPoint:
 
 
 def _fraction_certify_rho(cp, tol):
-    """The rho-enclosure loop of ``singular._certify_rho`` run in Fraction
-    arithmetic, step for step: the oracle the integer loop must reproduce.
-    A rational s* is a multiple of 1/lc(char); it is tested for once, when
-    the interval first gets narrower than 1/lc."""
+    """``singular._certify_rho`` run in Fraction arithmetic, step for step:
+    the oracle the integer route must reproduce.  Plain bisection by the
+    sign of char first narrows the cell, to 1, 2, 4, ... levels further
+    down, while den is not positive on it (its least value taken at the
+    ends and at the real zeros of den' inside, found by sympy); then the
+    Lipschitz bound of that cell fixes the level where the enclosure is
+    within tol, and bisection runs to it.  A rational s* is a multiple of
+    1/lc(char); it is tested for once, when the cell first gets narrower
+    than 1/lc."""
     lo, hi = cp.interval
     if lo == hi:
         z_exact = cp.z_at(lo)
         return (lo, hi), (z_exact, z_exact), True
-    num_d = cp.num.derivative()
-    den_d = cp.den.derivative()
     up = cp.char.eval_scalar(hi) > 0
-    num_lo, den_lo = cp.num.eval_scalar(lo), cp.den.eval_scalar(lo)
-    num_hi, den_hi = cp.num.eval_scalar(hi), cp.den.eval_scalar(hi)
-    bounds_scale = None
     lc = abs(cp.char.lc())
-    candidate = True
-    while True:
-        if candidate and hi - lo < Fraction(1, lc):
-            candidate = False
-            s = Fraction(math.floor(hi * lc), lc)
-            if lo < s and cp.char.eval_scalar(s) == 0:
-                z_exact = cp.z_at(s)
-                return (s, s), (z_exact, z_exact), True
-        if den_lo > 0 and den_hi > 0:
-            scale = max(hi, Fraction(1))
-            if scale != bounds_scale:
-                bounds_scale = scale
-                sup_num_d = singular._poly_abs_bound(num_d, scale)
-                sup_num_den_d = (singular._poly_abs_bound(cp.num, scale)
-                                 * singular._poly_abs_bound(den_d, scale))
-            width = hi - lo
-            den_min = min(den_lo, den_hi)
-            lip = sup_num_d / den_min + sup_num_den_d / den_min ** 2
-            lower = max(num_lo / den_lo, num_hi / den_hi)
-            upper = lower + lip * width
-            if upper - lower <= tol:
-                return (lo, hi), (lower, upper), False
-        mid = (lo + hi) / 2
-        side = cp.char.eval_scalar(mid)
-        if side == 0:
-            z_exact = cp.z_at(mid)
-            return (mid, mid), (z_exact, z_exact), True
-        if (side > 0) == up:
-            hi, num_hi, den_hi = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
-        else:
-            lo, num_lo, den_lo = mid, cp.num.eval_scalar(mid), cp.den.eval_scalar(mid)
+    turns = real_roots(cp.den.derivative())
+
+    def den_min(lo, hi):
+        return min(cp.den.eval_scalar(s) for s in [lo, hi] + [t for t in turns if lo < t < hi])
+
+    def lip(lo, hi):
+        scale = max(hi, Fraction(1))
+        sup_num_d = singular._poly_abs_bound(cp.num.derivative(), scale)
+        sup_num_den_d = (singular._poly_abs_bound(cp.num, scale)
+                         * singular._poly_abs_bound(cp.den.derivative(), scale))
+        dm = den_min(lo, hi)
+        return sup_num_d / dm + sup_num_den_d / dm ** 2
+
+    def bisect(lo, hi, steps, candidate):
+        # the cell ``steps`` levels down, or the exact s* met on the way
+        while True:
+            if candidate and hi - lo < Fraction(1, lc):
+                candidate = False
+                s = Fraction(math.floor(hi * lc), lc)
+                if lo < s and cp.char.eval_scalar(s) == 0:
+                    return s, s, candidate
+            if not steps:
+                return lo, hi, candidate
+            steps -= 1
+            mid = (lo + hi) / 2
+            side = cp.char.eval_scalar(mid)
+            if side == 0:
+                return mid, mid, candidate
+            if (side > 0) == up:
+                hi = mid
+            else:
+                lo = mid
+
+    candidate, step = True, 1
+    while lo < hi and den_min(lo, hi) <= 0:
+        lo, hi, candidate = bisect(lo, hi, step, candidate)
+        step *= 2
+    if lo < hi:
+        steps, reach = 0, lip(lo, hi) * (hi - lo)
+        while reach > tol:
+            steps, reach = steps + 1, reach / 2
+        lo, hi, candidate = bisect(lo, hi, steps, candidate)
+    if lo == hi:
+        z_exact = cp.z_at(lo)
+        return (lo, hi), (z_exact, z_exact), True
+    lower = max(cp.num.eval_scalar(lo) / cp.den.eval_scalar(lo),
+                cp.num.eval_scalar(hi) / cp.den.eval_scalar(hi))
+    return (lo, hi), (lower, lower + lip(lo, hi) * (hi - lo)), False
 
 
 CERTIFY_POINTS = [
@@ -601,7 +623,7 @@ CERTIFY_TOLS = [Fraction(1, 10 ** 6), Fraction(1, 10 ** 12), Fraction(1, 10 ** 2
 class TestCertifyRhoOracle:
     """The integer loop returns the Fraction loop's intervals, exactly."""
 
-    @pytest.mark.parametrize("nu, c", CERTIFY_POINTS)
+    @pytest.mark.parametrize("nu, c", CERTIFY_POINTS + NEAR_CRITICAL_POINTS)
     def test_matches_the_fraction_loop(self, nu, c):
         cp = critical_point(params(nu, c))
         for tol in CERTIFY_TOLS:
@@ -625,6 +647,30 @@ class TestCertifyRhoOracle:
         cp = critical_point(params(nu, c))
         for tol in (CERTIFY_TOLS[1], CERTIFY_TOLS[2]):
             assert singular._certify_rho(cp, tol) == _fraction_certify_rho(cp, tol), tol
+
+    @pytest.mark.parametrize("nu", [Fraction(4), Fraction(17, 4), Fraction(5), Fraction(6)])
+    def test_a_pole_in_the_isolating_cell_is_narrowed_away(self, nu):
+        # den vanishes in the isolating cell, at the root of D next to s*;
+        # the returned cell is one where den is positive, inside it
+        cp = critical_point(params(nu, 1 - Fraction(1, 10 ** 20)))
+        assert cp.den_min(*cp.interval) <= 0
+        assert [t for t in cp.turns if cp.interval[0] < t < cp.interval[1]]
+        for tol in (CERTIFY_TOLS[1], CERTIFY_TOLS[2]):
+            (s_lo, s_hi), (r_lo, r_hi), exact = singular._certify_rho(cp, tol)
+            assert not exact and cp.interval[0] <= s_lo < s_hi <= cp.interval[1]
+            assert cp.den_min(s_lo, s_hi) > 0 and 0 < r_hi - r_lo <= tol
+
+    def test_den_min_is_the_least_value_on_the_cell(self):
+        # den = K (1 - s/r)^2 (1 + s/r)^2 off c = 1: its zeros at +-r and its
+        # maximum at 0 are the zeros of den'; sampled values never go below
+        cp = critical_point(params(6, Fraction(11, 10)))
+        r = singular._poles(Fraction(6), Fraction(11, 10))[0]
+        assert cp.turns == tuple(sorted((r, Fraction(0), -r)))
+        assert cp.den_min(Fraction(-1, 100), Fraction(1, 100)) == 0
+        for lo, hi in ((Fraction(-1, 1000), Fraction(1, 1000)), (Fraction(0), Fraction(1, 200))):
+            least = cp.den_min(lo, hi)
+            assert least in (cp.den.eval_scalar(lo), cp.den.eval_scalar(hi))
+            assert all(cp.den.eval_scalar(lo + (hi - lo) * j / 64) >= least for j in range(65))
 
     def test_exact_hits_at_c_one(self):
         # (4, 1) and (5, 1): s* is the end B of the search interval
@@ -680,7 +726,24 @@ class TestCertifyRhoOracle:
 class TestRefinementWork:
     """Signs counted, not timed: quadratic interval refinement takes a few
     where bisection took one per bit (21 to isolate s*, 175 to 271 more for
-    the radius at tol 1e-28, at these points)."""
+    the radius at tol 1e-28 at the thermo points, and 300 to 770 close to
+    c = 1 at nu >= 4)."""
+
+    @pytest.mark.parametrize("nu, c", NEAR_CRITICAL_POINTS)
+    def test_sign_evaluations_close_to_the_critical_line(self, monkeypatch, nu, c):
+        calls = []
+        dyadic = exactalg.IntegerForm.dyadic
+
+        def counted(form, x, k):
+            calls.append(k)
+            return dyadic(form, x, k)
+
+        cp = critical_point(params(nu, c))
+        monkeypatch.setattr(exactalg.IntegerForm, "dyadic", counted)
+        for tol in (Fraction(1, 10 ** 12), Fraction(1, 10 ** 28)):
+            calls.clear()
+            singular._certify_rho(cp, tol)
+            assert len(calls) <= 60, tol
 
     @pytest.mark.parametrize("nu, c", THERMO_POINTS)
     def test_sign_evaluations_at_the_thermo_points(self, monkeypatch, nu, c):
