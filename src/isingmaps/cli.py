@@ -33,6 +33,7 @@ from .critical import (
     free_energy,
     m0_closed,
     thermo_enclosures,
+    transition_exponents,
 )
 from .errors import ComputationError, FarField
 from .exactalg import sturm_count
@@ -47,13 +48,13 @@ from .series import (
     solve_Z,
 )
 from .singular import (
+    closed_form,
     critical_point,
     discriminant_in_z,
     dominant_expansions,
     p1_p2_p3,
     radius_numeric,
     rho_closed_form,
-    s_at_rho_closed_form,
 )
 
 COMMANDS = ("coeffs", "enumerate", "radius", "puiseux", "observables",
@@ -403,16 +404,21 @@ def _check_battery() -> List[dict]:
     def add(name: str, ok: bool, detail: str):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    # the two closed-form branches agree at the critical coupling: the nu >= 4
-    # branch is exact there, and the nu < 4 branch, taken where sqrt(nu) is
-    # rational just below 4, is within O(h) of it
-    h = Fraction(1, 10 ** 9)
-    rho4, s4 = rho_closed_form(4), s_at_rho_closed_form(4)
-    gap = max(abs(rho_closed_form((2 - h) ** 2) - rho4),
-              abs(s_at_rho_closed_form((2 - h) ** 2) - s4))
-    add("branch_continuity",
-        rho4 == Fraction(2, 405) and s4 == Fraction(1, 45) and gap < h,
-        "rho=%s s=%s gap=%.3g" % (rho4, s4, float(gap)))
+    # the two branches of rho and s* meet at the critical coupling, exactly
+    meet = [tuple(closed_form(name, 4, branch=b) for b in (0, 1))
+            for name in ("rho", "s_at_rho")]
+    add("branch_continuity", meet == [(Fraction(2, 405),) * 2, (Fraction(1, 45),) * 2],
+        "rho=%s s=%s at nu=4 from both branches" % (meet[0][1], meet[1][1]))
+
+    # alpha, beta and gamma read exactly off the same closed forms at nu = 4
+    t = transition_exponents()
+    jumps = " ".join("d%d=%s" % (k, a) if a == b else "d%d=%s(nu>=4)|%s(nu<4)" % (k, a, b)
+                     for k, (a, b) in enumerate(zip(t.above, t.below), start=1))
+    add("transition_exponents",
+        (t.alpha, t.beta, t.gamma, t.m0_squared, t.chi)
+        == (-1, Fraction(1, 2), 2, Fraction(18, 25), Fraction(192, 5)),
+        "alpha=%s beta=%s gamma=%s; d^k(-log rho)/dnu^k at nu=4: %s; M0^2/(nu-4)->%s "
+        "chi*(nu-4)^2->%s" % (t.alpha, t.beta, t.gamma, jumps, t.m0_squared, t.chi))
 
     # certified radius against the closed form
     ok = True
@@ -420,9 +426,8 @@ def _check_battery() -> List[dict]:
     for nu_q in (Fraction(1, 4), Fraction(5)):
         rep = radius_numeric(IsingParams(nu=nu_q, c=1), tol=Fraction(1, 10 ** 12),
                              with_exponent=False, scan_uniqueness=False)
-        closed = rho_closed_form(nu_q)
         lo, hi = rep.rho_interval
-        good = lo - Fraction(1, 10 ** 10) <= closed <= hi + Fraction(1, 10 ** 10)
+        good = lo <= rho_closed_form(nu_q) <= hi  # exact at both points
         ok = ok and good
         details.append("nu=%s:%s" % (nu_q, "ok" if good else "MISMATCH"))
     add("radius_closed_form", ok, " ".join(details))
@@ -495,6 +500,11 @@ def _check_battery() -> List[dict]:
         ok = ok and all(zn.evaluate(1, c) == nu_one_jets(c, n)[n][0]
                         for c in range(1, max(span) - min(span) + 2))
     add("nu_one_closed_form", ok, "Z_1..Z_12 at nu=1")
+
+    # the brute-force enumeration reproduces the packed Z_6
+    found = survey(6)
+    add("enumeration_oracle", found.partition_polynomial == _symbolic_Z(12)[6],
+        "Z_6 from %d rooted maps" % found.rooted_map_count)
     return checks
 
 

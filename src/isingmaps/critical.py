@@ -13,10 +13,10 @@ outward rounding of every product and quotient, and the final ends
 rounded outward to ``bits`` significant bits.  The expression tree is
 that of the former evaluation in mpmath's interval context, so each box
 lies inside the one it gave.
-Each value carries an enclosure.  Closed forms for the
-spontaneous magnetization, the susceptibility, and the critical-isotherm
-asymptote are provided alongside, with exact rational fast paths; they also
-cover c = 1 with nu >= 4, where s* is a root of D.
+Each value carries an enclosure.  At c = 1 M0 and chi are closed forms
+(:data:`~isingmaps.singular.CLOSED_FORMS`), which also cover nu >= 4, where
+s* is a root of D, and give alpha, beta and gamma exactly
+(:func:`transition_exponents`).
 
 Coefficient asymptotics are validated by exponent fits of log(Z_n mu^n)
 against log n, with a global least-squares slope cross-checked by an
@@ -27,18 +27,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import factorial, isqrt
 from operator import mul
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath
 
 from . import dyadic
 from .errors import NonPositiveSequence
-from .exactalg import PP_ZERO, evaluate_together, rational_root
+from .exactalg import PP_ZERO, evaluate_together
 from .precision import DEFAULT_PRECISION_BITS, to_mpf
-from .series import IsingParams, _symbolic_tables, solve_Z, solve_Z_jets
-from .singular import SingularityReport, radius_numeric, rho_closed_form
+from .series import IsingParams, TruncatedSeries, _symbolic_tables, solve_Z, solve_Z_jets
+from .singular import (
+    CLOSED_FORMS, SingularityReport, chi_closed, m0_closed, radius_numeric, rho_closed_form)
 
 Number = Union[Fraction, mpmath.mpf]
 
@@ -136,37 +137,67 @@ def finite_free_energy(n: int, params: IsingParams,
 
 
 # ---------------------------------------------------------------------------
-# Closed forms at c = 1
+# The c = 1 transition: exponents from the closed forms, the critical isotherm
 # ---------------------------------------------------------------------------
 
-def m0_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
-    """Spontaneous magnetization: 3 nu sqrt(nu^2-16)/(3 nu^2 - 8) for nu >= 4, else 0."""
-    nu = Fraction(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if nu < 4:
-        return Fraction(0)
-    disc = nu ** 2 - 16
-    root = rational_root(disc)
-    if root is not None:
-        return 3 * nu * root / (3 * nu ** 2 - 8)
-    with mpmath.workprec(precision_bits):
-        return 3 * to_mpf(nu) * mpmath.sqrt(to_mpf(disc)) / to_mpf(3 * nu ** 2 - 8)
+class TransitionExponents(NamedTuple):
+    """alpha, beta and gamma of the c = 1 transition at nu = 4, exact.
+
+    ``above`` and ``below`` hold d^k(-log rho)/dnu^k there, k = 1..3, from
+    the nu >= 4 and nu < 4 branch; alpha = 2 - k at the first k where they
+    differ.  M0^2/(nu - 4) -> ``m0_squared``, chi (nu - 4)^2 -> ``chi``.
+    """
+
+    alpha: Optional[int]
+    beta: Fraction
+    gamma: Fraction
+    above: Tuple[Fraction, ...]
+    below: Tuple[Fraction, ...]
+    m0_squared: Fraction
+    chi: Fraction
 
 
-def chi_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
-    """Zero-field susceptibility: 3 nu/((2 sqrt(nu)+1)(sqrt(nu)-2)^2), +inf for nu >= 4."""
-    nu = Fraction(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if nu >= 4:
-        return mpmath.inf
-    root = rational_root(nu)
-    if root is not None:
-        return 3 * nu / ((2 * root + 1) * (root - 2) ** 2)
-    with mpmath.workprec(precision_bits):
-        r = mpmath.sqrt(to_mpf(nu))
-        return 3 * to_mpf(nu) / ((2 * r + 1) * (r - 2) ** 2)
+def _expand(branch, order: int) -> Tuple[int, TruncatedSeries]:
+    """(m, s) with the branch, its exponents all integers, equal to h^m s(h)
+    near h = nu - 4 = 0, s(0) != 0, s to h^order.  Each factor, taken at
+    nu = 4 + h or r = 2 (1 + h/4)^(1/2), adds its order of vanishing times
+    its exponent to m."""
+    n = order + 2  # orders of vanishing are at most 2
+    nu, r = [Fraction(4), Fraction(1)] + [Fraction(0)] * (n - 1), [Fraction(2)]
+    for k in range(n):
+        r.append(r[-1] * (Fraction(1, 2) - k) / (4 * (k + 1)))
+    one = TruncatedSeries([Fraction(1)] + [Fraction(0)] * n, 0)
+    p, q, factors = branch
+    m, s = 0, one.scale(Fraction(p, q))
+    for x, coeffs, e in factors:
+        f = one.scale(0)
+        for a in reversed(coeffs):
+            f = f * TruncatedSeries(nu if x == "nu" else r, 0) + one.scale(a)
+        k = next(i for i, a in enumerate(f.coeffs) if a)
+        f = TruncatedSeries(f.coeffs[k:k + order + 1], 0)
+        m += k * e
+        for _ in range(abs(e)):
+            s = s * f if e > 0 else s.divide(f)
+    return m, s
+
+
+def transition_exponents() -> TransitionExponents:
+    """Read off :data:`~isingmaps.singular.CLOSED_FORMS` by series in
+    h = nu - 4 over Q."""
+    derivatives = []
+    for branch in CLOSED_FORMS["rho"]:
+        # d^k(-log rho)/dnu^k = -(k - 1)! [h^(k-1)] s'/s
+        s = _expand(branch, 3)[1]
+        ds = TruncatedSeries([k * a for k, a in enumerate(s.coeffs)][1:], 0)
+        derivatives.append(tuple(-factorial(k) * a for k, a in enumerate(ds.divide(s).coeffs)))
+    above, below = derivatives
+    jump = next((k for k in (1, 2, 3) if above[k - 1] != below[k - 1]), None)
+    p, q, factors = CLOSED_FORMS["M0"][0]  # M0^2 has integer exponents
+    m, m0_squared = _expand((p * p, q * q, [(x, f, int(2 * e)) for x, f, e in factors]), 0)
+    power, chi = _expand(CLOSED_FORMS["chi"][1], 0)
+    return TransitionExponents(None if jump is None else 2 - jump, Fraction(m, 2),
+                               Fraction(-power), above, below, m0_squared.coeffs[0],
+                               chi.coeffs[0])
 
 
 def m_critical_asymptote(c, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:

@@ -32,7 +32,8 @@ integers, bound each candidate's modulus away from the rho interval (see
 the CriticalPoint too, and its discriminant in z, whose roots are those
 candidates, is interpolated from univariate discriminants at integer z; it
 serves as the reference for that candidate set and for the c = 1 factors
-of :func:`p1_p2_p3`.
+of :func:`p1_p2_p3`.  At c = 1, rho, s*, M0 and chi have closed forms, each
+branch stated once in :data:`CLOSED_FORMS` and read by :func:`closed_form`.
 """
 from __future__ import annotations
 
@@ -156,41 +157,85 @@ def p1_p2_p3(nu: Fraction) -> Tuple[UniPoly, UniPoly, UniPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the radius at c = 1
+# Closed forms at c = 1
 # ---------------------------------------------------------------------------
 
-def rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
-    """Radius of convergence of the z-series at c = 1.
+_HALF = Fraction(1, 2)
 
-    Exact Fraction when nu >= 4 (rational) or sqrt(nu) is rational; otherwise
-    an mpmath real at the requested precision.
+# The c = 1 closed forms of the Boulatov-Kazakov solution (Phys. Lett. B 186,
+# 379, 1987), each stated once as (branch for nu >= 4, branch for nu < 4).
+# A branch (p, q, factors) is p/q times the product of f(x)^e over its
+# factors (x, coefficients of f from degree 0 up, e), x being nu or
+# r = sqrt(nu) and e an integer or 1/2; None is +inf.  The rho and s*
+# branches meet at nu = 4; M0 and chi each have one factor vanishing there.
+CLOSED_FORMS = {
+    "rho": ((1, 36, (("nu", (-8, 0, 3), 1), ("nu", (-1, 0, 1), -2))),
+            (2, 9, (("r", (1, 2), 1), ("r", (1, 1), -2), ("nu", (1, 1), -2)))),
+    "s_at_rho": ((1, 3, (("nu", (-1, 0, 1), -1),)),
+                 (1, 3, (("r", (1, 1), -1), ("nu", (1, 1), -1)))),
+    "M0": ((3, 1, (("nu", (0, 1), 1), ("nu", (-8, 0, 3), -1), ("nu", (-16, 0, 1), _HALF))),
+           (0, 1, ())),
+    "chi": (None,
+            (3, 1, (("nu", (0, 1), 1), ("r", (2, 1), 2), ("r", (1, 2), -1),
+                    ("nu", (-4, 1), -2)))),
+}
+
+CLOSED_FORM_GUARD_BITS = 16
+
+
+def closed_form(name: str, nu, precision_bits: int = DEFAULT_PRECISION_BITS,
+                branch: Optional[int] = None) -> Number:
+    """The closed form ``name`` of :data:`CLOSED_FORMS` at nu > 0, on the
+    branch nu lies on unless ``branch`` (0 or 1) is given: a Fraction where
+    every factor is rational (r where sqrt(nu) is, a half power where its
+    value is a square), else the product of the other factors in mpmath at
+    CLOSED_FORM_GUARD_BITS more bits, rounded once to ``precision_bits``.
     """
     nu = Fraction(nu)
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if nu >= 4:
-        return (3 * nu ** 2 - 8) / (36 * (nu ** 2 - 1) ** 2)
+    form = CLOSED_FORMS[name][nu < 4 if branch is None else branch]
+    if form is None:
+        return mpmath.inf
+    p, q, factors = form
+    exact, rounded = Fraction(p, q), []
     root = rational_root(nu)
-    if root is not None:
-        return 2 * (1 + 2 * root) / (9 * (1 + root) ** 2 * (1 + nu) ** 2)
+    with mpmath.workprec(precision_bits + CLOSED_FORM_GUARD_BITS):
+        r = root if root is not None else mpmath.sqrt(to_mpf(nu))
+        for x, coeffs, e in factors:
+            f = UniPoly(coeffs).eval_scalar(nu if x == "nu" else r)
+            if e == _HALF:
+                half = rational_root(f) if isinstance(f, Fraction) else None
+                f, e = half if half is not None else mpmath.sqrt(to_mpf(f)), 1
+            if isinstance(f, Fraction):
+                exact *= f ** e
+            else:
+                rounded.append(f ** e)
+        if not rounded:
+            return exact
+        value = to_mpf(exact) * mpmath.fprod(rounded)
     with mpmath.workprec(precision_bits):
-        r = mpmath.sqrt(to_mpf(nu))
-        return 2 * (1 + 2 * r) / (9 * (1 + r) ** 2 * to_mpf((1 + nu) ** 2))
+        return +value
+
+
+def rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
+    """Radius of convergence of the z-series at c = 1."""
+    return closed_form("rho", nu, precision_bits)
 
 
 def s_at_rho_closed_form(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
     """Value of the algebraic series S at its radius, at c = 1."""
-    nu = Fraction(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if nu >= 4:
-        return Fraction(1, 3) / (nu ** 2 - 1)
-    root = rational_root(nu)
-    if root is not None:
-        return Fraction(1, 3) / ((root + 1) * (nu + 1))
-    with mpmath.workprec(precision_bits):
-        r = mpmath.sqrt(to_mpf(nu))
-        return 1 / (3 * (r + 1) * to_mpf(nu + 1))
+    return closed_form("s_at_rho", nu, precision_bits)
+
+
+def m0_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
+    """Spontaneous magnetization at c = 1, 0 for nu <= 4."""
+    return closed_form("M0", nu, precision_bits)
+
+
+def chi_closed(nu, precision_bits: int = DEFAULT_PRECISION_BITS) -> Number:
+    """Zero-field susceptibility at c = 1, +inf for nu >= 4."""
+    return closed_form("chi", nu, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +989,6 @@ def _quotient_tail(a: List[Interval], b: List[Interval], v: int, count: int,
 
 # cos(pi m / 6) for m = 0..11 as (p, q), meaning p + q sqrt(3); sin is the
 # entry at m - 3
-_HALF = Fraction(1, 2)
 _COS_TWELFTHS = ((1, 0), (0, _HALF), (_HALF, 0), (0, 0), (-_HALF, 0), (0, -_HALF),
                  (-1, 0), (0, -_HALF), (-_HALF, 0), (0, 0), (_HALF, 0), (0, _HALF))
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
-from isingmaps import cli, series
+from isingmaps import cli, series, singular
 from isingmaps.cli import main, parse_rational
 from isingmaps.critical import exponent_fit, thermo_enclosures
 from isingmaps.exactalg import PP_ONE, PP_ZERO
@@ -814,7 +814,32 @@ class TestCheck:
         names = {c["name"] for c in payload["result"]["checks"]}
         assert {"branch_continuity", "discriminant_divisibility",
                 "sturm_single_root", "singular_exponents", "nu_one_closed_form",
-                "puiseux_branches"} <= names
+                "puiseux_branches", "transition_exponents", "enumeration_oracle"} <= names
+        detail = {c["name"]: c["detail"] for c in payload["result"]["checks"]}
+        assert detail["transition_exponents"].startswith("alpha=-1 beta=1/2 gamma=2;")
+        assert "d1=7/15 d2=-83/900 d3=49/2700(nu>=4)|797/21600(nu<4)" \
+            in detail["transition_exponents"]
+
+    # one coefficient of one closed-form table moved by 1, and the entry
+    # that reads it
+    @pytest.mark.parametrize("name, side, factor, k, entry", [
+        ("rho", 0, 0, 2, "transition_exponents"),
+        ("s_at_rho", 1, 0, 1, "branch_continuity"),
+        ("M0", 0, 2, 0, "transition_exponents"),
+        ("chi", 1, 1, 0, "transition_exponents"),
+    ])
+    def test_a_perturbed_closed_form_fails_its_entry(self, capsys, monkeypatch,
+                                                     name, side, factor, k, entry):
+        branches = list(singular.CLOSED_FORMS[name])
+        p, q, factors = branches[side]
+        factors = list(factors)
+        x, coeffs, e = factors[factor]
+        factors[factor] = (x, coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:], e)
+        branches[side] = (p, q, tuple(factors))
+        monkeypatch.setitem(singular.CLOSED_FORMS, name, tuple(branches))
+        code, payload = run_json(capsys, "check")
+        assert code == 1 and payload["result"]["ok"] is False
+        assert {c["name"]: c["ok"] for c in payload["result"]["checks"]}[entry] is False
 
 
 class TestEnvelope:

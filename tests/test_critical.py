@@ -27,6 +27,7 @@ from isingmaps.critical import (
     thermo_enclosures,
     thermo_magnetization,
     thermo_susceptibility,
+    transition_exponents,
 )
 from isingmaps.errors import NonPositiveSequence, PrecisionExhausted
 from isingmaps.exactalg import UniPoly
@@ -212,6 +213,29 @@ class TestClosedForms:
     def test_critical_isotherm_vanishes_at_zero_field(self):
         vals = [m_critical_asymptote(1 + Fraction(1, 10 ** k)) for k in (1, 3, 5)]
         assert vals[0] > vals[1] > vals[2] > 0
+
+
+class TestTransitionExponents:
+    def test_alpha_beta_gamma_with_their_derivatives_and_amplitudes(self):
+        t = transition_exponents()
+        assert (t.alpha, t.beta, t.gamma) == (-1, Fraction(1, 2), 2)
+        assert t.above == (Fraction(7, 15), Fraction(-83, 900), Fraction(49, 2700))
+        assert t.below == (Fraction(7, 15), Fraction(-83, 900), Fraction(797, 21600))
+        assert (t.m0_squared, t.chi) == (Fraction(18, 25), Fraction(192, 5))
+
+    def test_against_sympy_on_the_literature_formulas(self):
+        nu, r = sympy.symbols("nu r", positive=True)
+        above = -sympy.log((3 * nu ** 2 - 8) / (36 * (nu ** 2 - 1) ** 2))
+        below = -sympy.log(2 * (1 + 2 * sympy.sqrt(nu))
+                           / (9 * (1 + sympy.sqrt(nu)) ** 2 * (1 + nu) ** 2))
+        t = transition_exponents()
+        for expr, want in ((above, t.above), (below, t.below)):
+            assert tuple(sympy.diff(expr, nu, k).subs(nu, 4) for k in (1, 2, 3)) \
+                == tuple(sympy.Rational(a.numerator, a.denominator) for a in want)
+        m0_squared = 9 * nu ** 2 * (nu ** 2 - 16) / (3 * nu ** 2 - 8) ** 2
+        chi = 3 * r ** 2 / ((2 * r + 1) * (r - 2) ** 2)
+        assert sympy.cancel(m0_squared / (nu - 4)).subs(nu, 4) == sympy.Rational(18, 25)
+        assert sympy.cancel(chi * (r ** 2 - 4) ** 2).subs(r, 2) == sympy.Rational(192, 5)
 
 
 class TestThermoObservables:

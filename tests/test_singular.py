@@ -1,4 +1,5 @@
 """Singularity location, discriminant structure, and Puiseux machinery."""
+import functools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from isingmaps import exactalg, series, singular
+from isingmaps.critical import chi_closed, m0_closed
 from isingmaps.errors import DegenerateBranch, NoRootInRange
 from isingmaps.exactalg import (
     PP_ZERO,
@@ -69,7 +71,85 @@ POLE_GRID = [(Fraction(nu), Fraction(c))
              for c in ("3/4", "9/10", "19/20", "1", "21/20", "11/10", "5/4")]
 
 
+# The c = 1 closed forms as the literature writes them: the nu >= 4 branch
+# in nu, the nu < 4 branch in r = sqrt(nu).
+STATED_ABOVE = {
+    "rho": lambda nu: (3 * nu ** 2 - 8) / (36 * (nu ** 2 - 1) ** 2),
+    "s_at_rho": lambda nu: sympy.Rational(1, 3) / (nu ** 2 - 1),
+    "M0": lambda nu: 3 * nu * sympy.sqrt(nu ** 2 - 16) / (3 * nu ** 2 - 8),
+    "chi": lambda nu: sympy.oo,
+}
+STATED_BELOW = {
+    "rho": lambda r: 2 * (1 + 2 * r) / (9 * (1 + r) ** 2 * (1 + r ** 2) ** 2),
+    "s_at_rho": lambda r: sympy.Rational(1, 3) / ((r + 1) * (r ** 2 + 1)),
+    "M0": lambda r: sympy.Integer(0),
+    "chi": lambda r: 3 * r ** 2 / ((2 * r + 1) * (r - 2) ** 2),
+}
+CLOSED_FORM_FUNCTIONS = {"rho": rho_closed_form, "s_at_rho": s_at_rho_closed_form,
+                         "M0": m0_closed, "chi": chi_closed}
+CLOSED_FORM_GRID = sorted({Fraction(p, q) for p in range(1, 13) for q in range(1, 13)})
+# where chi's former (sqrt(nu) - 2)^2 cancelled
+NEAR_FOUR = [4 + sign * Fraction(1, 10 ** k) for k in (3, 10, 20, 30) for sign in (1, -1)]
+
+
+def stated(name, nu: Fraction):
+    nu = sympy.Rational(nu.numerator, nu.denominator)
+    return STATED_ABOVE[name](nu) if nu >= 4 else STATED_BELOW[name](sympy.sqrt(nu))
+
+
+@functools.lru_cache(maxsize=None)
+def stated_value(name, nu: Fraction):
+    """The stated value at nu: a Fraction where it is rational, else an mpf
+    to 110 digits (sympy's evaluation adapts to the cancellation)."""
+    want = stated(name, nu)
+    if want == sympy.oo:
+        return mpmath.inf
+    if want.is_Rational:
+        return Fraction(want.p, want.q)
+    with mpmath.workprec(400):
+        return mpmath.mpf(want.evalf(110))
+
+
+def table_expression(branch, nu, r):
+    """A branch of singular.CLOSED_FORMS as a sympy expression."""
+    if branch is None:
+        return sympy.oo
+    p, q, factors = branch
+    out = sympy.Rational(p, q)
+    for x, coeffs, e in factors:
+        at = nu if x == "nu" else r
+        e = Fraction(e)
+        out *= sum(a * at ** k for k, a in enumerate(coeffs)) ** sympy.Rational(
+            e.numerator, e.denominator)
+    return out
+
+
 class TestClosedForms:
+    @pytest.mark.parametrize("name", sorted(singular.CLOSED_FORMS))
+    def test_tables_are_the_stated_formulas(self, name):
+        nu, r = sympy.symbols("nu r", positive=True)
+        for branch, x, want in zip(singular.CLOSED_FORMS[name], (sympy.sqrt(nu), r),
+                                   (STATED_ABOVE[name](nu), STATED_BELOW[name](r))):
+            got = table_expression(branch, x ** 2, x)
+            assert got == want == sympy.oo or sympy.simplify(got - want) == 0
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_values_against_sympy_on_a_grid_and_near_four(self, bits):
+        """A Fraction exactly where the stated value is rational, equal to
+        it; else an mpf within 2^-(bits - 4) of it, relative."""
+        for nu in CLOSED_FORM_GRID + NEAR_FOUR:
+            for name, function in CLOSED_FORM_FUNCTIONS.items():
+                value, want = function(nu, bits), stated_value(name, nu)
+                if isinstance(want, Fraction):
+                    assert type(value) is Fraction and value == want, (name, nu)
+                elif want == mpmath.inf:
+                    assert value == mpmath.inf
+                else:
+                    assert isinstance(value, mpmath.mpf), (name, nu)
+                    with mpmath.workprec(400):
+                        error = abs(value / want - 1)
+                    assert error <= mpmath.mpf(2) ** (4 - bits), (name, nu, error)
+
     def test_branches_agree_exactly_at_four(self):
         low = 2 * (1 + 2 * 2) / (Fraction(9) * (1 + 2) ** 2 * (1 + 4) ** 2)
         high = (3 * Fraction(4) ** 2 - 8) / (36 * (Fraction(4) ** 2 - 1) ** 2)
