@@ -379,6 +379,11 @@ def _cmd_exponent_fit(args, bits):
     if args.n_max < 4:
         raise ValueError("--n-max must be at least 4")
     n_min = args.n_min if args.n_min is not None else max(2, args.n_max // 8)
+    # refused before the pass, with exponent_fit's own messages
+    if n_min < 2:
+        raise ValueError("n_range must start at 2 or later")
+    if n_min >= args.n_max:
+        raise ValueError("n_range must be increasing")
     params = IsingParams(nu=args.nu, c=args.c)
     # the pass's integers go to the fit as they are: Z_n = h_n / (K r^n)
     h, scale = scaled_Z(params, args.n_max)

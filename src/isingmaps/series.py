@@ -18,8 +18,13 @@ makes S_n explicit in S_1..S_(n-1) through the coefficients of the powers
 of S, and those powers are filled coefficient by coefficient alongside S
 (see :func:`_power_columns`).  The bracket is then a linear combination of
 the same power columns, followed, where the model keeps the divisor, by
-one online division by 1 + e1 S; no step divides by anything but 1, so the
-pass runs unchanged over every coefficient ring.
+one online division by 1 + e1 S, whose constant term is 1.  Beyond that
+the one division is an exact halving: each odd power column comes from
+squares by polarization, 2 X Y = (X + Y)^2 - X^2 - Y^2, an identity of
+commutative rings, so the numerator is twice a ring element whatever the
+ring, the packed ``int`` of a polynomial included (packing is a ring
+homomorphism into Z).  So the pass runs unchanged over every coefficient
+ring.
 
 The pass runs over plain ``int`` in two ways.  :func:`solve_Z` and
 :func:`solve_S` give the symbolic series, whose coefficients are
@@ -523,7 +528,10 @@ def _majorant(n_tab, d_tab, bracket_tab, e1, top: int) -> Tuple[list, list]:
     """Bounds on the l1 norms of S_0..S_top and of g_0..g_top (the bracket
     over 1 + e1 S, :func:`_over_divisor`), from the same pass over ``int``
     run on the l1 norms of the table entries, with N and e1 negated so that
-    every step adds: l1 is subadditive and submultiplicative."""
+    every step adds: l1 is subadditive and submultiplicative.  That argument
+    concerns the values, the coefficients of sums and products of majorant
+    series; polarization subtracts on the way to some of them but, being an
+    identity over Z, leaves them unchanged."""
     major = SimpleNamespace(
         zero=0, n_tab={k: -_l1(p) for k, p in n_tab.items()},
         e_tab=_square({k: _l1(p) for k, p in d_tab.items()}, 0),
@@ -650,6 +658,26 @@ def _dot(left, right, zero):
     return sum(map(mul, left, right), zero)
 
 
+def _square_at(col: list, a: int, n: int, zero):
+    """[X^2]_n for the coefficient list ``col`` of a series X = O(z^a): the
+    products below the middle once, doubled, then the middle square."""
+    half = _dot(col[a:(n + 1) // 2], col[n - a:n // 2:-1], zero)
+    val = half + half
+    if n % 2 == 0:
+        val = val + col[n // 2] * col[n // 2]
+    return val
+
+
+def _halve(x):
+    """x / 2 for an x that is twice a ring element: ``>> 1`` on ``int`` and
+    on each part of a :class:`_Jet`, ``/ 2`` on Fraction."""
+    if type(x) is int:
+        return x >> 1
+    if type(x) is _Jet:
+        return _Jet(x.f >> 1, x.tf >> 1, x.ttf >> 1)
+    return x / 2
+
+
 def _power_columns(model: _Model, order: int) -> list:
     """[None, P_1, ..., P_top], P_k the coefficient list of S^k to z^order.
 
@@ -659,40 +687,44 @@ def _power_columns(model: _Model, order: int) -> list:
         S_n = [z^(n-1)] E(S) - sum_{k>=1} n_k [S^(k+1)]_n,
 
     and for k >= 2 the entry [S^k]_n involves only S_1..S_(n-k+1).  So step n
-    first fills [S^k]_n for every k >= 2 as one dot product each, with
-    S^k = S^a * S^(k-a), a = k // 2 (half the terms, doubled, for a square),
-    and then S_n from the powers.  No division happens, so the same code
-    runs over every ring of the model.  ``top`` is the highest power that the
-    recurrence or the bracket reads.
+    first fills [S^k]_n for every k >= 2, each from one square read to half
+    its length, and then S_n from the powers.  Even columns square a lower
+    one, S^(2a) = (S^a)^2; odd ones polarize,
+
+        [S^(2a+1)]_n = ([(S^a + S^(a+1))^2]_n - [S^(2a)]_n - [S^(2a+2)]_n) / 2,
+
+    with the running sum U_a = S^a + S^(a+1) extended by index n - 1 at the
+    start of step n (the square at n reads U_a to index n - a only).  An odd
+    ``top`` so fills S^(top+1) as well, for S^top alone.  The numerator is
+    twice [S^a S^(a+1)]_n in every ring of the pass (see the module
+    docstring), so the halving (:func:`_halve`) is exact.  ``top`` is the
+    highest power that the recurrence or the bracket reads.
     """
     zero = model.zero
     n_terms = [(k + 1, v) for k, v in model.n_tab.items() if k >= 1]
     e_terms = [(k, v) for k, v in model.e_tab.items() if k >= 1]
     top = max([k for k, _ in n_terms + e_terms]
               + [i for i, _ in model.bracket_tab])
-    cols = [None] + [[zero] * (order + 1) for _ in range(top)]
+    cols = [None] + [[zero] * (order + 1) for _ in range(top + top % 2)]
+    sums = [None] + [[zero] * (order + 1) for _ in range((top - 1) // 2)]
     s = cols[1]
     if order >= 1:
         s[1] = model.e_tab[0]
     for n in range(2, order + 1):
-        for k in range(2, min(top, n) + 1):
-            a, b = k // 2, k - k // 2
-            pa = cols[a]
-            if a == b:
-                half = _dot(pa[a:(n + 1) // 2], pa[n - a:n // 2:-1], zero)
-                val = half + half
-                if n % 2 == 0:
-                    val = val + pa[n // 2] * pa[n // 2]
-            else:
-                val = _dot(pa[a:n - b + 1], cols[b][n - a:b - 1:-1], zero)
-            cols[k][n] = val
+        for a in range(1, len(sums)):
+            sums[a][n - 1] = cols[a][n - 1] + cols[a + 1][n - 1]
+        for a in range(1, min(top + 1, n) // 2 + 1):
+            cols[2 * a][n] = _square_at(cols[a], a, n, zero)
+        for a in range(1, (min(top, n) - 1) // 2 + 1):
+            cols[2 * a + 1][n] = _halve(_square_at(sums[a], a, n, zero)
+                                        - cols[2 * a][n] - cols[2 * a + 2][n])
         acc = zero
         for k, coef in e_terms:
             acc = acc + coef * cols[k][n - 1]
         for k, coef in n_terms:
             acc = acc - coef * cols[k][n]
         s[n] = acc
-    return cols
+    return cols[:top + 1]
 
 
 def _solve_S_ring(model: _Model, order: int) -> TruncatedSeries:

@@ -789,6 +789,23 @@ class TestExponentFit:
         assert payload["result"]["mu_exact"] is True
         assert abs(float(payload["result"]["alpha_exponent"]) - 2.5) < 0.05
 
+    @pytest.mark.parametrize("n_min, n_max, message", [
+        ("1", "400", "n_range must start at 2 or later"),
+        ("400", "400", "n_range must be increasing"),
+        ("50", "40", "n_range must be increasing"),
+    ])
+    def test_bad_n_min_is_refused_before_the_pass(self, capsys, monkeypatch,
+                                                  n_min, n_max, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series pass ran before the range check")
+
+        monkeypatch.setattr(cli, "scaled_Z", refuse)
+        monkeypatch.setattr(cli, "radius_numeric", refuse)
+        code, payload = run_json(capsys, "exponent-fit", "--nu", "4", "--c", "21/20",
+                                 "--n-max", n_max, "--n-min", n_min)
+        assert code == 2
+        assert payload["error"] == {"type": "UsageError", "message": message}
+
     def test_radius_solve_skips_exponent_and_scan(self, capsys, monkeypatch):
         seen = []
         original = cli.radius_numeric

@@ -609,6 +609,90 @@ class TestPackedPass:
         assert not inside
 
 
+def jet_parts(x):
+    """A jet as its tuple of parts, anything else as it is."""
+    return (x.f, x.tf, x.ttf) if isinstance(x, _Jet) else x
+
+
+def majorant_columns(top):
+    """(namespace, columns) of the majorant pass to z^top, caught on their
+    way through :func:`series._power_columns`."""
+    seen = []
+    columns = series._power_columns
+
+    def recording(model, order):
+        seen.append((model, columns(model, order)))
+        return seen[-1][1]
+
+    tables = series._symbolic_tables()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_power_columns", recording)
+        _majorant(*tables[:4], top)
+    (caught,) = seen
+    return caught
+
+
+# (W, K) of the packed model for orders 1..24: W comes from majorant
+# values, integers that do not depend on how the pass forms the columns
+PACKING_BY_ORDER = [
+    (11, 4), (16, 5), (21, 6), (26, 7), (31, 8), (36, 9), (41, 10), (46, 11),
+    (51, 12), (56, 13), (61, 14), (66, 15), (72, 16), (77, 17), (82, 18), (87, 19),
+    (92, 20), (97, 21), (103, 22), (108, 23), (113, 24), (118, 25), (124, 26),
+    (129, 27),
+]
+
+# one model of every ring the pass runs over, with the order of the pass
+PASS_KINDS = {
+    "integer-off-c1": (lambda: _Model(IsingParams(Fraction(3, 2), Fraction(19, 20)),
+                                      "integer"), 60),
+    "integer-at-c1": (lambda: _Model(IsingParams(6, 1), "integer"), 60),
+    "exact": (lambda: _Model(IsingParams(Fraction(3, 2), Fraction(21, 20)), "exact"), 16),
+    "jet": (lambda: _Model(IsingParams(4, Fraction(21, 20)), "jet"), 30),
+    "symbolic": (lambda: _Model(SYM, "symbolic", 14), 16),
+    "majorant": (lambda: majorant_columns(40)[0], 40),
+}
+
+
+class TestPowerColumns:
+    @pytest.mark.parametrize("kind", sorted(PASS_KINDS))
+    def test_columns_are_the_powers_of_s(self, kind):
+        make, order = PASS_KINDS[kind]
+        model = make()
+        cols = series._power_columns(model, order)
+        assert len(cols) >= 7
+        powers = _series_powers(TruncatedSeries(cols[1], model.zero), len(cols) - 1)
+        for k in range(2, len(cols)):
+            assert len(cols[k]) == order + 1
+            assert list(map(jet_parts, cols[k])) == list(map(jet_parts, powers[k].coeffs)), \
+                "S^%d" % k
+
+    def test_halving_is_exact_and_the_packing_unchanged(self, monkeypatch):
+        halve, seen = series._halve, []
+
+        def checked(x):
+            if isinstance(x, _Jet):
+                assert not (x.f % 2 or x.tf % 2 or x.ttf % 2), "odd jet part"
+            elif isinstance(x, int):
+                assert x % 2 == 0, "odd value"
+            seen.append(type(x))
+            out = halve(x)
+            assert jet_parts(out + out) == jet_parts(x)
+            return out
+
+        monkeypatch.setattr(series, "_halve", checked)
+        rings = set()
+        for kind, (make, order) in PASS_KINDS.items():
+            model = make()
+            del seen[:]
+            series._power_columns(model, order)
+            assert seen, kind
+            rings.update(seen)
+        assert rings == {int, Fraction, _Jet}
+        packings = [(m.bits, m.slots) for m in (_Model(SYM, "symbolic", order)
+                                                for order in range(1, 25))]
+        assert packings == PACKING_BY_ORDER
+
+
 def symbolic_theta_Z(z_sym, nu, c, n):
     """(Z_n, theta Z_n, theta^2 Z_n) from the symbolic polynomial at (nu, c)."""
     zn = z_sym.coefficient(n)
