@@ -37,7 +37,8 @@ from . import dyadic
 from .errors import NonPositiveSequence
 from .exactalg import PP_ZERO, evaluate_together
 from .precision import DEFAULT_PRECISION_BITS, to_mpf
-from .series import IsingParams, TruncatedSeries, _symbolic_tables, solve_Z, solve_Z_jets
+from .series import (IsingParams, TruncatedSeries, _bracket_coefficients, _Model,
+                     _symbolic_tables, nu_one_jets, solve_Z)
 from .singular import (
     CLOSED_FORMS, SingularityReport, chi_closed, m0_closed, radius_numeric, rho_closed_form)
 
@@ -108,12 +109,16 @@ def _symbolic_Z(order: int):
 def _theta_Z(nu: Fraction, c: Fraction, n: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(Z_n, theta Z_n, theta^2 Z_n) at the point, theta = c d/dc, exact.
 
-    Read from :func:`solve_Z_jets` (one integer jet pass, or the closed
-    form at nu = 1), shared by the three finite-size observables.
+    One jet pass to order n, of which only g_(n+2) is unpacked, or the
+    closed form at nu = 1 (:func:`~isingmaps.series.solve_Z_jets`); shared
+    by the three finite-size observables.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return solve_Z_jets(IsingParams(nu=nu, c=c), n)[n]
+    if nu == 1:
+        return nu_one_jets(c, n)[n]
+    model = _Model(IsingParams(nu=nu, c=c), "jet", n)
+    return model.z_coefficient(_bracket_coefficients(model, n)[n + 2], n)
 
 
 def finite_magnetization(n: int, params: IsingParams) -> Fraction:

@@ -24,7 +24,8 @@ squares by polarization, 2 X Y = (X + Y)^2 - X^2 - Y^2, an identity of
 commutative rings, so the numerator is twice a ring element whatever the
 ring, the packed ``int`` of a polynomial included (packing is a ring
 homomorphism into Z).  So the pass runs unchanged over every coefficient
-ring.
+ring; only the packed jets of the jet kind are reduced as they are
+stored (see :func:`_power_columns`).
 
 The pass runs over plain ``int`` in two ways.  :func:`solve_Z` and
 :func:`solve_S` give the symbolic series, whose coefficients are
@@ -68,10 +69,16 @@ Z_n as a Fraction, and :func:`coefficient_sequence`, for
 ``coeffs --numeric``, rounds each once to the nearest mpf at the
 precision it is given.
 The symbolic and the point series share one pipeline, including the exact
-check that the three lowest coefficients cancel.  The same integer pass
-over jets (f, theta f, theta^2 f), theta = c d/dc, keeps the unreduced
-tables and gives Z_n and its first two theta-derivatives exactly at the
-point (:func:`solve_Z_jets`).  At nu = 1, where every point model would
+check that the three lowest coefficients cancel.  The same pass over a
+third packing gives Z_n and its first two theta-derivatives,
+theta = c d/dc, exactly at the point (:func:`solve_Z_jets`).  Taking
+f(nu, c) to f(nu, c(1 + t)) mod t^3 is a ring homomorphism, so the
+unreduced tables, each entry as its jet (f, theta f, Delta f) with
+Delta = (theta^2 - theta) / 2, integers after the rescaling below, packed
+at t = 2^W, give the packed jet of every coefficient.  The pass reduces
+each value it stores mod t^3, which is mod 2^(3W) read balanced; a
+majorant pass fixes W, as for the symbolic packing
+(:meth:`_Model._pack_jets`).  At nu = 1, where every point model would
 divide by 9(1 - nu^2) = 0, Z_n is in closed form (:func:`nu_one_jets`).
 """
 from __future__ import annotations
@@ -167,34 +174,6 @@ def _symbolic_tables():
     return n_tab, d_tab, bracket_tab, e1, nine_gamma
 
 
-class _Jet:
-    """(f, theta f, theta^2 f) at a point, theta = c d/dc: a truncated jet.
-
-    The parts are ``int``.  Sums act on each part; products follow the Leibniz rule, so one pass over jets carries
-    the first two theta-derivatives of every coefficient (forward-mode
-    differentiation).  A jet is true when any part is nonzero.
-    """
-
-    __slots__ = ("f", "tf", "ttf")
-
-    def __init__(self, f, tf=0, ttf=0):
-        self.f, self.tf, self.ttf = f, tf, ttf
-
-    def __add__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.f + other.f, self.tf + other.tf, self.ttf + other.ttf)
-
-    def __sub__(self, other: "_Jet") -> "_Jet":
-        return _Jet(self.f - other.f, self.tf - other.tf, self.ttf - other.ttf)
-
-    def __mul__(self, other: "_Jet") -> "_Jet":
-        a, b, c = self.f, self.tf, self.ttf
-        x, y, z = other.f, other.tf, other.ttf
-        return _Jet(a * x, a * y + b * x, a * z + 2 * b * y + c * x)
-
-    def __bool__(self) -> bool:
-        return bool(self.f or self.tf or self.ttf)
-
-
 class _Model:
     """The tables of :func:`_symbolic_tables` realized over a concrete ring.
 
@@ -214,27 +193,32 @@ class _Model:
       * "integer": the reduced model of the point (:meth:`_fold_divisor`),
         with no divisor left (e1 = 0) and no ``d_tab``, rescaled to plain
         ``int``;
-      * "jet": the unreduced tables, each entry t carried as the
-        :class:`_Jet` (t, theta t, theta^2 t) at the point, rescaled to
-        ``int`` parts, E = D^2 formed after the rescaling.  It keeps the
-        divisor: the fold's factor k has c^2 - 1 in its denominator and
-        the c = 1 cancellation holds at c = 1 only, so neither is carried
-        to the c-derivatives.
+      * "jet": the unreduced tables at the point for a pass to
+        z^(``order`` + 2), each entry p packed to one ``int``: the Taylor
+        coefficients of p(nu, c(1 + t)) to t^2, the jet (p, theta p,
+        Delta p), Delta = (theta^2 - theta) / 2, at t = 2^``bits``
+        (:meth:`_pack_jets`), E = D^2 formed after the packing.  It keeps
+        the divisor: the fold's factor k has c^2 - 1 in its denominator
+        and the c = 1 cancellation holds at c = 1 only, so neither is
+        carried to the c-derivatives.
 
-    The rescaling (:meth:`_rescale_to_int`) is S = lambda T, z = lambda w,
-    ``scale`` = lambda.  N, D and E coefficients of degree k carry
-    lambda^k, e1 carries lambda and the bracket entry of S^i z^j carries
-    lambda^(i+j) and the common denominator ``bracket_den``.  The jet kind
-    takes lambda = L = (den nu * den c)^2, which makes each entry an
-    integer because its nu- and c-degrees are at most twice its power of L
-    (theta only multiplies each monomial by its c-degree), so
-    ``bracket_den`` = 1 there.  The integer kind takes the smallest lambda
-    that makes its N and E integral (:func:`_smallest_scale`), a fraction
-    at some points.  N(0) = E(0) = 1 survive, so the forward recurrence for
-    T needs no division and a divisor that is kept has constant term 1:
-    the solve never leaves the integers.  ``nine_gamma`` stays the exact
-    9(1 - nu^2), which does not depend on c.  The point kinds refuse
-    nu = 1, where it and e1 vanish, with ValueError.
+    ``reduce`` is None except in the jet kind, where the pass applies it to
+    every value it stores (see :func:`_power_columns`).
+
+    The rescaling is S = lambda T, z = lambda w, ``scale`` = lambda.  N, D
+    and E coefficients of degree k carry lambda^k, e1 carries lambda and
+    the bracket entry of S^i z^j carries lambda^(i+j) and the common
+    denominator ``bracket_den``.  The jet kind takes lambda = L =
+    (den nu * den c)^2, which makes each Taylor coefficient an integer
+    because its nu- and c-degrees are at most twice its power of L (the
+    Taylor coefficients of c^b are C(b, k) c^b), so ``bracket_den`` = 1
+    there.  The integer kind takes the smallest lambda that makes its N
+    and E integral (:func:`_smallest_scale`), a fraction at some points
+    (:meth:`_rescale_to_int`).  N(0) = E(0) = 1 survive, so the forward
+    recurrence for T needs no division and a divisor that is kept has
+    constant term 1: the solve never leaves the integers.  ``nine_gamma``
+    stays the exact 9(1 - nu^2), which does not depend on c.  The point
+    kinds refuse nu = 1, where it and e1 vanish, with ValueError.
     """
 
     def __init__(self, params: IsingParams, kind: str, order: Optional[int] = None):
@@ -243,42 +227,77 @@ class _Model:
         n_tab, d_tab, bracket_tab, e1, nine_gamma = _symbolic_tables()
         self.kind = kind
         self.params = params
+        self.scale = self.bracket_den = 1
+        self.reduce = None
+        if kind != "symbolic":
+            self.nine_gamma = nine_gamma.evaluate(params.nu, params.c)
+        if kind == "jet":
+            self._pack_jets(order)
+            return
         if kind == "symbolic":
             self.bits, self.slots = _packing(n_tab, d_tab, bracket_tab, e1, nine_gamma,
                                              order)
             self.nine_gamma_l1 = _l1(nine_gamma)
             conv = lambda p: _pack(p, self.bits, self.slots)
             self.zero, self.one = 0, 1
+            self.nine_gamma = conv(nine_gamma)
         elif kind in ("exact", "integer"):
             conv = lambda p: p.evaluate(params.nu, params.c)
             self.zero, self.one = Fraction(0), Fraction(1)
-        elif kind == "jet":
-            conv = self._jet_at_point
-            self.zero, self.one = _Jet(0), _Jet(1)
         else:  # pragma: no cover - internal misuse
             raise ValueError(kind)
         self.n_tab = {k: conv(v) for k, v in n_tab.items()}
         d_tab = {k: conv(v) for k, v in d_tab.items()}
         self.bracket_tab = {k: conv(v) for k, v in bracket_tab.items()}
         self.e1 = conv(e1)
-        self.nine_gamma = (conv(nine_gamma) if kind == "symbolic"
-                           else nine_gamma.evaluate(params.nu, params.c))
-        self.scale = self.bracket_den = 1
+        self.e_tab = _square(d_tab, self.zero)
         if kind == "integer":
-            self.e_tab = _square(d_tab, self.zero)
             self._fold_divisor()
             self._rescale_to_int()
         else:
             self.d_tab = d_tab
-            if kind == "jet":
-                self._rescale_to_int()
-            self.e_tab = _square(self.d_tab, self.zero)
 
-    def _jet_at_point(self, p: ParamPoly) -> _Jet:
-        tp = p.c_log_derivative()
-        values, den = evaluate_together((p, tp, tp.c_log_derivative()),
-                                        self.params.nu, self.params.c)
-        return _Jet(*(Fraction(v, den) for v in values))
+    def _pack_jets(self, order: Optional[int]):
+        """The jet tables for a pass to z^(order + 2), from one
+        evaluation of :func:`_taylor_tables` at the point.
+
+        W = ``bits`` is fixed by construction.  Each of the three Taylor
+        coefficients of an entry p lambda^k is at most in absolute value
+        the matching one of |p|(nu, c(1 + t)) lambda^k, |p| taking every
+        coefficient of p to its absolute value.  With N and e1 negated the
+        pass over these majorant entries only adds, so it bounds every slot
+        of the jet pass, and truncation drops only nonnegative terms from
+        it; the three coefficients of its values sum to at most their
+        values at t = 1, where it is the integer pass of :func:`_majorant`
+        on |p|(nu, 2c) lambda^k.  So M, the largest value of that pass over
+        its power columns (S^(top+1) included), g_0..g_(order+2) and E =
+        D^2, bounds every slot that the jet pass stores; the running sums
+        U_a = S^a + S^(a+1) and the numerators that it halves have slots at
+        most 2 M.  A slot read balanced must lie below 2^(W - 1) in
+        absolute value, so W - 1 is the bit length of 2 M.
+        """
+        if order is None or order < 1:
+            raise ValueError("the jet model needs an order >= 1")
+        keys, polys, weights = _taylor_tables()
+        nu, c = self.params
+        lam = (nu.denominator * c.denominator) ** 2
+        values, den = evaluate_together(polys, nu, c)
+        powers = [lam ** k for k in range(max(weights) + 1)]
+        parts = [_integral(v * powers[k], den) for v, k in zip(values, weights)]
+        tabs = ({}, {}, {}, {})  # N, D, the bracket and {1: e1}
+        for m, (table, key) in enumerate(keys):
+            tabs[table][key] = parts[4 * m:4 * m + 4]
+        major = [{k: v[3] for k, v in tab.items()} for tab in tabs]
+        cols, g = _majorant(*major[:3], major[3][1], order + 2, abs)
+        peak = max(max(map(max, cols[1:])), max(g), *_square(major[1], 0).values())
+        bits = (2 * peak).bit_length() + 1
+        pack = lambda tab: {k: _jet_pack(*v[:3], bits) for k, v in tab.items()}
+        self.n_tab, d_tab, self.bracket_tab = map(pack, tabs[:3])
+        self.e1 = pack(tabs[3])[1]
+        self.reduce = _jet_truncation(bits)
+        self.e_tab = {k: self.reduce(v) for k, v in _square(d_tab, 0).items()}
+        self.zero, self.one = 0, 1
+        self.bits, self.order, self.scale = bits, order, lam
 
     def _fold_divisor(self):
         """Replace bracket / (1 + e1 S) by one polynomial A on the curve.
@@ -316,27 +335,15 @@ class _Model:
         self.e1 = self.zero
 
     def _rescale_to_int(self):
-        if self.kind == "jet":
-            parts = lambda v: (v.f, v.tf, v.ttf)
-            make = lambda xs: _Jet(*map(_integral, xs))
-        else:
-            parts = lambda v: (v,)
-            make = lambda xs: _integral(xs[0])
-            self.zero, self.one = 0, 1
-        lam = (self.params.nu.denominator * self.params.c.denominator) ** 2
-        den = 1
-        if self.kind == "integer":
-            lam = _smallest_scale([(x, k) for tab in (self.n_tab, self.e_tab)
-                                   for k, x in tab.items() if k], lam)
-            den = lcm(*((v * lam ** (i + j)).denominator
-                        for (i, j), v in self.bracket_tab.items()))
-        integral = lambda v, k, f=1: make([x * (f * lam ** k) for x in parts(v)])
-        if self.kind == "integer":
-            self.e_tab = {k: integral(v, k) for k, v in self.e_tab.items()}
-        else:
-            # E = D^2 is formed after the rescaling, over int parts
-            self.d_tab = {k: integral(v, k) for k, v in self.d_tab.items()}
+        lam = _smallest_scale([(x, k) for tab in (self.n_tab, self.e_tab)
+                               for k, x in tab.items() if k],
+                              (self.params.nu.denominator * self.params.c.denominator) ** 2)
+        den = lcm(*((v * lam ** (i + j)).denominator
+                    for (i, j), v in self.bracket_tab.items()))
+        integral = lambda v, k, f=1: _integral(v * (f * lam ** k))
+        self.zero, self.one = 0, 1
         self.scale, self.bracket_den = lam, den
+        self.e_tab = {k: integral(v, k) for k, v in self.e_tab.items()}
         self.n_tab = {k: integral(v, k) for k, v in self.n_tab.items()}
         self.e1 = integral(self.e1, 1)
         self.bracket_tab = {(i, j): integral(v, i + j, den)
@@ -348,11 +355,13 @@ class _Model:
         z -> cz substitution and, in the rescaled kinds, the rescaling and
         ``bracket_den``.
 
-        In the jet kind g / (bracket_den lambda^(n+2) 9(1 - nu^2)) is the
-        jet of X = c^n Z_n, and Z_n = c^-n X gives
-        theta Z_n = c^-n (theta X - n X) and
+        In the jet kind the slots (f, T, Delta) of g (:func:`_jet_slots`)
+        over lambda^(n+2) 9(1 - nu^2) are the Taylor coefficients of
+        X = c^n Z_n, so X, theta X and theta^2 X = 2 Delta + T follow, and
+        Z_n = c^-n X gives theta Z_n = c^-n (theta X - n X) and
         theta^2 Z_n = c^-n (theta^2 X - 2n theta X + n^2 X); the result is
-        the tuple (Z_n, theta Z_n, theta^2 Z_n) of Fractions.
+        the tuple (Z_n, theta Z_n, theta^2 Z_n) of Fractions.  An n past
+        the model's ``order`` raises ValueError.
 
         In the symbolic kind g is packed: the integer quotient by the packed
         9(1 - nu^2) unpacks into c^n Z_n, returned as a ParamPoly with c
@@ -374,8 +383,11 @@ class _Model:
                                        "of z^%d" % (n + 2))
             return zn
         if self.kind == "jet":
-            den = self.bracket_den * self.scale ** (n + 2) * self.nine_gamma
-            x, tx, ttx = (Fraction(v) / den for v in (g.f, g.tf, g.ttf))
+            if n > self.order:
+                raise ValueError("the model is packed for orders up to %d" % self.order)
+            f, t, d = _jet_slots(g, self.bits)
+            den = self.scale ** (n + 2) * self.nine_gamma
+            x, tx, ttx = (Fraction(v) / den for v in (f, t, 2 * d + t))
             back = self.params.c ** -n
             return (back * x, back * (tx - n * x),
                     back * (ttx - 2 * n * tx + n * n * x))
@@ -459,10 +471,12 @@ def _smallest_scale(weighted: list, big_l: int) -> Fraction:
     return lam * big_l
 
 
-def _integral(x: Fraction) -> int:
-    if x.denominator != 1:  # pragma: no cover - the scale excludes it
-        raise ArithmeticError("rescaled table entry %s is not an integer" % x)
-    return x.numerator
+def _integral(x, den: int = 1) -> int:
+    """x / den, an integer, for x a Fraction or an int."""
+    q, r = divmod(x, den)
+    if r:  # pragma: no cover - the scale excludes it
+        raise ArithmeticError("rescaled table entry %s is not an integer" % (x / den))
+    return q
 
 
 def _l1(p: ParamPoly) -> int:
@@ -501,6 +515,55 @@ def _unpack(x: int, bits: int, slots: int, c_shift: int = 0) -> ParamPoly:
     return out
 
 
+def _jet_pack(f: int, tf: int, d: int, bits: int) -> int:
+    """The jet f + tf t + d t^2 of Z[t] / (t^3) at t = 2^bits."""
+    return f + (tf << bits) + (d << 2 * bits)
+
+
+def _jet_truncation(bits: int):
+    """x -> x mod t^3, t = 2^bits: the residue of x mod 2^(3 bits) in
+    [-2^(3 bits - 1), 2^(3 bits - 1)).  Packing is a ring homomorphism from
+    Z[t], so this is the packed jet of the sum or product that x packs
+    whenever each of the three low coefficients of that polynomial in t is
+    below 2^(bits - 1) in absolute value, whatever the higher ones."""
+    half, mask = 1 << (3 * bits - 1), (1 << 3 * bits) - 1
+    return lambda x: ((x + half) & mask) - half
+
+
+def _jet_slots(x: int, bits: int) -> List[int]:
+    """[f, t, d] with x = :func:`_jet_pack` (f, t, d, bits) and each part in
+    [-2^(bits - 1), 2^(bits - 1)): the balanced slots of a truncated jet."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for _ in range(3):
+        out.append(((x + half) & mask) - half)
+        x = (x - out[-1]) >> bits
+    return out
+
+
+@lru_cache(maxsize=1)
+def _taylor_tables():
+    """(keys, polys, weights): what the jet kind evaluates at a point.
+
+    Entry m of the N, D, bracket and {1: e1} tables (tables 0..3), a
+    polynomial p = sum a nu^i c^j, is keys[m] = (table, key), and
+    polys[4m:4m+4] are its Taylor coefficients at c(1 + t) to t^2, namely
+    p, theta p and Delta p = (theta^2 p - theta p) / 2 = sum C(j, 2) a
+    nu^i c^j, then its majorant |p|(nu, 2c) = sum |a| 2^j nu^i c^j.  Each
+    weight is the power of L that the entry carries (see :class:`_Model`).
+    """
+    n_tab, d_tab, bracket_tab, e1, _ = _symbolic_tables()
+    keys, polys, weights = [], [], []
+    for table, tab in enumerate((n_tab, d_tab, bracket_tab, {1: e1})):
+        for key, p in tab.items():
+            keys.append((table, key))
+            polys += [p, p.c_log_derivative(),
+                      ParamPoly({(i, j): a * (j * (j - 1) // 2) for (i, j), a in p.terms.items()}),
+                      ParamPoly({(i, j): abs(a) << j for (i, j), a in p.terms.items()})]
+            weights += [sum(key) if table == 2 else key] * 4
+    return keys, polys, weights
+
+
 def _packing(n_tab, d_tab, bracket_tab, e1, nine_gamma, order) -> Tuple[int, int]:
     """(W, K) of the packed point for a symbolic pass to z^(order + 2).
 
@@ -520,24 +583,26 @@ def _packing(n_tab, d_tab, bracket_tab, e1, nine_gamma, order) -> Tuple[int, int
             if type(v) is not int or dv % 2 or dc % 2 or not 0 <= dc <= 2 * degree:
                 raise ValueError("table entry %s is not in Z[nu^2, c^2] with "
                                  "c^2-degree at most %d" % (p.to_str(), degree))
-    s_major, g_major = _majorant(n_tab, d_tab, bracket_tab, e1, order + 2)
-    return (2 * max(s_major + g_major)).bit_length() + 1, order + 3
+    cols, g_major = _majorant(n_tab, d_tab, bracket_tab, e1, order + 2)
+    return (2 * max(cols[1] + g_major)).bit_length() + 1, order + 3
 
 
-def _majorant(n_tab, d_tab, bracket_tab, e1, top: int) -> Tuple[list, list]:
-    """Bounds on the l1 norms of S_0..S_top and of g_0..g_top (the bracket
-    over 1 + e1 S, :func:`_over_divisor`), from the same pass over ``int``
-    run on the l1 norms of the table entries, with N and e1 negated so that
-    every step adds: l1 is subadditive and submultiplicative.  That argument
-    concerns the values, the coefficients of sums and products of majorant
-    series; polarization subtracts on the way to some of them but, being an
-    identity over Z, leaves them unchanged."""
+def _majorant(n_tab, d_tab, bracket_tab, e1, top: int, norm=_l1) -> Tuple[list, list]:
+    """(columns, g): bounds on the l1 norms of the power columns of
+    :func:`_power_columns` and of g_0..g_top (the bracket over 1 + e1 S,
+    :func:`_over_divisor`), from the same pass over ``int`` run on the
+    norms of the table entries, with N and e1 negated so that every step
+    adds: l1 is subadditive and submultiplicative.  That argument concerns
+    the values, the coefficients of sums and products of majorant series;
+    polarization subtracts on the way to some of them but, being an
+    identity over Z, leaves them unchanged.  ``norm`` maps an entry to its
+    norm: l1 of a ParamPoly, or ``abs`` on entries that are their norms."""
     major = SimpleNamespace(
-        zero=0, n_tab={k: -_l1(p) for k, p in n_tab.items()},
-        e_tab=_square({k: _l1(p) for k, p in d_tab.items()}, 0),
-        bracket_tab={k: _l1(p) for k, p in bracket_tab.items()}, e1=-_l1(e1))
+        zero=0, reduce=None, n_tab={k: -norm(p) for k, p in n_tab.items()},
+        e_tab=_square({k: norm(p) for k, p in d_tab.items()}, 0),
+        bracket_tab={k: norm(p) for k, p in bracket_tab.items()}, e1=-norm(e1))
     cols = _power_columns(major, top)
-    return cols[1], _over_divisor(major, cols, top)
+    return cols, _over_divisor(major, cols, top)
 
 
 def _rounded(values, bits: int) -> List[mpmath.mpf]:
@@ -669,13 +734,9 @@ def _square_at(col: list, a: int, n: int, zero):
 
 
 def _halve(x):
-    """x / 2 for an x that is twice a ring element: ``>> 1`` on ``int`` and
-    on each part of a :class:`_Jet`, ``/ 2`` on Fraction."""
-    if type(x) is int:
-        return x >> 1
-    if type(x) is _Jet:
-        return _Jet(x.f >> 1, x.tf >> 1, x.ttf >> 1)
-    return x / 2
+    """x / 2 for an x that is twice a ring element: ``>> 1`` on ``int``,
+    ``/ 2`` on Fraction."""
+    return x >> 1 if type(x) is int else x / 2
 
 
 def _power_columns(model: _Model, order: int) -> list:
@@ -695,12 +756,16 @@ def _power_columns(model: _Model, order: int) -> list:
 
     with the running sum U_a = S^a + S^(a+1) extended by index n - 1 at the
     start of step n (the square at n reads U_a to index n - a only).  An odd
-    ``top`` so fills S^(top+1) as well, for S^top alone.  The numerator is
-    twice [S^a S^(a+1)]_n in every ring of the pass (see the module
-    docstring), so the halving (:func:`_halve`) is exact.  ``top`` is the
-    highest power that the recurrence or the bracket reads.
+    ``top`` so fills S^(top+1) as well, for S^top alone, and that column is
+    returned last.  The numerator is twice [S^a S^(a+1)]_n in every ring of
+    the pass (see the module docstring), so the halving (:func:`_halve`) is
+    exact.  ``top`` is the highest power that the recurrence or the bracket
+    reads.  A model's ``reduce``, where it is not None, is applied to every
+    power column entry and S_n before it is stored, and to the numerator
+    before it is halved, so that ``>> 1`` halves a jet whose three slots
+    are even and stay below the bound of :meth:`_Model._pack_jets`.
     """
-    zero = model.zero
+    zero, reduce = model.zero, model.reduce
     n_terms = [(k + 1, v) for k, v in model.n_tab.items() if k >= 1]
     e_terms = [(k, v) for k, v in model.e_tab.items() if k >= 1]
     top = max([k for k, _ in n_terms + e_terms]
@@ -714,17 +779,18 @@ def _power_columns(model: _Model, order: int) -> list:
         for a in range(1, len(sums)):
             sums[a][n - 1] = cols[a][n - 1] + cols[a + 1][n - 1]
         for a in range(1, min(top + 1, n) // 2 + 1):
-            cols[2 * a][n] = _square_at(cols[a], a, n, zero)
+            x = _square_at(cols[a], a, n, zero)
+            cols[2 * a][n] = reduce(x) if reduce else x
         for a in range(1, (min(top, n) - 1) // 2 + 1):
-            cols[2 * a + 1][n] = _halve(_square_at(sums[a], a, n, zero)
-                                        - cols[2 * a][n] - cols[2 * a + 2][n])
+            x = _square_at(sums[a], a, n, zero) - cols[2 * a][n] - cols[2 * a + 2][n]
+            cols[2 * a + 1][n] = _halve(reduce(x) if reduce else x)
         acc = zero
         for k, coef in e_terms:
             acc = acc + coef * cols[k][n - 1]
         for k, coef in n_terms:
             acc = acc - coef * cols[k][n]
-        s[n] = acc
-    return cols[:top + 1]
+        s[n] = reduce(acc) if reduce else acc
+    return cols
 
 
 def _solve_S_ring(model: _Model, order: int) -> TruncatedSeries:
@@ -750,8 +816,9 @@ def solve_S(params: IsingParams, order: int) -> TruncatedSeries:
 def _over_divisor(model, cols: list, top: int) -> list:
     """[g_0, ..., g_top]: the bracket at S, a linear combination of the power
     columns ``cols`` (S^0 = 1), divided online by 1 + e1 S unless the model
-    has folded that divisor in (e1 = 0)."""
-    zero = model.zero
+    has folded that divisor in (e1 = 0); the model's ``reduce``, where it is
+    not None, is applied to each quotient coefficient it stores."""
+    zero, reduce = model.zero, model.reduce
     w = [zero] * (top + 1)
     for (i, j), coef in model.bracket_tab.items():
         if i == 0:
@@ -766,7 +833,8 @@ def _over_divisor(model, cols: list, top: int) -> list:
     if e1:
         g = [w[0]]
         for n in range(1, top + 1):
-            g.append(w[n] - e1 * _dot(s[1:n + 1], g[::-1], zero))
+            x = w[n] - e1 * _dot(s[1:n + 1], g[::-1], zero)
+            g.append(reduce(x) if reduce else x)
     return g
 
 
@@ -868,15 +936,15 @@ def _tutte_counts(order: int) -> List[int]:
 def solve_Z_jets(params: IsingParams, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
     """(Z_n, theta Z_n, theta^2 Z_n) at the point for n = 0..order, exact.
 
-    theta = c d/dc.  One integer pass over :class:`_Jet` coefficients
-    replaces the symbolic series and its evaluation; :func:`nu_one_jets`
-    serves nu = 1.
+    theta = c d/dc.  One pass over the packed jets of the jet kind of
+    :class:`_Model` replaces the symbolic series and its evaluation;
+    :func:`nu_one_jets` serves nu = 1.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if params.nu == 1:
         return nu_one_jets(params.c, order)
-    return [(Fraction(0),) * 3] + _solve_Z_ring(_Model(params, "jet"), order)[1:]
+    return [(Fraction(0),) * 3] + _solve_Z_ring(_Model(params, "jet", order), order)[1:]
 
 
 def coefficient_sequence(params: IsingParams, n_max: int,

@@ -37,6 +37,7 @@ branch stated once in :data:`CLOSED_FORMS` and read by :func:`closed_form`.
 """
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -596,8 +597,10 @@ def _approximate_roots(char: UniPoly, bound: Fraction) -> List[complex]:
     floats cannot hold the problem.
 
     Durand-Kerner on the monic char(B t) / lc, B = ``bound``, whose roots t
-    are of order 1, from the usual spiral of starting points at twice the
-    Fujiwara bound; returned as the points B t.  Only a hint for
+    are of order 1, started at d equal angles, turned by 0.4 off the real
+    axis, on the circle of radius |a_0|^(1/d), the geometric mean of the
+    root moduli (radius 1 if a_0 = 0); returned as the points B t.  The
+    steps are measured against twice the Fujiwara bound.  Only a hint for
     :func:`_uniqueness_certificate`, which checks every disk exactly: a
     poor approximation can lose the verdict, never make a false one.
     """
@@ -610,7 +613,8 @@ def _approximate_roots(char: UniPoly, bound: Fraction) -> List[complex]:
     try:
         a = [c / scaled[-1] for c in scaled[:-1]]
         r = 2 * max(abs(x) ** (1 / (d - k)) for k, x in enumerate(a)) or 1.0
-        ts = [r * (0.4 + 0.9j) ** k for k in range(d)]
+        mean = abs(a[0]) ** (1 / d) or 1.0
+        ts = [mean * cmath.exp(1j * (2 * cmath.pi * k / d + 0.4)) for k in range(d)]
         polish = False
         for _ in range(100):
             step = 0.0

@@ -5,6 +5,7 @@ oracles for the code that replaced them or that they check.  The
 mpmath reversion and the back-substitution into a sympy-built shifted
 curve check the Puiseux branches.
 """
+import cmath
 import decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -246,7 +247,8 @@ def approximate_roots_by_fractions(char: UniPoly, bound: Fraction) -> List[compl
     try:
         a = [float(c / scaled[-1]) for c in scaled[:-1]]
         r = 2 * max(abs(x) ** (1 / (d - k)) for k, x in enumerate(a)) or 1.0
-        ts = [r * (0.4 + 0.9j) ** k for k in range(d)]
+        mean = abs(a[0]) ** (1 / d) or 1.0
+        ts = [mean * cmath.exp(1j * (2 * cmath.pi * k / d + 0.4)) for k in range(d)]
         polish = False
         for _ in range(100):
             step = 0.0

@@ -17,8 +17,10 @@ from isingmaps.precision import to_mpf
 from isingmaps.series import (
     IsingParams,
     TruncatedSeries,
-    _Jet,
     _Model,
+    _jet_pack,
+    _jet_slots,
+    _jet_truncation,
     _l1,
     _majorant,
     _pack,
@@ -524,7 +526,8 @@ class TestPackedPass:
         nine_gamma = tables[4]
         for order in range(1, 17):
             top = order + 2
-            s_major, g_major = _majorant(*tables[:4], top)
+            cols, g_major = _majorant(*tables[:4], top)
+            s_major = cols[1]
             model = _Model(SYM, "symbolic", order)
             half = 1 << (model.bits - 1)
             assert 2 * max(s_major + g_major) < half
@@ -609,11 +612,6 @@ class TestPackedPass:
         assert not inside
 
 
-def jet_parts(x):
-    """A jet as its tuple of parts, anything else as it is."""
-    return (x.f, x.tf, x.ttf) if isinstance(x, _Jet) else x
-
-
 def majorant_columns(top):
     """(namespace, columns) of the majorant pass to z^top, caught on their
     way through :func:`series._power_columns`."""
@@ -647,7 +645,7 @@ PASS_KINDS = {
                                       "integer"), 60),
     "integer-at-c1": (lambda: _Model(IsingParams(6, 1), "integer"), 60),
     "exact": (lambda: _Model(IsingParams(Fraction(3, 2), Fraction(21, 20)), "exact"), 16),
-    "jet": (lambda: _Model(IsingParams(4, Fraction(21, 20)), "jet"), 30),
+    "jet": (lambda: _Model(IsingParams(4, Fraction(21, 20)), "jet", 28), 30),
     "symbolic": (lambda: _Model(SYM, "symbolic", 14), 16),
     "majorant": (lambda: majorant_columns(40)[0], 40),
 }
@@ -661,22 +659,22 @@ class TestPowerColumns:
         cols = series._power_columns(model, order)
         assert len(cols) >= 7
         powers = _series_powers(TruncatedSeries(cols[1], model.zero), len(cols) - 1)
+        # the jet kind stores each value mod t^3, the products of the
+        # reference keep every power of t
+        reduce = model.reduce or (lambda x: x)
         for k in range(2, len(cols)):
             assert len(cols[k]) == order + 1
-            assert list(map(jet_parts, cols[k])) == list(map(jet_parts, powers[k].coeffs)), \
-                "S^%d" % k
+            assert cols[k] == list(map(reduce, powers[k].coeffs)), "S^%d" % k
 
     def test_halving_is_exact_and_the_packing_unchanged(self, monkeypatch):
         halve, seen = series._halve, []
 
         def checked(x):
-            if isinstance(x, _Jet):
-                assert not (x.f % 2 or x.tf % 2 or x.ttf % 2), "odd jet part"
-            elif isinstance(x, int):
+            if isinstance(x, int):
                 assert x % 2 == 0, "odd value"
             seen.append(type(x))
             out = halve(x)
-            assert jet_parts(out + out) == jet_parts(x)
+            assert out + out == x
             return out
 
         monkeypatch.setattr(series, "_halve", checked)
@@ -687,7 +685,7 @@ class TestPowerColumns:
             series._power_columns(model, order)
             assert seen, kind
             rings.update(seen)
-        assert rings == {int, Fraction, _Jet}
+        assert rings == {int, Fraction}
         packings = [(m.bits, m.slots) for m in (_Model(SYM, "symbolic", order)
                                                 for order in range(1, 25))]
         assert packings == PACKING_BY_ORDER
@@ -705,13 +703,72 @@ def z_sym_14():
     return solve_Z(SYM, 14)
 
 
+def jet_slot_peak(model, order):
+    """The largest |slot| over every power column and every g_m of the jet
+    pass to z^order, after checking each against a pass packed 64 bits
+    wider, whose slots no overflow can reach."""
+    def stored(m):
+        cols = series._power_columns(m, order)
+        values = [x for col in cols[1:] for x in col]
+        return [_jet_slots(x, m.bits) for x in values + series._over_divisor(m, cols, order)]
+
+    majorant = series._majorant
+
+    def widened(*args):
+        cols, g = majorant(*args)
+        return [None] + [[x << 64 for x in col] for col in cols[1:]], [x << 64 for x in g]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_majorant", widened)
+        wide = _Model(model.params, "jet", model.order)
+    assert wide.bits >= model.bits + 64
+    slots = stored(model)
+    assert slots == stored(wide)
+    return max(abs(d) for parts in slots for d in parts)
+
+
+balanced = st.integers(-(1 << 63), (1 << 63) - 1)
+jet_part = st.integers(-(1 << 30), 1 << 30)
+
+
 class TestJetPass:
-    def test_leibniz_product(self):
-        # theta(f g) = f theta g + g theta f and
-        # theta^2(f g) = f theta^2 g + 2 theta f theta g + g theta^2 f
-        j = _Jet(3, 2, 5) * _Jet(-1, 4, 1)
-        assert (j.f, j.tf, j.ttf) == (-3, 3 * 4 + 2 * -1, 3 * 1 + 2 * 2 * 4 + 5 * -1)
-        assert not _Jet(0) and _Jet(0, 0, 1) and _Jet(0, 1)
+    @given(st.tuples(balanced, balanced, balanced),
+           st.tuples(jet_part, jet_part, jet_part), st.tuples(jet_part, jet_part, jet_part))
+    @settings(max_examples=80, deadline=None)
+    def test_packed_product_is_the_leibniz_rule(self, parts, a, b):
+        # 64-bit slots: every slot of a product of parts below 2^30 is
+        # below 3 * 2^60 < 2^63
+        bits = 64
+        reduce = _jet_truncation(bits)
+        assert _jet_slots(_jet_pack(*parts, bits), bits) == list(parts)
+        x, y = _jet_pack(*a, bits), _jet_pack(*b, bits)
+        assert reduce(x) == x
+        assert _jet_slots(reduce(x - y), bits) == [p - q for p, q in zip(a, b)]
+        f, t, d = _jet_slots(reduce(x * y), bits)
+        # (f, theta f, theta^2 f = 2 Delta + theta f): theta(f g) = f theta g
+        # + g theta f and theta^2(f g) = f theta^2 g + 2 theta f theta g + g theta^2 f
+        (f1, t1, tt1), (f2, t2, tt2) = ((u, v, 2 * w + v) for u, v, w in (a, b))
+        assert (f, t, 2 * d + t) == (f1 * f2, f1 * t2 + t1 * f2,
+                                     f1 * tt2 + 2 * t1 * t2 + tt1 * f2)
+
+    @pytest.mark.parametrize("params, order", [
+        (IsingParams(4, Fraction(21, 20)), 28),
+        (IsingParams(5, Fraction(9, 10)), 60),
+    ])
+    def test_every_stored_slot_is_below_the_bound(self, params, order):
+        model = _Model(params, "jet", order)
+        # the numerators that the pass halves have slots up to twice these
+        assert 2 * jet_slot_peak(model, order + 2) < 1 << (model.bits - 1)
+
+    def test_refuses_orders_past_its_packing(self):
+        model = _Model(IsingParams(3, Fraction(9, 10)), "jet", 4)
+        g = series._bracket_coefficients(model, 5)
+        assert model.z_coefficient(g[6], 4) == symbolic_theta_Z(solve_Z(SYM, 4), 3,
+                                                                Fraction(9, 10), 4)
+        with pytest.raises(ValueError, match="orders up to 4"):
+            model.z_coefficient(g[7], 5)
+        with pytest.raises(ValueError, match="order >= 1"):
+            _Model(IsingParams(3, Fraction(9, 10)), "jet")
 
     @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(3, 2), Fraction(2),
                                     Fraction(3), Fraction(4), Fraction(5), Fraction(6)])
@@ -749,8 +806,8 @@ class TestJetPass:
         assert solve_Z_jets(IsingParams(nu=1, c=c), 16) == nu_one_jets(c, 16)
 
     def test_corrupted_bracket_fails_exact_cancellation(self):
-        model = _Model(IsingParams(nu=Fraction(3, 2), c=Fraction(21, 20)), "jet")
-        model.bracket_tab[(2, 0)] = model.bracket_tab[(2, 0)] + _Jet(0, 0, 1)
+        model = _Model(IsingParams(nu=Fraction(3, 2), c=Fraction(21, 20)), "jet", 5)
+        model.bracket_tab[(2, 0)] += _jet_pack(0, 0, 1, model.bits)
         with pytest.raises(NonZeroRemainder):
             _solve_Z_ring(model, 5)
 
