@@ -110,7 +110,7 @@ def _theta_Z(nu: Fraction, c: Fraction, n: int) -> Tuple[Fraction, Fraction, Fra
     """(Z_n, theta Z_n, theta^2 Z_n) at the point, theta = c d/dc, exact.
 
     One jet pass to order n, of which only g_(n+2) is unpacked, or the
-    closed form at nu = 1 (:func:`~isingmaps.series.solve_Z_jets`); shared
+    closed form at nu = 1 (:func:`~isingmaps.series.nu_one_jets`); shared
     by the three finite-size observables.
     """
     if n < 1:

@@ -16,9 +16,9 @@ This module supplies the arithmetic backbone used everywhere else:
 * ``IntegerForm`` -- a rational polynomial as integer coefficients over
   one positive denominator, evaluated at a point x/w by homogeneous integer
   Horner; every sign test below runs on it;
-* Sturm sequences and certified real-root isolation over the rationals,
-  with quadratic interval refinement of an isolated simple root to the
-  cell sign bisection would stop in.
+* Sturm sequences, certified real-root isolation over the rationals with
+  quadratic interval refinement to the cell sign bisection would stop in,
+  and exact counts of the roots in a disk (Routh-Hurwitz).
 
 Sign conventions (fixed by the test suite):
 
@@ -757,6 +757,44 @@ def sturm_count(p: UniPoly, a, b) -> int:
     return SturmChain(sf).count(a, b)
 
 
+def _index_at_infinity(seq: Sequence[Sequence[int]]) -> int:
+    """V(-inf) - V(+inf) over a Sturm-type sequence of coefficient lists."""
+    top = [_sign(f[-1]) for f in seq]
+    low = [s if len(f) % 2 else -s for s, f in zip(top, seq)]
+    return sum((a != b) - (c != d) for a, b, c, d in zip(low, low[1:], top, top[1:]))
+
+
+def roots_in_disk(r: UniPoly, radius: Fraction) -> Optional[int]:
+    """The number of roots of r in |z| < radius, with multiplicity, or None
+    when one lies on |z| = radius.
+
+    z = radius (1 + x) / (1 - x) takes the disk to Re x < 0, so the count
+    is that of t(x) = (1 - x)^n r(z), n = deg r, whose degree drops where
+    r(-radius) = 0.  With t(iy) = A(y) + i B(y), the argument principle and
+    the Cauchy index give it as (n - Ind(B/A)) / 2 for n even and
+    (n + Ind(A/B)) / 2 for n odd (Routh-Hurwitz; Gantmacher, The Theory of
+    Matrices II, ch. XV), Ind = V(-inf) - V(+inf) over the Sturm sequence
+    of the two.  Its last member is gcd(A, B), whose real roots are the
+    roots of t on the imaginary axis; its other roots, pairs x, -x of t,
+    leave the formula as it is.
+    """
+    n, p, q = r.degree(), radius.numerator, radius.denominator
+    t, power = UniPoly([]), UniPoly([1])
+    for a in reversed(r.integer_form().coeffs):
+        t, power = t * UniPoly([p, p]) + power.scale(a), power * UniPoly([q, -q])
+    if t.degree() < n:
+        return None
+    # A and B, the part of degree n first: c_k i^k y^k, i^k real for k even
+    f, g = (UniPoly([(c if k % 4 < 2 else -c) if k % 2 == m else 0
+                     for k, c in enumerate(t.coeffs)]).coeffs for m in (n % 2, 1 - n % 2))
+    seq = _remainder_sequence(f, g, sturm=True)[0] if g else [f]
+    if len(seq[-1]) > 1 and _index_at_infinity(
+            [form.coeffs for form in SturmChain(UniPoly(seq[-1])).forms]) > 0:
+        return None
+    index = _index_at_infinity(seq)
+    return (n + index) // 2 if n % 2 else (n - index) // 2
+
+
 def cauchy_root_bound(p: UniPoly) -> Fraction:
     """B with every real root of p strictly inside (-B, B)."""
     if p.degree() < 1:
@@ -774,9 +812,7 @@ def refine_isolated_root(p: UniPoly, a, b, width) -> tuple:
     (lo, hi) with hi - lo <= width; when the root is hit exactly the pair
     (r, r) is returned.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    width = Fraction(width)
+    a, b, width = Fraction(a), Fraction(b), Fraction(width)
     sf = squarefree_part(p)
     if sf.sign_at(b) == 0:
         return (b, b)

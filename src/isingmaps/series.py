@@ -30,8 +30,8 @@ stored (see :func:`_power_columns`).
 The pass runs over plain ``int`` in two ways.  :func:`solve_Z` and
 :func:`solve_S` give the symbolic series, whose coefficients are
 :class:`~isingmaps.exactalg.ParamPoly` polynomials in nu and c, whatever
-point their :class:`IsingParams` names; :func:`scaled_Z`, :func:`exact_Z`,
-:func:`coefficient_sequence` and :func:`solve_Z_jets` work at the point.
+point their :class:`IsingParams` names; :func:`scaled_Z`, :func:`exact_Z` and
+:func:`coefficient_sequence` work at the point.
 
 The symbolic series comes from one packed point (Kronecker substitution).
 Every table entry lies in Z[nu^2, c^2]; it is evaluated at nu^2 = 2^(W K),
@@ -71,7 +71,8 @@ precision it is given.
 The symbolic and the point series share one pipeline, including the exact
 check that the three lowest coefficients cancel.  The same pass over a
 third packing gives Z_n and its first two theta-derivatives,
-theta = c d/dc, exactly at the point (:func:`solve_Z_jets`).  Taking
+theta = c d/dc, exactly at the point (the jet kind of :class:`_Model`,
+which the finite-size observables of :mod:`isingmaps.critical` run).  Taking
 f(nu, c) to f(nu, c(1 + t)) mod t^3 is a ring homomorphism, so the
 unreduced tables, each entry as its jet (f, theta f, Delta f) with
 Delta = (theta^2 - theta) / 2, integers after the rescaling below, packed
@@ -931,20 +932,6 @@ def _tutte_counts(order: int) -> List[int]:
         out.append(q)
         q = q * 6 * (2 * n + 1) // (n + 3)
     return out
-
-
-def solve_Z_jets(params: IsingParams, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
-    """(Z_n, theta Z_n, theta^2 Z_n) at the point for n = 0..order, exact.
-
-    theta = c d/dc.  One pass over the packed jets of the jet kind of
-    :class:`_Model` replaces the symbolic series and its evaluation;
-    :func:`nu_one_jets` serves nu = 1.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if params.nu == 1:
-        return nu_one_jets(params.c, order)
-    return [(Fraction(0),) * 3] + _solve_Z_ring(_Model(params, "jet", order), order)[1:]
 
 
 def coefficient_sequence(params: IsingParams, n_max: int,

@@ -3,19 +3,13 @@
 Everything here works at an exact rational parameter point (nu, c).  The
 radius of convergence rho of the z-series is located through the critical
 point of the defining equation z = S N(S)/D(S)^2: the value s* = S(rho) is
-a root of the characteristic polynomial ``char``, the numerator of z'(s)
-for z(s) in lowest terms with its poles stripped, and in the validated
-parameter region it is the smallest root of ``char`` in (0, B],
-B = 1/(3 c^2 |1 - nu^2|) (a Cauchy root bound at nu = 1).  The exact data
-of that critical point are computed once per (nu, c), from one evaluation
-of N and D, and cached as a CriticalPoint built over Z (the factors
-shared with D read off its two linear factors, one gcd for the squarefree
-part): z(s) in lowest terms, ``char``, B, an interval isolating s*
-(Sturm counts, quadratic interval refinement), and the zeros of den',
-which are rational.  rho is enclosed from z(s) on a cell around s*: the
-same refinement takes the isolating cell to a level fixed once from a
-Lipschitz bound of z on it, with den's least value there taken exactly at
-the cell's ends and those zeros; mu = c * rho.
+the smallest root in (0, B], B = 1/(3 c^2 |1 - nu^2|) (a Cauchy bound at
+nu = 1), of the characteristic polynomial ``char``, the numerator of z'(s)
+for z(s) in lowest terms with its poles stripped.  Its exact data are
+computed once per (nu, c), from one evaluation of N and D, and cached as a
+:class:`CriticalPoint` over Z; rho is enclosed from z(s) on a cell around
+s* refined to a level fixed once from a Lipschitz bound of z there
+(:func:`_certify_rho`); mu = c * rho.
 
 The dominant singular exponent of S is exact: it is 1/(m + 1), where m is
 the multiplicity of s* as a root of z'(s), so 1/2 generically and 1/3 where
@@ -26,14 +20,15 @@ point at an exact hit, where every step is exact.
 
 That rho is the only singularity on |z| = rho is certified from the same
 CriticalPoint: the other candidates are z at the roots of ``char`` and at
-one exact point, and disjoint root disks of ``char``, checked in
-integers, bound each candidate's modulus away from the rho interval (see
-:func:`radius_numeric`).  The squarefree cancelling polynomial is read off
-the CriticalPoint too, and its discriminant in z, whose roots are those
-candidates, is interpolated from univariate discriminants at integer z; it
-serves as the reference for that candidate set and for the c = 1 factors
-of :func:`p1_p2_p3`.  At c = 1, rho, s*, M0 and chi have closed forms, each
-branch stated once in :data:`CLOSED_FORMS` and read by :func:`closed_form`.
+one exact point.  Disjoint root disks of ``char``, checked in integers,
+bound each candidate's modulus away from the rho interval; where they
+cannot, the roots of R(z) = Res_s(z den - num, char), which are those
+candidates, are counted exactly in the annulus around rho (see
+:func:`radius_numeric`).  The discriminant in z of the squarefree
+cancelling polynomial, whose roots include them, is interpolated from
+univariate discriminants at integer z, the reference for that candidate
+set and for the c = 1 factors of :func:`p1_p2_p3`.  At c = 1, rho, s*, M0
+and chi have closed forms, each stated once in :data:`CLOSED_FORMS`.
 """
 from __future__ import annotations
 
@@ -63,6 +58,8 @@ from .exactalg import (
     primitive,
     rational_root,
     refine_root_cell,
+    resultant,
+    roots_in_disk,
     squarefree_part,
 )
 from .precision import DEFAULT_PRECISION_BITS, to_mpf
@@ -70,7 +67,7 @@ from .series import IsingParams, _symbolic_tables
 
 VALIDATED_C_HALF_WIDTH = Fraction(1, 4)
 UNIQUENESS_TOL = Fraction(1, 10 ** 12)
-CLUSTER_TOL = Fraction(1, 10 ** 40)
+UNIQUENESS_FLOOR = Fraction(1, 10 ** 100)
 
 Number = Union[Fraction, mpmath.mpf]
 
@@ -251,10 +248,11 @@ class SingularityReport(NamedTuple):
     exact rationals.  ``exponent`` is the dominant singular exponent of S,
     exact and independent of the working precision (1/2 generically, 1/3 at
     the critical point; see :meth:`CriticalPoint.exponent`), or None if not
-    requested.  ``uniqueness_checked`` is True when the root-disk
-    certificate of :func:`radius_numeric` shows that no candidate
-    singularity other than rho has modulus rho; False when it was not
-    requested or could not decide, the latter with a warning that says why.
+    requested.  ``uniqueness_checked`` is True when the certificate of
+    :func:`radius_numeric` (root disks, else an exact count) shows that no
+    candidate singularity other than rho has modulus rho and that z has no
+    pole before s*; False when it was not requested or could not decide,
+    the latter with a warning that says why.
     """
 
     rho: Fraction
@@ -312,10 +310,10 @@ class CriticalPoint(NamedTuple):
 
     s* is the smallest root of ``char`` in the search interval (0, B].
     S_n >= 0 and z'(0) = 1, so z increases on [0, s*) and s* is the first
-    positive zero of z'; a pole of z before it would carry S along all of
-    [0, infinity), which its finite radius excludes.  Usually s* is the
-    only root there, as one Sturm count certifies; where the count is
-    higher, as at (1/100, 9/10), Sturm bisection isolates the smallest.
+    positive zero of z' (that z has no pole before it, the uniqueness scan
+    checks).  Usually s* is the only root there, as one Sturm count
+    certifies; where the count is higher, as at (1/100, 9/10), Sturm
+    bisection isolates the smallest.
     ``interval`` = (lo, hi] is the cell of width at most B / 2^20 in which
     bisection by the sign of char would stop, found by quadratic interval
     refinement (:func:`~isingmaps.exactalg.bisect_isolated_root`), or is
@@ -519,44 +517,32 @@ def _certify_rho(
     cp: CriticalPoint, tol: Fraction
 ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction], bool]:
     """From the isolating interval for s*, certify an interval for rho.
+    Returns (s_interval, rho_interval, exact).
 
     The s-interval is a cell of the bisection of ``interval`` by the sign
-    of char, at a level fixed before any step.  On a cell (lo, hi] where den
-    is positive, with den_min its least value there
-    (:meth:`CriticalPoint.den_min`, exact) and sup bounds of |num'| and
-    |num| |den'| on [0, max(hi, 1)], lip = sup|num'| / den_min +
-    sup(|num| |den'|) / den_min^2 bounds |z'|; the enclosure is lower =
+    of char.  On a cell (lo, hi] where den is positive, with den_min its
+    exact least value there (:meth:`CriticalPoint.den_min`), lip =
+    sup|num'| / den_min + sup(|num| |den'|) / den_min^2, the sups taken
+    termwise on [0, max(hi, 1)], bounds |z'|; the enclosure is lower =
     max z(end), upper = lower + lip (hi - lo).  On a nested cell den_min
-    does not fall and the sup bounds, sums of |coefficient| max(hi, 1)^j,
-    do not grow, so lip taken on one cell serves every cell in it: the
-    level where it brings lip (hi - lo) within ``tol`` is fixed from that
-    cell, quadratic interval refinement
-    (:func:`~isingmaps.exactalg.refine_root_cell`) goes straight to it, and
-    the enclosure is formed on the cell it returns.  Returns (s_interval,
-    rho_interval, exact).
-
-    Where den_min is not positive, a pole of z lies in the cell: near
-    c = 1 for nu > 4, s* is close to a root of D.  The cell is then first
-    narrowed, by the same refinement to 1, 2, 4, ... levels further down,
-    until den is positive on it.
-
-    A rational s* is a multiple of 1/lc(char), char being primitive over Z,
-    so the one such multiple in a cell narrower than 1/lc is s* if any is;
-    it is looked for on the returned cell, if that is narrower.
-
-    All signs run in integers: the cells of level k have ends L/W and H/W
-    over W = w0 2^k, and char is evaluated on its integer form scaled by
-    1/w0.  Fractions are built for the ends of the cells where den_min and
-    z are taken.
+    does not fall and the sups do not grow, so the level where
+    lip (hi - lo) <= ``tol`` is fixed once, on the first cell where den is
+    positive, and quadratic interval refinement
+    (:func:`~isingmaps.exactalg.refine_root_cell`) goes straight to it.
+    Until then, as where a pole of z lies in the cell near c = 1 for
+    nu > 4, the cell is narrowed by the same refinement 1, 2, 4, ... levels
+    at a time.  A rational s* is a multiple of 1/lc(char), char being
+    primitive over Z, so the one such multiple in a cell narrower than
+    1/lc is s* if any is.  Signs run in integers, on cell ends L/W and
+    H/W over W = w0 2^k, char's integer form scaled by 1/w0.
 
     The global bound is loose on purpose: it refines s far past what the
-    rho width needs, and that s-interval is what makes the thermodynamic M
-    and chi enclosures (:func:`~isingmaps.critical.thermo_enclosures`)
-    1e-31 to 1e-45 wide at tol 1e-28.  Since z'(s*) = 0, a bound local to
-    the interval would stop once |z''| w^2 / 2 <= tol, at an s-width w of
-    about sqrt(2 tol / |z''|), near 1e-15; M, which depends on s to first
-    order, would then be only about 1e-13 wide at (1/2, 19/20) and 1e-11
-    at (6, 11/10).
+    rho width needs, and that s-interval makes the thermodynamic M and chi
+    enclosures (:func:`~isingmaps.critical.thermo_enclosures`) 1e-31 to
+    1e-45 wide at tol 1e-28.  Since z'(s*) = 0, a bound local to the
+    interval would stop at an s-width near sqrt(2 tol / |z''|), about
+    1e-15, and M, which depends on s to first order, would be only about
+    1e-13 wide at (1/2, 19/20) and 1e-11 at (6, 11/10).
     """
     num_d, den_d = cp.num.derivative(), cp.den.derivative()
 
@@ -601,8 +587,8 @@ def _approximate_roots(char: UniPoly, bound: Fraction) -> List[complex]:
     axis, on the circle of radius |a_0|^(1/d), the geometric mean of the
     root moduli (radius 1 if a_0 = 0); returned as the points B t.  The
     steps are measured against twice the Fujiwara bound.  Only a hint for
-    :func:`_uniqueness_certificate`, which checks every disk exactly: a
-    poor approximation can lose the verdict, never make a false one.
+    :func:`_disks_separate`, which checks every disk exactly: a poor
+    approximation can lose that fast path, never make a false verdict.
     """
     # char(B t) / lc in integers, B = u / v: coefficient k is
     # a_k u^k v^(d - k) / (a_d u^d), which int true division rounds once,
@@ -652,152 +638,127 @@ def _derivative_form(form: IntegerForm, absolute: bool = False) -> IntegerForm:
                         for j, a in enumerate(form.coeffs)][1:], form.den)
 
 
-_OVERLAP = "root disks of char overlap"
-# the grid of the second root pass: at nu = 10^-20, c = 1 four roots of
-# char lie within 5e-11 of 1/3, and the z-bounds over their disks part from
-# rho only on a grid about 2^-256 B fine
-REFINE_BITS = 192
-REFINE_SWEEPS = 200
+def _disks_separate(cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction],
+                    rho_iv: Tuple[Fraction, Fraction]) -> bool:
+    """True when root disks of ``char`` show that no z(sigma) but rho has
+    modulus in ``rho_iv``; False decides nothing.
 
-
-def _root_disks(char: IntegerForm, points: List[Tuple[int, int]],
-                k: int) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
-    """The disks (x, y, radius) in units of 2^-k of the points (x + iy) / 2^k
-    (see :func:`_uniqueness_certificate`), and None when they are pairwise
-    disjoint, else the reason they certify nothing."""
-    d = char.degree()
-    char_d = _derivative_form(char)
-    disks = []
-    for x, y in points:
-        q_lo = _modulus_bounds(*char_d.gaussian(x, y, k))[0]
-        if q_lo == 0:
-            return disks, "char' vanishes at an approximate root"
-        p_hi = _modulus_bounds(*char.gaussian(x, y, k))[1]
-        disks.append((x, y, -(-d * p_hi // q_lo)))
-    for i, (x1, y1, r1) in enumerate(disks):
-        for x2, y2, r2 in disks[:i]:
-            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
-                return disks, _OVERLAP
-    return disks, None
-
-
-def _refine_roots(char: IntegerForm, points: List[Tuple[int, int]],
-                  k: int) -> Optional[List[Tuple[int, int]]]:
-    """Durand-Kerner on the points (x + iy) / 2^k in Gaussian fixed point,
-    or None when two of them meet.
-
-    Each step sigma_i -= char(sigma_i) / (lc prod_(j != i) (sigma_i -
-    sigma_j)) is formed from exact values (:meth:`IntegerForm.gaussian`)
-    and rounded to the grid, points updated in place as in
-    :func:`_approximate_roots`.  So the roots are found to the grid, and
-    a cluster that floats blur into one is split.  It stops when no point
-    moves by more than one unit of 2^-k, or after ``REFINE_SWEEPS`` sweeps;
-    like the float hints the result is only checked, never trusted.
-    """
-    lc = char.coeffs[-1]
-    points = list(points)
-    for _ in range(REFINE_SWEEPS):
-        moved = 0
-        for i, (x, y) in enumerate(points):
-            # q = lc prod (sigma_i - sigma_j), in units of 2^(-k(d - 1))
-            qr, qi = lc, 0
-            for j, (u, v) in enumerate(points):
-                if j != i:
-                    qr, qi = qr * (x - u) - qi * (y - v), qr * (y - v) + qi * (x - u)
-            m = qr * qr + qi * qi
-            if not m:
-                return None
-            # char(sigma_i) / q in units of 2^-k, rounded: value * conj(q) / |q|^2
-            pr, pi = char.gaussian(x, y, k)
-            sr = (2 * (pr * qr + pi * qi) + m) // (2 * m)
-            si = (2 * (pi * qr - pr * qi) + m) // (2 * m)
-            points[i] = (x - sr, y - si)
-            moved = max(moved, sr * sr + si * si)
-        if moved <= 1:
-            break
-    return points
-
-
-def _uniqueness_certificate(
-    cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction],
-    rho_iv: Tuple[Fraction, Fraction], extra: Tuple[Fraction, ...],
-) -> Optional[str]:
-    """None if no candidate singularity other than rho itself has modulus
-    in ``rho_iv``, else the reason the check is undecided.
-
-    The candidates are z(sigma) for the roots sigma of ``char`` and the
-    exact z(s) for s in ``extra`` (see :func:`radius_numeric`).  Each
-    approximate root from :func:`_approximate_roots` is rounded to a
+    Each approximate root from :func:`_approximate_roots` is rounded to a
     dyadic point sigma = (x + iy) / 2^k, k = 64 bits past the order of B,
     and given the disk of radius d |char / char'|(sigma): char'/char is the
     sum of 1/(s - r_j) over the d roots r_j, so one of them lies in that
     disk (Henrici, Applied and Computational Complex Analysis I), and d
-    pairwise disjoint disks hold one root each.  The disk of s* is then
+    pairwise disjoint disks hold one root each.  The disk of s* must be
     the only one that meets ``s_iv``.  Over every other disk |num| and
     |den| lie within radius * sup |num'| and radius * sup |den'| of their
     values at sigma, which bounds |z| = |num| / |den|; the bound must lie
     strictly below or strictly above ``rho_iv``.
 
-    Where these disks overlap, a tight cluster of roots of char that
-    doubles cannot split, the roots are found again from the float hints on
-    a grid ``REFINE_BITS`` finer (:func:`_refine_roots`), and the disks are
-    checked there.  The roots of such a cluster map close to rho, so the s
-    and rho intervals are then certified again to ``CLUSTER_TOL`` where
-    they are wider.  Where the float disks are disjoint neither step runs.
-
     Integers only: values at sigma by complex Horner on the integer forms
     (:meth:`IntegerForm.gaussian`), moduli bounded by ``math.isqrt``, radii
     rounded up to whole units of 2^-k, and every comparison cross-multiplied.
     """
-    for s in extra:
-        if cp.den.sign_at(s) != 0 and s_iv != (s, s) \
-                and rho_iv[0] <= abs(cp.z_at(s)) <= rho_iv[1]:
-            return "z(%s) has modulus within the rho interval" % s
     char = cp.char.integer_form()
-    d = char.degree()
+    d, char_d = char.degree(), _derivative_form(char)
     approx = _approximate_roots(cp.char, cp.bound)
     if len(approx) != d or not all(isfinite(abs(root)) for root in approx):
-        return "no usable root approximations of char"
+        return False
     k = max(0, 64 - cp.bound.numerator.bit_length() + cp.bound.denominator.bit_length())
-    points = [(round(ldexp(root.real, k)), round(ldexp(root.imag, k))) for root in approx]
-    disks, reason = _root_disks(char, points, k)
-    if reason == _OVERLAP:
-        points = _refine_roots(char, [(x << REFINE_BITS, y << REFINE_BITS)
-                                      for x, y in points], k + REFINE_BITS)
-        if points is not None:
-            k += REFINE_BITS
-            disks, reason = _root_disks(char, points, k)
-            if rho_iv[1] - rho_iv[0] > CLUSTER_TOL:
-                s_iv, rho_iv = _certify_rho(cp, CLUSTER_TOL)[:2]
-    if reason:
-        return reason
+    disks = []
+    for x, y in ((round(ldexp(root.real, k)), round(ldexp(root.imag, k))) for root in approx):
+        q_lo = _modulus_bounds(*char_d.gaussian(x, y, k))[0]
+        if q_lo == 0:
+            return False
+        disks.append((x, y, -(-d * _modulus_bounds(*char.gaussian(x, y, k))[1] // q_lo)))
+    if any((x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2
+           for i, (x1, y1, r1) in enumerate(disks) for x2, y2, r2 in disks[:i]):
+        return False
     (a_lo, b_lo), (a_hi, b_hi) = ((r.numerator, r.denominator) for r in rho_iv)
     s_lo = (s_iv[0].numerator << k) // s_iv[0].denominator
     s_hi = -((-s_iv[1].numerator << k) // s_iv[1].denominator)
     meets = [disk for disk in disks
              if max(s_lo - disk[0], disk[0] - s_hi, 0) ** 2 + disk[1] ** 2 <= disk[2] ** 2]
     if len(meets) != 1:
-        return "%d root disks of char meet the s* interval" % len(meets)
+        return False
     num, den = cp.num.integer_form(), cp.den.integer_form()
     num_d, den_d = _derivative_form(num, True), _derivative_form(den, True)
     scale_n, scale_d = num.den << k * num.degree(), den.den << k * den.degree()
     for x, y, r in disks:
         if (x, y, r) == meets[0]:
             continue
-        # |num| on the disk lies in [n_lo, n_hi] / scale_n, |den| in
-        # [d_lo, d_hi] / scale_d
+        # |num| on the disk lies in [n_lo - n_sp, n_hi + n_sp] / scale_n,
+        # |den| in [d_lo - d_sp, d_hi + d_sp] / scale_d
         reach = abs(x) + abs(y) + r
-        spread = r * num_d.dyadic(reach, k)
+        n_sp, d_sp = r * num_d.dyadic(reach, k), r * den_d.dyadic(reach, k)
         n_lo, n_hi = _modulus_bounds(*num.gaussian(x, y, k))
-        n_lo, n_hi = n_lo - spread, n_hi + spread
-        spread = r * den_d.dyadic(reach, k)
         d_lo, d_hi = _modulus_bounds(*den.gaussian(x, y, k))
-        d_lo, d_hi = d_lo - spread, d_hi + spread
-        inside = d_lo > 0 and n_hi * scale_d * b_lo < a_lo * scale_n * d_lo
-        outside = n_lo * scale_d * b_hi > a_hi * scale_n * d_hi
+        inside = d_lo > d_sp and (n_hi + n_sp) * scale_d * b_lo < a_lo * scale_n * (d_lo - d_sp)
+        outside = (n_lo - n_sp) * scale_d * b_hi > a_hi * scale_n * (d_hi + d_sp)
         if not (inside or outside):
-            return "a root of char maps near |z| = rho"
-    return None
+            return False
+    return True
+
+
+def _candidate_polynomial(cp: CriticalPoint) -> UniPoly:
+    """R(z) = Res_s(z den - num, char), squarefree and primitive: its roots
+    are the z(sigma) for the roots sigma of ``char``, where den != 0.  Of
+    z-degree deg char, it is interpolated from the resultants at z = 0..deg
+    char, where z den - num has the s-degree of num, deg num > deg den."""
+    nodes = [Fraction(z) for z in range(cp.char.degree() + 1)]
+    values = [resultant(cp.den.scale(z) - cp.num, cp.char) for z in nodes]
+    return primitive(squarefree_part(interpolate(nodes, values)))
+
+
+def _count_certificate(cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction],
+                       rho_iv: Tuple[Fraction, Fraction]) -> Optional[str]:
+    """None when the closed annulus lo <= |z| <= hi around ``rho_iv`` holds
+    one root of R (:func:`_candidate_polynomial`), rho, else the reason.
+
+    The roots in |z| < hi and |z| < lo are counted exactly
+    (:func:`~isingmaps.exactalg.roots_in_disk`), the radii rounded outward
+    to about 40 bits below the annulus width (:func:`_hull`); a point
+    ``rho_iv`` is widened by ``UNIQUENESS_TOL``.  Where the count is not
+    one, or a root lies on either circle, rho is certified 2^64 times
+    finer (:func:`_certify_rho`) and counted again, down to
+    ``UNIQUENESS_FLOOR``.  ``rho_iv`` must hold z at an end of ``s_iv``,
+    as :func:`_certify_rho` makes it, or rho could lie outside it.
+    """
+    if not any(rho_iv[0] <= cp.z_at(s) <= rho_iv[1] for s in s_iv):
+        return "the rho interval holds z at neither end of the s interval"
+    r, tol = _candidate_polynomial(cp), rho_iv[1] - rho_iv[0] or UNIQUENESS_TOL
+    while True:
+        lo, hi = rho_iv if rho_iv[0] < rho_iv[1] else (rho_iv[0] - tol, rho_iv[1] + tol)
+        lo, hi = _hull((lo, hi), floor(hi / (hi - lo)).bit_length() + 40)
+        inner, outer = roots_in_disk(r, lo), roots_in_disk(r, hi)
+        if None not in (inner, outer) and outer - inner == 1:
+            return None
+        tol /= 2 ** 64
+        if tol < UNIQUENESS_FLOOR:
+            return "another candidate has modulus within 1e-100 of rho"
+        s_iv, rho_iv = _certify_rho(cp, tol)[:2]
+
+
+def _uniqueness_certificate(
+    cp: CriticalPoint, s_iv: Tuple[Fraction, Fraction],
+    rho_iv: Tuple[Fraction, Fraction], extra: Tuple[Fraction, ...],
+) -> Optional[str]:
+    """None if z has no pole on [0, s*] and no candidate singularity but
+    rho has modulus in ``rho_iv``, else the reason the check is undecided.
+
+    den is positive on the cell ``s_iv`` (:func:`_certify_rho`), and
+    :meth:`CriticalPoint.den_min` reads it on [0, lo].  The candidates are
+    z(sigma) for the roots sigma of ``char``, root disks
+    (:func:`_disks_separate`) their fast path and the exact count
+    (:func:`_count_certificate`) the rest, and the exact z(s) for s in
+    ``extra`` (see :func:`radius_numeric`).
+    """
+    if cp.den_min(Fraction(0), s_iv[0]) <= 0:
+        return "z has a pole before s*"
+    for s in extra:
+        if cp.den.sign_at(s) != 0 and s_iv != (s, s) \
+                and rho_iv[0] <= abs(cp.z_at(s)) <= rho_iv[1]:
+            return "z(%s) has modulus within the rho interval" % s
+    return None if _disks_separate(cp, s_iv, rho_iv) else _count_certificate(cp, s_iv, rho_iv)
 
 
 def _far_field_warnings(params: IsingParams, allow_far_field: bool) -> List[str]:
@@ -825,35 +786,38 @@ def radius_numeric(
 ) -> SingularityReport:
     """Certified radius of convergence rho, mu = c rho, and S(rho).
 
-    s* is the smallest root of the characteristic polynomial in (0, B],
-    B = 1/(3 c^2 |1 - nu^2|) (Cauchy bound at nu = 1), isolated by Sturm
-    counts and refined by quadratic interval refinement to the cell sign
-    bisection would stop in (see :class:`CriticalPoint` and
-    :func:`_certify_rho`);
-    rho is the reduced rational function z(s) evaluated there, with an
-    interval enclosure of width <= tol.  Points with |c - 1| > 1/4 are
-    outside the validated region and require ``allow_far_field=True``,
-    which records a warning instead.
+    s* is the smallest root of ``char`` in (0, B] (:class:`CriticalPoint`),
+    and rho = z(s*) is enclosed to width <= tol (:func:`_certify_rho`).
+    Points with |c - 1| > 1/4 are outside the validated region and require
+    ``allow_far_field=True``, which records a warning instead.
 
     With ``scan_uniqueness``, ``uniqueness_checked`` is True when no other
     candidate singularity of Z has modulus in the rho interval, certified
-    at tol 1e-12 or finer whatever ``tol`` (1e-40 where a tight cluster of
-    roots of ``char`` maps close to rho); otherwise it is False and a
-    warning "dominant-singularity uniqueness undecided: <reason>" says why.
-    The candidates: the leading S-coefficient of the squarefree cancelling
-    polynomial is a constant, so S has no poles and every singularity of S
-    is a root of its z-discriminant, which is z(sigma) for a root sigma of
-    ``char`` or z(B), B being the endpoint factor :func:`critical_point`
-    drops at c = 1.  Z = Q(S) adds none: on the curve, Z(nu, c, c z) =
-    A(S, z) / (9 (1 - nu^2) z^2) with A a polynomial (the reduced model of
+    at tol 1e-12 or finer whatever ``tol``, and z has no pole on [0, s*];
+    otherwise it is False and a warning "dominant-singularity uniqueness
+    undecided: <reason>" says why.  The candidates: the leading
+    S-coefficient of the squarefree cancelling polynomial is a constant, so
+    S has no poles and every singularity of S is a root of its
+    z-discriminant, which is z(sigma) for a root sigma of ``char`` or z(B),
+    B being the endpoint factor :func:`critical_point` drops at c = 1.
+    Z = Q(S) adds none: on the curve, Z(nu, c, c z) = A(S, z) /
+    (9 (1 - nu^2) z^2) with A a polynomial (the reduced model of
     :mod:`isingmaps.series`), so 1 + e1 S = 0 is no pole of Z.
-    :func:`_uniqueness_certificate` checks every candidate exactly.
+    :func:`_uniqueness_certificate` checks every candidate exactly, by
+    root disks or else an exact count down to ``UNIQUENESS_FLOOR``: it is
+    undecided only where a candidate lies on |z| = rho or within the floor.
+
     Candidates strictly inside |z| < rho are allowed on the Pringsheim
-    argument: Z_n >= 0, since Z counts maps with positive weights, so the
-    radius of Z is a singularity on the positive axis (Flajolet-Sedgewick,
-    Analytic Combinatorics, Thm IV.6), and with that radius equal to rho
-    the candidates inside the disc lie on other sheets.  That the radius of
-    Z is rho is the argument's premise, not something this check proves.
+    argument (Flajolet-Sedgewick, Analytic Combinatorics, Thm IV.6):
+    Z_n >= 0, since Z counts maps with positive weights, so the radius R
+    of Z is a singularity of Z on the positive axis.  z' has no zero on
+    [0, s*), s* being the least root of ``char`` in (0, B], and z has no
+    pole on [0, s*], which the scan checks by den's least value there
+    (:meth:`CriticalPoint.den_min`).  So z increases from 0 to rho on
+    [0, s*), its inverse S continues analytically along [0, rho), and so
+    does Z = Q(S): R >= rho, and the candidates inside the disc lie on
+    other sheets.  That R is not above rho needs a nonzero singular
+    amplitude at rho, which this check does not prove.
     """
     tol = Fraction(tol)
     if tol <= 0:

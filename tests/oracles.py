@@ -22,7 +22,7 @@ from isingmaps.exactalg import (
     squarefree_part,
 )
 from isingmaps.precision import DEFAULT_PRECISION_BITS, to_mpf
-from isingmaps.series import IsingParams
+from isingmaps.series import IsingParams, _Model, _solve_Z_ring, nu_one_jets
 from isingmaps.singular import Enclosure, _lagrangian_parts, critical_point, radius_numeric
 
 
@@ -469,3 +469,17 @@ def isolate_real_roots(p: UniPoly):
         stack.append((mid, b))
     out.sort()
     return out
+
+
+def solve_Z_jets(params: IsingParams, order: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """(Z_n, theta Z_n, theta^2 Z_n) at the point for n = 0..order, exact,
+    theta = c d/dc: the whole series of one pass over the packed jets of
+    the jet kind of :class:`~isingmaps.series._Model`, of which
+    ``critical._theta_Z`` unpacks only the last coefficient; the closed
+    form :func:`~isingmaps.series.nu_one_jets` at nu = 1.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if params.nu == 1:
+        return nu_one_jets(params.c, order)
+    return [(Fraction(0),) * 3] + _solve_Z_ring(_Model(params, "jet", order), order)[1:]

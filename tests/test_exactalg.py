@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isingmaps import exactalg
 from isingmaps.errors import DegenerateInterval, NonZeroRemainder
@@ -593,6 +593,43 @@ class TestSturm:
         lo, hi = bisect_isolated_root(p, Fraction(1), Fraction(2), Fraction(1, 2 ** 30))
         assert lo < hi and hi - lo <= Fraction(1, 2 ** 30)
         assert lo * lo < 2 < hi * hi
+
+
+class TestRootsInDisk:
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=9).filter(lambda cs: cs[-1]),
+           st.fractions(min_value=Fraction(1, 10), max_value=Fraction(10), max_denominator=20))
+    @settings(max_examples=60, deadline=None)
+    def test_count_equals_sympy_nroots(self, coeffs, radius):
+        z = sympy.Symbol("z")
+        try:
+            roots = sympy.Poly(list(reversed(coeffs)), z).nroots(n=50, maxsteps=200)
+        except sympy.polys.polyerrors.NoConvergence:
+            assume(False)
+        rad = sympy.Rational(radius.numerator, radius.denominator)
+        moduli = [abs(root) for root in roots]
+        assume(all(abs(m - rad) > sympy.Float("1e-30", 50) for m in moduli))
+        assert exactalg.roots_in_disk(UniPoly(coeffs), radius) == sum(1 for m in moduli if m < rad)
+
+    @pytest.mark.parametrize("coeffs, radius", [
+        ([1, 0, 1], 1),          # +-i
+        ([1, 1], 1),             # -1, the pole of the map to the half-plane
+        ([-1, 1], 1),            # 1
+        ([4, 0, 1], 2),          # +-2i
+        ([1, 0, 0, 1], 1),       # the cube roots of -1
+    ])
+    def test_root_on_the_circle_is_none(self, coeffs, radius):
+        assert exactalg.roots_in_disk(UniPoly(coeffs), Fraction(radius)) is None
+
+    @pytest.mark.parametrize("coeffs, radius, count", [
+        ([7], 1, 0),
+        ([2, -5, 2], 1, 1),                 # 2 and 1/2, a pair x, -x after the map
+        ([5, 0, -26, 0, 5], 1, 2),          # +-1/sqrt(5) and +-sqrt(5)
+        ([4, 0, 1], 1, 0),                  # +-2i
+        ([0, 0, 1], 1, 2),                  # 0 twice, with multiplicity
+        ([-1, 3, -3, 1], Fraction(11, 10), 3),  # 1 three times
+    ])
+    def test_symmetric_and_repeated_roots(self, coeffs, radius, count):
+        assert exactalg.roots_in_disk(UniPoly(coeffs), Fraction(radius)) == count
 
 
 class TestIntegerForm:

@@ -33,9 +33,8 @@ from isingmaps.series import (
     nu_one_jets,
     solve_S,
     solve_Z,
-    solve_Z_jets,
 )
-from oracles import pp_exact_div, shift_c, symbolic_tables_by_powers
+from oracles import pp_exact_div, shift_c, solve_Z_jets, symbolic_tables_by_powers
 
 NU = ParamPoly.nu()
 C = ParamPoly.c()

@@ -255,16 +255,19 @@ class TestRadiusNumeric:
         assert rep.uniqueness_checked
         assert isinstance(rep, SingularityReport)
 
-    def test_bad_root_hint_is_reported(self, monkeypatch):
+    def test_bad_root_hint_falls_back_to_the_count(self, monkeypatch):
         # every approximate root at 0: the disks coincide, so the float hint
-        # loses the verdict instead of faking one
+        # loses the fast path, and the exact count gives the verdict
+        counts = []
+        count = singular._count_certificate
         monkeypatch.setattr(singular, "_approximate_roots",
                             lambda char, bound: [0j] * char.degree())
+        monkeypatch.setattr(singular, "_count_certificate",
+                            lambda *args: counts.append(args) or count(*args))
         for nu, c in ((2, 1), (Fraction(3, 4), Fraction(11, 10))):
             rep = radius_numeric(params(nu, c), with_exponent=False)
-            assert not rep.uniqueness_checked
-            assert [w for w in rep.warnings if "uniqueness undecided: " in w] == \
-                ["dominant-singularity uniqueness undecided: root disks of char overlap"]
+            assert rep.uniqueness_checked and not rep.warnings
+        assert len(counts) == 2
 
 
 GRID_NUS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, Fraction(3, 2), 2,
@@ -285,8 +288,19 @@ def _candidate_moduli(p):
     return char_z, z_b
 
 
+def _on_the_circle(char):
+    """The verdict for z(s) = s with the root s* = rho = 1/2 of ``char``
+    given exactly."""
+    half = Fraction(1, 2)
+    cp = singular.CriticalPoint(num=UniPoly([0, 1]), den=UniPoly([1]), char=char,
+                                bound=Fraction(1), interval=(half, half))
+    assert cp.z_at(half) == half
+    return singular._uniqueness_certificate(cp, (half, half), (half, half), ())
+
+
 class TestUniquenessCertificate:
-    """The root-disk certificate behind ``uniqueness_checked``."""
+    """The certificate behind ``uniqueness_checked``: root disks, else the
+    exact count."""
 
     @pytest.mark.slow
     def test_grid_certified_and_candidates_are_the_discriminant_roots(self):
@@ -298,6 +312,8 @@ class TestUniquenessCertificate:
                 char_z, z_b = _candidate_moduli(p)
                 # the reference roots, solved in w = z / rho so they are of order 1
                 disc = squarefree_part(discriminant_in_z(p))
+                # the count's candidates are roots of the discriminant too
+                disc.exact_div(singular._candidate_polynomial(critical_point(p)))
                 scaled = [q * rep.rho ** k for k, q in enumerate(disc.coeffs)]
                 with mpmath.workprec(64):
                     ref = [abs(w) * rep.rho for w in mpmath.polyroots(
@@ -316,6 +332,8 @@ class TestUniquenessCertificate:
 
     @pytest.mark.parametrize("nu, c", [(6, Fraction(9, 10)), (Fraction(1, 2), 1)])
     def test_rho_interval_on_another_candidate_is_undecided(self, nu, c):
+        # the disks see the other candidate in the interval, and the count
+        # refuses an interval that does not hold rho
         p = params(nu, c)
         cp = critical_point(p)
         rep = radius_numeric(p, with_exponent=False, scan_uniqueness=False)
@@ -326,9 +344,10 @@ class TestUniquenessCertificate:
         for x in others:
             mid = Fraction(mpmath.nstr(x, 30))
             fake = (mid - mid / 10 ** 12, mid + mid / 10 ** 12)
+            assert not singular._disks_separate(cp, rep.s_interval, fake), x
             reason = singular._uniqueness_certificate(cp, rep.s_interval, fake,
                                                       (cp.bound,))
-            assert reason == "a root of char maps near |z| = rho", (x, reason)
+            assert reason == "the rho interval holds z at neither end of the s interval"
         if cp.den.sign_at(cp.bound):
             fake = (abs(cp.z_at(cp.bound)),) * 2
             assert singular._uniqueness_certificate(
@@ -364,21 +383,37 @@ class TestUniquenessCertificate:
 
     def test_tight_root_cluster_is_certified(self, monkeypatch):
         # four roots of char within 5e-11 of 1/3, whose float disks overlap:
-        # the integer pass splits them, and their z-values are told apart
-        # from rho once it is read to CLUSTER_TOL
-        passes = []
-        refine = singular._refine_roots
-        monkeypatch.setattr(singular, "_refine_roots",
-                            lambda *args: passes.append(args[2]) or refine(*args))
-        rep = radius_numeric(params(Fraction(1, 10 ** 20)), with_exponent=False)
-        assert len(passes) == 1
+        # the exact count of the candidates in the annulus certifies
+        p = params(Fraction(1, 10 ** 20))
+        cp = critical_point(p)
+        s_iv, rho_iv, _ = singular._certify_rho(cp, singular.UNIQUENESS_TOL)
+        assert not singular._disks_separate(cp, s_iv, rho_iv)
+        counts = []
+        count = singular._count_certificate
+        monkeypatch.setattr(singular, "_count_certificate",
+                            lambda *args: counts.append(args) or count(*args))
+        rep = radius_numeric(p, with_exponent=False)
+        assert len(counts) == 1
         assert rep.uniqueness_checked and not rep.warnings
 
-    def test_certified_points_make_no_second_pass(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("second root pass")
+    @pytest.mark.parametrize("nu, c", [(5, Fraction(10001, 10000)), (5, Fraction(9999, 10000)),
+                                       (5, Fraction(1000001, 1000000)),
+                                       (Fraction(1, 10 ** 40), 1)])
+    def test_points_the_disks_leave_open_certify_by_the_count(self, nu, c):
+        # a real candidate 2.9e-6 (relative) above rho at nu = 5, a complex
+        # pair about 5e-32 outside the circle at nu = 1e-40
+        p = params(nu, c)
+        cp = critical_point(p)
+        s_iv, rho_iv, _ = singular._certify_rho(cp, singular.UNIQUENESS_TOL)
+        assert not singular._disks_separate(cp, s_iv, rho_iv)
+        rep = radius_numeric(p, with_exponent=False)
+        assert rep.uniqueness_checked and not rep.warnings
 
-        monkeypatch.setattr(singular, "_refine_roots", refuse)
+    def test_benchmark_points_certify_on_the_disks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact count")
+
+        monkeypatch.setattr(singular, "_count_certificate", refuse)
         for nu, c in BENCHMARK_POINTS:
             rep = radius_numeric(params(Fraction(nu), Fraction(c)), with_exponent=False)
             assert rep.uniqueness_checked, (nu, c)
@@ -386,24 +421,55 @@ class TestUniquenessCertificate:
     def test_conjugate_pair_on_the_circle_is_undecided(self):
         # z(s) = s and char = (s - 1/2)(s^2 + 1/4): rho = z(1/2) = 1/2, and
         # the roots +-i/2 of char map onto |z| = rho
-        half = Fraction(1, 2)
-        cp = singular.CriticalPoint(
-            num=UniPoly([0, 1]), den=UniPoly([1]), char=UniPoly([-1, 2, -4, 8]),
-            bound=Fraction(1), interval=(half, half))
-        assert cp.z_at(half) == half
-        reason = singular._uniqueness_certificate(cp, (half, half), (half, half), ())
-        assert reason == "a root of char maps near |z| = rho"
+        assert _on_the_circle(UniPoly([-1, 2, -4, 8])) == \
+            "another candidate has modulus within 1e-100 of rho"
 
-    def test_verdict_reads_rho_at_least_to_default_width(self):
-        # at tol 1e-3 the reported rho interval reaches another candidate;
-        # the verdict reads rho to 1e-12 instead, so it still certifies
+    def test_real_candidate_at_minus_rho_is_undecided(self):
+        # z(s) = s and char = (s - 1/2)(s + 1/2): z(-1/2) = -rho
+        assert _on_the_circle(UniPoly([-1, 0, 4])) == \
+            "another candidate has modulus within 1e-100 of rho"
+
+    def test_verdict_reads_rho_at_least_to_default_width(self, monkeypatch):
+        # at tol 1e-3 the reported rho interval reaches another candidate, so
+        # the disks cannot certify on it; the verdict reads rho to 1e-12
+        # instead, where they do, with no count
         p = params(3, Fraction(9, 10))
         cp = critical_point(p)
-        rep = radius_numeric(p, tol=Fraction(1, 1000), with_exponent=False)
-        assert rep.uniqueness_checked
+        rep = radius_numeric(p, tol=Fraction(1, 1000), with_exponent=False,
+                             scan_uniqueness=False)
         assert rep.rho_interval[1] - rep.rho_interval[0] > Fraction(1, 10 ** 12)
-        assert singular._uniqueness_certificate(cp, rep.s_interval, rep.rho_interval,
-                                                (cp.bound,)) is not None
+        assert not singular._disks_separate(cp, rep.s_interval, rep.rho_interval)
+
+        def refuse(*args):
+            raise AssertionError("exact count")
+
+        monkeypatch.setattr(singular, "_count_certificate", refuse)
+        assert radius_numeric(p, tol=Fraction(1, 1000), with_exponent=False).uniqueness_checked
+
+
+class TestPringsheimPremise:
+    """z has no pole on [0, s*], checked wherever uniqueness is scanned."""
+
+    def test_den_positive_up_to_s_star_on_the_grid(self):
+        for point in POLE_GRID:
+            p = params(*point)
+            try:
+                cp = critical_point(p)
+            except NoRootInRange:
+                continue
+            rep = radius_numeric(p, with_exponent=False, allow_far_field=True)
+            assert cp.den_min(Fraction(0), rep.s_interval[0]) > 0, point
+            assert not any("pole" in w for w in rep.warnings), point
+
+    def test_pole_before_s_star_is_undecided(self):
+        # z(s) = s / (1 - 4s) has its pole at 1/4, before s* = 1/2
+        half = Fraction(1, 2)
+        cp = singular.CriticalPoint(num=UniPoly([0, 1]), den=UniPoly([1, -4]),
+                                    char=UniPoly([-1, 2]), bound=Fraction(1),
+                                    interval=(half, half))
+        rho = cp.z_at(half)
+        assert singular._uniqueness_certificate(cp, (half, half), (rho, rho), ()) == \
+            "z has a pole before s*"
 
 
 class TestSturmGrid:
